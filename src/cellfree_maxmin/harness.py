@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -45,6 +46,8 @@ from .solver_bisection import BisectionConfig, bisection_solve, build_soc_system
 LN2 = math.log(2.0)
 
 EXPERIMENT_KINDS = ("convergence", "cdf", "scaling", "single-solve", "verify-rate")
+# timed solves per solver and AP count in the scaling experiment
+SCALING_REPEATS = 3
 
 
 def _fmt(x) -> str:
@@ -400,7 +403,8 @@ def _warm_kernels(cfg: ExperimentConfig):
 
 
 def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
-    """Wall-time table over the AP grid; needs both solvers enabled."""
+    """Wall-time table over the AP grid; needs both solvers enabled. Each
+    solver's wall time is the median of SCALING_REPEATS solves."""
     if cfg.solver != "both":
         raise ValueError("scaling requires both solvers enabled")
     out = _ensure_outdir(cfg)
@@ -414,20 +418,26 @@ def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict
         dims = Dimensions(m, len(cfg.group_sizes), cfg.group_sizes)
         instance = generate_instance(dims, cfg.physical, cfg.master_seed)
         model = build_rate_model(instance)
-        reports = _solve_apg(model, cfg, clock=clock)
-        apg_wall = sum(r.wall_time_s for r in reports)
+        # solves alternate so that a burst of host load hits both solvers;
+        # they are deterministic, so the last ones give the other columns
+        apg_walls, bis_walls = [], []
+        for _ in range(SCALING_REPEATS):
+            reports = _solve_apg(model, cfg, clock=clock)
+            apg_walls.append(sum(r.wall_time_s for r in reports))
+            bis = bisection_solve(build_soc_system(model), cfg.bisection, clock=clock)
+            bis_walls.append(bis.wall_time_s)
+        apg_wall = statistics.median(apg_walls)
+        bis_wall = statistics.median(bis_walls)
         apg_iters = sum(r.iterations for r in reports)
         fixed_wall = apg_fixed_iteration_time(model, cfg.apg, cfg.scaling_fixed_iters, clock=clock)
-        bis = bisection_solve(build_soc_system(model), cfg.bisection, clock=clock)
         rows.append(
             (m, apg_wall, apg_iters, reports[-1].min_rate, fixed_wall,
-             bis.wall_time_s, bis.oracle_iters_total, bis.t_star,
-             bool(apg_wall < bis.wall_time_s))
+             bis_wall, bis.oracle_iters_total, bis.t_star, bool(apg_wall < bis_wall))
         )
         result["apg_wall_s"].append(apg_wall)
-        result["bisection_wall_s"].append(bis.wall_time_s)
+        result["bisection_wall_s"].append(bis_wall)
         result["apg_fixed_iter_wall_s"].append(fixed_wall)
-        result["apg_faster"].append(bool(apg_wall < bis.wall_time_s))
+        result["apg_faster"].append(bool(apg_wall < bis_wall))
     _write_csv(
         os.path.join(out, "scaling.csv"),
         ["m_aps", "apg_wall_s", "apg_iterations", "apg_objective_nats",

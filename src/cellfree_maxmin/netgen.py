@@ -10,7 +10,7 @@ initialization independent of each other.
 
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Iterator, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
@@ -256,52 +256,88 @@ def generate_instance(dims: Dimensions, cfg: PhysicalConfig, seed: int) -> Netwo
 # small-scale fading
 # ---------------------------------------------------------------------------
 
-def _complex_normal(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+class SmallScaleBlock(NamedTuple):
+    """One block of joint draws in real arithmetic: small-scale gains
+    g = g_re + i*g_im (n, M, T) and normalized pilot-estimate variables
+    z = z_re + i*z_im (n, M, N)."""
+
+    g_re: np.ndarray
+    g_im: np.ndarray
+    z_re: np.ndarray
+    z_im: np.ndarray
 
 
-def _smallscale_block(instance: NetworkInstance, rng: np.random.Generator, count: int):
-    """One block of joint draws: small-scale gains g (count, M, T) and the
-    normalized pilot-estimate variables z (count, M, N), built from the actual
-    pilot observation so that E{h * conj(z)} = sqrt(gamma)."""
-    dims = instance.dims
+def _pilot_model(instance: NetworkInstance):
+    """(pilot, noise_scale, z_scale) of the block pipeline. The pilot
+    observation of group n at AP m is
+    ytilde_mn = sum_k pilot[m, k, n] g_mk + noise_scale * (unit complex normal),
+    with pilot[m, k, n] = sqrt(rho_p*tau_p*zeta_mk) for the users k of group n
+    and 0 otherwise; z = ytilde / z_scale has unit variance."""
     m, t = instance.zeta.shape
+    n_groups = instance.dims.num_groups
     rt = instance.rho_p_w * instance.config.pilot_len_symbols
-    g = _complex_normal(rng, (count, m, t))
-    w = _complex_normal(rng, (count, m, dims.num_groups), variance=instance.noise_variance_w)
-    h = np.sqrt(instance.zeta)[None, :, :] * g
+    sigma2 = instance.noise_variance_w
     ptr = instance.group_ptr
-    z = np.empty((count, m, dims.num_groups), dtype=complex)
-    for n in range(dims.num_groups):
+    members = np.zeros((t, n_groups))
+    denom = np.empty((m, n_groups))
+    for n in range(n_groups):
         lo, hi = ptr[n], ptr[n + 1]
-        ytilde = np.sqrt(rt) * h[:, :, lo:hi].sum(axis=2) + w[:, :, n]
-        denom = rt * instance.zeta[:, lo:hi].sum(axis=1) + instance.noise_variance_w
-        z[:, :, n] = ytilde / np.sqrt(denom)[None, :]
-    return g, z
+        members[lo:hi, n] = np.sqrt(rt)
+        denom[:, n] = rt * instance.zeta[:, lo:hi].sum(axis=1) + sigma2
+    pilot = np.sqrt(instance.zeta)[:, :, None] * members
+    return pilot, np.sqrt(sigma2 / 2.0), np.sqrt(denom)
 
 
-def iter_smallscale_blocks(instance: NetworkInstance, count: int, seed: int) -> Iterator[tuple]:
-    """Yield (g, z) blocks of at most SMALLSCALE_BLOCK draws. Block b always
-    uses substream (seed, STREAM_SMALLSCALE, b), so the joint draw sequence is
-    a pure function of (instance, count, seed)."""
+def _smallscale_block(rng: np.random.Generator, count: int, pilot: np.ndarray,
+                      noise_scale: float, z_scale: np.ndarray) -> SmallScaleBlock:
+    """One block of `count` joint draws, z built from the actual pilot
+    observation so that E{h * conj(z)} = sqrt(gamma); see _pilot_model.
+
+    The stream is consumed as Re g, Im g, Re w, Im w (unit normals scaled by
+    sqrt(variance/2)). The pilot observations of all groups come from one
+    matmul of g, batched over the APs."""
+    m, t, n_groups = pilot.shape
+    g = rng.standard_normal((2, count, m, t))
+    g *= np.sqrt(0.5)
+    z = np.empty((2, count, m, n_groups))
+    np.matmul(g.reshape(2 * count, m, t).swapaxes(0, 1), pilot,
+              out=z.reshape(2 * count, m, n_groups).swapaxes(0, 1))
+    w = rng.standard_normal(z.shape)
+    w *= noise_scale
+    z += w
+    z /= z_scale
+    return SmallScaleBlock(g[0], g[1], z[0], z[1])
+
+
+def iter_smallscale_blocks(instance: NetworkInstance, count: int,
+                           seed: int) -> Iterator[SmallScaleBlock]:
+    """Yield blocks of at most SMALLSCALE_BLOCK draws. Block b always uses
+    substream (seed, STREAM_SMALLSCALE, b), so the joint draw sequence is a
+    pure function of (instance, count, seed)."""
+    model = _pilot_model(instance)
     done = 0
     block_idx = 0
     while done < count:
         n = min(SMALLSCALE_BLOCK, count - done)
         rng = stream_rng(seed, STREAM_SMALLSCALE, block_idx)
-        yield _smallscale_block(instance, rng, n)
+        yield _smallscale_block(rng, n, *model)
         done += n
         block_idx += 1
 
 
 def sample_small_scale(instance: NetworkInstance, count: int, seed: int):
-    """Materialize `count` joint draws of (g, z); see iter_smallscale_blocks."""
-    gs, zs = [], []
-    for g, z in iter_smallscale_blocks(instance, count, seed):
-        gs.append(g)
-        zs.append(z)
-    return np.concatenate(gs, axis=0), np.concatenate(zs, axis=0)
+    """Materialize `count` joint draws as complex (g (count, M, T),
+    z (count, M, N)); see iter_smallscale_blocks."""
+    m, t = instance.zeta.shape
+    g = np.empty((count, m, t), dtype=complex)
+    z = np.empty((count, m, instance.dims.num_groups), dtype=complex)
+    done = 0
+    for blk in iter_smallscale_blocks(instance, count, seed):
+        end = done + blk.g_re.shape[0]
+        g.real[done:end], g.imag[done:end] = blk.g_re, blk.g_im
+        z.real[done:end], z.imag[done:end] = blk.z_re, blk.z_im
+        done = end
+    return g, z
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .netgen import NetworkInstance, iter_smallscale_blocks
+from .netgen import NetworkInstance, SmallScaleBlock, iter_smallscale_blocks
 
 LN2 = math.log(2.0)
 FEASIBILITY_SLACK = 1e-9
@@ -255,6 +255,38 @@ class MonteCarloRateReport:
         return np.abs(self.rate_nats - np.asarray(reference, dtype=float)) / se
 
 
+def _moment_vectors(blk: SmallScaleBlock, weight: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Per draw b and user u, the moment vector x[b, u] of the oracle.
+
+    All gains a[b, u, j] of user u seen through group j's beam phase are
+    sum_m weight[m, u] g[b, m, u] conj(z[b, m, j]) / |z[b, m, j]|. With the
+    real and imaginary parts stacked along the AP axis,
+    Re a = [hw_re; hw_im]^T [p_re; p_im] and Im a = [hw_re; hw_im]^T [-p_im; p_re],
+    two batched matmuls. `pick` gathers each user's (Re a, Im a, |a|^2) of its
+    own group and the |a|^2 of the other groups out of the (3, T, N) gains."""
+    b, m_aps, t_users = blk.g_re.shape
+    n_groups = blk.z_re.shape[2]
+    modulus = blk.z_re * blk.z_re
+    modulus += blk.z_im * blk.z_im
+    np.sqrt(modulus, out=modulus)
+    phase_re = np.empty((b, 2, m_aps, n_groups))
+    phase_im = np.empty((b, 2, m_aps, n_groups))
+    np.divide(blk.z_re, modulus, out=phase_re[:, 0])
+    np.divide(blk.z_im, modulus, out=phase_re[:, 1])
+    np.negative(phase_re[:, 1], out=phase_im[:, 0])
+    phase_im[:, 1] = phase_re[:, 0]
+    hw = np.empty((b, 2, m_aps, t_users))
+    np.multiply(blk.g_re, weight, out=hw[:, 0])
+    np.multiply(blk.g_im, weight, out=hw[:, 1])
+    hw_t = hw.reshape(b, 2 * m_aps, t_users).swapaxes(1, 2)
+    gains = np.empty((b, 3, t_users, n_groups))
+    np.matmul(hw_t, phase_re.reshape(b, 2 * m_aps, n_groups), out=gains[:, 0])
+    np.matmul(hw_t, phase_im.reshape(b, 2 * m_aps, n_groups), out=gains[:, 1])
+    np.multiply(gains[:, 0], gains[:, 0], out=gains[:, 2])
+    gains[:, 2] += gains[:, 1] * gains[:, 1]
+    return np.take(gains.reshape(b, -1), pick, axis=1).reshape(b, t_users, -1)
+
+
 def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: int,
                             seed: int) -> MonteCarloRateReport:
     """Estimate the hardening rate bound by sampling small-scale fading.
@@ -278,39 +310,31 @@ def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: i
     dims = instance.dims
     if eta.shape != (dims.num_aps, dims.num_groups):
         raise ValueError("eta must have shape (num_aps, num_groups)")
+    if not np.isfinite(eta).all():
+        raise ValueError("eta must be finite")
     if (eta < 0).any():
         raise ValueError("eta must be nonnegative")
     if draws < 1:
         raise ValueError("draws must be >= 1")
 
-    ptr = instance.group_ptr
     n_groups = dims.num_groups
     t_users = dims.num_users
     d = 3 + (n_groups - 1)  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
+    group = np.repeat(np.arange(n_groups), dims.group_sizes)
+    # per-user weights sqrt(zeta_mu * eta_mn), n the user's group, (M, T)
+    weight = np.sqrt(instance.zeta * eta[:, group])
+    # flat positions of each user's moment vector in the (3, T, N) gains
+    plane = t_users * n_groups
+    pick = np.array([[k * plane + u * n_groups + n for k in range(3)]
+                     + [2 * plane + u * n_groups + j for j in range(n_groups) if j != n]
+                     for u, n in enumerate(group)], dtype=np.intp).ravel()
     s1 = np.zeros((t_users, d))
     s2 = np.zeros((t_users, d, d))
-    sqrt_zeta = np.sqrt(instance.zeta)
 
-    for g, z in iter_smallscale_blocks(instance, draws, seed):
-        h = sqrt_zeta[None, :, :] * g
-        phase = z / np.abs(z)
-        for n in range(n_groups):
-            lo, hi = int(ptr[n]), int(ptr[n + 1])
-            hw = h[:, :, lo:hi] * np.sqrt(eta[:, n])[None, :, None]
-            a = np.einsum("bmk,bm->bk", hw, np.conj(phase[:, :, n]))
-            x = np.empty((a.shape[0], hi - lo, d))
-            x[:, :, 0] = a.real
-            x[:, :, 1] = a.imag
-            x[:, :, 2] = np.abs(a) ** 2
-            col = 3
-            for j in range(n_groups):
-                if j == n:
-                    continue
-                aj = np.einsum("bmk,bm->bk", hw, np.conj(phase[:, :, j]))
-                x[:, :, col] = np.abs(aj) ** 2
-                col += 1
-            s1[lo:hi] += x.sum(axis=0)
-            s2[lo:hi] += np.einsum("bkp,bkq->kpq", x, x)
+    for blk in iter_smallscale_blocks(instance, draws, seed):
+        x = _moment_vectors(blk, weight, pick)
+        s1 += x.sum(axis=0)
+        s2 += np.matmul(x.transpose(1, 2, 0), x.transpose(1, 0, 2))   # batched Gram
 
     theta = s1 / draws
     # covariance of the moment-mean vector (zero when draws == 1)

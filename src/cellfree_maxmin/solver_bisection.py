@@ -154,6 +154,12 @@ def feasibility_oracle(
         r = float(impl.soc_residuals(gs, asq, ptr, cand, rho, t).max())
         if r < best_res:
             best, best_res = cand, r
+    if best is None:
+        # no candidate has a residual below inf (NaN or inf data): name the inputs
+        inputs = {"gamma_sqrt": gs, "a_sq": asq, "rho_bar": rho, "t": t,
+                  "warm start": candidates}
+        bad = [name for name, val in inputs.items() if not np.isfinite(val).all()]
+        raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) at level t={t}")
     if best_res <= eps_soc:
         return OracleResult(FEASIBLE, best, 0, best_res, sigma_f=0.0, last_iterate=best)
 

@@ -225,6 +225,14 @@ class TestNanData:
         with pytest.raises(LineSearchError):
             apg_solve(nan_model())
 
+    def test_oracle_names_nan_compiled(self, lib):
+        with pytest.raises(ValueError, match="non-finite oracle data \\(gamma_sqrt\\)"):
+            feasibility_oracle(build_soc_system(nan_model()), 0.3)
+
+    def test_oracle_names_nan_numpy(self, numpy_engine):
+        with pytest.raises(ValueError, match="non-finite oracle data \\(gamma_sqrt\\)"):
+            feasibility_oracle(build_soc_system(nan_model()), 0.3)
+
     def test_margin_stage_both_engines(self, lib):
         model = nan_model()
         x0 = PowerControl.epa(model.num_aps, model.num_groups).by_group

@@ -291,3 +291,13 @@ class TestMonteCarloOracle:
         eta = np.full((small_instance.dims.num_aps, small_instance.dims.num_groups), -0.1)
         with pytest.raises(ValueError):
             rate_oracle_monte_carlo(small_instance, eta, 10, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_eta(self, small_instance, bad):
+        shape = (small_instance.dims.num_aps, small_instance.dims.num_groups)
+        with pytest.raises(ValueError, match="finite"):
+            rate_oracle_monte_carlo(small_instance, np.full(shape, bad), 10, 0)
+        eta = np.full(shape, 0.2)
+        eta[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rate_oracle_monte_carlo(small_instance, eta, 10, 0)

@@ -1,0 +1,158 @@
+"""The real-arithmetic small-scale pipeline against a local copy of the
+complex-arithmetic reference it replaced: the same draws (g bit-identical,
+z to rounding) and the same Monte-Carlo rate report."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from cellfree_maxmin import (
+    Dimensions,
+    MonteCarloRateReport,
+    PhysicalConfig,
+    generate_instance,
+    rate_oracle_monte_carlo,
+)
+from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.netgen import (
+    SMALLSCALE_BLOCK,
+    STREAM_SMALLSCALE,
+    iter_smallscale_blocks,
+    sample_small_scale,
+    stream_rng,
+)
+
+# (num_aps, group_sizes): equal, single-user, unequal, many-group and
+# single-AP shapes
+SHAPES = [(8, (3, 3)), (4, (1,)), (10, (2, 5, 1)), (20, (4, 4, 4, 4)), (1, (1, 1))]
+DRAWS = 2 * SMALLSCALE_BLOCK + 1234   # not a multiple of the block size
+
+
+def reference_complex_normal(rng, shape, variance=1.0):
+    scale = np.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def reference_block(instance, rng, count):
+    dims = instance.dims
+    m, t = instance.zeta.shape
+    rt = instance.rho_p_w * instance.config.pilot_len_symbols
+    g = reference_complex_normal(rng, (count, m, t))
+    w = reference_complex_normal(rng, (count, m, dims.num_groups),
+                                 variance=instance.noise_variance_w)
+    h = np.sqrt(instance.zeta)[None, :, :] * g
+    ptr = instance.group_ptr
+    z = np.empty((count, m, dims.num_groups), dtype=complex)
+    for n in range(dims.num_groups):
+        lo, hi = ptr[n], ptr[n + 1]
+        ytilde = np.sqrt(rt) * h[:, :, lo:hi].sum(axis=2) + w[:, :, n]
+        denom = rt * instance.zeta[:, lo:hi].sum(axis=1) + instance.noise_variance_w
+        z[:, :, n] = ytilde / np.sqrt(denom)[None, :]
+    return g, z
+
+
+def reference_blocks(instance, count, seed):
+    done = block_idx = 0
+    while done < count:
+        n = min(SMALLSCALE_BLOCK, count - done)
+        yield reference_block(instance, stream_rng(seed, STREAM_SMALLSCALE, block_idx), n)
+        done += n
+        block_idx += 1
+
+
+def reference_oracle(instance, eta, draws, seed):
+    """The per-group einsum oracle, moments and delta-method tail."""
+    dims = instance.dims
+    ptr = instance.group_ptr
+    n_groups = dims.num_groups
+    t_users = dims.num_users
+    d = 3 + (n_groups - 1)
+    s1 = np.zeros((t_users, d))
+    s2 = np.zeros((t_users, d, d))
+    sqrt_zeta = np.sqrt(instance.zeta)
+    for g, z in reference_blocks(instance, draws, seed):
+        h = sqrt_zeta[None, :, :] * g
+        phase = z / np.abs(z)
+        for n in range(n_groups):
+            lo, hi = int(ptr[n]), int(ptr[n + 1])
+            hw = h[:, :, lo:hi] * np.sqrt(eta[:, n])[None, :, None]
+            a = np.einsum("bmk,bm->bk", hw, np.conj(phase[:, :, n]))
+            x = np.empty((a.shape[0], hi - lo, d))
+            x[:, :, 0] = a.real
+            x[:, :, 1] = a.imag
+            x[:, :, 2] = np.abs(a) ** 2
+            col = 3
+            for j in range(n_groups):
+                if j == n:
+                    continue
+                aj = np.einsum("bmk,bm->bk", hw, np.conj(phase[:, :, j]))
+                x[:, :, col] = np.abs(aj) ** 2
+                col += 1
+            s1[lo:hi] += x.sum(axis=0)
+            s2[lo:hi] += np.einsum("bkp,bkq->kpq", x, x)
+
+    theta = s1 / draws
+    if draws > 1:
+        cov_mean = (s2 / draws - np.einsum("kp,kq->kpq", theta, theta)) / (draws - 1)
+    else:
+        cov_mean = np.zeros_like(s2)
+    rho = instance.rho_d_w
+    x0, y0, m2 = theta[:, 0], theta[:, 1], theta[:, 2]
+    csum = theta[:, 3:].sum(axis=1) if d > 3 else np.zeros(t_users)
+    e2 = x0 * x0 + y0 * y0
+    total = rho * m2 + rho * csum + instance.noise_variance_w
+    den = total - rho * e2
+    grad = np.zeros((t_users, d))
+    grad[:, 0] = 2.0 * rho * x0 / den
+    grad[:, 1] = 2.0 * rho * y0 / den
+    grad[:, 2:] = (rho / total - rho / den)[:, None]
+    var_rate = np.einsum("kp,kpq,kq->k", grad, cov_mean, grad)
+    return MonteCarloRateReport(
+        mean_gain=x0 + 1j * y0,
+        gain_variance=np.maximum(m2 - e2, 0.0),
+        cross_power=csum,
+        rate_nats=np.log(total) - np.log(den),
+        std_error=np.sqrt(np.maximum(var_rate, 0.0)),
+        mean_gain_se=np.sqrt(np.maximum(cov_mean[:, 0, 0] + cov_mean[:, 1, 1], 0.0)),
+        draws=draws,
+    )
+
+
+@pytest.fixture(scope="module", params=SHAPES, ids=lambda s: f"M{s[0]}-{'x'.join(map(str, s[1]))}")
+def instance(request):
+    num_aps, sizes = request.param
+    return generate_instance(Dimensions(num_aps, len(sizes), sizes), PhysicalConfig(), seed=3)
+
+
+def test_draws_match_reference(instance):
+    g, z = sample_small_scale(instance, DRAWS, seed=5)
+    g_ref = np.concatenate([b[0] for b in reference_blocks(instance, DRAWS, 5)])
+    z_ref = np.concatenate([b[1] for b in reference_blocks(instance, DRAWS, 5)])
+    assert g.shape == g_ref.shape and z.shape == z_ref.shape
+    assert np.array_equal(g, g_ref)
+    # the pilot sums run in another order; relative to the largest |z|, as
+    # single entries near zero come out of cancellation
+    assert np.abs(z - z_ref).max() <= 1e-14 * np.abs(z_ref).max()
+
+
+def test_blocks_are_real_parts(instance):
+    blocks = list(iter_smallscale_blocks(instance, DRAWS, seed=5))
+    assert [b.g_re.shape[0] for b in blocks] == [SMALLSCALE_BLOCK, SMALLSCALE_BLOCK, 1234]
+    g, z = sample_small_scale(instance, DRAWS, seed=5)
+    assert np.array_equal(g[-1234:].imag, blocks[-1].g_im)
+    assert np.array_equal(z[:SMALLSCALE_BLOCK].real, blocks[0].z_re)
+
+
+def test_report_matches_reference(instance):
+    eta = random_feasible_eta(instance.dims, seed=4)
+    got = rate_oracle_monte_carlo(instance, eta, DRAWS, seed=6)
+    ref = reference_oracle(instance, eta, DRAWS, seed=6)
+    for field in dataclasses.fields(MonteCarloRateReport):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if field.name == "draws":
+            assert a == b
+        elif field.name == "cross_power" and instance.dims.num_groups == 1:
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=field.name)

@@ -1,70 +1,146 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the compiled APG stage (apg_stage.c) against the numpy reference.
 
-Times the smoothed value+gradient kernel, the projection, and one full APG
-iteration across problem sizes, printing per-call microseconds and the
-numba speedup. Run after any kernel change:
+For each size (M APs, N groups, K users per group) and both objectives, the
+rate soft minimum of apg_solve and the cone margin of the bisection oracle,
+prints per engine:
 
-    python benchmarks/bench_kernels.py [--repeats 2000]
+  * microseconds per value and per value+gradient evaluation: compiled
+    through apg_objective (one ctypes call, which also copies gs and asq into
+    the user-minor layout, as each stage does once), numpy through the
+    kernels.IMPL functions;
+  * milliseconds per fixed stage of 300 iterations (stopping rules off):
+    compiled through solver_apg.compiled_stage, numpy through monotone_apg
+    with the same objective closures the solvers use.
+
+Each figure is the median of --repeats timed blocks. Run after any change to
+apg_stage.c or the numpy kernels:
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats 5]
 """
 
 import argparse
+import ctypes
+import math
+import statistics
 import time
 
 import numpy as np
 
-from cellfree_maxmin import Dimensions, PhysicalConfig, build_rate_model, generate_instance
-from cellfree_maxmin.kernels import HAVE_NUMBA, NUMPY_IMPL, NUMBA_IMPL
+from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
+                             generate_instance, kernels, native)
+from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
+from cellfree_maxmin.solver_bisection import _support_gap
+
+SIZES = [(100, 4, 10), (150, 2, 15), (200, 2, 15), (50, 2, 10)]
+STAGE_ITERS = 300
+RATE_SIGMA = 100.0
+MARGIN_SIGMA = 1000.0
+GAP_CHECK_EVERY = 25
 
 
-def time_call(fn, args, repeats):
-    fn(*args)  # warm (JIT compile / cache touch)
-    t0 = time.perf_counter()
+def median_time(fn, repeats, min_block_s=0.05):
+    """Median seconds per call of fn() over `repeats` blocks of equal length."""
+    fn()  # warm
+    calls, t0 = 1, time.perf_counter()
+    fn()
+    one = max(time.perf_counter() - t0, 1e-9)
+    calls = max(1, int(min_block_s / one))
+    blocks = []
     for _ in range(repeats):
-        fn(*args)
-    return (time.perf_counter() - t0) / repeats * 1e6
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        blocks.append((time.perf_counter() - t0) / calls)
+    return statistics.median(blocks)
 
 
-def bench_size(m_aps, n_groups, users_per_group, repeats):
-    dims = Dimensions.uniform(m_aps, n_groups, users_per_group)
-    inst = generate_instance(dims, PhysicalConfig(), seed=0)
-    model = build_rate_model(inst)
+def numpy_closures(model, kind, t):
+    """(value, value_grad, monitor) on the numpy kernels; the margin monitor
+    runs the oracle's periodic Frank-Wolfe check but never stops the stage."""
+    impl = kernels.IMPL
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
+    if kind == native.RATE:
+        return (lambda mat: impl.soft_min_value(gs, asq, ptr, mat, rho, RATE_SIGMA),
+                lambda mat: impl.soft_min_value_grad(gs, asq, ptr, mat, rho, RATE_SIGMA),
+                None)
+
+    def value(mat):
+        return impl.margin_value(gs, asq, ptr, mat, rho, t, MARGIN_SIGMA)
+
+    def value_grad(mat):
+        return impl.margin_value_grad(gs, asq, ptr, mat, rho, t, MARGIN_SIGMA)
+
+    def monitor(x, f, aux, it):
+        if it % GAP_CHECK_EVERY == 0:
+            _, _, grad = value_grad(x)
+            _support_gap(grad, x)  # the oracle's certificate, computed and ignored
+        return None
+
+    return value, value_grad, monitor
+
+
+def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
+    """Rows (objective, engine, value us, value+grad us, stage ms)."""
+    dims = Dimensions.uniform(m_aps, n_groups, users_per_group)
+    model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed=0))
+    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
+    T, M = gs.shape
     rng = np.random.default_rng(0)
     mu = np.ascontiguousarray(rng.uniform(0.05, 0.6, size=(n_groups, m_aps)))
+    mu = kernels.IMPL.project_ball_orthant(mu)
+    level = epa_rates(model).min_rate
+    cfg = ApgConfig(max_iters=STAGE_ITERS, stop_tol=0.0, stop_window=STAGE_ITERS + 1)
 
-    cases = {
-        "value_grad": lambda impl: (impl.soft_min_value_grad, (gs, asq, ptr, mu, rho, 100.0)),
-        "project": lambda impl: (impl.project_ball_orthant, (mu,)),
-        "apg_step": lambda impl: (
-            impl.rate_apg_step,
-            (gs, asq, ptr, rho, 100.0, mu, mu, mu, 1.0, 1.0, 1.0, 1.0, 1e-5, 0.45, 60),
-        ),
-    }
     rows = []
-    for name, make in cases.items():
-        fn_np, args = make(NUMPY_IMPL)
-        t_np = time_call(fn_np, args, repeats)
-        if HAVE_NUMBA:
-            fn_nb, args = make(NUMBA_IMPL)
-            t_nb = time_call(fn_nb, args, repeats)
-            rows.append((name, t_np, t_nb, t_np / t_nb))
-        else:
-            rows.append((name, t_np, float("nan"), float("nan")))
+    for kind, name, sigma, t in ((native.RATE, "rate", RATE_SIGMA, 0.0),
+                                 (native.MARGIN, "margin", MARGIN_SIGMA, level)):
+        value, value_grad, monitor = numpy_closures(model, kind, t)
+        rows.append((name, "numpy",
+                     median_time(lambda: value(mu), repeats) * 1e6,
+                     median_time(lambda: value_grad(mu), repeats) * 1e6,
+                     median_time(lambda: monotone_apg(value_grad, value,
+                                                      kernels.IMPL.project_ball_orthant,
+                                                      mu, cfg, monitor=monitor),
+                                 repeats, min_block_s=0.0) * 1e3))
+        if lib is None:
+            continue
+        scratch = np.empty(lib.apg_scratch_len(T, n_groups, M))
+        grad = np.empty_like(mu)
+        aux = ctypes.c_double()
+        args = (kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, n_groups, M,
+                model.rho_bar, sigma, t, mu.ctypes.data)
+        rows.append((name, "compiled",
+                     median_time(lambda: lib.apg_objective(*args, None, scratch.ctypes.data,
+                                                           aux), repeats) * 1e6,
+                     median_time(lambda: lib.apg_objective(*args, grad.ctypes.data,
+                                                           scratch.ctypes.data, aux),
+                                 repeats) * 1e6,
+                     # eps_soc = -inf: the feasible and infeasible exits never fire
+                     median_time(lambda: compiled_stage(lib, kind, model, mu, cfg, sigma, t=t,
+                                                        eps_soc=-math.inf,
+                                                        gap_check_every=GAP_CHECK_EVERY),
+                                 repeats, min_block_s=0.0) * 1e3))
     return rows
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=2000)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    if not HAVE_NUMBA:
-        print("numba not available; timing the numpy backend only")
-    print(f"{'size':>18s} {'kernel':>12s} {'numpy us':>10s} {'numba us':>10s} {'speedup':>8s}")
-    for m, n, k in [(30, 2, 4), (100, 2, 15), (100, 4, 10), (200, 2, 15)]:
-        for name, t_np, t_nb, sp in bench_size(m, n, k, args.repeats):
-            print(f"M={m:<4d} N={n} K={k:<3d} {name:>12s} {t_np:10.2f} {t_nb:10.2f} {sp:8.2f}x")
+    lib = native.load_library()
+    if lib is None:
+        print("no C compiler: timing the numpy engine only")
+    else:
+        print(f"compiled stage: {lib.apg_lanes()} users per vector")
+    print(f"{'size':>16s} {'objective':>9s} {'engine':>9s} {'value us':>9s} "
+          f"{'val+grad us':>11s} {f'{STAGE_ITERS} it ms':>9s}")
+    for m, n, k in SIZES:
+        for name, engine, t_v, t_vg, t_stage in bench_size(lib, m, n, k, args.repeats):
+            print(f"M={m:<4d} N={n} K={k:<3d} {name:>9s} {engine:>9s} {t_v:9.2f} "
+                  f"{t_vg:11.2f} {t_stage:9.2f}")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,18 @@
  * without -ffast-math and without FP contraction: a NaN objective must keep
  * failing the sufficient-increase test, as it does in numpy.
  *
+ * Invariant for every edit of the kernels: each per-user sum
+ * p_u = gs_u . mu_n, q_u = asq_u . mu_n^2 runs over m in ascending order,
+ * one multiply then one add per term, with no FMA and no reassociation; each
+ * gradient entry sums its group's users in ascending order. SIMD lanes hold
+ * different users (or different m in the gradient), never parts of one sum,
+ * so results are bit-identical for every lane width and to a scalar build.
+ *
  * Array conventions follow kernels.py: gs, asq are (T, M) row-major, gptr is
- * the (N+1,) group pointer, iterates are (N, M) row-major.
+ * the (N+1,) group pointer, iterates are (N, M) row-major. For the dot
+ * products each objective copies gs and asq into an (M, Tp) user-minor
+ * layout in which every group is padded with zero columns to whole vectors
+ * of LANES users.
  */
 
 #include <math.h>
@@ -25,6 +35,16 @@
 
 #define PI 3.141592653589793
 #define BALL_SLACK 1e-12
+
+#if defined(__AVX512F__)
+#define LANES 8
+#elif defined(__AVX__)
+#define LANES 4
+#else
+#define LANES 2
+#endif
+
+typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
 
 enum { APG_RATE = 0, APG_MARGIN = 1 };
 enum {
@@ -54,11 +74,37 @@ typedef struct {
     int kind;
     const double *gs, *asq;
     const int64_t *gptr;
-    int64_t T, N, M;
+    int64_t T, N, M, Tp;
     double rho, sigma;
     double et1, set1, lin;  /* margin constants at level t */
-    double *v, *p, *c, *sq, *acc;  /* scratch: T, T, T, M, M */
+    const double *gt, *at;  /* (M, Tp) user-minor copies of gs, asq */
+    double *v, *c, *acc, *pq;  /* scratch: T, T, M, 2T */
 } Objective;
+
+/* columns of a group of k users in the user-minor copies */
+static int64_t padded(int64_t k)
+{
+    return (k + LANES - 1) / LANES * LANES;
+}
+
+/* Doubles of scratch for one objective: v, c, acc, one p/q pair, and the two
+ * (M, Tp) copies (Tp <= T + N*(LANES-1)) with room to align them. */
+int64_t apg_scratch_len(int64_t T, int64_t N, int64_t M)
+{
+    return 4 * T + M + 2 * M * (T + N * (LANES - 1)) + LANES - 1;
+}
+
+/* Doubles of work for apg_stage: nine (N, M) iterates and gradients, three
+ * more p/q pairs, and the objective scratch. */
+int64_t apg_work_len(int64_t T, int64_t N, int64_t M)
+{
+    return 9 * N * M + 6 * T + apg_scratch_len(T, N, M);
+}
+
+int64_t apg_lanes(void)
+{
+    return LANES;
+}
 
 static void project(const double *x, double *out, double *nsq, int64_t N, int64_t M)
 {
@@ -81,22 +127,52 @@ static void project(const double *x, double *out, double *nsq, int64_t N, int64_
     }
 }
 
-/* p_u = gs_u . mu_n and q_u = asq_u . mu_n^2 for every user of group n */
-static void group_pq(const Objective *o, const double *mu, int64_t n)
+/* p_u = gs_u . mu_n and q_u = asq_u . mu_n^2 for the users of group n, whose
+ * columns in the user-minor copies start at col: one user per lane, two
+ * vectors of users per pass over m */
+static void group_pq(const Objective *o, const double *mu, int64_t n, int64_t col,
+                     double *p, double *q)
 {
-    const int64_t M = o->M;
+    const int64_t M = o->M, Tp = o->Tp, hi = o->gptr[n + 1];
     const double *row = mu + n * M;
-    for (int64_t m = 0; m < M; m++)
-        o->sq[m] = row[m] * row[m];
-    for (int64_t u = o->gptr[n]; u < o->gptr[n + 1]; u++) {
-        const double *g = o->gs + u * M, *a = o->asq + u * M;
-        double p = 0.0, q = 0.0;
-        for (int64_t m = 0; m < M; m++) {
-            p += g[m] * row[m];
-            q += a[m] * o->sq[m];
+    for (int64_t u = o->gptr[n]; u < hi; u += 2 * LANES, col += 2 * LANES) {
+        const double *gc = o->gt + col, *ac = o->at + col;
+        vec p0 = {0}, q0 = {0}, p1 = {0}, q1 = {0};
+        if (hi - u > LANES) {
+            for (int64_t m = 0; m < M; m++) {
+                const vec *g = (const vec *)(gc + m * Tp), *a = (const vec *)(ac + m * Tp);
+                double r = row[m], r2 = r * r;
+                p0 += g[0] * r;
+                p1 += g[1] * r;
+                q0 += a[0] * r2;
+                q1 += a[1] * r2;
+            }
+        } else {
+            for (int64_t m = 0; m < M; m++) {
+                const vec *g = (const vec *)(gc + m * Tp), *a = (const vec *)(ac + m * Tp);
+                double r = row[m], r2 = r * r;
+                p0 += g[0] * r;
+                q0 += a[0] * r2;
+            }
         }
-        o->p[u] = p;
-        o->c[u] = q;
+        for (int64_t j = 0; j < LANES && u + j < hi; j++) {
+            p[u + j] = p0[j];
+            q[u + j] = q0[j];
+        }
+        for (int64_t j = 0; j < LANES && u + LANES + j < hi; j++) {
+            p[u + LANES + j] = p1[j];
+            q[u + LANES + j] = q1[j];
+        }
+    }
+}
+
+/* p (first T entries of pq) and q (last T) of every user at mu */
+static void user_pq(const Objective *o, const double *mu, double *pq)
+{
+    int64_t col = 0;
+    for (int64_t n = 0; n < o->N; n++) {
+        group_pq(o, mu, n, col, pq, pq + o->T);
+        col += padded(o->gptr[n + 1] - o->gptr[n]);
     }
 }
 
@@ -110,27 +186,18 @@ static double vmin(const double *v, int64_t T)
     return lo;
 }
 
-/* fill o->v with the per-user values whose soft minimum is the objective */
-static void user_values(const Objective *o, const double *mu)
-{
-    const double rho = o->rho;
-    for (int64_t n = 0; n < o->N; n++) {
-        group_pq(o, mu, n);
-        for (int64_t u = o->gptr[n]; u < o->gptr[n + 1]; u++) {
-            double p = o->p[u], q = o->c[u];
-            if (o->kind == APG_RATE)
-                o->v[u] = log1p(0.25 * PI * rho * p * p / (rho * q + 1.0));
-            else  /* -(soc residual) */
-                o->v[u] = -(sqrt(o->et1 * (rho * q + 1.0)) - o->lin * p);
-        }
-    }
-}
-
-/* objective value; *aux is the true min-rate or the max cone residual */
-static double value(const Objective *o, const double *mu, double *aux)
+/* objective value from the p and q of user_pq; *aux is the true min-rate or
+ * the max cone residual */
+static double value(const Objective *o, const double *pq, double *aux)
 {
     const int64_t T = o->T;
-    user_values(o, mu);
+    const double rho = o->rho, *p = pq, *q = pq + T;
+    for (int64_t u = 0; u < T; u++) {
+        if (o->kind == APG_RATE)
+            o->v[u] = log1p(0.25 * PI * rho * p[u] * p[u] / (rho * q[u] + 1.0));
+        else  /* -(soc residual) */
+            o->v[u] = -(sqrt(o->et1 * (rho * q[u] + 1.0)) - o->lin * p[u]);
+    }
     double lo = vmin(o->v, T), s = 0.0;
     for (int64_t u = 0; u < T; u++)
         s += exp(-o->sigma * (o->v[u] - lo));
@@ -138,24 +205,32 @@ static double value(const Objective *o, const double *mu, double *aux)
     return lo - log(s / T) / o->sigma;
 }
 
-static double value_grad(const Objective *o, const double *mu, double *grad, double *aux)
+/* g += wg * gu and acc += wa * au over the M entries */
+static void accumulate(double *restrict g, double *restrict acc, const double *restrict gu,
+                       const double *restrict au, double wg, double wa, int64_t M)
+{
+    for (int64_t m = 0; m < M; m++) {
+        g[m] += wg * gu[m];
+        acc[m] += wa * au[m];
+    }
+}
+
+/* value and gradient at mu, from the p and q of user_pq at mu */
+static double value_grad(const Objective *o, const double *mu, const double *pq, double *grad,
+                         double *aux)
 {
     const int64_t T = o->T, M = o->M;
-    const double rho = o->rho, sigma = o->sigma;
-    for (int64_t n = 0; n < o->N; n++) {
-        group_pq(o, mu, n);
-        for (int64_t u = o->gptr[n]; u < o->gptr[n + 1]; u++) {
-            double p = o->p[u], q = o->c[u];
-            if (o->kind == APG_RATE) {
-                double b = 0.25 * PI * rho * p * p;
-                double c = rho * q + 1.0;
-                o->v[u] = log1p(b / c);
-                o->c[u] = c;
-            } else {
-                double d = sqrt(rho * q + 1.0);
-                o->v[u] = o->lin * p - o->set1 * d;
-                o->c[u] = 1.0 / d;
-            }
+    const double rho = o->rho, sigma = o->sigma, *p = pq, *q = pq + T;
+    for (int64_t u = 0; u < T; u++) {
+        if (o->kind == APG_RATE) {
+            double b = 0.25 * PI * rho * p[u] * p[u];
+            double c = rho * q[u] + 1.0;
+            o->v[u] = log1p(b / c);
+            o->c[u] = c;
+        } else {
+            double d = sqrt(rho * q[u] + 1.0);
+            o->v[u] = o->lin * p[u] - o->set1 * d;
+            o->c[u] = 1.0 / d;
         }
     }
     double lo = vmin(o->v, T), wsum = 0.0;
@@ -176,19 +251,15 @@ static double value_grad(const Objective *o, const double *mu, double *grad, dou
         for (int64_t u = o->gptr[n]; u < o->gptr[n + 1]; u++) {
             double w = o->v[u] / wsum, wg, wa;
             if (o->kind == APG_RATE) {
-                double p = o->p[u], c = o->c[u];
-                double bc = 0.25 * PI * rho * p * p + c;
-                wg = w * (0.5 * PI * rho) * p / bc;
+                double c = o->c[u];
+                double bc = 0.25 * PI * rho * p[u] * p[u] + c;
+                wg = w * (0.5 * PI * rho) * p[u] / bc;
                 wa = w * 2.0 * rho * (1.0 / bc - 1.0 / c);
             } else {
                 wg = w;
                 wa = w * o->c[u];
             }
-            const double *gu = o->gs + u * M, *au = o->asq + u * M;
-            for (int64_t m = 0; m < M; m++) {
-                g[m] += wg * gu[m];
-                o->acc[m] += wa * au[m];
-            }
+            accumulate(g, o->acc, o->gs + u * M, o->asq + u * M, wg, wa, M);
         }
         if (o->kind == APG_RATE) {
             for (int64_t m = 0; m < M; m++)
@@ -219,31 +290,52 @@ static double support_gap(const double *grad, const double *x, double *nsq, int6
     return support - inner;
 }
 
-/* scratch: 3*T + 2*M doubles */
+/* scratch: apg_scratch_len(T, N, M) doubles */
 static Objective objective(int kind, const double *gs, const double *asq, const int64_t *gptr,
                            int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
                            double *scratch)
 {
-    Objective o = {kind, gs, asq, gptr, T, N, M, rho, sigma, 0.0, 0.0, 0.0,
-                   scratch, scratch + T, scratch + 2 * T, scratch + 3 * T,
-                   scratch + 3 * T + M};
+    int64_t Tp = 0;
+    for (int64_t n = 0; n < N; n++)
+        Tp += padded(gptr[n + 1] - gptr[n]);
+    /* whole vectors from here on: every row of Tp columns keeps the alignment */
+    const uintptr_t align = LANES * sizeof(double);
+    double *gt = (double *)(((uintptr_t)(scratch + 4 * T + M) + align - 1) / align * align);
+    double *at = gt + M * Tp;
+    Objective o = {kind, gs, asq, gptr, T, N, M, Tp, rho, sigma, 0.0, 0.0, 0.0, gt, at,
+                   scratch, scratch + T, scratch + 2 * T, scratch + 2 * T + M};
     if (kind == APG_MARGIN) {
         o.et1 = expm1(t);
         o.set1 = sqrt(o.et1);
         o.lin = sqrt(0.25 * PI * rho);
+    }
+    for (int64_t n = 0, col = 0; n < N; n++) {
+        const int64_t lo = gptr[n], k = gptr[n + 1] - lo;
+        for (int64_t m = 0; m < M; m++) {
+            double *gr = gt + m * Tp + col, *ar = at + m * Tp + col;
+            int64_t j = 0;
+            for (; j < k; j++) {
+                gr[j] = gs[(lo + j) * M + m];
+                ar[j] = asq[(lo + j) * M + m];
+            }
+            for (; j < padded(k); j++)
+                gr[j] = ar[j] = 0.0;
+        }
+        col += padded(k);
     }
     return o;
 }
 
 /* One evaluation at mu, for checking single evaluations against numpy: the
  * value path when grad is NULL, else the value+gradient path. Writes aux;
- * returns the objective. scratch holds 3*T + 2*M doubles. */
+ * returns the objective. scratch holds apg_scratch_len(T, N, M) doubles. */
 double apg_objective(int kind, const double *gs, const double *asq, const int64_t *gptr,
                      int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
                      const double *mu, double *grad, double *scratch, double *aux)
 {
     Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, scratch);
-    return grad ? value_grad(&o, mu, grad, aux) : value(&o, mu, aux);
+    user_pq(&o, mu, o.pq);
+    return grad ? value_grad(&o, mu, o.pq, grad, aux) : value(&o, o.pq, aux);
 }
 
 static double sq_dist(const double *a, const double *b, int64_t len)
@@ -258,7 +350,7 @@ static double sq_dist(const double *a, const double *b, int64_t len)
 
 /* Run one stage from x (projected first); x receives the last iterate.
  *
- * work holds 9*N*M + 3*T + 2*M doubles. The traces hold max_iters + 1
+ * work holds apg_work_len(T, N, M) doubles. The traces hold max_iters + 1
  * entries; trace_clock receives raw clock() readings, or 0 without a clock.
  * Returns a STOP_* code. */
 int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr,
@@ -271,7 +363,11 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     const int64_t L = N * M;
     double *mu = work, *mu_prev = mu + L, *z = mu_prev + L, *y = z + L, *zn = y + L;
     double *vn = zn + L, *tmp = vn + L, *gy = tmp + L, *gmu = gy + L;
-    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, gmu + L);
+    /* p and q of the trial points y, zn, vn; those of mu are kept from the
+     * trial that was accepted as mu */
+    double *pq_y = gmu + L, *pq_z = pq_y + 2 * T, *pq_v = pq_z + 2 * T;
+    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, pq_v + 2 * T);
+    double *pq_mu = o.pq;
     const double kappa = cfg->kappa, delta = cfg->delta;
 
     project(x, mu, o.acc, N, M);
@@ -279,7 +375,8 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     memcpy(z, mu, L * sizeof(double));
     double t_prev = 1.0, t_cur = 1.0;
     double ay = cfg->alpha_y0, am = cfg->alpha_mu0;
-    double aux_cur, f_cur = value(&o, mu, &aux_cur);
+    user_pq(&o, mu, pq_mu);
+    double aux_cur, f_cur = value(&o, pq_mu, &aux_cur);
 
     trace_f[0] = f_cur;
     trace_aux[0] = aux_cur;
@@ -299,7 +396,8 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         for (int64_t i = 0; i < L; i++)
             tmp[i] = mu[i] + a * (z[i] - mu[i]) + b * (mu[i] - mu_prev[i]);
         project(tmp, y, o.acc, N, M);
-        double aux_unused, fy = value_grad(&o, y, gy, &aux_unused);
+        user_pq(&o, y, pq_y);
+        double aux_unused, fy = value_grad(&o, y, pq_y, gy, &aux_unused);
 
         double ay_in = ay, fz = 0.0, aux_z = 0.0;
         int64_t bt_y = 0;
@@ -309,7 +407,8 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
             for (int64_t i = 0; i < L; i++)
                 tmp[i] = y[i] + ay * gy[i];
             project(tmp, zn, o.acc, N, M);
-            fz = value(&o, zn, &aux_z);
+            user_pq(&o, zn, pq_z);
+            fz = value(&o, pq_z, &aux_z);
             if (fz >= fy + delta * sq_dist(zn, y, L)) {
                 z_ok = 1;
                 break;
@@ -320,7 +419,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         if (!z_ok)
             ay = ay_in;  /* a rejected extrapolation must not sink the step */
 
-        double fmu = value_grad(&o, mu, gmu, &aux_unused);
+        double fmu = value_grad(&o, mu, pq_mu, gmu, &aux_unused);
         double fv = 0.0, aux_v = 0.0, f_best = -INFINITY;
         int64_t bt_mu = 0;
         int v_ok = 0;
@@ -329,7 +428,8 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
             for (int64_t i = 0; i < L; i++)
                 tmp[i] = mu[i] + am * gmu[i];
             project(tmp, vn, o.acc, N, M);
-            fv = value(&o, vn, &aux_v);
+            user_pq(&o, vn, pq_v);
+            fv = value(&o, pq_v, &aux_v);
             if (fv > f_best)
                 f_best = fv;
             if (fv >= fmu + delta * sq_dist(vn, mu, L)) {
@@ -355,6 +455,14 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         memcpy(mu_prev, mu, L * sizeof(double));
         memcpy(mu, take_z ? zn : vn, L * sizeof(double));
         memcpy(z, z_ok ? zn : vn, L * sizeof(double));
+        double *spare = pq_mu;
+        if (take_z) {
+            pq_mu = pq_z;
+            pq_z = spare;
+        } else {
+            pq_mu = pq_v;
+            pq_v = spare;
+        }
         t_prev = t_cur;
         t_cur = t_next;
         f_cur = take_z ? fz : fv;
@@ -375,7 +483,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
                 break;
             }
             if (it % cfg->gap_every == 0) {
-                double fs = value_grad(&o, mu, gmu, &aux_unused);
+                double fs = value_grad(&o, mu, pq_mu, gmu, &aux_unused);
                 double lower = -(fs + support_gap(gmu, mu, o.acc, N, M));
                 out->bound = lower;
                 if (lower > -cfg->eps) {

@@ -1,9 +1,11 @@
 """Build and load the compiled monotone-APG stage (apg_stage.c).
 
 The library is built with the system C compiler on first use, never at
-import, into ``${XDG_CACHE_HOME:-~/.cache}/cellfree_maxmin/``. Its file name
-carries a hash of the source, the compiler and the flags, so a changed source
-or compiler builds afresh and every later process only loads the file. Each
+import, into ``${XDG_CACHE_HOME:-~/.cache}/cellfree_maxmin/``. It is built
+for the host CPU (``-march=native``), so its file name carries a hash of the
+source, the compiler, the flags and the host CPU's identity: a changed source,
+compiler or CPU builds afresh (a shared home directory never loads a library
+built for another CPU), and every later process only loads the file. Each
 build writes a private temporary file and renames it into place, so processes
 that build at the same time (the cdf worker pool) cannot see a partial
 library. Compiler output is captured and never printed.
@@ -16,12 +18,14 @@ import ctypes
 import functools
 import hashlib
 import os
+import platform
 import shutil
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "apg_stage.c")
 COMPILERS = ("cc", "gcc")
-# no -ffast-math: NaN comparisons must fail and rounding must follow numpy
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# no -ffast-math: NaN comparisons must fail and rounding must follow numpy;
+# no FP contraction: every sum keeps its separate multiply and add
+CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 BUILD_TIMEOUT_S = 120
 
 # objectives and stop codes of apg_stage
@@ -65,13 +69,27 @@ def _cache_dir() -> str:
     return os.path.join(base, "cellfree_maxmin")
 
 
+def _host_cpu() -> str:
+    """The host CPU's identity for the cache key: the feature flags the
+    kernel reports, else the machine and processor names."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
 def _library_path(compiler: str) -> str:
     real = os.path.realpath(compiler)
     st = os.stat(real)
     digest = hashlib.sha256()
     with open(SOURCE, "rb") as fh:
         digest.update(fh.read())
-    digest.update(f"\0{real}\0{st.st_size}\0{st.st_mtime_ns}\0{' '.join(CFLAGS)}".encode())
+    digest.update(f"\0{real}\0{st.st_size}\0{st.st_mtime_ns}\0{' '.join(CFLAGS)}"
+                  f"\0{_host_cpu()}".encode())
     return os.path.join(_cache_dir(), f"apg_stage-{digest.hexdigest()[:16]}.so")
 
 
@@ -111,6 +129,12 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_double),
     ]
     lib.apg_objective.restype = dbl
+    # buffer lengths in doubles: work of apg_stage, scratch of apg_objective
+    for name in ("apg_work_len", "apg_scratch_len"):
+        getattr(lib, name).argtypes = [i64, i64, i64]
+        getattr(lib, name).restype = i64
+    lib.apg_lanes.argtypes = []
+    lib.apg_lanes.restype = i64
     return lib
 
 

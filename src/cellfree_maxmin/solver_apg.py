@@ -259,7 +259,7 @@ def compiled_stage(
     # one block per dtype: fewer mid-sized allocations fragment the heap less
     traces = np.empty((5, n))  # f, aux, alpha_y, alpha_mu, clock
     bt_y, bt_mu = np.empty((2, n), dtype=np.int64)
-    work = np.empty(9 * N * M + 3 * T + 2 * M)
+    work = np.empty(lib.apg_work_len(T, N, M))
     stage_cfg = native.StageConfig(cfg.delta, cfg.kappa, cfg.alpha_y0, cfg.alpha_mu0,
                                    cfg.stop_tol, eps_soc, cfg.max_iters, cfg.stop_window,
                                    cfg.line_search_cap, gap_check_every)

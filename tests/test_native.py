@@ -16,13 +16,17 @@ import pytest
 from cellfree_maxmin import (
     ApgConfig,
     BisectionConfig,
+    Dimensions,
     LineSearchError,
+    PhysicalConfig,
     PowerControl,
     apg_solve,
     apg_solve_continuation,
+    build_rate_model,
     build_soc_system,
     epa_rates,
     feasibility_oracle,
+    generate_instance,
     kernels,
     native,
     rate_upper_bound,
@@ -30,6 +34,19 @@ from cellfree_maxmin import (
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg, objective_closures
 from cellfree_maxmin.solver_bisection import FEASIBLE, INFEASIBLE, _support_gap
 from conftest import make_model, random_feasible_matrix
+
+# group sizes that are no multiple of any lane width (2, 4 or 8 users per
+# vector), on 1, 3 and 17 APs: partial vectors, single-user groups, one AP
+ODD_SHAPES = [(m, g) for g in ((1,), (3, 5), (1, 30), (7, 9, 2)) for m in (1, 3, 17)]
+
+
+def shape_id(num_aps, group_sizes):
+    return f"M{num_aps}-{'x'.join(map(str, group_sizes))}"
+
+
+def shaped_model(num_aps, group_sizes, seed):
+    dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
+    return build_rate_model(generate_instance(dims, PhysicalConfig(), seed=seed))
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +66,19 @@ def numpy_engine(monkeypatch):
 
 def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True):
     """(f, aux, grad or None) of one compiled evaluation; grad=False takes the
-    value-only path."""
+    value-only path. Checks that the evaluation stays inside the scratch
+    length the library reports."""
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
     T, M = gs.shape
     mu = np.ascontiguousarray(mu, dtype=float)
     g = np.empty_like(mu) if grad else None
-    scratch = np.empty(3 * T + 2 * M)
+    n = lib.apg_scratch_len(T, mu.shape[0], M)
+    scratch = np.full(n + 64, -7.0)  # the tail past n must stay untouched
     aux = ctypes.c_double()
     f = lib.apg_objective(kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T,
                           mu.shape[0], M, model.rho_bar, sigma, t, mu.ctypes.data,
                           None if g is None else g.ctypes.data, scratch.ctypes.data, aux)
+    assert (scratch[n:] == -7.0).all()
     return f, aux.value, g
 
 
@@ -89,10 +109,17 @@ def test_engine_is_compiled_when_the_library_loads(lib):
     assert kernels.apg_engine() == "compiled"
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_per_evaluation_parity(lib, seed):
+def test_lane_width(lib):
+    assert lib.apg_lanes() in (2, 4, 8)
+
+
+@pytest.mark.parametrize("case", [pytest.param((9, (2, 2, 2), seed), id=str(seed))
+                                  for seed in range(3)]
+                         + [pytest.param((m, g, 3), id=shape_id(m, g)) for m, g in ODD_SHAPES])
+def test_per_evaluation_parity(lib, case):
+    num_aps, group_sizes, seed = case
     rng = np.random.default_rng(seed)
-    model = make_model(9, 3, 2, seed=seed)
+    model = shaped_model(num_aps, group_sizes, seed)
     impl = kernels.IMPL
     args = (model.gamma_sqrt, model.a_sq, model.group_ptr)
     for _ in range(10):
@@ -118,26 +145,33 @@ def test_per_evaluation_parity(lib, seed):
                                        atol=1e-12 * np.abs(ref_vg[2]).max())
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+# (num_aps, group_sizes, seed, gap_check_every); the odd shapes check the
+# certificate every 10 iterations, before the plateau stop (window 20) can end
+# a stage that converged at once, as the single-user single-AP one does
+@pytest.mark.parametrize("case", [pytest.param((10, (3, 3), seed, 25), id=str(seed))
+                                  for seed in range(4)]
+                         + [pytest.param((m, g, 0, 10), id=shape_id(m, g)) for m, g in ODD_SHAPES])
 @pytest.mark.parametrize("level", ["below_optimum", "above_optimum", "above_bound"])
-def test_margin_stage_matches_monotone_apg(lib, seed, level):
+def test_margin_stage_matches_monotone_apg(lib, case, level):
     """Same status, iteration count and iterate as the numpy stage. Runs that
     hover at the feasibility boundary for hundreds of iterations amplify the
     last-bit differences of the dot products until the trajectories part; the
     levels here end by a status well before that."""
-    model = make_model(10, 2, 3, seed=seed)
+    num_aps, group_sizes, seed, gap_check_every = case
+    model = shaped_model(num_aps, group_sizes, seed)
     optimum = apg_solve_continuation(model, (100.0, 1000.0))[-1].min_rate
-    t = {"below_optimum": optimum - 0.003,
+    t = {"below_optimum": optimum - min(0.003, optimum / 10),  # t >= 0 on tiny optima
          "above_optimum": optimum + 0.02,
          "above_bound": rate_upper_bound(model) + 0.1}[level]
     sigma_f = 3000.0
     x0 = random_feasible_matrix(model, np.random.default_rng(seed))
     cfg = ApgConfig(max_iters=300, stop_tol=1e-9, stop_window=20)
-    value, value_grad, monitor = margin_closures(model, t, sigma_f)
+    value, value_grad, monitor = margin_closures(model, t, sigma_f,
+                                                 gap_check_every=gap_check_every)
     ref = monotone_apg(value_grad, value, kernels.IMPL.project_ball_orthant, x0, cfg,
                        monitor=monitor)
     got = compiled_stage(lib, native.MARGIN, model, x0, cfg, sigma_f, t=t,
-                         eps_soc=1e-6, gap_check_every=25)
+                         eps_soc=1e-6, gap_check_every=gap_check_every)
     assert got.termination == ref.termination
     assert got.termination == (FEASIBLE if level == "below_optimum" else INFEASIBLE)
     assert got.iterations == ref.iterations
@@ -244,6 +278,20 @@ class TestNanData:
         with pytest.raises(LineSearchError):
             compiled_stage(lib, native.MARGIN, model, x0, cfg, 100.0, t=0.3, eps_soc=1e-6,
                            gap_check_every=25)
+
+
+def test_library_path_keys_on_host_cpu(monkeypatch):
+    """The library is built for the host CPU, so another CPU behind the same
+    cache directory gets another file; the same CPU always the same one."""
+    def path_on(cpu):
+        monkeypatch.setattr(native, "_host_cpu", lambda: cpu)
+        return native._library_path(sys.executable)  # any existing file as compiler
+
+    avx2 = path_on("fpu sse2 avx avx2")
+    assert path_on("fpu sse2 avx avx2 avx512f") != avx2
+    assert path_on("fpu sse2 avx avx2") == avx2
+    monkeypatch.undo()
+    assert native._host_cpu()
 
 
 def test_failed_build_prints_nothing(tmp_path, monkeypatch, capfd):

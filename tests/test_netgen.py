@@ -18,6 +18,7 @@ from cellfree_maxmin import (
 from cellfree_maxmin.netgen import (
     BOLTZMANN_J_PER_K,
     gamma_coefficients,
+    iter_smallscale_blocks,
     path_loss_db,
 )
 
@@ -201,31 +202,54 @@ class TestInstanceInvariants:
             generate_instance(dims, PhysicalConfig(pilot_len_symbols=2), seed=0)
 
 
+def block_sums(instance, count, seed, reduce):
+    """Sum of reduce(block) over the draw blocks of iter_smallscale_blocks:
+    the statistics below stream through the draws instead of holding them."""
+    return sum(reduce(blk) for blk in iter_smallscale_blocks(instance, count, seed))
+
+
 class TestSmallScale:
     def test_unit_variance(self, small_instance):
-        g, _ = sample_small_scale(small_instance, 60_000, seed=2)
-        assert np.mean(np.abs(g) ** 2) == pytest.approx(1.0, rel=5e-3)
+        count = 60_000
+        total = block_sums(small_instance, count, 2, lambda b: (b.g_re ** 2 + b.g_im ** 2).sum())
+        assert total / (count * small_instance.zeta.size) == pytest.approx(1.0, rel=5e-3)
 
     def test_estimator_correlation(self, small_instance):
         inst = small_instance
-        g, z = sample_small_scale(inst, 200_000, seed=7)
-        h = np.sqrt(inst.zeta)[None] * g
+        count = 200_000
         ptr = inst.group_ptr
+        first = ptr[:-1]  # first user of each group
+
+        def cross(b):
+            # sums over draws of g_mu * conj(z_mn) for u the first user of group n
+            g_re, g_im = b.g_re[:, :, first], b.g_im[:, :, first]
+            return np.stack([(g_re * b.z_re + g_im * b.z_im).sum(axis=0),
+                             (g_im * b.z_re - g_re * b.z_im).sum(axis=0)])
+
+        re, im = block_sums(inst, count, 7, cross) / count
         for n in range(inst.dims.num_groups):
-            u = int(ptr[n])  # first user of the group
-            corr = np.mean(h[:, :, u] * np.conj(z[:, :, n]), axis=0)
+            u = int(ptr[n])
+            corr = np.sqrt(inst.zeta[:, u]) * (re[:, n] + 1j * im[:, n])
             assert np.allclose(np.abs(corr), np.sqrt(inst.gamma[:, u]), rtol=0.01)
 
     def test_unit_variance_z(self, small_instance):
-        _, z = sample_small_scale(small_instance, 60_000, seed=3)
-        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=6e-3)
+        count = 60_000
+        total = block_sums(small_instance, count, 3, lambda b: (b.z_re ** 2 + b.z_im ** 2).sum())
+        size = count * small_instance.dims.num_aps * small_instance.dims.num_groups
+        assert total / size == pytest.approx(1.0, rel=6e-3)
 
     def test_circular_symmetry(self, small_instance):
-        _, z = sample_small_scale(small_instance, 50_000, seed=4)
-        phase = z / np.abs(z)
-        n = phase.size
+        count = 50_000
+
+        def phase_sum(b):
+            r = np.hypot(b.z_re, b.z_im)
+            return np.array([(b.z_re / r).sum(), (b.z_im / r).sum()])
+
+        n = count * small_instance.dims.num_aps * small_instance.dims.num_groups
+        mean = block_sums(small_instance, count, 4, phase_sum) / n
         # 3 sigma for the mean of unit-modulus draws (per-axis var 1/2)
-        assert np.abs(phase.mean()) < 3.0 / math.sqrt(2 * n) * 2
+        assert abs(complex(*mean)) < 3.0 / math.sqrt(2 * n) * 2
+
     def test_block_determinism(self, small_instance):
         g1, z1 = sample_small_scale(small_instance, 10_000, seed=5)
         g2, z2 = sample_small_scale(small_instance, 10_000, seed=5)

@@ -13,8 +13,12 @@ prints per engine:
     compiled through solver_apg.compiled_stage, numpy through monotone_apg
     with the same objective closures the solvers use.
 
+It then prints seconds per 1e5 draws of the Monte-Carlo rate oracle
+(rates.rate_oracle_monte_carlo) at M=8, 2x3, on one thread and on every CPU
+the process may use.
+
 Each figure is the median of --repeats timed blocks. Run after any change to
-apg_stage.c or the numpy kernels:
+apg_stage.c, the numpy kernels or the Monte-Carlo oracle:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -24,11 +28,13 @@ import ctypes
 import math
 import statistics
 import time
+from unittest import mock
 
 import numpy as np
 
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
-                             generate_instance, kernels, native)
+                             generate_instance, kernels, native, rate_oracle_monte_carlo, rates)
+from cellfree_maxmin.harness import random_feasible_eta
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
 from cellfree_maxmin.solver_bisection import _support_gap
 
@@ -37,6 +43,8 @@ STAGE_ITERS = 300
 RATE_SIGMA = 100.0
 MARGIN_SIGMA = 1000.0
 GAP_CHECK_EVERY = 25
+MC_SIZE = (8, 2, 3)
+MC_DRAWS = 100_000
 
 
 def median_time(fn, repeats, min_block_s=0.05):
@@ -124,6 +132,24 @@ def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
     return rows
 
 
+def bench_monte_carlo(repeats):
+    """Rows (threads, seconds per 1e5 draws) of the Monte-Carlo oracle on one
+    thread and on all CPUs; the thread count has no setting, so the one-thread
+    run patches the CPU count the oracle reads."""
+    dims = Dimensions.uniform(*MC_SIZE)
+    instance = generate_instance(dims, PhysicalConfig(), seed=0)
+    eta = random_feasible_eta(dims, 0)
+
+    def run():
+        rate_oracle_monte_carlo(instance, eta, MC_DRAWS, seed=0)
+
+    rows = []
+    for threads in sorted({1, rates._cpu_count()}):
+        with mock.patch.object(rates, "_cpu_count", lambda: threads):
+            rows.append((threads, median_time(run, repeats, min_block_s=0.0) * 1e5 / MC_DRAWS))
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -141,6 +167,10 @@ def main():
         for name, engine, t_v, t_vg, t_stage in bench_size(lib, m, n, k, args.repeats):
             print(f"M={m:<4d} N={n} K={k:<3d} {name:>9s} {engine:>9s} {t_v:9.2f} "
                   f"{t_vg:11.2f} {t_stage:9.2f}")
+    m, n, k = MC_SIZE
+    print(f"\nMonte-Carlo oracle, M={m} N={n} K={k}, {MC_DRAWS} draws per call")
+    for threads, s_per_1e5 in bench_monte_carlo(args.repeats):
+        print(f"{threads:3d} thread(s): {s_per_1e5:.3f} s per 1e5 draws")
 
 
 if __name__ == "__main__":

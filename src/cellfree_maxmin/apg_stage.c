@@ -10,6 +10,10 @@
  *               bound certifies the min-max residual above -eps (checked
  *               every gap_every iterations).
  *
+ * A failed plain-branch search ends the stage "stalled" when its last trial
+ * is mu itself and both objective values are finite (the step underflowed;
+ * value and value_grad round f(mu) differently), and "line_search" otherwise.
+ *
  * Every formula mirrors the numpy reference in kernels.py term by term, so
  * results agree with it up to the summation order of the dot products. Build
  * without -ffast-math and without FP contraction: a NaN objective must keep
@@ -52,7 +56,8 @@ enum {
     STOP_PLATEAU = 1,
     STOP_LINE_SEARCH = 2,
     STOP_FEASIBLE = 3,
-    STOP_INFEASIBLE = 4
+    STOP_INFEASIBLE = 4,
+    STOP_STALLED = 5
 };
 
 typedef double (*clock_fn)(void);
@@ -440,6 +445,15 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
             bt_mu++;
         }
         if (!v_ok) {
+            /* the step underflowed: the last trial is mu itself, and value and
+             * value_grad may round f(mu) differently, so no test can pass */
+            int same = isfinite(fv) && isfinite(fmu);
+            for (int64_t i = 0; i < L && same; i++)
+                same = vn[i] == mu[i];
+            if (same) {
+                code = STOP_STALLED;
+                break;
+            }
             out->iterations = it;
             out->alpha_mu = am;
             out->f_mu = fmu;

@@ -127,8 +127,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.solver not in ("apg", "bisection", "both"):
             raise ValueError(f"unknown solver selection {self.solver!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "workers", "mc_draws", "scaling_fixed_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.eta_scheme not in ("random", "epa"):
             raise ValueError(f"unknown eta scheme {self.eta_scheme!r}")
         object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))

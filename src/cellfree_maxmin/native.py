@@ -31,7 +31,7 @@ BUILD_TIMEOUT_S = 120
 # objectives and stop codes of apg_stage
 RATE, MARGIN = 0, 1
 STOP_REASONS = {0: "max_iters", 1: "objective_plateau", 2: "line_search",
-                3: "feasible", 4: "infeasible"}
+                3: "feasible", 4: "infeasible", 5: "stalled"}
 
 CLOCK_FN = ctypes.CFUNCTYPE(ctypes.c_double)
 

@@ -10,7 +10,7 @@ initialization independent of each other.
 
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Iterator, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -267,12 +267,18 @@ class SmallScaleBlock(NamedTuple):
     z_im: np.ndarray
 
 
-def _pilot_model(instance: NetworkInstance):
-    """(pilot, noise_scale, z_scale) of the block pipeline. The pilot
-    observation of group n at AP m is
-    ytilde_mn = sum_k pilot[m, k, n] g_mk + noise_scale * (unit complex normal),
-    with pilot[m, k, n] = sqrt(rho_p*tau_p*zeta_mk) for the users k of group n
-    and 0 otherwise; z = ytilde / z_scale has unit variance."""
+class PilotModel(NamedTuple):
+    """Pilot stage of the block pipeline. The pilot observation of group n at
+    AP m is ytilde_mn = sum_k pilot[m, k, n] g_mk + noise_scale * (unit complex
+    normal), with pilot[m, k, n] = sqrt(rho_p*tau_p*zeta_mk) for the users k of
+    group n and 0 otherwise; z = ytilde / z_scale has unit variance."""
+
+    pilot: np.ndarray      # (M, T, N)
+    noise_scale: float
+    z_scale: np.ndarray    # (M, N)
+
+
+def pilot_model(instance: NetworkInstance) -> PilotModel:
     m, t = instance.zeta.shape
     n_groups = instance.dims.num_groups
     rt = instance.rho_p_w * instance.config.pilot_len_symbols
@@ -285,44 +291,75 @@ def _pilot_model(instance: NetworkInstance):
         members[lo:hi, n] = np.sqrt(rt)
         denom[:, n] = rt * instance.zeta[:, lo:hi].sum(axis=1) + sigma2
     pilot = np.sqrt(instance.zeta)[:, :, None] * members
-    return pilot, np.sqrt(sigma2 / 2.0), np.sqrt(denom)
+    return PilotModel(pilot, np.sqrt(sigma2 / 2.0), np.sqrt(denom))
 
 
-def _smallscale_block(rng: np.random.Generator, count: int, pilot: np.ndarray,
-                      noise_scale: float, z_scale: np.ndarray) -> SmallScaleBlock:
-    """One block of `count` joint draws, z built from the actual pilot
-    observation so that E{h * conj(z)} = sqrt(gamma); see _pilot_model.
+# Pilot-noise normals per standard_normal call within a block: bounds the
+# noise buffer; the stream, and so every draw, is the same for any chunk.
+NOISE_CHUNK = 8192
 
-    The stream is consumed as Re g, Im g, Re w, Im w (unit normals scaled by
-    sqrt(variance/2)). The pilot observations of all groups come from one
-    matmul of g, batched over the APs."""
-    m, t, n_groups = pilot.shape
-    g = rng.standard_normal((2, count, m, t))
+
+class BlockBuffers(NamedTuple):
+    """Flat storage for one block of joint draws: g, z and a pilot-noise
+    chunk (see smallscale_block)."""
+
+    g: np.ndarray
+    z: np.ndarray
+    noise: np.ndarray
+
+
+def block_buffers(model: PilotModel, count: int) -> BlockBuffers:
+    """Storage for a block of up to `count` draws."""
+    m, t, n_groups = model.pilot.shape
+    z_len = 2 * count * m * n_groups
+    return BlockBuffers(np.empty(2 * count * m * t), np.empty(z_len),
+                        np.empty(min(NOISE_CHUNK, z_len)))
+
+
+def block_sizes(count: int) -> List[int]:
+    """Draw count of each block: SMALLSCALE_BLOCK, then the remainder."""
+    return [min(SMALLSCALE_BLOCK, count - lo) for lo in range(0, count, SMALLSCALE_BLOCK)]
+
+
+def smallscale_block(model: PilotModel, seed: int, block_idx: int, count: int,
+                     buffers: Optional[BlockBuffers] = None) -> SmallScaleBlock:
+    """Block `block_idx` of joint draws: `count` draws from substream
+    (seed, STREAM_SMALLSCALE, block_idx), with z built from the actual pilot
+    observation so that E{h * conj(z)} = sqrt(gamma); see PilotModel.
+
+    The block is written into `buffers` (fresh arrays when None) and returned
+    as views of them. The stream is consumed as Re g, Im g, Re w, Im w (unit
+    normals scaled by sqrt(variance/2)); w is drawn NOISE_CHUNK normals at a
+    time and added to the pilot observations, which come from one matmul of
+    g batched over the APs."""
+    m, t, n_groups = model.pilot.shape
+    if buffers is None:
+        buffers = block_buffers(model, count)
+    rng = stream_rng(seed, STREAM_SMALLSCALE, block_idx)
+    g = buffers.g[:2 * count * m * t].reshape(2, count, m, t)
+    rng.standard_normal(out=g)
     g *= np.sqrt(0.5)
-    z = np.empty((2, count, m, n_groups))
-    np.matmul(g.reshape(2 * count, m, t).swapaxes(0, 1), pilot,
+    z_flat = buffers.z[:2 * count * m * n_groups]
+    z = z_flat.reshape(2, count, m, n_groups)
+    np.matmul(g.reshape(2 * count, m, t).swapaxes(0, 1), model.pilot,
               out=z.reshape(2 * count, m, n_groups).swapaxes(0, 1))
-    w = rng.standard_normal(z.shape)
-    w *= noise_scale
-    z += w
-    z /= z_scale
+    for lo in range(0, z_flat.shape[0], buffers.noise.shape[0]):
+        w = buffers.noise[:z_flat.shape[0] - lo]
+        rng.standard_normal(out=w)
+        w *= model.noise_scale
+        z_flat[lo:lo + w.shape[0]] += w
+    z /= model.z_scale
     return SmallScaleBlock(g[0], g[1], z[0], z[1])
 
 
 def iter_smallscale_blocks(instance: NetworkInstance, count: int,
                            seed: int) -> Iterator[SmallScaleBlock]:
-    """Yield blocks of at most SMALLSCALE_BLOCK draws. Block b always uses
-    substream (seed, STREAM_SMALLSCALE, b), so the joint draw sequence is a
-    pure function of (instance, count, seed)."""
-    model = _pilot_model(instance)
-    done = 0
-    block_idx = 0
-    while done < count:
-        n = min(SMALLSCALE_BLOCK, count - done)
-        rng = stream_rng(seed, STREAM_SMALLSCALE, block_idx)
-        yield _smallscale_block(rng, n, *model)
-        done += n
-        block_idx += 1
+    """Yield blocks of at most SMALLSCALE_BLOCK draws in fresh arrays. Block b
+    always uses substream (seed, STREAM_SMALLSCALE, b), so the joint draw
+    sequence is a pure function of (instance, count, seed)."""
+    model = pilot_model(instance)
+    for block_idx, n in enumerate(block_sizes(count)):
+        yield smallscale_block(model, seed, block_idx, n)
 
 
 def sample_small_scale(instance: NetworkInstance, count: int, seed: int):

@@ -12,16 +12,29 @@ never tracks watts). Rates depend only on the user's own group block of mu.
 
 import csv
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
 from . import kernels
-from .netgen import NetworkInstance, SmallScaleBlock, iter_smallscale_blocks
+from .netgen import (
+    NetworkInstance,
+    SmallScaleBlock,
+    block_buffers,
+    block_sizes,
+    pilot_model,
+    smallscale_block,
+)
 
 LN2 = math.log(2.0)
 FEASIBILITY_SLACK = 1e-9
+# Draws per _moment_vectors call within a block: every op in it is per draw,
+# so the chunk bounds its temporaries and changes no result.
+MOMENT_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -287,55 +300,83 @@ def _moment_vectors(blk: SmallScaleBlock, weight: np.ndarray, pick: np.ndarray) 
     return np.take(gains.reshape(b, -1), pick, axis=1).reshape(b, t_users, -1)
 
 
-def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: int,
-                            seed: int) -> MonteCarloRateReport:
-    """Estimate the hardening rate bound by sampling small-scale fading.
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
-    Per draw and user u (group n), the coherent gain
 
-        a_u = sum_m h_mu * sqrt(eta_mn) * conj(z_mn)/|z_mn|
+def _ordered_map(fn: Callable, count: int, workers: int) -> Iterator:
+    """fn(0), ..., fn(count - 1) in order; on a pool of `workers` threads
+    that is shut down before this returns or raises, inline when 1."""
+    if workers == 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, range(count))
 
-    is accumulated together with the incoherent gains seen through the other
-    groups' beam phases. Cross-group gains carry the user's own-group
-    coefficients sqrt(eta_mn), the interference model under which the closed
-    form's single N*zeta term is exact; at equal power allocation this
-    coincides with the literal received-signal expansion.
 
-    Moments are reduced block-by-block in fixed order (per-block RNG
-    substreams), so the result is a pure function of (instance, eta, draws,
-    seed). Standard errors come from the delta method on the joint moment
-    covariance.
-    """
-    eta = np.asarray(eta, dtype=float)
+def _moment_layout(instance: NetworkInstance, eta: np.ndarray):
+    """(weight, pick) of _moment_vectors for power coefficients eta."""
     dims = instance.dims
-    if eta.shape != (dims.num_aps, dims.num_groups):
-        raise ValueError("eta must have shape (num_aps, num_groups)")
-    if not np.isfinite(eta).all():
-        raise ValueError("eta must be finite")
-    if (eta < 0).any():
-        raise ValueError("eta must be nonnegative")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-
     n_groups = dims.num_groups
-    t_users = dims.num_users
-    d = 3 + (n_groups - 1)  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
     group = np.repeat(np.arange(n_groups), dims.group_sizes)
     # per-user weights sqrt(zeta_mu * eta_mn), n the user's group, (M, T)
     weight = np.sqrt(instance.zeta * eta[:, group])
     # flat positions of each user's moment vector in the (3, T, N) gains
-    plane = t_users * n_groups
+    plane = dims.num_users * n_groups
     pick = np.array([[k * plane + u * n_groups + n for k in range(3)]
                      + [2 * plane + u * n_groups + j for j in range(n_groups) if j != n]
                      for u, n in enumerate(group)], dtype=np.intp).ravel()
+    return weight, pick
+
+
+def _moment_sums(instance: NetworkInstance, weight: np.ndarray, pick: np.ndarray,
+                 draws: int, seed: int):
+    """Sums over all draws of the moment vectors x (T, d) and of their outer
+    products x x^T (T, d, d).
+
+    Blocks are drawn and reduced on min(CPUs, blocks) threads (inline when
+    that is 1), each thread in one buffer set allocated here and handed out
+    through a queue; block sums and Gram matrices are added in block order,
+    so the sums are bit-identical for every thread count."""
+    t_users = weight.shape[1]
+    d = pick.shape[0] // t_users  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
+    pilot = pilot_model(instance)
+    sizes = block_sizes(draws)
+    workers = min(_cpu_count(), len(sizes))
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put((block_buffers(pilot, sizes[0]), np.empty(sizes[0] * t_users * d)))
+
+    def reduce_block(b):
+        bufs, x_buf = free.get()
+        try:
+            n = sizes[b]
+            blk = smallscale_block(pilot, seed, b, n, bufs)
+            x = x_buf[:n * t_users * d].reshape(n, t_users, d)
+            for lo in range(0, n, MOMENT_CHUNK):
+                chunk = SmallScaleBlock._make(a[lo:lo + MOMENT_CHUNK] for a in blk)
+                x[lo:lo + MOMENT_CHUNK] = _moment_vectors(chunk, weight, pick)
+            # block sum and batched Gram
+            return x.sum(axis=0), np.matmul(x.transpose(1, 2, 0), x.transpose(1, 0, 2))
+        finally:
+            free.put((bufs, x_buf))
+
     s1 = np.zeros((t_users, d))
     s2 = np.zeros((t_users, d, d))
+    for block_sum, block_gram in _ordered_map(reduce_block, len(sizes), workers):
+        s1 += block_sum
+        s2 += block_gram
+    return s1, s2
 
-    for blk in iter_smallscale_blocks(instance, draws, seed):
-        x = _moment_vectors(blk, weight, pick)
-        s1 += x.sum(axis=0)
-        s2 += np.matmul(x.transpose(1, 2, 0), x.transpose(1, 0, 2))   # batched Gram
 
+def _moment_report(instance: NetworkInstance, s1: np.ndarray, s2: np.ndarray,
+                   draws: int) -> MonteCarloRateReport:
+    """Plug-in rate and delta-method standard errors from the moment sums."""
+    t_users, d = s1.shape
     theta = s1 / draws
     # covariance of the moment-mean vector (zero when draws == 1)
     if draws > 1:
@@ -371,3 +412,38 @@ def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: i
         mean_gain_se=se_mean,
         draws=draws,
     )
+
+
+def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: int,
+                            seed: int) -> MonteCarloRateReport:
+    """Estimate the hardening rate bound by sampling small-scale fading.
+
+    Per draw and user u (group n), the coherent gain
+
+        a_u = sum_m h_mu * sqrt(eta_mn) * conj(z_mn)/|z_mn|
+
+    is accumulated together with the incoherent gains seen through the other
+    groups' beam phases. Cross-group gains carry the user's own-group
+    coefficients sqrt(eta_mn), the interference model under which the closed
+    form's single N*zeta term is exact; at equal power allocation this
+    coincides with the literal received-signal expansion.
+
+    The draw blocks (per-block RNG substreams) are reduced in parallel but
+    added in block order (_moment_sums), so the result is a pure function of
+    (instance, eta, draws, seed), bit for bit, whatever the number of CPUs.
+    Standard errors come from the delta method on the joint moment
+    covariance.
+    """
+    eta = np.asarray(eta, dtype=float)
+    dims = instance.dims
+    if eta.shape != (dims.num_aps, dims.num_groups):
+        raise ValueError("eta must have shape (num_aps, num_groups)")
+    if not np.isfinite(eta).all():
+        raise ValueError("eta must be finite")
+    if (eta < 0).any():
+        raise ValueError("eta must be nonnegative")
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    weight, pick = _moment_layout(instance, eta)
+    s1, s2 = _moment_sums(instance, weight, pick, draws, seed)
+    return _moment_report(instance, s1, s2, draws)

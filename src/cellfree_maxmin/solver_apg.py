@@ -71,7 +71,9 @@ class ApgConfig:
 
 class LineSearchError(RuntimeError):
     """Backtracking exceeded its cap on the non-extrapolated branch, which a
-    correct gradient/objective pair cannot do."""
+    correct gradient/objective pair cannot do. (When the last trial is the
+    iterate itself and both objective values are finite, the step has
+    underflowed and the stage ends "stalled" instead.)"""
 
     def __init__(self, iteration: int, alpha: float, f_current: float, f_best: float):
         self.iteration = iteration
@@ -179,6 +181,11 @@ def monotone_apg(
             alpha_mu *= cfg.kappa
             bt_mu += 1
         if not v_ok:
+            if np.array_equal(v_new, mu) and math.isfinite(fv) and math.isfinite(fmu):
+                # the step underflowed: the trial is mu itself, and value and
+                # value_grad may round f(mu) differently, so no test can pass
+                res.termination = "stalled"
+                break
             raise LineSearchError(it, alpha_mu, fmu, fv_best)
 
         t_next = 0.5 + math.sqrt(t_cur * t_cur + 0.25)

@@ -86,6 +86,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config("cdf", tmp_path, trials=0)
 
+    @pytest.mark.parametrize("field,bad", [("workers", 0), ("workers", -2), ("mc_draws", 0),
+                                           ("scaling_fixed_iters", 0)])
+    def test_rejects_nonpositive_counts(self, tmp_path, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+            tiny_config("verify-rate", tmp_path, **{field: bad})
+
     def test_trial_seed_stability(self):
         a = trial_seed(7, 0)
         b = trial_seed(7, 1)

@@ -22,6 +22,7 @@ from cellfree_maxmin import (
     PowerControl,
     apg_solve,
     apg_solve_continuation,
+    bisection_solve,
     build_rate_model,
     build_soc_system,
     epa_rates,
@@ -31,6 +32,7 @@ from cellfree_maxmin import (
     native,
     rate_upper_bound,
 )
+from cellfree_maxmin import solver_bisection
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg, objective_closures
 from cellfree_maxmin.solver_bisection import FEASIBLE, INFEASIBLE, _support_gap
 from conftest import make_model, random_feasible_matrix
@@ -278,6 +280,39 @@ class TestNanData:
         with pytest.raises(LineSearchError):
             compiled_stage(lib, native.MARGIN, model, x0, cfg, 100.0, t=0.3, eps_soc=1e-6,
                            gap_check_every=25)
+
+
+class TestStalledStage:
+    """At M=4 and M=5, 2x15, seed 1, a margin stage's plain-branch step
+    underflows until its trial is the iterate itself, which value and
+    value_grad round 1 ulp apart: the stage ends "stalled" instead of raising
+    LineSearchError, and bisection goes on."""
+
+    @staticmethod
+    def check(num_aps, monkeypatch, stage_name):
+        stage = getattr(solver_bisection, stage_name)
+        terminations = []
+
+        def recording_stage(*args, **kwargs):
+            result = stage(*args, **kwargs)
+            terminations.append(result.termination)
+            return result
+
+        monkeypatch.setattr(solver_bisection, stage_name, recording_stage)
+        model = shaped_model(num_aps, (15, 15), seed=1)
+        cfg = BisectionConfig()
+        report = bisection_solve(build_soc_system(model), cfg)
+        apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
+        assert "stalled" in terminations
+        assert abs(report.t_star - apg.min_rate) <= cfg.tol_t
+
+    @pytest.mark.parametrize("num_aps", [4, 5])
+    def test_compiled(self, lib, monkeypatch, num_aps):
+        self.check(num_aps, monkeypatch, "compiled_stage")
+
+    @pytest.mark.parametrize("num_aps", [4, 5])
+    def test_numpy(self, numpy_engine, monkeypatch, num_aps):
+        self.check(num_aps, monkeypatch, "monotone_apg")
 
 
 def test_library_path_keys_on_host_cpu(monkeypatch):

@@ -33,7 +33,7 @@ from unittest import mock
 import numpy as np
 
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
-                             generate_instance, kernels, native, rate_oracle_monte_carlo, rates)
+                             generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
 from cellfree_maxmin.harness import random_feasible_eta
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
 from cellfree_maxmin.solver_bisection import _support_gap
@@ -144,8 +144,8 @@ def bench_monte_carlo(repeats):
         rate_oracle_monte_carlo(instance, eta, MC_DRAWS, seed=0)
 
     rows = []
-    for threads in sorted({1, rates._cpu_count()}):
-        with mock.patch.object(rates, "_cpu_count", lambda: threads):
+    for threads in sorted({1, pool.cpu_count()}):
+        with mock.patch.object(pool, "cpu_count", lambda: threads):
             rows.append((threads, median_time(run, repeats, min_block_s=0.0) * 1e5 / MC_DRAWS))
     return rows
 

@@ -36,6 +36,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 #define PI 3.141592653589793
 #define BALL_SLACK 1e-12
@@ -109,6 +110,16 @@ int64_t apg_work_len(int64_t T, int64_t N, int64_t M)
 int64_t apg_lanes(void)
 {
     return LANES;
+}
+
+/* Seconds on the monotonic clock. apg_stage calls it as its clock without
+ * entering the interpreter, so stages on several threads do not queue for the
+ * interpreter lock once per iteration. */
+double apg_clock(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
 static void project(const double *x, double *out, double *nsq, int64_t N, int64_t M)

@@ -17,12 +17,12 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from . import native, pool
 from .netgen import (
     Dimensions,
     PhysicalConfig,
@@ -120,7 +120,7 @@ class ExperimentConfig:
     mc_draws: int = 200_000
     eta_scheme: str = "random"      # random | epa (verify-rate)
     apply_prelog: bool = False
-    workers: int = 1
+    workers: Optional[int] = None   # cap on concurrent cdf trials; None: every CPU
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -128,7 +128,8 @@ class ExperimentConfig:
         if self.solver not in ("apg", "bisection", "both"):
             raise ValueError(f"unknown solver selection {self.solver!r}")
         for name in ("trials", "workers", "mc_draws", "scaling_fixed_iters"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.eta_scheme not in ("random", "epa"):
             raise ValueError(f"unknown eta scheme {self.eta_scheme!r}")
@@ -297,45 +298,28 @@ def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
     return summary
 
 
-def _cdf_trial(args) -> tuple:
-    """One cdf trial; module-level so process pools can pickle it."""
-    (trial, seed, dims_tuple, physical_dict, apg_dict) = args
-    dims = Dimensions(*dims_tuple)
-    physical = PhysicalConfig(**physical_dict)
-    apg = ApgSettings(**apg_dict)
-    instance = generate_instance(dims, physical, seed)
+def _cdf_trial(cfg: ExperimentConfig, trial: int) -> tuple:
+    """Per-user rates (APG, EPA) of one cdf trial on its own fresh instance."""
+    instance = generate_instance(cfg.dims, cfg.physical, trial_seed(cfg.master_seed, trial))
     model = build_rate_model(instance)
-    reports = apg_solve_continuation(model, apg.sigma_schedule, cfg=apg.to_apg_config())
-    power = reports[-1].power
-    apg_rates = rates_vector(model, power).rates
-    epa = epa_rates(model).rates
-    return trial, apg_rates, epa
+    reports = _solve_apg(model, cfg)
+    return rates_vector(model, reports[-1].power).rates, epa_rates(model).rates
 
 
 def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     """Per-trial: fresh instance, APG solve; pooled per-user rates for the
-    optimized and equal power allocations."""
+    optimized and equal power allocations.
+
+    Trials run on min(CPUs, trials, cfg.workers) threads (cfg.workers None:
+    no cap; inline when that is 1) and come back in trial order, so every
+    output is bit-identical for any thread count. The APG stages read their
+    own clock; cdf outputs carry no timing."""
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
 
-    apg_dict = asdict(cfg.apg)
-    apg_dict["sigma_schedule"] = tuple(apg_dict["sigma_schedule"])
-    tasks = [
-        (
-            trial,
-            trial_seed(cfg.master_seed, trial),
-            (cfg.num_aps, len(cfg.group_sizes), cfg.group_sizes),
-            asdict(cfg.physical),
-            apg_dict,
-        )
-        for trial in range(cfg.trials)
-    ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_cdf_trial, tasks))
-    else:
-        results = [_cdf_trial(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    native.load_library()  # a first build happens here, not in every thread
+    workers = min(pool.cpu_count(), cfg.trials, cfg.workers or cfg.trials)
+    results = list(pool.ordered_map(lambda trial: _cdf_trial(cfg, trial), cfg.trials, workers))
 
     dims = cfg.dims
     ptr = dims.num_users
@@ -344,7 +328,7 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     group_of = np.repeat(np.arange(len(cfg.group_sizes)), cfg.group_sizes)
     user_in_group = np.concatenate([np.arange(k) for k in cfg.group_sizes])
     prelog = cfg.prelog
-    for trial, apg_r, epa_r in results:
+    for trial, (apg_r, epa_r) in enumerate(results):
         pooled_apg.append(apg_r)
         pooled_epa.append(epa_r)
         for u in range(ptr):
@@ -386,10 +370,11 @@ def apg_fixed_iteration_time(model, apg: ApgSettings, iters: int,
     """Wall time of exactly `iters` APG iterations at the first schedule
     sigma (stopping rule disabled); used for complexity-scaling checks."""
     cfg = apg.to_apg_config(max_iters=iters, stop_tol=0.0, stop_window=iters + 1)
-    clock = clock or time.perf_counter
-    t0 = clock()
+    timer = clock or time.perf_counter
+    t0 = timer()
+    # the caller's clock as given: without one the stage keeps its own
     apg_solve_continuation(model, (apg.sigma_schedule[0],), cfg=cfg, clock=clock)
-    return clock() - t0
+    return timer() - t0
 
 
 def _warm_kernels(cfg: ExperimentConfig):

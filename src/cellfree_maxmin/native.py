@@ -7,8 +7,9 @@ source, the compiler, the flags and the host CPU's identity: a changed source,
 compiler or CPU builds afresh (a shared home directory never loads a library
 built for another CPU), and every later process only loads the file. Each
 build writes a private temporary file and renames it into place, so processes
-that build at the same time (the cdf worker pool) cannot see a partial
-library. Compiler output is captured and never printed.
+that build at the same time cannot see a partial library, and threads of one
+process that load it for the first time together take turns, so only the
+first builds. Compiler output is captured and never printed.
 
 When no compiler is found or the build fails, :func:`load_library` returns
 None and the solvers run their numpy loops instead.
@@ -20,6 +21,7 @@ import hashlib
 import os
 import platform
 import shutil
+import threading
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "apg_stage.c")
 COMPILERS = ("cc", "gcc")
@@ -34,6 +36,8 @@ STOP_REASONS = {0: "max_iters", 1: "objective_plateau", 2: "line_search",
                 3: "feasible", 4: "infeasible", 5: "stalled"}
 
 CLOCK_FN = ctypes.CFUNCTYPE(ctypes.c_double)
+
+_LOAD_LOCK = threading.Lock()
 
 
 class StageConfig(ctypes.Structure):
@@ -135,20 +139,28 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         getattr(lib, name).restype = i64
     lib.apg_lanes.argtypes = []
     lib.apg_lanes.restype = i64
+    lib.apg_clock.argtypes = []
+    lib.apg_clock.restype = dbl
+    # apg_clock as the stage's clock argument: a plain C function pointer,
+    # which the stage calls without entering the interpreter
+    lib.stage_clock = CLOCK_FN(ctypes.cast(lib.apg_clock, ctypes.c_void_p).value)
     return lib
 
 
 @functools.lru_cache(maxsize=None)
 def load_library():
     """The compiled stage library, or None when no C compiler is found or
-    the library cannot be built or loaded."""
+    the library cannot be built or loaded. Threads that miss the cache
+    together run the body one at a time, so the first builds and the others
+    load its file."""
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
     if compiler is None:
         return None
-    try:
-        path = _library_path(compiler)
-        if not os.path.exists(path) and not _build(compiler, path):
+    with _LOAD_LOCK:
+        try:
+            path = _library_path(compiler)
+            if not os.path.exists(path) and not _build(compiler, path):
+                return None
+            return _declare(ctypes.CDLL(path))
+        except OSError:
             return None
-        return _declare(ctypes.CDLL(path))
-    except OSError:
-        return None

@@ -12,16 +12,15 @@ never tracks watts). Rates depend only on the user's own group block of mu.
 
 import csv
 import math
-import os
 import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from . import kernels
+from . import kernels, pool
 from .netgen import (
+    NOISE_CHUNK,
     NetworkInstance,
     SmallScaleBlock,
     block_buffers,
@@ -35,6 +34,10 @@ FEASIBILITY_SLACK = 1e-9
 # Draws per _moment_vectors call within a block: every op in it is per draw,
 # so the chunk bounds its temporaries and changes no result.
 MOMENT_CHUNK = 512
+# Bytes the block threads of one oracle call may hold together. A thread
+# holds about 6 MB at M=8, 2x3 and 340 MB at M=100, 4x10 (_thread_bytes);
+# the thread count is cut to fit, but never below one.
+MOMENT_MEMORY_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -300,24 +303,6 @@ def _moment_vectors(blk: SmallScaleBlock, weight: np.ndarray, pick: np.ndarray) 
     return np.take(gains.reshape(b, -1), pick, axis=1).reshape(b, t_users, -1)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def _ordered_map(fn: Callable, count: int, workers: int) -> Iterator:
-    """fn(0), ..., fn(count - 1) in order; on a pool of `workers` threads
-    that is shut down before this returns or raises, inline when 1."""
-    if workers == 1:
-        yield from map(fn, range(count))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, range(count))
-
-
 def _moment_layout(instance: NetworkInstance, eta: np.ndarray):
     """(weight, pick) of _moment_vectors for power coefficients eta."""
     dims = instance.dims
@@ -333,20 +318,39 @@ def _moment_layout(instance: NetworkInstance, eta: np.ndarray):
     return weight, pick
 
 
+def _thread_bytes(num_aps: int, t_users: int, n_groups: int, d: int, block: int) -> int:
+    """Bytes one block thread holds: its buffer set for `block` draws (g, z,
+    a pilot-noise chunk and the moment vectors x) and the temporaries of one
+    _moment_vectors chunk."""
+    held = (block * (2 * num_aps * (t_users + n_groups) + t_users * d)
+            + min(NOISE_CHUNK, 2 * block * num_aps * n_groups))
+    chunk = min(block, MOMENT_CHUNK) * (2 * num_aps * t_users + 5 * num_aps * n_groups
+                                        + 3 * t_users * n_groups + t_users * d)
+    return 8 * (held + chunk)
+
+
+def _block_workers(num_aps: int, t_users: int, n_groups: int, d: int, sizes) -> int:
+    """Threads of one oracle call over blocks of `sizes` draws: one per CPU
+    and at most one per block, as many as MOMENT_MEMORY_BUDGET holds, and at
+    least one."""
+    per_thread = _thread_bytes(num_aps, t_users, n_groups, d, sizes[0])
+    return max(1, min(pool.cpu_count(), len(sizes), MOMENT_MEMORY_BUDGET // per_thread))
+
+
 def _moment_sums(instance: NetworkInstance, weight: np.ndarray, pick: np.ndarray,
                  draws: int, seed: int):
     """Sums over all draws of the moment vectors x (T, d) and of their outer
     products x x^T (T, d, d).
 
-    Blocks are drawn and reduced on min(CPUs, blocks) threads (inline when
-    that is 1), each thread in one buffer set allocated here and handed out
+    Blocks are drawn and reduced on _block_workers threads (inline when that
+    is 1), each thread in one buffer set allocated here and handed out
     through a queue; block sums and Gram matrices are added in block order,
     so the sums are bit-identical for every thread count."""
-    t_users = weight.shape[1]
+    num_aps, t_users = weight.shape
     d = pick.shape[0] // t_users  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
     pilot = pilot_model(instance)
     sizes = block_sizes(draws)
-    workers = min(_cpu_count(), len(sizes))
+    workers = _block_workers(num_aps, t_users, instance.dims.num_groups, d, sizes)
     free = queue.SimpleQueue()
     for _ in range(workers):
         free.put((block_buffers(pilot, sizes[0]), np.empty(sizes[0] * t_users * d)))
@@ -367,7 +371,7 @@ def _moment_sums(instance: NetworkInstance, weight: np.ndarray, pick: np.ndarray
 
     s1 = np.zeros((t_users, d))
     s2 = np.zeros((t_users, d, d))
-    for block_sum, block_gram in _ordered_map(reduce_block, len(sizes), workers):
+    for block_sum, block_gram in pool.ordered_map(reduce_block, len(sizes), workers):
         s1 += block_sum
         s2 += block_gram
     return s1, s2

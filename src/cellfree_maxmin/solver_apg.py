@@ -251,7 +251,8 @@ def compiled_stage(
     stops "feasible" once aux <= eps_soc, and every gap_check_every
     iterations it records the Frank-Wolfe bound and stops "infeasible" once
     that exceeds -eps_soc. Elapsed times come from one `clock` call per
-    iteration; without a clock they read 0."""
+    iteration; without a clock they read 0. A `clock` that is `lib.apg_clock`
+    is called inside the stage without entering the interpreter."""
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
     T, M = gs.shape
     N = ptr.shape[0] - 1
@@ -271,7 +272,12 @@ def compiled_stage(
                                    cfg.stop_tol, eps_soc, cfg.max_iters, cfg.stop_window,
                                    cfg.line_search_cap, gap_check_every)
     out = native.StageResult()
-    clock_fn = native.CLOCK_FN(clock) if clock is not None else native.CLOCK_FN()
+    if clock is None:
+        clock_fn = native.CLOCK_FN()
+    elif clock is lib.apg_clock:
+        clock_fn = lib.stage_clock
+    else:
+        clock_fn = native.CLOCK_FN(clock)
     start = clock() if clock is not None else 0.0
     code = lib.apg_stage(
         kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
@@ -397,7 +403,10 @@ def apg_solve(
 
     Starts from the (feasible, strictly positive) equal power allocation
     unless mu0 is given. The stage runs on the compiled engine when it loads
-    (kernels.apg_engine()), else on the fused numpy loop."""
+    (kernels.apg_engine()), else on the fused numpy loop. Without a `clock`
+    the compiled stage reads its own C clock (`apg_clock`), which it calls
+    without the interpreter lock, and the numpy loop reads
+    time.perf_counter."""
     cfg = cfg or ApgConfig()
     smoothing = smoothing or SmoothingConfig()
     if mu0 is None:
@@ -411,7 +420,8 @@ def apg_solve(
 
     lib = native.load_library()  # before the clock starts: the first call may build
     sigma = smoothing.sigma
-    clock = clock or time.perf_counter
+    if clock is None:
+        clock = time.perf_counter if lib is None else lib.apg_clock
     start = clock()
     if lib is not None:
         res = compiled_stage(lib, native.RATE, model, mat0, cfg, sigma, clock=clock)

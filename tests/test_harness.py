@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from cellfree_maxmin import harness, pool
 from cellfree_maxmin.cli import main as cli_main
 from cellfree_maxmin.harness import (
     ApgSettings,
@@ -160,12 +162,64 @@ class TestRunners:
         assert 0.0 <= out["dominance_fraction"] <= 1.0
 
     def test_cdf_parallel_matches_serial(self, tmp_path):
-        serial = run_cdf(tiny_config("cdf", tmp_path / "a", trials=3))
+        serial = run_cdf(tiny_config("cdf", tmp_path / "a", trials=3, workers=1))
         parallel = run_cdf(tiny_config("cdf", tmp_path / "b", trials=3, workers=2))
         np.testing.assert_array_equal(serial["apg"].rates_nats, parallel["apg"].rates_nats)
         a = (tmp_path / "a" / "users_apg.csv").read_text()
         b = (tmp_path / "b" / "users_apg.csv").read_text()
         assert a == b
+
+    def test_cdf_outputs_identical_for_any_thread_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pool, "cpu_count", lambda: 4)
+        real_trial, threads = harness._cdf_trial, {}
+
+        def tracked_trial(cfg, trial):
+            threads.setdefault(cfg.workers, set()).add(threading.get_ident())
+            return real_trial(cfg, trial)
+
+        monkeypatch.setattr(harness, "_cdf_trial", tracked_trial)
+        names = ("users_apg.csv", "users_epa.csv", "trial_minrates.csv", "cdf_apg.csv",
+                 "cdf_epa.csv")
+        outputs = {}
+        for workers in (1, 2, 3, None):
+            out_dir = tmp_path / str(workers)
+            run_cdf(tiny_config("cdf", out_dir, trials=5, workers=workers))
+            outputs[workers] = [(out_dir / name).read_bytes() for name in names]
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+        assert outputs[None] == outputs[1]
+        assert threads[1] == {threading.get_ident()}
+        assert len(threads[2]) <= 2 and len(threads[3]) <= 3 and len(threads[None]) <= 4
+
+    def test_cdf_stress_more_threads_than_cores(self, tmp_path, monkeypatch):
+        """Six trial threads switching as often as the interpreter allows
+        give the serial outputs: trials share no mutable state."""
+        serial = run_cdf(tiny_config("cdf", tmp_path / "serial", trials=6, workers=1))
+        monkeypatch.setattr(pool, "cpu_count", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_cdf(tiny_config("cdf", tmp_path / "threaded", trials=6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded["trial_rows"] == serial["trial_rows"]
+        assert (tmp_path / "threaded" / "users_apg.csv").read_bytes() == \
+            (tmp_path / "serial" / "users_apg.csv").read_bytes()
+
+    def test_cdf_trial_error_reaches_caller(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pool, "cpu_count", lambda: 2)
+        real_trial = harness._cdf_trial
+
+        def failing_trial(cfg, trial):
+            if trial == 1:
+                raise RuntimeError("trial 1 failed")
+            return real_trial(cfg, trial)
+
+        monkeypatch.setattr(harness, "_cdf_trial", failing_trial)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="trial 1 failed"):
+            run_cdf(tiny_config("cdf", tmp_path, trials=4))
+        assert threading.active_count() == threads_before
+        assert not os.path.exists(tmp_path / "trial_minrates.csv")
 
     def test_scaling_outputs_and_validation(self, tmp_path):
         cfg = tiny_config("scaling", tmp_path, scaling_m_grid=(4, 6), scaling_fixed_iters=20)

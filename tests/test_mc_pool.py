@@ -1,5 +1,6 @@
 """The Monte-Carlo rate oracle's block pool: bit-identical reports for every
-thread count, errors raised inside a worker, and bounded memory."""
+thread count, errors raised inside a worker, and bounded memory, with a
+thread count cut to a memory budget."""
 
 import dataclasses
 import sys
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from cellfree_maxmin import Dimensions, PhysicalConfig, generate_instance, rate_oracle_monte_carlo
-from cellfree_maxmin import rates
+from cellfree_maxmin import pool, rates
 from cellfree_maxmin.harness import random_feasible_eta
-from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, iter_smallscale_blocks
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, block_sizes, iter_smallscale_blocks
 
 DRAW_COUNTS = [1, SMALLSCALE_BLOCK + 5, 3 * SMALLSCALE_BLOCK + 77]
 
@@ -51,7 +52,7 @@ def test_reports_bit_identical_for_any_thread_count(monkeypatch, shape, draws):
     instance, eta = mc_case(*shape, seed=4)
     reference = serial_report(instance, eta, draws, seed=9)
     for workers in (1, 2, 3):
-        monkeypatch.setattr(rates, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(pool, "cpu_count", lambda: workers)
         got = rate_oracle_monte_carlo(instance, eta, draws, seed=9)
         for field in dataclasses.fields(got):
             assert np.array_equal(getattr(got, field.name), getattr(reference, field.name)), \
@@ -65,7 +66,7 @@ def test_stress_more_threads_than_cores(monkeypatch):
     instance, eta = mc_case(4, (1, 2), seed=2)
     draws = 12 * SMALLSCALE_BLOCK + 3
     reference = serial_report(instance, eta, draws, seed=3)
-    monkeypatch.setattr(rates, "_cpu_count", lambda: 6)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -90,7 +91,7 @@ def test_worker_error_reaches_caller(monkeypatch):
             raise RuntimeError("moment reduction failed on block 2")
         return real_moments(blk, weight, pick)
 
-    monkeypatch.setattr(rates, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 2)
     monkeypatch.setattr(rates, "smallscale_block", tagged_block)
     monkeypatch.setattr(rates, "_moment_vectors", failing_moments)
     threads_before = threading.active_count()
@@ -111,11 +112,42 @@ def traced_peak(instance, eta, draws):
 def test_peak_memory(monkeypatch):
     instance, eta = mc_case()
     rate_oracle_monte_carlo(instance, eta, 2 * SMALLSCALE_BLOCK, seed=1)  # warm caches
-    monkeypatch.setattr(rates, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 2)
     peak = traced_peak(instance, eta, 200_000)
     assert peak <= SERIAL_PEAK_BYTES, peak
     # draws do not accumulate; timing between two threads moves their peak,
     # so growth is checked inline, where it is deterministic
-    monkeypatch.setattr(rates, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 1)
     small, large = traced_peak(instance, eta, 50_000), traced_peak(instance, eta, 200_000)
     assert large <= small + FREE_LIST_SLACK_BYTES, (small, large)
+
+
+def test_thread_bytes_match_measured_peak(monkeypatch):
+    """_thread_bytes, which the thread count is sized by, is what one thread
+    holds: the tracemalloc peak of a call on one thread."""
+    monkeypatch.setattr(pool, "cpu_count", lambda: 1)
+    for num_aps, group_sizes in ((8, (3, 3)), (30, (5, 5, 5))):
+        instance, eta = mc_case(num_aps, group_sizes)
+        t_users, n_groups = sum(group_sizes), len(group_sizes)
+        expected = rates._thread_bytes(num_aps, t_users, n_groups, 3 + n_groups - 1,
+                                       SMALLSCALE_BLOCK)
+        rate_oracle_monte_carlo(instance, eta, 2 * SMALLSCALE_BLOCK, seed=1)  # warm caches
+        peak = traced_peak(instance, eta, 3 * SMALLSCALE_BLOCK)
+        assert 0.95 * expected <= peak <= 1.05 * expected, (num_aps, peak, expected)
+
+
+def test_thread_count_fits_memory_budget(monkeypatch):
+    """Sized without starting a thread, on a host with 64 CPUs."""
+    monkeypatch.setattr(pool, "cpu_count", lambda: 64)
+    blocks = block_sizes(200_000)
+    assert len(blocks) == 49
+    # M=8, 2x3 (the verify-rate default): 6 MB a thread, one thread per block
+    assert rates._thread_bytes(8, 6, 2, 4, SMALLSCALE_BLOCK) < 7e6
+    assert rates._block_workers(8, 6, 2, 4, blocks) == 49
+    # M=100, 4x10: 340 MB a thread, as many as the budget holds
+    per_thread = rates._thread_bytes(100, 40, 4, 6, SMALLSCALE_BLOCK)
+    workers = rates._block_workers(100, 40, 4, 6, blocks)
+    assert workers == rates.MOMENT_MEMORY_BUDGET // per_thread == 3
+    # one buffer set beyond the budget still runs, on one thread
+    assert rates._thread_bytes(4000, 40, 4, 6, SMALLSCALE_BLOCK) > rates.MOMENT_MEMORY_BUDGET
+    assert rates._block_workers(4000, 40, 4, 6, blocks) == 1

@@ -1,6 +1,7 @@
 """The compiled monotone-APG stage (apg_stage.c) against the numpy reference:
 per-evaluation parity, oracle stages, the no-compiler fallback, NaN data,
-and a first build shared by concurrent processes."""
+the stage's own clock, and a first build shared by concurrent processes or
+threads."""
 
 import ctypes
 import dataclasses
@@ -9,6 +10,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from cellfree_maxmin import (
     native,
     rate_upper_bound,
 )
-from cellfree_maxmin import solver_bisection
+from cellfree_maxmin import solver_apg, solver_bisection
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg, objective_closures
 from cellfree_maxmin.solver_bisection import FEASIBLE, INFEASIBLE, _support_gap
 from conftest import make_model, random_feasible_matrix
@@ -343,9 +346,9 @@ def test_failed_build_prints_nothing(tmp_path, monkeypatch, capfd):
 
 
 def test_concurrent_first_build(lib, tmp_path):
-    """Fresh processes sharing an empty cache, one of them a two-worker cdf
-    pool, all build or load the library, and the CLI they run prints
-    nothing."""
+    """Fresh processes sharing an empty cache, one of them running its cdf
+    trials on two threads, all build or load the library, and the CLI they
+    run prints nothing."""
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
     cdf_cfg = tmp_path / "cdf.json"
     cdf_cfg.write_text(json.dumps({"num_aps": 6, "group_sizes": [2, 2], "trials": 4,
@@ -366,3 +369,72 @@ def test_concurrent_first_build(lib, tmp_path):
     rates = [(tmp_path / f"run{i}" / "solution_rates.csv").read_bytes() for i in range(2)]
     assert rates[0] == rates[1]
     assert (tmp_path / "run2" / "trial_minrates.csv").exists()
+
+
+def test_threads_build_once(lib, tmp_path, monkeypatch):
+    """Threads that load the library together for the first time build it
+    once; the others load the file the first one built."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    real_build, builds = native._build, []
+
+    def counting_build(compiler, target):
+        builds.append(target)
+        time.sleep(0.2)  # keep the other threads waiting at the cache miss
+        return real_build(compiler, target)
+
+    monkeypatch.setattr(native, "_build", counting_build)
+    barrier = threading.Barrier(4)
+    loaded = []
+
+    def load():
+        barrier.wait(timeout=30)
+        loaded.append(native.load_library())
+
+    native.load_library.cache_clear()
+    try:
+        threads = [threading.Thread(target=load) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        native.load_library.cache_clear()  # later tests load the default cache's file
+    assert len(builds) == 1
+    assert len(loaded) == 4 and all(got is not None for got in loaded)
+
+
+def test_stage_clock(lib, monkeypatch):
+    """Without an injected clock the compiled stage times itself with the C
+    clock, called without entering Python; an injected clock is called as
+    before."""
+    lib = native.load_library()
+    assert abs(lib.apg_clock() - time.monotonic()) < 0.05
+    seen = []
+    real_stage = solver_apg.compiled_stage
+
+    def spy(*args, clock=None, **kwargs):
+        seen.append(clock)
+        return real_stage(*args, clock=clock, **kwargs)
+
+    monkeypatch.setattr(solver_apg, "compiled_stage", spy)
+    model = make_model(num_aps=10, users_per_group=3, seed=2)
+    cfg = ApgConfig(max_iters=200)
+    own = apg_solve(model, cfg=cfg)
+    calls = []
+
+    def injected():
+        calls.append(None)
+        return 0.0
+
+    fake = apg_solve(model, cfg=cfg, clock=injected)
+    assert seen == [lib.apg_clock, injected]
+    # inside the stage one call per iterate; around it, apg_solve's start and
+    # end and compiled_stage's start
+    assert len(calls) == (own.iterations + 1) + 3
+    assert np.array_equal(own.power.mu, fake.power.mu)
+    assert np.array_equal(own.trace_f_sigma, fake.trace_f_sigma)
+    elapsed = own.trace_elapsed_s
+    assert elapsed[0] >= 0.0 and (np.diff(elapsed) >= 0.0).all() and elapsed[-1] > 0.0
+    assert own.wall_time_s >= elapsed[-1]
+    assert not fake.trace_elapsed_s.any() and fake.wall_time_s == 0.0

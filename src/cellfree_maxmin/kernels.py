@@ -1,14 +1,12 @@
 """Hot numeric kernels: per-user rates, smoothed min-rate value/gradient,
-per-AP feasible-set projection, and cone-constraint residuals/margins.
+per-AP feasible-set projection, cone-constraint residuals/margins, and one
+monotone-APG iteration.
 
-Two interchangeable backends live here: vectorized numpy, and numba @njit
-loops. Selection, resolved once at import:
-
-  CELLFREE_MAXMIN_BACKEND = "numpy" | "numba" | "auto"   (default "auto")
-
-"auto" picks numba when it imports, numpy otherwise. Both backends are
-always importable through :func:`get_impl` so they can be compared and
-benchmarked directly.
+Each kernel has one numpy implementation. The solvers read them through
+:data:`IMPL` at call time, so a caller can swap a field of it (a profiler
+wrapping a kernel, say) without touching the solvers. The compiled APG stage
+(native.py, apg_stage.c) runs whole stages instead and is tested against
+these kernels; :func:`active_backend` says which engine the stages use.
 
 Array conventions shared by every kernel:
 
@@ -20,21 +18,11 @@ Array conventions shared by every kernel:
 """
 
 import math
-import os
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import native
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - only hit when numba is absent
-    HAVE_NUMBA = False
-
-ENV_BACKEND = "CELLFREE_MAXMIN_BACKEND"
 
 PI = math.pi
 
@@ -44,11 +32,7 @@ PI = math.pi
 BALL_SLACK = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _np_user_rates(gs, asq, gptr, mu, rho):
+def _user_rates(gs, asq, gptr, mu, rho):
     rates = np.empty(gs.shape[0])
     for n in range(gptr.shape[0] - 1):
         lo, hi = gptr[n], gptr[n + 1]
@@ -58,14 +42,14 @@ def _np_user_rates(gs, asq, gptr, mu, rho):
     return rates
 
 
-def _np_soft_min_value(gs, asq, gptr, mu, rho, sigma):
-    rates = _np_user_rates(gs, asq, gptr, mu, rho)
+def _soft_min_value(gs, asq, gptr, mu, rho, sigma):
+    rates = _user_rates(gs, asq, gptr, mu, rho)
     rmin = rates.min()
     s = np.exp(-sigma * (rates - rmin)).sum()
     return rmin - math.log(s / rates.shape[0]) / sigma, rmin
 
 
-def _np_soft_min_value_grad(gs, asq, gptr, mu, rho, sigma):
+def _soft_min_value_grad(gs, asq, gptr, mu, rho, sigma):
     T = gs.shape[0]
     N, M = mu.shape
     rates = np.empty(T)
@@ -96,14 +80,14 @@ def _np_soft_min_value_grad(gs, asq, gptr, mu, rho, sigma):
     return f_sigma, rmin, grad
 
 
-def _np_project_ball_orthant(x):
+def _project_ball_orthant(x):
     u = np.maximum(x, 0.0)
     nsq = np.einsum("nm,nm->m", u, u)
     scale = np.where(nsq > 1.0 + BALL_SLACK, np.sqrt(nsq), 1.0)
     return u / scale
 
 
-def _np_soc_residuals(gs, asq, gptr, mu, rho, t):
+def _soc_residuals(gs, asq, gptr, mu, rho, t):
     et1 = math.expm1(t)
     lin = math.sqrt(0.25 * PI * rho)
     res = np.empty(gs.shape[0])
@@ -115,7 +99,7 @@ def _np_soc_residuals(gs, asq, gptr, mu, rho, t):
     return res
 
 
-def _np_margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):
+def _margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):
     T = gs.shape[0]
     N, M = mu.shape
     et1 = math.expm1(t)
@@ -144,364 +128,117 @@ def _np_margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):
     return f_sigma, -fmin, grad
 
 
-def _np_margin_value(gs, asq, gptr, mu, rho, t, sigma_f):
-    res = _np_soc_residuals(gs, asq, gptr, mu, rho, t)
+def _margin_value(gs, asq, gptr, mu, rho, t, sigma_f):
+    res = _soc_residuals(gs, asq, gptr, mu, rho, t)
     marg = -res
     fmin = marg.min()
     s = np.exp(-sigma_f * (marg - fmin)).sum()
     return fmin - math.log(s / marg.shape[0]) / sigma_f, -fmin
 
 
-def _np_rate_apg_step(gs, asq, gptr, rho, sigma, mu, mu_prev, z, t_prev, t_cur,
-                      alpha_y, alpha_mu, delta, kappa, cap):
-    """One full monotone-APG iteration on the smoothed min-rate objective:
-    projected extrapolation, both backtracking searches, monotone pick.
+class ApgStep(NamedTuple):
+    """Outcome of one apg_step. status is "accepted", "rejected" (the
+    extrapolated branch failed its search and the plain step was taken),
+    "stalled" or "failed"; on the last two x, z, f and aux are the current
+    iterate's, and f_best is the best plain-branch trial value."""
 
-    Returns (mu_next, z_next, f_next, rmin_next, alpha_y, alpha_mu, bt_y,
-    bt_mu, status) with status 0 = extrapolated branch accepted, 2 =
-    extrapolation rejected (fell back to the plain branch), 1 = plain-branch
-    search failed (caller aborts)."""
-    y = _np_project_ball_orthant(
-        mu + (t_prev / t_cur) * (z - mu) + ((t_prev - 1.0) / t_cur) * (mu - mu_prev)
-    )
-    fy, _, gy = _np_soft_min_value_grad(gs, asq, gptr, y, rho, sigma)
+    x: np.ndarray
+    z: np.ndarray
+    f: float
+    aux: float
+    alpha_y: float
+    alpha_mu: float
+    bt_y: int
+    bt_mu: int
+    status: str
+    f_best: float
+
+
+def apg_step(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur,
+             alpha_y, alpha_mu, delta, kappa, cap) -> ApgStep:
+    """One iteration of the monotone APG (Li & Lin, NeurIPS 2015) that
+    maximizes a smooth objective over a projectable set: projected
+    extrapolation, a backtracking search from the extrapolated point y and
+    one from mu, and a monotone pick between the two trials.
+
+    value(x) -> (f, aux); value_grad(x) -> (f, aux, grad). Each search first
+    grows its step by 1/kappa, then accepts the first trial x+ with
+    f(x+) >= f(x) + delta*||x+ - x||^2 after at most `cap` shrinks.
+    "stalled" means the plain search ended on mu itself with both values
+    finite: the step underflowed, and value and value_grad may round f(mu)
+    differently, so no test can pass."""
+    # the raw extrapolation can leave the set when iterates ride the ball
+    # boundary, making the sufficient-increase test unsatisfiable; the
+    # projected extrapolation keeps the test and the momentum intact
+    y = project(mu + (t_prev / t_cur) * (z - mu) + ((t_prev - 1.0) / t_cur) * (mu - mu_prev))
+    fy, _, gy = value_grad(y)
+
     alpha_y_in = alpha_y
-    ay = alpha_y / kappa
+    alpha_y = alpha_y / kappa
     bt_y = 0
     z_ok = False
-    zn = y
-    fz = rz = 0.0
     while bt_y <= cap:
-        zn = _np_project_ball_orthant(y + ay * gy)
-        fz, rz = _np_soft_min_value(gs, asq, gptr, zn, rho, sigma)
-        d = zn - y
-        if fz >= fy + delta * float(np.einsum("nm,nm->", d, d)):
+        z_new = project(y + alpha_y * gy)
+        fz, aux_z = value(z_new)
+        diff = z_new - y
+        if fz >= fy + delta * float(np.vdot(diff, diff)):
             z_ok = True
             break
-        ay *= kappa
+        alpha_y *= kappa
         bt_y += 1
     if not z_ok:
-        ay = alpha_y_in
+        alpha_y = alpha_y_in  # rejected extrapolation must not sink the step size
 
-    fmu, rmu, gmu = _np_soft_min_value_grad(gs, asq, gptr, mu, rho, sigma)
-    am = alpha_mu / kappa
+    fmu, aux_mu, gmu = value_grad(mu)
+    alpha_mu = alpha_mu / kappa
     bt_mu = 0
-    v_ok = False
-    vn = mu
-    fv, rv = fmu, rmu
+    fv_best = -math.inf
     while bt_mu <= cap:
-        vn = _np_project_ball_orthant(mu + am * gmu)
-        fv, rv = _np_soft_min_value(gs, asq, gptr, vn, rho, sigma)
-        d = vn - mu
-        if fv >= fmu + delta * float(np.einsum("nm,nm->", d, d)):
-            v_ok = True
+        v_new = project(mu + alpha_mu * gmu)
+        fv, aux_v = value(v_new)
+        fv_best = max(fv_best, fv)
+        diff = v_new - mu
+        if fv >= fmu + delta * float(np.vdot(diff, diff)):
             break
-        am *= kappa
+        alpha_mu *= kappa
         bt_mu += 1
-    if not v_ok:
-        return mu, z, fmu, rmu, ay, am, bt_y, bt_mu, 1
+    else:
+        stalled = np.array_equal(v_new, mu) and math.isfinite(fv) and math.isfinite(fmu)
+        return ApgStep(mu, z, fmu, aux_mu, alpha_y, alpha_mu, bt_y, bt_mu,
+                       "stalled" if stalled else "failed", fv_best)
 
     if z_ok and fz > fv:
-        mu_next, f_next, r_next = zn, fz, rz
-    else:
-        mu_next, f_next, r_next = vn, fv, rv
-    status = 0
-    if not z_ok:
-        status = 2
-        zn = vn
-    return mu_next, zn, f_next, r_next, ay, am, bt_y, bt_mu, status
+        return ApgStep(z_new, z_new, fz, aux_z, alpha_y, alpha_mu, bt_y, bt_mu, "accepted",
+                       fv_best)
+    return ApgStep(v_new, z_new if z_ok else v_new, fv, aux_v, alpha_y, alpha_mu, bt_y, bt_mu,
+                   "accepted" if z_ok else "rejected", fv_best)
 
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=True)
-    def _nb_user_rates(gs, asq, gptr, mu, rho):
-        T, M = gs.shape
-        rates = np.empty(T)
-        for n in range(gptr.shape[0] - 1):
-            for u in range(gptr[n], gptr[n + 1]):
-                p = 0.0
-                q = 0.0
-                for m in range(M):
-                    p += gs[u, m] * mu[n, m]
-                    q += asq[u, m] * mu[n, m] * mu[n, m]
-                rates[u] = math.log1p(0.25 * PI * rho * p * p / (rho * q + 1.0))
-        return rates
-
-    @njit(cache=True, fastmath=True)
-    def _nb_soft_min_value(gs, asq, gptr, mu, rho, sigma):
-        rates = _nb_user_rates(gs, asq, gptr, mu, rho)
-        rmin = rates[0]
-        for u in range(1, rates.shape[0]):
-            if rates[u] < rmin:
-                rmin = rates[u]
-        s = 0.0
-        for u in range(rates.shape[0]):
-            s += math.exp(-sigma * (rates[u] - rmin))
-        return rmin - math.log(s / rates.shape[0]) / sigma, rmin
-
-    @njit(cache=True, fastmath=True)
-    def _nb_soft_min_value_grad(gs, asq, gptr, mu, rho, sigma):
-        T, M = gs.shape
-        N = mu.shape[0]
-        rates = np.empty(T)
-        p_all = np.empty(T)
-        c_all = np.empty(T)
-        for n in range(N):
-            for u in range(gptr[n], gptr[n + 1]):
-                p = 0.0
-                q = 0.0
-                for m in range(M):
-                    p += gs[u, m] * mu[n, m]
-                    q += asq[u, m] * mu[n, m] * mu[n, m]
-                b = 0.25 * PI * rho * p * p
-                c = rho * q + 1.0
-                rates[u] = math.log1p(b / c)
-                p_all[u] = p
-                c_all[u] = c
-        rmin = rates[0]
-        for u in range(1, T):
-            if rates[u] < rmin:
-                rmin = rates[u]
-        w = np.empty(T)
-        wsum = 0.0
-        for u in range(T):
-            w[u] = math.exp(-sigma * (rates[u] - rmin))
-            wsum += w[u]
-        f_sigma = rmin - math.log(wsum / T) / sigma
-        grad = np.zeros((N, mu.shape[1]))
-        for n in range(N):
-            for u in range(gptr[n], gptr[n + 1]):
-                b = 0.25 * PI * rho * p_all[u] * p_all[u]
-                bc = b + c_all[u]
-                wb = (w[u] / wsum) * (0.5 * PI * rho) * p_all[u] / bc
-                wc = (w[u] / wsum) * 2.0 * rho * (1.0 / bc - 1.0 / c_all[u])
-                for m in range(mu.shape[1]):
-                    grad[n, m] += wb * gs[u, m] + wc * asq[u, m] * mu[n, m]
-        return f_sigma, rmin, grad
-
-    @njit(cache=True, fastmath=True)
-    def _nb_project_ball_orthant(x):
-        N, M = x.shape
-        out = np.empty((N, M))
-        for m in range(M):
-            nsq = 0.0
-            for n in range(N):
-                v = x[n, m]
-                if v < 0.0:
-                    v = 0.0
-                out[n, m] = v
-                nsq += v * v
-            if nsq > 1.0 + BALL_SLACK:
-                s = 1.0 / math.sqrt(nsq)
-                for n in range(N):
-                    out[n, m] *= s
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _nb_soc_residuals(gs, asq, gptr, mu, rho, t):
-        T, M = gs.shape
-        et1 = math.expm1(t)
-        lin = math.sqrt(0.25 * PI * rho)
-        res = np.empty(T)
-        for n in range(gptr.shape[0] - 1):
-            for u in range(gptr[n], gptr[n + 1]):
-                p = 0.0
-                q = 0.0
-                for m in range(M):
-                    p += gs[u, m] * mu[n, m]
-                    q += asq[u, m] * mu[n, m] * mu[n, m]
-                res[u] = math.sqrt(et1 * (rho * q + 1.0)) - lin * p
-        return res
-
-    @njit(cache=True, fastmath=True)
-    def _nb_margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):
-        T, M = gs.shape
-        N = mu.shape[0]
-        et1 = math.expm1(t)
-        set1 = math.sqrt(et1)
-        lin = math.sqrt(0.25 * PI * rho)
-        marg = np.empty(T)
-        dinv = np.empty(T)
-        for n in range(N):
-            for u in range(gptr[n], gptr[n + 1]):
-                p = 0.0
-                q = 0.0
-                for m in range(M):
-                    p += gs[u, m] * mu[n, m]
-                    q += asq[u, m] * mu[n, m] * mu[n, m]
-                d = math.sqrt(rho * q + 1.0)
-                marg[u] = lin * p - set1 * d
-                dinv[u] = 1.0 / d
-        fmin = marg[0]
-        for u in range(1, T):
-            if marg[u] < fmin:
-                fmin = marg[u]
-        w = np.empty(T)
-        wsum = 0.0
-        for u in range(T):
-            w[u] = math.exp(-sigma_f * (marg[u] - fmin))
-            wsum += w[u]
-        f_sigma = fmin - math.log(wsum / T) / sigma_f
-        grad = np.zeros((N, mu.shape[1]))
-        for n in range(N):
-            for u in range(gptr[n], gptr[n + 1]):
-                wu = w[u] / wsum
-                wc = wu * set1 * rho * dinv[u]
-                for m in range(mu.shape[1]):
-                    grad[n, m] += wu * lin * gs[u, m] - wc * asq[u, m] * mu[n, m]
-        return f_sigma, -fmin, grad
-
-    @njit(cache=True, fastmath=True)
-    def _nb_margin_value(gs, asq, gptr, mu, rho, t, sigma_f):
-        res = _nb_soc_residuals(gs, asq, gptr, mu, rho, t)
-        fmin = -res[0]
-        for u in range(1, res.shape[0]):
-            if -res[u] < fmin:
-                fmin = -res[u]
-        s = 0.0
-        for u in range(res.shape[0]):
-            s += math.exp(-sigma_f * (-res[u] - fmin))
-        return fmin - math.log(s / res.shape[0]) / sigma_f, -fmin
-
-    @njit(cache=True, fastmath=True)
-    def _nb_rate_apg_step(gs, asq, gptr, rho, sigma, mu, mu_prev, z, t_prev, t_cur,
-                          alpha_y, alpha_mu, delta, kappa, cap):
-        y = _nb_project_ball_orthant(
-            mu + (t_prev / t_cur) * (z - mu) + ((t_prev - 1.0) / t_cur) * (mu - mu_prev)
-        )
-        fy, _, gy = _nb_soft_min_value_grad(gs, asq, gptr, y, rho, sigma)
-        alpha_y_in = alpha_y
-        ay = alpha_y / kappa
-        bt_y = 0
-        z_ok = False
-        zn = y
-        fz = 0.0
-        rz = 0.0
-        while bt_y <= cap:
-            zn = _nb_project_ball_orthant(y + ay * gy)
-            fz, rz = _nb_soft_min_value(gs, asq, gptr, zn, rho, sigma)
-            d2 = 0.0
-            for n in range(zn.shape[0]):
-                for m in range(zn.shape[1]):
-                    dd = zn[n, m] - y[n, m]
-                    d2 += dd * dd
-            if fz >= fy + delta * d2:
-                z_ok = True
-                break
-            ay *= kappa
-            bt_y += 1
-        if not z_ok:
-            ay = alpha_y_in
-
-        fmu, rmu, gmu = _nb_soft_min_value_grad(gs, asq, gptr, mu, rho, sigma)
-        am = alpha_mu / kappa
-        bt_mu = 0
-        v_ok = False
-        vn = mu
-        fv = fmu
-        rv = rmu
-        while bt_mu <= cap:
-            vn = _nb_project_ball_orthant(mu + am * gmu)
-            fv, rv = _nb_soft_min_value(gs, asq, gptr, vn, rho, sigma)
-            d2 = 0.0
-            for n in range(vn.shape[0]):
-                for m in range(vn.shape[1]):
-                    dd = vn[n, m] - mu[n, m]
-                    d2 += dd * dd
-            if fv >= fmu + delta * d2:
-                v_ok = True
-                break
-            am *= kappa
-            bt_mu += 1
-        if not v_ok:
-            return mu, z, fmu, rmu, ay, am, bt_y, bt_mu, 1
-
-        if z_ok and fz > fv:
-            mu_next, f_next, r_next = zn, fz, rz
-        else:
-            mu_next, f_next, r_next = vn, fv, rv
-        status = 0
-        if not z_ok:
-            status = 2
-            zn = vn
-        return mu_next, zn, f_next, r_next, ay, am, bt_y, bt_mu, status
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
 
 class KernelImpl(NamedTuple):
-    name: str
-    user_rates: callable
-    soft_min_value: callable
-    soft_min_value_grad: callable
-    project_ball_orthant: callable
-    soc_residuals: callable
-    margin_value: callable
-    margin_value_grad: callable
-    rate_apg_step: callable
+    user_rates: Callable
+    soft_min_value: Callable
+    soft_min_value_grad: Callable
+    project_ball_orthant: Callable
+    soc_residuals: Callable
+    margin_value: Callable
+    margin_value_grad: Callable
+    # apg_step under the name the benchmark's layer hooks trace it by
+    rate_apg_step: Callable
 
 
-NUMPY_IMPL = KernelImpl(
-    "numpy",
-    _np_user_rates,
-    _np_soft_min_value,
-    _np_soft_min_value_grad,
-    _np_project_ball_orthant,
-    _np_soc_residuals,
-    _np_margin_value,
-    _np_margin_value_grad,
-    _np_rate_apg_step,
+IMPL = KernelImpl(
+    _user_rates,
+    _soft_min_value,
+    _soft_min_value_grad,
+    _project_ball_orthant,
+    _soc_residuals,
+    _margin_value,
+    _margin_value_grad,
+    apg_step,
 )
-
-NUMBA_IMPL = (
-    KernelImpl(
-        "numba",
-        _nb_user_rates,
-        _nb_soft_min_value,
-        _nb_soft_min_value_grad,
-        _nb_project_ball_orthant,
-        _nb_soc_residuals,
-        _nb_margin_value,
-        _nb_margin_value_grad,
-        _nb_rate_apg_step,
-    )
-    if HAVE_NUMBA
-    else None
-)
-
-
-def resolve_backend(name: str) -> str:
-    """Map a backend request ("auto"/"numpy"/"numba") to a concrete backend."""
-    if name in ("auto", "", None):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return "numba"
-    if name == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def get_impl(name: str = "auto") -> KernelImpl:
-    return NUMBA_IMPL if resolve_backend(name) == "numba" else NUMPY_IMPL
-
-
-IMPL = get_impl(os.environ.get(ENV_BACKEND, "auto"))
 
 
 def active_backend() -> str:
-    return IMPL.name
-
-
-def apg_engine() -> str:
     """Engine of the monotone-APG stages of apg_solve and the bisection
     oracle: "compiled" when the C stage library builds and loads (see
     native.py), "numpy" otherwise. The first call may build the library."""

@@ -12,7 +12,7 @@ process that load it for the first time together take turns, so only the
 first builds. Compiler output is captured and never printed.
 
 When no compiler is found or the build fails, :func:`load_library` returns
-None and the solvers run their numpy loops instead.
+None and the solvers run solver_apg.monotone_apg instead.
 """
 
 import ctypes

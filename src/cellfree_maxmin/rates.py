@@ -61,15 +61,6 @@ class PowerControl:
         """(N, M) view; row n is group n's per-AP block."""
         return self.mu.reshape(self.num_groups, self.num_aps)
 
-    def ap_slice(self, m: int) -> np.ndarray:
-        """Per-AP coefficient vector across groups (length N)."""
-        return self.by_group[:, m]
-
-    @property
-    def per_ap(self) -> np.ndarray:
-        """(M, N) copy; row m is AP m's coefficients across groups."""
-        return self.by_group.T.copy()
-
     def to_eta(self) -> np.ndarray:
         """Power coefficients eta_mn = mu_mn^2 as an (M, N) array."""
         return (self.by_group ** 2).T.copy()
@@ -130,9 +121,6 @@ class RateModel:
     def interference_diag(self) -> np.ndarray:
         """Per-user diagonal entries sqrt(N*zeta - (pi/4)*gamma), shape (T, M)."""
         return np.sqrt(self.a_sq)
-
-    def group_of_user(self, u: int) -> int:
-        return int(np.searchsorted(self.group_ptr, u, side="right") - 1)
 
     def user_index(self, n: int, k: int) -> int:
         if not (0 <= n < self.num_groups and 0 <= k < self.group_ptr[n + 1] - self.group_ptr[n]):

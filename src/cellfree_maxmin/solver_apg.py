@@ -17,8 +17,8 @@ the per-AP orthant-ball set S with:
 The same driver is reused by the bisection feasibility oracle with a
 different (concave) objective. Each fixed-sigma stage runs as one call into
 the compiled engine (native.py, apg_stage.c) when a C compiler is available,
-and as the numpy loops here otherwise; the numpy loops are the reference the
-compiled stage is tested against.
+and as monotone_apg otherwise. monotone_apg, one kernels.apg_step per
+iteration, is the reference the compiled stage is tested against.
 """
 
 import csv
@@ -67,6 +67,8 @@ class ApgConfig:
             raise ValueError("kappa must lie in (0, 1)")
         if self.alpha_y0 <= 0 or self.alpha_mu0 <= 0:
             raise ValueError("initial step sizes must be positive")
+        if self.line_search_cap < 0:
+            raise ValueError("line_search_cap must be >= 0")
 
 
 class LineSearchError(RuntimeError):
@@ -93,7 +95,7 @@ class DriverResult:
     aux: float
     iterations: int
     termination: str
-    # lists from the numpy loops, arrays from compiled_stage
+    # lists from monotone_apg, arrays from compiled_stage
     trace_f: Sequence[float] = field(default_factory=list)
     trace_aux: Sequence[float] = field(default_factory=list)
     trace_alpha_y: Sequence[float] = field(default_factory=list)
@@ -114,7 +116,9 @@ def monotone_apg(
     monitor: Optional[Callable] = None,
     clock: Optional[Callable[[], float]] = None,
 ) -> DriverResult:
-    """Maximize a smooth objective over a projectable set.
+    """Maximize a smooth objective over a projectable set, one
+    kernels.apg_step per iteration (read as kernels.IMPL.rate_apg_step when
+    the call starts), with the plateau stop.
 
     value(x) -> (f, aux); value_grad(x) -> (f, aux, grad). `aux` is carried
     into the trace untouched (the callers store the true min-rate or the max
@@ -142,74 +146,28 @@ def monotone_apg(
     res.trace_bt_mu.append(0)
     res.trace_elapsed.append(clock() - start)
 
+    step_fn = kernels.IMPL.rate_apg_step
     for it in range(1, cfg.max_iters + 1):
-        # the raw extrapolation can leave S when iterates ride the ball
-        # boundary, making the sufficient-increase test unsatisfiable; the
-        # projected extrapolation keeps the test and the momentum intact
-        y = project(mu + (t_prev / t_cur) * (z - mu) + ((t_prev - 1.0) / t_cur) * (mu - mu_prev))
-        fy, _, gy = value_grad(y)
-
-        alpha_y_in = alpha_y
-        alpha_y = alpha_y / cfg.kappa
-        bt_y = 0
-        z_ok = False
-        while bt_y <= cfg.line_search_cap:
-            z_new = project(y + alpha_y * gy)
-            fz, aux_z = value(z_new)
-            diff = z_new - y
-            if fz >= fy + cfg.delta * float(np.vdot(diff, diff)):
-                z_ok = True
-                break
-            alpha_y *= cfg.kappa
-            bt_y += 1
-        if not z_ok:
-            alpha_y = alpha_y_in  # rejected extrapolation must not sink the step size
-
-        fmu, _, gmu = value_grad(mu)
-        alpha_mu = alpha_mu / cfg.kappa
-        bt_mu = 0
-        v_ok = False
-        fv_best = -math.inf
-        while bt_mu <= cfg.line_search_cap:
-            v_new = project(mu + alpha_mu * gmu)
-            fv, aux_v = value(v_new)
-            fv_best = max(fv_best, fv)
-            diff = v_new - mu
-            if fv >= fmu + cfg.delta * float(np.vdot(diff, diff)):
-                v_ok = True
-                break
-            alpha_mu *= cfg.kappa
-            bt_mu += 1
-        if not v_ok:
-            if np.array_equal(v_new, mu) and math.isfinite(fv) and math.isfinite(fmu):
-                # the step underflowed: the trial is mu itself, and value and
-                # value_grad may round f(mu) differently, so no test can pass
-                res.termination = "stalled"
-                break
-            raise LineSearchError(it, alpha_mu, fmu, fv_best)
-
-        t_next = 0.5 + math.sqrt(t_cur * t_cur + 0.25)
-
-        if z_ok and fz > fv:
-            mu_next, f_next, aux_next = z_new, fz, aux_z
-        else:
-            mu_next, f_next, aux_next = v_new, fv, aux_v
-        if not z_ok:
+        step = step_fn(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur,
+                       alpha_y, alpha_mu, cfg.delta, cfg.kappa, cfg.line_search_cap)
+        if step.status == "stalled":
+            res.termination = "stalled"
+            break
+        if step.status == "failed":
+            raise LineSearchError(it, step.alpha_mu, step.f, step.f_best)
+        if step.status == "rejected":
             res.extrapolation_rejections += 1
-            z_new = v_new
-
-        mu_prev = mu
-        mu = mu_next
-        z = z_new
-        t_prev, t_cur = t_cur, t_next
-        f_cur, aux_cur = f_next, aux_next
+        alpha_y, alpha_mu = step.alpha_y, step.alpha_mu
+        mu_prev, mu, z = mu, step.x, step.z
+        t_prev, t_cur = t_cur, 0.5 + math.sqrt(t_cur * t_cur + 0.25)
+        f_cur, aux_cur = step.f, step.aux
 
         res.trace_f.append(f_cur)
         res.trace_aux.append(aux_cur)
         res.trace_alpha_y.append(alpha_y)
         res.trace_alpha_mu.append(alpha_mu)
-        res.trace_bt_y.append(bt_y)
-        res.trace_bt_mu.append(bt_mu)
+        res.trace_bt_y.append(step.bt_y)
+        res.trace_bt_mu.append(step.bt_mu)
         res.trace_elapsed.append(clock() - start)
         res.iterations = it
 
@@ -335,8 +293,9 @@ def smooth_gradient(model: RateModel, mu, sigma: float) -> np.ndarray:
 
 
 def objective_closures(model: RateModel, sigma: float):
-    """(value, value_grad, project) triple bound to a model and sigma; value
-    functions return (f_sigma, true_min_rate[, grad])."""
+    """(value_grad, value, project) bound to a model and sigma, in
+    monotone_apg's argument order; value functions return (f_sigma,
+    true_min_rate[, grad])."""
     impl = kernels.IMPL
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
 
@@ -349,7 +308,7 @@ def objective_closures(model: RateModel, sigma: float):
     def project(mat):
         return impl.project_ball_orthant(mat)
 
-    return value, value_grad, project
+    return value_grad, value, project
 
 
 @dataclass
@@ -403,10 +362,10 @@ def apg_solve(
 
     Starts from the (feasible, strictly positive) equal power allocation
     unless mu0 is given. The stage runs on the compiled engine when it loads
-    (kernels.apg_engine()), else on the fused numpy loop. Without a `clock`
-    the compiled stage reads its own C clock (`apg_clock`), which it calls
-    without the interpreter lock, and the numpy loop reads
-    time.perf_counter."""
+    (kernels.active_backend()), else as monotone_apg over
+    objective_closures. Without a `clock` the compiled stage reads its own C
+    clock (`apg_clock`), which it calls without the interpreter lock, and
+    monotone_apg reads time.perf_counter."""
     cfg = cfg or ApgConfig()
     smoothing = smoothing or SmoothingConfig()
     if mu0 is None:
@@ -426,7 +385,7 @@ def apg_solve(
     if lib is not None:
         res = compiled_stage(lib, native.RATE, model, mat0, cfg, sigma, clock=clock)
     else:
-        res = _numpy_rate_stage(model, mat0, cfg, sigma, clock)
+        res = monotone_apg(*objective_closures(model, sigma), mat0, cfg, clock=clock)
     wall = clock() - start
     return SolveReport(
         power=PowerControl.from_matrix(res.x),
@@ -445,65 +404,6 @@ def apg_solve(
         trace_elapsed_s=np.asarray(res.trace_elapsed, dtype=float),
         extrapolation_rejections=res.extrapolation_rejections,
     )
-
-
-def _numpy_rate_stage(model: RateModel, mat0, cfg: ApgConfig, sigma: float,
-                      clock: Callable[[], float]) -> DriverResult:
-    """The rate stage on the numpy engine: one fused rate_apg_step call per
-    iteration."""
-    impl = kernels.IMPL
-    gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
-    start = clock()
-
-    mu = impl.project_ball_orthant(np.ascontiguousarray(mat0, dtype=float))
-    mu_prev = mu
-    z = mu
-    t_prev = 1.0
-    t_cur = 1.0
-    alpha_y = cfg.alpha_y0
-    alpha_mu = cfg.alpha_mu0
-    f_cur, aux_cur = impl.soft_min_value(gs, asq, ptr, mu, rho, sigma)
-
-    res = DriverResult(x=mu, f=f_cur, aux=aux_cur, iterations=0, termination="max_iters")
-    res.trace_f.append(f_cur)
-    res.trace_aux.append(aux_cur)
-    res.trace_alpha_y.append(alpha_y)
-    res.trace_alpha_mu.append(alpha_mu)
-    res.trace_bt_y.append(0)
-    res.trace_bt_mu.append(0)
-    res.trace_elapsed.append(clock() - start)
-
-    for it in range(1, cfg.max_iters + 1):
-        (mu_next, z, f_cur, aux_cur, alpha_y, alpha_mu, bt_y, bt_mu, status) = impl.rate_apg_step(
-            gs, asq, ptr, rho, sigma, mu, mu_prev, z, t_prev, t_cur,
-            alpha_y, alpha_mu, cfg.delta, cfg.kappa, cfg.line_search_cap,
-        )
-        if status == 1:
-            raise LineSearchError(it, alpha_mu, f_cur, f_cur)
-        if status == 2:
-            res.extrapolation_rejections += 1
-        mu_prev = mu
-        mu = mu_next
-        t_prev, t_cur = t_cur, 0.5 + math.sqrt(t_cur * t_cur + 0.25)
-        res.iterations = it
-
-        res.trace_f.append(f_cur)
-        res.trace_aux.append(aux_cur)
-        res.trace_alpha_y.append(alpha_y)
-        res.trace_alpha_mu.append(alpha_mu)
-        res.trace_bt_y.append(int(bt_y))
-        res.trace_bt_mu.append(int(bt_mu))
-        res.trace_elapsed.append(clock() - start)
-
-        if it >= cfg.stop_window:
-            if abs(res.trace_f[-1] - res.trace_f[-1 - cfg.stop_window]) < cfg.stop_tol:
-                res.termination = "objective_plateau"
-                break
-
-    res.x = mu
-    res.f = f_cur
-    res.aux = aux_cur
-    return res
 
 
 def apg_solve_continuation(

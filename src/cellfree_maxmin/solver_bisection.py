@@ -66,16 +66,6 @@ class SocSystem:
 
     model: RateModel
 
-    @property
-    def lin_coef(self) -> np.ndarray:
-        """(T, M) linear coefficients sqrt(pi*rho/4) * sqrt(gamma)."""
-        return math.sqrt(0.25 * math.pi * self.model.rho_bar) * self.model.gamma_sqrt
-
-    @property
-    def cone_diag(self) -> np.ndarray:
-        """(T, M) cone diagonals sqrt(rho) * sqrt(N*zeta - (pi/4)*gamma)."""
-        return np.sqrt(self.model.rho_bar * self.model.a_sq)
-
 
 def build_soc_system(model: RateModel) -> SocSystem:
     return SocSystem(model=model)

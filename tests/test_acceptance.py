@@ -273,7 +273,7 @@ def test_criterion_09_scaling(tmp_path):
     )
     ok = 1.3 <= ratio <= 3.5 and all(faster)
     assert report(9, "wall-time scaling", ok,
-                  f"APG engine {kernels.apg_engine()}; "
+                  f"APG engine {kernels.active_backend()}; "
                   f"fixed-iteration time ratio M=200/M=100 = {ratio:.2f} "
                   f"(need [1.3, 3.5]); APG vs bisection: {pairs} "
                   f"(APG faster at every M: {all(faster)})")

@@ -66,7 +66,7 @@ def lib():
 def numpy_engine(monkeypatch):
     """Make the loader report "no compiler" so the solvers take the numpy path."""
     monkeypatch.setattr(native, "load_library", lambda: None)
-    assert kernels.apg_engine() == "numpy"
+    assert kernels.active_backend() == "numpy"
 
 
 def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True):
@@ -111,7 +111,7 @@ def margin_closures(model, t, sigma_f, eps_soc=1e-6, gap_check_every=25):
 
 
 def test_engine_is_compiled_when_the_library_loads(lib):
-    assert kernels.apg_engine() == "compiled"
+    assert kernels.active_backend() == "compiled"
 
 
 def test_lane_width(lib):
@@ -193,9 +193,8 @@ def test_margin_stage_matches_monotone_apg(lib, case, level):
 ])
 def test_rate_stage_trace_and_clock(lib, small_model, overrides):
     cfg = ApgConfig(max_iters=50, stop_tol=0.0, stop_window=1000, **overrides)
-    value, value_grad, project = objective_closures(small_model, 100.0)
     mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
-    ref = monotone_apg(value_grad, value, project, mat0, cfg)
+    ref = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
     ticks = iter(range(1000))
     got = compiled_stage(lib, native.RATE, small_model, mat0, cfg, 100.0,
                          clock=lambda: float(next(ticks)))
@@ -212,14 +211,28 @@ def test_rate_stage_trace_and_clock(lib, small_model, overrides):
 
 class TestNumpyFallback:
     def test_apg_solve(self, small_model, numpy_engine):
-        cfg = ApgConfig(max_iters=200, stop_tol=0.0, stop_window=10_000)
-        value, value_grad, project = objective_closures(small_model, 100.0)
+        """The fallback stage is monotone_apg over objective_closures: the
+        report carries its result and every trace unchanged, on a fixed
+        iteration count, a plateau stop and all-rejected extrapolations."""
+        closures = objective_closures(small_model, 100.0)
         mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
-        ref = monotone_apg(value_grad, value, project, mat0, cfg)
-        rep = apg_solve(small_model, cfg=cfg)
-        assert rep.f_sigma == pytest.approx(ref.f, rel=1e-12)
-        np.testing.assert_allclose(rep.power.by_group, ref.x, rtol=1e-10, atol=1e-14)
-        np.testing.assert_array_equal(rep.trace_bt_mu, ref.trace_bt_mu)
+        for overrides in ({"max_iters": 200, "stop_tol": 0.0, "stop_window": 10_000}, {},
+                          {"alpha_y0": 1e6, "line_search_cap": 5}):
+            cfg = ApgConfig(**overrides)
+            ref = monotone_apg(*closures, mat0, cfg)
+            rep = apg_solve(small_model, cfg=cfg)
+            assert (rep.f_sigma, rep.min_rate) == (ref.f, ref.aux)
+            assert (rep.termination, rep.iterations) == (ref.termination, ref.iterations)
+            assert rep.extrapolation_rejections == ref.extrapolation_rejections
+            np.testing.assert_array_equal(rep.power.by_group, ref.x)
+            for got, want in ((rep.trace_f_sigma, ref.trace_f), (rep.trace_f_true, ref.trace_aux),
+                              (rep.trace_alpha_y, ref.trace_alpha_y),
+                              (rep.trace_alpha_mu, ref.trace_alpha_mu),
+                              (rep.trace_bt_y, ref.trace_bt_y),
+                              (rep.trace_bt_mu, ref.trace_bt_mu)):
+                assert len(got) == ref.iterations + 1
+                np.testing.assert_array_equal(got, want)
+        assert ref.extrapolation_rejections == ref.iterations > 0  # the last config
 
     def test_feasibility_oracle(self, numpy_engine):
         system = build_soc_system(make_model(10, 2, 2, seed=5))

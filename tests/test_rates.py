@@ -58,8 +58,6 @@ class TestPowerControl:
         pc = PowerControl.from_matrix(mat)
         assert np.array_equal(pc.mu, [0, 1, 2, 3, 4, 5])  # group-major stacking
         assert np.array_equal(pc.by_group[1], [3, 4, 5])
-        assert np.array_equal(pc.ap_slice(2), [2, 5])
-        assert np.array_equal(pc.per_ap[0], [0, 3])
 
     def test_feasibility_predicate(self):
         ok = PowerControl.from_matrix(np.array([[0.6], [0.8]]))

@@ -19,6 +19,7 @@ from cellfree_maxmin import (
     rates_vector,
     smooth_gradient,
     smooth_objective,
+    soft_min,
     user_rate,
 )
 from cellfree_maxmin.solver_apg import monotone_apg
@@ -149,6 +150,30 @@ class TestSmoothObjective:
         assert cfg.gap_bound(8) == pytest.approx(math.log(8) / 100.0)
         with pytest.raises(ValueError):
             SmoothingConfig(sigma=0.0)
+
+    def test_apg_config_validation(self):
+        # a negative cap would leave both searches without a single trial
+        for bad in ({"delta": 0.0}, {"kappa": 1.0}, {"alpha_mu0": 0.0}, {"line_search_cap": -1}):
+            with pytest.raises(ValueError):
+                ApgConfig(**bad)
+
+
+class TestSoftMinHelper:
+    def test_equal_values_identity(self):
+        assert soft_min(np.full(7, 1.25), sigma=100.0) == 1.25
+
+    def test_hand_value(self):
+        # two values {0, 1} at sigma = 1: -ln((1 + e^-1)/2)
+        expected = -math.log(0.5 * (1.0 + math.exp(-1.0)))
+        assert soft_min([0.0, 1.0], 1.0) == pytest.approx(expected, rel=1e-15)
+        assert expected == pytest.approx(0.3799, abs=1e-4)
+
+    def test_sandwich(self):
+        rng = np.random.default_rng(2)
+        vals = rng.uniform(0.0, 2.0, size=11)
+        for sigma in (10.0, 1e4):
+            s = soft_min(vals, sigma)
+            assert vals.min() <= s <= vals.min() + math.log(len(vals)) / sigma
 
 
 class TestSmoothGradient:
@@ -295,10 +320,9 @@ class TestDriver:
     def test_driver_matches_fused_solver(self, small_model):
         from cellfree_maxmin.solver_apg import objective_closures
 
-        value, value_grad, project = objective_closures(small_model, 100.0)
         mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
         cfg = ApgConfig(max_iters=200, stop_tol=0.0, stop_window=10_000)
-        res = monotone_apg(value_grad, value, project, mat0, cfg)
+        res = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
         rep = apg_solve(small_model, cfg=cfg)
         assert res.f == pytest.approx(rep.f_sigma, rel=1e-12)
         np.testing.assert_allclose(res.x, rep.power.by_group, rtol=1e-10, atol=1e-14)

@@ -51,16 +51,6 @@ class TestSocResidual:
                 if abs(rates[u] - t) > 1e-10:
                     assert (res[u] <= 0) == (rates[u] >= t)
 
-    def test_system_matrices(self, system):
-        model = system.model
-        assert np.allclose(
-            system.lin_coef,
-            math.sqrt(0.25 * math.pi * model.rho_bar) * model.gamma_sqrt,
-        )
-        assert np.allclose(
-            system.cone_diag ** 2, model.rho_bar * model.a_sq, rtol=1e-12
-        )
-
 
 class TestUpperBound:
     def test_bounds_every_rate(self, system):

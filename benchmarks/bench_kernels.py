@@ -3,7 +3,7 @@
 
 For each size (M APs, N groups, K users per group) and both objectives, the
 rate soft minimum of apg_solve and the cone margin of the bisection oracle,
-prints per engine:
+prints for the compiled stage and for its numpy reference:
 
   * microseconds per value and per value+gradient evaluation: compiled
     through apg_objective (one ctypes call, which also copies gs and asq into
@@ -11,7 +11,7 @@ prints per engine:
     kernels.IMPL functions;
   * milliseconds per fixed stage of 300 iterations (stopping rules off):
     compiled through solver_apg.compiled_stage, numpy through monotone_apg
-    with the same objective closures the solvers use.
+    over the kernels.IMPL functions.
 
 It then prints seconds per 1e5 draws of the Monte-Carlo rate oracle
 (rates.rate_oracle_monte_carlo) at M=8, 2x3, on one thread and on every CPU
@@ -111,8 +111,6 @@ def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
                                                       kernels.IMPL.project_ball_orthant,
                                                       mu, cfg, monitor=monitor),
                                  repeats, min_block_s=0.0) * 1e3))
-        if lib is None:
-            continue
         scratch = np.empty(lib.apg_scratch_len(T, n_groups, M))
         grad = np.empty_like(mu)
         aux = ctypes.c_double()
@@ -157,10 +155,7 @@ def main():
     args = parser.parse_args()
 
     lib = native.load_library()
-    if lib is None:
-        print("no C compiler: timing the numpy engine only")
-    else:
-        print(f"compiled stage: {lib.apg_lanes()} users per vector")
+    print(f"compiled stage: {lib.apg_lanes()} users per vector")
     print(f"{'size':>16s} {'objective':>9s} {'engine':>9s} {'value us':>9s} "
           f"{'val+grad us':>11s} {f'{STAGE_ITERS} it ms':>9s}")
     for m, n, k in SIZES:

@@ -3,7 +3,7 @@ massive MIMO downlink: instance generation, closed-form rates, a smoothed
 accelerated projected gradient solver, a bisection baseline, and seeded
 experiment runners."""
 
-from .kernels import active_backend, soft_min
+from .kernels import soft_min
 from .netgen import (
     Dimensions,
     NetworkInstance,
@@ -26,7 +26,6 @@ from .rates import (
     epa_power,
     epa_rates,
     min_rate,
-    min_rate_user,
     rate_oracle_monte_carlo,
     rates_vector,
     user_rate,
@@ -71,7 +70,6 @@ __all__ = [
     "SmoothingConfig",
     "SocSystem",
     "SolveReport",
-    "active_backend",
     "apg_solve",
     "apg_solve_continuation",
     "bisection_solve",
@@ -86,7 +84,6 @@ __all__ = [
     "instance_to_json",
     "large_scale_fading",
     "min_rate",
-    "min_rate_user",
     "noise_power",
     "project_feasible",
     "rate_oracle_monte_carlo",

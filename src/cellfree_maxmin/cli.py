@@ -7,7 +7,8 @@ The experiment is one of: convergence, cdf, scaling, single-solve,
 verify-rate. Values resolve as defaults < config file < CLI flags; the fully
 resolved config is always written to <out>/resolved_config.json (and printed
 instead of running when --emit-config is given). On failure a machine
-readable JSON error line goes to stderr and the exit code is nonzero.
+readable JSON error line (message, exception type, experiment) goes to
+stderr and the exit code is nonzero.
 """
 
 import argparse
@@ -72,7 +73,8 @@ def main(argv=None) -> int:
             return 0
         run_experiment(cfg)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
-        print(json.dumps({"error": str(exc), "experiment": args.experiment}), file=sys.stderr)
+        print(json.dumps({"error": str(exc), "type": type(exc).__name__,
+                          "experiment": args.experiment}), file=sys.stderr)
         return 1
     return 0
 

@@ -2,11 +2,13 @@
 per-AP feasible-set projection, cone-constraint residuals/margins, and one
 monotone-APG iteration.
 
-Each kernel has one numpy implementation. The solvers read them through
-:data:`IMPL` at call time, so a caller can swap a field of it (a profiler
-wrapping a kernel, say) without touching the solvers. The compiled APG stage
-(native.py, apg_stage.c) runs whole stages instead and is tested against
-these kernels; :func:`active_backend` says which engine the stages use.
+Each kernel has one numpy implementation. Code outside the APG stages
+(rates, projections, the oracle's residuals and its last certificate) reads
+them through :data:`IMPL` at call time, so a caller can swap a field of it (a
+profiler wrapping a kernel, say) without touching that code. The solvers'
+APG stages run in the compiled engine (native.py, apg_stage.c); these
+kernels, with apg_step as the loop body of solver_apg.monotone_apg, are the
+reference that engine is tested against.
 
 Array conventions shared by every kernel:
 
@@ -21,8 +23,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from . import native
 
 PI = math.pi
 
@@ -236,13 +236,6 @@ IMPL = KernelImpl(
     _margin_value_grad,
     apg_step,
 )
-
-
-def active_backend() -> str:
-    """Engine of the monotone-APG stages of apg_solve and the bisection
-    oracle: "compiled" when the C stage library builds and loads (see
-    native.py), "numpy" otherwise. The first call may build the library."""
-    return "numpy" if native.load_library() is None else "compiled"
 
 
 def soft_min(values, sigma: float) -> float:

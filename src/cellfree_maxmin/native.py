@@ -11,8 +11,10 @@ that build at the same time cannot see a partial library, and threads of one
 process that load it for the first time together take turns, so only the
 first builds. Compiler output is captured and never printed.
 
-When no compiler is found or the build fails, :func:`load_library` returns
-None and the solvers run solver_apg.monotone_apg instead.
+This library is the only engine the solvers run, so a C compiler is
+required: when none is found, or the build fails, :func:`load_library`
+raises RuntimeError. solver_apg.monotone_apg, the same loop over the numpy
+kernels, is the reference the library is tested against.
 """
 
 import ctypes
@@ -97,7 +99,9 @@ def _library_path(compiler: str) -> str:
     return os.path.join(_cache_dir(), f"apg_stage-{digest.hexdigest()[:16]}.so")
 
 
-def _build(compiler: str, target: str) -> bool:
+def _build(compiler: str, target: str) -> None:
+    """Compile SOURCE into `target`; RuntimeError naming the compiler and the
+    source, with the compiler's last error line, when that fails."""
     import subprocess
     import tempfile
 
@@ -109,11 +113,13 @@ def _build(compiler: str, target: str) -> bool:
                               stdin=subprocess.DEVNULL, capture_output=True,
                               timeout=BUILD_TIMEOUT_S)
         if proc.returncode != 0:
-            return False
+            lines = proc.stderr.decode(errors="replace").strip().splitlines()
+            raise RuntimeError(f"{compiler} failed to build {SOURCE} (exit code "
+                               f"{proc.returncode}): {lines[-1] if lines else 'no output'}")
         os.replace(tmp, target)
-        return True
     except subprocess.TimeoutExpired:
-        return False
+        raise RuntimeError(
+            f"{compiler} did not build {SOURCE} within {BUILD_TIMEOUT_S} s") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -149,18 +155,16 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 @functools.lru_cache(maxsize=None)
 def load_library():
-    """The compiled stage library, or None when no C compiler is found or
-    the library cannot be built or loaded. Threads that miss the cache
-    together run the body one at a time, so the first builds and the others
-    load its file."""
+    """The compiled stage library, built on the first call if needed. Raises
+    RuntimeError when no C compiler is found or the build fails. Threads that
+    miss the cache together run the body one at a time, so the first builds
+    and the others load its file."""
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
     if compiler is None:
-        return None
+        raise RuntimeError(f"no C compiler found: the compiled APG stage needs "
+                           f"{' or '.join(COMPILERS)} on PATH")
     with _LOAD_LOCK:
-        try:
-            path = _library_path(compiler)
-            if not os.path.exists(path) and not _build(compiler, path):
-                return None
-            return _declare(ctypes.CDLL(path))
-        except OSError:
-            return None
+        path = _library_path(compiler)
+        if not os.path.exists(path):
+            _build(compiler, path)
+        return _declare(ctypes.CDLL(path))

@@ -174,14 +174,6 @@ class RateVector:
     def min_rate(self) -> float:
         return float(self.rates.min())
 
-    @property
-    def argmin_user(self) -> Tuple[int, int]:
-        """(group, user) of the smallest rate; ties resolve to the
-        lexicographically first pair."""
-        u = int(np.argmin(self.rates))
-        n = int(np.searchsorted(self.group_ptr, u, side="right") - 1)
-        return n, u - int(self.group_ptr[n])
-
     def group(self, n: int) -> np.ndarray:
         return self.rates[self.group_ptr[n]:self.group_ptr[n + 1]]
 
@@ -217,12 +209,6 @@ def user_rate(model: RateModel, mu, n: int, k: int) -> float:
 
 def min_rate(model: RateModel, mu) -> float:
     return rates_vector(model, mu).min_rate
-
-
-def min_rate_user(model: RateModel, mu) -> Tuple[float, int, int]:
-    rv = rates_vector(model, mu)
-    n, k = rv.argmin_user
-    return rv.min_rate, n, k
 
 
 def epa_power(model: RateModel) -> PowerControl:

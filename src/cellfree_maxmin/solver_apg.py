@@ -16,9 +16,9 @@ the per-AP orthant-ball set S with:
 
 The same driver is reused by the bisection feasibility oracle with a
 different (concave) objective. Each fixed-sigma stage runs as one call into
-the compiled engine (native.py, apg_stage.c) when a C compiler is available,
-and as monotone_apg otherwise. monotone_apg, one kernels.apg_step per
-iteration, is the reference the compiled stage is tested against.
+the compiled engine (native.py, apg_stage.c), which needs a C compiler.
+monotone_apg, one kernels.apg_step per iteration over the numpy kernels, is
+the reference the compiled stage is tested against; no solver runs it.
 """
 
 import csv
@@ -361,11 +361,9 @@ def apg_solve(
     """Run the monotone APG on the smoothed max-min rate objective.
 
     Starts from the (feasible, strictly positive) equal power allocation
-    unless mu0 is given. The stage runs on the compiled engine when it loads
-    (kernels.active_backend()), else as monotone_apg over
-    objective_closures. Without a `clock` the compiled stage reads its own C
-    clock (`apg_clock`), which it calls without the interpreter lock, and
-    monotone_apg reads time.perf_counter."""
+    unless mu0 is given. The stage is one compiled_stage call; without a
+    `clock` it reads the library's own C clock (`apg_clock`), which it calls
+    without the interpreter lock."""
     cfg = cfg or ApgConfig()
     smoothing = smoothing or SmoothingConfig()
     if mu0 is None:
@@ -380,12 +378,9 @@ def apg_solve(
     lib = native.load_library()  # before the clock starts: the first call may build
     sigma = smoothing.sigma
     if clock is None:
-        clock = time.perf_counter if lib is None else lib.apg_clock
+        clock = lib.apg_clock
     start = clock()
-    if lib is not None:
-        res = compiled_stage(lib, native.RATE, model, mat0, cfg, sigma, clock=clock)
-    else:
-        res = monotone_apg(*objective_closures(model, sigma), mat0, cfg, clock=clock)
+    res = compiled_stage(lib, native.RATE, model, mat0, cfg, sigma, clock=clock)
     wall = clock() - start
     return SolveReport(
         power=PowerControl.from_matrix(res.x),

@@ -7,9 +7,11 @@ Level-t feasibility of a user is the cone inequality
 
 whose residual (RHS - LHS) is convex in mu. The oracle minimizes the largest
 residual over the feasible set S by maximizing the concave smoothed minimum
-margin with the same monotone-APG machinery used by the main solver, and
-certifies infeasibility through a Frank-Wolfe gap bound (the support function
-of S has the closed form sum_m ||[d_m]_+||).
+margin with the same compiled monotone-APG stage as the main solver
+(solver_apg.compiled_stage, kind native.MARGIN), and certifies infeasibility
+through a Frank-Wolfe gap bound (the support function of S has the closed
+form sum_m ||[d_m]_+||): inside the stage every gap_check_every iterations,
+and once more here when the stages end undecided.
 
 Oracle outcomes: "feasible" (witness with max residual <= eps_soc),
 "infeasible" (certified min of the max residual exceeds -eps_soc), or
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import kernels, native
 from .rates import PowerControl, RateModel, as_mu_matrix, min_rate
-from .solver_apg import ApgConfig, compiled_stage, monotone_apg
+from .solver_apg import ApgConfig, compiled_stage
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -119,8 +121,8 @@ def feasibility_oracle(
     allocation point is always added as a fallback candidate. The smoothed
     min-margin maximization runs an inner sharpness continuation (coarse to
     fine sigma_f, warm-started), checking the true residuals every iterate
-    and the infeasibility certificate periodically. Each stage runs on the
-    same engine as apg_solve: compiled when it loads, numpy otherwise.
+    and the infeasibility certificate periodically. Each stage is one
+    compiled_stage call, as in apg_solve.
     """
     cfg = cfg or BisectionConfig(eps_soc=eps_soc)
     model = system.model
@@ -172,38 +174,12 @@ def feasibility_oracle(
     while resolutions[-1] > res_fine * (1.0 + 1e-9):
         resolutions.append(max(resolutions[-1] / cfg.smoothing_step, res_fine))
 
-    def project(mat):
-        return impl.project_ball_orthant(mat)
-
-    state = {"status": None, "bound": None}
     x = best
     iters_used = 0
     sigma_f = 0.0
     max_res = best_res
     for res_t in resolutions:
         sigma_f = float(np.clip(log_t / max(res_t * sens, 1e-300), 1e-3, 1e12))
-
-        def value(mat, _sf=sigma_f):
-            return impl.margin_value(gs, asq, ptr, mat, rho, t, _sf)
-
-        def value_grad(mat, _sf=sigma_f):
-            return impl.margin_value_grad(gs, asq, ptr, mat, rho, t, _sf)
-
-        def monitor(xx, f, aux, it, _vg=value_grad):
-            # aux carries the exact max residual at the iterate
-            if aux <= eps_soc:
-                state["status"] = FEASIBLE
-                return FEASIBLE
-            if it % cfg.gap_check_every == 0:
-                fs, _, grad = _vg(xx)
-                gap = _support_gap(grad, xx)
-                lower = -(fs + gap)  # certified lower bound on min-max residual
-                state["bound"] = lower
-                if lower > -eps_soc:
-                    state["status"] = INFEASIBLE
-                    return INFEASIBLE
-            return None
-
         budget = cfg.oracle_iter_cap - iters_used
         if budget <= 0:
             break
@@ -216,26 +192,19 @@ def feasibility_oracle(
             stop_tol=0.02 * res_t * sens,  # plateau at this stage's resolution
             stop_window=20,
         )
-        if lib is None:
-            result = monotone_apg(value_grad, value, project, x, apg_cfg, monitor=monitor)
-        else:
-            result = compiled_stage(lib, native.MARGIN, model, x, apg_cfg, sigma_f, t=t,
-                                    eps_soc=eps_soc, gap_check_every=cfg.gap_check_every)
-            if result.termination in (FEASIBLE, INFEASIBLE):
-                state["status"] = result.termination
-                state["bound"] = result.certified_bound
+        result = compiled_stage(lib, native.MARGIN, model, x, apg_cfg, sigma_f, t=t,
+                                eps_soc=eps_soc, gap_check_every=cfg.gap_check_every)
         iters_used += result.iterations
         x = result.x
         max_res = result.aux
-        if state["status"] is not None:
-            break
+        if result.termination == FEASIBLE:
+            return OracleResult(FEASIBLE, x, iters_used, max_res, sigma_f=sigma_f,
+                                last_iterate=x)
+        if result.termination == INFEASIBLE:
+            return OracleResult(INFEASIBLE, None, iters_used, max_res,
+                                certified_lower_bound=result.certified_bound, sigma_f=sigma_f,
+                                last_iterate=x)
 
-    if state["status"] == FEASIBLE:
-        return OracleResult(FEASIBLE, x, iters_used, max_res, sigma_f=sigma_f, last_iterate=x)
-    if state["status"] == INFEASIBLE:
-        return OracleResult(INFEASIBLE, None, iters_used, max_res,
-                            certified_lower_bound=state["bound"], sigma_f=sigma_f,
-                            last_iterate=x)
     # budget exhausted or plateaued everywhere: one last certificate attempt
     fs, _, grad = impl.margin_value_grad(gs, asq, ptr, x, rho, t, sigma_f)
     gap = _support_gap(grad, x)

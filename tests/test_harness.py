@@ -342,4 +342,24 @@ class TestCli:
             capture_output=True, text=True,
         )
         assert out.returncode == 1
-        assert json.loads(out.stderr)["error"]
+        doc = json.loads(out.stderr)
+        assert doc["error"] and doc["type"] == "ValueError"
+
+    def test_no_compiler_error(self, tmp_path):
+        """Without a C compiler on PATH the solvers cannot run: the CLI
+        prints one JSON error line naming the compilers it looked for."""
+        (tmp_path / "empty").mkdir()
+        env = dict(os.environ, PATH=str(tmp_path / "empty"),
+                   XDG_CACHE_HOME=str(tmp_path / "cache"))
+        out = subprocess.run(
+            [sys.executable, "-m", "cellfree_maxmin.cli", "single-solve",
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["type"] == "RuntimeError"
+        assert "cc or gcc" in doc["error"]

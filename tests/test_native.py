@@ -1,6 +1,6 @@
 """The compiled monotone-APG stage (apg_stage.c) against the numpy reference:
-per-evaluation parity, oracle stages, the no-compiler fallback, NaN data,
-the stage's own clock, and a first build shared by concurrent processes or
+per-evaluation parity, oracle stages, NaN data, the stage's own clock, the
+loader's errors, and a first build shared by concurrent processes or
 threads."""
 
 import ctypes
@@ -28,7 +28,6 @@ from cellfree_maxmin import (
     bisection_solve,
     build_rate_model,
     build_soc_system,
-    epa_rates,
     feasibility_oracle,
     generate_instance,
     kernels,
@@ -56,17 +55,7 @@ def shaped_model(num_aps, group_sizes, seed):
 
 @pytest.fixture(scope="module")
 def lib():
-    lib = native.load_library()
-    if lib is None:
-        pytest.skip("no C compiler: the compiled APG stage cannot be built")
-    return lib
-
-
-@pytest.fixture
-def numpy_engine(monkeypatch):
-    """Make the loader report "no compiler" so the solvers take the numpy path."""
-    monkeypatch.setattr(native, "load_library", lambda: None)
-    assert kernels.active_backend() == "numpy"
+    return native.load_library()
 
 
 def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True):
@@ -108,10 +97,6 @@ def margin_closures(model, t, sigma_f, eps_soc=1e-6, gap_check_every=25):
         return None
 
     return value, value_grad, monitor
-
-
-def test_engine_is_compiled_when_the_library_loads(lib):
-    assert kernels.active_backend() == "compiled"
 
 
 def test_lane_width(lib):
@@ -209,58 +194,6 @@ def test_rate_stage_trace_and_clock(lib, small_model, overrides):
     np.testing.assert_array_equal(got.trace_elapsed, np.arange(1, 52, dtype=float))
 
 
-class TestNumpyFallback:
-    def test_apg_solve(self, small_model, numpy_engine):
-        """The fallback stage is monotone_apg over objective_closures: the
-        report carries its result and every trace unchanged, on a fixed
-        iteration count, a plateau stop and all-rejected extrapolations."""
-        closures = objective_closures(small_model, 100.0)
-        mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
-        for overrides in ({"max_iters": 200, "stop_tol": 0.0, "stop_window": 10_000}, {},
-                          {"alpha_y0": 1e6, "line_search_cap": 5}):
-            cfg = ApgConfig(**overrides)
-            ref = monotone_apg(*closures, mat0, cfg)
-            rep = apg_solve(small_model, cfg=cfg)
-            assert (rep.f_sigma, rep.min_rate) == (ref.f, ref.aux)
-            assert (rep.termination, rep.iterations) == (ref.termination, ref.iterations)
-            assert rep.extrapolation_rejections == ref.extrapolation_rejections
-            np.testing.assert_array_equal(rep.power.by_group, ref.x)
-            for got, want in ((rep.trace_f_sigma, ref.trace_f), (rep.trace_f_true, ref.trace_aux),
-                              (rep.trace_alpha_y, ref.trace_alpha_y),
-                              (rep.trace_alpha_mu, ref.trace_alpha_mu),
-                              (rep.trace_bt_y, ref.trace_bt_y),
-                              (rep.trace_bt_mu, ref.trace_bt_mu)):
-                assert len(got) == ref.iterations + 1
-                np.testing.assert_array_equal(got, want)
-        assert ref.extrapolation_rejections == ref.iterations > 0  # the last config
-
-    def test_feasibility_oracle(self, numpy_engine):
-        system = build_soc_system(make_model(10, 2, 2, seed=5))
-        model = system.model
-        cfg = BisectionConfig(oracle_iter_cap=400)
-        feasible = feasibility_oracle(system, epa_rates(model).min_rate, cfg=cfg)
-        assert feasible.status == FEASIBLE and feasible.max_residual <= 1e-6
-        infeasible = feasibility_oracle(system, rate_upper_bound(model) + 0.1, cfg=cfg)
-        assert infeasible.status == INFEASIBLE
-        assert infeasible.certified_lower_bound > -1e-6
-
-    def test_oracle_engines_agree(self, lib, monkeypatch):
-        """Whole oracle calls (sharpness continuation, several stages) just
-        below and above the optimum. Like single stages, calls that run for
-        hundreds of iterations near the boundary can part at rounding level
-        (seed 6 of this shape does); these end by a status first."""
-        system = build_soc_system(make_model(10, 2, 2, seed=5))
-        optimum = apg_solve_continuation(system.model, (100.0, 1000.0))[-1].min_rate
-        levels = [optimum - 5e-4, optimum + 5e-4]
-        compiled = [feasibility_oracle(system, t) for t in levels]
-        monkeypatch.setattr(native, "load_library", lambda: None)
-        reference = [feasibility_oracle(system, t) for t in levels]
-        assert [r.status for r in reference] == [FEASIBLE, INFEASIBLE]
-        for got, ref in zip(compiled, reference):
-            assert (got.status, got.iterations) == (ref.status, ref.iterations)
-            np.testing.assert_allclose(got.last_iterate, ref.last_iterate, rtol=0, atol=1e-10)
-
-
 def nan_model():
     model = make_model(6, 2, 2, seed=3)
     gs = model.gamma_sqrt.copy()
@@ -273,15 +206,7 @@ class TestNanData:
         with pytest.raises(LineSearchError):
             apg_solve(nan_model())
 
-    def test_apg_solve_numpy(self, numpy_engine):
-        with pytest.raises(LineSearchError):
-            apg_solve(nan_model())
-
     def test_oracle_names_nan_compiled(self, lib):
-        with pytest.raises(ValueError, match="non-finite oracle data \\(gamma_sqrt\\)"):
-            feasibility_oracle(build_soc_system(nan_model()), 0.3)
-
-    def test_oracle_names_nan_numpy(self, numpy_engine):
         with pytest.raises(ValueError, match="non-finite oracle data \\(gamma_sqrt\\)"):
             feasibility_oracle(build_soc_system(nan_model()), 0.3)
 
@@ -304,9 +229,9 @@ class TestStalledStage:
     value_grad round 1 ulp apart: the stage ends "stalled" instead of raising
     LineSearchError, and bisection goes on."""
 
-    @staticmethod
-    def check(num_aps, monkeypatch, stage_name):
-        stage = getattr(solver_bisection, stage_name)
+    @pytest.mark.parametrize("num_aps", [4, 5])
+    def test_compiled(self, lib, monkeypatch, num_aps):
+        stage = solver_bisection.compiled_stage
         terminations = []
 
         def recording_stage(*args, **kwargs):
@@ -314,21 +239,13 @@ class TestStalledStage:
             terminations.append(result.termination)
             return result
 
-        monkeypatch.setattr(solver_bisection, stage_name, recording_stage)
+        monkeypatch.setattr(solver_bisection, "compiled_stage", recording_stage)
         model = shaped_model(num_aps, (15, 15), seed=1)
         cfg = BisectionConfig()
         report = bisection_solve(build_soc_system(model), cfg)
         apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
         assert "stalled" in terminations
         assert abs(report.t_star - apg.min_rate) <= cfg.tol_t
-
-    @pytest.mark.parametrize("num_aps", [4, 5])
-    def test_compiled(self, lib, monkeypatch, num_aps):
-        self.check(num_aps, monkeypatch, "compiled_stage")
-
-    @pytest.mark.parametrize("num_aps", [4, 5])
-    def test_numpy(self, numpy_engine, monkeypatch, num_aps):
-        self.check(num_aps, monkeypatch, "monotone_apg")
 
 
 def test_library_path_keys_on_host_cpu(monkeypatch):
@@ -345,17 +262,26 @@ def test_library_path_keys_on_host_cpu(monkeypatch):
     assert native._host_cpu()
 
 
-def test_failed_build_prints_nothing(tmp_path, monkeypatch, capfd):
-    if not any(map(native.shutil.which, native.COMPILERS)):
-        pytest.skip("no C compiler")
+def test_failed_build_prints_nothing(lib, tmp_path, monkeypatch, capfd):
+    """A source the compiler rejects raises an error naming the compiler and
+    the source, prints nothing and leaves no file in the cache."""
+    compiler = next(filter(None, map(native.shutil.which, native.COMPILERS)))
     bad = tmp_path / "bad.c"
     bad.write_text("this is not C\n")
     monkeypatch.setattr(native, "SOURCE", str(bad))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    assert native.load_library.__wrapped__() is None
+    with pytest.raises(RuntimeError) as excinfo:
+        native.load_library.__wrapped__()
+    assert compiler in str(excinfo.value) and str(bad) in str(excinfo.value)
     out, err = capfd.readouterr()
     assert out == "" and err == ""
     assert os.listdir(tmp_path / "cache" / "cellfree_maxmin") == []
+
+
+def test_no_compiler_raises(monkeypatch):
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    with pytest.raises(RuntimeError, match="cc or gcc"):
+        native.load_library.__wrapped__()
 
 
 def test_concurrent_first_build(lib, tmp_path):

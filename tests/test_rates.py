@@ -13,7 +13,6 @@ from cellfree_maxmin import (
     epa_rates,
     generate_instance,
     min_rate,
-    min_rate_user,
     rate_oracle_monte_carlo,
     rates_vector,
     user_rate,
@@ -199,18 +198,6 @@ class TestMinRate:
         mat = random_feasible_matrix(small_model, rng)
         rv = rates_vector(small_model, mat)
         assert min_rate(small_model, mat) == rv.rates.min()
-
-    def test_tie_breaks_lexicographic(self):
-        # identical users in both groups -> EPA ties across all of them
-        dims = Dimensions(2, 2, (2, 2))
-        zeta = np.tile(np.array([[1.0], [2.0]]), (1, 4))
-        gamma = 0.4 * zeta
-        inst = NetworkInstance(dims, zeta, gamma, 1.0, 0.2, 0.2,
-                               config=PhysicalConfig(pilot_len_symbols=2))
-        model = build_rate_model(inst)
-        value, n, k = min_rate_user(model, epa_power(model))
-        assert (n, k) == (0, 0)
-        assert value == epa_rates(model).rates[0]
 
 
 class TestRateVectorExport:

@@ -317,6 +317,24 @@ class TestDriver:
             monotone_apg(bad_value_grad, bad_value, lambda x: x,
                          np.full((1, 2), 0.5), ApgConfig(max_iters=3))
 
+    def test_stalled_when_value_and_value_grad_round_apart(self):
+        """With a zero gradient every trial is the iterate itself, and a
+        value_grad one ulp above value fails every sufficient-increase test:
+        the step has underflowed, so the run ends "stalled", not raising."""
+        f_mu = 0.25
+
+        def value(x):
+            return f_mu, 0.0
+
+        def value_grad(x):
+            return math.nextafter(f_mu, math.inf), 0.0, np.zeros_like(x)
+
+        x0 = np.full((1, 2), 0.5)
+        res = monotone_apg(value_grad, value, lambda x: x, x0, ApgConfig(max_iters=3))
+        assert (res.termination, res.iterations) == ("stalled", 0)
+        np.testing.assert_array_equal(res.x, x0)
+        assert list(res.trace_f) == [f_mu]
+
     def test_driver_matches_fused_solver(self, small_model):
         from cellfree_maxmin.solver_apg import objective_closures
 

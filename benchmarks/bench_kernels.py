@@ -36,13 +36,12 @@ from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_m
                              generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
 from cellfree_maxmin.harness import random_feasible_eta
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
-from cellfree_maxmin.solver_bisection import _support_gap
+from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY, _support_gap
 
 SIZES = [(100, 4, 10), (150, 2, 15), (200, 2, 15), (50, 2, 10)]
 STAGE_ITERS = 300
 RATE_SIGMA = 100.0
 MARGIN_SIGMA = 1000.0
-GAP_CHECK_EVERY = 25
 MC_SIZE = (8, 2, 3)
 MC_DRAWS = 100_000
 

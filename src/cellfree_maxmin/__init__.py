@@ -33,7 +33,6 @@ from .rates import (
 from .solver_apg import (
     ApgConfig,
     LineSearchError,
-    SmoothingConfig,
     SolveReport,
     apg_solve,
     apg_solve_continuation,
@@ -67,7 +66,6 @@ __all__ = [
     "RateModel",
     "RateVector",
     "RngSeed",
-    "SmoothingConfig",
     "SocSystem",
     "SolveReport",
     "apg_solve",

@@ -6,6 +6,12 @@ allocation over many trials), scaling (wall-time table over a grid of AP
 counts), verify-rate (Monte-Carlo check of the closed-form rate), and
 single-solve.
 
+ExperimentConfig carries the solver configurations as the solvers take
+them: `apg` is a solver_apg.ApgConfig, run once per sigma of
+`sigma_schedule`, and `bisection` a solver_bisection.BisectionConfig. Its
+JSON form (from_json_dict, the CLI's --config) rejects a key that names no
+field, giving its dotted path.
+
 Every run writes resolved_config.json plus experiment CSVs into the output
 directory. All numerical content is a pure function of (config, master
 seed); wall-clock fields are the only nondeterministic bytes.
@@ -17,7 +23,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -40,7 +46,7 @@ from .rates import (
     rate_oracle_monte_carlo,
     rates_vector,
 )
-from .solver_apg import ApgConfig, SolveReport, apg_solve_continuation, project_feasible
+from .solver_apg import ApgConfig, SolveReport, apg_solve, apg_solve_continuation, project_feasible
 from .solver_bisection import BisectionConfig, bisection_solve, build_soc_system
 
 LN2 = math.log(2.0)
@@ -73,37 +79,6 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 
 @dataclass(frozen=True)
-class ApgSettings:
-    """APG solver settings as exposed to experiment configs. The sigma
-    schedule runs one warm-started solve per value; a single-entry schedule
-    is the plain fixed-sigma solver."""
-
-    sigma_schedule: Tuple[float, ...] = (100.0, 1000.0)
-    delta: float = 1e-5
-    kappa: float = 0.45
-    alpha0: float = 1.0
-    max_iters: int = 5000
-    stop_tol: float = 1e-6
-    stop_window: int = 20
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_schedule", tuple(float(s) for s in self.sigma_schedule))
-
-    def to_apg_config(self, **overrides) -> ApgConfig:
-        kwargs = dict(
-            delta=self.delta,
-            kappa=self.kappa,
-            alpha_y0=self.alpha0,
-            alpha_mu0=self.alpha0,
-            max_iters=self.max_iters,
-            stop_tol=self.stop_tol,
-            stop_window=self.stop_window,
-        )
-        kwargs.update(overrides)
-        return ApgConfig(**kwargs)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
     num_aps: int
@@ -113,7 +88,10 @@ class ExperimentConfig:
     trials: int = 200
     master_seed: int = 1
     out_dir: str = "out"
-    apg: ApgSettings = field(default_factory=ApgSettings)
+    apg: ApgConfig = field(default_factory=ApgConfig)
+    # one warm-started APG solve per sigma; a single entry is the plain
+    # fixed-sigma solver
+    sigma_schedule: Tuple[float, ...] = (100.0, 1000.0)
     bisection: BisectionConfig = field(default_factory=BisectionConfig)
     scaling_m_grid: Tuple[int, ...] = (100, 150, 200)
     scaling_fixed_iters: int = 150
@@ -135,6 +113,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown eta scheme {self.eta_scheme!r}")
         object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
         object.__setattr__(self, "scaling_m_grid", tuple(int(m) for m in self.scaling_m_grid))
+        object.__setattr__(self, "sigma_schedule", tuple(float(s) for s in self.sigma_schedule))
+        if not self.sigma_schedule:
+            raise ValueError("sigma_schedule must be non-empty")
+        if not all(s > 0 for s in self.sigma_schedule):
+            raise ValueError("sigma_schedule entries must be positive")
 
     @property
     def dims(self) -> Dimensions:
@@ -145,29 +128,25 @@ class ExperimentConfig:
         return self.physical.prelog_factor if self.apply_prelog else 1.0
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        doc["group_sizes"] = list(self.group_sizes)
-        doc["scaling_m_grid"] = list(self.scaling_m_grid)
-        doc["apg"]["sigma_schedule"] = list(self.apg.sigma_schedule)
-        return doc
+        return asdict(self)
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        if "physical" in doc and isinstance(doc["physical"], dict):
-            doc["physical"] = PhysicalConfig(**doc["physical"])
-        if "apg" in doc and isinstance(doc["apg"], dict):
-            apg = dict(doc["apg"])
-            if "sigma_schedule" in apg:
-                apg["sigma_schedule"] = tuple(apg["sigma_schedule"])
-            doc["apg"] = ApgSettings(**apg)
-        if "bisection" in doc and isinstance(doc["bisection"], dict):
-            doc["bisection"] = BisectionConfig(**doc["bisection"])
-        if "group_sizes" in doc:
-            doc["group_sizes"] = tuple(doc["group_sizes"])
-        if "scaling_m_grid" in doc:
-            doc["scaling_m_grid"] = tuple(doc["scaling_m_grid"])
+        """Inverse of to_json_dict; a key that names no field raises a
+        ValueError naming its dotted path (e.g. apg.alpha0)."""
+        doc = _known_fields(ExperimentConfig, doc, "")
+        for name, cls in (("physical", PhysicalConfig), ("apg", ApgConfig),
+                          ("bisection", BisectionConfig)):
+            if isinstance(doc.get(name), dict):
+                doc[name] = cls(**_known_fields(cls, doc[name], name + "."))
         return ExperimentConfig(**doc)
+
+
+def _known_fields(cls, doc: dict, prefix: str) -> dict:
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError("unknown config key " + ", ".join(prefix + k for k in unknown))
+    return dict(doc)
 
 
 def default_config(kind: str) -> ExperimentConfig:
@@ -207,18 +186,6 @@ class CdfSummary:
     def min(self) -> float:
         return float(self.rates_nats[0])
 
-    @property
-    def percentile_5(self) -> float:
-        return float(np.percentile(self.rates_nats, 5.0))
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.rates_nats))
-
-    def interquartile_range(self) -> float:
-        q1, q3 = np.percentile(self.rates_nats, [25.0, 75.0])
-        return float(q3 - q1)
-
     def write_csv(self, path, prelog: float = 1.0):
         rows = [
             (prelog * r, prelog * r / LN2, c)
@@ -242,9 +209,7 @@ def write_resolved_config(cfg: ExperimentConfig) -> str:
 
 
 def _solve_apg(model, cfg: ExperimentConfig, clock=None) -> List[SolveReport]:
-    return apg_solve_continuation(
-        model, cfg.apg.sigma_schedule, cfg=cfg.apg.to_apg_config(), clock=clock
-    )
+    return apg_solve_continuation(model, cfg.sigma_schedule, cfg=cfg.apg, clock=clock)
 
 
 def _write_stage_traces(reports: List[SolveReport], out: str):
@@ -365,26 +330,26 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     }
 
 
-def apg_fixed_iteration_time(model, apg: ApgSettings, iters: int,
+def apg_fixed_iteration_time(model, apg: ApgConfig, sigma: float, iters: int,
                              clock: Optional[Callable] = None) -> float:
-    """Wall time of exactly `iters` APG iterations at the first schedule
-    sigma (stopping rule disabled); used for complexity-scaling checks."""
-    cfg = apg.to_apg_config(max_iters=iters, stop_tol=0.0, stop_window=iters + 1)
+    """Wall time of exactly `iters` APG iterations at `sigma` (stopping rule
+    disabled); used for complexity-scaling checks."""
+    cfg = replace(apg, max_iters=iters, stop_tol=0.0, stop_window=iters + 1)
     timer = clock or time.perf_counter
     t0 = timer()
     # the caller's clock as given: without one the stage keeps its own
-    apg_solve_continuation(model, (apg.sigma_schedule[0],), cfg=cfg, clock=clock)
+    apg_solve(model, cfg, sigma=sigma, clock=clock)
     return timer() - t0
 
 
 def _warm_kernels(cfg: ExperimentConfig):
-    """Trigger kernel compilation/loading on a tiny instance so timed runs
-    measure the solvers, not the JIT or the first build or load of the
-    compiled APG stage library."""
+    """Build or load the compiled APG stage library and run both solvers once
+    on a tiny instance, so timed runs measure the solvers and not that first
+    build or load."""
     dims = Dimensions(4, len(cfg.group_sizes), cfg.group_sizes)
     model = build_rate_model(generate_instance(dims, cfg.physical, 0))
-    tiny = cfg.apg.to_apg_config(max_iters=5, stop_tol=0.0, stop_window=10)
-    apg_solve_continuation(model, (cfg.apg.sigma_schedule[0],), cfg=tiny)
+    tiny = replace(cfg.apg, max_iters=5, stop_tol=0.0, stop_window=10)
+    apg_solve(model, tiny, sigma=cfg.sigma_schedule[0])
     bisection_solve(build_soc_system(model), BisectionConfig(tol_t=0.5, oracle_iter_cap=10))
 
 
@@ -415,7 +380,8 @@ def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict
         apg_wall = statistics.median(apg_walls)
         bis_wall = statistics.median(bis_walls)
         apg_iters = sum(r.iterations for r in reports)
-        fixed_wall = apg_fixed_iteration_time(model, cfg.apg, cfg.scaling_fixed_iters, clock=clock)
+        fixed_wall = apg_fixed_iteration_time(model, cfg.apg, cfg.sigma_schedule[0],
+                                              cfg.scaling_fixed_iters, clock=clock)
         rows.append(
             (m, apg_wall, apg_iters, reports[-1].min_rate, fixed_wall,
              bis_wall, bis.oracle_iters_total, bis.t_star, bool(apg_wall < bis_wall))

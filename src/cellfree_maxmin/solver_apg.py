@@ -14,8 +14,11 @@ the per-AP orthant-ball set S with:
   * a monotone pick between the extrapolated and plain iterate, so the
     f_sigma trace never decreases.
 
-The same driver is reused by the bisection feasibility oracle with a
-different (concave) objective. Each fixed-sigma stage runs as one call into
+ApgConfig holds that step policy (delta, kappa, the initial steps, the
+backtracking cap) and the plateau stop; it is the one APG configuration of
+the package. The bisection feasibility oracle reuses the same driver and the
+same ApgConfig defaults with a different (concave) objective, a per-stage
+iteration budget and stop_tol. Each fixed-sigma stage runs as one call into
 the compiled engine (native.py, apg_stage.c), which needs a C compiler.
 monotone_apg, one kernels.apg_step per iteration over the numpy kernels, is
 the reference the compiled stage is tested against; no solver runs it.
@@ -31,22 +34,6 @@ import numpy as np
 
 from . import kernels, native
 from .rates import PowerControl, RateModel, as_mu_matrix
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Soft-min smoothness parameter; larger sigma tracks the true minimum
-    more closely at the price of a stiffer gradient."""
-
-    sigma: float = 100.0
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def gap_bound(self, total_users: int) -> float:
-        """Guaranteed accuracy: f <= f_sigma <= f + ln(T)/sigma."""
-        return math.log(total_users) / self.sigma
 
 
 @dataclass(frozen=True)
@@ -69,6 +56,10 @@ class ApgConfig:
             raise ValueError("initial step sizes must be positive")
         if self.line_search_cap < 0:
             raise ValueError("line_search_cap must be >= 0")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if self.stop_window < 1:
+            raise ValueError("stop_window must be >= 1")
 
 
 class LineSearchError(RuntimeError):
@@ -221,7 +212,7 @@ def compiled_stage(
     if kind == native.MARGIN and gap_check_every < 1:
         raise ValueError("gap_check_every must be >= 1")
 
-    n = max(cfg.max_iters, 0) + 1
+    n = cfg.max_iters + 1
     # one block per dtype: fewer mid-sized allocations fragment the heap less
     traces = np.empty((5, n))  # f, aux, alpha_y, alpha_mu, clock
     bt_y, bt_mu = np.empty((2, n), dtype=np.int64)
@@ -354,18 +345,21 @@ class SolveReport:
 def apg_solve(
     model: RateModel,
     cfg: Optional[ApgConfig] = None,
-    smoothing: Optional[SmoothingConfig] = None,
+    sigma: float = 100.0,
     mu0=None,
     clock: Optional[Callable[[], float]] = None,
 ) -> SolveReport:
-    """Run the monotone APG on the smoothed max-min rate objective.
+    """Run the monotone APG on the soft minimum of the user rates at
+    smoothness `sigma` (larger tracks the true minimum more closely, within
+    ln(T)/sigma, at the price of a stiffer gradient).
 
     Starts from the (feasible, strictly positive) equal power allocation
     unless mu0 is given. The stage is one compiled_stage call; without a
     `clock` it reads the library's own C clock (`apg_clock`), which it calls
     without the interpreter lock."""
     cfg = cfg or ApgConfig()
-    smoothing = smoothing or SmoothingConfig()
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     if mu0 is None:
         mat0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
     else:
@@ -376,7 +370,6 @@ def apg_solve(
             raise ValueError("mu0 must be feasible")
 
     lib = native.load_library()  # before the clock starts: the first call may build
-    sigma = smoothing.sigma
     if clock is None:
         clock = lib.apg_clock
     start = clock()
@@ -417,8 +410,7 @@ def apg_solve_continuation(
     reports = []
     start_point = mu0
     for sigma in sigmas:
-        report = apg_solve(model, cfg=cfg, smoothing=SmoothingConfig(sigma=sigma),
-                           mu0=start_point, clock=clock)
+        report = apg_solve(model, cfg=cfg, sigma=sigma, mu0=start_point, clock=clock)
         reports.append(report)
         # converged iterates may have exactly-zero entries; nudge them so the
         # next stage's strictly-positive start requirement holds

@@ -10,13 +10,18 @@ residual over the feasible set S by maximizing the concave smoothed minimum
 margin with the same compiled monotone-APG stage as the main solver
 (solver_apg.compiled_stage, kind native.MARGIN), and certifies infeasibility
 through a Frank-Wolfe gap bound (the support function of S has the closed
-form sum_m ||[d_m]_+||): inside the stage every gap_check_every iterations,
-and once more here when the stages end undecided.
+form sum_m ||[d_m]_+||): inside the stage every GAP_CHECK_EVERY iterations,
+and once more here when the stages end undecided. The stages use the default
+ApgConfig step policy; only their iteration budget and plateau tolerance are
+set here.
 
 Oracle outcomes: "feasible" (witness with max residual <= eps_soc),
 "infeasible" (certified min of the max residual exceeds -eps_soc), or
 "undecided" (iteration cap). Bisection treats undecided as infeasible, which
-can only shrink the reported optimum.
+can only shrink the reported optimum. BisectionConfig has three knobs: the
+bracket tolerance tol_t, the residual tolerance eps_soc and the oracle's
+total iteration budget oracle_iter_cap. The bracket always starts at
+[0, zero-interference bound + pad].
 """
 
 import csv
@@ -35,31 +40,25 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNDECIDED = "undecided"
 
+# period, in iterations, of the Frank-Wolfe certificate check inside the
+# oracle's margin stages
+GAP_CHECK_EVERY = 25
+# the oracle's sharpness continuation resolves margins from SMOOTHING_COARSE_T
+# (t units) down to SMOOTHING_QUALITY * tol_t, SMOOTHING_STEP times finer per stage
+SMOOTHING_QUALITY = 0.25
+SMOOTHING_COARSE_T = 0.02
+SMOOTHING_STEP = 5.0
+
 
 @dataclass(frozen=True)
 class BisectionConfig:
     tol_t: float = 1e-4          # bisection bracket tolerance, nats
     eps_soc: float = 1e-6        # residual tolerance of the oracle
-    t_lower: float = 0.0         # always feasible
-    t_upper: Optional[float] = None  # default: zero-interference bound + pad
     oracle_iter_cap: int = 4000  # total budget across smoothing stages
-    oracle_delta: float = 1e-5
-    oracle_kappa: float = 0.45
-    oracle_alpha0: float = 1.0
-    gap_check_every: int = 25
-    # finest soft-min resolution as a fraction of tol_t, in t units
-    smoothing_quality: float = 0.25
-    # coarsest resolution (t units) the oracle's inner continuation starts at
-    smoothing_coarse_t: float = 0.02
-    smoothing_step: float = 5.0
 
     def __post_init__(self):
         if self.tol_t <= 0:
             raise ValueError("tol_t must be positive")
-        if self.t_upper is not None and self.t_upper <= self.t_lower:
-            raise ValueError("t_upper must exceed t_lower")
-        if self.gap_check_every < 1:
-            raise ValueError("gap_check_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,10 @@ def _support_gap(grad: np.ndarray, x: np.ndarray) -> float:
 def feasibility_oracle(
     system: SocSystem,
     t: float,
-    eps_soc: float = 1e-6,
     warm=None,
     cfg: Optional[BisectionConfig] = None,
 ) -> OracleResult:
-    """Find mu in S with all residuals <= eps_soc, or certify none is close.
+    """Find mu in S with all residuals <= cfg.eps_soc, or certify none is close.
 
     `warm` may be a single start point or a sequence of them; the equal power
     allocation point is always added as a fallback candidate. The smoothed
@@ -124,7 +122,8 @@ def feasibility_oracle(
     and the infeasibility certificate periodically. Each stage is one
     compiled_stage call, as in apg_solve.
     """
-    cfg = cfg or BisectionConfig(eps_soc=eps_soc)
+    cfg = cfg or BisectionConfig()
+    eps_soc = cfg.eps_soc
     model = system.model
     impl = kernels.IMPL
     lib = native.load_library()
@@ -168,11 +167,11 @@ def feasibility_oracle(
 
     # sharpness schedule: resolve margins from a coarse t-resolution down to
     # a fraction of the bisection tolerance
-    res_fine = max(cfg.smoothing_quality * cfg.tol_t, 1e-12)
-    res_coarse = max(cfg.smoothing_coarse_t, res_fine)
+    res_fine = max(SMOOTHING_QUALITY * cfg.tol_t, 1e-12)
+    res_coarse = max(SMOOTHING_COARSE_T, res_fine)
     resolutions = [res_coarse]
     while resolutions[-1] > res_fine * (1.0 + 1e-9):
-        resolutions.append(max(resolutions[-1] / cfg.smoothing_step, res_fine))
+        resolutions.append(max(resolutions[-1] / SMOOTHING_STEP, res_fine))
 
     x = best
     iters_used = 0
@@ -183,17 +182,10 @@ def feasibility_oracle(
         budget = cfg.oracle_iter_cap - iters_used
         if budget <= 0:
             break
-        apg_cfg = ApgConfig(
-            delta=cfg.oracle_delta,
-            kappa=cfg.oracle_kappa,
-            alpha_y0=cfg.oracle_alpha0,
-            alpha_mu0=cfg.oracle_alpha0,
-            max_iters=budget,
-            stop_tol=0.02 * res_t * sens,  # plateau at this stage's resolution
-            stop_window=20,
-        )
+        # plateau at this stage's resolution
+        apg_cfg = ApgConfig(max_iters=budget, stop_tol=0.02 * res_t * sens)
         result = compiled_stage(lib, native.MARGIN, model, x, apg_cfg, sigma_f, t=t,
-                                eps_soc=eps_soc, gap_check_every=cfg.gap_check_every)
+                                eps_soc=eps_soc, gap_check_every=GAP_CHECK_EVERY)
         iters_used += result.iterations
         x = result.x
         max_res = result.aux
@@ -255,14 +247,9 @@ def bisection_solve(
     model = system.model
 
     upper = rate_upper_bound(model)
-    lo = cfg.t_lower
-    hi = cfg.t_upper if cfg.t_upper is not None else upper + max(cfg.tol_t, 1e-6)
+    lo = 0.0  # always feasible
+    hi = upper + max(cfg.tol_t, 1e-6)
     witness = PowerControl.epa(model.num_aps, model.num_groups).by_group.copy()
-    if lo > 0.0:
-        res0 = feasibility_oracle(system, lo, cfg.eps_soc, warm=witness, cfg=cfg)
-        if res0.status != FEASIBLE:
-            raise ValueError(f"t_lower={lo} is not witnessed feasible")
-        witness = res0.mu
 
     steps: List[BisectionStep] = []
     undecided_ts: List[float] = []
@@ -272,7 +259,7 @@ def bisection_solve(
     while hi - lo > cfg.tol_t:
         mid = 0.5 * (lo + hi)
         warm = [witness] if extra_warm is None else [witness, extra_warm]
-        res = feasibility_oracle(system, mid, cfg.eps_soc, warm=warm, cfg=cfg)
+        res = feasibility_oracle(system, mid, warm=warm, cfg=cfg)
         total_iters += res.iterations
         steps.append(BisectionStep(step_idx, lo, hi, res.iterations, res.status))
         step_idx += 1

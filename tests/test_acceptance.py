@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from cellfree_maxmin import (
+    ApgConfig,
     Dimensions,
     PhysicalConfig,
     PowerControl,
@@ -42,7 +43,6 @@ from cellfree_maxmin import (
     smooth_objective,
 )
 from cellfree_maxmin.harness import (
-    ApgSettings,
     ExperimentConfig,
     apg_fixed_iteration_time,
     default_config,
@@ -123,7 +123,7 @@ def cdf_200(tmp_path_factory):
     cfg = ExperimentConfig(
         kind="cdf", num_aps=50, group_sizes=(10, 10), trials=200,
         master_seed=1, out_dir=str(tmp_path_factory.mktemp("cdf")),
-        apg=ApgSettings(sigma_schedule=SIGMA_SCHEDULE),
+        sigma_schedule=SIGMA_SCHEDULE,
     )
     return run_cdf(cfg)
 
@@ -256,11 +256,12 @@ def test_criterion_09_scaling(tmp_path):
         dims = Dimensions.uniform(m, 2, 15)
         models[m] = build_rate_model(generate_instance(dims, cfg.physical, seed=cfg.master_seed))
     # warm-up; also builds or loads the compiled APG stage
-    apg_fixed_iteration_time(models[100], cfg.apg, 30)
+    sigma = cfg.sigma_schedule[0]
+    apg_fixed_iteration_time(models[100], cfg.apg, sigma, 30)
     ratios = []
     for _ in range(5):
-        t100 = apg_fixed_iteration_time(models[100], cfg.apg, 300)
-        t200 = apg_fixed_iteration_time(models[200], cfg.apg, 300)
+        t100 = apg_fixed_iteration_time(models[100], cfg.apg, sigma, 300)
+        t200 = apg_fixed_iteration_time(models[200], cfg.apg, sigma, 300)
         ratios.append(t200 / t100)
     ratio = statistics.median(ratios)
 
@@ -294,7 +295,7 @@ def test_criterion_10_determinism(tmp_path):
         for tag in ("r1", "r2"):
             out_dir = tmp_path / kind / tag
             cfg = ExperimentConfig(kind=kind, master_seed=5, out_dir=str(out_dir),
-                                   apg=ApgSettings(max_iters=300), **kw)
+                                   apg=ApgConfig(max_iters=300), **kw)
             run_experiment(cfg, clock=fake_clock)
             outputs[tag] = out_dir
         for name in sorted(os.listdir(outputs["r1"])):

@@ -8,10 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from cellfree_maxmin import harness, pool
+from cellfree_maxmin import ApgConfig, harness, pool
 from cellfree_maxmin.cli import main as cli_main
 from cellfree_maxmin.harness import (
-    ApgSettings,
     CdfSummary,
     ExperimentConfig,
     default_config,
@@ -34,7 +33,7 @@ def tiny_config(kind, out_dir, **kw):
         trials=2,
         master_seed=3,
         out_dir=str(out_dir),
-        apg=ApgSettings(max_iters=400),
+        apg=ApgConfig(max_iters=400),
         mc_draws=3000,
     )
     base.update(kw)
@@ -93,6 +92,22 @@ class TestConfig:
     def test_rejects_nonpositive_counts(self, tmp_path, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
             tiny_config("verify-rate", tmp_path, **{field: bad})
+
+    @pytest.mark.parametrize("schedule", [(), (100.0, 0.0), (-1.0,)])
+    def test_rejects_bad_sigma_schedule(self, tmp_path, schedule):
+        # rejected when built, before any run writes its resolved config
+        with pytest.raises(ValueError, match="^sigma_schedule"):
+            tiny_config("cdf", tmp_path / "run", sigma_schedule=schedule)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,section", [("alpha0", "apg"), ("t_upper", "bisection"),
+                                             ("shadow_db", "physical"), ("sigmas", None)])
+    def test_unknown_json_key_names_its_path(self, tmp_path, key, section):
+        doc = tiny_config("cdf", tmp_path).to_json_dict()
+        (doc[section] if section else doc)[key] = 1.0
+        dotted = f"{section}.{key}" if section else key
+        with pytest.raises(ValueError, match=f"^unknown config key {dotted}$"):
+            ExperimentConfig.from_json_dict(doc)
 
     def test_trial_seed_stability(self):
         a = trial_seed(7, 0)
@@ -344,6 +359,22 @@ class TestCli:
         assert out.returncode == 1
         doc = json.loads(out.stderr)
         assert doc["error"] and doc["type"] == "ValueError"
+
+    def test_unknown_config_key_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"apg": {"alpha0": 0.5}}))
+        out = subprocess.run(
+            [sys.executable, "-m", "cellfree_maxmin.cli", "cdf", "--config", str(cfg_path),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["type"] == "ValueError"
+        assert "apg.alpha0" in doc["error"]
+        assert not (tmp_path / "run").exists()
 
     def test_no_compiler_error(self, tmp_path):
         """Without a C compiler on PATH the solvers cannot run: the CLI

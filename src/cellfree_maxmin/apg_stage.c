@@ -10,12 +10,30 @@
  *               bound certifies the min-max residual above -eps (checked
  *               every gap_every iterations).
  *
+ * Step policy of each iteration, in this order:
+ *
+ *   1. the extrapolated search from y; its accepted trial zn is taken as the
+ *      next iterate at once when f(zn) >= f(mu) + delta*||zn - y||^2 (f(mu)
+ *      is known from the previous iteration), and the plain branch is skipped:
+ *      no value_grad(mu), no search, its step and first-try count unchanged;
+ *   2. otherwise the plain search from mu and the monotone pick.
+ *
+ * Each search starts from its branch's current step, grown by 1/kappa only
+ * when that branch's last step_grow_after searches all accepted their first
+ * trial. The counts of such searches in a row start full, so each branch's
+ * first search of a stage grows; a search that backtracks (or is rejected)
+ * resets its count, and a skipped plain branch leaves it as it was. A
+ * rejected extrapolation restores the step it started from.
+ *
  * A failed plain-branch search ends the stage "stalled" when its last trial
  * is mu itself and both objective values are finite (the step underflowed;
  * value and value_grad round f(mu) differently), and "line_search" otherwise.
  *
- * Every formula mirrors the numpy reference in kernels.py term by term, so
- * results agree with it up to the summation order of the dot products. Build
+ * Every formula mirrors the numpy reference in kernels.py term by term. Its
+ * margin kernels also sum in the order given below and call the C library's
+ * exp, so a margin stage equals monotone_apg bit for bit; its rate kernels
+ * take the dot products and log1p from numpy, so a rate stage agrees with it
+ * up to their rounding. Build
  * without -ffast-math and without FP contraction: a NaN objective must keep
  * failing the sufficient-increase test, as it does in numpy.
  *
@@ -65,12 +83,13 @@ typedef double (*clock_fn)(void);
 
 typedef struct {
     double delta, kappa, alpha_y0, alpha_mu0, stop_tol, eps;
-    int64_t max_iters, stop_window, line_search_cap, gap_every;
+    int64_t max_iters, stop_window, line_search_cap, gap_every, step_grow_after;
 } StageConfig;
 
 /* per-call outputs besides the iterate and the traces */
 typedef struct {
     int64_t iterations, rejections;
+    int64_t evaluations, plain_skips;  /* value + value_grad calls; skipped plain branches */
     double f, aux;
     double alpha_mu, f_mu, f_best;  /* line-search failure */
     double bound;                   /* certified bound at the last gap check */
@@ -385,14 +404,18 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, pq_v + 2 * T);
     double *pq_mu = o.pq;
     const double kappa = cfg->kappa, delta = cfg->delta;
+    const int64_t grow_after = cfg->step_grow_after;
 
     project(x, mu, o.acc, N, M);
     memcpy(mu_prev, mu, L * sizeof(double));
     memcpy(z, mu, L * sizeof(double));
     double t_prev = 1.0, t_cur = 1.0;
     double ay = cfg->alpha_y0, am = cfg->alpha_mu0;
+    /* first-try acceptances in a row; full, so each branch's first search grows */
+    int64_t run_y = grow_after, run_mu = grow_after;
     user_pq(&o, mu, pq_mu);
     double aux_cur, f_cur = value(&o, pq_mu, &aux_cur);
+    int64_t evals = 1;
 
     trace_f[0] = f_cur;
     trace_aux[0] = aux_cur;
@@ -405,6 +428,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     int code = STOP_MAX_ITERS;
     out->iterations = 0;
     out->rejections = 0;
+    out->plain_skips = 0;
     out->bound = NAN;
     for (int64_t it = 1; it <= cfg->max_iters; it++) {
         /* projected extrapolation */
@@ -414,18 +438,22 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         project(tmp, y, o.acc, N, M);
         user_pq(&o, y, pq_y);
         double aux_unused, fy = value_grad(&o, y, pq_y, gy, &aux_unused);
+        evals++;
 
-        double ay_in = ay, fz = 0.0, aux_z = 0.0;
+        double ay_in = ay, fz = 0.0, aux_z = 0.0, dz = 0.0;
         int64_t bt_y = 0;
         int z_ok = 0;
-        ay = ay / kappa;
+        if (run_y >= grow_after)
+            ay = ay / kappa;
         while (bt_y <= cfg->line_search_cap) {
             for (int64_t i = 0; i < L; i++)
                 tmp[i] = y[i] + ay * gy[i];
             project(tmp, zn, o.acc, N, M);
             user_pq(&o, zn, pq_z);
             fz = value(&o, pq_z, &aux_z);
-            if (fz >= fy + delta * sq_dist(zn, y, L)) {
+            evals++;
+            dz = delta * sq_dist(zn, y, L);
+            if (fz >= fy + dz) {
                 z_ok = 1;
                 break;
             }
@@ -434,47 +462,58 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         }
         if (!z_ok)
             ay = ay_in;  /* a rejected extrapolation must not sink the step */
+        run_y = z_ok && bt_y == 0 ? run_y + 1 : 0;
 
-        double fmu = value_grad(&o, mu, pq_mu, gmu, &aux_unused);
-        double fv = 0.0, aux_v = 0.0, f_best = -INFINITY;
+        double fv = 0.0, aux_v = 0.0;
         int64_t bt_mu = 0;
-        int v_ok = 0;
-        am = am / kappa;
-        while (bt_mu <= cfg->line_search_cap) {
-            for (int64_t i = 0; i < L; i++)
-                tmp[i] = mu[i] + am * gmu[i];
-            project(tmp, vn, o.acc, N, M);
-            user_pq(&o, vn, pq_v);
-            fv = value(&o, pq_v, &aux_v);
-            if (fv > f_best)
-                f_best = fv;
-            if (fv >= fmu + delta * sq_dist(vn, mu, L)) {
-                v_ok = 1;
+        int skip = z_ok && fz >= f_cur + dz;
+        if (skip) {
+            out->plain_skips++;
+        } else {
+            double fmu = value_grad(&o, mu, pq_mu, gmu, &aux_unused), f_best = -INFINITY;
+            evals++;
+            int v_ok = 0;
+            if (run_mu >= grow_after)
+                am = am / kappa;
+            while (bt_mu <= cfg->line_search_cap) {
+                for (int64_t i = 0; i < L; i++)
+                    tmp[i] = mu[i] + am * gmu[i];
+                project(tmp, vn, o.acc, N, M);
+                user_pq(&o, vn, pq_v);
+                fv = value(&o, pq_v, &aux_v);
+                evals++;
+                if (fv > f_best)
+                    f_best = fv;
+                if (fv >= fmu + delta * sq_dist(vn, mu, L)) {
+                    v_ok = 1;
+                    break;
+                }
+                am *= kappa;
+                bt_mu++;
+            }
+            if (!v_ok) {
+                /* the step underflowed: the last trial is mu itself, and value
+                 * and value_grad may round f(mu) differently, so no test can
+                 * pass */
+                int same = isfinite(fv) && isfinite(fmu);
+                for (int64_t i = 0; i < L && same; i++)
+                    same = vn[i] == mu[i];
+                if (same) {
+                    code = STOP_STALLED;
+                    break;
+                }
+                out->iterations = it;
+                out->alpha_mu = am;
+                out->f_mu = fmu;
+                out->f_best = f_best;
+                code = STOP_LINE_SEARCH;
                 break;
             }
-            am *= kappa;
-            bt_mu++;
-        }
-        if (!v_ok) {
-            /* the step underflowed: the last trial is mu itself, and value and
-             * value_grad may round f(mu) differently, so no test can pass */
-            int same = isfinite(fv) && isfinite(fmu);
-            for (int64_t i = 0; i < L && same; i++)
-                same = vn[i] == mu[i];
-            if (same) {
-                code = STOP_STALLED;
-                break;
-            }
-            out->iterations = it;
-            out->alpha_mu = am;
-            out->f_mu = fmu;
-            out->f_best = f_best;
-            code = STOP_LINE_SEARCH;
-            break;
+            run_mu = bt_mu == 0 ? run_mu + 1 : 0;
         }
 
         double t_next = 0.5 + sqrt(t_cur * t_cur + 0.25);
-        int take_z = z_ok && fz > fv;
+        int take_z = skip || (z_ok && fz > fv);
         if (!z_ok)
             out->rejections++;
         memcpy(mu_prev, mu, L * sizeof(double));
@@ -509,6 +548,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
             }
             if (it % cfg->gap_every == 0) {
                 double fs = value_grad(&o, mu, pq_mu, gmu, &aux_unused);
+                evals++;
                 double lower = -(fs + support_gap(gmu, mu, o.acc, N, M));
                 out->bound = lower;
                 if (lower > -cfg->eps) {
@@ -524,6 +564,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         }
     }
     memcpy(x, mu, L * sizeof(double));
+    out->evaluations = evals;
     out->f = f_cur;
     out->aux = aux_cur;
     return code;

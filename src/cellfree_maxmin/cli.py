@@ -6,7 +6,8 @@
 The experiment is one of: convergence, cdf, scaling, single-solve,
 verify-rate. Values resolve as defaults < config file < CLI flags; the fully
 resolved config is always written to <out>/resolved_config.json (and printed
-instead of running when --emit-config is given). On failure a machine
+instead of running when --emit-config is given; a reader that closes the
+pipe early, as `| head` does, is no failure). On failure a machine
 readable JSON error line (message, exception type, experiment) goes to
 stderr and the exit code is nonzero.
 """
@@ -14,6 +15,7 @@ stderr and the exit code is nonzero.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .harness import EXPERIMENT_KINDS, ExperimentConfig, default_config, run_experiment
@@ -69,7 +71,13 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         if args.emit_config:
-            print(json.dumps(cfg.to_json_dict(), indent=2, sort_keys=True))
+            try:
+                print(json.dumps(cfg.to_json_dict(), indent=2, sort_keys=True))
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader closed the pipe early (`| head`), which is no
+                # failure; stdout goes to devnull so the flush at exit is quiet
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
         run_experiment(cfg)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI

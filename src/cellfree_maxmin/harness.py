@@ -236,6 +236,7 @@ def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
             apg_min_rate_nats=final.min_rate,
             apg_f_sigma_nats=final.f_sigma,
             apg_iterations=sum(r.iterations for r in apg_reports),
+            apg_evaluations=sum(r.evaluations for r in apg_reports),
             apg_wall_s=sum(r.wall_time_s for r in apg_reports),
             apg_termination=final.termination,
         )

@@ -10,6 +10,17 @@ APG stages run in the compiled engine (native.py, apg_stage.c); these
 kernels, with apg_step as the loop body of solver_apg.monotone_apg, are the
 reference that engine is tested against.
 
+The projection and both objectives' soft minimum and gradient sums repeat
+the engine's arithmetic operation for operation: every sum runs in ascending
+order with one add per term, and exp is the C library's. The margin value
+and gradient also form p and q that way, so a margin stage of the engine
+equals monotone_apg bit for bit; a step policy that chains many extrapolated
+steps amplifies any last-bit difference. The rate kernels keep numpy's dot
+products and log1p, because their rates are the closed-form rates every
+experiment writes, and soc_residuals keeps numpy's dot products for speed in
+the bisection oracle; a rate stage agrees with the reference up to that
+rounding.
+
 Array conventions shared by every kernel:
 
   gs    (T, M)  per-user sqrt-gamma vectors, users ordered group-major
@@ -32,57 +43,88 @@ PI = math.pi
 BALL_SLACK = 1e-12
 
 
-def _user_rates(gs, asq, gptr, mu, rho):
+def _rate_terms(gs, asq, gptr, mu, rho):
+    """(rates, p, c) of every user, p = gs_u . mu_n, c = rho * asq_u . mu_n^2
+    + 1, with numpy's dot products and log1p: these rates are the
+    closed-form rates every experiment writes, so their rounding stays."""
     rates = np.empty(gs.shape[0])
+    p = np.empty(gs.shape[0])
+    c = np.empty(gs.shape[0])
     for n in range(gptr.shape[0] - 1):
         lo, hi = gptr[n], gptr[n + 1]
-        p = gs[lo:hi] @ mu[n]
-        q = asq[lo:hi] @ (mu[n] * mu[n])
-        rates[lo:hi] = np.log1p(0.25 * PI * rho * p * p / (rho * q + 1.0))
-    return rates
+        p[lo:hi] = gs[lo:hi] @ mu[n]
+        c[lo:hi] = rho * (asq[lo:hi] @ (mu[n] * mu[n])) + 1.0
+        rates[lo:hi] = np.log1p(0.25 * PI * rho * p[lo:hi] * p[lo:hi] / c[lo:hi])
+    return rates, p, c
+
+
+def _user_rates(gs, asq, gptr, mu, rho):
+    return _rate_terms(gs, asq, gptr, mu, rho)[0]
+
+
+def _libm(fn, x):
+    """fn, a C math library function as the math module exposes it, of each
+    entry of x: numpy's own vectorized exp and log1p round some results
+    differently."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _seq_sum(a, axis=-1):
+    """Sum along a nonempty axis in ascending order, one add per term."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+
+
+def _user_pq(gs, asq, gptr, mu):
+    """p_u = gs_u . mu_n and q_u = asq_u . mu_n^2 of every user, each summed
+    over m in ascending order."""
+    p = np.empty(gs.shape[0])
+    q = np.empty(gs.shape[0])
+    for n in range(gptr.shape[0] - 1):
+        lo, hi = gptr[n], gptr[n + 1]
+        p[lo:hi] = _seq_sum(gs[lo:hi] * mu[n])
+        q[lo:hi] = _seq_sum(asq[lo:hi] * (mu[n] * mu[n]))
+    return p, q
+
+
+def _soft_min(v, sigma):
+    """(min, weights exp(-sigma*(v - min)), their sum, soft minimum of v)"""
+    vmin = v.min()
+    w = _libm(math.exp, -sigma * (v - vmin))
+    wsum = _seq_sum(w)
+    return vmin, w, wsum, vmin - math.log(wsum / v.shape[0]) / sigma
+
+
+def _group_sums(gs, asq, gptr, wg, wa, shape):
+    """Per group n, sum_u wg_u gs_u and sum_u wa_u asq_u over its users in
+    ascending order."""
+    g = np.empty(shape)
+    acc = np.empty(shape)
+    for n in range(gptr.shape[0] - 1):
+        lo, hi = gptr[n], gptr[n + 1]
+        g[n] = _seq_sum(wg[lo:hi, None] * gs[lo:hi], axis=0)
+        acc[n] = _seq_sum(wa[lo:hi, None] * asq[lo:hi], axis=0)
+    return g, acc
 
 
 def _soft_min_value(gs, asq, gptr, mu, rho, sigma):
-    rates = _user_rates(gs, asq, gptr, mu, rho)
-    rmin = rates.min()
-    s = np.exp(-sigma * (rates - rmin)).sum()
-    return rmin - math.log(s / rates.shape[0]) / sigma, rmin
+    rmin, _, _, f_sigma = _soft_min(_user_rates(gs, asq, gptr, mu, rho), sigma)
+    return f_sigma, rmin
 
 
 def _soft_min_value_grad(gs, asq, gptr, mu, rho, sigma):
-    T = gs.shape[0]
-    N, M = mu.shape
-    rates = np.empty(T)
-    p_all = np.empty(T)
-    c_all = np.empty(T)
-    for n in range(N):
-        lo, hi = gptr[n], gptr[n + 1]
-        p = gs[lo:hi] @ mu[n]
-        q = asq[lo:hi] @ (mu[n] * mu[n])
-        b = 0.25 * PI * rho * p * p
-        c = rho * q + 1.0
-        rates[lo:hi] = np.log1p(b / c)
-        p_all[lo:hi] = p
-        c_all[lo:hi] = c
-    rmin = rates.min()
-    w = np.exp(-sigma * (rates - rmin))
-    wsum = w.sum()
-    f_sigma = rmin - math.log(wsum / T) / sigma
+    rates, p, c = _rate_terms(gs, asq, gptr, mu, rho)
+    rmin, w, wsum, f_sigma = _soft_min(rates, sigma)
     w = w / wsum
-    b_all = 0.25 * PI * rho * p_all * p_all
-    grad = np.empty_like(mu)
-    for n in range(N):
-        lo, hi = gptr[n], gptr[n + 1]
-        bc = b_all[lo:hi] + c_all[lo:hi]
-        wb = w[lo:hi] * (0.5 * PI * rho) * p_all[lo:hi] / bc
-        wc = w[lo:hi] * 2.0 * rho * (1.0 / bc - 1.0 / c_all[lo:hi])
-        grad[n] = wb @ gs[lo:hi] + (wc @ asq[lo:hi]) * mu[n]
-    return f_sigma, rmin, grad
+    bc = 0.25 * PI * rho * p * p + c
+    wb = w * (0.5 * PI * rho) * p / bc
+    wc = w * 2.0 * rho * (1.0 / bc - 1.0 / c)
+    g, acc = _group_sums(gs, asq, gptr, wb, wc, mu.shape)
+    return f_sigma, rmin, g + acc * mu
 
 
 def _project_ball_orthant(x):
     u = np.maximum(x, 0.0)
-    nsq = np.einsum("nm,nm->m", u, u)
+    nsq = _seq_sum(u * u, axis=0)
     scale = np.where(nsq > 1.0 + BALL_SLACK, np.sqrt(nsq), 1.0)
     return u / scale
 
@@ -100,47 +142,40 @@ def _soc_residuals(gs, asq, gptr, mu, rho, t):
 
 
 def _margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):
-    T = gs.shape[0]
-    N, M = mu.shape
     et1 = math.expm1(t)
     set1 = math.sqrt(et1)
     lin = math.sqrt(0.25 * PI * rho)
-    marg = np.empty(T)
-    dinv = np.empty(T)
-    for n in range(N):
-        lo, hi = gptr[n], gptr[n + 1]
-        p = gs[lo:hi] @ mu[n]
-        q = asq[lo:hi] @ (mu[n] * mu[n])
-        d = np.sqrt(rho * q + 1.0)
-        marg[lo:hi] = lin * p - set1 * d
-        dinv[lo:hi] = 1.0 / d
-    fmin = marg.min()
-    w = np.exp(-sigma_f * (marg - fmin))
-    wsum = w.sum()
-    f_sigma = fmin - math.log(wsum / T) / sigma_f
+    p, q = _user_pq(gs, asq, gptr, mu)
+    d = np.sqrt(rho * q + 1.0)
+    fmin, w, wsum, f_sigma = _soft_min(lin * p - set1 * d, sigma_f)
     w = w / wsum
-    grad = np.empty_like(mu)
-    for n in range(N):
-        lo, hi = gptr[n], gptr[n + 1]
-        grad[n] = lin * (w[lo:hi] @ gs[lo:hi]) - (
-            set1 * rho * ((w[lo:hi] * dinv[lo:hi]) @ asq[lo:hi])
-        ) * mu[n]
-    return f_sigma, -fmin, grad
+    g, acc = _group_sums(gs, asq, gptr, w, w * (1.0 / d), mu.shape)
+    return f_sigma, -fmin, lin * g - (set1 * rho * acc) * mu
 
 
 def _margin_value(gs, asq, gptr, mu, rho, t, sigma_f):
-    res = _soc_residuals(gs, asq, gptr, mu, rho, t)
-    marg = -res
-    fmin = marg.min()
-    s = np.exp(-sigma_f * (marg - fmin)).sum()
-    return fmin - math.log(s / marg.shape[0]) / sigma_f, -fmin
+    # soc_residuals with the summation order of _user_pq
+    et1 = math.expm1(t)
+    lin = math.sqrt(0.25 * PI * rho)
+    p, q = _user_pq(gs, asq, gptr, mu)
+    fmin, _, _, f_sigma = _soft_min(-(np.sqrt(et1 * (rho * q + 1.0)) - lin * p), sigma_f)
+    return f_sigma, -fmin
+
+
+def _sq_dist(a, b):
+    """||a - b||^2 summed in row-major order"""
+    d = a - b
+    return float(np.cumsum(d * d)[-1])
 
 
 class ApgStep(NamedTuple):
-    """Outcome of one apg_step. status is "accepted", "rejected" (the
-    extrapolated branch failed its search and the plain step was taken),
-    "stalled" or "failed"; on the last two x, z, f and aux are the current
-    iterate's, and f_best is the best plain-branch trial value."""
+    """Outcome of one apg_step. status is "accepted", "skipped" (the
+    extrapolated trial was taken without running the plain branch),
+    "rejected" (the extrapolated branch failed its search and the plain step
+    was taken), "stalled" or "failed"; on the last two x, z, f and aux are
+    the current iterate's, and f_best is the best plain-branch trial value.
+    run_y and run_mu are the branches' first-try counts to pass to the next
+    step."""
 
     x: np.ndarray
     z: np.ndarray
@@ -150,23 +185,32 @@ class ApgStep(NamedTuple):
     alpha_mu: float
     bt_y: int
     bt_mu: int
+    run_y: int
+    run_mu: int
     status: str
     f_best: float
 
 
-def apg_step(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur,
-             alpha_y, alpha_mu, delta, kappa, cap) -> ApgStep:
+def apg_step(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur, f_cur,
+             alpha_y, alpha_mu, run_y, run_mu, delta, kappa, cap, grow_after) -> ApgStep:
     """One iteration of the monotone APG (Li & Lin, NeurIPS 2015) that
     maximizes a smooth objective over a projectable set: projected
-    extrapolation, a backtracking search from the extrapolated point y and
-    one from mu, and a monotone pick between the two trials.
+    extrapolation, a backtracking search from the extrapolated point y, and,
+    unless its trial already gains enough over f_cur = f(mu), one from mu and
+    a monotone pick between the two trials.
 
-    value(x) -> (f, aux); value_grad(x) -> (f, aux, grad). Each search first
-    grows its step by 1/kappa, then accepts the first trial x+ with
-    f(x+) >= f(x) + delta*||x+ - x||^2 after at most `cap` shrinks.
-    "stalled" means the plain search ended on mu itself with both values
-    finite: the step underflowed, and value and value_grad may round f(mu)
-    differently, so no test can pass."""
+    value(x) -> (f, aux); value_grad(x) -> (f, aux, grad). Each search
+    accepts the first trial x+ with f(x+) >= f(x) + delta*||x+ - x||^2 after
+    at most `cap` shrinks by kappa. It starts from its branch's step, grown
+    by 1/kappa only when the branch's count of searches in a row that
+    accepted their first trial (run_y, run_mu) has reached grow_after
+    (Scheinberg, Goldfarb & Bai, FoCM 2014); a search that backtracks resets
+    its count. When the accepted extrapolated trial z+ also has
+    f(z+) >= f_cur + delta*||z+ - y||^2, it is the next iterate and the
+    plain branch is skipped: no value_grad(mu), alpha_mu and run_mu
+    unchanged, bt_mu 0. "stalled" means the plain search ended on mu itself
+    with both values finite: the step underflowed, and value and value_grad
+    may round f(mu) differently, so no test can pass."""
     # the raw extrapolation can leave the set when iterates ride the ball
     # boundary, making the sufficient-increase test unsatisfiable; the
     # projected extrapolation keeps the test and the momentum intact
@@ -174,44 +218,51 @@ def apg_step(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur,
     fy, _, gy = value_grad(y)
 
     alpha_y_in = alpha_y
-    alpha_y = alpha_y / kappa
+    if run_y >= grow_after:
+        alpha_y = alpha_y / kappa
     bt_y = 0
     z_ok = False
     while bt_y <= cap:
         z_new = project(y + alpha_y * gy)
         fz, aux_z = value(z_new)
-        diff = z_new - y
-        if fz >= fy + delta * float(np.vdot(diff, diff)):
+        dz = delta * _sq_dist(z_new, y)
+        if fz >= fy + dz:
             z_ok = True
             break
         alpha_y *= kappa
         bt_y += 1
     if not z_ok:
         alpha_y = alpha_y_in  # rejected extrapolation must not sink the step size
+    run_y = run_y + 1 if z_ok and bt_y == 0 else 0
+
+    if z_ok and fz >= f_cur + dz:
+        return ApgStep(z_new, z_new, fz, aux_z, alpha_y, alpha_mu, bt_y, 0, run_y, run_mu,
+                       "skipped", -math.inf)
 
     fmu, aux_mu, gmu = value_grad(mu)
-    alpha_mu = alpha_mu / kappa
+    if run_mu >= grow_after:
+        alpha_mu = alpha_mu / kappa
     bt_mu = 0
     fv_best = -math.inf
     while bt_mu <= cap:
         v_new = project(mu + alpha_mu * gmu)
         fv, aux_v = value(v_new)
         fv_best = max(fv_best, fv)
-        diff = v_new - mu
-        if fv >= fmu + delta * float(np.vdot(diff, diff)):
+        if fv >= fmu + delta * _sq_dist(v_new, mu):
             break
         alpha_mu *= kappa
         bt_mu += 1
     else:
         stalled = np.array_equal(v_new, mu) and math.isfinite(fv) and math.isfinite(fmu)
-        return ApgStep(mu, z, fmu, aux_mu, alpha_y, alpha_mu, bt_y, bt_mu,
+        return ApgStep(mu, z, fmu, aux_mu, alpha_y, alpha_mu, bt_y, bt_mu, run_y, run_mu,
                        "stalled" if stalled else "failed", fv_best)
+    run_mu = run_mu + 1 if bt_mu == 0 else 0
 
     if z_ok and fz > fv:
-        return ApgStep(z_new, z_new, fz, aux_z, alpha_y, alpha_mu, bt_y, bt_mu, "accepted",
-                       fv_best)
+        return ApgStep(z_new, z_new, fz, aux_z, alpha_y, alpha_mu, bt_y, bt_mu, run_y, run_mu,
+                       "accepted", fv_best)
     return ApgStep(v_new, z_new if z_ok else v_new, fv, aux_v, alpha_y, alpha_mu, bt_y, bt_mu,
-                   "accepted" if z_ok else "rejected", fv_best)
+                   run_y, run_mu, "accepted" if z_ok else "rejected", fv_best)
 
 
 class KernelImpl(NamedTuple):

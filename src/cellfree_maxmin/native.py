@@ -54,6 +54,7 @@ class StageConfig(ctypes.Structure):
         ("stop_window", ctypes.c_int64),
         ("line_search_cap", ctypes.c_int64),
         ("gap_every", ctypes.c_int64),
+        ("step_grow_after", ctypes.c_int64),
     ]
 
 
@@ -61,6 +62,8 @@ class StageResult(ctypes.Structure):
     _fields_ = [
         ("iterations", ctypes.c_int64),
         ("rejections", ctypes.c_int64),
+        ("evaluations", ctypes.c_int64),
+        ("plain_skips", ctypes.c_int64),
         ("f", ctypes.c_double),
         ("aux", ctypes.c_double),
         ("alpha_mu", ctypes.c_double),

@@ -8,20 +8,28 @@ the per-AP orthant-ball set S with:
   * extrapolation y^n = mu^n + (t_{n-1}/t_n)(z^n - mu^n)
                       + ((t_{n-1}-1)/t_n)(mu^n - mu^{n-1}),
     t_{n+1} = 0.5 + sqrt(t_n^2 + 0.25), t_0 = t_1 = 1;
-  * two backtracking searches (from y and from mu^n) accepting the first
-    step with f(x+) >= f(x) + delta*||x+ - x||^2, step sizes carried over
-    and regrown by 1/kappa once per iteration;
-  * a monotone pick between the extrapolated and plain iterate, so the
-    f_sigma trace never decreases.
+  * a backtracking search from y accepting the first step with
+    f(z+) >= f(y) + delta*||z+ - y||^2; when also
+    f(z+) >= f(mu^n) + delta*||z+ - y||^2 (Li & Lin's test against the
+    current value, known from the previous iteration) z+ is the next iterate
+    and the plain branch is skipped;
+  * otherwise a backtracking search from mu^n with the same test and a
+    monotone pick between the extrapolated and plain iterate, so the
+    f_sigma trace never decreases;
+  * step sizes carried over between iterations, each grown by 1/kappa only
+    when its branch's last STEP_GROW_AFTER searches all accepted their first
+    trial (Scheinberg, Goldfarb & Bai, FoCM 2014), and on each branch's
+    first search of a stage.
 
-ApgConfig holds that step policy (delta, kappa, the initial steps, the
-backtracking cap) and the plateau stop; it is the one APG configuration of
-the package. The bisection feasibility oracle reuses the same driver and the
-same ApgConfig defaults with a different (concave) objective, a per-stage
-iteration budget and stop_tol. Each fixed-sigma stage runs as one call into
-the compiled engine (native.py, apg_stage.c), which needs a C compiler.
-monotone_apg, one kernels.apg_step per iteration over the numpy kernels, is
-the reference the compiled stage is tested against; no solver runs it.
+ApgConfig holds the tunable part of that step policy (delta, kappa, the
+initial steps, the backtracking cap) and the plateau stop; it is the one APG
+configuration of the package. The bisection feasibility oracle reuses the
+same driver and the same ApgConfig defaults with a different (concave)
+objective, a per-stage iteration budget and stop_tol. Each fixed-sigma stage
+runs as one call into the compiled engine (native.py, apg_stage.c), which
+needs a C compiler. monotone_apg, one kernels.apg_step per iteration over the
+numpy kernels, is the reference the compiled stage is tested against; no
+solver runs it.
 """
 
 import csv
@@ -34,6 +42,11 @@ import numpy as np
 
 from . import kernels, native
 from .rates import PowerControl, RateModel, as_mu_matrix
+
+# A branch grows its step by 1/kappa only when this many of its searches in
+# a row accepted their first trial; growing on every iteration cost a failed
+# trial and a backtrack in almost every search.
+STEP_GROW_AFTER = 10
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,8 @@ class DriverResult:
     trace_bt_mu: Sequence[int] = field(default_factory=list)
     trace_elapsed: Sequence[float] = field(default_factory=list)
     extrapolation_rejections: int = 0
+    plain_skips: int = 0       # iterations that took the extrapolated trial alone
+    evaluations: int = 0       # value + value_grad calls (compiled: gap checks too)
     certified_bound: Optional[float] = None  # margin stage: last Frank-Wolfe bound
 
 
@@ -114,11 +129,20 @@ def monotone_apg(
     value(x) -> (f, aux); value_grad(x) -> (f, aux, grad). `aux` is carried
     into the trace untouched (the callers store the true min-rate or the max
     cone residual there). `monitor(x, f, aux, it)` may return a termination
-    reason to stop early.
+    reason to stop early. The result's `evaluations` counts the calls of
+    value and value_grad made here, not those of the monitor.
     """
     clock = clock or time.perf_counter
     start = clock()
+    calls = [0]
 
+    def counted(fn):
+        def call(x):
+            calls[0] += 1
+            return fn(x)
+        return call
+
+    value, value_grad = counted(value), counted(value_grad)
     mu = project(np.ascontiguousarray(x0, dtype=float))
     mu_prev = mu
     z = mu
@@ -126,6 +150,7 @@ def monotone_apg(
     t_cur = 1.0
     alpha_y = cfg.alpha_y0
     alpha_mu = cfg.alpha_mu0
+    run_y = run_mu = STEP_GROW_AFTER  # full: each branch's first search grows
 
     f_cur, aux_cur = value(mu)
     res = DriverResult(x=mu, f=f_cur, aux=aux_cur, iterations=0, termination="max_iters")
@@ -139,8 +164,9 @@ def monotone_apg(
 
     step_fn = kernels.IMPL.rate_apg_step
     for it in range(1, cfg.max_iters + 1):
-        step = step_fn(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur,
-                       alpha_y, alpha_mu, cfg.delta, cfg.kappa, cfg.line_search_cap)
+        step = step_fn(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur, f_cur,
+                       alpha_y, alpha_mu, run_y, run_mu, cfg.delta, cfg.kappa,
+                       cfg.line_search_cap, STEP_GROW_AFTER)
         if step.status == "stalled":
             res.termination = "stalled"
             break
@@ -148,7 +174,10 @@ def monotone_apg(
             raise LineSearchError(it, step.alpha_mu, step.f, step.f_best)
         if step.status == "rejected":
             res.extrapolation_rejections += 1
+        elif step.status == "skipped":
+            res.plain_skips += 1
         alpha_y, alpha_mu = step.alpha_y, step.alpha_mu
+        run_y, run_mu = step.run_y, step.run_mu
         mu_prev, mu, z = mu, step.x, step.z
         t_prev, t_cur = t_cur, 0.5 + math.sqrt(t_cur * t_cur + 0.25)
         f_cur, aux_cur = step.f, step.aux
@@ -176,6 +205,7 @@ def monotone_apg(
     res.x = mu
     res.f = f_cur
     res.aux = aux_cur
+    res.evaluations = calls[0]
     return res
 
 
@@ -219,7 +249,7 @@ def compiled_stage(
     work = np.empty(lib.apg_work_len(T, N, M))
     stage_cfg = native.StageConfig(cfg.delta, cfg.kappa, cfg.alpha_y0, cfg.alpha_mu0,
                                    cfg.stop_tol, eps_soc, cfg.max_iters, cfg.stop_window,
-                                   cfg.line_search_cap, gap_check_every)
+                                   cfg.line_search_cap, gap_check_every, STEP_GROW_AFTER)
     out = native.StageResult()
     if clock is None:
         clock_fn = native.CLOCK_FN()
@@ -245,6 +275,8 @@ def compiled_stage(
         trace_bt_y=bt_y[:k], trace_bt_mu=bt_mu[:k],
         trace_elapsed=stamps - start if clock is not None else stamps,
         extrapolation_rejections=out.rejections,
+        plain_skips=out.plain_skips,
+        evaluations=out.evaluations,
         certified_bound=None if math.isnan(out.bound) else out.bound,
     )
 
@@ -321,6 +353,8 @@ class SolveReport:
     trace_bt_mu: np.ndarray
     trace_elapsed_s: np.ndarray
     extrapolation_rejections: int = 0
+    plain_skips: int = 0
+    evaluations: int = 0
 
     def write_trace_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -391,6 +425,8 @@ def apg_solve(
         trace_bt_mu=np.asarray(res.trace_bt_mu, dtype=int),
         trace_elapsed_s=np.asarray(res.trace_elapsed, dtype=float),
         extrapolation_rejections=res.extrapolation_rejections,
+        plain_skips=res.plain_skips,
+        evaluations=res.evaluations,
     )
 
 

@@ -140,6 +140,18 @@ class TestRunners:
         assert "abs_gap_nats" in summary
         assert summary["abs_gap_nats"] <= 1e-3
 
+    def test_convergence_counts_evaluations(self, tmp_path):
+        """summary.csv reports the APG stages' objective evaluations: one at
+        each stage's start, then at least two per iteration (value_grad at y
+        and one trial)."""
+        cfg = tiny_config("convergence", tmp_path, solver="apg")
+        summary = run_convergence(cfg)
+        with open(tmp_path / "summary.csv") as fh:
+            rows = dict(csv.reader(fh))
+        assert int(rows["apg_evaluations"]) == summary["apg_evaluations"]
+        stages = len(cfg.sigma_schedule)
+        assert summary["apg_evaluations"] >= stages + 2 * summary["apg_iterations"]
+
     def test_convergence_scalar_optimum(self, tmp_path):
         # single AP / group / user: both solvers must hit the 1-D optimum
         import numpy as np
@@ -333,6 +345,24 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["num_aps"] == 11
         assert doc["trials"] == 4  # CLI flag beats file
+
+    def test_emit_config_into_closed_pipe(self, tmp_path):
+        """A reader that stops after the first line, as `| head -1` does,
+        is no failure: exit code 0 and nothing on stderr."""
+        cfg_path = tmp_path / "cfg.json"
+        # longer than a pipe buffer: the write still runs when the reader closes
+        cfg_path.write_text(json.dumps({"sigma_schedule": [100.0] * 20000}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cellfree_maxmin.cli", "cdf", "--config", str(cfg_path),
+             "--emit-config"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""
 
     def test_kind_mismatch_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

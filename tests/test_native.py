@@ -5,6 +5,7 @@ threads."""
 
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -138,10 +139,22 @@ def test_per_evaluation_parity(lib, case):
 # (num_aps, group_sizes, seed, gap_check_every); the odd shapes check the
 # certificate every 10 iterations, before the plateau stop (window 20) can end
 # a stage that converged at once, as the single-user single-AP one does
-@pytest.mark.parametrize("case", [pytest.param((10, (3, 3), seed, 25), id=str(seed))
-                                  for seed in range(4)]
-                         + [pytest.param((m, g, 0, 10), id=shape_id(m, g)) for m, g in ODD_SHAPES])
-@pytest.mark.parametrize("level", ["below_optimum", "above_optimum", "above_bound"])
+MARGIN_CASES = ([pytest.param((10, (3, 3), seed, 25), id=str(seed)) for seed in range(4)]
+                + [pytest.param((m, g, 0, 10), id=shape_id(m, g)) for m, g in ODD_SHAPES])
+LEVELS = ["below_optimum", "above_optimum", "above_bound"]
+
+
+def margin_level(model, level):
+    """Oracle level t just below the APG optimum, above it, or above the
+    zero-interference bound."""
+    optimum = apg_solve_continuation(model, (100.0, 1000.0))[-1].min_rate
+    return {"below_optimum": optimum - min(0.003, optimum / 10),  # t >= 0 on tiny optima
+            "above_optimum": optimum + 0.02,
+            "above_bound": rate_upper_bound(model) + 0.1}[level]
+
+
+@pytest.mark.parametrize("case", MARGIN_CASES)
+@pytest.mark.parametrize("level", LEVELS)
 def test_margin_stage_matches_monotone_apg(lib, case, level):
     """Same status, iteration count and iterate as the numpy stage. Runs that
     hover at the feasibility boundary for hundreds of iterations amplify the
@@ -149,10 +162,7 @@ def test_margin_stage_matches_monotone_apg(lib, case, level):
     levels here end by a status well before that."""
     num_aps, group_sizes, seed, gap_check_every = case
     model = shaped_model(num_aps, group_sizes, seed)
-    optimum = apg_solve_continuation(model, (100.0, 1000.0))[-1].min_rate
-    t = {"below_optimum": optimum - min(0.003, optimum / 10),  # t >= 0 on tiny optima
-         "above_optimum": optimum + 0.02,
-         "above_bound": rate_upper_bound(model) + 0.1}[level]
+    t = margin_level(model, level)
     sigma_f = 3000.0
     x0 = random_feasible_matrix(model, np.random.default_rng(seed))
     cfg = ApgConfig(max_iters=300, stop_tol=1e-9, stop_window=20)
@@ -192,6 +202,129 @@ def test_rate_stage_trace_and_clock(lib, small_model, overrides):
     assert (got.extrapolation_rejections == 50) == bool(overrides)
     # one clock call to start, then one per trace entry
     np.testing.assert_array_equal(got.trace_elapsed, np.arange(1, 52, dtype=float))
+
+
+# the rate stage of test_rate_stage_trace_and_clock, and the same stage with
+# every extrapolation rejected
+RATE_CASES = [pytest.param(("rate", ()), id="rate"),
+              pytest.param(("rate", (("alpha_y0", 1e6), ("line_search_cap", 5))),
+                           id="rate-rejected")]
+STEP_POLICY_CASES = RATE_CASES + [
+    pytest.param(("margin", case.values[0], level), id=f"{level}-{case.id}")
+    for case in MARGIN_CASES for level in LEVELS]
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_runs(case):
+    """(compiled stage, monotone_apg result, status of each reference step,
+    objective calls of the reference run, those made by its monitor) of one
+    rate or margin parity case. Every objective call goes through the
+    kernels, which are swapped for counting ones while the reference runs."""
+    lib = native.load_library()
+    if case[0] == "rate":
+        model = shaped_model(12, (3, 3), 42)
+        x0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
+        cfg = ApgConfig(max_iters=50, stop_tol=0.0, stop_window=1000, **dict(case[1]))
+        got = compiled_stage(lib, native.RATE, model, x0, cfg, 100.0)
+
+        def closures():
+            value_grad, value, _ = objective_closures(model, 100.0)
+            return value, value_grad, None
+    else:
+        (num_aps, group_sizes, seed, gap_check_every), level = case[1:]
+        model = shaped_model(num_aps, group_sizes, seed)
+        t = margin_level(model, level)
+        x0 = random_feasible_matrix(model, np.random.default_rng(seed))
+        cfg = ApgConfig(max_iters=300, stop_tol=1e-9, stop_window=20)
+        got = compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
+                             gap_check_every=gap_check_every)
+
+        def closures():
+            return margin_closures(model, t, 3000.0, gap_check_every=gap_check_every)
+
+    impl, calls, monitor_calls, statuses = kernels.IMPL, [0], [0], []
+
+    def counted(fn):
+        def call(*args):
+            calls[0] += 1
+            return fn(*args)
+        return call
+
+    def recording_step(*args):
+        step = impl.rate_apg_step(*args)
+        statuses.append(step.status)
+        return step
+
+    kernels.IMPL = impl._replace(
+        rate_apg_step=recording_step,
+        **{name: counted(getattr(impl, name)) for name in (
+            "soft_min_value", "soft_min_value_grad", "margin_value", "margin_value_grad")})
+    try:
+        value, value_grad, monitor = closures()
+
+        def counted_monitor(*args):
+            before = calls[0]
+            reason = monitor(*args)
+            monitor_calls[0] += calls[0] - before
+            return reason
+
+        ref = monotone_apg(value_grad, value, impl.project_ball_orthant, x0, cfg,
+                           monitor=counted_monitor if monitor else None)
+    finally:
+        kernels.IMPL = impl
+    return got, ref, statuses[:ref.iterations], calls[0], monitor_calls[0]
+
+
+@pytest.mark.parametrize("case", STEP_POLICY_CASES)
+def test_stage_counters_match_monotone_apg(case):
+    """The compiled stage counts the objective calls the reference makes,
+    the oracle's certificate checks included, and the same skipped plain
+    branches and rejected extrapolations."""
+    got, ref, statuses, calls, monitor_calls = recorded_runs(case)
+    assert got.evaluations == calls
+    assert ref.evaluations == calls - monitor_calls
+    assert got.plain_skips == ref.plain_skips == statuses.count("skipped")
+    assert got.extrapolation_rejections == statuses.count("rejected")
+    if case[0] == "rate":
+        # an accepted extrapolation that gains enough skips the plain branch
+        assert (got.plain_skips > 0) == (not case[1])
+
+
+@pytest.mark.parametrize("case", STEP_POLICY_CASES)
+def test_skipped_iterations_keep_the_plain_step(case):
+    """A skipped plain branch runs no search and keeps its step."""
+    got, ref, statuses, _, _ = recorded_runs(case)
+    np.testing.assert_array_equal(got.trace_bt_mu, ref.trace_bt_mu)
+    for it, status in enumerate(statuses, start=1):
+        if status == "skipped":
+            assert got.trace_bt_mu[it] == 0
+            assert got.trace_alpha_mu[it] == got.trace_alpha_mu[it - 1]
+
+
+@pytest.mark.parametrize("case", STEP_POLICY_CASES)
+def test_steps_grow_only_after_first_try_runs(case):
+    """A branch's step rises above its previous value only after its last
+    STEP_GROW_AFTER searches all accepted their first trial, or at its first
+    search of the stage; it does rise when, after such a run, the search
+    accepts its first trial again."""
+    got, ref, statuses, _, _ = recorded_runs(case)
+    np.testing.assert_array_equal(got.trace_bt_y, ref.trace_bt_y)
+    np.testing.assert_array_equal(got.trace_bt_mu, ref.trace_bt_mu)
+    branches = [(got.trace_alpha_y, got.trace_bt_y, lambda s: True, lambda s: s != "rejected"),
+                (got.trace_alpha_mu, got.trace_bt_mu, lambda s: s != "skipped", lambda s: True)]
+    for alpha, bt, searched, accepted in branches:
+        run = solver_apg.STEP_GROW_AFTER
+        for it, status in enumerate(statuses, start=1):
+            rose = alpha[it] > alpha[it - 1]
+            if not searched(status):
+                assert not rose
+                continue
+            first_try = accepted(status) and bt[it] == 0
+            full = run >= solver_apg.STEP_GROW_AFTER
+            # a grown step that backtracks once may land an ulp above the old one
+            assert full or not rose
+            assert rose or not (full and first_try)
+            run = run + 1 if first_try else 0
 
 
 def nan_model():

@@ -17,7 +17,6 @@ directory. All numerical content is a pure function of (config, master
 seed); wall-clock fields are the only nondeterministic bytes.
 """
 
-import csv
 import json
 import math
 import os
@@ -48,28 +47,13 @@ from .rates import (
 )
 from .solver_apg import ApgConfig, SolveReport, apg_solve, apg_solve_continuation, project_feasible
 from .solver_bisection import BisectionConfig, bisection_solve, build_soc_system
+from .tables import write_csv
 
 LN2 = math.log(2.0)
 
 EXPERIMENT_KINDS = ("convergence", "cdf", "scaling", "single-solve", "verify-rate")
 # timed solves per solver and AP count in the scaling experiment
 SCALING_REPEATS = 3
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -187,11 +171,8 @@ class CdfSummary:
         return float(self.rates_nats[0])
 
     def write_csv(self, path, prelog: float = 1.0):
-        rows = [
-            (prelog * r, prelog * r / LN2, c)
-            for r, c in zip(self.rates_nats, self.cdf)
-        ]
-        _write_csv(path, ["rate_nats", "rate_bits", "cdf"], rows)
+        nats = prelog * self.rates_nats
+        write_csv(path, ["rate_nats", "rate_bits", "cdf"], [nats, nats / LN2, self.cdf])
 
 
 def _ensure_outdir(cfg: ExperimentConfig) -> str:
@@ -256,12 +237,20 @@ def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
         summary["abs_gap_nats"] = gap
         summary["agree_1e3"] = bool(gap <= 1e-3)
 
-    _write_csv(
-        os.path.join(out, "summary.csv"),
-        ["key", "value"],
-        [(k, v) for k, v in summary.items()],
-    )
+    _write_summary(out, summary)
     return summary
+
+
+def _write_summary(out: str, summary: dict):
+    write_csv(os.path.join(out, "summary.csv"), ["key", "value"],
+              [list(summary), list(summary.values())])
+
+
+def _user_columns(group_sizes, trials: int):
+    """(group, user-in-group) index columns of `trials` repeats of the users."""
+    group = np.repeat(np.arange(len(group_sizes)), group_sizes)
+    user = np.concatenate([np.arange(k) for k in group_sizes])
+    return np.tile(group, trials), np.tile(user, trials)
 
 
 def _cdf_trial(cfg: ExperimentConfig, trial: int) -> tuple:
@@ -287,47 +276,33 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     workers = min(pool.cpu_count(), cfg.trials, cfg.workers or cfg.trials)
     results = list(pool.ordered_map(lambda trial: _cdf_trial(cfg, trial), cfg.trials, workers))
 
-    dims = cfg.dims
-    ptr = dims.num_users
-    user_rows_apg, user_rows_epa, trial_rows = [], [], []
-    pooled_apg, pooled_epa = [], []
-    group_of = np.repeat(np.arange(len(cfg.group_sizes)), cfg.group_sizes)
-    user_in_group = np.concatenate([np.arange(k) for k in cfg.group_sizes])
-    prelog = cfg.prelog
-    for trial, (apg_r, epa_r) in enumerate(results):
-        pooled_apg.append(apg_r)
-        pooled_epa.append(epa_r)
-        for u in range(ptr):
-            ra, re = prelog * apg_r[u], prelog * epa_r[u]
-            user_rows_apg.append((trial, int(group_of[u]), int(user_in_group[u]), ra, ra / LN2))
-            user_rows_epa.append((trial, int(group_of[u]), int(user_in_group[u]), re, re / LN2))
-        trial_rows.append(
-            (trial, float(apg_r.min()), float(epa_r.min()),
-             bool(apg_r.min() >= epa_r.min() - 1e-6),
-             float(apg_r.mean()), float(epa_r.mean()))
-        )
-
-    summary_apg = CdfSummary.from_rates(np.concatenate(pooled_apg))
-    summary_epa = CdfSummary.from_rates(np.concatenate(pooled_epa))
-    summary_apg.write_csv(os.path.join(out, "cdf_apg.csv"), prelog)
-    summary_epa.write_csv(os.path.join(out, "cdf_epa.csv"), prelog)
+    # (trials, users) rates of each allocation
+    apg = np.array([r[0] for r in results])
+    epa = np.array([r[1] for r in results])
+    trial = np.arange(cfg.trials)
+    user_cols = [np.repeat(trial, apg.shape[1]), *_user_columns(cfg.group_sizes, cfg.trials)]
     header = ["trial", "group", "user", "rate_nats", "rate_bits"]
-    _write_csv(os.path.join(out, "users_apg.csv"), header, user_rows_apg)
-    _write_csv(os.path.join(out, "users_epa.csv"), header, user_rows_epa)
-    _write_csv(
+    summaries = {}
+    for name, rates in (("apg", apg), ("epa", epa)):
+        summaries[name] = CdfSummary.from_rates(rates.ravel())
+        summaries[name].write_csv(os.path.join(out, f"cdf_{name}.csv"), cfg.prelog)
+        nats = cfg.prelog * rates.ravel()
+        write_csv(os.path.join(out, f"users_{name}.csv"), header, [*user_cols, nats, nats / LN2])
+    apg_min, epa_min = apg.min(axis=1), epa.min(axis=1)
+    trial_cols = [trial, apg_min, epa_min, apg_min >= epa_min - 1e-6,
+                  apg.mean(axis=1), epa.mean(axis=1)]
+    write_csv(
         os.path.join(out, "trial_minrates.csv"),
         ["trial", "apg_min_nats", "epa_min_nats", "apg_ge_epa",
          "apg_mean_nats", "epa_mean_nats"],
-        trial_rows,
+        trial_cols,
     )
-    dominance = np.mean([row[3] for row in trial_rows])
     return {
-        "apg": summary_apg,
-        "epa": summary_epa,
-        "dominance_fraction": float(dominance),
-        "mean_min_apg": float(np.mean([r[1] for r in trial_rows])),
-        "mean_min_epa": float(np.mean([r[2] for r in trial_rows])),
-        "trial_rows": trial_rows,
+        **summaries,
+        "dominance_fraction": float(np.mean(trial_cols[3])),
+        "mean_min_apg": float(np.mean(apg_min)),
+        "mean_min_epa": float(np.mean(epa_min)),
+        "trial_rows": list(zip(*(col.tolist() for col in trial_cols))),
     }
 
 
@@ -391,12 +366,12 @@ def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict
         result["bisection_wall_s"].append(bis_wall)
         result["apg_fixed_iter_wall_s"].append(fixed_wall)
         result["apg_faster"].append(bool(apg_wall < bis_wall))
-    _write_csv(
+    write_csv(
         os.path.join(out, "scaling.csv"),
         ["m_aps", "apg_wall_s", "apg_iterations", "apg_objective_nats",
          "apg_fixed_iter_wall_s", "bisection_wall_s", "bisection_oracle_iters",
          "bisection_t_star_nats", "apg_faster"],
-        rows,
+        list(zip(*rows)),
     )
     return result
 
@@ -415,9 +390,7 @@ def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
     dims = cfg.dims
-    rows = []
-    all_pass = True
-    low_conf_any = False
+    per_trial = []  # (seed, closed, mc rate, std error, n std err, low conf, epa consistent)
     for trial in range(cfg.trials):
         seed = trial_seed(cfg.master_seed, trial)
         instance = generate_instance(dims, cfg.physical, seed)
@@ -434,27 +407,25 @@ def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
             epa_consistent = True
         closed = rates_vector(model, mu).rates
         mc = rate_oracle_monte_carlo(instance, eta, cfg.mc_draws, seed)
-        nse = mc.n_std_errs(closed)
         low_conf = mc.std_error > 0.05 * np.maximum(np.abs(mc.rate_nats), 1e-12)
-        low_conf_any = low_conf_any or bool(low_conf.any())
-        group_of = np.repeat(np.arange(dims.num_groups), dims.group_sizes)
-        user_in_group = np.concatenate([np.arange(k) for k in dims.group_sizes])
-        for u in range(dims.num_users):
-            ok = bool(nse[u] <= 3.0)
-            all_pass = all_pass and (ok or bool(low_conf[u]))
-            rows.append(
-                (trial, seed, int(group_of[u]), int(user_in_group[u]),
-                 closed[u], mc.rate_nats[u], mc.std_error[u], nse[u],
-                 ok, bool(low_conf[u]), epa_consistent)
-            )
-    _write_csv(
+        per_trial.append((seed, closed, mc.rate_nats, mc.std_error, mc.n_std_errs(closed),
+                          low_conf, epa_consistent))
+    T = dims.num_users
+    seeds, closed, mc_rate, std_error, nse, low_conf, epa_consistent = zip(*per_trial)
+    nse, low_conf = np.concatenate(nse), np.concatenate(low_conf)
+    ok = nse <= 3.0
+    write_csv(
         os.path.join(out, "verify_rate.csv"),
         ["trial", "instance_seed", "group", "user", "closed_form_nats",
          "mc_rate_nats", "std_error", "n_std_err", "within_3se",
          "low_confidence", "epa_consistent"],
-        rows,
+        [np.repeat(np.arange(cfg.trials), T), np.repeat(seeds, T),
+         *_user_columns(dims.group_sizes, cfg.trials), np.concatenate(closed),
+         np.concatenate(mc_rate), np.concatenate(std_error), nse, ok, low_conf,
+         np.repeat(epa_consistent, T)],
     )
-    return {"all_pass": all_pass, "low_confidence": low_conf_any, "rows": len(rows)}
+    return {"all_pass": bool((ok | low_conf).all()), "low_confidence": bool(low_conf.any()),
+            "rows": cfg.trials * T}
 
 
 def run_single_solve(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
@@ -490,8 +461,7 @@ def run_single_solve(cfg: ExperimentConfig, clock: Optional[Callable] = None) ->
     rates = rates_vector(model, power)
     rates.write_csv(os.path.join(out, "solution_rates.csv"), prelog=cfg.prelog)
     summary["min_rate_nats"] = rates.min_rate
-    _write_csv(os.path.join(out, "summary.csv"), ["key", "value"],
-               [(k, v) for k, v in summary.items()])
+    _write_summary(out, summary)
     return summary
 
 

@@ -10,7 +10,6 @@ noise variance (normalization happens once at model build, so solver code
 never tracks watts). Rates depend only on the user's own group block of mu.
 """
 
-import csv
 import math
 import queue
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from .netgen import (
     pilot_model,
     smallscale_block,
 )
+from .tables import write_csv
 
 LN2 = math.log(2.0)
 FEASIBILITY_SLACK = 1e-9
@@ -189,11 +189,11 @@ class RateVector:
         return rows
 
     def write_csv(self, path, prelog: float = 1.0):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group", "user", "rate_nats", "rate_bits"])
-            for n, k, rn, rb in self.to_rows(prelog):
-                writer.writerow([n, k, repr(rn), repr(rb)])
+        sizes = np.diff(self.group_ptr)
+        group = np.repeat(np.arange(sizes.shape[0]), sizes)
+        nats = prelog * self.rates
+        write_csv(path, ["group", "user", "rate_nats", "rate_bits"],
+                  [group, np.arange(group.shape[0]) - self.group_ptr[group], nats, nats / LN2])
 
 
 def rates_vector(model: RateModel, mu) -> RateVector:

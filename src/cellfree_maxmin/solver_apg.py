@@ -32,7 +32,6 @@ numpy kernels, is the reference the compiled stage is tested against; no
 solver runs it.
 """
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,6 +41,7 @@ import numpy as np
 
 from . import kernels, native
 from .rates import PowerControl, RateModel, as_mu_matrix
+from .tables import write_csv
 
 # A branch grows its step by 1/kappa only when this many of its searches in
 # a row accepted their first trial; growing on every iteration cost a failed
@@ -357,23 +357,11 @@ class SolveReport:
     evaluations: int = 0
 
     def write_trace_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "iter", "f_sigma_nats", "f_true_nats", "alpha_y", "alpha_mu",
-                "backtracks_y", "backtracks_mu", "elapsed_s",
-            ])
-            for i in range(self.trace_f_sigma.shape[0]):
-                writer.writerow([
-                    i,
-                    repr(float(self.trace_f_sigma[i])),
-                    repr(float(self.trace_f_true[i])),
-                    repr(float(self.trace_alpha_y[i])),
-                    repr(float(self.trace_alpha_mu[i])),
-                    int(self.trace_bt_y[i]),
-                    int(self.trace_bt_mu[i]),
-                    repr(float(self.trace_elapsed_s[i])),
-                ])
+        write_csv(path, ["iter", "f_sigma_nats", "f_true_nats", "alpha_y", "alpha_mu",
+                         "backtracks_y", "backtracks_mu", "elapsed_s"],
+                  [np.arange(self.trace_f_sigma.shape[0]), self.trace_f_sigma,
+                   self.trace_f_true, self.trace_alpha_y, self.trace_alpha_mu,
+                   self.trace_bt_y, self.trace_bt_mu, self.trace_elapsed_s])
 
 
 def apg_solve(

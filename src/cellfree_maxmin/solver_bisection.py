@@ -24,7 +24,6 @@ total iteration budget oracle_iter_cap. The bracket always starts at
 [0, zero-interference bound + pad].
 """
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ import numpy as np
 from . import kernels, native
 from .rates import PowerControl, RateModel, as_mu_matrix, min_rate
 from .solver_apg import ApgConfig, compiled_stage
+from .tables import write_csv
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -228,11 +228,8 @@ class BisectionReport:
     oracle_iters_total: int = 0
 
     def write_steps_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "t_lo", "t_hi", "oracle_iters", "oracle_status"])
-            for s in self.steps:
-                writer.writerow([s.step, repr(s.t_lo), repr(s.t_hi), s.oracle_iters, s.oracle_status])
+        names = ["step", "t_lo", "t_hi", "oracle_iters", "oracle_status"]
+        write_csv(path, names, [[getattr(s, name) for s in self.steps] for name in names])
 
 
 def bisection_solve(

@@ -29,26 +29,32 @@
  * is mu itself and both objective values are finite (the step underflowed;
  * value and value_grad round f(mu) differently), and "line_search" otherwise.
  *
- * Every formula mirrors the numpy reference in kernels.py term by term. Its
- * margin kernels also sum in the order given below and call the C library's
- * exp, so a margin stage equals monotone_apg bit for bit; its rate kernels
- * take the dot products and log1p from numpy, so a rate stage agrees with it
- * up to their rounding. Build
- * without -ffast-math and without FP contraction: a NaN objective must keep
- * failing the sufficient-increase test, as it does in numpy.
+ * Every formula mirrors the numpy reference in kernels.py term by term. The
+ * per-user exp and log1p are the vector kernels vexp and vlog1p below, built
+ * from +, -, *, /, compares and bit operations only (no libm, no libmvec),
+ * each within 1 ulp of the C library. The margin kernels sum in the order
+ * given below, and kernels._exp repeats vexp operation for operation, so a
+ * margin stage equals monotone_apg bit for bit; the rate kernels take the
+ * dot products and log1p from numpy, so a rate stage agrees with it up to
+ * their rounding. Build without -ffast-math and without FP contraction: a NaN
+ * objective must keep failing the sufficient-increase test, as it does in
+ * numpy, and the kernels must round the same on every lane width.
  *
  * Invariant for every edit of the kernels: each per-user sum
  * p_u = gs_u . mu_n, q_u = asq_u . mu_n^2 runs over m in ascending order,
  * one multiply then one add per term, with no FMA and no reassociation; each
- * gradient entry sums its group's users in ascending order. SIMD lanes hold
- * different users (or different m in the gradient), never parts of one sum,
- * so results are bit-identical for every lane width and to a scalar build.
+ * gradient entry and the soft minimum's weight sum add their users in
+ * ascending order. SIMD lanes hold different users (or different m in the
+ * gradient), never parts of one sum, and vexp and vlog1p work lane by lane,
+ * so results are bit-identical for every lane width.
  *
  * Array conventions follow kernels.py: gs, asq are (T, M) row-major, gptr is
  * the (N+1,) group pointer, iterates are (N, M) row-major. For the dot
  * products each objective copies gs and asq into an (M, Tp) user-minor
  * layout in which every group is padded with zero columns to whole vectors
- * of LANES users.
+ * of LANES users. Per-user arrays (p, q, the rates or margins and their
+ * weights) hold Tv = T rounded up to whole vectors; the padding entries are
+ * computed and never read.
  */
 
 #include <math.h>
@@ -68,6 +74,8 @@
 #endif
 
 typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t ivec __attribute__((vector_size(LANES * sizeof(double))));
+typedef uint64_t uvec __attribute__((vector_size(LANES * sizeof(double))));
 
 enum { APG_RATE = 0, APG_MARGIN = 1 };
 enum {
@@ -99,14 +107,15 @@ typedef struct {
     int kind;
     const double *gs, *asq;
     const int64_t *gptr;
-    int64_t T, N, M, Tp;
+    int64_t T, N, M, Tp, Tv;
     double rho, sigma;
     double et1, set1, lin;  /* margin constants at level t */
     const double *gt, *at;  /* (M, Tp) user-minor copies of gs, asq */
-    double *v, *c, *acc, *pq;  /* scratch: T, T, M, 2T */
+    double *v, *c, *acc, *pq;  /* scratch: Tv, Tv, M, 2Tv */
 } Objective;
 
-/* columns of a group of k users in the user-minor copies */
+/* k rounded up to whole vectors: the columns of a group of k users in the
+ * user-minor copies, and (k = T) the length of every per-user array */
 static int64_t padded(int64_t k)
 {
     return (k + LANES - 1) / LANES * LANES;
@@ -116,14 +125,14 @@ static int64_t padded(int64_t k)
  * (M, Tp) copies (Tp <= T + N*(LANES-1)) with room to align them. */
 int64_t apg_scratch_len(int64_t T, int64_t N, int64_t M)
 {
-    return 4 * T + M + 2 * M * (T + N * (LANES - 1)) + LANES - 1;
+    return 4 * padded(T) + M + 2 * M * (T + N * (LANES - 1)) + LANES - 1;
 }
 
 /* Doubles of work for apg_stage: nine (N, M) iterates and gradients, three
  * more p/q pairs, and the objective scratch. */
 int64_t apg_work_len(int64_t T, int64_t N, int64_t M)
 {
-    return 9 * N * M + 6 * T + apg_scratch_len(T, N, M);
+    return 9 * N * M + 6 * padded(T) + apg_scratch_len(T, N, M);
 }
 
 int64_t apg_lanes(void)
@@ -160,6 +169,126 @@ static void project(const double *x, double *out, double *nsq, int64_t N, int64_
                 out[n * M + m] /= s;
         }
     }
+}
+
+static vec splat(double a)
+{
+    vec v;
+    for (int j = 0; j < LANES; j++)
+        v[j] = a;
+    return v;
+}
+
+/* lane by lane m ? a : b, for masks of all ones or all zeros */
+static vec select(ivec m, vec a, vec b)
+{
+    return (vec)((m & (ivec)a) | (~m & (ivec)b));
+}
+
+static vec load(const double *p)
+{
+    vec v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store(double *p, vec v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+#define LN2_HI 6.93147180369123816490e-01 /* 0x3fe62e42fee00000: 32 bits */
+#define LN2_LO 1.90821492927058770002e-10 /* 0x3dea39ef35793c76 */
+#define INV_LN2 1.44269504088896338700e+00
+#define ROUND_MAGIC 0x1.8p52 /* x + it - it rounds x to an integer, which its low bits hold */
+
+/* exact doubles of small integers */
+static vec to_double(ivec k)
+{
+    return (vec)((uvec)k + (uvec)splat(ROUND_MAGIC)) - ROUND_MAGIC;
+}
+
+/* exp of each lane, within 1 ulp: Cody-Waite reduction x = k ln2 + s with
+ * |s| <= ln2/2, the degree-13 Taylor polynomial of exp(s) (its truncation
+ * error is below 5e-18), and 2^k applied as two factors, so a subnormal
+ * result is rounded once. Lanes below -750 give 0, above 710 inf; NaN stays
+ * NaN. kernels._exp repeats it operation for operation. */
+static vec vexp(vec x)
+{
+    x = select(x < -750.0, splat(-750.0), x);
+    x = select(x > 710.0, splat(710.0), x);
+    vec t = x * INV_LN2 + ROUND_MAGIC;
+    vec q = t - ROUND_MAGIC;
+    ivec k = (ivec)t - (ivec)splat(ROUND_MAGIC);
+    vec s = (x - q * LN2_HI) - q * LN2_LO;
+    vec u = splat(1.0 / 6227020800.0);
+    u = u * s + 1.0 / 479001600.0;
+    u = u * s + 1.0 / 39916800.0;
+    u = u * s + 1.0 / 3628800.0;
+    u = u * s + 1.0 / 362880.0;
+    u = u * s + 1.0 / 40320.0;
+    u = u * s + 1.0 / 5040.0;
+    u = u * s + 1.0 / 720.0;
+    u = u * s + 1.0 / 120.0;
+    u = u * s + 1.0 / 24.0;
+    u = u * s + 1.0 / 6.0;
+    u = u * s + 0.5;
+    u = s * s * u + s + 1.0;
+    ivec k1 = k >> 1, k2 = k - k1;
+    return u * (vec)(((uvec)k1 + 1023) << 52) * (vec)(((uvec)k2 + 1023) << 52);
+}
+
+/* log1p of each lane x >= 0, within 1 ulp: fdlibm's s_log1p.c without its
+ * branches. u = 1 + x = 2^k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2), c the
+ * rounding error of u relative to u, s = f/(2 + f), and log(1 + f) from the
+ * series in s^2 (Lp1-Lp7). +inf gives +inf; NaN stays NaN. */
+static vec vlog1p(vec x)
+{
+    vec u = x + 1.0;
+    uvec hu = (uvec)u >> 32;
+    ivec k = (ivec)(hu >> 20) - 1023;
+    vec c = select(k > 0, 1.0 - (u - x), x - (u - 1.0)) / u;
+    uvec m = hu & 0xfffff;
+    ivec big = (ivec)(m >= 0x6a09e); /* 1 + f would pass sqrt(2): halve it */
+    k -= big;
+    uvec hi = m | (0x3ff00000 - ((uvec)big & 0x00100000));
+    vec f = (vec)((hi << 32) | ((uvec)u & 0xffffffff)) - 1.0;
+    vec hfsq = 0.5 * f * f;
+    vec s = f / (2.0 + f);
+    vec z = s * s;
+    vec r = z * (6.666666666666735130e-01 +
+            z * (3.999999999940941908e-01 +
+            z * (2.857142874366239149e-01 +
+            z * (2.222219843214978396e-01 +
+            z * (1.818357216161805012e-01 +
+            z * (1.531383769920937332e-01 +
+            z * 1.479819860511658591e-01))))));
+    vec dk = to_double(k);
+    vec y = dk * LN2_HI - ((hfsq - (s * (hfsq + r) + (dk * LN2_LO + c))) - f);
+    return select(x == INFINITY, x, y);
+}
+
+/* out = kernel(x) over n entries, for checking the kernels against the C
+ * library */
+static void over_array(vec (*kernel)(vec), const double *x, double *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i += LANES) {
+        const int64_t k = n - i < LANES ? n - i : LANES;
+        double buf[LANES] = {0};
+        memcpy(buf, x + i, k * sizeof(double));
+        store(buf, kernel(load(buf)));
+        memcpy(out + i, buf, k * sizeof(double));
+    }
+}
+
+void apg_vexp(const double *x, double *out, int64_t n)
+{
+    over_array(vexp, x, out, n);
+}
+
+void apg_vlog1p(const double *x, double *out, int64_t n)
+{
+    over_array(vlog1p, x, out, n);
 }
 
 /* p_u = gs_u . mu_n and q_u = asq_u . mu_n^2 for the users of group n, whose
@@ -201,12 +330,13 @@ static void group_pq(const Objective *o, const double *mu, int64_t n, int64_t co
     }
 }
 
-/* p (first T entries of pq) and q (last T) of every user at mu */
+/* p (first Tv entries of pq) and q (last Tv) of every user at mu; the
+ * padding entries past T keep their values */
 static void user_pq(const Objective *o, const double *mu, double *pq)
 {
     int64_t col = 0;
     for (int64_t n = 0; n < o->N; n++) {
-        group_pq(o, mu, n, col, pq, pq + o->T);
+        group_pq(o, mu, n, col, pq, pq + o->Tv);
         col += padded(o->gptr[n + 1] - o->gptr[n]);
     }
 }
@@ -221,21 +351,38 @@ static double vmin(const double *v, int64_t T)
     return lo;
 }
 
+/* v[u] = exp(-sigma*(v[u] - lo)) over whole vectors, lo = min of the first
+ * T; returns lo and sets *wsum to the sum of the first T weights, added in
+ * ascending order */
+static double soft_weights(const Objective *o, double *wsum)
+{
+    const double lo = vmin(o->v, o->T), sigma = o->sigma;
+    for (int64_t u = 0; u < o->Tv; u += LANES)
+        store(o->v + u, vexp(-sigma * (load(o->v + u) - lo)));
+    double s = 0.0;
+    for (int64_t u = 0; u < o->T; u++)
+        s += o->v[u];
+    *wsum = s;
+    return lo;
+}
+
 /* objective value from the p and q of user_pq; *aux is the true min-rate or
  * the max cone residual */
 static double value(const Objective *o, const double *pq, double *aux)
 {
     const int64_t T = o->T;
-    const double rho = o->rho, *p = pq, *q = pq + T;
-    for (int64_t u = 0; u < T; u++) {
-        if (o->kind == APG_RATE)
-            o->v[u] = log1p(0.25 * PI * rho * p[u] * p[u] / (rho * q[u] + 1.0));
-        else  /* -(soc residual) */
+    const double rho = o->rho, *p = pq, *q = pq + o->Tv;
+    if (o->kind == APG_RATE) {
+        const double b = 0.25 * PI * rho;
+        for (int64_t u = 0; u < o->Tv; u += LANES) {
+            vec pu = load(p + u);
+            store(o->v + u, vlog1p(b * pu * pu / (rho * load(q + u) + 1.0)));
+        }
+    } else {
+        for (int64_t u = 0; u < T; u++)  /* -(soc residual) */
             o->v[u] = -(sqrt(o->et1 * (rho * q[u] + 1.0)) - o->lin * p[u]);
     }
-    double lo = vmin(o->v, T), s = 0.0;
-    for (int64_t u = 0; u < T; u++)
-        s += exp(-o->sigma * (o->v[u] - lo));
+    double s, lo = soft_weights(o, &s);
     *aux = o->kind == APG_RATE ? lo : -lo;
     return lo - log(s / T) / o->sigma;
 }
@@ -255,24 +402,22 @@ static double value_grad(const Objective *o, const double *mu, const double *pq,
                          double *aux)
 {
     const int64_t T = o->T, M = o->M;
-    const double rho = o->rho, sigma = o->sigma, *p = pq, *q = pq + T;
-    for (int64_t u = 0; u < T; u++) {
-        if (o->kind == APG_RATE) {
-            double b = 0.25 * PI * rho * p[u] * p[u];
-            double c = rho * q[u] + 1.0;
-            o->v[u] = log1p(b / c);
-            o->c[u] = c;
-        } else {
+    const double rho = o->rho, sigma = o->sigma, *p = pq, *q = pq + o->Tv;
+    if (o->kind == APG_RATE) {
+        const double b = 0.25 * PI * rho;
+        for (int64_t u = 0; u < o->Tv; u += LANES) {
+            vec pu = load(p + u), c = rho * load(q + u) + 1.0;
+            store(o->v + u, vlog1p(b * pu * pu / c));
+            store(o->c + u, c);
+        }
+    } else {
+        for (int64_t u = 0; u < T; u++) {
             double d = sqrt(rho * q[u] + 1.0);
             o->v[u] = o->lin * p[u] - o->set1 * d;
             o->c[u] = 1.0 / d;
         }
     }
-    double lo = vmin(o->v, T), wsum = 0.0;
-    for (int64_t u = 0; u < T; u++) {
-        o->v[u] = exp(-sigma * (o->v[u] - lo));  /* v now holds the weights */
-        wsum += o->v[u];
-    }
+    double wsum, lo = soft_weights(o, &wsum);  /* v now holds the weights */
     double f = lo - log(wsum / T) / sigma;
     *aux = o->kind == APG_RATE ? lo : -lo;
 
@@ -333,12 +478,15 @@ static Objective objective(int kind, const double *gs, const double *asq, const 
     int64_t Tp = 0;
     for (int64_t n = 0; n < N; n++)
         Tp += padded(gptr[n + 1] - gptr[n]);
+    const int64_t Tv = padded(T);
     /* whole vectors from here on: every row of Tp columns keeps the alignment */
     const uintptr_t align = LANES * sizeof(double);
-    double *gt = (double *)(((uintptr_t)(scratch + 4 * T + M) + align - 1) / align * align);
+    double *gt = (double *)(((uintptr_t)(scratch + 4 * Tv + M) + align - 1) / align * align);
     double *at = gt + M * Tp;
-    Objective o = {kind, gs, asq, gptr, T, N, M, Tp, rho, sigma, 0.0, 0.0, 0.0, gt, at,
-                   scratch, scratch + T, scratch + 2 * T, scratch + 2 * T + M};
+    Objective o = {kind, gs, asq, gptr, T, N, M, Tp, Tv, rho, sigma, 0.0, 0.0, 0.0, gt, at,
+                   scratch, scratch + Tv, scratch + 2 * Tv, scratch + 2 * Tv + M};
+    /* the padding lanes of v, c and p/q enter the kernels: keep them finite */
+    memset(scratch, 0, (4 * Tv + M) * sizeof(double));
     if (kind == APG_MARGIN) {
         o.et1 = expm1(t);
         o.set1 = sqrt(o.et1);
@@ -400,8 +548,10 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     double *vn = zn + L, *tmp = vn + L, *gy = tmp + L, *gmu = gy + L;
     /* p and q of the trial points y, zn, vn; those of mu are kept from the
      * trial that was accepted as mu */
-    double *pq_y = gmu + L, *pq_z = pq_y + 2 * T, *pq_v = pq_z + 2 * T;
-    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, pq_v + 2 * T);
+    const int64_t Tv = padded(T);
+    double *pq_y = gmu + L, *pq_z = pq_y + 2 * Tv, *pq_v = pq_z + 2 * Tv;
+    memset(pq_y, 0, 6 * Tv * sizeof(double));
+    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, pq_v + 2 * Tv);
     double *pq_mu = o.pq;
     const double kappa = cfg->kappa, delta = cfg->delta;
     const int64_t grow_after = cfg->step_grow_after;

@@ -12,14 +12,15 @@ reference that engine is tested against.
 
 The projection and both objectives' soft minimum and gradient sums repeat
 the engine's arithmetic operation for operation: every sum runs in ascending
-order with one add per term, and exp is the C library's. The margin value
-and gradient also form p and q that way, so a margin stage of the engine
-equals monotone_apg bit for bit; a step policy that chains many extrapolated
-steps amplifies any last-bit difference. The rate kernels keep numpy's dot
-products and log1p, because their rates are the closed-form rates every
-experiment writes, and soc_residuals keeps numpy's dot products for speed in
-the bisection oracle; a rate stage agrees with the reference up to that
-rounding.
+order with one add per term, and exp is _exp, a numpy port of the engine's
+vector exp (within 1 ulp of the C library's). The margin value and gradient
+also form p and q that way, so a margin stage of the engine equals
+monotone_apg bit for bit; a step policy that chains many extrapolated steps
+amplifies any last-bit difference. The rate kernels keep numpy's dot
+products and log1p (the engine has its own vector log1p), because their
+rates are the closed-form rates every experiment writes, and soc_residuals
+keeps numpy's dot products for speed in the bisection oracle; a rate stage
+agrees with the reference up to that rounding.
 
 Array conventions shared by every kernel:
 
@@ -62,11 +63,37 @@ def _user_rates(gs, asq, gptr, mu, rho):
     return _rate_terms(gs, asq, gptr, mu, rho)[0]
 
 
-def _libm(fn, x):
-    """fn, a C math library function as the math module exposes it, of each
-    entry of x: numpy's own vectorized exp and log1p round some results
-    differently."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+_LN2_HI = 6.93147180369123816490e-01  # 32 bits: k * _LN2_HI is exact
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e+00
+_ROUND_MAGIC = float.fromhex("0x1.8p52")  # x + it - it rounds x; its low bits hold the result
+_ROUND_MAGIC_BITS = np.array(_ROUND_MAGIC).view(np.int64)
+# 1/13!, 1/12!, ..., 1/2!: Horner coefficients of exp(s) - 1 - s over s^2
+_EXP_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13, 1, -1))
+
+
+def _pow2(k):
+    return ((k + 1023).view(np.uint64) << np.uint64(52)).view(np.float64)
+
+
+def _exp(x):
+    """exp of each entry of a float64 array: the compiled stage's vexp
+    (apg_stage.c) operation for operation, so equal to it bit for bit and
+    within 1 ulp of the C library. Cody-Waite reduction x = k ln2 + s, the
+    degree-13 Taylor polynomial of exp(s), and 2^k as two factors; below
+    -750 gives 0, above 710 inf, NaN stays NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.minimum(np.maximum(x, -750.0), 710.0)
+        t = x * _INV_LN2 + _ROUND_MAGIC
+        q = t - _ROUND_MAGIC
+        k = t.view(np.int64) - _ROUND_MAGIC_BITS
+        s = (x - q * _LN2_HI) - q * _LN2_LO
+        u = np.full_like(s, _EXP_TAYLOR[0])
+        for c in _EXP_TAYLOR[1:]:
+            u = u * s + c
+        u = s * s * u + s + 1.0
+        k1 = k >> 1
+        return u * _pow2(k1) * _pow2(k - k1)
 
 
 def _seq_sum(a, axis=-1):
@@ -89,7 +116,7 @@ def _user_pq(gs, asq, gptr, mu):
 def _soft_min(v, sigma):
     """(min, weights exp(-sigma*(v - min)), their sum, soft minimum of v)"""
     vmin = v.min()
-    w = _libm(math.exp, -sigma * (v - vmin))
+    w = _exp(-sigma * (v - vmin))
     wsum = _seq_sum(w)
     return vmin, w, wsum, vmin - math.log(wsum / v.shape[0]) / sigma
 

@@ -146,6 +146,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     for name in ("apg_work_len", "apg_scratch_len"):
         getattr(lib, name).argtypes = [i64, i64, i64]
         getattr(lib, name).restype = i64
+    # the vector exp and log1p of the stage over arrays: (x, out, n)
+    for name in ("apg_vexp", "apg_vlog1p"):
+        getattr(lib, name).argtypes = [ptr, ptr, i64]
+        getattr(lib, name).restype = None
     lib.apg_lanes.argtypes = []
     lib.apg_lanes.restype = i64
     lib.apg_clock.argtypes = []

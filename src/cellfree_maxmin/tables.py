@@ -14,7 +14,7 @@ import numpy as np
 _NEEDS_QUOTES = frozenset(',"\r\n')
 
 
-def format_cell(x) -> str:
+def _format_cell(x) -> str:
     """One cell: str as is, bool as true/false, int as str, else the repr of
     its float value."""
     if isinstance(x, str):
@@ -37,7 +37,7 @@ def _format_column(col) -> list:
             return list(map(str, col.tolist()))
         if kind == "b":
             return ["true" if b else "false" for b in col.tolist()]
-    return [format_cell(x) for x in col]
+    return [_format_cell(x) for x in col]
 
 
 def write_csv(path, header, columns) -> None:
@@ -47,7 +47,7 @@ def write_csv(path, header, columns) -> None:
         raise ValueError("CSV columns differ in length")
     if len(cells) == 1 and "" in cells[0]:
         raise ValueError("an empty cell alone on its row would need quoting")
-    lines = [",".join(format_cell(h) for h in header)]
+    lines = [",".join(_format_cell(h) for h in header)]
     lines.extend(map(",".join, zip(*cells)))
     lines.append("")
     with open(path, "w", newline="") as fh:

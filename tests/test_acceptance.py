@@ -250,7 +250,7 @@ def test_criterion_09_scaling(tmp_path):
     cfg = default_config("scaling")
     cfg = ExperimentConfig.from_json_dict({**cfg.to_json_dict(), "out_dir": str(tmp_path / "scaling")})
 
-    # fixed-iteration complexity ratio, median of 5 to suppress scheduler noise
+    # fixed-iteration complexity ratio, median of 11 to suppress scheduler noise
     models = {}
     for m in (100, 200):
         dims = Dimensions.uniform(m, 2, 15)
@@ -259,7 +259,7 @@ def test_criterion_09_scaling(tmp_path):
     sigma = cfg.sigma_schedule[0]
     apg_fixed_iteration_time(models[100], cfg.apg, sigma, 30)
     ratios = []
-    for _ in range(5):
+    for _ in range(11):
         t100 = apg_fixed_iteration_time(models[100], cfg.apg, sigma, 300)
         t200 = apg_fixed_iteration_time(models[200], cfg.apg, sigma, 300)
         ratios.append(t200 / t100)

@@ -181,6 +181,21 @@ def test_margin_stage_matches_monotone_apg(lib, case, level):
         assert got.certified_bound > -1e-6
 
 
+@pytest.mark.xfail(strict=True, reason="a sigma_f=3000 margin stage plateaus at a max "
+                   "residual near 5.9e-6 at a level below this instance's optimum")
+def test_margin_stage_certifies_a_level_below_a_tiny_optimum(lib):
+    """The below_optimum case of M1-7x9x2 at 0.9 x 1.339e-9 nats, the APG
+    min-rate that a variant of the step policy reaches, instead of
+    0.9 x 2.89e-10: same start point, ApgConfig and sigma_f as
+    test_margin_stage_matches_monotone_apg."""
+    model = shaped_model(1, (7, 9, 2), 0)
+    x0 = random_feasible_matrix(model, np.random.default_rng(0))
+    cfg = ApgConfig(max_iters=300, stop_tol=1e-9, stop_window=20)
+    got = compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=1.205e-9,
+                         eps_soc=1e-6, gap_check_every=10)
+    assert got.termination == FEASIBLE
+
+
 @pytest.mark.parametrize("overrides", [
     {},
     # extrapolated steps too long for the capped search: every one is rejected

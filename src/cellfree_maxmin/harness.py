@@ -44,6 +44,7 @@ from .rates import (
     min_rate,
     rate_oracle_monte_carlo,
     rates_vector,
+    user_columns,
 )
 from .solver_apg import ApgConfig, SolveReport, apg_solve, apg_solve_continuation, project_feasible
 from .solver_bisection import BisectionConfig, bisection_solve, build_soc_system
@@ -246,13 +247,6 @@ def _write_summary(out: str, summary: dict):
               [list(summary), list(summary.values())])
 
 
-def _user_columns(group_sizes, trials: int):
-    """(group, user-in-group) index columns of `trials` repeats of the users."""
-    group = np.repeat(np.arange(len(group_sizes)), group_sizes)
-    user = np.concatenate([np.arange(k) for k in group_sizes])
-    return np.tile(group, trials), np.tile(user, trials)
-
-
 def _cdf_trial(cfg: ExperimentConfig, trial: int) -> tuple:
     """Per-user rates (APG, EPA) of one cdf trial on its own fresh instance."""
     instance = generate_instance(cfg.dims, cfg.physical, trial_seed(cfg.master_seed, trial))
@@ -280,7 +274,7 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     apg = np.array([r[0] for r in results])
     epa = np.array([r[1] for r in results])
     trial = np.arange(cfg.trials)
-    user_cols = [np.repeat(trial, apg.shape[1]), *_user_columns(cfg.group_sizes, cfg.trials)]
+    user_cols = [np.repeat(trial, apg.shape[1]), *user_columns(cfg.group_sizes, cfg.trials)]
     header = ["trial", "group", "user", "rate_nats", "rate_bits"]
     summaries = {}
     for name, rates in (("apg", apg), ("epa", epa)):
@@ -420,7 +414,7 @@ def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
          "mc_rate_nats", "std_error", "n_std_err", "within_3se",
          "low_confidence", "epa_consistent"],
         [np.repeat(np.arange(cfg.trials), T), np.repeat(seeds, T),
-         *_user_columns(dims.group_sizes, cfg.trials), np.concatenate(closed),
+         *user_columns(dims.group_sizes, cfg.trials), np.concatenate(closed),
          np.concatenate(mc_rate), np.concatenate(std_error), nse, ok, low_conf,
          np.repeat(epa_consistent, T)],
     )

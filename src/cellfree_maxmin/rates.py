@@ -189,11 +189,17 @@ class RateVector:
         return rows
 
     def write_csv(self, path, prelog: float = 1.0):
-        sizes = np.diff(self.group_ptr)
-        group = np.repeat(np.arange(sizes.shape[0]), sizes)
         nats = prelog * self.rates
         write_csv(path, ["group", "user", "rate_nats", "rate_bits"],
-                  [group, np.arange(group.shape[0]) - self.group_ptr[group], nats, nats / LN2])
+                  [*user_columns(np.diff(self.group_ptr)), nats, nats / LN2])
+
+
+def user_columns(group_sizes, repeats: int = 1):
+    """(group, user-in-group) index columns of `repeats` copies of the users,
+    group-major."""
+    group = np.repeat(np.arange(len(group_sizes)), group_sizes)
+    user = np.concatenate([np.arange(k) for k in group_sizes])
+    return np.tile(group, repeats), np.tile(user, repeats)
 
 
 def rates_vector(model: RateModel, mu) -> RateVector:

@@ -300,11 +300,16 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     }
 
 
+def fixed_iteration_config(apg: ApgConfig, iters: int) -> ApgConfig:
+    """`apg` for exactly `iters` iterations: stopping rule disabled."""
+    return replace(apg, max_iters=iters, stop_tol=0.0, stop_window=iters + 1)
+
+
 def apg_fixed_iteration_time(model, apg: ApgConfig, sigma: float, iters: int,
                              clock: Optional[Callable] = None) -> float:
     """Wall time of exactly `iters` APG iterations at `sigma` (stopping rule
     disabled); used for complexity-scaling checks."""
-    cfg = replace(apg, max_iters=iters, stop_tol=0.0, stop_window=iters + 1)
+    cfg = fixed_iteration_config(apg, iters)
     timer = clock or time.perf_counter
     t0 = timer()
     # the caller's clock as given: without one the stage keeps its own

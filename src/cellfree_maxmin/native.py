@@ -1,9 +1,11 @@
-"""Build and load the compiled monotone-APG stage (apg_stage.c).
+"""Build and load the compiled library: the monotone-APG stage (apg_stage.c)
+and the Monte-Carlo oracle's block pass (mc_block.c).
 
-The library is built with the system C compiler on first use, never at
-import, into ``${XDG_CACHE_HOME:-~/.cache}/cellfree_maxmin/``. It is built
-for the host CPU (``-march=native``), so its file name carries a hash of the
-source, the compiler, the flags and the host CPU's identity: a changed source,
+Both sources are built into one shared library with the system C compiler
+on first use, never at import, into
+``${XDG_CACHE_HOME:-~/.cache}/cellfree_maxmin/``. It is built for the host
+CPU (``-march=native``), so its file name carries a hash of both sources,
+the compiler, the flags and the host CPU's identity: a changed source,
 compiler or CPU builds afresh (a shared home directory never loads a library
 built for another CPU), and every later process only loads the file. Each
 build writes a private temporary file and renames it into place, so processes
@@ -11,10 +13,10 @@ that build at the same time cannot see a partial library, and threads of one
 process that load it for the first time together take turns, so only the
 first builds. Compiler output is captured and never printed.
 
-This library is the only engine the solvers run, so a C compiler is
-required: when none is found, or the build fails, :func:`load_library`
-raises RuntimeError. solver_apg.monotone_apg, the same loop over the numpy
-kernels, is the reference the library is tested against.
+This library is the only engine the solvers and the Monte-Carlo oracle run,
+so a C compiler is required: when none is found, or the build fails,
+:func:`load_library` raises RuntimeError. solver_apg.monotone_apg, the same
+loop over the numpy kernels, is the reference the stage is tested against.
 """
 
 import ctypes
@@ -25,7 +27,8 @@ import platform
 import shutil
 import threading
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "apg_stage.c")
+SOURCES = tuple(os.path.join(os.path.dirname(os.path.abspath(__file__)), name)
+                for name in ("apg_stage.c", "mc_block.c"))
 COMPILERS = ("cc", "gcc")
 # no -ffast-math: NaN comparisons must fail and rounding must follow numpy;
 # no FP contraction: every sum keeps its separate multiply and add
@@ -95,16 +98,17 @@ def _library_path(compiler: str) -> str:
     real = os.path.realpath(compiler)
     st = os.stat(real)
     digest = hashlib.sha256()
-    with open(SOURCE, "rb") as fh:
-        digest.update(fh.read())
+    for source in SOURCES:
+        with open(source, "rb") as fh:
+            digest.update(fh.read())
     digest.update(f"\0{real}\0{st.st_size}\0{st.st_mtime_ns}\0{' '.join(CFLAGS)}"
                   f"\0{_host_cpu()}".encode())
     return os.path.join(_cache_dir(), f"apg_stage-{digest.hexdigest()[:16]}.so")
 
 
 def _build(compiler: str, target: str) -> None:
-    """Compile SOURCE into `target`; RuntimeError naming the compiler and the
-    source, with the compiler's last error line, when that fails."""
+    """Compile SOURCES into `target`; RuntimeError naming the compiler and the
+    sources, with the compiler's last error line, when that fails."""
     import subprocess
     import tempfile
 
@@ -112,17 +116,17 @@ def _build(compiler: str, target: str) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
     os.close(fd)
     try:
-        proc = subprocess.run([compiler, *CFLAGS, "-o", tmp, SOURCE, "-lm"],
+        proc = subprocess.run([compiler, *CFLAGS, "-o", tmp, *SOURCES, "-lm"],
                               stdin=subprocess.DEVNULL, capture_output=True,
                               timeout=BUILD_TIMEOUT_S)
         if proc.returncode != 0:
             lines = proc.stderr.decode(errors="replace").strip().splitlines()
-            raise RuntimeError(f"{compiler} failed to build {SOURCE} (exit code "
+            raise RuntimeError(f"{compiler} failed to build {' '.join(SOURCES)} (exit code "
                                f"{proc.returncode}): {lines[-1] if lines else 'no output'}")
         os.replace(tmp, target)
     except subprocess.TimeoutExpired:
         raise RuntimeError(
-            f"{compiler} did not build {SOURCE} within {BUILD_TIMEOUT_S} s") from None
+            f"{compiler} did not build {' '.join(SOURCES)} within {BUILD_TIMEOUT_S} s") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -150,6 +154,15 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     for name in ("apg_vexp", "apg_vlog1p"):
         getattr(lib, name).argtypes = [ptr, ptr, i64]
         getattr(lib, name).restype = None
+    lib.mc_scratch_len.argtypes = [i64, i64, i64]
+    lib.mc_scratch_len.restype = i64
+    # the pilot model (M, T, N, group pointer, pilot, noise scale, z scale),
+    # then count, g, w -> z, ...
+    pilot = [i64, i64, i64, ptr, ptr, dbl, ptr, i64, ptr, ptr]
+    lib.mc_pilot.argtypes = pilot + [ptr]
+    lib.mc_pilot.restype = None
+    lib.mc_block.argtypes = pilot + [ptr, ptr, ptr, ptr]
+    lib.mc_block.restype = None
     lib.apg_lanes.argtypes = []
     lib.apg_lanes.restype = i64
     lib.apg_clock.argtypes = []

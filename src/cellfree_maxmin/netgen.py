@@ -14,6 +14,8 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import native
+
 BOLTZMANN_J_PER_K = 1.38e-23
 
 # Named RNG streams. Drawing more from one stream never perturbs another.
@@ -269,51 +271,52 @@ class SmallScaleBlock(NamedTuple):
 
 class PilotModel(NamedTuple):
     """Pilot stage of the block pipeline. The pilot observation of group n at
-    AP m is ytilde_mn = sum_k pilot[m, k, n] g_mk + noise_scale * (unit complex
-    normal), with pilot[m, k, n] = sqrt(rho_p*tau_p*zeta_mk) for the users k of
-    group n and 0 otherwise; z = ytilde / z_scale has unit variance."""
+    AP m is ytilde_mn = sum_{k in group n} pilot[m, k] g_mk + noise_scale *
+    (unit complex normal), with pilot[m, k] = sqrt(rho_p*tau_p*zeta_mk);
+    z = ytilde / z_scale has unit variance. mc_block.c forms it."""
 
-    pilot: np.ndarray      # (M, T, N)
+    pilot: np.ndarray      # (M, T)
+    group_ptr: np.ndarray  # (N+1,) int64
     noise_scale: float
     z_scale: np.ndarray    # (M, N)
 
+    def c_args(self, count: int, g: np.ndarray, w: np.ndarray) -> tuple:
+        """The leading arguments of mc_pilot and mc_block: the model, then
+        the draw count and the unit normals g (2, count, M, T) and w
+        (2, count, M, N), which the call replaces by z."""
+        m, t = self.pilot.shape
+        return (m, t, self.z_scale.shape[1], self.group_ptr.ctypes.data, self.pilot.ctypes.data,
+                self.noise_scale, self.z_scale.ctypes.data, count, g.ctypes.data, w.ctypes.data)
+
 
 def pilot_model(instance: NetworkInstance) -> PilotModel:
-    m, t = instance.zeta.shape
+    m = instance.dims.num_aps
     n_groups = instance.dims.num_groups
     rt = instance.rho_p_w * instance.config.pilot_len_symbols
     sigma2 = instance.noise_variance_w
     ptr = instance.group_ptr
-    members = np.zeros((t, n_groups))
     denom = np.empty((m, n_groups))
     for n in range(n_groups):
-        lo, hi = ptr[n], ptr[n + 1]
-        members[lo:hi, n] = np.sqrt(rt)
-        denom[:, n] = rt * instance.zeta[:, lo:hi].sum(axis=1) + sigma2
-    pilot = np.sqrt(instance.zeta)[:, :, None] * members
-    return PilotModel(pilot, np.sqrt(sigma2 / 2.0), np.sqrt(denom))
-
-
-# Pilot-noise normals per standard_normal call within a block: bounds the
-# noise buffer; the stream, and so every draw, is the same for any chunk.
-NOISE_CHUNK = 8192
+        denom[:, n] = rt * instance.zeta[:, ptr[n]:ptr[n + 1]].sum(axis=1) + sigma2
+    return PilotModel(np.sqrt(instance.zeta) * np.sqrt(rt), ptr, np.sqrt(sigma2 / 2.0),
+                      np.sqrt(denom))
 
 
 class BlockBuffers(NamedTuple):
-    """Flat storage for one block of joint draws: g, z and a pilot-noise
-    chunk (see smallscale_block)."""
+    """Flat storage for one block of joint draws: the unit normals of g, those
+    of the pilot noise w (replaced by z), and the compiled pass's scratch."""
 
     g: np.ndarray
     z: np.ndarray
-    noise: np.ndarray
+    scratch: np.ndarray
 
 
 def block_buffers(model: PilotModel, count: int) -> BlockBuffers:
     """Storage for a block of up to `count` draws."""
-    m, t, n_groups = model.pilot.shape
-    z_len = 2 * count * m * n_groups
-    return BlockBuffers(np.empty(2 * count * m * t), np.empty(z_len),
-                        np.empty(min(NOISE_CHUNK, z_len)))
+    m, t = model.pilot.shape
+    n_groups = model.z_scale.shape[1]
+    return BlockBuffers(np.empty(2 * count * m * t), np.empty(2 * count * m * n_groups),
+                        np.empty(native.load_library().mc_scratch_len(m, t, n_groups)))
 
 
 def block_sizes(count: int) -> List[int]:
@@ -321,34 +324,33 @@ def block_sizes(count: int) -> List[int]:
     return [min(SMALLSCALE_BLOCK, count - lo) for lo in range(0, count, SMALLSCALE_BLOCK)]
 
 
-def smallscale_block(model: PilotModel, seed: int, block_idx: int, count: int,
-                     buffers: Optional[BlockBuffers] = None) -> SmallScaleBlock:
-    """Block `block_idx` of joint draws: `count` draws from substream
-    (seed, STREAM_SMALLSCALE, block_idx), with z built from the actual pilot
-    observation so that E{h * conj(z)} = sqrt(gamma); see PilotModel.
-
-    The block is written into `buffers` (fresh arrays when None) and returned
-    as views of them. The stream is consumed as Re g, Im g, Re w, Im w (unit
-    normals scaled by sqrt(variance/2)); w is drawn NOISE_CHUNK normals at a
-    time and added to the pilot observations, which come from one matmul of
-    g batched over the APs."""
-    m, t, n_groups = model.pilot.shape
-    if buffers is None:
-        buffers = block_buffers(model, count)
+def block_normals(model: PilotModel, seed: int, block_idx: int, count: int,
+                  buffers: BlockBuffers) -> Tuple[np.ndarray, np.ndarray]:
+    """The unit normals of block `block_idx`, from substream (seed,
+    STREAM_SMALLSCALE, block_idx) in the order Re g, Im g, Re w, Im w, as
+    views (2, count, M, T) and (2, count, M, N) of `buffers`."""
+    m, t = model.pilot.shape
+    n_groups = model.z_scale.shape[1]
     rng = stream_rng(seed, STREAM_SMALLSCALE, block_idx)
     g = buffers.g[:2 * count * m * t].reshape(2, count, m, t)
+    w = buffers.z[:2 * count * m * n_groups].reshape(2, count, m, n_groups)
     rng.standard_normal(out=g)
-    g *= np.sqrt(0.5)
-    z_flat = buffers.z[:2 * count * m * n_groups]
-    z = z_flat.reshape(2, count, m, n_groups)
-    np.matmul(g.reshape(2 * count, m, t).swapaxes(0, 1), model.pilot,
-              out=z.reshape(2 * count, m, n_groups).swapaxes(0, 1))
-    for lo in range(0, z_flat.shape[0], buffers.noise.shape[0]):
-        w = buffers.noise[:z_flat.shape[0] - lo]
-        rng.standard_normal(out=w)
-        w *= model.noise_scale
-        z_flat[lo:lo + w.shape[0]] += w
-    z /= model.z_scale
+    rng.standard_normal(out=w)
+    return g, w
+
+
+def smallscale_block(model: PilotModel, seed: int, block_idx: int, count: int,
+                     buffers: Optional[BlockBuffers] = None) -> SmallScaleBlock:
+    """Block `block_idx` of joint draws: `count` draws of block_normals, with
+    g = sqrt(1/2) * (unit complex normal) and z built from the actual pilot
+    observation so that E{h * conj(z)} = sqrt(gamma); see PilotModel.
+
+    The block is written into `buffers` (fresh arrays when None) by one
+    mc_pilot call and returned as views of them."""
+    if buffers is None:
+        buffers = block_buffers(model, count)
+    g, z = block_normals(model, seed, block_idx, count, buffers)
+    native.load_library().mc_pilot(*model.c_args(count, g, z), buffers.scratch.ctypes.data)
     return SmallScaleBlock(g[0], g[1], z[0], z[1])
 
 

@@ -17,25 +17,22 @@ from typing import Tuple
 
 import numpy as np
 
-from . import kernels, pool
+from . import kernels, native, pool
 from .netgen import (
-    NOISE_CHUNK,
+    BlockBuffers,
     NetworkInstance,
-    SmallScaleBlock,
+    PilotModel,
     block_buffers,
+    block_normals,
     block_sizes,
     pilot_model,
-    smallscale_block,
 )
 from .tables import write_csv
 
 LN2 = math.log(2.0)
 FEASIBILITY_SLACK = 1e-9
-# Draws per _moment_vectors call within a block: every op in it is per draw,
-# so the chunk bounds its temporaries and changes no result.
-MOMENT_CHUNK = 512
 # Bytes the block threads of one oracle call may hold together. A thread
-# holds about 6 MB at M=8, 2x3 and 340 MB at M=100, 4x10 (_thread_bytes);
+# holds about 4 MB at M=8, 2x3 and 290 MB at M=100, 4x10 (_thread_bytes);
 # the thread count is cut to fit, but never below one.
 MOMENT_MEMORY_BUDGET = 1 << 30
 
@@ -251,62 +248,19 @@ class MonteCarloRateReport:
         return np.abs(self.rate_nats - np.asarray(reference, dtype=float)) / se
 
 
-def _moment_vectors(blk: SmallScaleBlock, weight: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """Per draw b and user u, the moment vector x[b, u] of the oracle.
-
-    All gains a[b, u, j] of user u seen through group j's beam phase are
-    sum_m weight[m, u] g[b, m, u] conj(z[b, m, j]) / |z[b, m, j]|. With the
-    real and imaginary parts stacked along the AP axis,
-    Re a = [hw_re; hw_im]^T [p_re; p_im] and Im a = [hw_re; hw_im]^T [-p_im; p_re],
-    two batched matmuls. `pick` gathers each user's (Re a, Im a, |a|^2) of its
-    own group and the |a|^2 of the other groups out of the (3, T, N) gains."""
-    b, m_aps, t_users = blk.g_re.shape
-    n_groups = blk.z_re.shape[2]
-    modulus = blk.z_re * blk.z_re
-    modulus += blk.z_im * blk.z_im
-    np.sqrt(modulus, out=modulus)
-    phase_re = np.empty((b, 2, m_aps, n_groups))
-    phase_im = np.empty((b, 2, m_aps, n_groups))
-    np.divide(blk.z_re, modulus, out=phase_re[:, 0])
-    np.divide(blk.z_im, modulus, out=phase_re[:, 1])
-    np.negative(phase_re[:, 1], out=phase_im[:, 0])
-    phase_im[:, 1] = phase_re[:, 0]
-    hw = np.empty((b, 2, m_aps, t_users))
-    np.multiply(blk.g_re, weight, out=hw[:, 0])
-    np.multiply(blk.g_im, weight, out=hw[:, 1])
-    hw_t = hw.reshape(b, 2 * m_aps, t_users).swapaxes(1, 2)
-    gains = np.empty((b, 3, t_users, n_groups))
-    np.matmul(hw_t, phase_re.reshape(b, 2 * m_aps, n_groups), out=gains[:, 0])
-    np.matmul(hw_t, phase_im.reshape(b, 2 * m_aps, n_groups), out=gains[:, 1])
-    np.multiply(gains[:, 0], gains[:, 0], out=gains[:, 2])
-    gains[:, 2] += gains[:, 1] * gains[:, 1]
-    return np.take(gains.reshape(b, -1), pick, axis=1).reshape(b, t_users, -1)
-
-
-def _moment_layout(instance: NetworkInstance, eta: np.ndarray):
-    """(weight, pick) of _moment_vectors for power coefficients eta."""
-    dims = instance.dims
-    n_groups = dims.num_groups
-    group = np.repeat(np.arange(n_groups), dims.group_sizes)
-    # per-user weights sqrt(zeta_mu * eta_mn), n the user's group, (M, T)
-    weight = np.sqrt(instance.zeta * eta[:, group])
-    # flat positions of each user's moment vector in the (3, T, N) gains
-    plane = dims.num_users * n_groups
-    pick = np.array([[k * plane + u * n_groups + n for k in range(3)]
-                     + [2 * plane + u * n_groups + j for j in range(n_groups) if j != n]
-                     for u, n in enumerate(group)], dtype=np.intp).ravel()
-    return weight, pick
+def _weights(instance: NetworkInstance, eta: np.ndarray) -> np.ndarray:
+    """Per-user weights sqrt(zeta_mu * eta_mn), n the user's group, (M, T)."""
+    group = np.repeat(np.arange(instance.dims.num_groups), instance.dims.group_sizes)
+    return np.sqrt(instance.zeta * eta[:, group])
 
 
 def _thread_bytes(num_aps: int, t_users: int, n_groups: int, d: int, block: int) -> int:
-    """Bytes one block thread holds: its buffer set for `block` draws (g, z,
-    a pilot-noise chunk and the moment vectors x) and the temporaries of one
-    _moment_vectors chunk."""
-    held = (block * (2 * num_aps * (t_users + n_groups) + t_users * d)
-            + min(NOISE_CHUNK, 2 * block * num_aps * n_groups))
-    chunk = min(block, MOMENT_CHUNK) * (2 * num_aps * t_users + 5 * num_aps * n_groups
-                                        + 3 * t_users * n_groups + t_users * d)
-    return 8 * (held + chunk)
+    """Bytes one block thread holds: its buffer set for `block` draws (the
+    unit normals of g and of the pilot noise, and the scratch of mc_block)
+    and the block's moment sums."""
+    return 8 * (2 * block * num_aps * (t_users + n_groups)
+                + native.load_library().mc_scratch_len(num_aps, t_users, n_groups)
+                + t_users * d * (1 + d))
 
 
 def _block_workers(num_aps: int, t_users: int, n_groups: int, d: int, sizes) -> int:
@@ -317,43 +271,50 @@ def _block_workers(num_aps: int, t_users: int, n_groups: int, d: int, sizes) -> 
     return max(1, min(pool.cpu_count(), len(sizes), MOMENT_MEMORY_BUDGET // per_thread))
 
 
-def _moment_sums(instance: NetworkInstance, weight: np.ndarray, pick: np.ndarray,
-                 draws: int, seed: int):
+def _block_moments(pilot: PilotModel, weight: np.ndarray, seed: int, block_idx: int,
+                   count: int, buffers: BlockBuffers):
+    """Sums over the `count` draws of block `block_idx` of the moment vectors x
+    (T, d) and of their outer products x x^T (T, d, d): one mc_block call,
+    which leaves the block's z in buffers.z."""
+    t_users = weight.shape[1]
+    d = pilot.z_scale.shape[1] + 2  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
+    g, w = block_normals(pilot, seed, block_idx, count, buffers)
+    s1, s2 = np.empty((t_users, d)), np.empty((t_users, d, d))
+    native.load_library().mc_block(*pilot.c_args(count, g, w), weight.ctypes.data,
+                                   buffers.scratch.ctypes.data, s1.ctypes.data, s2.ctypes.data)
+    return s1, s2
+
+
+def _moment_sums(instance: NetworkInstance, weight: np.ndarray, draws: int, seed: int):
     """Sums over all draws of the moment vectors x (T, d) and of their outer
     products x x^T (T, d, d).
 
     Blocks are drawn and reduced on _block_workers threads (inline when that
     is 1), each thread in one buffer set allocated here and handed out
-    through a queue; block sums and Gram matrices are added in block order,
-    so the sums are bit-identical for every thread count."""
+    through a queue; block sums are added in block order, so the sums are
+    bit-identical for every thread count."""
     num_aps, t_users = weight.shape
-    d = pick.shape[0] // t_users  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
+    n_groups = instance.dims.num_groups
+    d = n_groups + 2
     pilot = pilot_model(instance)
     sizes = block_sizes(draws)
-    workers = _block_workers(num_aps, t_users, instance.dims.num_groups, d, sizes)
+    workers = _block_workers(num_aps, t_users, n_groups, d, sizes)
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put((block_buffers(pilot, sizes[0]), np.empty(sizes[0] * t_users * d)))
+        free.put(block_buffers(pilot, sizes[0]))
 
     def reduce_block(b):
-        bufs, x_buf = free.get()
+        bufs = free.get()
         try:
-            n = sizes[b]
-            blk = smallscale_block(pilot, seed, b, n, bufs)
-            x = x_buf[:n * t_users * d].reshape(n, t_users, d)
-            for lo in range(0, n, MOMENT_CHUNK):
-                chunk = SmallScaleBlock._make(a[lo:lo + MOMENT_CHUNK] for a in blk)
-                x[lo:lo + MOMENT_CHUNK] = _moment_vectors(chunk, weight, pick)
-            # block sum and batched Gram
-            return x.sum(axis=0), np.matmul(x.transpose(1, 2, 0), x.transpose(1, 0, 2))
+            return _block_moments(pilot, weight, seed, b, sizes[b], bufs)
         finally:
-            free.put((bufs, x_buf))
+            free.put(bufs)
 
     s1 = np.zeros((t_users, d))
     s2 = np.zeros((t_users, d, d))
-    for block_sum, block_gram in pool.ordered_map(reduce_block, len(sizes), workers):
-        s1 += block_sum
-        s2 += block_gram
+    for block_s1, block_s2 in pool.ordered_map(reduce_block, len(sizes), workers):
+        s1 += block_s1
+        s2 += block_s2
     return s1, s2
 
 
@@ -428,6 +389,5 @@ def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: i
         raise ValueError("eta must be nonnegative")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    weight, pick = _moment_layout(instance, eta)
-    s1, s2 = _moment_sums(instance, weight, pick, draws, seed)
+    s1, s2 = _moment_sums(instance, _weights(instance, eta), draws, seed)
     return _moment_report(instance, s1, s2, draws)

@@ -13,7 +13,13 @@ import pytest
 from cellfree_maxmin import Dimensions, PhysicalConfig, generate_instance, rate_oracle_monte_carlo
 from cellfree_maxmin import pool, rates
 from cellfree_maxmin.harness import random_feasible_eta
-from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, block_sizes, iter_smallscale_blocks
+from cellfree_maxmin.netgen import (
+    SMALLSCALE_BLOCK,
+    block_buffers,
+    block_sizes,
+    pilot_model,
+    sample_small_scale,
+)
 
 DRAW_COUNTS = [1, SMALLSCALE_BLOCK + 5, 3 * SMALLSCALE_BLOCK + 77]
 
@@ -32,17 +38,17 @@ def mc_case(num_aps=8, group_sizes=(3, 3), seed=1):
 
 
 def serial_report(instance, eta, draws, seed):
-    """The reduction without the pool: whole fresh blocks from
-    iter_smallscale_blocks, one _moment_vectors call each, in order."""
-    weight, pick = rates._moment_layout(instance, eta)
-    t_users = weight.shape[1]
-    d = pick.shape[0] // t_users
-    s1 = np.zeros((t_users, d))
-    s2 = np.zeros((t_users, d, d))
-    for blk in iter_smallscale_blocks(instance, draws, seed):
-        x = rates._moment_vectors(blk, weight, pick)
-        s1 += x.sum(axis=0)
-        s2 += np.matmul(x.transpose(1, 2, 0), x.transpose(1, 0, 2))
+    """The reduction without the pool: one block call per block, each in
+    fresh buffers, added in order."""
+    pilot, weight = pilot_model(instance), rates._weights(instance, eta)
+    d = instance.dims.num_groups + 2
+    s1 = np.zeros((instance.dims.num_users, d))
+    s2 = np.zeros((instance.dims.num_users, d, d))
+    for b, n in enumerate(block_sizes(draws)):
+        block_s1, block_s2 = rates._block_moments(pilot, weight, seed, b, n,
+                                                  block_buffers(pilot, n))
+        s1 += block_s1
+        s2 += block_s2
     return rates._moment_report(instance, s1, s2, draws)
 
 
@@ -51,7 +57,7 @@ def serial_report(instance, eta, draws, seed):
 def test_reports_bit_identical_for_any_thread_count(monkeypatch, shape, draws):
     instance, eta = mc_case(*shape, seed=4)
     reference = serial_report(instance, eta, draws, seed=9)
-    for workers in (1, 2, 3):
+    for workers in (1, 2, 3, 6):
         monkeypatch.setattr(pool, "cpu_count", lambda: workers)
         got = rate_oracle_monte_carlo(instance, eta, draws, seed=9)
         for field in dataclasses.fields(got):
@@ -79,25 +85,46 @@ def test_stress_more_threads_than_cores(monkeypatch):
 
 def test_worker_error_reaches_caller(monkeypatch):
     instance, eta = mc_case()
-    current = threading.local()
-    real_block, real_moments = rates.smallscale_block, rates._moment_vectors
+    real_block = rates._block_moments
 
-    def tagged_block(pilot, seed, block_idx, count, buffers=None):
-        current.block = block_idx
-        return real_block(pilot, seed, block_idx, count, buffers)
-
-    def failing_moments(blk, weight, pick):
-        if current.block == 2:
+    def failing_block(pilot, weight, seed, block_idx, count, buffers):
+        if block_idx == 2:
             raise RuntimeError("moment reduction failed on block 2")
-        return real_moments(blk, weight, pick)
+        return real_block(pilot, weight, seed, block_idx, count, buffers)
 
     monkeypatch.setattr(pool, "cpu_count", lambda: 2)
-    monkeypatch.setattr(rates, "smallscale_block", tagged_block)
-    monkeypatch.setattr(rates, "_moment_vectors", failing_moments)
+    monkeypatch.setattr(rates, "_block_moments", failing_block)
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="block 2"):
         rate_oracle_monte_carlo(instance, eta, 6 * SMALLSCALE_BLOCK, seed=1)
     assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_z_equals_sampled_z(monkeypatch, workers):
+    """The z each block call leaves in its buffers, which the oracle reduced,
+    is sample_small_scale's z bit for bit: the pilot observation has one
+    implementation."""
+    instance, eta = mc_case(10, (2, 5, 1), seed=4)
+    draws = 2 * SMALLSCALE_BLOCK + 9
+    m_aps, n_groups = instance.dims.num_aps, instance.dims.num_groups
+    seen = {}
+    real_block = rates._block_moments
+
+    def keep_z(pilot, weight, seed, block_idx, count, buffers):
+        out = real_block(pilot, weight, seed, block_idx, count, buffers)
+        z = buffers.z[:2 * count * m_aps * n_groups].reshape(2, count, m_aps, n_groups)
+        seen[block_idx] = z.copy()
+        return out
+
+    monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+    monkeypatch.setattr(rates, "_block_moments", keep_z)
+    rate_oracle_monte_carlo(instance, eta, draws, seed=9)
+    _, z = sample_small_scale(instance, draws, seed=9)
+    assert sorted(seen) == [0, 1, 2]
+    for part, ref in enumerate((z.real, z.imag)):
+        got = np.concatenate([seen[b][part] for b in sorted(seen)])
+        assert np.array_equal(got.view(np.int64), np.ascontiguousarray(ref).view(np.int64))
 
 
 def traced_peak(instance, eta, draws):
@@ -141,10 +168,10 @@ def test_thread_count_fits_memory_budget(monkeypatch):
     monkeypatch.setattr(pool, "cpu_count", lambda: 64)
     blocks = block_sizes(200_000)
     assert len(blocks) == 49
-    # M=8, 2x3 (the verify-rate default): 6 MB a thread, one thread per block
-    assert rates._thread_bytes(8, 6, 2, 4, SMALLSCALE_BLOCK) < 7e6
+    # M=8, 2x3 (the verify-rate default): 4 MB a thread, one thread per block
+    assert rates._thread_bytes(8, 6, 2, 4, SMALLSCALE_BLOCK) < 5e6
     assert rates._block_workers(8, 6, 2, 4, blocks) == 49
-    # M=100, 4x10: 340 MB a thread, as many as the budget holds
+    # M=100, 4x10: 290 MB a thread, as many as the budget holds
     per_thread = rates._thread_bytes(100, 40, 4, 6, SMALLSCALE_BLOCK)
     workers = rates._block_workers(100, 40, 4, 6, blocks)
     assert workers == rates.MOMENT_MEMORY_BUDGET // per_thread == 3

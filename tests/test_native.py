@@ -416,7 +416,7 @@ def test_failed_build_prints_nothing(lib, tmp_path, monkeypatch, capfd):
     compiler = next(filter(None, map(native.shutil.which, native.COMPILERS)))
     bad = tmp_path / "bad.c"
     bad.write_text("this is not C\n")
-    monkeypatch.setattr(native, "SOURCE", str(bad))
+    monkeypatch.setattr(native, "SOURCES", (str(bad),))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     with pytest.raises(RuntimeError) as excinfo:
         native.load_library.__wrapped__()

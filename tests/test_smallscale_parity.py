@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellfree_maxmin import (
     Dimensions,
@@ -144,15 +146,47 @@ def test_blocks_are_real_parts(instance):
     assert np.array_equal(z[:SMALLSCALE_BLOCK].real, blocks[0].z_re)
 
 
-def test_report_matches_reference(instance):
-    eta = random_feasible_eta(instance.dims, seed=4)
-    got = rate_oracle_monte_carlo(instance, eta, DRAWS, seed=6)
-    ref = reference_oracle(instance, eta, DRAWS, seed=6)
+def log_terms(ref, instance):
+    """|log(total)| + |log(den)| of each user's rate = log(total) - log(den),
+    from the reference's moments."""
+    rho = instance.rho_d_w
+    e2 = np.abs(ref.mean_gain) ** 2
+    total = rho * (ref.gain_variance + e2 + ref.cross_power) + instance.noise_variance_w
+    return np.abs(np.log(total)) + np.abs(np.log(total - rho * e2))
+
+
+def assert_report_matches(got, ref, instance, rate_atol=0.0):
     for field in dataclasses.fields(MonteCarloRateReport):
         a, b = getattr(got, field.name), getattr(ref, field.name)
-        if field.name == "draws":
+        if field.name == "rate_nats":
+            assert (np.abs(a - b) <= 1e-12 * np.abs(b) + rate_atol).all(), (a, b)
+        elif field.name == "draws":
             assert a == b
         elif field.name == "cross_power" and instance.dims.num_groups == 1:
             assert np.array_equal(a, b)
         else:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=field.name)
+
+
+def test_report_matches_reference(instance):
+    eta = random_feasible_eta(instance.dims, seed=4)
+    got = rate_oracle_monte_carlo(instance, eta, DRAWS, seed=6)
+    ref = reference_oracle(instance, eta, DRAWS, seed=6)
+    assert_report_matches(got, ref, instance)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(num_aps=st.integers(1, 6), group_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       draws=st.integers(16, 600), seed=st.integers(0, 2 ** 16))
+def test_report_matches_reference_on_small_shapes(num_aps, group_sizes, draws, seed):
+    """Random small shapes and draw counts that end mid-pass of the compiled
+    block; at least 16 draws, so that the sample variances are not rounding
+    noise of the reference's |a|^2. A rate is the difference of two logs of
+    about 30 (noise power near 1e-13 W), so a rate of 1e-4 nat carries their
+    rounding: it is compared at rtol 1e-12 of those logs as well."""
+    dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
+    instance = generate_instance(dims, PhysicalConfig(), seed=seed)
+    eta = random_feasible_eta(dims, seed=seed + 1)
+    got = rate_oracle_monte_carlo(instance, eta, draws, seed=seed + 2)
+    ref = reference_oracle(instance, eta, draws, seed=seed + 2)
+    assert_report_matches(got, ref, instance, rate_atol=1e-12 * log_terms(ref, instance))

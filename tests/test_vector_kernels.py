@@ -1,6 +1,8 @@
 """The compiled stage's vector exp and log1p against the C library, the numpy
-port of exp against the compiled one, and stage results that do not depend
-on the lane width the library was built for."""
+port of exp against the compiled one, and stage results and Monte-Carlo
+block sums that do not depend on the lane width the library was built for."""
+
+import dataclasses
 
 import math
 import platform
@@ -10,6 +12,7 @@ import pytest
 
 from cellfree_maxmin import (
     ApgConfig,
+    MonteCarloRateReport,
     Dimensions,
     PhysicalConfig,
     PowerControl,
@@ -18,7 +21,10 @@ from cellfree_maxmin import (
     generate_instance,
     kernels,
     native,
+    rate_oracle_monte_carlo,
 )
+from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, sample_small_scale
 from cellfree_maxmin.solver_apg import compiled_stage
 
 SPECIALS = np.array([0.0, -0.0, -math.inf, math.inf, math.nan, 5e-324, -5e-324, -708.0,
@@ -144,3 +150,35 @@ def test_stage_results_do_not_depend_on_lane_width(lane_libs, case):
             assert got.evaluations == ref.evaluations
             assert same_bits(got.x, ref.x)
             assert same_bits(np.asarray(got.trace_f), np.asarray(ref.trace_f))
+
+
+# one group (d = 3, no cross-group moments), a group of one user, and
+# unequal groups
+MC_LANE_CASES = [(6, (4,)), (5, (1, 3)), (10, (2, 5, 1))]
+# under, at and over one pass of 8 draw slots, and past one block
+MC_LANE_DRAWS = [1, 7, 8, 9, SMALLSCALE_BLOCK + 5]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the lane-width flags are x86 options")
+@pytest.mark.parametrize("case", MC_LANE_CASES, ids=["M6-4", "M5-1x3", "M10-2x5x1"])
+def test_monte_carlo_does_not_depend_on_lane_width(lane_libs, monkeypatch, case):
+    """Oracle reports and sampled draws, through mc_block and mc_pilot, are
+    bit-identical on 8, 4 and 2 lanes."""
+    num_aps, group_sizes = case
+    dims = Dimensions(num_aps, len(group_sizes), group_sizes)
+    instance = generate_instance(dims, PhysicalConfig(), seed=2)
+    eta = random_feasible_eta(dims, seed=3)
+    runs = []
+    for lib in lane_libs:
+        monkeypatch.setattr(native, "load_library", lambda lib=lib: lib)
+        runs.append([rate_oracle_monte_carlo(instance, eta, draws, seed=4)
+                     for draws in MC_LANE_DRAWS]
+                    + [sample_small_scale(instance, MC_LANE_DRAWS[-1], seed=4)])
+    for got in runs[1:]:
+        for a, b in zip(got[:-1], runs[0][:-1]):
+            for field in dataclasses.fields(MonteCarloRateReport):
+                assert same_bits(np.ravel(getattr(a, field.name)).view(float),
+                                 np.ravel(getattr(b, field.name)).view(float)), field.name
+        for a, b in zip(got[-1], runs[0][-1]):
+            assert same_bits(a.view(float), b.view(float))

@@ -15,7 +15,9 @@ prints for the compiled stage and for its numpy reference:
 
 It then prints seconds per 1e5 draws of the Monte-Carlo rate oracle
 (rates.rate_oracle_monte_carlo) at M=8, 2x3, on one thread and on every CPU
-the process may use.
+the process may use, next to the floor that numpy's normal draws set: the
+seconds per 1e5 draws of netgen.block_normals alone, on one thread, whose
+normals the compiled block pass (mc_block.c) then reduces.
 
 Each figure is the median of --repeats timed blocks. Run after any change to
 apg_stage.c, the numpy kernels or the Monte-Carlo oracle:
@@ -35,6 +37,7 @@ import numpy as np
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
                              generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
 from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.netgen import block_buffers, block_normals, block_sizes, pilot_model
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
 from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY, _support_gap
 
@@ -147,6 +150,21 @@ def bench_monte_carlo(repeats):
     return rows
 
 
+def bench_normals(repeats):
+    """Seconds per 1e5 draws of the oracle's normal draws alone, on one
+    thread: the blocks of one MC_DRAWS call drawn into one buffer set."""
+    dims = Dimensions.uniform(*MC_SIZE)
+    pilot = pilot_model(generate_instance(dims, PhysicalConfig(), seed=0))
+    sizes = block_sizes(MC_DRAWS)
+    buffers = block_buffers(pilot, sizes[0])
+
+    def run():
+        for b, n in enumerate(sizes):
+            block_normals(pilot, 0, b, n, buffers)
+
+    return median_time(run, repeats, min_block_s=0.0) * 1e5 / MC_DRAWS
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -165,6 +183,7 @@ def main():
     print(f"\nMonte-Carlo oracle, M={m} N={n} K={k}, {MC_DRAWS} draws per call")
     for threads, s_per_1e5 in bench_monte_carlo(args.repeats):
         print(f"{threads:3d} thread(s): {s_per_1e5:.3f} s per 1e5 draws")
+    print(f"normal draws alone, 1 thread: {bench_normals(args.repeats):.3f} s per 1e5 draws")
 
 
 if __name__ == "__main__":

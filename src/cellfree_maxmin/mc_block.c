@@ -31,9 +31,12 @@
  * 2-lane builds. Build without -ffast-math and without FP contraction (see
  * apg_stage.c).
  *
- * The slots past the end of the last pass hold g = 0 and w = 1: their phases
- * are finite and their gains zero, so they add zeros to the sums and nothing
- * is written back for them.
+ * A pass first copies its draws into slot-minor tiles (M, T, SLOTS) and
+ * (M, N, SLOTS), and at its end copies z back into the caller's array in
+ * place of w. The slots past the
+ * end of the last pass hold g = 0 and w = 1: their phases are finite and
+ * their gains zero, so they add zeros to the sums and nothing is written
+ * back for them.
  *
  * The caller allocates the scratch (mc_scratch_len doubles); the code keeps
  * no static state, so threads may run blocks at once in their own scratch.
@@ -57,7 +60,6 @@
 #define VECS (SLOTS / LANES)
 
 typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
-typedef int64_t ivec __attribute__((vector_size(LANES * sizeof(double))));
 
 typedef struct {
     int64_t M, T, N, d;
@@ -133,45 +135,18 @@ static vec vsqrt(vec v)
     return v;
 }
 
-/* r[0..LANES-1], the rows of a LANES x LANES block, transposed in place:
- * stage h swaps the h x h off-diagonal blocks of each 2h x 2h block */
-static void transpose(vec *r)
-{
-    for (int h = 1; h < LANES; h *= 2) {
-        ivec lo, hi;
-        for (int l = 0; l < LANES; l++) {
-            lo[l] = l & h ? l - h + LANES : l;
-            hi[l] = l & h ? l + LANES : l + h;
-        }
-        for (int a = 0; a < LANES; a++) {
-            if (a & h)
-                continue;
-            const vec x = r[a], y = r[a + h];
-            r[a] = __builtin_shuffle(x, y, lo);
-            r[a + h] = __builtin_shuffle(x, y, hi);
-        }
-    }
-}
-
 /* tile[i, j] = scale * row_j[i] over n entries for the k present slots, and
  * absent for the others; row_j = src + j * stride */
 static void gather(double *restrict tile, const double *restrict src, int64_t stride,
                    int64_t n, int64_t k, double scale, double absent)
 {
-    int64_t i = 0;
     if (k == SLOTS) {
-        for (; i + LANES <= n; i += LANES) {
-            for (int v = 0; v < VECS; v++) {
-                vec r[LANES];
-                for (int q = 0; q < LANES; q++)
-                    r[q] = scale * load(src + (v * LANES + q) * stride + i);
-                transpose(r);
-                for (int c = 0; c < LANES; c++)
-                    store(tile + (i + c) * SLOTS + v * LANES, r[c]);
-            }
-        }
+        for (int64_t i = 0; i < n; i++)
+            for (int j = 0; j < SLOTS; j++)
+                tile[i * SLOTS + j] = scale * src[j * stride + i];
+        return;
     }
-    for (; i < n; i++)
+    for (int64_t i = 0; i < n; i++)
         for (int j = 0; j < SLOTS; j++)
             tile[i * SLOTS + j] = j < k ? scale * src[j * stride + i] : absent;
 }
@@ -180,20 +155,7 @@ static void gather(double *restrict tile, const double *restrict src, int64_t st
 static void scatter(double *restrict dst, const double *restrict tile, int64_t stride,
                     int64_t n, int64_t k)
 {
-    int64_t i = 0;
-    if (k == SLOTS) {
-        for (; i + LANES <= n; i += LANES) {
-            for (int v = 0; v < VECS; v++) {
-                vec r[LANES];
-                for (int c = 0; c < LANES; c++)
-                    r[c] = load(tile + (i + c) * SLOTS + v * LANES);
-                transpose(r);
-                for (int q = 0; q < LANES; q++)
-                    store(dst + (v * LANES + q) * stride + i, r[q]);
-            }
-        }
-    }
-    for (; i < n; i++)
+    for (int64_t i = 0; i < n; i++)
         for (int64_t j = 0; j < k; j++)
             dst[j * stride + i] = tile[i * SLOTS + j];
 }

@@ -211,20 +211,13 @@ static void store_z(const Pilot *P, double *wz, int64_t count, int64_t b0, int64
     scatter(wz + (count + b0) * MN, s->zim, MN, MN, k);
 }
 
-static Pilot pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
-                   double noise_scale, const double *z_scale)
-{
-    Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
-    return P;
-}
-
 /* gs and z of `count` draws: g is scaled in place to gs and w is replaced
  * by z. */
 void mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
               double noise_scale, const double *z_scale, int64_t count, double *g,
               double *wz, double *scratch)
 {
-    const Pilot P = pilot(M, T, N, gptr, c, noise_scale, z_scale);
+    const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
     const Scratch s = carve(scratch, &P);
     const int64_t MT = M * T;
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
@@ -315,7 +308,7 @@ void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
               double noise_scale, const double *z_scale, int64_t count, const double *g,
               double *wz, const double *weight, double *scratch, double *s1, double *s2)
 {
-    const Pilot P = pilot(M, T, N, gptr, c, noise_scale, z_scale);
+    const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
     const Scratch s = carve(scratch, &P);
     const int64_t d = P.d, t2 = tri(d);
     memset(s.s1, 0, SLOTS * T * d * sizeof(double));

@@ -15,9 +15,10 @@ prints for the compiled stage and for its numpy reference:
 
 It then prints seconds per 1e5 draws of the Monte-Carlo rate oracle
 (rates.rate_oracle_monte_carlo) at M=8, 2x3, on one thread and on every CPU
-the process may use, next to the floor that numpy's normal draws set: the
-seconds per 1e5 draws of netgen.block_normals alone, on one thread, whose
-normals the compiled block pass (mc_block.c) then reduces.
+the process may use, next to the floor that the compiled normal generator
+sets: the seconds per 1e5 draws of mc_normals alone (the unit normals the
+block pass in mc_block.c draws for itself, written out instead of reduced),
+on one thread, and its nanoseconds per normal.
 
 Each figure is the median of --repeats timed blocks. Run after any change to
 apg_stage.c, the numpy kernels or the Monte-Carlo oracle:
@@ -37,7 +38,7 @@ import numpy as np
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
                              generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
 from cellfree_maxmin.harness import random_feasible_eta
-from cellfree_maxmin.netgen import block_buffers, block_normals, block_sizes, pilot_model
+from cellfree_maxmin.netgen import block_sizes, smallscale_key
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
 from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY, _support_gap
 
@@ -150,19 +151,21 @@ def bench_monte_carlo(repeats):
     return rows
 
 
-def bench_normals(repeats):
-    """Seconds per 1e5 draws of the oracle's normal draws alone, on one
-    thread: the blocks of one MC_DRAWS call drawn into one buffer set."""
-    dims = Dimensions.uniform(*MC_SIZE)
-    pilot = pilot_model(generate_instance(dims, PhysicalConfig(), seed=0))
+def bench_normals(lib, repeats):
+    """Seconds per 1e5 draws of the oracle's unit normals alone, on one
+    thread: the blocks of one MC_DRAWS call drawn into one buffer, and the
+    normals per draw."""
+    m, n, k = MC_SIZE
+    entries = m * (n * k + n)
     sizes = block_sizes(MC_DRAWS)
-    buffers = block_buffers(pilot, sizes[0])
+    out = np.empty(2 * sizes[0] * entries)
+    key = smallscale_key(0)
 
     def run():
-        for b, n in enumerate(sizes):
-            block_normals(pilot, 0, b, n, buffers)
+        for b, count in enumerate(sizes):
+            lib.mc_normals(key, b, count, entries, out.ctypes.data)
 
-    return median_time(run, repeats, min_block_s=0.0) * 1e5 / MC_DRAWS
+    return median_time(run, repeats, min_block_s=0.0) * 1e5 / MC_DRAWS, 2 * entries
 
 
 def main():
@@ -183,7 +186,9 @@ def main():
     print(f"\nMonte-Carlo oracle, M={m} N={n} K={k}, {MC_DRAWS} draws per call")
     for threads, s_per_1e5 in bench_monte_carlo(args.repeats):
         print(f"{threads:3d} thread(s): {s_per_1e5:.3f} s per 1e5 draws")
-    print(f"normal draws alone, 1 thread: {bench_normals(args.repeats):.3f} s per 1e5 draws")
+    s_per_1e5, per_draw = bench_normals(lib, args.repeats)
+    print(f"compiled normals alone, 1 thread: {s_per_1e5:.3f} s per 1e5 draws "
+          f"({s_per_1e5 / (1e5 * per_draw) * 1e9:.2f} ns per normal)")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,24 @@
-/* One block of the Monte-Carlo rate oracle in a single pass.
+/* One block of the Monte-Carlo rate oracle in a single pass, with its own
+ * unit normals.
  *
- * A block holds `count` joint draws of unit normals, drawn by numpy in the
- * stream order Re g, Im g, Re w, Im w: g is (2, count, M, T) and w is
- * (2, count, M, N), both row-major. Per draw b and AP m:
+ * Normals. Every unit normal is a pure function of (key, block, draw, entry):
+ * Philox4x32-10 (Salmon, Moraes, Dror & Shaw, SC 2011) on the counter
+ *
+ *   (c0, c1, c2, c3) = (entry, draw, block, 0)
+ *
+ * under the 64-bit key k0 + 2^32 k1 gives four 32-bit words x0..x3; the
+ * 64-bit words x0 + 2^32 x1 and x2 + 2^32 x3 become the Re and Im normals of
+ * that entry through a 128-layer Marsaglia-Tsang ziggurat (J. Stat. Softw.
+ * 2000) whose tables are computed when the library is loaded. A word r
+ * gives the layer r & 127, the sign bit 7 and the 52-bit magnitude r >> 12.
+ * Entries of one draw are g's (m, k) at m*T + k, then the pilot noise w's
+ * (m, n) at M*T + m*N + n; draws count from 0 within each block. The
+ * ziggurat's rare slow path (2.8% of normals) takes its further 64-bit
+ * words, in order, from Philox under the complemented key ~key on the
+ * counter (entry, draw, block, half + 2*i), i = 0, 1, ..., half 0 for Re and
+ * 1 for Im, two words per counter.
+ *
+ * Pass. Per draw b and AP m:
  *
  *   gs_mk = SQRT_HALF * g_mk                                 small-scale gain
  *   z_mn  = (sum_{k in group n} pilot[m, k] gs_mk + noise_scale * w_mn)
@@ -23,28 +39,33 @@
  * (T, d, d) of x x^T.
  *
  * Draws are the SIMD lanes. Each pass takes SLOTS = 8 consecutive draws, and
- * draw b always lands in slot b mod SLOTS, whatever the lane width: a vector
- * holds LANES of the slots, and a pass runs SLOTS / LANES vectors. Every slot
- * keeps its own moment sums, in draw order; at the end of the block the
- * slots are added in slot order. Lanes never share a sum and every operation
- * is the same in each lane, so block sums are bit-identical on 8-, 4- and
- * 2-lane builds. Build without -ffast-math and without FP contraction (see
- * apg_stage.c).
+ * draw b always lands in slot b mod SLOTS, whatever the lane width: one
+ * vector Philox call draws an entry for all the slots, and the pass's
+ * arithmetic holds LANES of the slots per vector, SLOTS / LANES vectors.
+ * Every slot keeps its own moment sums, in draw order; at the end of the
+ * block the slots are added in slot order. Lanes never share a sum, the
+ * generator is integer arithmetic and one exact product per fast-path
+ * normal, and every operation is the same in each lane, so normals and block
+ * sums are bit-identical on 8-, 4- and 2-lane builds. Build without
+ * -ffast-math and without FP contraction (see apg_stage.c).
  *
- * A pass first copies its draws into slot-minor tiles (M, T, SLOTS) and
- * (M, N, SLOTS), and at its end copies z back into the caller's array in
- * place of w. The slots past the
- * end of the last pass hold g = 0 and w = 1: their phases are finite and
- * their gains zero, so they add zeros to the sums and nothing is written
- * back for them.
+ * The pass works AP by AP: it draws AP m's entries into slot-minor tiles
+ * (T, SLOTS) and (N, SLOTS), forms z and the phases there and adds the
+ * gains. The slots past the end of the last pass hold g = 0 and w = 1: their
+ * phases are finite and their gains zero, so they add zeros to the sums and
+ * are never written out.
  *
- * The caller allocates the scratch (mc_scratch_len doubles); the code keeps
- * no static state, so threads may run blocks at once in their own scratch.
+ * The caller allocates the scratch (mc_scratch_len doubles); apart from the
+ * ziggurat tables, written once at load, the code keeps no static state, so
+ * threads may run blocks at once in their own scratch.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
 
 #define SLOTS 8
 #define SQRT_HALF 0.70710678118654752440
@@ -60,6 +81,272 @@
 #define VECS (SLOTS / LANES)
 
 typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
+/* one 32-bit Philox word (or a 64-bit ziggurat word) per slot */
+typedef uint64_t words __attribute__((vector_size(SLOTS * sizeof(uint64_t))));
+typedef int64_t swords __attribute__((vector_size(SLOTS * sizeof(int64_t))));
+typedef double slots __attribute__((vector_size(SLOTS * sizeof(double))));
+
+/* ------------------------------------------------------------------------
+ * Philox4x32-10
+ * ------------------------------------------------------------------------ */
+
+#define PHILOX_M0 0xD2511F53u
+#define PHILOX_M1 0xCD9E8D57u
+#define PHILOX_W0 0x9E3779B9u
+#define PHILOX_W1 0xBB67AE85u
+#define LO32 0xFFFFFFFFu
+
+/* a * m for every slot, a and m below 2^32: the even-lane 32x32 -> 64-bit
+ * multiply of the widest integer vectors the build has */
+#if defined(__AVX512F__)
+typedef __m512i hw;
+#define MUL_EPU32(a, m) _mm512_mul_epu32(a, _mm512_set1_epi64(m))
+#elif defined(__AVX2__)
+typedef __m256i hw;
+#define MUL_EPU32(a, m) _mm256_mul_epu32(a, _mm256_set1_epi64x(m))
+#elif defined(__SSE2__)
+typedef __m128i hw;
+#define MUL_EPU32(a, m) _mm_mul_epu32(a, _mm_set1_epi64x(m))
+#endif
+
+static words mul32(words a, uint32_t m)
+{
+#ifdef MUL_EPU32
+    hw part[sizeof(words) / sizeof(hw)];
+    memcpy(part, &a, sizeof a);
+    for (size_t h = 0; h < sizeof(words) / sizeof(hw); h++)
+        part[h] = MUL_EPU32(part[h], m);
+    memcpy(&a, part, sizeof a);
+    return a;
+#else
+    return a * m;
+#endif
+}
+
+/* the ten rounds on one counter per slot, in place */
+static void philox(words c[4], uint64_t key)
+{
+    uint32_t k0 = (uint32_t)key, k1 = (uint32_t)(key >> 32);
+    words c0 = c[0], c1 = c[1], c2 = c[2], c3 = c[3];
+    for (int r = 0; r < 10; r++) {
+        if (r)
+            k0 += PHILOX_W0, k1 += PHILOX_W1;
+        const words p0 = mul32(c0, PHILOX_M0), p1 = mul32(c2, PHILOX_M1);
+        c0 = (p1 >> 32) ^ c1 ^ k0;
+        c2 = (p0 >> 32) ^ c3 ^ k1;
+        c1 = p1 & LO32;
+        c3 = p0 & LO32;
+    }
+    c[0] = c0, c[1] = c1, c[2] = c2, c[3] = c3;
+}
+
+/* the same on one counter, in scalar code: the slow path below calls the C
+ * library between its words, and wide vectors there would cost a state
+ * transition per call */
+static void philox1(uint32_t c[4], uint64_t key)
+{
+    uint32_t k0 = (uint32_t)key, k1 = (uint32_t)(key >> 32);
+    for (int r = 0; r < 10; r++) {
+        if (r)
+            k0 += PHILOX_W0, k1 += PHILOX_W1;
+        const uint64_t p0 = (uint64_t)c[0] * PHILOX_M0, p1 = (uint64_t)c[2] * PHILOX_M1;
+        const uint32_t c0 = (uint32_t)(p1 >> 32) ^ c[1] ^ k0;
+        const uint32_t c2 = (uint32_t)(p0 >> 32) ^ c[3] ^ k1;
+        c[1] = (uint32_t)p1, c[3] = (uint32_t)p0, c[0] = c0, c[2] = c2;
+    }
+}
+
+/* ------------------------------------------------------------------------
+ * 128-layer ziggurat
+ * ------------------------------------------------------------------------ */
+
+#define ZIG_LAYERS 128
+#define ZIG_R 3.442619855899        /* start of the tail */
+#define ZIG_V 9.91256303526217e-3   /* area of each layer */
+#define TWO52 4503599627370496.0
+
+/* layer i covers |x| < w[i] 2^52; the magnitude r >> 12 is accepted at once
+ * below k[i] (x inside the layer's rectangle under the curve); f[i] is the
+ * density exp(-x^2/2) at the layer's edge */
+static struct {
+    double w[ZIG_LAYERS], f[ZIG_LAYERS];
+    int64_t k[ZIG_LAYERS];
+} zig;
+
+__attribute__((constructor)) static void zig_init(void)
+{
+    double dn = ZIG_R, tn = ZIG_R;
+    const double q = ZIG_V / exp(-0.5 * dn * dn);
+    zig.k[0] = (int64_t)(dn / q * TWO52);
+    zig.k[1] = 0;
+    zig.w[0] = q / TWO52;
+    zig.w[ZIG_LAYERS - 1] = dn / TWO52;
+    zig.f[0] = 1.0;
+    zig.f[ZIG_LAYERS - 1] = exp(-0.5 * dn * dn);
+    for (int i = ZIG_LAYERS - 2; i >= 1; i--) {
+        dn = sqrt(-2.0 * log(ZIG_V / dn + exp(-0.5 * dn * dn)));
+        zig.k[i + 1] = (int64_t)(dn / tn * TWO52);
+        tn = dn;
+        zig.f[i] = exp(-0.5 * dn * dn);
+        zig.w[i] = dn / TWO52;
+    }
+}
+
+/* the slow path's further words of one normal */
+typedef struct {
+    uint32_t c[4];
+    uint64_t key;
+    uint32_t x[4];
+    int left;
+} Stream;
+
+static uint64_t next_word(Stream *s)
+{
+    if (!s->left) {
+        memcpy(s->x, s->c, sizeof s->x);
+        philox1(s->x, s->key);
+        s->c[3] += 2;
+        s->left = 2;
+    }
+    const int i = 2 * (2 - s->left--);
+    return s->x[i] | (uint64_t)s->x[i + 1] << 32;
+}
+
+static double next_uniform(Stream *s)
+{
+    return (double)(next_word(s) >> 11) * 0x1.0p-53;
+}
+
+/* the normal of word r */
+static double zig_x(uint64_t r)
+{
+    const double x = (double)(r >> 12) * zig.w[r & 127];
+    return r >> 7 & 1 ? -x : x;
+}
+
+/* the normal whose fast-path word r was rejected: the tail beyond ZIG_R
+ * (layer 0) or the wedge test, then fresh words until one is accepted */
+static double zig_slow(uint64_t r, Stream *s)
+{
+    for (;;) {
+        const int64_t i = r & 127;
+        const double x = zig_x(r);
+        if (i == 0) {
+            double xx, yy;
+            do {
+                xx = -(1.0 / ZIG_R) * log1p(-next_uniform(s));
+                yy = -log1p(-next_uniform(s));
+            } while (!(yy + yy > xx * xx));
+            return r >> 7 & 1 ? -(ZIG_R + xx) : ZIG_R + xx;
+        }
+        if (zig.f[i] + next_uniform(s) * (zig.f[i - 1] - zig.f[i]) < exp(-0.5 * x * x))
+            return x;
+        r = next_word(s);
+        if ((int64_t)(r >> 12) < zig.k[r & 127])
+            return zig_x(r);
+    }
+}
+
+/* the normals whose fast-path words were rejected, finished together by
+ * finish_slow once their fast neighbours are written */
+#define PENDING 64
+
+typedef struct {
+    uint64_t key;
+    int n;
+    struct {
+        double *out, scale;
+        uint64_t r;
+        uint32_t c[4];
+    } item[PENDING];
+} Slow;
+
+static void finish_slow(Slow *q)
+{
+    if (!q->n)
+        return;
+    /* the first Philox call of every stream, SLOTS streams at a time */
+    uint32_t first[PENDING][4];
+    for (int i0 = 0; i0 < q->n; i0 += SLOTS) {
+        words c[4];
+        for (int j = 0; j < SLOTS; j++)
+            for (int h = 0; h < 4; h++)
+                c[h][j] = q->item[i0 + j < q->n ? i0 + j : i0].c[h];
+        philox(c, ~q->key);
+        for (int j = 0; j < SLOTS && i0 + j < q->n; j++)
+            for (int h = 0; h < 4; h++)
+                first[i0 + j][h] = (uint32_t)c[h][j];
+    }
+#if defined(__AVX__)
+    /* clean upper vector state for the C library's SSE code */
+    _mm256_zeroupper();
+#endif
+    for (int i = 0; i < q->n; i++) {
+        Stream s = {{0}, ~q->key, {0}, 2};
+        memcpy(s.c, q->item[i].c, sizeof s.c);
+        memcpy(s.x, first[i], sizeof s.x);
+        s.c[3] += 2;
+        *q->item[i].out = q->item[i].scale * zig_slow(q->item[i].r, &s);
+    }
+    q->n = 0;
+}
+
+/* scale * (the normals of words r) into out[0 .. SLOTS); the rejected ones
+ * go to q, with their counters c (draw c[1] + slot) and c3 = half */
+static void zig_slots(words r, double scale, const uint32_t c[3], uint32_t half, double *out,
+                      Slow *q)
+{
+    const words idx = r & 127, mag = r >> 12;
+#if defined(__AVX512F__)
+    const slots w = (slots)_mm512_i64gather_pd((__m512i)idx, zig.w, 8);
+    const swords k = (swords)_mm512_i64gather_epi64((__m512i)idx, zig.k, 8);
+#else
+    slots w;
+    swords k;
+    for (int j = 0; j < SLOTS; j++) {
+        w[j] = zig.w[idx[j]];
+        k[j] = zig.k[idx[j]];
+    }
+#endif
+    /* mag < 2^52 as a double: the exponent of 2^52 over its bits, less 2^52 */
+    const slots m = (slots)(mag | 0x4330000000000000u) - TWO52;
+    const words sign = (r >> 7 & 1) << 63;
+    const slots x = (slots)((words)(m * w) ^ sign);
+    const swords slow = (swords)mag >= k;
+    for (int j = 0; j < SLOTS; j++)
+        out[j] = scale * x[j];
+    for (int j = 0; j < SLOTS; j++) {
+        if (slow[j]) {
+            if (q->n == PENDING)
+                finish_slow(q);
+            q->item[q->n].out = out + j;
+            q->item[q->n].scale = scale;
+            q->item[q->n].r = r[j];
+            q->item[q->n].c[0] = c[0], q->item[q->n].c[1] = c[1] + (uint32_t)j;
+            q->item[q->n].c[2] = c[2], q->item[q->n].c[3] = half;
+            q->n++;
+        }
+    }
+}
+
+/* scale * (unit normals) of entry e for the draws b0 .. b0+SLOTS-1 of the
+ * block into re[0 .. SLOTS) and im[0 .. SLOTS), complete after
+ * finish_slow(q) */
+static void draw_entry(int64_t block, int64_t b0, int64_t e, double scale, double *re,
+                       double *im, Slow *q)
+{
+    const words iota = {0, 1, 2, 3, 4, 5, 6, 7};
+    words c[4] = {(words){0} + (uint32_t)e, iota + (uint32_t)b0, (words){0} + (uint32_t)block,
+                  (words){0}};
+    philox(c, q->key);
+    const uint32_t at[3] = {(uint32_t)e, (uint32_t)b0, (uint32_t)block};
+    zig_slots(c[0] | c[1] << 32, scale, at, 0, re, q);
+    zig_slots(c[2] | c[3] << 32, scale, at, 1, im, q);
+}
+
+/* ------------------------------------------------------------------------
+ * The pass
+ * ------------------------------------------------------------------------ */
 
 typedef struct {
     int64_t M, T, N, d;
@@ -71,8 +358,8 @@ typedef struct {
 
 /* scratch, each array with the slot as its minor index */
 typedef struct {
-    double *gre, *gim;  /* (M, T, SLOTS) gs of one pass */
-    double *zre, *zim;  /* (M, N, SLOTS) w, then z, of one pass */
+    double *gre, *gim;  /* (T, SLOTS) gs at one AP */
+    double *zre, *zim;  /* (N, SLOTS) w, then z, at one AP */
     double *pre, *pim;  /* (N, SLOTS) phases at one AP */
     double *are, *aim;  /* (T, N, SLOTS) gains */
     double *x;          /* (d, SLOTS) one user's moment vector */
@@ -86,18 +373,19 @@ static int64_t tri(int64_t d)
 
 int64_t mc_scratch_len(int64_t M, int64_t T, int64_t N)
 {
+    (void)M;
     const int64_t d = N + 2;
-    return SLOTS * (2 * M * (T + N) + 2 * N + 2 * T * N + d + T * d + T * tri(d));
+    return SLOTS * (2 * (T + N) + 2 * N + 2 * T * N + d + T * d + T * tri(d));
 }
 
 static Scratch carve(double *w, const Pilot *P)
 {
-    const int64_t M = P->M, T = P->T, N = P->N, d = P->d;
+    const int64_t T = P->T, N = P->N, d = P->d;
     Scratch s;
-    s.gre = w, w += SLOTS * M * T;
-    s.gim = w, w += SLOTS * M * T;
-    s.zre = w, w += SLOTS * M * N;
-    s.zim = w, w += SLOTS * M * N;
+    s.gre = w, w += SLOTS * T;
+    s.gim = w, w += SLOTS * T;
+    s.zre = w, w += SLOTS * N;
+    s.zim = w, w += SLOTS * N;
     s.pre = w, w += SLOTS * N;
     s.pim = w, w += SLOTS * N;
     s.are = w, w += SLOTS * T * N;
@@ -135,22 +423,6 @@ static vec vsqrt(vec v)
     return v;
 }
 
-/* tile[i, j] = scale * row_j[i] over n entries for the k present slots, and
- * absent for the others; row_j = src + j * stride */
-static void gather(double *restrict tile, const double *restrict src, int64_t stride,
-                   int64_t n, int64_t k, double scale, double absent)
-{
-    if (k == SLOTS) {
-        for (int64_t i = 0; i < n; i++)
-            for (int j = 0; j < SLOTS; j++)
-                tile[i * SLOTS + j] = scale * src[j * stride + i];
-        return;
-    }
-    for (int64_t i = 0; i < n; i++)
-        for (int j = 0; j < SLOTS; j++)
-            tile[i * SLOTS + j] = j < k ? scale * src[j * stride + i] : absent;
-}
-
 /* row_j[i] = tile[i, j] over n entries for the k present slots */
 static void scatter(double *restrict dst, const double *restrict tile, int64_t stride,
                     int64_t n, int64_t k)
@@ -160,35 +432,61 @@ static void scatter(double *restrict dst, const double *restrict tile, int64_t s
             dst[j * stride + i] = tile[i * SLOTS + j];
 }
 
-/* The draws b0 .. b0+k-1 (k <= SLOTS) into the tiles: gs, and the noise
- * normals w (g = 0, w = 1 in the absent slots) */
-static void load_pass(const Pilot *P, const double *g, const double *wz, int64_t count,
-                      int64_t b0, int64_t k, const Scratch *s)
+/* unit normals of entries 0 .. entries-1 for draws 0 .. count-1 of the
+ * block: out is (2, count, entries), Re then Im */
+void mc_normals(uint64_t key, int64_t block, int64_t count, int64_t entries, double *out)
 {
-    const int64_t MT = P->M * P->T, MN = P->M * P->N;
-    gather(s->gre, g + b0 * MT, MT, MT, k, SQRT_HALF, 0.0);
-    gather(s->gim, g + (count + b0) * MT, MT, MT, k, SQRT_HALF, 0.0);
-    gather(s->zre, wz + b0 * MN, MN, MN, k, 1.0, 1.0);
-    gather(s->zim, wz + (count + b0) * MN, MN, MN, k, 1.0, 0.0);
+    double re[PENDING * SLOTS], im[PENDING * SLOTS];
+    Slow q = {key, 0};
+    for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
+        const int64_t k = count - b0 < SLOTS ? count - b0 : SLOTS;
+        for (int64_t e0 = 0; e0 < entries; e0 += PENDING) {
+            const int64_t n = entries - e0 < PENDING ? entries - e0 : PENDING;
+            for (int64_t e = 0; e < n; e++)
+                draw_entry(block, b0, e0 + e, 1.0, re + e * SLOTS, im + e * SLOTS, &q);
+            finish_slow(&q);
+            scatter(out + b0 * entries + e0, re, entries, n, k);
+            scatter(out + (count + b0) * entries + e0, im, entries, n, k);
+        }
+    }
+}
+
+/* AP m's draws b0 .. b0+k-1 (k <= SLOTS) into the tiles: gs, and the noise
+ * normals w (g = 0, w = 1 in the absent slots) */
+static void draw_ap(const Pilot *P, Slow *q, int64_t block, int64_t m, int64_t b0, int64_t k,
+                    const Scratch *s)
+{
+    const int64_t T = P->T, N = P->N;
+    for (int64_t u = 0; u < T; u++)
+        draw_entry(block, b0, m * T + u, SQRT_HALF, s->gre + u * SLOTS, s->gim + u * SLOTS, q);
+    for (int64_t n = 0; n < N; n++)
+        draw_entry(block, b0, P->M * T + m * N + n, 1.0, s->zre + n * SLOTS, s->zim + n * SLOTS,
+                   q);
+    finish_slow(q);
+    for (int64_t j = k; j < SLOTS; j++) {
+        for (int64_t u = 0; u < T; u++)
+            s->gre[u * SLOTS + j] = s->gim[u * SLOTS + j] = 0.0;
+        for (int64_t n = 0; n < N; n++)
+            s->zre[n * SLOTS + j] = 1.0, s->zim[n * SLOTS + j] = 0.0;
+    }
 }
 
 /* z of AP m, in the tiles in place of w, and its phases into pre/pim */
 static void pilot_ap(const Pilot *P, int64_t m, const Scratch *s)
 {
-    const int64_t T = P->T, N = P->N;
-    const double *c = P->pilot + m * T;
-    const double *gre = s->gre + m * T * SLOTS, *gim = s->gim + m * T * SLOTS;
+    const int64_t N = P->N;
+    const double *c = P->pilot + m * P->T;
     for (int64_t n = 0; n < N; n++) {
         const int64_t lo = P->gptr[n], hi = P->gptr[n + 1];
         const double zs = P->z_scale[m * N + n];
-        double *zre = s->zre + (m * N + n) * SLOTS, *zim = s->zim + (m * N + n) * SLOTS;
+        double *zre = s->zre + n * SLOTS, *zim = s->zim + n * SLOTS;
         for (int v = 0; v < VECS; v++) {
             const int64_t o = v * LANES;
-            vec yr = splat(c[lo]) * load(gre + lo * SLOTS + o);
-            vec yi = splat(c[lo]) * load(gim + lo * SLOTS + o);
+            vec yr = splat(c[lo]) * load(s->gre + lo * SLOTS + o);
+            vec yi = splat(c[lo]) * load(s->gim + lo * SLOTS + o);
             for (int64_t u = lo + 1; u < hi; u++) {
-                yr += splat(c[u]) * load(gre + u * SLOTS + o);
-                yi += splat(c[u]) * load(gim + u * SLOTS + o);
+                yr += splat(c[u]) * load(s->gre + u * SLOTS + o);
+                yi += splat(c[u]) * load(s->gim + u * SLOTS + o);
             }
             yr += P->noise_scale * load(zre + o);
             yi += P->noise_scale * load(zim + o);
@@ -202,32 +500,25 @@ static void pilot_ap(const Pilot *P, int64_t m, const Scratch *s)
     }
 }
 
-/* the pass's z back into wz, in place of w */
-static void store_z(const Pilot *P, double *wz, int64_t count, int64_t b0, int64_t k,
-                    const Scratch *s)
-{
-    const int64_t MN = P->M * P->N;
-    scatter(wz + b0 * MN, s->zre, MN, MN, k);
-    scatter(wz + (count + b0) * MN, s->zim, MN, MN, k);
-}
-
-/* gs and z of `count` draws: g is scaled in place to gs and w is replaced
- * by z. */
+/* gs (2, count, M, T) and z (2, count, M, N) of `count` draws of the block */
 void mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
-              double noise_scale, const double *z_scale, int64_t count, double *g,
-              double *wz, double *scratch)
+              double noise_scale, const double *z_scale, uint64_t key, int64_t block,
+              int64_t count, double *g, double *z, double *scratch)
 {
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
+    Slow q = {key, 0};
     const Scratch s = carve(scratch, &P);
-    const int64_t MT = M * T;
+    const int64_t MT = M * T, MN = M * N;
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
         const int64_t k = count - b0 < SLOTS ? count - b0 : SLOTS;
-        load_pass(&P, g, wz, count, b0, k, &s);
-        for (int64_t m = 0; m < M; m++)
+        for (int64_t m = 0; m < M; m++) {
+            draw_ap(&P, &q, block, m, b0, k, &s);
             pilot_ap(&P, m, &s);
-        store_z(&P, wz, count, b0, k, &s);
-        scatter(g + b0 * MT, s.gre, MT, MT, k);
-        scatter(g + (count + b0) * MT, s.gim, MT, MT, k);
+            scatter(g + b0 * MT + m * T, s.gre, MT, T, k);
+            scatter(g + (count + b0) * MT + m * T, s.gim, MT, T, k);
+            scatter(z + b0 * MN + m * N, s.zre, MN, N, k);
+            scatter(z + (count + b0) * MN + m * N, s.zim, MN, N, k);
+        }
     }
 }
 
@@ -240,8 +531,8 @@ static void add_gains(const Pilot *P, const double *weight, int64_t m, const Scr
         const vec w = splat(weight[m * T + u]);
         for (int v = 0; v < VECS; v++) {
             const int64_t o = v * LANES;
-            const vec hr = load(s->gre + (m * T + u) * SLOTS + o) * w;
-            const vec hi = load(s->gim + (m * T + u) * SLOTS + o) * w;
+            const vec hr = load(s->gre + u * SLOTS + o) * w;
+            const vec hi = load(s->gim + u * SLOTS + o) * w;
             for (int64_t j = 0; j < N; j++) {
                 double *ar = s->are + (u * N + j) * SLOTS + o;
                 double *ai = s->aim + (u * N + j) * SLOTS + o;
@@ -301,14 +592,15 @@ static double slot_sum(const double *a)
     return acc;
 }
 
-/* Moment sums s1 (T, d) and s2 (T, d, d) of `count` draws, with the
- * per-user weights weight (M, T) = sqrt(zeta_mu eta_mn), n the user's group.
- * On return wz holds the draws' z, as after mc_pilot; g is left as it is. */
+/* Moment sums s1 (T, d) and s2 (T, d, d) of `count` draws of the block, with
+ * the per-user weights weight (M, T) = sqrt(zeta_mu eta_mn), n the user's
+ * group. */
 void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
-              double noise_scale, const double *z_scale, int64_t count, const double *g,
-              double *wz, const double *weight, double *scratch, double *s1, double *s2)
+              double noise_scale, const double *z_scale, uint64_t key, int64_t block,
+              int64_t count, const double *weight, double *scratch, double *s1, double *s2)
 {
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
+    Slow q = {key, 0};
     const Scratch s = carve(scratch, &P);
     const int64_t d = P.d, t2 = tri(d);
     memset(s.s1, 0, SLOTS * T * d * sizeof(double));
@@ -317,12 +609,11 @@ void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
         const int64_t k = count - b0 < SLOTS ? count - b0 : SLOTS;
         memset(s.are, 0, SLOTS * T * N * sizeof(double));
         memset(s.aim, 0, SLOTS * T * N * sizeof(double));
-        load_pass(&P, g, wz, count, b0, k, &s);
         for (int64_t m = 0; m < M; m++) {
+            draw_ap(&P, &q, block, m, b0, k, &s);
             pilot_ap(&P, m, &s);
             add_gains(&P, weight, m, &s);
         }
-        store_z(&P, wz, count, b0, k, &s);
         add_moments(&P, &s);
     }
     for (int64_t u = 0; u < T; u++) {

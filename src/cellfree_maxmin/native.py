@@ -31,8 +31,9 @@ SOURCES = tuple(os.path.join(os.path.dirname(os.path.abspath(__file__)), name)
                 for name in ("apg_stage.c", "mc_block.c"))
 COMPILERS = ("cc", "gcc")
 # no -ffast-math: NaN comparisons must fail and rounding must follow numpy;
-# no FP contraction: every sum keeps its separate multiply and add
-CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
+# no FP contraction: every sum keeps its separate multiply and add;
+# -fno-math-errno: sqrt becomes the (correctly rounded) instruction alone
+CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 BUILD_TIMEOUT_S = 120
 
 # objectives and stop codes of apg_stage
@@ -156,10 +157,14 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         getattr(lib, name).restype = None
     lib.mc_scratch_len.argtypes = [i64, i64, i64]
     lib.mc_scratch_len.restype = i64
+    # the generator key, block index and draw count
+    draws = [ctypes.c_uint64, i64, i64]
+    lib.mc_normals.argtypes = draws + [i64, ptr]
+    lib.mc_normals.restype = None
     # the pilot model (M, T, N, group pointer, pilot, noise scale, z scale),
-    # then count, g, w -> z, ...
-    pilot = [i64, i64, i64, ptr, ptr, dbl, ptr, i64, ptr, ptr]
-    lib.mc_pilot.argtypes = pilot + [ptr]
+    # then the draws, ...
+    pilot = [i64, i64, i64, ptr, ptr, dbl, ptr] + draws
+    lib.mc_pilot.argtypes = pilot + [ptr, ptr, ptr]
     lib.mc_pilot.restype = None
     lib.mc_block.argtypes = pilot + [ptr, ptr, ptr, ptr]
     lib.mc_block.restype = None

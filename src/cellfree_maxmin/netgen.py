@@ -10,7 +10,7 @@ initialization independent of each other.
 
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -25,8 +25,8 @@ STREAM_SMALLSCALE = 2
 STREAM_SOLVER_INIT = 3
 STREAM_TRIALS = 4
 
-# Fixed draw count per block of small-scale realizations; per-block substreams
-# make Monte-Carlo results independent of how many blocks a caller consumes.
+# Fixed draw count per block of small-scale realizations: the unit of work of
+# the Monte-Carlo oracle's threads, whose block sums are added in block order.
 SMALLSCALE_BLOCK = 4096
 
 
@@ -280,13 +280,11 @@ class PilotModel(NamedTuple):
     noise_scale: float
     z_scale: np.ndarray    # (M, N)
 
-    def c_args(self, count: int, g: np.ndarray, w: np.ndarray) -> tuple:
-        """The leading arguments of mc_pilot and mc_block: the model, then
-        the draw count and the unit normals g (2, count, M, T) and w
-        (2, count, M, N), which the call replaces by z."""
+    def c_args(self) -> tuple:
+        """The leading arguments of mc_pilot and mc_block: the model."""
         m, t = self.pilot.shape
         return (m, t, self.z_scale.shape[1], self.group_ptr.ctypes.data, self.pilot.ctypes.data,
-                self.noise_scale, self.z_scale.ctypes.data, count, g.ctypes.data, w.ctypes.data)
+                self.noise_scale, self.z_scale.ctypes.data)
 
 
 def pilot_model(instance: NetworkInstance) -> PilotModel:
@@ -302,21 +300,12 @@ def pilot_model(instance: NetworkInstance) -> PilotModel:
                       np.sqrt(denom))
 
 
-class BlockBuffers(NamedTuple):
-    """Flat storage for one block of joint draws: the unit normals of g, those
-    of the pilot noise w (replaced by z), and the compiled pass's scratch."""
-
-    g: np.ndarray
-    z: np.ndarray
-    scratch: np.ndarray
-
-
-def block_buffers(model: PilotModel, count: int) -> BlockBuffers:
-    """Storage for a block of up to `count` draws."""
-    m, t = model.pilot.shape
-    n_groups = model.z_scale.shape[1]
-    return BlockBuffers(np.empty(2 * count * m * t), np.empty(2 * count * m * n_groups),
-                        np.empty(native.load_library().mc_scratch_len(m, t, n_groups)))
+def smallscale_key(seed: int) -> int:
+    """The 64-bit key k0 + 2^32 k1 of the compiled normal generator for the
+    small-scale draws of `seed`: the two 32-bit words of
+    SeedSequence([seed, STREAM_SMALLSCALE])."""
+    k0, k1 = np.random.SeedSequence([int(seed), STREAM_SMALLSCALE]).generate_state(2, np.uint32)
+    return int(k0) | int(k1) << 32
 
 
 def block_sizes(count: int) -> List[int]:
@@ -324,41 +313,40 @@ def block_sizes(count: int) -> List[int]:
     return [min(SMALLSCALE_BLOCK, count - lo) for lo in range(0, count, SMALLSCALE_BLOCK)]
 
 
-def block_normals(model: PilotModel, seed: int, block_idx: int, count: int,
-                  buffers: BlockBuffers) -> Tuple[np.ndarray, np.ndarray]:
-    """The unit normals of block `block_idx`, from substream (seed,
-    STREAM_SMALLSCALE, block_idx) in the order Re g, Im g, Re w, Im w, as
-    views (2, count, M, T) and (2, count, M, N) of `buffers`."""
+def block_normals(model: PilotModel, seed: int, block_idx: int,
+                  count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The unit normals of block `block_idx` of `seed` (see mc_block.c):
+    g's (2, count, M, T) and the pilot noise's (2, count, M, N), Re then Im."""
     m, t = model.pilot.shape
     n_groups = model.z_scale.shape[1]
-    rng = stream_rng(seed, STREAM_SMALLSCALE, block_idx)
-    g = buffers.g[:2 * count * m * t].reshape(2, count, m, t)
-    w = buffers.z[:2 * count * m * n_groups].reshape(2, count, m, n_groups)
-    rng.standard_normal(out=g)
-    rng.standard_normal(out=w)
-    return g, w
+    out = np.empty((2, count, m * (t + n_groups)))
+    native.load_library().mc_normals(smallscale_key(seed), block_idx, count, out.shape[2],
+                                     out.ctypes.data)
+    return (out[:, :, :m * t].reshape(2, count, m, t),
+            out[:, :, m * t:].reshape(2, count, m, n_groups))
 
 
-def smallscale_block(model: PilotModel, seed: int, block_idx: int, count: int,
-                     buffers: Optional[BlockBuffers] = None) -> SmallScaleBlock:
-    """Block `block_idx` of joint draws: `count` draws of block_normals, with
+def smallscale_block(model: PilotModel, seed: int, block_idx: int, count: int) -> SmallScaleBlock:
+    """Block `block_idx` of joint draws: the normals of block_normals, with
     g = sqrt(1/2) * (unit complex normal) and z built from the actual pilot
-    observation so that E{h * conj(z)} = sqrt(gamma); see PilotModel.
-
-    The block is written into `buffers` (fresh arrays when None) by one
-    mc_pilot call and returned as views of them."""
-    if buffers is None:
-        buffers = block_buffers(model, count)
-    g, z = block_normals(model, seed, block_idx, count, buffers)
-    native.load_library().mc_pilot(*model.c_args(count, g, z), buffers.scratch.ctypes.data)
+    observation so that E{h * conj(z)} = sqrt(gamma); see PilotModel. One
+    mc_pilot call, into fresh arrays."""
+    m, t = model.pilot.shape
+    n_groups = model.z_scale.shape[1]
+    lib = native.load_library()
+    g, z = np.empty((2, count, m, t)), np.empty((2, count, m, n_groups))
+    scratch = np.empty(lib.mc_scratch_len(m, t, n_groups))
+    lib.mc_pilot(*model.c_args(), smallscale_key(seed), block_idx, count, g.ctypes.data,
+                 z.ctypes.data, scratch.ctypes.data)
     return SmallScaleBlock(g[0], g[1], z[0], z[1])
 
 
 def iter_smallscale_blocks(instance: NetworkInstance, count: int,
                            seed: int) -> Iterator[SmallScaleBlock]:
-    """Yield blocks of at most SMALLSCALE_BLOCK draws in fresh arrays. Block b
-    always uses substream (seed, STREAM_SMALLSCALE, b), so the joint draw
-    sequence is a pure function of (instance, count, seed)."""
+    """Yield blocks of at most SMALLSCALE_BLOCK draws in fresh arrays. Every
+    normal is a pure function of (seed, block, draw, entry), so the joint draw
+    sequence is a pure function of (instance, count, seed), and a shorter
+    run's draws are a prefix of a longer one's."""
     model = pilot_model(instance)
     for block_idx, n in enumerate(block_sizes(count)):
         yield smallscale_block(model, seed, block_idx, n)

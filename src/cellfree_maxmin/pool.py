@@ -1,8 +1,9 @@
 """The thread pool behind the Monte-Carlo oracle's draw blocks and the cdf
 experiment's trials.
 
-Both run on threads, not processes: their heavy parts (numpy's generators
-and matmuls, the compiled APG stage) release the interpreter lock, and
+Both run on threads, not processes: their heavy parts (the compiled
+Monte-Carlo block pass and APG stage, numpy's matmuls) release the
+interpreter lock, and
 threads share the caller's arrays and the loaded stage library without
 pickling or loading anything twice.
 """

@@ -11,30 +11,17 @@ never tracks watts). Rates depend only on the user's own group block of mu.
 """
 
 import math
-import queue
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from . import kernels, native, pool
-from .netgen import (
-    BlockBuffers,
-    NetworkInstance,
-    PilotModel,
-    block_buffers,
-    block_normals,
-    block_sizes,
-    pilot_model,
-)
+from .netgen import NetworkInstance, PilotModel, block_sizes, pilot_model, smallscale_key
 from .tables import write_csv
 
 LN2 = math.log(2.0)
 FEASIBILITY_SLACK = 1e-9
-# Bytes the block threads of one oracle call may hold together. A thread
-# holds about 4 MB at M=8, 2x3 and 290 MB at M=100, 4x10 (_thread_bytes);
-# the thread count is cut to fit, but never below one.
-MOMENT_MEMORY_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -254,34 +241,19 @@ def _weights(instance: NetworkInstance, eta: np.ndarray) -> np.ndarray:
     return np.sqrt(instance.zeta * eta[:, group])
 
 
-def _thread_bytes(num_aps: int, t_users: int, n_groups: int, d: int, block: int) -> int:
-    """Bytes one block thread holds: its buffer set for `block` draws (the
-    unit normals of g and of the pilot noise, and the scratch of mc_block)
-    and the block's moment sums."""
-    return 8 * (2 * block * num_aps * (t_users + n_groups)
-                + native.load_library().mc_scratch_len(num_aps, t_users, n_groups)
-                + t_users * d * (1 + d))
-
-
-def _block_workers(num_aps: int, t_users: int, n_groups: int, d: int, sizes) -> int:
-    """Threads of one oracle call over blocks of `sizes` draws: one per CPU
-    and at most one per block, as many as MOMENT_MEMORY_BUDGET holds, and at
-    least one."""
-    per_thread = _thread_bytes(num_aps, t_users, n_groups, d, sizes[0])
-    return max(1, min(pool.cpu_count(), len(sizes), MOMENT_MEMORY_BUDGET // per_thread))
-
-
-def _block_moments(pilot: PilotModel, weight: np.ndarray, seed: int, block_idx: int,
-                   count: int, buffers: BlockBuffers):
+def _block_moments(pilot: PilotModel, weight: np.ndarray, key: int, block_idx: int,
+                   count: int):
     """Sums over the `count` draws of block `block_idx` of the moment vectors x
     (T, d) and of their outer products x x^T (T, d, d): one mc_block call,
-    which leaves the block's z in buffers.z."""
-    t_users = weight.shape[1]
-    d = pilot.z_scale.shape[1] + 2  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
-    g, w = block_normals(pilot, seed, block_idx, count, buffers)
+    which draws the block's normals under generator key `key`."""
+    lib = native.load_library()
+    num_aps, t_users = weight.shape
+    n_groups = pilot.z_scale.shape[1]
+    d = n_groups + 2  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
     s1, s2 = np.empty((t_users, d)), np.empty((t_users, d, d))
-    native.load_library().mc_block(*pilot.c_args(count, g, w), weight.ctypes.data,
-                                   buffers.scratch.ctypes.data, s1.ctypes.data, s2.ctypes.data)
+    scratch = np.empty(lib.mc_scratch_len(num_aps, t_users, n_groups))
+    lib.mc_block(*pilot.c_args(), key, block_idx, count, weight.ctypes.data,
+                 scratch.ctypes.data, s1.ctypes.data, s2.ctypes.data)
     return s1, s2
 
 
@@ -289,26 +261,17 @@ def _moment_sums(instance: NetworkInstance, weight: np.ndarray, draws: int, seed
     """Sums over all draws of the moment vectors x (T, d) and of their outer
     products x x^T (T, d, d).
 
-    Blocks are drawn and reduced on _block_workers threads (inline when that
-    is 1), each thread in one buffer set allocated here and handed out
-    through a queue; block sums are added in block order, so the sums are
-    bit-identical for every thread count."""
-    num_aps, t_users = weight.shape
-    n_groups = instance.dims.num_groups
-    d = n_groups + 2
-    pilot = pilot_model(instance)
+    Blocks are drawn and reduced on min(CPUs, blocks) threads (inline when
+    that is 1), each block call in its own scratch; block sums are added in
+    block order, so the sums are bit-identical for every thread count."""
+    t_users = weight.shape[1]
+    d = instance.dims.num_groups + 2
+    pilot, key = pilot_model(instance), smallscale_key(seed)
     sizes = block_sizes(draws)
-    workers = _block_workers(num_aps, t_users, n_groups, d, sizes)
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(block_buffers(pilot, sizes[0]))
+    workers = min(pool.cpu_count(), len(sizes))
 
     def reduce_block(b):
-        bufs = free.get()
-        try:
-            return _block_moments(pilot, weight, seed, b, sizes[b], bufs)
-        finally:
-            free.put(bufs)
+        return _block_moments(pilot, weight, key, b, sizes[b])
 
     s1 = np.zeros((t_users, d))
     s2 = np.zeros((t_users, d, d))
@@ -336,7 +299,7 @@ def _moment_report(instance: NetworkInstance, s1: np.ndarray, s2: np.ndarray,
     e2 = x0 * x0 + y0 * y0
     total = rho * m2 + rho * csum + sigma2   # signal + interference + noise
     den = total - rho * e2
-    rate = np.log(total) - np.log(den)
+    rate = np.log1p(rho * e2 / den)
 
     grad = np.zeros((t_users, d))
     grad[:, 0] = 2.0 * rho * x0 / den
@@ -373,8 +336,9 @@ def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: i
     form's single N*zeta term is exact; at equal power allocation this
     coincides with the literal received-signal expansion.
 
-    The draw blocks (per-block RNG substreams) are reduced in parallel but
-    added in block order (_moment_sums), so the result is a pure function of
+    Every normal is a pure function of (seed, block, draw, entry) (see
+    mc_block.c), and the draw blocks are reduced in parallel but added in
+    block order (_moment_sums), so the result is a pure function of
     (instance, eta, draws, seed), bit for bit, whatever the number of CPUs.
     Standard errors come from the delta method on the joint moment
     covariance.

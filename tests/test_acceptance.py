@@ -102,6 +102,21 @@ def test_criterion_01_monte_carlo_rate_verification():
                   f"10 instances x 6 users (tolerance 3)")
 
 
+def test_monte_carlo_rate_verification_at_paper_size():
+    """Criterion 1's check on the paper's largest four-group scenario
+    (M=100, 4x10, seed 1), at 8 blocks of draws: every user within 3
+    standard errors."""
+    dims = Dimensions.uniform(100, 4, 10)
+    instance = generate_instance(dims, PhysicalConfig(), seed=1)
+    eta = random_feasible_eta(dims, 1)
+    mu = PowerControl.from_matrix(np.sqrt(eta.T))
+    mc = rate_oracle_monte_carlo(instance, eta, draws=32_768, seed=1)
+    worst = float(mc.n_std_errs(rates_vector(build_rate_model(instance), mu).rates).max())
+    assert report(1, "monte-carlo rate verification at M=100, 4x10", worst < 3.0,
+                  f"max |closed-form - MC| = {worst:.2f} standard errors over 40 users "
+                  f"(tolerance 3)")
+
+
 def test_criterion_02_solver_agreement(agreement_runs):
     gaps = [abs(r["apg_min_rate"] - r["bisection"].t_star) for r in agreement_runs]
     worst = max(gaps)

@@ -1,6 +1,7 @@
-"""The real-arithmetic small-scale pipeline against a local copy of the
-complex-arithmetic reference it replaced: the same draws (g bit-identical,
-z to rounding) and the same Monte-Carlo rate report."""
+"""The compiled small-scale pipeline against a complex-arithmetic reference
+fed by the numpy port of its normal generator (normals_reference): the same
+draws (g bit-identical, z to rounding) and the same Monte-Carlo rate
+report."""
 
 import dataclasses
 
@@ -17,13 +18,8 @@ from cellfree_maxmin import (
     rate_oracle_monte_carlo,
 )
 from cellfree_maxmin.harness import random_feasible_eta
-from cellfree_maxmin.netgen import (
-    SMALLSCALE_BLOCK,
-    STREAM_SMALLSCALE,
-    iter_smallscale_blocks,
-    sample_small_scale,
-    stream_rng,
-)
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, iter_smallscale_blocks, sample_small_scale
+from normals_reference import block_normals
 
 # (num_aps, group_sizes): equal, single-user, unequal, many-group and
 # single-AP shapes
@@ -31,18 +27,18 @@ SHAPES = [(8, (3, 3)), (4, (1,)), (10, (2, 5, 1)), (20, (4, 4, 4, 4)), (1, (1, 1
 DRAWS = 2 * SMALLSCALE_BLOCK + 1234   # not a multiple of the block size
 
 
-def reference_complex_normal(rng, shape, variance=1.0):
+def reference_complex_normal(normals, variance=1.0):
     scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return scale * (normals[0] + 1j * normals[1])
 
 
-def reference_block(instance, rng, count):
+def reference_block(instance, seed, block_idx, count):
     dims = instance.dims
     m, t = instance.zeta.shape
     rt = instance.rho_p_w * instance.config.pilot_len_symbols
-    g = reference_complex_normal(rng, (count, m, t))
-    w = reference_complex_normal(rng, (count, m, dims.num_groups),
-                                 variance=instance.noise_variance_w)
+    g_normals, w_normals = block_normals(seed, block_idx, count, m, t, dims.num_groups)
+    g = reference_complex_normal(g_normals)
+    w = reference_complex_normal(w_normals, variance=instance.noise_variance_w)
     h = np.sqrt(instance.zeta)[None, :, :] * g
     ptr = instance.group_ptr
     z = np.empty((count, m, dims.num_groups), dtype=complex)
@@ -58,7 +54,7 @@ def reference_blocks(instance, count, seed):
     done = block_idx = 0
     while done < count:
         n = min(SMALLSCALE_BLOCK, count - done)
-        yield reference_block(instance, stream_rng(seed, STREAM_SMALLSCALE, block_idx), n)
+        yield reference_block(instance, seed, block_idx, n)
         done += n
         block_idx += 1
 
@@ -114,7 +110,7 @@ def reference_oracle(instance, eta, draws, seed):
         mean_gain=x0 + 1j * y0,
         gain_variance=np.maximum(m2 - e2, 0.0),
         cross_power=csum,
-        rate_nats=np.log(total) - np.log(den),
+        rate_nats=np.log1p(rho * e2 / den),
         std_error=np.sqrt(np.maximum(var_rate, 0.0)),
         mean_gain_se=np.sqrt(np.maximum(cov_mean[:, 0, 0] + cov_mean[:, 1, 1], 0.0)),
         draws=draws,
@@ -129,8 +125,7 @@ def instance(request):
 
 def test_draws_match_reference(instance):
     g, z = sample_small_scale(instance, DRAWS, seed=5)
-    g_ref = np.concatenate([b[0] for b in reference_blocks(instance, DRAWS, 5)])
-    z_ref = np.concatenate([b[1] for b in reference_blocks(instance, DRAWS, 5)])
+    g_ref, z_ref = map(np.concatenate, zip(*reference_blocks(instance, DRAWS, 5)))
     assert g.shape == g_ref.shape and z.shape == z_ref.shape
     assert np.array_equal(g, g_ref)
     # the pilot sums run in another order; relative to the largest |z|, as
@@ -147,8 +142,9 @@ def test_blocks_are_real_parts(instance):
 
 
 def log_terms(ref, instance):
-    """|log(total)| + |log(den)| of each user's rate = log(total) - log(den),
-    from the reference's moments."""
+    """|log(total)| + |log(den)| of each user's rate from the reference's
+    moments: the scale of the rounding of log(total) - log(den), the form the
+    rate had before log1p(rho e2 / den)."""
     rho = instance.rho_d_w
     e2 = np.abs(ref.mean_gain) ** 2
     total = rho * (ref.gain_variance + e2 + ref.cross_power) + instance.noise_variance_w
@@ -181,9 +177,9 @@ def test_report_matches_reference(instance):
 def test_report_matches_reference_on_small_shapes(num_aps, group_sizes, draws, seed):
     """Random small shapes and draw counts that end mid-pass of the compiled
     block; at least 16 draws, so that the sample variances are not rounding
-    noise of the reference's |a|^2. A rate is the difference of two logs of
-    about 30 (noise power near 1e-13 W), so a rate of 1e-4 nat carries their
-    rounding: it is compared at rtol 1e-12 of those logs as well."""
+    noise of the reference's |a|^2. A rate is also allowed rtol 1e-12 of
+    the two logs of about 30 (noise power near 1e-13 W) whose difference it
+    was before both sides took log1p."""
     dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
     instance = generate_instance(dims, PhysicalConfig(), seed=seed)
     eta = random_feasible_eta(dims, seed=seed + 1)

@@ -1,6 +1,7 @@
 """The compiled stage's vector exp and log1p against the C library, the numpy
-port of exp against the compiled one, and stage results and Monte-Carlo
-block sums that do not depend on the lane width the library was built for."""
+port of exp against the compiled one, and stage results, Monte-Carlo normals
+and block sums that do not depend on the lane width the library was built
+for."""
 
 import dataclasses
 
@@ -24,7 +25,7 @@ from cellfree_maxmin import (
     rate_oracle_monte_carlo,
 )
 from cellfree_maxmin.harness import random_feasible_eta
-from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, sample_small_scale
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, block_normals, pilot_model, sample_small_scale
 from cellfree_maxmin.solver_apg import compiled_stage
 
 SPECIALS = np.array([0.0, -0.0, -math.inf, math.inf, math.nan, 5e-324, -5e-324, -708.0,
@@ -163,8 +164,8 @@ MC_LANE_DRAWS = [1, 7, 8, 9, SMALLSCALE_BLOCK + 5]
                     reason="the lane-width flags are x86 options")
 @pytest.mark.parametrize("case", MC_LANE_CASES, ids=["M6-4", "M5-1x3", "M10-2x5x1"])
 def test_monte_carlo_does_not_depend_on_lane_width(lane_libs, monkeypatch, case):
-    """Oracle reports and sampled draws, through mc_block and mc_pilot, are
-    bit-identical on 8, 4 and 2 lanes."""
+    """Oracle reports, sampled draws and the unit normals, through mc_block,
+    mc_pilot and mc_normals, are bit-identical on 8, 4 and 2 lanes."""
     num_aps, group_sizes = case
     dims = Dimensions(num_aps, len(group_sizes), group_sizes)
     instance = generate_instance(dims, PhysicalConfig(), seed=2)
@@ -174,11 +175,13 @@ def test_monte_carlo_does_not_depend_on_lane_width(lane_libs, monkeypatch, case)
         monkeypatch.setattr(native, "load_library", lambda lib=lib: lib)
         runs.append([rate_oracle_monte_carlo(instance, eta, draws, seed=4)
                      for draws in MC_LANE_DRAWS]
-                    + [sample_small_scale(instance, MC_LANE_DRAWS[-1], seed=4)])
+                    + [sample_small_scale(instance, MC_LANE_DRAWS[-1], seed=4),
+                       block_normals(pilot_model(instance), 4, 1, MC_LANE_DRAWS[-2])])
     for got in runs[1:]:
-        for a, b in zip(got[:-1], runs[0][:-1]):
+        for a, b in zip(got[:-2], runs[0][:-2]):
             for field in dataclasses.fields(MonteCarloRateReport):
                 assert same_bits(np.ravel(getattr(a, field.name)).view(float),
                                  np.ravel(getattr(b, field.name)).view(float)), field.name
-        for a, b in zip(got[-1], runs[0][-1]):
-            assert same_bits(a.view(float), b.view(float))
+        for draws, ref_draws in zip(got[-2:], runs[0][-2:]):
+            for a, b in zip(draws, ref_draws):
+                assert same_bits(a.view(float), b.view(float))

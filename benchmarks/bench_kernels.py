@@ -38,7 +38,7 @@ import numpy as np
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
                              generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
 from cellfree_maxmin.harness import random_feasible_eta
-from cellfree_maxmin.netgen import block_sizes, smallscale_key
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, block_sizes, smallscale_key
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
 from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY, _support_gap
 
@@ -163,7 +163,7 @@ def bench_normals(lib, repeats):
 
     def run():
         for b, count in enumerate(sizes):
-            lib.mc_normals(key, b, count, entries, out.ctypes.data)
+            lib.mc_normals(key, b * SMALLSCALE_BLOCK, count, entries, out.ctypes.data)
 
     return median_time(run, repeats, min_block_s=0.0) * 1e5 / MC_DRAWS, 2 * entries
 

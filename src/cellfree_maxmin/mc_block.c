@@ -1,10 +1,11 @@
 /* One block of the Monte-Carlo rate oracle in a single pass, with its own
  * unit normals.
  *
- * Normals. Every unit normal is a pure function of (key, block, draw, entry):
- * Philox4x32-10 (Salmon, Moraes, Dror & Shaw, SC 2011) on the counter
+ * Normals. Every unit normal is a pure function of (key, draw, entry), the
+ * draw counted from 0 over the whole run: Philox4x32-10 (Salmon, Moraes,
+ * Dror & Shaw, SC 2011) on the counter
  *
- *   (c0, c1, c2, c3) = (entry, draw, block, 0)
+ *   (c0, c1, c2, c3) = (entry, draw mod 2^32, draw div 2^32, 0)
  *
  * under the 64-bit key k0 + 2^32 k1 gives four 32-bit words x0..x3; the
  * 64-bit words x0 + 2^32 x1 and x2 + 2^32 x3 become the Re and Im normals of
@@ -12,11 +13,12 @@
  * 2000) whose tables are computed when the library is loaded. A word r
  * gives the layer r & 127, the sign bit 7 and the 52-bit magnitude r >> 12.
  * Entries of one draw are g's (m, k) at m*T + k, then the pilot noise w's
- * (m, n) at M*T + m*N + n; draws count from 0 within each block. The
- * ziggurat's rare slow path (2.8% of normals) takes its further 64-bit
- * words, in order, from Philox under the complemented key ~key on the
- * counter (entry, draw, block, half + 2*i), i = 0, 1, ..., half 0 for Re and
- * 1 for Im, two words per counter.
+ * (m, n) at M*T + m*N + n. A call draws the run's draws first ..
+ * first+count-1, so how a run is cut into blocks of draws does not change
+ * its normals. The ziggurat's rare slow path (2.8% of normals) takes its
+ * further 64-bit words, in order, from Philox under the complemented key
+ * ~key on the counter (c0, c1, c2, half + 2*i), i = 0, 1, ..., half 0 for Re
+ * and 1 for Im, two words per counter.
  *
  * Pass. Per draw b and AP m:
  *
@@ -292,8 +294,8 @@ static void finish_slow(Slow *q)
 }
 
 /* scale * (the normals of words r) into out[0 .. SLOTS); the rejected ones
- * go to q, with their counters c (draw c[1] + slot) and c3 = half */
-static void zig_slots(words r, double scale, const uint32_t c[3], uint32_t half, double *out,
+ * go to q, with their counters (c[0], c[1][slot], c[2][slot], half) */
+static void zig_slots(words r, double scale, const words c[3], uint32_t half, double *out,
                       Slow *q)
 {
     const words idx = r & 127, mag = r >> 12;
@@ -322,24 +324,23 @@ static void zig_slots(words r, double scale, const uint32_t c[3], uint32_t half,
             q->item[q->n].out = out + j;
             q->item[q->n].scale = scale;
             q->item[q->n].r = r[j];
-            q->item[q->n].c[0] = c[0], q->item[q->n].c[1] = c[1] + (uint32_t)j;
-            q->item[q->n].c[2] = c[2], q->item[q->n].c[3] = half;
+            q->item[q->n].c[0] = (uint32_t)c[0][j], q->item[q->n].c[1] = (uint32_t)c[1][j];
+            q->item[q->n].c[2] = (uint32_t)c[2][j], q->item[q->n].c[3] = half;
             q->n++;
         }
     }
 }
 
 /* scale * (unit normals) of entry e for the draws b0 .. b0+SLOTS-1 of the
- * block into re[0 .. SLOTS) and im[0 .. SLOTS), complete after
+ * run into re[0 .. SLOTS) and im[0 .. SLOTS), complete after
  * finish_slow(q) */
-static void draw_entry(int64_t block, int64_t b0, int64_t e, double scale, double *re,
-                       double *im, Slow *q)
+static void draw_entry(uint64_t b0, int64_t e, double scale, double *re, double *im, Slow *q)
 {
     const words iota = {0, 1, 2, 3, 4, 5, 6, 7};
-    words c[4] = {(words){0} + (uint32_t)e, iota + (uint32_t)b0, (words){0} + (uint32_t)block,
-                  (words){0}};
+    const words lo = iota + (b0 & LO32);
+    const words at[3] = {(words){0} + (uint32_t)e, lo & LO32, (b0 >> 32) + (lo >> 32)};
+    words c[4] = {at[0], at[1], at[2], (words){0}};
     philox(c, q->key);
-    const uint32_t at[3] = {(uint32_t)e, (uint32_t)b0, (uint32_t)block};
     zig_slots(c[0] | c[1] << 32, scale, at, 0, re, q);
     zig_slots(c[2] | c[3] << 32, scale, at, 1, im, q);
 }
@@ -432,9 +433,9 @@ static void scatter(double *restrict dst, const double *restrict tile, int64_t s
             dst[j * stride + i] = tile[i * SLOTS + j];
 }
 
-/* unit normals of entries 0 .. entries-1 for draws 0 .. count-1 of the
- * block: out is (2, count, entries), Re then Im */
-void mc_normals(uint64_t key, int64_t block, int64_t count, int64_t entries, double *out)
+/* unit normals of entries 0 .. entries-1 for draws first .. first+count-1
+ * of the run: out is (2, count, entries), Re then Im */
+void mc_normals(uint64_t key, int64_t first, int64_t count, int64_t entries, double *out)
 {
     double re[PENDING * SLOTS], im[PENDING * SLOTS];
     Slow q = {key, 0};
@@ -443,7 +444,7 @@ void mc_normals(uint64_t key, int64_t block, int64_t count, int64_t entries, dou
         for (int64_t e0 = 0; e0 < entries; e0 += PENDING) {
             const int64_t n = entries - e0 < PENDING ? entries - e0 : PENDING;
             for (int64_t e = 0; e < n; e++)
-                draw_entry(block, b0, e0 + e, 1.0, re + e * SLOTS, im + e * SLOTS, &q);
+                draw_entry(first + b0, e0 + e, 1.0, re + e * SLOTS, im + e * SLOTS, &q);
             finish_slow(&q);
             scatter(out + b0 * entries + e0, re, entries, n, k);
             scatter(out + (count + b0) * entries + e0, im, entries, n, k);
@@ -451,17 +452,15 @@ void mc_normals(uint64_t key, int64_t block, int64_t count, int64_t entries, dou
     }
 }
 
-/* AP m's draws b0 .. b0+k-1 (k <= SLOTS) into the tiles: gs, and the noise
- * normals w (g = 0, w = 1 in the absent slots) */
-static void draw_ap(const Pilot *P, Slow *q, int64_t block, int64_t m, int64_t b0, int64_t k,
-                    const Scratch *s)
+/* AP m's draws b0 .. b0+k-1 (k <= SLOTS) of the run into the tiles: gs, and
+ * the noise normals w (g = 0, w = 1 in the absent slots) */
+static void draw_ap(const Pilot *P, Slow *q, int64_t m, int64_t b0, int64_t k, const Scratch *s)
 {
     const int64_t T = P->T, N = P->N;
     for (int64_t u = 0; u < T; u++)
-        draw_entry(block, b0, m * T + u, SQRT_HALF, s->gre + u * SLOTS, s->gim + u * SLOTS, q);
+        draw_entry(b0, m * T + u, SQRT_HALF, s->gre + u * SLOTS, s->gim + u * SLOTS, q);
     for (int64_t n = 0; n < N; n++)
-        draw_entry(block, b0, P->M * T + m * N + n, 1.0, s->zre + n * SLOTS, s->zim + n * SLOTS,
-                   q);
+        draw_entry(b0, P->M * T + m * N + n, 1.0, s->zre + n * SLOTS, s->zim + n * SLOTS, q);
     finish_slow(q);
     for (int64_t j = k; j < SLOTS; j++) {
         for (int64_t u = 0; u < T; u++)
@@ -500,9 +499,10 @@ static void pilot_ap(const Pilot *P, int64_t m, const Scratch *s)
     }
 }
 
-/* gs (2, count, M, T) and z (2, count, M, N) of `count` draws of the block */
+/* gs (2, count, M, T) and z (2, count, M, N) of draws first .. first+count-1
+ * of the run */
 void mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
-              double noise_scale, const double *z_scale, uint64_t key, int64_t block,
+              double noise_scale, const double *z_scale, uint64_t key, int64_t first,
               int64_t count, double *g, double *z, double *scratch)
 {
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
@@ -512,7 +512,7 @@ void mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
         const int64_t k = count - b0 < SLOTS ? count - b0 : SLOTS;
         for (int64_t m = 0; m < M; m++) {
-            draw_ap(&P, &q, block, m, b0, k, &s);
+            draw_ap(&P, &q, m, first + b0, k, &s);
             pilot_ap(&P, m, &s);
             scatter(g + b0 * MT + m * T, s.gre, MT, T, k);
             scatter(g + (count + b0) * MT + m * T, s.gim, MT, T, k);
@@ -592,11 +592,11 @@ static double slot_sum(const double *a)
     return acc;
 }
 
-/* Moment sums s1 (T, d) and s2 (T, d, d) of `count` draws of the block, with
- * the per-user weights weight (M, T) = sqrt(zeta_mu eta_mn), n the user's
- * group. */
+/* Moment sums s1 (T, d) and s2 (T, d, d) of draws first .. first+count-1 of
+ * the run, with the per-user weights weight (M, T) = sqrt(zeta_mu eta_mn), n
+ * the user's group. */
 void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
-              double noise_scale, const double *z_scale, uint64_t key, int64_t block,
+              double noise_scale, const double *z_scale, uint64_t key, int64_t first,
               int64_t count, const double *weight, double *scratch, double *s1, double *s2)
 {
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
@@ -610,7 +610,7 @@ void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
         memset(s.are, 0, SLOTS * T * N * sizeof(double));
         memset(s.aim, 0, SLOTS * T * N * sizeof(double));
         for (int64_t m = 0; m < M; m++) {
-            draw_ap(&P, &q, block, m, b0, k, &s);
+            draw_ap(&P, &q, m, first + b0, k, &s);
             pilot_ap(&P, m, &s);
             add_gains(&P, weight, m, &s);
         }

@@ -315,13 +315,14 @@ def block_sizes(count: int) -> List[int]:
 
 def block_normals(model: PilotModel, seed: int, block_idx: int,
                   count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The unit normals of block `block_idx` of `seed` (see mc_block.c):
-    g's (2, count, M, T) and the pilot noise's (2, count, M, N), Re then Im."""
+    """The unit normals of block `block_idx` of `seed`, the run's draws from
+    block_idx * SMALLSCALE_BLOCK on (see mc_block.c): g's (2, count, M, T)
+    and the pilot noise's (2, count, M, N), Re then Im."""
     m, t = model.pilot.shape
     n_groups = model.z_scale.shape[1]
     out = np.empty((2, count, m * (t + n_groups)))
-    native.load_library().mc_normals(smallscale_key(seed), block_idx, count, out.shape[2],
-                                     out.ctypes.data)
+    native.load_library().mc_normals(smallscale_key(seed), block_idx * SMALLSCALE_BLOCK, count,
+                                     out.shape[2], out.ctypes.data)
     return (out[:, :, :m * t].reshape(2, count, m, t),
             out[:, :, m * t:].reshape(2, count, m, n_groups))
 
@@ -336,17 +337,17 @@ def smallscale_block(model: PilotModel, seed: int, block_idx: int, count: int) -
     lib = native.load_library()
     g, z = np.empty((2, count, m, t)), np.empty((2, count, m, n_groups))
     scratch = np.empty(lib.mc_scratch_len(m, t, n_groups))
-    lib.mc_pilot(*model.c_args(), smallscale_key(seed), block_idx, count, g.ctypes.data,
-                 z.ctypes.data, scratch.ctypes.data)
+    lib.mc_pilot(*model.c_args(), smallscale_key(seed), block_idx * SMALLSCALE_BLOCK, count,
+                 g.ctypes.data, z.ctypes.data, scratch.ctypes.data)
     return SmallScaleBlock(g[0], g[1], z[0], z[1])
 
 
 def iter_smallscale_blocks(instance: NetworkInstance, count: int,
                            seed: int) -> Iterator[SmallScaleBlock]:
     """Yield blocks of at most SMALLSCALE_BLOCK draws in fresh arrays. Every
-    normal is a pure function of (seed, block, draw, entry), so the joint draw
-    sequence is a pure function of (instance, count, seed), and a shorter
-    run's draws are a prefix of a longer one's."""
+    normal is a pure function of (seed, draw, entry), so the joint draw
+    sequence is a pure function of (instance, count, seed), whatever the
+    block size, and a shorter run's draws are a prefix of a longer one's."""
     model = pilot_model(instance)
     for block_idx, n in enumerate(block_sizes(count)):
         yield smallscale_block(model, seed, block_idx, n)

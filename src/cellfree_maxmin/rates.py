@@ -17,7 +17,8 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels, native, pool
-from .netgen import NetworkInstance, PilotModel, block_sizes, pilot_model, smallscale_key
+from .netgen import (SMALLSCALE_BLOCK, NetworkInstance, PilotModel, block_sizes, pilot_model,
+                     smallscale_key)
 from .tables import write_csv
 
 LN2 = math.log(2.0)
@@ -243,16 +244,17 @@ def _weights(instance: NetworkInstance, eta: np.ndarray) -> np.ndarray:
 
 def _block_moments(pilot: PilotModel, weight: np.ndarray, key: int, block_idx: int,
                    count: int):
-    """Sums over the `count` draws of block `block_idx` of the moment vectors x
-    (T, d) and of their outer products x x^T (T, d, d): one mc_block call,
-    which draws the block's normals under generator key `key`."""
+    """Sums over the `count` draws of block `block_idx` (the run's draws from
+    block_idx * SMALLSCALE_BLOCK on) of the moment vectors x (T, d) and of
+    their outer products x x^T (T, d, d): one mc_block call, which draws the
+    block's normals under generator key `key`."""
     lib = native.load_library()
     num_aps, t_users = weight.shape
     n_groups = pilot.z_scale.shape[1]
     d = n_groups + 2  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
     s1, s2 = np.empty((t_users, d)), np.empty((t_users, d, d))
     scratch = np.empty(lib.mc_scratch_len(num_aps, t_users, n_groups))
-    lib.mc_block(*pilot.c_args(), key, block_idx, count, weight.ctypes.data,
+    lib.mc_block(*pilot.c_args(), key, block_idx * SMALLSCALE_BLOCK, count, weight.ctypes.data,
                  scratch.ctypes.data, s1.ctypes.data, s2.ctypes.data)
     return s1, s2
 
@@ -336,7 +338,7 @@ def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: i
     form's single N*zeta term is exact; at equal power allocation this
     coincides with the literal received-signal expansion.
 
-    Every normal is a pure function of (seed, block, draw, entry) (see
+    Every normal is a pure function of (seed, draw, entry) (see
     mc_block.c), and the draw blocks are reduced in parallel but added in
     block order (_moment_sums), so the result is a pure function of
     (instance, eta, draws, seed), bit for bit, whatever the number of CPUs.

@@ -1,14 +1,14 @@
 """numpy reference of the compiled Monte-Carlo normal generator (mc_block.c):
 Philox4x32-10 in uint64 arithmetic, the 128-layer ziggurat with its tables
-from the same libm calls (Python's math module), and the block layout of
-netgen.block_normals. Every step repeats the C code operation for operation,
-so the normals agree bit for bit."""
+from the same libm calls (Python's math module), the run-wide draw counters
+and the block layout of netgen.block_normals. Every step repeats the C code
+operation for operation, so the normals agree bit for bit."""
 
 import math
 
 import numpy as np
 
-from cellfree_maxmin.netgen import smallscale_key
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, smallscale_key
 
 M0, M1 = 0xD2511F53, 0xCD9E8D57
 W0, W1 = 0x9E3779B9, 0xBB67AE85
@@ -135,12 +135,12 @@ def _ziggurat(r, counter, half, key):
     return x
 
 
-def normals(key, block, count, entries):
-    """Unit normals (2, count, entries) of draws 0 .. count-1 of a block,
-    Re then Im, as mc_normals writes them."""
-    draw, entry = np.meshgrid(np.arange(count, dtype=np.uint64),
+def normals(key, first, count, entries):
+    """Unit normals (2, count, entries) of the run's draws first ..
+    first+count-1, Re then Im, as mc_normals writes them."""
+    draw, entry = np.meshgrid(np.uint64(first) + np.arange(count, dtype=np.uint64),
                               np.arange(entries, dtype=np.uint64), indexing="ij")
-    counter = (entry, draw, np.full_like(draw, block), np.zeros_like(draw))
+    counter = (entry, draw & LO32, draw >> np.uint64(32), np.zeros_like(draw))
     x0, x1, x2, x3 = philox4x32(counter, _split(key))
     return np.stack([_ziggurat(x0 | x1 << np.uint64(32), counter, 0, key),
                      _ziggurat(x2 | x3 << np.uint64(32), counter, 1, key)])
@@ -149,7 +149,8 @@ def normals(key, block, count, entries):
 def block_normals(seed, block, count, num_aps, t_users, n_groups):
     """netgen.block_normals: g's normals (2, count, M, T) and the pilot
     noise's (2, count, M, N)."""
-    out = normals(smallscale_key(seed), block, count, num_aps * (t_users + n_groups))
+    out = normals(smallscale_key(seed), block * SMALLSCALE_BLOCK, count,
+                  num_aps * (t_users + n_groups))
     split = num_aps * t_users
     return (out[:, :, :split].reshape(2, count, num_aps, t_users),
             out[:, :, split:].reshape(2, count, num_aps, n_groups))

@@ -1,14 +1,14 @@
 """The compiled Monte-Carlo normal generator (mc_block.c): Philox4x32-10
 known answers on the numpy port, compiled normals equal to the port's bit for
-bit, their distribution, and draws that depend only on (seed, block, draw,
-entry)."""
+bit, their distribution, and draws that depend only on (seed, draw, entry),
+not on how a run is cut into blocks."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cellfree_maxmin import Dimensions, PhysicalConfig, generate_instance, native
+from cellfree_maxmin import Dimensions, PhysicalConfig, generate_instance, native, netgen
 from cellfree_maxmin.netgen import block_normals, pilot_model, sample_small_scale, smallscale_key
 
 import normals_reference as ref
@@ -22,9 +22,10 @@ PHILOX_KAT = [
 ]
 
 
-def compiled_normals(key, block, count, entries):
+def compiled_normals(key, first, count, entries):
+    """mc_normals: the run's draws first .. first+count-1."""
     out = np.empty((2, count, entries))
-    native.load_library().mc_normals(key, block, count, entries, out.ctypes.data)
+    native.load_library().mc_normals(key, first, count, entries, out.ctypes.data)
     return out
 
 
@@ -38,11 +39,12 @@ def test_philox_known_answers(counter, key, expected):
 
 
 def test_compiled_normals_equal_port():
-    """A block that ends mid-pass (1003 = 125 * 8 + 3 draws), with normals
-    through the fast path, the wedges and the tail."""
-    key = smallscale_key(11)
-    got = compiled_normals(key, 2, 1003, 37)
-    expected = ref.normals(key, 2, 1003, 37)
+    """A call that ends mid-pass (1003 = 125 * 8 + 3 draws) and whose draw
+    index passes 2^32 inside a pass (a carry into c2 in lanes 5-7), with
+    normals through the fast path, the wedges and the tail."""
+    key, first = smallscale_key(11), 2**32 - 501
+    got = compiled_normals(key, first, 1003, 37)
+    expected = ref.normals(key, first, 1003, 37)
     assert same_bits(got, expected)
     assert (np.abs(got) > ref.ZIG_R).sum() > 10  # tail normals
 
@@ -88,5 +90,21 @@ def test_shorter_run_is_a_prefix():
 
 def test_blocks_and_seeds_draw_apart():
     a = compiled_normals(smallscale_key(3), 0, 64, 8)
-    assert not np.isin(a, compiled_normals(smallscale_key(3), 1, 64, 8)).any()
+    assert not np.isin(a, compiled_normals(smallscale_key(3), 64, 64, 8)).any()
+    assert not np.isin(a, compiled_normals(smallscale_key(3), 2**32, 64, 8)).any()
     assert not np.isin(a, compiled_normals(smallscale_key(4), 0, 64, 8)).any()
+
+
+def test_draws_do_not_depend_on_block_size(monkeypatch):
+    """A draw's normals depend on its index in the run, not on the block
+    holding it: a call from draw 4096 repeats a longer call's tail, and
+    sample_small_scale is unchanged with 1000-draw blocks."""
+    key = smallscale_key(5)
+    assert same_bits(compiled_normals(key, 4096, 1003, 9),
+                     compiled_normals(key, 0, 5099, 9)[:, 4096:])
+    instance = generate_instance(Dimensions(6, 2, (2, 3)), PhysicalConfig(), seed=1)
+    g1, z1 = sample_small_scale(instance, 4_500, seed=2)
+    monkeypatch.setattr(netgen, "SMALLSCALE_BLOCK", 1000)
+    assert len(netgen.block_sizes(4_500)) == 5
+    g2, z2 = sample_small_scale(instance, 4_500, seed=2)
+    assert np.array_equal(g1, g2) and np.array_equal(z1, z2)

@@ -62,18 +62,11 @@
 #include <string.h>
 #include <time.h>
 
+#include "simd.h"
+
 #define PI 3.141592653589793
 #define BALL_SLACK 1e-12
 
-#if defined(__AVX512F__)
-#define LANES 8
-#elif defined(__AVX__)
-#define LANES 4
-#else
-#define LANES 2
-#endif
-
-typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
 typedef int64_t ivec __attribute__((vector_size(LANES * sizeof(double))));
 typedef uint64_t uvec __attribute__((vector_size(LANES * sizeof(double))));
 
@@ -171,30 +164,10 @@ static void project(const double *x, double *out, double *nsq, int64_t N, int64_
     }
 }
 
-static vec splat(double a)
-{
-    vec v;
-    for (int j = 0; j < LANES; j++)
-        v[j] = a;
-    return v;
-}
-
 /* lane by lane m ? a : b, for masks of all ones or all zeros */
 static vec select(ivec m, vec a, vec b)
 {
     return (vec)((m & (ivec)a) | (~m & (ivec)b));
-}
-
-static vec load(const double *p)
-{
-    vec v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static void store(double *p, vec v)
-{
-    memcpy(p, &v, sizeof v);
 }
 
 #define LN2_HI 6.93147180369123816490e-01 /* 0x3fe62e42fee00000: 32 bits */

@@ -69,20 +69,12 @@
 #include <immintrin.h>
 #endif
 
+#include "simd.h"
+
 #define SLOTS 8
 #define SQRT_HALF 0.70710678118654752440
-
-#if defined(__AVX512F__)
-#define LANES 8
-#elif defined(__AVX__)
-#define LANES 4
-#else
-#define LANES 2
-#endif
-
 #define VECS (SLOTS / LANES)
 
-typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
 /* one 32-bit Philox word (or a 64-bit ziggurat word) per slot */
 typedef uint64_t words __attribute__((vector_size(SLOTS * sizeof(uint64_t))));
 typedef int64_t swords __attribute__((vector_size(SLOTS * sizeof(int64_t))));
@@ -395,26 +387,6 @@ static Scratch carve(double *w, const Pilot *P)
     s.s1 = w, w += SLOTS * T * d;
     s.s2 = w;
     return s;
-}
-
-static vec splat(double a)
-{
-    vec v;
-    for (int j = 0; j < LANES; j++)
-        v[j] = a;
-    return v;
-}
-
-static vec load(const double *p)
-{
-    vec v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static void store(double *p, vec v)
-{
-    memcpy(p, &v, sizeof v);
 }
 
 static vec vsqrt(vec v)

@@ -4,14 +4,14 @@ and the Monte-Carlo oracle's block pass (mc_block.c).
 Both sources are built into one shared library with the system C compiler
 on first use, never at import, into
 ``${XDG_CACHE_HOME:-~/.cache}/cellfree_maxmin/``. It is built for the host
-CPU (``-march=native``), so its file name carries a hash of both sources,
-the compiler, the flags and the host CPU's identity: a changed source,
-compiler or CPU builds afresh (a shared home directory never loads a library
-built for another CPU), and every later process only loads the file. Each
-build writes a private temporary file and renames it into place, so processes
-that build at the same time cannot see a partial library, and threads of one
-process that load it for the first time together take turns, so only the
-first builds. Compiler output is captured and never printed.
+CPU (``-march=native``), so its file name carries a hash of both sources
+and the header they share (simd.h), the compiler, the flags and the host
+CPU's identity: a changed source, header, compiler or CPU builds afresh (a
+shared home directory never loads a library built for another CPU), and
+every later process only loads the file. Each build writes a private
+temporary file and renames it into place, so processes that build at the
+same time cannot see a partial library, and threads of one process that
+load it for the first time together take turns, so only the first builds. Compiler output is captured and never printed.
 
 This library is the only engine the solvers and the Monte-Carlo oracle run,
 so a C compiler is required: when none is found, or the build fails,
@@ -27,8 +27,10 @@ import platform
 import shutil
 import threading
 
-SOURCES = tuple(os.path.join(os.path.dirname(os.path.abspath(__file__)), name)
-                for name in ("apg_stage.c", "mc_block.c"))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCES = tuple(os.path.join(_HERE, name) for name in ("apg_stage.c", "mc_block.c"))
+# included by the sources: part of the cache key, not of the compile line
+HEADERS = (os.path.join(_HERE, "simd.h"),)
 COMPILERS = ("cc", "gcc")
 # no -ffast-math: NaN comparisons must fail and rounding must follow numpy;
 # no FP contraction: every sum keeps its separate multiply and add;
@@ -99,7 +101,7 @@ def _library_path(compiler: str) -> str:
     real = os.path.realpath(compiler)
     st = os.stat(real)
     digest = hashlib.sha256()
-    for source in SOURCES:
+    for source in SOURCES + HEADERS:
         with open(source, "rb") as fh:
             digest.update(fh.read())
     digest.update(f"\0{real}\0{st.st_size}\0{st.st_mtime_ns}\0{' '.join(CFLAGS)}"
@@ -157,7 +159,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         getattr(lib, name).restype = None
     lib.mc_scratch_len.argtypes = [i64, i64, i64]
     lib.mc_scratch_len.restype = i64
-    # the generator key, block index and draw count
+    # the generator key, the run-wide index of the first draw and the draw count
     draws = [ctypes.c_uint64, i64, i64]
     lib.mc_normals.argtypes = draws + [i64, ptr]
     lib.mc_normals.restype = None

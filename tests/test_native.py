@@ -410,6 +410,18 @@ def test_library_path_keys_on_host_cpu(monkeypatch):
     assert native._host_cpu()
 
 
+def test_library_path_keys_on_header(tmp_path, monkeypatch):
+    """The sources include simd.h, so an edited header gets another file
+    instead of a stale library."""
+    original = native._library_path(sys.executable)  # any existing file as compiler
+    header = tmp_path / "simd.h"
+    header.write_bytes(open(native.HEADERS[0], "rb").read())
+    monkeypatch.setattr(native, "HEADERS", (str(header),))
+    assert native._library_path(sys.executable) == original
+    header.write_text(header.read_text().replace("#define LANES 2", "#define LANES 1"))
+    assert native._library_path(sys.executable) != original
+
+
 def test_failed_build_prints_nothing(lib, tmp_path, monkeypatch, capfd):
     """A source the compiler rejects raises an error naming the compiler and
     the source, prints nothing and leaves no file in the cache."""

@@ -83,16 +83,14 @@ class ExperimentConfig:
     mc_draws: int = 200_000
     eta_scheme: str = "random"      # random | epa (verify-rate)
     apply_prelog: bool = False
-    workers: Optional[int] = None   # cap on concurrent cdf trials; None: every CPU
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.solver not in ("apg", "bisection", "both"):
             raise ValueError(f"unknown solver selection {self.solver!r}")
-        for name in ("trials", "workers", "mc_draws", "scaling_fixed_iters"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
+        for name in ("trials", "mc_draws", "scaling_fixed_iters"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.eta_scheme not in ("random", "epa"):
             raise ValueError(f"unknown eta scheme {self.eta_scheme!r}")
@@ -259,15 +257,15 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     """Per-trial: fresh instance, APG solve; pooled per-user rates for the
     optimized and equal power allocations.
 
-    Trials run on min(CPUs, trials, cfg.workers) threads (cfg.workers None:
-    no cap; inline when that is 1) and come back in trial order, so every
-    output is bit-identical for any thread count. The APG stages read their
-    own clock; cdf outputs carry no timing."""
+    Trials run on min(CPUs, trials) threads (inline when that is 1), the
+    rule of the Monte-Carlo oracle's blocks, and come back in trial order,
+    so every output is bit-identical for any thread count. The APG stages
+    read their own clock; cdf outputs carry no timing."""
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
 
     native.load_library()  # a first build happens here, not in every thread
-    workers = min(pool.cpu_count(), cfg.trials, cfg.workers or cfg.trials)
+    workers = min(pool.cpu_count(), cfg.trials)
     results = list(pool.ordered_map(lambda trial: _cdf_trial(cfg, trial), cfg.trials, workers))
 
     # (trials, users) rates of each allocation
@@ -301,8 +299,9 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
 
 
 def fixed_iteration_config(apg: ApgConfig, iters: int) -> ApgConfig:
-    """`apg` for exactly `iters` iterations: stopping rule disabled."""
-    return replace(apg, max_iters=iters, stop_tol=0.0, stop_window=iters + 1)
+    """`apg` for exactly `iters` iterations: a plateau tolerance of 0 never
+    stops a stage."""
+    return replace(apg, max_iters=iters, stop_tol=0.0)
 
 
 def apg_fixed_iteration_time(model, apg: ApgConfig, sigma: float, iters: int,
@@ -323,8 +322,7 @@ def _warm_kernels(cfg: ExperimentConfig):
     build or load."""
     dims = Dimensions(4, len(cfg.group_sizes), cfg.group_sizes)
     model = build_rate_model(generate_instance(dims, cfg.physical, 0))
-    tiny = replace(cfg.apg, max_iters=5, stop_tol=0.0, stop_window=10)
-    apg_solve(model, tiny, sigma=cfg.sigma_schedule[0])
+    apg_solve(model, fixed_iteration_config(cfg.apg, 5), sigma=cfg.sigma_schedule[0])
     bisection_solve(build_soc_system(model), BisectionConfig(tol_t=0.5, oracle_iter_cap=10))
 
 

@@ -21,15 +21,17 @@ the per-AP orthant-ball set S with:
     trial (Scheinberg, Goldfarb & Bai, FoCM 2014), and on each branch's
     first search of a stage.
 
-ApgConfig holds the tunable part of that step policy (delta, kappa, the
-initial steps, the backtracking cap) and the plateau stop; it is the one APG
-configuration of the package. The bisection feasibility oracle reuses the
-same driver and the same ApgConfig defaults with a different (concave)
-objective, a per-stage iteration budget and stop_tol. Each fixed-sigma stage
-runs as one call into the compiled engine (native.py, apg_stage.c), which
-needs a C compiler. monotone_apg, one kernels.apg_step per iteration over the
-numpy kernels, is the reference the compiled stage is tested against; no
-solver runs it.
+The step policy is fixed: the module constants DELTA, KAPPA, ALPHA_Y0,
+ALPHA_MU0, LINE_SEARCH_CAP and STEP_GROW_AFTER, read when a stage starts. A
+stage stops on the plateau test |f_n - f_{n-STOP_WINDOW}| < stop_tol, so
+stop_tol = 0 runs exactly max_iters iterations. ApgConfig holds the two
+values callers set, max_iters and stop_tol; it is the one APG configuration
+of the package. The bisection feasibility oracle reuses the same driver and
+step policy with a different (concave) objective, a per-stage iteration
+budget and stop_tol. Each fixed-sigma stage runs as one call into the
+compiled engine (native.py, apg_stage.c), which needs a C compiler.
+monotone_apg, one kernels.apg_step per iteration over the numpy kernels, is
+the reference the compiled stage is tested against; no solver runs it.
 """
 
 import math
@@ -43,6 +45,12 @@ from . import kernels, native
 from .rates import PowerControl, RateModel, as_mu_matrix
 from .tables import write_csv
 
+DELTA = 1e-5          # sufficient-increase constant
+KAPPA = 0.45          # backtracking shrink factor
+ALPHA_Y0 = 1.0        # initial step size, extrapolated branch
+ALPHA_MU0 = 1.0       # initial step size, plain branch
+LINE_SEARCH_CAP = 60  # shrinks per search
+STOP_WINDOW = 20      # iterations the plateau test looks back
 # A branch grows its step by 1/kappa only when this many of its searches in
 # a row accepted their first trial; growing on every iteration cost a failed
 # trial and a backtrack in almost every search.
@@ -51,28 +59,12 @@ STEP_GROW_AFTER = 10
 
 @dataclass(frozen=True)
 class ApgConfig:
-    delta: float = 1e-5          # sufficient-increase constant
-    kappa: float = 0.45          # backtracking shrink factor
-    alpha_y0: float = 1.0        # initial step size, extrapolated branch
-    alpha_mu0: float = 1.0       # initial step size, plain branch
     max_iters: int = 5000
-    stop_tol: float = 1e-6       # objective change over stop_window
-    stop_window: int = 20
-    line_search_cap: int = 60
+    stop_tol: float = 1e-6       # objective change over STOP_WINDOW iterations
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
-        if self.alpha_y0 <= 0 or self.alpha_mu0 <= 0:
-            raise ValueError("initial step sizes must be positive")
-        if self.line_search_cap < 0:
-            raise ValueError("line_search_cap must be >= 0")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.stop_window < 1:
-            raise ValueError("stop_window must be >= 1")
 
 
 class LineSearchError(RuntimeError):
@@ -148,8 +140,8 @@ def monotone_apg(
     z = mu
     t_prev = 1.0
     t_cur = 1.0
-    alpha_y = cfg.alpha_y0
-    alpha_mu = cfg.alpha_mu0
+    alpha_y = ALPHA_Y0
+    alpha_mu = ALPHA_MU0
     run_y = run_mu = STEP_GROW_AFTER  # full: each branch's first search grows
 
     f_cur, aux_cur = value(mu)
@@ -165,8 +157,8 @@ def monotone_apg(
     step_fn = kernels.IMPL.rate_apg_step
     for it in range(1, cfg.max_iters + 1):
         step = step_fn(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur, f_cur,
-                       alpha_y, alpha_mu, run_y, run_mu, cfg.delta, cfg.kappa,
-                       cfg.line_search_cap, STEP_GROW_AFTER)
+                       alpha_y, alpha_mu, run_y, run_mu, DELTA, KAPPA,
+                       LINE_SEARCH_CAP, STEP_GROW_AFTER)
         if step.status == "stalled":
             res.termination = "stalled"
             break
@@ -197,8 +189,8 @@ def monotone_apg(
                 res.termination = reason
                 break
 
-        if it >= cfg.stop_window:
-            if abs(res.trace_f[-1] - res.trace_f[-1 - cfg.stop_window]) < cfg.stop_tol:
+        if it >= STOP_WINDOW:
+            if abs(res.trace_f[-1] - res.trace_f[-1 - STOP_WINDOW]) < cfg.stop_tol:
                 res.termination = "objective_plateau"
                 break
 
@@ -247,9 +239,9 @@ def compiled_stage(
     traces = np.empty((5, n))  # f, aux, alpha_y, alpha_mu, clock
     bt_y, bt_mu = np.empty((2, n), dtype=np.int64)
     work = np.empty(lib.apg_work_len(T, N, M))
-    stage_cfg = native.StageConfig(cfg.delta, cfg.kappa, cfg.alpha_y0, cfg.alpha_mu0,
-                                   cfg.stop_tol, eps_soc, cfg.max_iters, cfg.stop_window,
-                                   cfg.line_search_cap, gap_check_every, STEP_GROW_AFTER)
+    stage_cfg = native.StageConfig(DELTA, KAPPA, ALPHA_Y0, ALPHA_MU0, cfg.stop_tol, eps_soc,
+                                   cfg.max_iters, STOP_WINDOW, LINE_SEARCH_CAP,
+                                   gap_check_every, STEP_GROW_AFTER)
     out = native.StageResult()
     if clock is None:
         clock_fn = native.CLOCK_FN()

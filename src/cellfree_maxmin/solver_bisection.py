@@ -11,16 +11,16 @@ margin with the same compiled monotone-APG stage as the main solver
 (solver_apg.compiled_stage, kind native.MARGIN), and certifies infeasibility
 through a Frank-Wolfe gap bound (the support function of S has the closed
 form sum_m ||[d_m]_+||): inside the stage every GAP_CHECK_EVERY iterations,
-and once more here when the stages end undecided. The stages use the default
-ApgConfig step policy; only their iteration budget and plateau tolerance are
-set here.
+and once more here when the stages end undecided. The stages run the APG
+step policy of solver_apg; only their iteration budget and plateau tolerance
+are set here.
 
-Oracle outcomes: "feasible" (witness with max residual <= eps_soc),
-"infeasible" (certified min of the max residual exceeds -eps_soc), or
+Oracle outcomes: "feasible" (witness with max residual <= EPS_SOC),
+"infeasible" (certified min of the max residual exceeds -EPS_SOC), or
 "undecided" (iteration cap). Bisection treats undecided as infeasible, which
-can only shrink the reported optimum. BisectionConfig has three knobs: the
-bracket tolerance tol_t, the residual tolerance eps_soc and the oracle's
-total iteration budget oracle_iter_cap. The bracket always starts at
+can only shrink the reported optimum. BisectionConfig has two knobs: the
+bracket tolerance tol_t and the oracle's total iteration budget
+oracle_iter_cap. The bracket always starts at
 [0, zero-interference bound + pad].
 """
 
@@ -40,6 +40,9 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNDECIDED = "undecided"
 
+# residual tolerance of the oracle, read when a call starts
+EPS_SOC = 1e-6
+
 # period, in iterations, of the Frank-Wolfe certificate check inside the
 # oracle's margin stages
 GAP_CHECK_EVERY = 25
@@ -53,7 +56,6 @@ SMOOTHING_STEP = 5.0
 @dataclass(frozen=True)
 class BisectionConfig:
     tol_t: float = 1e-4          # bisection bracket tolerance, nats
-    eps_soc: float = 1e-6        # residual tolerance of the oracle
     oracle_iter_cap: int = 4000  # total budget across smoothing stages
 
     def __post_init__(self):
@@ -113,7 +115,7 @@ def feasibility_oracle(
     warm=None,
     cfg: Optional[BisectionConfig] = None,
 ) -> OracleResult:
-    """Find mu in S with all residuals <= cfg.eps_soc, or certify none is close.
+    """Find mu in S with all residuals <= EPS_SOC, or certify none is close.
 
     `warm` may be a single start point or a sequence of them; the equal power
     allocation point is always added as a fallback candidate. The smoothed
@@ -123,7 +125,7 @@ def feasibility_oracle(
     compiled_stage call, as in apg_solve.
     """
     cfg = cfg or BisectionConfig()
-    eps_soc = cfg.eps_soc
+    eps_soc = EPS_SOC
     model = system.model
     impl = kernels.IMPL
     lib = native.load_library()

@@ -33,7 +33,7 @@ def test_traced_metrics_match_benchmark(tmp_path, monkeypatch):
                 apg=ApgConfig(max_iters=300))
     configs = [
         ExperimentConfig(kind="convergence", out_dir=str(tmp_path / "convergence"), **base),
-        ExperimentConfig(kind="cdf", trials=4, workers=2, out_dir=str(tmp_path / "cdf"), **base),
+        ExperimentConfig(kind="cdf", trials=4, out_dir=str(tmp_path / "cdf"), **base),
         ExperimentConfig(kind="verify-rate", trials=1, mc_draws=5000,
                          out_dir=str(tmp_path / "verify"), **base),
     ]

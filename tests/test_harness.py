@@ -87,8 +87,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config("cdf", tmp_path, trials=0)
 
-    @pytest.mark.parametrize("field,bad", [("workers", 0), ("workers", -2), ("mc_draws", 0),
-                                           ("scaling_fixed_iters", 0)])
+    @pytest.mark.parametrize("field,bad", [("mc_draws", 0), ("scaling_fixed_iters", 0)])
     def test_rejects_nonpositive_counts(self, tmp_path, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
             tiny_config("verify-rate", tmp_path, **{field: bad})
@@ -100,8 +99,12 @@ class TestConfig:
             tiny_config("cdf", tmp_path / "run", sigma_schedule=schedule)
         assert not (tmp_path / "run").exists()
 
+    # the last four were fields of configs saved before the step policy, the
+    # oracle's residual tolerance and the cdf thread cap became fixed
     @pytest.mark.parametrize("key,section", [("alpha0", "apg"), ("t_upper", "bisection"),
-                                             ("shadow_db", "physical"), ("sigmas", None)])
+                                             ("shadow_db", "physical"), ("sigmas", None),
+                                             ("delta", "apg"), ("stop_window", "apg"),
+                                             ("eps_soc", "bisection"), ("workers", None)])
     def test_unknown_json_key_names_its_path(self, tmp_path, key, section):
         doc = tiny_config("cdf", tmp_path).to_json_dict()
         (doc[section] if section else doc)[key] = 1.0
@@ -188,39 +191,42 @@ class TestRunners:
         assert len(rows) - 1 == 3 * cfg.dims.num_users
         assert 0.0 <= out["dominance_fraction"] <= 1.0
 
-    def test_cdf_parallel_matches_serial(self, tmp_path):
-        serial = run_cdf(tiny_config("cdf", tmp_path / "a", trials=3, workers=1))
-        parallel = run_cdf(tiny_config("cdf", tmp_path / "b", trials=3, workers=2))
+    def test_cdf_parallel_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pool, "cpu_count", lambda: 1)
+        serial = run_cdf(tiny_config("cdf", tmp_path / "a", trials=3))
+        monkeypatch.setattr(pool, "cpu_count", lambda: 2)
+        parallel = run_cdf(tiny_config("cdf", tmp_path / "b", trials=3))
         np.testing.assert_array_equal(serial["apg"].rates_nats, parallel["apg"].rates_nats)
         a = (tmp_path / "a" / "users_apg.csv").read_text()
         b = (tmp_path / "b" / "users_apg.csv").read_text()
         assert a == b
 
     def test_cdf_outputs_identical_for_any_thread_count(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pool, "cpu_count", lambda: 4)
         real_trial, threads = harness._cdf_trial, {}
 
         def tracked_trial(cfg, trial):
-            threads.setdefault(cfg.workers, set()).add(threading.get_ident())
+            threads.setdefault(pool.cpu_count(), set()).add(threading.get_ident())
             return real_trial(cfg, trial)
 
         monkeypatch.setattr(harness, "_cdf_trial", tracked_trial)
         names = ("users_apg.csv", "users_epa.csv", "trial_minrates.csv", "cdf_apg.csv",
                  "cdf_epa.csv")
         outputs = {}
-        for workers in (1, 2, 3, None):
-            out_dir = tmp_path / str(workers)
-            run_cdf(tiny_config("cdf", out_dir, trials=5, workers=workers))
-            outputs[workers] = [(out_dir / name).read_bytes() for name in names]
+        for cpus in (1, 2, 3, 8):  # 8 CPUs: one thread per trial
+            monkeypatch.setattr(pool, "cpu_count", lambda: cpus)
+            out_dir = tmp_path / str(cpus)
+            run_cdf(tiny_config("cdf", out_dir, trials=5))
+            outputs[cpus] = [(out_dir / name).read_bytes() for name in names]
         assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
-        assert outputs[None] == outputs[1]
+        assert outputs[8] == outputs[1]
         assert threads[1] == {threading.get_ident()}
-        assert len(threads[2]) <= 2 and len(threads[3]) <= 3 and len(threads[None]) <= 4
+        assert len(threads[2]) <= 2 and len(threads[3]) <= 3 and len(threads[8]) <= 5
 
     def test_cdf_stress_more_threads_than_cores(self, tmp_path, monkeypatch):
         """Six trial threads switching as often as the interpreter allows
         give the serial outputs: trials share no mutable state."""
-        serial = run_cdf(tiny_config("cdf", tmp_path / "serial", trials=6, workers=1))
+        monkeypatch.setattr(pool, "cpu_count", lambda: 1)
+        serial = run_cdf(tiny_config("cdf", tmp_path / "serial", trials=6))
         monkeypatch.setattr(pool, "cpu_count", lambda: 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -165,7 +165,7 @@ def test_margin_stage_matches_monotone_apg(lib, case, level):
     t = margin_level(model, level)
     sigma_f = 3000.0
     x0 = random_feasible_matrix(model, np.random.default_rng(seed))
-    cfg = ApgConfig(max_iters=300, stop_tol=1e-9, stop_window=20)
+    cfg = ApgConfig(max_iters=300, stop_tol=1e-9)
     value, value_grad, monitor = margin_closures(model, t, sigma_f,
                                                  gap_check_every=gap_check_every)
     ref = monotone_apg(value_grad, value, kernels.IMPL.project_ball_orthant, x0, cfg,
@@ -190,7 +190,7 @@ def test_margin_stage_certifies_a_level_below_a_tiny_optimum(lib):
     test_margin_stage_matches_monotone_apg."""
     model = shaped_model(1, (7, 9, 2), 0)
     x0 = random_feasible_matrix(model, np.random.default_rng(0))
-    cfg = ApgConfig(max_iters=300, stop_tol=1e-9, stop_window=20)
+    cfg = ApgConfig(max_iters=300, stop_tol=1e-9)
     got = compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=1.205e-9,
                          eps_soc=1e-6, gap_check_every=10)
     assert got.termination == FEASIBLE
@@ -199,10 +199,12 @@ def test_margin_stage_certifies_a_level_below_a_tiny_optimum(lib):
 @pytest.mark.parametrize("overrides", [
     {},
     # extrapolated steps too long for the capped search: every one is rejected
-    {"alpha_y0": 1e6, "line_search_cap": 5},
+    {"ALPHA_Y0": 1e6, "LINE_SEARCH_CAP": 5},
 ])
-def test_rate_stage_trace_and_clock(lib, small_model, overrides):
-    cfg = ApgConfig(max_iters=50, stop_tol=0.0, stop_window=1000, **overrides)
+def test_rate_stage_trace_and_clock(lib, small_model, monkeypatch, overrides):
+    for name, value in overrides.items():
+        monkeypatch.setattr(solver_apg, name, value)
+    cfg = ApgConfig(max_iters=50, stop_tol=0.0)
     mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
     ref = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
     ticks = iter(range(1000))
@@ -220,9 +222,9 @@ def test_rate_stage_trace_and_clock(lib, small_model, overrides):
 
 
 # the rate stage of test_rate_stage_trace_and_clock, and the same stage with
-# every extrapolation rejected
+# every extrapolation rejected (solver_apg step-policy constants patched)
 RATE_CASES = [pytest.param(("rate", ()), id="rate"),
-              pytest.param(("rate", (("alpha_y0", 1e6), ("line_search_cap", 5))),
+              pytest.param(("rate", (("ALPHA_Y0", 1e6), ("LINE_SEARCH_CAP", 5))),
                            id="rate-rejected")]
 STEP_POLICY_CASES = RATE_CASES + [
     pytest.param(("margin", case.values[0], level), id=f"{level}-{case.id}")
@@ -234,12 +236,20 @@ def recorded_runs(case):
     """(compiled stage, monotone_apg result, status of each reference step,
     objective calls of the reference run, those made by its monitor) of one
     rate or margin parity case. Every objective call goes through the
-    kernels, which are swapped for counting ones while the reference runs."""
+    kernels, which are swapped for counting ones while the reference runs.
+    A rate case's step-policy constants hold for both runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in case[1] if case[0] == "rate" else ():
+            mp.setattr(solver_apg, name, value)
+        return _record_runs(case)
+
+
+def _record_runs(case):
     lib = native.load_library()
     if case[0] == "rate":
         model = shaped_model(12, (3, 3), 42)
         x0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
-        cfg = ApgConfig(max_iters=50, stop_tol=0.0, stop_window=1000, **dict(case[1]))
+        cfg = ApgConfig(max_iters=50, stop_tol=0.0)
         got = compiled_stage(lib, native.RATE, model, x0, cfg, 100.0)
 
         def closures():
@@ -250,7 +260,7 @@ def recorded_runs(case):
         model = shaped_model(num_aps, group_sizes, seed)
         t = margin_level(model, level)
         x0 = random_feasible_matrix(model, np.random.default_rng(seed))
-        cfg = ApgConfig(max_iters=300, stop_tol=1e-9, stop_window=20)
+        cfg = ApgConfig(max_iters=300, stop_tol=1e-9)
         got = compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
                              gap_check_every=gap_check_every)
 
@@ -444,6 +454,12 @@ def test_no_compiler_raises(monkeypatch):
         native.load_library.__wrapped__()
 
 
+# the CLI in a process that sees two CPUs, so cdf trials run on two threads
+# on any host
+TWO_CPU_CLI = ("import sys; from cellfree_maxmin import cli, pool; "
+               "pool.cpu_count = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
+
+
 def test_concurrent_first_build(lib, tmp_path):
     """Fresh processes sharing an empty cache, one of them running its cdf
     trials on two threads, all build or load the library, and the CLI they
@@ -451,11 +467,11 @@ def test_concurrent_first_build(lib, tmp_path):
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
     cdf_cfg = tmp_path / "cdf.json"
     cdf_cfg.write_text(json.dumps({"num_aps": 6, "group_sizes": [2, 2], "trials": 4,
-                                   "workers": 2, "apg": {"max_iters": 300}}))
+                                   "apg": {"max_iters": 300}}))
     commands = [["single-solve", "--seed", "2"], ["single-solve", "--seed", "2"],
                 ["cdf", "--config", str(cdf_cfg)]]
     procs = [
-        subprocess.Popen([sys.executable, "-m", "cellfree_maxmin.cli", *cmd,
+        subprocess.Popen([sys.executable, "-c", TWO_CPU_CLI, *cmd,
                           "--out", str(tmp_path / f"run{i}")],
                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for i, cmd in enumerate(commands)

@@ -149,18 +149,9 @@ class TestSmoothObjective:
             apg_solve(small_model, sigma=0.0)
 
     def test_apg_config_validation(self):
-        # a negative cap would leave both searches without a single trial
-        for bad in ({"delta": 0.0}, {"kappa": 1.0}, {"alpha_mu0": 0.0}, {"line_search_cap": -1}):
-            with pytest.raises(ValueError):
-                ApgConfig(**bad)
-
-    @pytest.mark.parametrize("bad", [{"stop_window": 0}, {"stop_window": -50, "max_iters": 200},
-                                     {"max_iters": -1}])
-    def test_apg_config_rejects_bad_stop_window_and_max_iters(self, bad):
-        # the plateau test would compare trace entries the stage never wrote
-        field = next(k for k, v in bad.items() if v < 1)
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            ApgConfig(**bad)
+        # a stage keeps max_iters + 1 trace entries
+        with pytest.raises(ValueError, match="^max_iters must be"):
+            ApgConfig(max_iters=-1)
 
 
 class TestSoftMinHelper:
@@ -344,7 +335,7 @@ class TestDriver:
         from cellfree_maxmin.solver_apg import objective_closures
 
         mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
-        cfg = ApgConfig(max_iters=200, stop_tol=0.0, stop_window=10_000)
+        cfg = ApgConfig(max_iters=200, stop_tol=0.0)
         res = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
         rep = apg_solve(small_model, cfg=cfg)
         assert res.f == pytest.approx(rep.f_sigma, rel=1e-12)

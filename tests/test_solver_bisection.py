@@ -15,6 +15,7 @@ from cellfree_maxmin import (
     rate_upper_bound,
     rates_vector,
     soc_residual,
+    solver_bisection,
     user_rate,
 )
 from conftest import make_model, random_feasible_matrix
@@ -79,16 +80,17 @@ class TestFeasibilityOracle:
         assert res.certified_lower_bound is not None
         assert res.certified_lower_bound > -1e-6
 
-    def test_uses_cfg_eps_soc(self):
+    def test_uses_cfg_eps_soc(self, monkeypatch):
         # the EPA point misses level EPA + 1e-4 by a residual of 4.6e-4, which
         # the loose tolerance accepts before any stage runs
         system = build_soc_system(make_model(6, 2, 2, seed=3))
         t = epa_rates(system.model).min_rate + 1e-4
-        res = feasibility_oracle(system, t, cfg=BisectionConfig(eps_soc=1e-2))
+        assert feasibility_oracle(system, t).iterations > 0
+        monkeypatch.setattr(solver_bisection, "EPS_SOC", 1e-2)
+        res = feasibility_oracle(system, t)
         assert res.status == "feasible"
         assert res.iterations == 0
         assert 0.0 < res.max_residual <= 1e-2
-        assert feasibility_oracle(system, t).iterations > 0
 
     def test_monotone_feasibility(self, system):
         rng = np.random.default_rng(3)
@@ -112,10 +114,9 @@ class TestBisectionSolve:
         assert report.t_star >= epa_rates(system.model).min_rate - 1e-6
 
     def test_witness_consistency(self, system):
-        cfg = BisectionConfig()
-        report = bisection_solve(system, cfg)
+        report = bisection_solve(system)
         assert report.power.is_feasible()
-        assert report.min_rate >= report.t_star - 10 * cfg.eps_soc
+        assert report.min_rate >= report.t_star - 10 * solver_bisection.EPS_SOC
 
     def test_bracket_evolution(self, system):
         cfg = BisectionConfig()

@@ -40,7 +40,7 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNDECIDED = "undecided"
 
-# residual tolerance of the oracle, read when a call starts
+# residual tolerance of the oracle's feasible and infeasible verdicts
 EPS_SOC = 1e-6
 
 # period, in iterations, of the Frank-Wolfe certificate check inside the
@@ -125,7 +125,6 @@ def feasibility_oracle(
     compiled_stage call, as in apg_solve.
     """
     cfg = cfg or BisectionConfig()
-    eps_soc = EPS_SOC
     model = system.model
     impl = kernels.IMPL
     lib = native.load_library()
@@ -153,7 +152,7 @@ def feasibility_oracle(
                   "warm start": candidates}
         bad = [name for name, val in inputs.items() if not np.isfinite(val).all()]
         raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) at level t={t}")
-    if best_res <= eps_soc:
+    if best_res <= EPS_SOC:
         return OracleResult(FEASIBLE, best, 0, best_res, sigma_f=0.0, last_iterate=best)
 
     # residual-to-t sensitivity at the warm point:
@@ -187,7 +186,7 @@ def feasibility_oracle(
         # plateau at this stage's resolution
         apg_cfg = ApgConfig(max_iters=budget, stop_tol=0.02 * res_t * sens)
         result = compiled_stage(lib, native.MARGIN, model, x, apg_cfg, sigma_f, t=t,
-                                eps_soc=eps_soc, gap_check_every=GAP_CHECK_EVERY)
+                                eps_soc=EPS_SOC, gap_check_every=GAP_CHECK_EVERY)
         iters_used += result.iterations
         x = result.x
         max_res = result.aux
@@ -203,7 +202,7 @@ def feasibility_oracle(
     fs, _, grad = impl.margin_value_grad(gs, asq, ptr, x, rho, t, sigma_f)
     gap = _support_gap(grad, x)
     lower = -(fs + gap)
-    status = INFEASIBLE if lower > -eps_soc else UNDECIDED
+    status = INFEASIBLE if lower > -EPS_SOC else UNDECIDED
     return OracleResult(status, None, iters_used, max_res,
                         certified_lower_bound=lower, sigma_f=sigma_f, last_iterate=x)
 

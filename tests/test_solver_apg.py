@@ -153,6 +153,18 @@ class TestSmoothObjective:
         with pytest.raises(ValueError, match="^max_iters must be"):
             ApgConfig(max_iters=-1)
 
+    @pytest.mark.parametrize("bad", [{"stop_window": 0}, {"stop_window": -50, "max_iters": 200},
+                                     {"max_iters": -1}])
+    def test_apg_config_rejects_bad_stop_window_and_max_iters(self, bad):
+        # the plateau window is the constant STOP_WINDOW, so a config that
+        # still names stop_window fails instead of being ignored
+        if "stop_window" in bad:
+            error, match = TypeError, "stop_window"
+        else:
+            error, match = ValueError, "^max_iters must be"
+        with pytest.raises(error, match=match):
+            ApgConfig(**bad)
+
 
 class TestSoftMinHelper:
     def test_equal_values_identity(self):

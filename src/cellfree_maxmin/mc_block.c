@@ -20,6 +20,16 @@
  * ~key on the counter (c0, c1, c2, half + 2*i), i = 0, 1, ..., half 0 for Re
  * and 1 for Im, two words per counter.
  *
+ * The slow normals wait in a queue until the pass has drawn one AP's
+ * entries (mc_normals: up to 64 entries), or 64 are waiting. Then
+ * finish_slow takes them 8 at a time: one vector Philox call gives each
+ * its first two further words, and its first round runs lane-wide (the wedge
+ * test on the first word, with one libm exp per lane, then the fast test on
+ * the second). That round ends about 97% of them. The tail (layer 0), and the
+ * normals whose second word misses the fast path too, go on in the scalar
+ * zig_slow with their streams where it would have them, so every word, libm
+ * call and accept decision is the one zig_slow alone would make.
+ *
  * Pass. Per draw b and AP m:
  *
  *   gs_mk = SQRT_HALF * g_mk                                 small-scale gain
@@ -42,14 +52,17 @@
  *
  * Draws are the SIMD lanes. Each pass takes SLOTS = 8 consecutive draws, and
  * draw b always lands in slot b mod SLOTS, whatever the lane width: one
- * vector Philox call draws an entry for all the slots, and the pass's
- * arithmetic holds LANES of the slots per vector, SLOTS / LANES vectors.
- * Every slot keeps its own moment sums, in draw order; at the end of the
- * block the slots are added in slot order. Lanes never share a sum, the
- * generator is integer arithmetic and one exact product per fast-path
- * normal, and every operation is the same in each lane, so normals and block
- * sums are bit-identical on 8-, 4- and 2-lane builds. Build without
- * -ffast-math and without FP contraction (see apg_stage.c).
+ * vector Philox call draws two entries for all the slots, their rounds
+ * interleaved (an odd last entry is drawn alone), and the pass's arithmetic
+ * holds LANES of the slots per vector, SLOTS / LANES vectors. The slots whose
+ * words miss the ziggurat's fast path come out of one vector compare as a
+ * bit mask, and only those are queued, in slot order. Every slot keeps its
+ * own moment sums, in draw order; at the end of the block the slots are added
+ * in slot order. Lanes never share a sum, the generator is integer
+ * arithmetic and one exact product per fast-path normal, and every operation
+ * is the same in each lane, so normals and block sums are bit-identical on
+ * 8-, 4- and 2-lane builds. Build without -ffast-math and without FP
+ * contraction (see apg_stage.c).
  *
  * The pass works AP by AP: it draws AP m's entries into slot-minor tiles
  * (T, SLOTS) and (N, SLOTS), forms z and the phases there and adds the
@@ -90,20 +103,25 @@ typedef double slots __attribute__((vector_size(SLOTS * sizeof(double))));
 #define PHILOX_W1 0xBB67AE85u
 #define LO32 0xFFFFFFFFu
 
+#define INLINE static inline __attribute__((always_inline))
+
 /* a * m for every slot, a and m below 2^32: the even-lane 32x32 -> 64-bit
- * multiply of the widest integer vectors the build has */
+ * multiply of the widest integer vectors the build has; MOVEMASK gives the
+ * top bits of one such vector's 64-bit lanes */
 #if defined(__AVX512F__)
 typedef __m512i hw;
 #define MUL_EPU32(a, m) _mm512_mul_epu32(a, _mm512_set1_epi64(m))
 #elif defined(__AVX2__)
 typedef __m256i hw;
 #define MUL_EPU32(a, m) _mm256_mul_epu32(a, _mm256_set1_epi64x(m))
+#define MOVEMASK(a) _mm256_movemask_pd(_mm256_castsi256_pd(a))
 #elif defined(__SSE2__)
 typedef __m128i hw;
 #define MUL_EPU32(a, m) _mm_mul_epu32(a, _mm_set1_epi64x(m))
+#define MOVEMASK(a) _mm_movemask_pd(_mm_castsi128_pd(a))
 #endif
 
-static words mul32(words a, uint32_t m)
+INLINE words mul32(words a, uint32_t m)
 {
 #ifdef MUL_EPU32
     hw part[sizeof(words) / sizeof(hw)];
@@ -117,21 +135,33 @@ static words mul32(words a, uint32_t m)
 #endif
 }
 
+/* one round on one counter per slot, in place */
+INLINE void philox_round(words c[4], uint32_t k0, uint32_t k1)
+{
+    const words p0 = mul32(c[0], PHILOX_M0), p1 = mul32(c[2], PHILOX_M1);
+    c[0] = (p1 >> 32) ^ c[1] ^ k0;
+    c[2] = (p0 >> 32) ^ c[3] ^ k1;
+    c[1] = p1 & LO32;
+    c[3] = p0 & LO32;
+}
+
 /* the ten rounds on one counter per slot, in place */
-static void philox(words c[4], uint64_t key)
+INLINE void philox(words c[4], uint64_t key)
 {
     uint32_t k0 = (uint32_t)key, k1 = (uint32_t)(key >> 32);
-    words c0 = c[0], c1 = c[1], c2 = c[2], c3 = c[3];
-    for (int r = 0; r < 10; r++) {
-        if (r)
-            k0 += PHILOX_W0, k1 += PHILOX_W1;
-        const words p0 = mul32(c0, PHILOX_M0), p1 = mul32(c2, PHILOX_M1);
-        c0 = (p1 >> 32) ^ c1 ^ k0;
-        c2 = (p0 >> 32) ^ c3 ^ k1;
-        c1 = p1 & LO32;
-        c3 = p0 & LO32;
+    for (int r = 0; r < 10; r++, k0 += PHILOX_W0, k1 += PHILOX_W1)
+        philox_round(c, k0, k1);
+}
+
+/* the same on two counters per slot, their rounds interleaved: the two
+ * dependency chains fill each other's multiply latency */
+INLINE void philox2(words a[4], words b[4], uint64_t key)
+{
+    uint32_t k0 = (uint32_t)key, k1 = (uint32_t)(key >> 32);
+    for (int r = 0; r < 10; r++, k0 += PHILOX_W0, k1 += PHILOX_W1) {
+        philox_round(a, k0, k1);
+        philox_round(b, k0, k1);
     }
-    c[0] = c0, c[1] = c1, c[2] = c2, c[3] = c3;
 }
 
 /* the same on one counter, in scalar code: the slow path below calls the C
@@ -148,6 +178,28 @@ static void philox1(uint32_t c[4], uint64_t key)
         const uint32_t c2 = (uint32_t)(p0 >> 32) ^ c[3] ^ k1;
         c[1] = (uint32_t)p1, c[3] = (uint32_t)p0, c[0] = c0, c[2] = c2;
     }
+}
+
+/* bit j set where lane j of the comparison a >= b holds */
+INLINE unsigned lanes_ge(swords a, swords b)
+{
+#if defined(__AVX512F__)
+    return _mm512_cmpge_epi64_mask((__m512i)a, (__m512i)b);
+#else
+    const swords ge = a >= b;
+    unsigned mask = 0;
+#ifdef MOVEMASK
+    enum { PER = sizeof(hw) / sizeof(int64_t) };
+    hw part[sizeof(swords) / sizeof(hw)];
+    memcpy(part, &ge, sizeof ge);
+    for (size_t h = 0; h < sizeof(swords) / sizeof(hw); h++)
+        mask |= (unsigned)MOVEMASK(part[h]) << (h * PER);
+#else
+    for (int j = 0; j < SLOTS; j++)
+        mask |= (unsigned)(ge[j] & 1) << j;
+#endif
+    return mask;
+#endif
 }
 
 /* ------------------------------------------------------------------------
@@ -184,6 +236,58 @@ __attribute__((constructor)) static void zig_init(void)
         zig.f[i] = exp(-0.5 * dn * dn);
         zig.w[i] = dn / TWO52;
     }
+}
+
+/* the table entries of the layers idx, one per slot */
+INLINE slots gather_w(words idx)
+{
+#if defined(__AVX512F__)
+    return (slots)_mm512_i64gather_pd((__m512i)idx, zig.w, 8);
+#else
+    slots w;
+    for (int j = 0; j < SLOTS; j++)
+        w[j] = zig.w[idx[j]];
+    return w;
+#endif
+}
+
+INLINE swords gather_k(words idx)
+{
+#if defined(__AVX512F__)
+    return (swords)_mm512_i64gather_epi64((__m512i)idx, zig.k, 8);
+#else
+    swords k;
+    for (int j = 0; j < SLOTS; j++)
+        k[j] = zig.k[idx[j]];
+    return k;
+#endif
+}
+
+INLINE slots gather_f(words idx)
+{
+#if defined(__AVX512F__)
+    return (slots)_mm512_i64gather_pd((__m512i)idx, zig.f, 8);
+#else
+    slots f;
+    for (int j = 0; j < SLOTS; j++)
+        f[j] = zig.f[idx[j]];
+    return f;
+#endif
+}
+
+/* the normals of words r, one per slot: the magnitude r >> 12 (below 2^52,
+ * so exact as the exponent of 2^52 over its bits, less 2^52) times the
+ * layer's width, with the sign of bit 7 */
+INLINE slots zig_xs(words r)
+{
+    const slots m = (slots)(r >> 12 | 0x4330000000000000u) - TWO52;
+    return (slots)((words)(m * gather_w(r & 127)) ^ (r >> 7 & 1) << 63);
+}
+
+/* the slots whose words r miss the fast path, as a bit mask */
+INLINE unsigned zig_misses(words r)
+{
+    return lanes_ge((swords)(r >> 12), gather_k(r & 127));
 }
 
 /* the slow path's further words of one normal */
@@ -242,99 +346,123 @@ static double zig_slow(uint64_t r, Stream *s)
 }
 
 /* the normals whose fast-path words were rejected, finished together by
- * finish_slow once their fast neighbours are written */
+ * finish_slow once their fast neighbours are written: per normal its word
+ * r, its counter (c0 + 2^32 c3, c1, c2), where it goes and its scale */
 #define PENDING 64
 
 typedef struct {
     uint64_t key;
     int n;
-    struct {
-        double *out, scale;
-        uint64_t r;
-        uint32_t c[4];
-    } item[PENDING];
+    uint64_t r[PENDING], c03[PENDING], c1[PENDING], c2[PENDING];
+    double *out[PENDING], scale[PENDING];
 } Slow;
 
-static void finish_slow(Slow *q)
+INLINE words load_words(const uint64_t *p)
 {
-    if (!q->n)
-        return;
-    /* the first Philox call of every stream, SLOTS streams at a time */
-    uint32_t first[PENDING][4];
-    for (int i0 = 0; i0 < q->n; i0 += SLOTS) {
-        words c[4];
-        for (int j = 0; j < SLOTS; j++)
-            for (int h = 0; h < 4; h++)
-                c[h][j] = q->item[i0 + j < q->n ? i0 + j : i0].c[h];
-        philox(c, ~q->key);
-        for (int j = 0; j < SLOTS && i0 + j < q->n; j++)
-            for (int h = 0; h < 4; h++)
-                first[i0 + j][h] = (uint32_t)c[h][j];
-    }
+    words v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* the first round of zig_slow for queued normals i0 .. i0+n-1 at once (n <=
+ * SLOTS, i0 a multiple of SLOTS; the lanes past n read unused entries), from
+ * the two words of each one's first Philox call: the wedge test on the
+ * first, then the fast test on the second. The tail (layer 0), and the
+ * normals whose second word misses the fast path too, go on in zig_slow
+ * with their streams where it would have them. */
+static void finish_group(Slow *q, int i0, int n)
+{
+    const words r = load_words(q->r + i0), c03 = load_words(q->c03 + i0);
+    const words c[4] = {c03 & LO32, load_words(q->c1 + i0), load_words(q->c2 + i0), c03 >> 32};
+    words x[4] = {c[0], c[1], c[2], c[3]};
+    philox(x, ~q->key);
+    /* the tail's lanes (layer 0, idx <= 0) read layer 127 for f[i - 1] and
+     * ignore it */
+    const words idx = r & 127, r2 = x[2] | x[3] << 32;
+    const slots u = __builtin_convertvector((swords)((x[0] | x[1] << 32) >> 11), slots) * 0x1.0p-53;
+    const slots f = gather_f(idx), wedge = f + u * (gather_f((idx - 1) & 127) - f);
+    const slots x1 = zig_xs(r), arg = -0.5 * x1 * x1, x2 = zig_xs(r2);
+    const unsigned all = (1u << n) - 1, tail = all & lanes_ge((swords){0}, (swords)idx);
+    const unsigned miss2 = zig_misses(r2);
+    double lanes[4][SLOTS];
+    memcpy(lanes[0], &wedge, sizeof wedge);
+    memcpy(lanes[1], &arg, sizeof arg);
+    memcpy(lanes[2], &x1, sizeof x1);
+    memcpy(lanes[3], &x2, sizeof x2);
 #if defined(__AVX__)
     /* clean upper vector state for the C library's SSE code */
     _mm256_zeroupper();
 #endif
-    for (int i = 0; i < q->n; i++) {
-        Stream s = {{0}, ~q->key, {0}, 2};
-        memcpy(s.c, q->item[i].c, sizeof s.c);
-        memcpy(s.x, first[i], sizeof s.x);
-        s.c[3] += 2;
-        *q->item[i].out = q->item[i].scale * zig_slow(q->item[i].r, &s);
+    unsigned first = 0;
+    for (unsigned m = all & ~tail; m; m &= m - 1) {
+        const int j = __builtin_ctz(m);
+        first |= (unsigned)(lanes[0][j] < exp(lanes[1][j])) << j;
     }
+    const unsigned rest = all & ~first & (tail | miss2);
+    for (unsigned m = all & ~rest; m; m &= m - 1) {
+        const int j = __builtin_ctz(m);
+        *q->out[i0 + j] = q->scale[i0 + j] * (first >> j & 1 ? lanes[2][j] : lanes[3][j]);
+    }
+    for (unsigned m = rest; m; m &= m - 1) {
+        const int j = __builtin_ctz(m), more = !(tail >> j & 1);
+        Stream s = {{(uint32_t)c[0][j], (uint32_t)c[1][j], (uint32_t)c[2][j],
+                     (uint32_t)c[3][j] + 2}, ~q->key,
+                    {(uint32_t)x[0][j], (uint32_t)x[1][j], (uint32_t)x[2][j],
+                     (uint32_t)x[3][j]}, more ? 0 : 2};
+        *q->out[i0 + j] = q->scale[i0 + j] * zig_slow(more ? r2[j] : r[j], &s);
+    }
+}
+
+static void finish_slow(Slow *q)
+{
+    for (int i0 = 0; i0 < q->n; i0 += SLOTS)
+        finish_group(q, i0, q->n - i0 < SLOTS ? q->n - i0 : SLOTS);
     q->n = 0;
 }
 
 /* scale * (the normals of words r) into out[0 .. SLOTS); the rejected ones
- * go to q, with their counters (c[0], c[1][slot], c[2][slot], half) */
-static void zig_slots(words r, double scale, const words c[3], uint32_t half, double *out,
-                      Slow *q)
+ * go to q, in slot order, with their counters (e, lo[slot], hi[slot], half) */
+INLINE void zig_slots(words r, double scale, int64_t e, words lo, words hi, uint32_t half,
+                      double *out, Slow *q)
 {
-    const words idx = r & 127, mag = r >> 12;
-#if defined(__AVX512F__)
-    const slots w = (slots)_mm512_i64gather_pd((__m512i)idx, zig.w, 8);
-    const swords k = (swords)_mm512_i64gather_epi64((__m512i)idx, zig.k, 8);
-#else
-    slots w;
-    swords k;
-    for (int j = 0; j < SLOTS; j++) {
-        w[j] = zig.w[idx[j]];
-        k[j] = zig.k[idx[j]];
-    }
-#endif
-    /* mag < 2^52 as a double: the exponent of 2^52 over its bits, less 2^52 */
-    const slots m = (slots)(mag | 0x4330000000000000u) - TWO52;
-    const words sign = (r >> 7 & 1) << 63;
-    const slots x = (slots)((words)(m * w) ^ sign);
-    const swords slow = (swords)mag >= k;
-    for (int j = 0; j < SLOTS; j++)
-        out[j] = scale * x[j];
-    for (int j = 0; j < SLOTS; j++) {
-        if (slow[j]) {
-            if (q->n == PENDING)
-                finish_slow(q);
-            q->item[q->n].out = out + j;
-            q->item[q->n].scale = scale;
-            q->item[q->n].r = r[j];
-            q->item[q->n].c[0] = (uint32_t)c[0][j], q->item[q->n].c[1] = (uint32_t)c[1][j];
-            q->item[q->n].c[2] = (uint32_t)c[2][j], q->item[q->n].c[3] = half;
-            q->n++;
-        }
+    const slots x = scale * zig_xs(r);
+    memcpy(out, &x, sizeof x);
+    unsigned miss = zig_misses(r);
+    if (miss && q->n > PENDING - SLOTS)
+        finish_slow(q);
+    for (; miss; miss &= miss - 1) {
+        const int j = __builtin_ctz(miss), i = q->n++;
+        q->r[i] = r[j], q->c03[i] = (uint32_t)e | (uint64_t)half << 32;
+        q->c1[i] = lo[j], q->c2[i] = hi[j];
+        q->out[i] = out + j, q->scale[i] = scale;
     }
 }
 
-/* scale * (unit normals) of entry e for the draws b0 .. b0+SLOTS-1 of the
- * run into re[0 .. SLOTS) and im[0 .. SLOTS), complete after
- * finish_slow(q) */
-static void draw_entry(uint64_t b0, int64_t e, double scale, double *re, double *im, Slow *q)
+/* scale * (unit normals) of entries e .. e+n-1 for the draws b0 ..
+ * b0+SLOTS-1 of the run, entry e+i into rows re[i SLOTS ..] and
+ * im[i SLOTS ..], complete after finish_slow(q). Two entries share each
+ * Philox call; an odd last one is drawn alone. */
+static void draw_entries(uint64_t b0, int64_t e, int64_t n, double scale, double *re, double *im,
+                         Slow *q)
 {
     const words iota = {0, 1, 2, 3, 4, 5, 6, 7};
-    const words lo = iota + (b0 & LO32);
-    const words at[3] = {(words){0} + (uint32_t)e, lo & LO32, (b0 >> 32) + (lo >> 32)};
-    words c[4] = {at[0], at[1], at[2], (words){0}};
-    philox(c, q->key);
-    zig_slots(c[0] | c[1] << 32, scale, at, 0, re, q);
-    zig_slots(c[2] | c[3] << 32, scale, at, 1, im, q);
+    const words at = iota + (b0 & LO32), lo = at & LO32, hi = (b0 >> 32) + (at >> 32);
+    int64_t i = 0;
+    for (; i + 1 < n; i += 2) {
+        words a[4] = {(words){0} + (uint32_t)(e + i), lo, hi, (words){0}};
+        words b[4] = {(words){0} + (uint32_t)(e + i + 1), lo, hi, (words){0}};
+        philox2(a, b, q->key);
+        zig_slots(a[0] | a[1] << 32, scale, e + i, lo, hi, 0, re + i * SLOTS, q);
+        zig_slots(a[2] | a[3] << 32, scale, e + i, lo, hi, 1, im + i * SLOTS, q);
+        zig_slots(b[0] | b[1] << 32, scale, e + i + 1, lo, hi, 0, re + (i + 1) * SLOTS, q);
+        zig_slots(b[2] | b[3] << 32, scale, e + i + 1, lo, hi, 1, im + (i + 1) * SLOTS, q);
+    }
+    if (i < n) {
+        words a[4] = {(words){0} + (uint32_t)(e + i), lo, hi, (words){0}};
+        philox(a, q->key);
+        zig_slots(a[0] | a[1] << 32, scale, e + i, lo, hi, 0, re + i * SLOTS, q);
+        zig_slots(a[2] | a[3] << 32, scale, e + i, lo, hi, 1, im + i * SLOTS, q);
+    }
 }
 
 /* ------------------------------------------------------------------------
@@ -410,13 +538,12 @@ static void scatter(double *restrict dst, const double *restrict tile, int64_t s
 void mc_normals(uint64_t key, int64_t first, int64_t count, int64_t entries, double *out)
 {
     double re[PENDING * SLOTS], im[PENDING * SLOTS];
-    Slow q = {key, 0};
+    Slow q = {.key = key};
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
         const int64_t k = count - b0 < SLOTS ? count - b0 : SLOTS;
         for (int64_t e0 = 0; e0 < entries; e0 += PENDING) {
             const int64_t n = entries - e0 < PENDING ? entries - e0 : PENDING;
-            for (int64_t e = 0; e < n; e++)
-                draw_entry(first + b0, e0 + e, 1.0, re + e * SLOTS, im + e * SLOTS, &q);
+            draw_entries(first + b0, e0, n, 1.0, re, im, &q);
             finish_slow(&q);
             scatter(out + b0 * entries + e0, re, entries, n, k);
             scatter(out + (count + b0) * entries + e0, im, entries, n, k);
@@ -429,10 +556,8 @@ void mc_normals(uint64_t key, int64_t first, int64_t count, int64_t entries, dou
 static void draw_ap(const Pilot *P, Slow *q, int64_t m, int64_t b0, int64_t k, const Scratch *s)
 {
     const int64_t T = P->T, N = P->N;
-    for (int64_t u = 0; u < T; u++)
-        draw_entry(b0, m * T + u, SQRT_HALF, s->gre + u * SLOTS, s->gim + u * SLOTS, q);
-    for (int64_t n = 0; n < N; n++)
-        draw_entry(b0, P->M * T + m * N + n, 1.0, s->zre + n * SLOTS, s->zim + n * SLOTS, q);
+    draw_entries(b0, m * T, T, SQRT_HALF, s->gre, s->gim, q);
+    draw_entries(b0, P->M * T + m * N, N, 1.0, s->zre, s->zim, q);
     finish_slow(q);
     for (int64_t j = k; j < SLOTS; j++) {
         for (int64_t u = 0; u < T; u++)
@@ -478,7 +603,7 @@ void mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
               int64_t count, double *g, double *z, double *scratch)
 {
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
-    Slow q = {key, 0};
+    Slow q = {.key = key};
     const Scratch s = carve(scratch, &P);
     const int64_t MT = M * T, MN = M * N;
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
@@ -572,7 +697,7 @@ void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
               int64_t count, const double *weight, double *scratch, double *s1, double *s2)
 {
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
-    Slow q = {key, 0};
+    Slow q = {.key = key};
     const Scratch s = carve(scratch, &P);
     const int64_t d = P.d, t2 = tri(d);
     memset(s.s1, 0, SLOTS * T * d * sizeof(double));

@@ -4,6 +4,7 @@ from the same libm calls (Python's math module), the run-wide draw counters
 and the block layout of netgen.block_normals. Every step repeats the C code
 operation for operation, so the normals agree bit for bit."""
 
+import collections
 import math
 
 import numpy as np
@@ -17,6 +18,13 @@ LO32 = np.uint64(0xFFFFFFFF)
 ZIG_R = 3.442619855899
 ZIG_V = 9.91256303526217e-3
 TWO52 = 4503599627370496.0
+
+# the ways a slow-path normal finishes, by its first round: the tail (layer
+# 0), a wedge accept on its first further word, its second further word on
+# the fast path, or more Philox words
+OUTCOMES = ("tail", "wedge", "second", "further")
+# how many normals drawn so far finished each way; tests clear and read it
+SLOW_OUTCOMES = collections.Counter()
 
 
 def philox4x32(counter, key):
@@ -104,9 +112,12 @@ def _slow(r, counter, key):
         return (word(at) >> np.uint64(11)).astype(float) * 2.0 ** -53
 
     todo = np.arange(r.size)
+    first_round = True
     while todo.size:
         tail = (r[todo] & np.uint64(127)) == 0
         at = todo[tail]
+        if first_round:
+            SLOW_OUTCOMES["tail"] += at.size
         xx = -(1.0 / ZIG_R) * _libm(math.log1p, -uniform(at))
         yy = -_libm(math.log1p, -uniform(at))
         ok = yy + yy > xx * xx
@@ -119,8 +130,12 @@ def _slow(r, counter, key):
         out[at[ok]] = x[ok]
         at = at[~ok]
         r[at] = word(at)
-        at = at[_fast(r[at])]
-        out[at] = _normal(r[at])
+        fast = _fast(r[at])
+        out[at[fast]] = _normal(r[at[fast]])
+        if first_round:
+            SLOW_OUTCOMES.update(wedge=int(ok.sum()), second=int(fast.sum()),
+                                 further=int((~fast).sum()))
+            first_round = False
         todo = todo[np.isnan(out[todo])]
     return out
 

@@ -432,6 +432,17 @@ def test_library_path_keys_on_header(tmp_path, monkeypatch):
     assert native._library_path(sys.executable) != original
 
 
+def test_sources_build_without_warnings(tmp_path):
+    """The library's sources compile cleanly under -Wall -Wextra with the
+    build's own flags (into a private file, not the shared cache)."""
+    compiler = next(filter(None, map(native.shutil.which, native.COMPILERS)))
+    proc = subprocess.run([compiler, *native.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "lib.so"), *native.SOURCES, "-lm"],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=native.BUILD_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_failed_build_prints_nothing(lib, tmp_path, monkeypatch, capfd):
     """A source the compiler rejects raises an error naming the compiler and
     the source, prints nothing and leaves no file in the cache."""

@@ -39,14 +39,20 @@ def test_philox_known_answers(counter, key, expected):
 
 
 def test_compiled_normals_equal_port():
-    """A call that ends mid-pass (1003 = 125 * 8 + 3 draws) and whose draw
-    index passes 2^32 inside a pass (a carry into c2 in lanes 5-7), with
-    normals through the fast path, the wedges and the tail."""
+    """Calls that end mid-pass (1003 = 125 * 8 + 3 draws) and whose draw
+    index passes 2^32 inside a pass (a carry into c2 in lanes 5-7), on an
+    odd entry count (the last entry drawn alone, not in a pair) and an even
+    one, with normals through the fast path and every way out of the slow
+    path: the tail, a wedge accept on the first further word, a fast accept
+    on the second and more Philox words."""
     key, first = smallscale_key(11), 2**32 - 501
-    got = compiled_normals(key, first, 1003, 37)
-    expected = ref.normals(key, first, 1003, 37)
-    assert same_bits(got, expected)
-    assert (np.abs(got) > ref.ZIG_R).sum() > 10  # tail normals
+    ref.SLOW_OUTCOMES.clear()
+    for entries in (37, 38):
+        got = compiled_normals(key, first, 1003, entries)
+        expected = ref.normals(key, first, 1003, entries)
+        assert same_bits(got, expected), entries
+        assert (np.abs(got) > ref.ZIG_R).sum() > 10  # tail normals
+    assert min(ref.SLOW_OUTCOMES[k] for k in ref.OUTCOMES) > 10, ref.SLOW_OUTCOMES
 
 
 def test_block_normals_layout():

@@ -153,16 +153,17 @@ def test_stage_results_do_not_depend_on_lane_width(lane_libs, case):
             assert same_bits(np.asarray(got.trace_f), np.asarray(ref.trace_f))
 
 
-# one group (d = 3, no cross-group moments), a group of one user, and
-# unequal groups
-MC_LANE_CASES = [(6, (4,)), (5, (1, 3)), (10, (2, 5, 1))]
+# one group (d = 3, no cross-group moments), a group of one user, unequal
+# groups, and 18 + 3 entries per AP (the noise's last entry drawn alone,
+# not in a pair)
+MC_LANE_CASES = [(6, (4,)), (5, (1, 3)), (10, (2, 5, 1)), (17, (7, 9, 2))]
 # under, at and over one pass of 8 draw slots, and past one block
 MC_LANE_DRAWS = [1, 7, 8, 9, SMALLSCALE_BLOCK + 5]
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the lane-width flags are x86 options")
-@pytest.mark.parametrize("case", MC_LANE_CASES, ids=["M6-4", "M5-1x3", "M10-2x5x1"])
+@pytest.mark.parametrize("case", MC_LANE_CASES, ids=["M6-4", "M5-1x3", "M10-2x5x1", "M17-7x9x2"])
 def test_monte_carlo_does_not_depend_on_lane_width(lane_libs, monkeypatch, case):
     """Oracle reports, sampled draws and the unit normals, through mc_block,
     mc_pilot and mc_normals, are bit-identical on 8, 4 and 2 lanes."""

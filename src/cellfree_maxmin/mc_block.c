@@ -106,19 +106,16 @@ typedef double slots __attribute__((vector_size(SLOTS * sizeof(double))));
 #define INLINE static inline __attribute__((always_inline))
 
 /* a * m for every slot, a and m below 2^32: the even-lane 32x32 -> 64-bit
- * multiply of the widest integer vectors the build has; MOVEMASK gives the
- * top bits of one such vector's 64-bit lanes */
+ * multiply of the widest integer vectors the build has */
 #if defined(__AVX512F__)
 typedef __m512i hw;
 #define MUL_EPU32(a, m) _mm512_mul_epu32(a, _mm512_set1_epi64(m))
 #elif defined(__AVX2__)
 typedef __m256i hw;
 #define MUL_EPU32(a, m) _mm256_mul_epu32(a, _mm256_set1_epi64x(m))
-#define MOVEMASK(a) _mm256_movemask_pd(_mm256_castsi256_pd(a))
 #elif defined(__SSE2__)
 typedef __m128i hw;
 #define MUL_EPU32(a, m) _mm_mul_epu32(a, _mm_set1_epi64x(m))
-#define MOVEMASK(a) _mm_movemask_pd(_mm_castsi128_pd(a))
 #endif
 
 INLINE words mul32(words a, uint32_t m)
@@ -188,16 +185,8 @@ INLINE unsigned lanes_ge(swords a, swords b)
 #else
     const swords ge = a >= b;
     unsigned mask = 0;
-#ifdef MOVEMASK
-    enum { PER = sizeof(hw) / sizeof(int64_t) };
-    hw part[sizeof(swords) / sizeof(hw)];
-    memcpy(part, &ge, sizeof ge);
-    for (size_t h = 0; h < sizeof(swords) / sizeof(hw); h++)
-        mask |= (unsigned)MOVEMASK(part[h]) << (h * PER);
-#else
     for (int j = 0; j < SLOTS; j++)
         mask |= (unsigned)(ge[j] & 1) << j;
-#endif
     return mask;
 #endif
 }
@@ -238,16 +227,16 @@ __attribute__((constructor)) static void zig_init(void)
     }
 }
 
-/* the table entries of the layers idx, one per slot */
-INLINE slots gather_w(words idx)
+/* table[idx], one layer per slot */
+INLINE slots gather(const double *table, words idx)
 {
 #if defined(__AVX512F__)
-    return (slots)_mm512_i64gather_pd((__m512i)idx, zig.w, 8);
+    return (slots)_mm512_i64gather_pd((__m512i)idx, table, 8);
 #else
-    slots w;
+    slots v;
     for (int j = 0; j < SLOTS; j++)
-        w[j] = zig.w[idx[j]];
-    return w;
+        v[j] = table[idx[j]];
+    return v;
 #endif
 }
 
@@ -263,25 +252,13 @@ INLINE swords gather_k(words idx)
 #endif
 }
 
-INLINE slots gather_f(words idx)
-{
-#if defined(__AVX512F__)
-    return (slots)_mm512_i64gather_pd((__m512i)idx, zig.f, 8);
-#else
-    slots f;
-    for (int j = 0; j < SLOTS; j++)
-        f[j] = zig.f[idx[j]];
-    return f;
-#endif
-}
-
 /* the normals of words r, one per slot: the magnitude r >> 12 (below 2^52,
  * so exact as the exponent of 2^52 over its bits, less 2^52) times the
  * layer's width, with the sign of bit 7 */
 INLINE slots zig_xs(words r)
 {
     const slots m = (slots)(r >> 12 | 0x4330000000000000u) - TWO52;
-    return (slots)((words)(m * gather_w(r & 127)) ^ (r >> 7 & 1) << 63);
+    return (slots)((words)(m * gather(zig.w, r & 127)) ^ (r >> 7 & 1) << 63);
 }
 
 /* the slots whose words r miss the fast path, as a bit mask */
@@ -376,11 +353,12 @@ static void finish_group(Slow *q, int i0, int n)
     const words c[4] = {c03 & LO32, load_words(q->c1 + i0), load_words(q->c2 + i0), c03 >> 32};
     words x[4] = {c[0], c[1], c[2], c[3]};
     philox(x, ~q->key);
-    /* the tail's lanes (layer 0, idx <= 0) read layer 127 for f[i - 1] and
-     * ignore it */
+    /* the first word as a uniform, exact below 2^53; the tail's lanes (layer
+     * 0, idx <= 0) read layer 127 for f[i - 1] and ignore it */
     const words idx = r & 127, r2 = x[2] | x[3] << 32;
-    const slots u = __builtin_convertvector((swords)((x[0] | x[1] << 32) >> 11), slots) * 0x1.0p-53;
-    const slots f = gather_f(idx), wedge = f + u * (gather_f((idx - 1) & 127) - f);
+    const swords bits = (swords)((x[0] | x[1] << 32) >> 11);
+    const slots u = __builtin_convertvector(bits, slots) * 0x1.0p-53;
+    const slots f = gather(zig.f, idx), wedge = f + u * (gather(zig.f, (idx - 1) & 127) - f);
     const slots x1 = zig_xs(r), arg = -0.5 * x1 * x1, x2 = zig_xs(r2);
     const unsigned all = (1u << n) - 1, tail = all & lanes_ge((swords){0}, (swords)idx);
     const unsigned miss2 = zig_misses(r2);

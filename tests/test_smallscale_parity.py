@@ -19,8 +19,7 @@ from cellfree_maxmin import (
 )
 from cellfree_maxmin.harness import random_feasible_eta
 from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, iter_smallscale_blocks, sample_small_scale
-import normals_reference
-from normals_reference import block_normals
+from normals_reference import OUTCOMES, SLOW_OUTCOMES, block_normals
 
 # (num_aps, group_sizes): equal, single-user, unequal, many-group and
 # single-AP shapes
@@ -127,10 +126,9 @@ def instance(request):
 def test_draws_match_reference(instance):
     """Through mc_pilot, with normals that leave the slow path each way."""
     g, z = sample_small_scale(instance, DRAWS, seed=5)
-    normals_reference.SLOW_OUTCOMES.clear()
+    SLOW_OUTCOMES.clear()
     g_ref, z_ref = map(np.concatenate, zip(*reference_blocks(instance, DRAWS, 5)))
-    outcomes = normals_reference.SLOW_OUTCOMES
-    assert min(outcomes[k] for k in normals_reference.OUTCOMES) > 10, outcomes
+    assert min(SLOW_OUTCOMES[k] for k in OUTCOMES) > 10, SLOW_OUTCOMES
     assert g.shape == g_ref.shape and z.shape == z_ref.shape
     assert np.array_equal(g, g_ref)
     # the pilot sums run in another order; relative to the largest |z|, as

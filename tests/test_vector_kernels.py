@@ -154,8 +154,8 @@ def test_stage_results_do_not_depend_on_lane_width(lane_libs, case):
 
 
 # one group (d = 3, no cross-group moments), a group of one user, unequal
-# groups, and 18 + 3 entries per AP (the noise's last entry drawn alone,
-# not in a pair)
+# groups, and 18 + 3 entries per AP (odd N: the noise's last entry of each
+# AP is drawn alone, not in a pair)
 MC_LANE_CASES = [(6, (4,)), (5, (1, 3)), (10, (2, 5, 1)), (17, (7, 9, 2))]
 # under, at and over one pass of 8 draw slots, and past one block
 MC_LANE_DRAWS = [1, 7, 8, 9, SMALLSCALE_BLOCK + 5]

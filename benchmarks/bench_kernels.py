@@ -1,27 +1,22 @@
 #!/usr/bin/env python3
-"""Time the compiled APG stage (apg_stage.c) against the numpy reference.
+"""Time the compiled APG stage (apg_stage.c) and the Monte-Carlo oracle.
 
 For each size (M APs, N groups, K users per group) and both objectives, the
 rate soft minimum of apg_solve and the cone margin of the bisection oracle,
-prints for the compiled stage and for its numpy reference:
+prints for the compiled stage:
 
-  * microseconds per value and per value+gradient evaluation: compiled
-    through apg_objective (one ctypes call, which also copies gs and asq into
-    the user-minor layout, as each stage does once), numpy through the
-    kernels.IMPL functions;
-  * milliseconds per fixed stage of 300 iterations (stopping rules off):
-    compiled through solver_apg.compiled_stage, numpy through monotone_apg
-    over the kernels.IMPL functions.
+  * microseconds per value and per value+gradient evaluation through
+    apg_objective (one ctypes call, which also copies gs and asq into the
+    user-minor layout, as each stage does once);
+  * milliseconds per fixed stage of 300 iterations (stopping rules off)
+    through solver_apg.compiled_stage.
 
 It then prints seconds per 1e5 draws of the Monte-Carlo rate oracle
 (rates.rate_oracle_monte_carlo) at M=8, 2x3, on one thread and on every CPU
-the process may use, next to the floor that the compiled normal generator
-sets: the seconds per 1e5 draws of mc_normals alone (the unit normals the
-block pass in mc_block.c draws for itself, written out instead of reduced),
-on one thread, and its nanoseconds per normal.
+the process may use.
 
 Each figure is the median of --repeats timed blocks. Run after any change to
-apg_stage.c, the numpy kernels or the Monte-Carlo oracle:
+apg_stage.c or the Monte-Carlo oracle:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -38,9 +33,8 @@ import numpy as np
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
                              generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
 from cellfree_maxmin.harness import fixed_iteration_config, random_feasible_eta
-from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, block_sizes, smallscale_key
-from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
-from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY, _support_gap
+from cellfree_maxmin.solver_apg import compiled_stage
+from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY
 
 SIZES = [(100, 4, 10), (150, 2, 15), (200, 2, 15), (50, 2, 10)]
 STAGE_ITERS = 300
@@ -66,33 +60,8 @@ def median_time(fn, repeats, min_block_s=0.05):
     return statistics.median(blocks)
 
 
-def numpy_closures(model, kind, t):
-    """(value, value_grad, monitor) on the numpy kernels; the margin monitor
-    runs the oracle's periodic Frank-Wolfe check but never stops the stage."""
-    impl = kernels.IMPL
-    gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
-    if kind == native.RATE:
-        return (lambda mat: impl.soft_min_value(gs, asq, ptr, mat, rho, RATE_SIGMA),
-                lambda mat: impl.soft_min_value_grad(gs, asq, ptr, mat, rho, RATE_SIGMA),
-                None)
-
-    def value(mat):
-        return impl.margin_value(gs, asq, ptr, mat, rho, t, MARGIN_SIGMA)
-
-    def value_grad(mat):
-        return impl.margin_value_grad(gs, asq, ptr, mat, rho, t, MARGIN_SIGMA)
-
-    def monitor(x, f, aux, it):
-        if it % GAP_CHECK_EVERY == 0:
-            _, _, grad = value_grad(x)
-            _support_gap(grad, x)  # the oracle's certificate, computed and ignored
-        return None
-
-    return value, value_grad, monitor
-
-
 def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
-    """Rows (objective, engine, value us, value+grad us, stage ms)."""
+    """Rows (objective, value us, value+grad us, stage ms)."""
     dims = Dimensions.uniform(m_aps, n_groups, users_per_group)
     model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed=0))
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
@@ -106,20 +75,12 @@ def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
     rows = []
     for kind, name, sigma, t in ((native.RATE, "rate", RATE_SIGMA, 0.0),
                                  (native.MARGIN, "margin", MARGIN_SIGMA, level)):
-        value, value_grad, monitor = numpy_closures(model, kind, t)
-        rows.append((name, "numpy",
-                     median_time(lambda: value(mu), repeats) * 1e6,
-                     median_time(lambda: value_grad(mu), repeats) * 1e6,
-                     median_time(lambda: monotone_apg(value_grad, value,
-                                                      kernels.IMPL.project_ball_orthant,
-                                                      mu, cfg, monitor=monitor),
-                                 repeats, min_block_s=0.0) * 1e3))
         scratch = np.empty(lib.apg_scratch_len(T, n_groups, M))
         grad = np.empty_like(mu)
         aux = ctypes.c_double()
         args = (kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, n_groups, M,
                 model.rho_bar, sigma, t, mu.ctypes.data)
-        rows.append((name, "compiled",
+        rows.append((name,
                      median_time(lambda: lib.apg_objective(*args, None, scratch.ctypes.data,
                                                            aux), repeats) * 1e6,
                      median_time(lambda: lib.apg_objective(*args, grad.ctypes.data,
@@ -151,23 +112,6 @@ def bench_monte_carlo(repeats):
     return rows
 
 
-def bench_normals(lib, repeats):
-    """Seconds per 1e5 draws of the oracle's unit normals alone, on one
-    thread: the blocks of one MC_DRAWS call drawn into one buffer, and the
-    normals per draw."""
-    m, n, k = MC_SIZE
-    entries = m * (n * k + n)
-    sizes = block_sizes(MC_DRAWS)
-    out = np.empty(2 * sizes[0] * entries)
-    key = smallscale_key(0)
-
-    def run():
-        for b, count in enumerate(sizes):
-            lib.mc_normals(key, b * SMALLSCALE_BLOCK, count, entries, out.ctypes.data)
-
-    return median_time(run, repeats, min_block_s=0.0) * 1e5 / MC_DRAWS, 2 * entries
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -176,19 +120,15 @@ def main():
 
     lib = native.load_library()
     print(f"compiled stage: {lib.apg_lanes()} users per vector")
-    print(f"{'size':>16s} {'objective':>9s} {'engine':>9s} {'value us':>9s} "
+    print(f"{'size':>16s} {'objective':>9s} {'value us':>9s} "
           f"{'val+grad us':>11s} {f'{STAGE_ITERS} it ms':>9s}")
     for m, n, k in SIZES:
-        for name, engine, t_v, t_vg, t_stage in bench_size(lib, m, n, k, args.repeats):
-            print(f"M={m:<4d} N={n} K={k:<3d} {name:>9s} {engine:>9s} {t_v:9.2f} "
-                  f"{t_vg:11.2f} {t_stage:9.2f}")
+        for name, t_v, t_vg, t_stage in bench_size(lib, m, n, k, args.repeats):
+            print(f"M={m:<4d} N={n} K={k:<3d} {name:>9s} {t_v:9.2f} {t_vg:11.2f} {t_stage:9.2f}")
     m, n, k = MC_SIZE
     print(f"\nMonte-Carlo oracle, M={m} N={n} K={k}, {MC_DRAWS} draws per call")
     for threads, s_per_1e5 in bench_monte_carlo(args.repeats):
         print(f"{threads:3d} thread(s): {s_per_1e5:.3f} s per 1e5 draws")
-    s_per_1e5, per_draw = bench_normals(lib, args.repeats)
-    print(f"compiled normals alone, 1 thread: {s_per_1e5:.3f} s per 1e5 draws "
-          f"({s_per_1e5 / (1e5 * per_draw) * 1e9:.2f} ns per normal)")
 
 
 if __name__ == "__main__":

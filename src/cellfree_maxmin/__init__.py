@@ -3,12 +3,10 @@ massive MIMO downlink: instance generation, closed-form rates, a smoothed
 accelerated projected gradient solver, a bisection baseline, and seeded
 experiment runners."""
 
-from .kernels import soft_min
 from .netgen import (
     Dimensions,
     NetworkInstance,
     PhysicalConfig,
-    RngSeed,
     generate_geometry,
     generate_instance,
     instance_from_json,
@@ -23,7 +21,6 @@ from .rates import (
     RateModel,
     RateVector,
     build_rate_model,
-    epa_power,
     epa_rates,
     min_rate,
     rate_oracle_monte_carlo,
@@ -65,7 +62,6 @@ __all__ = [
     "PowerControl",
     "RateModel",
     "RateVector",
-    "RngSeed",
     "SocSystem",
     "SolveReport",
     "apg_solve",
@@ -73,7 +69,6 @@ __all__ = [
     "bisection_solve",
     "build_rate_model",
     "build_soc_system",
-    "epa_power",
     "epa_rates",
     "feasibility_oracle",
     "generate_geometry",
@@ -91,6 +86,5 @@ __all__ = [
     "smooth_gradient",
     "smooth_objective",
     "soc_residual",
-    "soft_min",
     "user_rate",
 ]

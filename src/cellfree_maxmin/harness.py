@@ -82,7 +82,6 @@ class ExperimentConfig:
     scaling_fixed_iters: int = 150
     mc_draws: int = 200_000
     eta_scheme: str = "random"      # random | epa (verify-rate)
-    apply_prelog: bool = False
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -105,10 +104,6 @@ class ExperimentConfig:
     @property
     def dims(self) -> Dimensions:
         return Dimensions(self.num_aps, len(self.group_sizes), self.group_sizes)
-
-    @property
-    def prelog(self) -> float:
-        return self.physical.prelog_factor if self.apply_prelog else 1.0
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -161,17 +156,13 @@ class CdfSummary:
         object.__setattr__(self, "rates_nats", r)
         object.__setattr__(self, "cdf", c)
 
-    @staticmethod
-    def from_rates(rates) -> "CdfSummary":
-        return CdfSummary(rates_nats=np.asarray(rates, dtype=float))
-
     @property
     def min(self) -> float:
         return float(self.rates_nats[0])
 
-    def write_csv(self, path, prelog: float = 1.0):
-        nats = prelog * self.rates_nats
-        write_csv(path, ["rate_nats", "rate_bits", "cdf"], [nats, nats / LN2, self.cdf])
+    def write_csv(self, path):
+        write_csv(path, ["rate_nats", "rate_bits", "cdf"],
+                  [self.rates_nats, self.rates_nats / LN2, self.cdf])
 
 
 def _ensure_outdir(cfg: ExperimentConfig) -> str:
@@ -276,9 +267,9 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     header = ["trial", "group", "user", "rate_nats", "rate_bits"]
     summaries = {}
     for name, rates in (("apg", apg), ("epa", epa)):
-        summaries[name] = CdfSummary.from_rates(rates.ravel())
-        summaries[name].write_csv(os.path.join(out, f"cdf_{name}.csv"), cfg.prelog)
-        nats = cfg.prelog * rates.ravel()
+        nats = rates.ravel()
+        summaries[name] = CdfSummary(nats)
+        summaries[name].write_csv(os.path.join(out, f"cdf_{name}.csv"))
         write_csv(os.path.join(out, f"users_{name}.csv"), header, [*user_cols, nats, nats / LN2])
     apg_min, epa_min = apg.min(axis=1), epa.min(axis=1)
     trial_cols = [trial, apg_min, epa_min, apg_min >= epa_min - 1e-6,
@@ -456,7 +447,7 @@ def run_single_solve(cfg: ExperimentConfig, clock: Optional[Callable] = None) ->
         if power is None:
             power = bis.power
     rates = rates_vector(model, power)
-    rates.write_csv(os.path.join(out, "solution_rates.csv"), prelog=cfg.prelog)
+    rates.write_csv(os.path.join(out, "solution_rates.csv"))
     summary["min_rate_nats"] = rates.min_rate
     _write_summary(out, summary)
     return summary

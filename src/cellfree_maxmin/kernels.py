@@ -314,14 +314,3 @@ IMPL = KernelImpl(
     _margin_value_grad,
     apg_step,
 )
-
-
-def soft_min(values, sigma: float) -> float:
-    """Log-sum-exp soft minimum of an array: -ln(mean(exp(-sigma*v)))/sigma.
-
-    Sandwich: min(v) <= soft_min(v, sigma) <= min(v) + ln(len(v))/sigma.
-    """
-    values = np.asarray(values, dtype=float)
-    vmin = values.min()
-    s = np.exp(-sigma * (values - vmin)).sum()
-    return float(vmin - math.log(s / values.shape[0]) / sigma)

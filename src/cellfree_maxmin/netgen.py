@@ -30,25 +30,12 @@ STREAM_TRIALS = 4
 SMALLSCALE_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """Seed record: (seed, stream_id) reproduces identical draws bit-for-bit
-    on one platform."""
-
-    seed: int
-    stream_id: int = STREAM_GEOMETRY
-
-    def rng(self, *key: int) -> np.random.Generator:
-        """Generator for this stream, optionally sub-keyed (block index,
-        trial index, ...)."""
-        return np.random.default_rng(
-            np.random.SeedSequence([int(self.seed), int(self.stream_id), *map(int, key)])
-        )
-
-
 def stream_rng(seed: int, stream_id: int, *key: int) -> np.random.Generator:
-    """Generator for one named stream (plus optional sub-keys) of a seed."""
-    return RngSeed(seed, stream_id).rng(*key)
+    """Generator for one named stream of a seed, optionally sub-keyed (block
+    index, trial index, ...); (seed, stream_id, *key) reproduces identical
+    draws bit-for-bit on one platform."""
+    return np.random.default_rng(
+        np.random.SeedSequence([int(seed), int(stream_id), *map(int, key)]))
 
 
 @dataclass(frozen=True)
@@ -113,12 +100,6 @@ class PhysicalConfig:
             raise ValueError("pilot_len_symbols must not exceed coherence_len_symbols")
         if self.pathloss_d0_m >= self.pathloss_d1_m:
             raise ValueError("pathloss_d0_m must be below pathloss_d1_m")
-
-    @property
-    def prelog_factor(self) -> float:
-        """Training overhead factor 1 - tau_p/tau_c (off by default in rate
-        reporting; the base rate expression carries no pre-log)."""
-        return 1.0 - self.pilot_len_symbols / self.coherence_len_symbols
 
 
 def noise_power(cfg: PhysicalConfig) -> float:

@@ -162,21 +162,9 @@ class RateVector:
     def group(self, n: int) -> np.ndarray:
         return self.rates[self.group_ptr[n]:self.group_ptr[n + 1]]
 
-    def to_rows(self, prelog: float = 1.0):
-        """Rows (group, user, rate_nats, rate_bits); `prelog` optionally
-        applies a training-overhead factor for spectral-efficiency style
-        reporting (1.0 = the bare rate expression)."""
-        rows = []
-        for n in range(self.group_ptr.shape[0] - 1):
-            for k, r in enumerate(self.group(n)):
-                rn = prelog * float(r)
-                rows.append((n, k, rn, rn / LN2))
-        return rows
-
-    def write_csv(self, path, prelog: float = 1.0):
-        nats = prelog * self.rates
+    def write_csv(self, path):
         write_csv(path, ["group", "user", "rate_nats", "rate_bits"],
-                  [*user_columns(np.diff(self.group_ptr)), nats, nats / LN2])
+                  [*user_columns(np.diff(self.group_ptr)), self.rates, self.rates / LN2])
 
 
 def user_columns(group_sizes, repeats: int = 1):
@@ -202,14 +190,10 @@ def min_rate(model: RateModel, mu) -> float:
     return rates_vector(model, mu).min_rate
 
 
-def epa_power(model: RateModel) -> PowerControl:
-    return PowerControl.epa(model.num_aps, model.num_groups)
-
-
 def epa_rates(model: RateModel) -> RateVector:
     """Rates under equal power allocation (eta = 1/N), evaluated through the
     same path as user_rate so the two agree exactly."""
-    return rates_vector(model, epa_power(model))
+    return rates_vector(model, PowerControl.epa(model.num_aps, model.num_groups))
 
 
 # ---------------------------------------------------------------------------

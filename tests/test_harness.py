@@ -99,12 +99,14 @@ class TestConfig:
             tiny_config("cdf", tmp_path / "run", sigma_schedule=schedule)
         assert not (tmp_path / "run").exists()
 
-    # the last four were fields of configs saved before the step policy, the
-    # oracle's residual tolerance and the cdf thread cap became fixed
+    # the last five were fields of configs saved before the step policy, the
+    # oracle's residual tolerance and the cdf thread cap became fixed and the
+    # pre-log option went
     @pytest.mark.parametrize("key,section", [("alpha0", "apg"), ("t_upper", "bisection"),
                                              ("shadow_db", "physical"), ("sigmas", None),
                                              ("delta", "apg"), ("stop_window", "apg"),
-                                             ("eps_soc", "bisection"), ("workers", None)])
+                                             ("eps_soc", "bisection"), ("workers", None),
+                                             ("apply_prelog", None)])
     def test_unknown_json_key_names_its_path(self, tmp_path, key, section):
         doc = tiny_config("cdf", tmp_path).to_json_dict()
         (doc[section] if section else doc)[key] = 1.0
@@ -121,7 +123,7 @@ class TestConfig:
 
 class TestCdfSummary:
     def test_monotone_normalized(self):
-        s = CdfSummary.from_rates(np.array([0.3, 0.1, 0.7, 0.2]))
+        s = CdfSummary(np.array([0.3, 0.1, 0.7, 0.2]))
         assert np.all(np.diff(s.rates_nats) >= 0)
         assert np.all(np.diff(s.cdf) > 0)
         assert s.cdf[-1] == 1.0

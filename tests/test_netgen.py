@@ -20,6 +20,7 @@ from cellfree_maxmin.netgen import (
     gamma_coefficients,
     iter_smallscale_blocks,
     path_loss_db,
+    stream_rng,
 )
 
 
@@ -61,18 +62,22 @@ class TestNoisePower:
 
 class TestRngStreams:
     def test_seed_record_reproduces(self):
-        from cellfree_maxmin import RngSeed
-
-        a = RngSeed(7, 1).rng().standard_normal(8)
-        b = RngSeed(7, 1).rng().standard_normal(8)
+        a = stream_rng(7, 1).standard_normal(8)
+        b = stream_rng(7, 1).standard_normal(8)
         assert np.array_equal(a, b)
 
     def test_streams_are_independent(self):
-        from cellfree_maxmin import RngSeed
-
-        geom = RngSeed(7, 0).rng().standard_normal(8)
-        shadow = RngSeed(7, 1).rng().standard_normal(8)
+        geom = stream_rng(7, 0).standard_normal(8)
+        shadow = stream_rng(7, 1).standard_normal(8)
         assert not np.array_equal(geom, shadow)
+
+    def test_sub_key_is_its_own_stream(self):
+        # the sub-key extends the seed sequence: (seed, stream, key...)
+        keyed = stream_rng(7, 2, 5).standard_normal(8)
+        same = np.random.default_rng(np.random.SeedSequence([7, 2, 5])).standard_normal(8)
+        assert np.array_equal(keyed, same)
+        assert not np.array_equal(keyed, stream_rng(7, 2).standard_normal(8))
+        assert not np.array_equal(keyed, stream_rng(7, 2, 6).standard_normal(8))
 
 
 class TestGeometry:

@@ -18,9 +18,9 @@ from cellfree_maxmin import (
     rates_vector,
     smooth_gradient,
     smooth_objective,
-    soft_min,
     user_rate,
 )
+from cellfree_maxmin.kernels import _soft_min
 from cellfree_maxmin.solver_apg import monotone_apg
 from conftest import make_model, random_feasible_matrix
 
@@ -134,15 +134,20 @@ class TestSmoothObjective:
         assert smooth_objective(model, mu, 123.0) == rates[0]
 
     def test_sandwich_bound(self, small_model):
+        # min_rate <= smooth_objective <= min_rate + ln(T)/sigma at random
+        # feasible points of small_model and of five random group layouts
         rng = np.random.default_rng(4)
-        t_users = small_model.num_users
-        for sigma in (100.0, 1e4):
-            bound = math.log(t_users) / sigma
-            for _ in range(50):
-                mat = random_feasible_matrix(small_model, rng)
-                f = min_rate(small_model, mat)
-                fs = smooth_objective(small_model, mat, sigma)
-                assert f <= fs <= f + bound + 1e-12
+        models = [small_model] + [make_model(int(rng.integers(2, 12)), int(rng.integers(1, 4)),
+                                             int(rng.integers(1, 5)), seed=seed)
+                                  for seed in range(5)]
+        for model in models:
+            for sigma in (10.0, 100.0, 1e4):
+                bound = math.log(model.num_users) / sigma
+                for _ in range(50):
+                    mat = random_feasible_matrix(model, rng)
+                    f = min_rate(model, mat)
+                    fs = smooth_objective(model, mat, sigma)
+                    assert f <= fs <= f + bound + 1e-12
 
     def test_sigma_must_be_positive(self, small_model):
         with pytest.raises(ValueError):
@@ -164,6 +169,11 @@ class TestSmoothObjective:
             error, match = ValueError, "^max_iters must be"
         with pytest.raises(error, match=match):
             ApgConfig(**bad)
+
+
+def soft_min(values, sigma):
+    """The solvers' soft minimum -ln(mean(exp(-sigma*v)))/sigma."""
+    return _soft_min(np.asarray(values, dtype=float), sigma)[3]
 
 
 class TestSoftMinHelper:

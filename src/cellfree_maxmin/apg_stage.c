@@ -150,7 +150,7 @@ static void project(const double *x, double *out, double *nsq, int64_t N, int64_
     for (int64_t n = 0; n < N; n++) {
         for (int64_t m = 0; m < M; m++) {
             double v = x[n * M + m];
-            double u = v < 0.0 ? 0.0 : v;  /* keeps NaN, as np.maximum */
+            double u = v <= 0.0 ? 0.0 : v;  /* -0 to +0, keeps NaN: as np.maximum */
             out[n * M + m] = u;
             nsq[m] += u * u;
         }
@@ -507,7 +507,7 @@ static double sq_dist(const double *a, const double *b, int64_t len)
 /* Run one stage from x (projected first); x receives the last iterate.
  *
  * work holds apg_work_len(T, N, M) doubles. The traces hold max_iters + 1
- * entries; trace_clock receives raw clock() readings, or 0 without a clock.
+ * entries; trace_clock receives raw clock() readings.
  * Returns a STOP_* code. */
 int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr,
               int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
@@ -546,7 +546,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     trace_am[0] = am;
     trace_bty[0] = 0;
     trace_btm[0] = 0;
-    trace_clock[0] = clock ? clock() : 0.0;
+    trace_clock[0] = clock();
 
     int code = STOP_MAX_ITERS;
     out->iterations = 0;
@@ -661,7 +661,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         trace_am[it] = am;
         trace_bty[it] = bt_y;
         trace_btm[it] = bt_mu;
-        trace_clock[it] = clock ? clock() : 0.0;
+        trace_clock[it] = clock();
         out->iterations = it;
 
         if (kind == APG_MARGIN) {

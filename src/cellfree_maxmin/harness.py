@@ -4,7 +4,8 @@ Experiments: convergence (one instance, both solvers, iteration traces),
 cdf (per-user rate distribution of optimized power control vs equal power
 allocation over many trials), scaling (wall-time table over a grid of AP
 counts), verify-rate (Monte-Carlo check of the closed-form rate), and
-single-solve.
+single-solve (the convergence run, plus the instance and its solution's
+per-user rates).
 
 ExperimentConfig carries the solver configurations as the solvers take
 them: `apg` is a solver_apg.ApgConfig, run once per sigma of
@@ -41,7 +42,6 @@ from .rates import (
     PowerControl,
     build_rate_model,
     epa_rates,
-    min_rate,
     rate_oracle_monte_carlo,
     rates_vector,
     user_columns,
@@ -189,20 +189,22 @@ def _write_stage_traces(reports: List[SolveReport], out: str):
         rep.write_trace_csv(os.path.join(out, f"trace_apg_stage{idx}.csv"))
 
 
-def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
-    """One seeded instance, both solvers, traces plus an agreement summary."""
+def _convergence(cfg: ExperimentConfig, clock: Optional[Callable]) -> tuple:
+    """One seeded instance, the selected solvers, their traces and
+    summary.csv. Returns (instance, rate model, summary, solution power),
+    the power being APG's, or bisection's when only bisection runs."""
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
     instance = generate_instance(cfg.dims, cfg.physical, cfg.master_seed)
     model = build_rate_model(instance)
 
     summary = {}
-    apg_reports = None
-    bis = None
+    powers = []
     if cfg.solver in ("apg", "both"):
         apg_reports = _solve_apg(model, cfg, clock=clock)
         _write_stage_traces(apg_reports, out)
         final = apg_reports[-1]
+        powers.append(final.power)
         summary.update(
             apg_min_rate_nats=final.min_rate,
             apg_f_sigma_nats=final.f_sigma,
@@ -214,6 +216,7 @@ def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
     if cfg.solver in ("bisection", "both"):
         bis = bisection_solve(build_soc_system(model), cfg.bisection, clock=clock)
         bis.write_steps_csv(os.path.join(out, "trace_bisection.csv"))
+        powers.append(bis.power)
         summary.update(
             bisection_t_star_nats=bis.t_star,
             bisection_min_rate_nats=bis.min_rate,
@@ -222,13 +225,19 @@ def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
             bisection_undecided=bis.undecided_count,
             bisection_approximate=bis.approximate,
         )
-    if apg_reports is not None and bis is not None:
-        gap = abs(apg_reports[-1].min_rate - bis.t_star)
+    if cfg.solver == "both":
+        gap = abs(final.min_rate - bis.t_star)
         summary["abs_gap_nats"] = gap
         summary["agree_1e3"] = bool(gap <= 1e-3)
 
     _write_summary(out, summary)
-    return summary
+    return instance, model, summary, powers[0]
+
+
+def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
+    """One seeded instance, the selected solvers, their traces and a summary
+    with the solvers' agreement when both run."""
+    return _convergence(cfg, clock)[2]
 
 
 def _write_summary(out: str, summary: dict):
@@ -378,7 +387,7 @@ def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
     dims = cfg.dims
-    per_trial = []  # (seed, closed, mc rate, std error, n std err, low conf, epa consistent)
+    per_trial = []  # (seed, closed, mc rate, std error, n std err, low conf)
     for trial in range(cfg.trials):
         seed = trial_seed(cfg.master_seed, trial)
         instance = generate_instance(dims, cfg.physical, seed)
@@ -386,70 +395,38 @@ def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
         if cfg.eta_scheme == "epa":
             eta = np.full((dims.num_aps, dims.num_groups), 1.0 / dims.num_groups)
             mu = PowerControl.epa(dims.num_aps, dims.num_groups)
-            epa_consistent = bool(
-                np.array_equal(rates_vector(model, mu).rates, epa_rates(model).rates)
-            )
         else:
             eta = random_feasible_eta(dims, seed)
             mu = PowerControl.from_matrix(np.sqrt(eta.T))
-            epa_consistent = True
         closed = rates_vector(model, mu).rates
         mc = rate_oracle_monte_carlo(instance, eta, cfg.mc_draws, seed)
         low_conf = mc.std_error > 0.05 * np.maximum(np.abs(mc.rate_nats), 1e-12)
         per_trial.append((seed, closed, mc.rate_nats, mc.std_error, mc.n_std_errs(closed),
-                          low_conf, epa_consistent))
+                          low_conf))
     T = dims.num_users
-    seeds, closed, mc_rate, std_error, nse, low_conf, epa_consistent = zip(*per_trial)
+    seeds, closed, mc_rate, std_error, nse, low_conf = zip(*per_trial)
     nse, low_conf = np.concatenate(nse), np.concatenate(low_conf)
     ok = nse <= 3.0
     write_csv(
         os.path.join(out, "verify_rate.csv"),
         ["trial", "instance_seed", "group", "user", "closed_form_nats",
          "mc_rate_nats", "std_error", "n_std_err", "within_3se",
-         "low_confidence", "epa_consistent"],
+         "low_confidence"],
         [np.repeat(np.arange(cfg.trials), T), np.repeat(seeds, T),
          *user_columns(dims.group_sizes, cfg.trials), np.concatenate(closed),
-         np.concatenate(mc_rate), np.concatenate(std_error), nse, ok, low_conf,
-         np.repeat(epa_consistent, T)],
+         np.concatenate(mc_rate), np.concatenate(std_error), nse, ok, low_conf],
     )
     return {"all_pass": bool((ok | low_conf).all()), "low_confidence": bool(low_conf.any()),
             "rows": cfg.trials * T}
 
 
 def run_single_solve(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
-    """Generate one instance, solve with the selected solver(s), export the
-    solution rates and the instance itself."""
-    out = _ensure_outdir(cfg)
-    write_resolved_config(cfg)
-    instance = generate_instance(cfg.dims, cfg.physical, cfg.master_seed)
-    with open(os.path.join(out, "instance.json"), "w") as fh:
+    """The convergence run, plus the instance itself and the per-user rates
+    at its solution."""
+    instance, model, summary, power = _convergence(cfg, clock)
+    with open(os.path.join(cfg.out_dir, "instance.json"), "w") as fh:
         fh.write(instance_to_json(instance))
-    model = build_rate_model(instance)
-
-    summary = {}
-    power = None
-    if cfg.solver in ("apg", "both"):
-        reports = _solve_apg(model, cfg, clock=clock)
-        _write_stage_traces(reports, out)
-        power = reports[-1].power
-        summary.update(
-            apg_min_rate_nats=reports[-1].min_rate,
-            apg_iterations=sum(r.iterations for r in reports),
-            apg_wall_s=sum(r.wall_time_s for r in reports),
-        )
-    if cfg.solver in ("bisection", "both"):
-        bis = bisection_solve(build_soc_system(model), cfg.bisection, clock=clock)
-        bis.write_steps_csv(os.path.join(out, "trace_bisection.csv"))
-        summary.update(
-            bisection_t_star_nats=bis.t_star,
-            bisection_wall_s=bis.wall_time_s,
-        )
-        if power is None:
-            power = bis.power
-    rates = rates_vector(model, power)
-    rates.write_csv(os.path.join(out, "solution_rates.csv"))
-    summary["min_rate_nats"] = rates.min_rate
-    _write_summary(out, summary)
+    rates_vector(model, power).write_csv(os.path.join(cfg.out_dir, "solution_rates.csv"))
     return summary
 
 

@@ -12,7 +12,6 @@ never tracks watts). Rates depend only on the user's own group block of mu.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -99,10 +98,6 @@ class RateModel:
         return self.group_ptr.shape[0] - 1
 
     @property
-    def group_sizes(self) -> Tuple[int, ...]:
-        return tuple(int(k) for k in np.diff(self.group_ptr))
-
-    @property
     def interference_diag(self) -> np.ndarray:
         """Per-user diagonal entries sqrt(N*zeta - (pi/4)*gamma), shape (T, M)."""
         return np.sqrt(self.a_sq)
@@ -158,9 +153,6 @@ class RateVector:
     @property
     def min_rate(self) -> float:
         return float(self.rates.min())
-
-    def group(self, n: int) -> np.ndarray:
-        return self.rates[self.group_ptr[n]:self.group_ptr[n + 1]]
 
     def write_csv(self, path):
         write_csv(path, ["group", "user", "rate_nats", "rate_bits"],

@@ -222,8 +222,10 @@ def compiled_stage(
     stops "feasible" once aux <= eps_soc, and every gap_check_every
     iterations it records the Frank-Wolfe bound and stops "infeasible" once
     that exceeds -eps_soc. Elapsed times come from one `clock` call per
-    iteration; without a clock they read 0. A `clock` that is `lib.apg_clock`
-    is called inside the stage without entering the interpreter."""
+    iteration, measured from one call before the stage. Without a clock the
+    stage reads the library's C clock `lib.apg_clock`, which it calls
+    without entering the interpreter; an injected clock is called back in
+    Python."""
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
     T, M = gs.shape
     N = ptr.shape[0] - 1
@@ -243,13 +245,9 @@ def compiled_stage(
                                    cfg.max_iters, STOP_WINDOW, LINE_SEARCH_CAP,
                                    gap_check_every, STEP_GROW_AFTER)
     out = native.StageResult()
-    if clock is None:
-        clock_fn = native.CLOCK_FN()
-    elif clock is lib.apg_clock:
-        clock_fn = lib.stage_clock
-    else:
-        clock_fn = native.CLOCK_FN(clock)
-    start = clock() if clock is not None else 0.0
+    clock = clock or lib.apg_clock
+    clock_fn = lib.stage_clock if clock is lib.apg_clock else native.CLOCK_FN(clock)
+    start = clock()
     code = lib.apg_stage(
         kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
         model.rho_bar, sigma, t, stage_cfg, x.ctypes.data, work.ctypes.data,
@@ -265,7 +263,7 @@ def compiled_stage(
         x=x, f=out.f, aux=out.aux, iterations=out.iterations, termination=reason,
         trace_f=f, trace_aux=aux, trace_alpha_y=alpha_y, trace_alpha_mu=alpha_mu,
         trace_bt_y=bt_y[:k], trace_bt_mu=bt_mu[:k],
-        trace_elapsed=stamps - start if clock is not None else stamps,
+        trace_elapsed=stamps - start,
         extrapolation_rejections=out.rejections,
         plain_skips=out.plain_skips,
         evaluations=out.evaluations,

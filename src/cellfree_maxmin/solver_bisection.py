@@ -27,7 +27,7 @@ oracle_iter_cap. The bracket always starts at
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -112,17 +112,19 @@ def _support_gap(grad: np.ndarray, x: np.ndarray) -> float:
 def feasibility_oracle(
     system: SocSystem,
     t: float,
-    warm=None,
+    warm: Sequence = (),
     cfg: Optional[BisectionConfig] = None,
 ) -> OracleResult:
     """Find mu in S with all residuals <= EPS_SOC, or certify none is close.
 
-    `warm` may be a single start point or a sequence of them; the equal power
-    allocation point is always added as a fallback candidate. The smoothed
-    min-margin maximization runs an inner sharpness continuation (coarse to
-    fine sigma_f, warm-started), checking the true residuals every iterate
-    and the infeasibility certificate periodically. Each stage is one
-    compiled_stage call, as in apg_solve.
+    `warm` is a sequence of candidate start points (PowerControl, flat
+    group-major vector or (N, M) matrix). The equal power allocation point
+    always follows them as a fallback, and the candidate of least max
+    residual starts the search. The smoothed min-margin maximization runs an
+    inner sharpness continuation (coarse to fine sigma_f, warm-started),
+    checking the true residuals every iterate and the infeasibility
+    certificate periodically. Each stage is one compiled_stage call, as in
+    apg_solve.
     """
     cfg = cfg or BisectionConfig()
     model = system.model
@@ -130,12 +132,6 @@ def feasibility_oracle(
     lib = native.load_library()
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
 
-    if warm is None:
-        warm = []
-    elif isinstance(warm, (list, tuple)):
-        warm = list(warm)
-    else:
-        warm = [warm]
     candidates = [as_mu_matrix(w, model) for w in warm]
     candidates.append(PowerControl.epa(model.num_aps, model.num_groups).by_group.copy())
 

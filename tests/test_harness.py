@@ -8,7 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from cellfree_maxmin import ApgConfig, harness, pool
+from cellfree_maxmin import (
+    ApgConfig, build_rate_model, epa_rates, generate_instance, harness, pool,
+)
 from cellfree_maxmin.cli import main as cli_main
 from cellfree_maxmin.harness import (
     CdfSummary,
@@ -285,19 +287,39 @@ class TestRunners:
         assert out["low_confidence"]
 
     def test_verify_rate_epa_scheme(self, tmp_path):
-        cfg = tiny_config("verify-rate", tmp_path, trials=1, mc_draws=40_000,
-                          num_aps=4, group_sizes=(2, 2), eta_scheme="epa")
-        run_verify_rate(cfg)
-        rows = read_csv(tmp_path / "verify_rate.csv")
-        epa_col = rows[0].index("epa_consistent")
-        assert all(r[epa_col] == "true" for r in rows[1:])
+        """Under eta_scheme="epa" every trial's closed-form rates are those
+        of equal power on that trial's instance; the random scheme's are
+        not."""
+        for scheme in ("epa", "random"):
+            cfg = tiny_config("verify-rate", tmp_path / scheme, trials=2, mc_draws=2000,
+                              num_aps=4, group_sizes=(2, 2), eta_scheme=scheme)
+            run_verify_rate(cfg)
+            header, *rows = read_csv(tmp_path / scheme / "verify_rate.csv")
+            seed_col = header.index("instance_seed")
+            closed_col = header.index("closed_form_nats")
+            for seed in sorted({int(r[seed_col]) for r in rows}):
+                closed = [float(r[closed_col]) for r in rows if int(r[seed_col]) == seed]
+                instance = generate_instance(cfg.dims, cfg.physical, seed)
+                epa = epa_rates(build_rate_model(instance)).rates.tolist()
+                assert (closed == epa) == (scheme == "epa")
 
     def test_single_solve_outputs(self, tmp_path):
-        cfg = tiny_config("single-solve", tmp_path)
-        summary = run_single_solve(cfg)
-        for name in ("instance.json", "solution_rates.csv", "summary.csv", "trace_apg.csv"):
-            assert os.path.exists(tmp_path / name)
-        assert summary["min_rate_nats"] > 0
+        """The convergence run's summary and traces, plus instance.json and
+        the rates at APG's power (bisection's when only bisection runs)."""
+        for solver in ("both", "bisection"):
+            runs = {}
+            for kind in ("convergence", "single-solve"):
+                cfg = tiny_config(kind, tmp_path / solver / kind, solver=solver)
+                runs[kind] = harness.RUNNERS[kind](cfg, clock=FAKE_CLOCK)
+            assert runs["single-solve"] == runs["convergence"]
+            conv, single = tmp_path / solver / "convergence", tmp_path / solver / "single-solve"
+            extra = {"instance.json", "solution_rates.csv"}
+            assert set(os.listdir(single)) == set(os.listdir(conv)) | extra
+            for name in set(os.listdir(conv)) - {"resolved_config.json"}:
+                assert (single / name).read_bytes() == (conv / name).read_bytes(), name
+            rates = [float(r[2]) for r in read_csv(single / "solution_rates.csv")[1:]]
+            key = "apg_min_rate_nats" if solver == "both" else "bisection_min_rate_nats"
+            assert min(rates) == pytest.approx(runs["convergence"][key], rel=1e-12)
 
 
 class TestDeterminism:

@@ -16,6 +16,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellfree_maxmin import (
     ApgConfig,
@@ -24,6 +26,7 @@ from cellfree_maxmin import (
     LineSearchError,
     PhysicalConfig,
     PowerControl,
+    RateModel,
     apg_solve,
     apg_solve_continuation,
     bisection_solve,
@@ -406,6 +409,18 @@ class TestStalledStage:
         assert abs(report.t_star - apg.min_rate) <= cfg.tol_t
 
 
+def test_package_data_ships_every_build_file():
+    """An installed package builds its library from native.SOURCES and
+    native.HEADERS on first use, so pyproject.toml's package data names
+    each of them."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        shipped = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["cellfree_maxmin"]
+    needed = {os.path.basename(path) for path in native.SOURCES + native.HEADERS}
+    assert needed - set(shipped) == set()
+
+
 def test_library_path_keys_on_host_cpu(monkeypatch):
     """The library is built for the host CPU, so another CPU behind the same
     cache directory gets another file; the same CPU always the same one."""
@@ -564,3 +579,60 @@ def test_stage_clock(lib, monkeypatch):
     assert elapsed[0] >= 0.0 and (np.diff(elapsed) >= 0.0).all() and elapsed[-1] > 0.0
     assert own.wall_time_s >= elapsed[-1]
     assert not fake.trace_elapsed_s.any() and fake.wall_time_s == 0.0
+
+
+def test_stage_without_clock_reads_the_c_clock(lib):
+    """A stage given no clock, as the oracle's are, stamps its iterations
+    with lib.apg_clock, measured from its own start."""
+    model = make_model(num_aps=10, users_per_group=3, seed=2)
+    x0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
+    before = lib.apg_clock()
+    got = compiled_stage(lib, native.RATE, model, x0, ApgConfig(max_iters=50, stop_tol=0.0),
+                         100.0)
+    after = lib.apg_clock()
+    elapsed = got.trace_elapsed
+    assert elapsed.shape == (51,) and elapsed[0] >= 0.0 and (np.diff(elapsed) >= 0.0).all()
+    assert 0.0 < elapsed[-1] <= after - before
+
+
+BALL_EDGE = math.sqrt(1.0 + kernels.BALL_SLACK)
+
+
+def ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+@st.composite
+def projection_inputs(draw):
+    """(N, M) points with negative entries, zeros of both signs, and columns
+    of squared norm far above 1 or within a few ulps of 1 + BALL_SLACK (one
+    positive entry, the rest clipped to zero)."""
+    num_groups, num_aps = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+    x = np.array(draw(st.lists(entries, min_size=num_groups * num_aps,
+                               max_size=num_groups * num_aps))).reshape(num_groups, num_aps)
+    for m in range(num_aps):
+        kind = draw(st.sampled_from(["as drawn", "far", "edge"]))
+        if kind == "far":
+            x[:, m] *= 10.0 ** draw(st.integers(1, 100))
+        elif kind == "edge":
+            x[:, m] = np.minimum(x[:, m], 0.0)
+            row = draw(st.integers(0, num_groups - 1))
+            x[row, m] = ulps_from(BALL_EDGE, draw(st.integers(-2, 2)))
+    return x
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=projection_inputs())
+def test_compiled_projection_matches_numpy_bit_for_bit(lib, x):
+    """A stage of zero iterations returns its projected start point, which is
+    kernels.IMPL.project_ball_orthant's to the bit."""
+    num_groups, num_aps = x.shape
+    model = RateModel(gamma_sqrt=np.ones((num_groups, num_aps)),
+                      a_sq=np.ones((num_groups, num_aps)),
+                      group_ptr=np.arange(num_groups + 1), rho_bar=1.0)
+    got = compiled_stage(lib, native.RATE, model, x, ApgConfig(max_iters=0), 100.0)
+    expected = kernels.IMPL.project_ball_orthant(np.ascontiguousarray(x))
+    assert got.x.tobytes() == expected.tobytes()

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellfree_maxmin import (
     BisectionConfig,
+    Dimensions,
+    PhysicalConfig,
     PowerControl,
     apg_solve_continuation,
     bisection_solve,
+    build_rate_model,
     build_soc_system,
     epa_rates,
     feasibility_oracle,
+    generate_instance,
     min_rate,
     rate_upper_bound,
     rates_vector,
@@ -99,6 +105,24 @@ class TestFeasibilityOracle:
             t_lower = float(rng.uniform(0.0, t_feas))
             res = feasibility_oracle(system, t_lower)
             assert res.status == "feasible"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num_aps=st.integers(1, 12),
+       group_sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_oracle_never_refutes_a_witnessed_level(num_aps, group_sizes, seed):
+    """No level that a point of S reaches is certified infeasible: not the
+    equal power allocation's min-rate, nor 0.999 x the APG continuation's.
+    Given the APG point as its start, the oracle takes it without a stage."""
+    dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
+    model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed))
+    system = build_soc_system(model)
+    apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
+    for t in (epa_rates(model).min_rate, 0.999 * apg.min_rate):
+        assert feasibility_oracle(system, t).status != "infeasible", t
+    warm = feasibility_oracle(system, 0.999 * apg.min_rate, warm=(apg.power,))
+    assert warm.status == "feasible" and warm.iterations == 0
 
 
 class TestBisectionSolve:

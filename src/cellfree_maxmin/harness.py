@@ -16,6 +16,12 @@ field, giving its dotted path.
 Every run writes resolved_config.json plus experiment CSVs into the output
 directory. All numerical content is a pure function of (config, master
 seed); wall-clock fields are the only nondeterministic bytes.
+
+Independent work runs on min(CPUs, tasks) threads through pool.ordered_map:
+the cdf trials, and the two solvers of convergence and single-solve. Results
+come back in task order, so outputs do not depend on the thread count. An
+injected clock may therefore be called from two threads at once. scaling
+runs its solves one after the other, because it compares their run times.
 """
 
 import json
@@ -189,49 +195,67 @@ def _write_stage_traces(reports: List[SolveReport], out: str):
         rep.write_trace_csv(os.path.join(out, f"trace_apg_stage{idx}.csv"))
 
 
+def _apg_part(model, cfg: ExperimentConfig, out: str, clock) -> tuple:
+    """The APG continuation and its trace_apg*.csv: (summary entries, power)."""
+    reports = _solve_apg(model, cfg, clock=clock)
+    _write_stage_traces(reports, out)
+    final = reports[-1]
+    return dict(
+        apg_min_rate_nats=final.min_rate,
+        apg_f_sigma_nats=final.f_sigma,
+        apg_iterations=sum(r.iterations for r in reports),
+        apg_evaluations=sum(r.evaluations for r in reports),
+        apg_wall_s=sum(r.wall_time_s for r in reports),
+        apg_termination=final.termination,
+    ), final.power
+
+
+def _bisection_part(model, cfg: ExperimentConfig, out: str, clock) -> tuple:
+    """The bisection solve and its trace_bisection.csv: (summary entries,
+    power)."""
+    bis = bisection_solve(build_soc_system(model), cfg.bisection, clock=clock)
+    bis.write_steps_csv(os.path.join(out, "trace_bisection.csv"))
+    return dict(
+        bisection_t_star_nats=bis.t_star,
+        bisection_min_rate_nats=bis.min_rate,
+        bisection_oracle_iters=bis.oracle_iters_total,
+        bisection_wall_s=bis.wall_time_s,
+        bisection_undecided=bis.undecided_count,
+        bisection_approximate=bis.approximate,
+    ), bis.power
+
+
 def _convergence(cfg: ExperimentConfig, clock: Optional[Callable]) -> tuple:
     """One seeded instance, the selected solvers, their traces and
     summary.csv. Returns (instance, rate model, summary, solution power),
-    the power being APG's, or bisection's when only bisection runs."""
+    the power being APG's, or bisection's when only bisection runs.
+
+    The selected solvers run on min(CPUs, solvers) threads, the rule of the
+    cdf trials (inline when that is 1), each writing its own traces;
+    summary.csv is written once both have returned. When both run at once,
+    apg_wall_s, bisection_wall_s and the APG traces' elapsed_s column are
+    wall times under contention: APG's injected-clock callbacks wait for the
+    interpreter lock behind bisection's Python code. The run-time comparison
+    is the scaling experiment's, which runs the solvers one after the other."""
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
     instance = generate_instance(cfg.dims, cfg.physical, cfg.master_seed)
     model = build_rate_model(instance)
 
-    summary = {}
-    powers = []
-    if cfg.solver in ("apg", "both"):
-        apg_reports = _solve_apg(model, cfg, clock=clock)
-        _write_stage_traces(apg_reports, out)
-        final = apg_reports[-1]
-        powers.append(final.power)
-        summary.update(
-            apg_min_rate_nats=final.min_rate,
-            apg_f_sigma_nats=final.f_sigma,
-            apg_iterations=sum(r.iterations for r in apg_reports),
-            apg_evaluations=sum(r.evaluations for r in apg_reports),
-            apg_wall_s=sum(r.wall_time_s for r in apg_reports),
-            apg_termination=final.termination,
-        )
-    if cfg.solver in ("bisection", "both"):
-        bis = bisection_solve(build_soc_system(model), cfg.bisection, clock=clock)
-        bis.write_steps_csv(os.path.join(out, "trace_bisection.csv"))
-        powers.append(bis.power)
-        summary.update(
-            bisection_t_star_nats=bis.t_star,
-            bisection_min_rate_nats=bis.min_rate,
-            bisection_oracle_iters=bis.oracle_iters_total,
-            bisection_wall_s=bis.wall_time_s,
-            bisection_undecided=bis.undecided_count,
-            bisection_approximate=bis.approximate,
-        )
+    parts = [part for name, part in (("apg", _apg_part), ("bisection", _bisection_part))
+             if cfg.solver in (name, "both")]
+    native.load_library()  # a first build happens here, not in both threads
+    workers = min(pool.cpu_count(), len(parts))
+    results = list(pool.ordered_map(lambda i: parts[i](model, cfg, out, clock),
+                                    len(parts), workers))
+    summary = {key: value for entries, _ in results for key, value in entries.items()}
     if cfg.solver == "both":
-        gap = abs(final.min_rate - bis.t_star)
+        gap = abs(summary["apg_min_rate_nats"] - summary["bisection_t_star_nats"])
         summary["abs_gap_nats"] = gap
         summary["agree_1e3"] = bool(gap <= 1e-3)
 
     _write_summary(out, summary)
-    return instance, model, summary, powers[0]
+    return instance, model, summary, results[0][1]
 
 
 def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:

@@ -12,6 +12,9 @@ every later process only loads the file. Each build writes a private
 temporary file and renames it into place, so processes that build at the
 same time cannot see a partial library, and threads of one process that
 load it for the first time together take turns, so only the first builds. Compiler output is captured and never printed.
+After a build, the cache's other libraries that are older than
+STALE_LIBRARY_AGE_S are removed; younger ones stay, because another process
+may have just built one and not yet loaded it.
 
 This library is the only engine the solvers and the Monte-Carlo oracle run,
 so a C compiler is required: when none is found, or the build fails,
@@ -24,8 +27,10 @@ import functools
 import hashlib
 import os
 import platform
+import re
 import shutil
 import threading
+import time
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCES = tuple(os.path.join(_HERE, name) for name in ("apg_stage.c", "mc_block.c"))
@@ -37,6 +42,10 @@ COMPILERS = ("cc", "gcc")
 # -fno-math-errno: sqrt becomes the (correctly rounded) instruction alone
 CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 BUILD_TIMEOUT_S = 120
+# age past which a build removes the cache's libraries of other sources,
+# compilers or CPUs
+STALE_LIBRARY_AGE_S = 24 * 3600.0
+_LIBRARY_NAME = re.compile(r"apg_stage-[0-9a-f]{16}\.so")
 
 # objectives and stop codes of apg_stage
 RATE, MARGIN = 0, 1
@@ -109,9 +118,32 @@ def _library_path(compiler: str) -> str:
     return os.path.join(_cache_dir(), f"apg_stage-{digest.hexdigest()[:16]}.so")
 
 
+def _prune(target: str) -> None:
+    """Remove the libraries beside `target`, other than it, that were last
+    written more than STALE_LIBRARY_AGE_S ago. Temporary build files and
+    anything not named like a library stay; a file that vanishes or cannot be
+    removed is left to the next build."""
+    directory = os.path.dirname(target)
+    cutoff = time.time() - STALE_LIBRARY_AGE_S
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return
+    for name in names:
+        path = os.path.join(directory, name)
+        if path == target or not _LIBRARY_NAME.fullmatch(name):
+            continue
+        try:
+            if os.stat(path).st_mtime < cutoff:
+                os.remove(path)
+        except OSError:
+            pass
+
+
 def _build(compiler: str, target: str) -> None:
-    """Compile SOURCES into `target`; RuntimeError naming the compiler and the
-    sources, with the compiler's last error line, when that fails."""
+    """Compile SOURCES into `target`, then _prune the libraries beside it;
+    RuntimeError naming the compiler and the sources, with the compiler's
+    last error line, when the build fails."""
     import subprocess
     import tempfile
 
@@ -127,6 +159,7 @@ def _build(compiler: str, target: str) -> None:
             raise RuntimeError(f"{compiler} failed to build {' '.join(SOURCES)} (exit code "
                                f"{proc.returncode}): {lines[-1] if lines else 'no output'}")
         os.replace(tmp, target)
+        _prune(target)
     except subprocess.TimeoutExpired:
         raise RuntimeError(
             f"{compiler} did not build {' '.join(SOURCES)} within {BUILD_TIMEOUT_S} s") from None

@@ -1,7 +1,7 @@
-"""The thread pool behind the Monte-Carlo oracle's draw blocks and the cdf
-experiment's trials.
+"""The thread pool behind the Monte-Carlo oracle's draw blocks, the cdf
+experiment's trials and the convergence experiment's two solvers.
 
-Both run on threads, not processes: their heavy parts (the compiled
+All run on threads, not processes: their heavy parts (the compiled
 Monte-Carlo block pass and APG stage, numpy's matmuls) release the
 interpreter lock, and
 threads share the caller's arrays and the loaded stage library without
@@ -22,10 +22,27 @@ def cpu_count() -> int:
 
 
 def ordered_map(fn: Callable, count: int, workers: int) -> Iterator:
-    """fn(0), ..., fn(count - 1) in order; on a pool of `workers` threads
-    that is shut down before this returns or raises, inline when 1."""
+    """fn(0), ..., fn(count - 1) in order, on `workers` threads: the calling
+    thread and a pool of workers - 1 that is shut down before this returns or
+    raises; inline when `workers` is 1.
+
+    The pool takes items from the front. While the next result is not done,
+    the caller runs the last item the pool has not started, so it does not
+    idle while work is left, and the map holds one thread, with its malloc
+    arena, fewer than a pool of `workers` would."""
     if workers == 1:
         yield from map(fn, range(count))
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, range(count))
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(fn, i) for i in range(count)]
+        own = {}  # items from `last` on, run by the caller
+        last = count
+        try:
+            for i in range(count):
+                while last > i and not futures[i].done() and futures[last - 1].cancel():
+                    last -= 1
+                    own[last] = fn(last)
+                yield own.pop(i) if i >= last else futures[i].result()
+        finally:
+            for future in futures:
+                future.cancel()

@@ -258,6 +258,58 @@ class TestRunners:
         assert threading.active_count() == threads_before
         assert not os.path.exists(tmp_path / "trial_minrates.csv")
 
+    @pytest.mark.parametrize("kind", ["convergence", "single-solve"])
+    def test_solver_outputs_identical_for_any_thread_count(self, tmp_path, monkeypatch, kind):
+        """Under the zero clock the two solvers' files are byte-identical run
+        inline (1 CPU) or on two threads. On 2 and 8 CPUs they meet at a
+        barrier, so they ran at the same time, and on 8 with the interpreter
+        switching threads as often as it can."""
+        threads, barrier = {}, threading.Barrier(2)
+
+        def tracked(part):
+            def run(*args):
+                cpus = pool.cpu_count()
+                threads.setdefault(cpus, set()).add(threading.get_ident())
+                if cpus > 1:
+                    barrier.wait(timeout=60)
+                return part(*args)
+            return run
+
+        for name in ("_apg_part", "_bisection_part"):
+            monkeypatch.setattr(harness, name, tracked(getattr(harness, name)))
+        outputs = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(pool, "cpu_count", lambda: cpus)
+            out_dir = tmp_path / str(cpus)
+            threads_before, interval = threading.active_count(), sys.getswitchinterval()
+            if cpus == 8:
+                sys.setswitchinterval(1e-6)
+            try:
+                harness.RUNNERS[kind](tiny_config(kind, out_dir), clock=FAKE_CLOCK)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == threads_before
+            outputs[cpus] = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)
+                             if name != "resolved_config.json"}
+        assert "trace_bisection.csv" in outputs[1] and "trace_apg.csv" in outputs[1]
+        assert outputs[2] == outputs[1] and outputs[8] == outputs[1]
+        assert threads[1] == {threading.get_ident()}
+        assert len(threads[2]) == 2 and len(threads[8]) == 2
+
+    @pytest.mark.parametrize("failing", ["_apg_part", "_bisection_part"])
+    def test_solver_error_reaches_caller(self, tmp_path, monkeypatch, failing):
+        monkeypatch.setattr(pool, "cpu_count", lambda: 2)
+
+        def fail(*args):
+            raise RuntimeError(f"{failing} failed")
+
+        monkeypatch.setattr(harness, failing, fail)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            run_convergence(tiny_config("convergence", tmp_path))
+        assert threading.active_count() == threads_before
+        assert not os.path.exists(tmp_path / "summary.csv")
+
     def test_scaling_outputs_and_validation(self, tmp_path):
         cfg = tiny_config("scaling", tmp_path, scaling_m_grid=(4, 6), scaling_fixed_iters=20)
         out = run_scaling(cfg)

@@ -474,6 +474,32 @@ def test_failed_build_prints_nothing(lib, tmp_path, monkeypatch, capfd):
     assert os.listdir(tmp_path / "cache" / "cellfree_maxmin") == []
 
 
+def test_build_prunes_stale_libraries(tmp_path, monkeypatch):
+    """A build removes the cache's libraries last written over
+    STALE_LIBRARY_AGE_S ago; a fresh one, which another process may be about
+    to load, an old temporary build file and an unrelated file stay."""
+    compiler = next(filter(None, map(native.shutil.which, native.COMPILERS)))
+    source = tmp_path / "tiny.c"
+    source.write_text("int tiny(void) { return 1; }\n")
+    monkeypatch.setattr(native, "SOURCES", (str(source),))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    cache = tmp_path / "cache" / "cellfree_maxmin"
+    cache.mkdir(parents=True)
+    day_old = time.time() - native.STALE_LIBRARY_AGE_S - 60.0
+    files = {name: cache / name for name in (
+        "apg_stage-00112233445566aa.so", "apg_stage-00112233445566bb.so",
+        "tmpk2v9x1qz.so", "notes.txt")}
+    for name, path in files.items():
+        path.write_bytes(b"")
+        if name != "apg_stage-00112233445566bb.so":
+            os.utime(path, (day_old, day_old))
+    target = native._library_path(compiler)
+    native._build(compiler, target)
+    assert sorted(os.listdir(cache)) == sorted(
+        [os.path.basename(target), "apg_stage-00112233445566bb.so", "tmpk2v9x1qz.so",
+         "notes.txt"])
+
+
 def test_no_compiler_raises(monkeypatch):
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
     with pytest.raises(RuntimeError, match="cc or gcc"):

@@ -1,0 +1,48 @@
+"""pool.ordered_map: results in order from the calling thread and its pool,
+and an item's error raised to the caller."""
+
+import threading
+
+import pytest
+
+from cellfree_maxmin import pool
+
+
+def test_caller_runs_the_last_items_while_the_pool_runs_the_first():
+    """Item 0 holds the one pool thread until the last item has run, so the
+    caller must run that item itself; results still come back in order."""
+    count, ran, last_done = 6, {}, threading.Event()
+
+    def fn(i):
+        ran[i] = threading.get_ident()
+        if i == 0:
+            assert last_done.wait(timeout=30)
+        if i == count - 1:
+            last_done.set()
+        return i * i
+
+    threads_before = threading.active_count()
+    assert list(pool.ordered_map(fn, count, 2)) == [i * i for i in range(count)]
+    assert threading.active_count() == threads_before
+    assert ran[count - 1] == threading.get_ident()
+    assert len(set(ran.values())) == 2
+
+
+def test_raising_item_reaches_caller():
+    """Inline the map stops at the raising item; on threads its error still
+    reaches the caller and no pool thread outlives the call."""
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 3:
+            raise RuntimeError("item 3 failed")
+        return i
+
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="item 3 failed"):
+        list(pool.ordered_map(fn, 8, 1))
+    assert started == [0, 1, 2, 3]
+    with pytest.raises(RuntimeError, match="item 3 failed"):
+        list(pool.ordered_map(fn, 40, 3))
+    assert threading.active_count() == threads_before

@@ -24,6 +24,7 @@ from cellfree_maxmin import (
     solver_bisection,
     user_rate,
 )
+from cellfree_maxmin.rates import FEASIBILITY_SLACK
 from conftest import make_model, random_feasible_matrix
 
 
@@ -123,6 +124,30 @@ def test_oracle_never_refutes_a_witnessed_level(num_aps, group_sizes, seed):
         assert feasibility_oracle(system, t).status != "infeasible", t
     warm = feasibility_oracle(system, 0.999 * apg.min_rate, warm=(apg.power,))
     assert warm.status == "feasible" and warm.iterations == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(num_aps=st.integers(1, 8),
+       group_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0.0, 1.0))
+def test_feasible_verdict_has_a_witness_in_s(num_aps, group_sizes, seed, fraction):
+    """Every "feasible" verdict carries a point of S (is_feasible:
+    nonnegative, each AP's squared norm within 1 + FEASIBILITY_SLACK) whose
+    recomputed residuals are all <= EPS_SOC. Levels are drawn in
+    [0, rate_upper_bound]: uniformly, and log-uniformly above the equal power
+    allocation's min-rate, where the oracle's stages find the witnesses."""
+    dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
+    model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed))
+    system = build_soc_system(model)
+    upper, epa = rate_upper_bound(model), epa_rates(model).min_rate
+    for t in (fraction * upper, epa * (upper / epa) ** fraction):
+        res = feasibility_oracle(system, t)
+        if res.status != "feasible":
+            continue
+        assert PowerControl.from_matrix(res.mu).is_feasible(FEASIBILITY_SLACK), t
+        residual = soc_residual(system, res.mu, t).max()
+        assert residual <= solver_bisection.EPS_SOC, (t, residual)
 
 
 class TestBisectionSolve:

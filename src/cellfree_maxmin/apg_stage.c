@@ -80,8 +80,6 @@ enum {
     STOP_STALLED = 5
 };
 
-typedef double (*clock_fn)(void);
-
 typedef struct {
     double delta, kappa, alpha_y0, alpha_mu0, stop_tol, eps;
     int64_t max_iters, stop_window, line_search_cap, gap_every, step_grow_after;
@@ -133,9 +131,7 @@ int64_t apg_lanes(void)
     return LANES;
 }
 
-/* Seconds on the monotonic clock. apg_stage calls it as its clock without
- * entering the interpreter, so stages on several threads do not queue for the
- * interpreter lock once per iteration. */
+/* Seconds on the monotonic clock: apg_stage stamps each iteration with it. */
 double apg_clock(void)
 {
     struct timespec ts;
@@ -507,14 +503,14 @@ static double sq_dist(const double *a, const double *b, int64_t len)
 /* Run one stage from x (projected first); x receives the last iterate.
  *
  * work holds apg_work_len(T, N, M) doubles. The traces hold max_iters + 1
- * entries; trace_clock receives raw clock() readings.
+ * entries; trace_clock receives raw apg_clock() readings.
  * Returns a STOP_* code. */
 int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr,
               int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
               const StageConfig *cfg, double *x, double *work,
               double *trace_f, double *trace_aux, double *trace_ay, double *trace_am,
               int64_t *trace_bty, int64_t *trace_btm, double *trace_clock,
-              clock_fn clock, StageResult *out)
+              StageResult *out)
 {
     const int64_t L = N * M;
     double *mu = work, *mu_prev = mu + L, *z = mu_prev + L, *y = z + L, *zn = y + L;
@@ -546,7 +542,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     trace_am[0] = am;
     trace_bty[0] = 0;
     trace_btm[0] = 0;
-    trace_clock[0] = clock();
+    trace_clock[0] = apg_clock();
 
     int code = STOP_MAX_ITERS;
     out->iterations = 0;
@@ -661,7 +657,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         trace_am[it] = am;
         trace_bty[it] = bt_y;
         trace_btm[it] = bt_mu;
-        trace_clock[it] = clock();
+        trace_clock[it] = apg_clock();
         out->iterations = it;
 
         if (kind == APG_MARGIN) {

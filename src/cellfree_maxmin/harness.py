@@ -28,7 +28,6 @@ import json
 import math
 import os
 import statistics
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -95,7 +94,7 @@ class ExperimentConfig:
         if self.solver not in ("apg", "bisection", "both"):
             raise ValueError(f"unknown solver selection {self.solver!r}")
         for name in ("trials", "mc_draws", "scaling_fixed_iters"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.eta_scheme not in ("random", "epa"):
             raise ValueError(f"unknown eta scheme {self.eta_scheme!r}")
@@ -104,8 +103,8 @@ class ExperimentConfig:
         object.__setattr__(self, "sigma_schedule", tuple(float(s) for s in self.sigma_schedule))
         if not self.sigma_schedule:
             raise ValueError("sigma_schedule must be non-empty")
-        if not all(s > 0 for s in self.sigma_schedule):
-            raise ValueError("sigma_schedule entries must be positive")
+        if not all(0 < s < math.inf for s in self.sigma_schedule):
+            raise ValueError("sigma_schedule entries must be positive and finite")
 
     @property
     def dims(self) -> Dimensions:
@@ -234,9 +233,8 @@ def _convergence(cfg: ExperimentConfig, clock: Optional[Callable]) -> tuple:
     cdf trials (inline when that is 1), each writing its own traces;
     summary.csv is written once both have returned. When both run at once,
     apg_wall_s, bisection_wall_s and the APG traces' elapsed_s column are
-    wall times under contention: APG's injected-clock callbacks wait for the
-    interpreter lock behind bisection's Python code. The run-time comparison
-    is the scaling experiment's, which runs the solvers one after the other."""
+    wall times under contention for the CPUs. The run-time comparison is the
+    scaling experiment's, which runs the solvers one after the other."""
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
     instance = generate_instance(cfg.dims, cfg.physical, cfg.master_seed)
@@ -331,13 +329,10 @@ def fixed_iteration_config(apg: ApgConfig, iters: int) -> ApgConfig:
 def apg_fixed_iteration_time(model, apg: ApgConfig, sigma: float, iters: int,
                              clock: Optional[Callable] = None) -> float:
     """Wall time of exactly `iters` APG iterations at `sigma` (stopping rule
-    disabled); used for complexity-scaling checks."""
-    cfg = fixed_iteration_config(apg, iters)
-    timer = clock or time.perf_counter
-    t0 = timer()
-    # the caller's clock as given: without one the stage keeps its own
-    apg_solve(model, cfg, sigma=sigma, clock=clock)
-    return timer() - t0
+    disabled), on `clock` or, without one, on the stage's C clock; used for
+    complexity-scaling checks."""
+    return apg_solve(model, fixed_iteration_config(apg, iters), sigma=sigma,
+                     clock=clock).wall_time_s
 
 
 def _warm_kernels(cfg: ExperimentConfig):

@@ -52,8 +52,6 @@ RATE, MARGIN = 0, 1
 STOP_REASONS = {0: "max_iters", 1: "objective_plateau", 2: "line_search",
                 3: "feasible", 4: "infeasible", 5: "stalled"}
 
-CLOCK_FN = ctypes.CFUNCTYPE(ctypes.c_double)
-
 _LOAD_LOCK = threading.Lock()
 
 
@@ -173,8 +171,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.apg_stage.argtypes = [
         ctypes.c_int, ptr, ptr, ptr, i64, i64, i64, dbl, dbl, dbl,
         ctypes.POINTER(StageConfig), ptr, ptr,
-        ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        CLOCK_FN, ctypes.POINTER(StageResult),
+        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.POINTER(StageResult),
     ]
     lib.apg_stage.restype = ctypes.c_int
     lib.apg_objective.argtypes = [
@@ -207,9 +204,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.apg_lanes.restype = i64
     lib.apg_clock.argtypes = []
     lib.apg_clock.restype = dbl
-    # apg_clock as the stage's clock argument: a plain C function pointer,
-    # which the stage calls without entering the interpreter
-    lib.stage_clock = CLOCK_FN(ctypes.cast(lib.apg_clock, ctypes.c_void_p).value)
     return lib
 
 

@@ -9,7 +9,8 @@ initialization independent of each other.
 """
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field, fields, asdict
 from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
@@ -76,7 +77,6 @@ class PhysicalConfig:
     pilot_power_w: float = 0.2
     data_power_w: float = 0.2
     pilot_len_symbols: int = 20
-    coherence_len_symbols: int = 200
     shadow_std_db: float = 9.0
     area_side_m: float = 1000.0
     # three-slope path loss: breakpoints and antenna heights (overridable)
@@ -86,9 +86,12 @@ class PhysicalConfig:
     user_height_m: float = 1.65
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         positive = (
             "bandwidth_hz carrier_freq_hz temperature_k pilot_power_w data_power_w "
-            "pilot_len_symbols coherence_len_symbols shadow_std_db area_side_m "
+            "pilot_len_symbols shadow_std_db area_side_m "
             "pathloss_d0_m pathloss_d1_m ap_height_m user_height_m"
         ).split()
         for name in positive:
@@ -96,8 +99,6 @@ class PhysicalConfig:
                 raise ValueError(f"{name} must be strictly positive")
         if self.noise_figure_db < 0:
             raise ValueError("noise_figure_db must be nonnegative")
-        if self.pilot_len_symbols > self.coherence_len_symbols:
-            raise ValueError("pilot_len_symbols must not exceed coherence_len_symbols")
         if self.pathloss_d0_m >= self.pathloss_d1_m:
             raise ValueError("pathloss_d0_m must be below pathloss_d1_m")
 

@@ -63,8 +63,10 @@ class ApgConfig:
     stop_tol: float = 1e-6       # objective change over STOP_WINDOW iterations
 
     def __post_init__(self):
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise ValueError("max_iters must be >= 0")
+        if not 0 <= self.stop_tol < math.inf:
+            raise ValueError("stop_tol must be finite and >= 0")
 
 
 class LineSearchError(RuntimeError):
@@ -211,7 +213,6 @@ def compiled_stage(
     t: float = 0.0,
     eps_soc: float = 0.0,
     gap_check_every: int = 1,
-    clock: Optional[Callable[[], float]] = None,
 ) -> DriverResult:
     """monotone_apg as one call of the compiled engine `lib` (see native.py).
 
@@ -221,11 +222,9 @@ def compiled_stage(
     cone residual), with the exits of the bisection oracle's monitor: it
     stops "feasible" once aux <= eps_soc, and every gap_check_every
     iterations it records the Frank-Wolfe bound and stops "infeasible" once
-    that exceeds -eps_soc. Elapsed times come from one `clock` call per
-    iteration, measured from one call before the stage. Without a clock the
-    stage reads the library's C clock `lib.apg_clock`, which it calls
-    without entering the interpreter; an injected clock is called back in
-    Python."""
+    that exceeds -eps_soc. The stage stamps every iteration with the
+    library's C clock `lib.apg_clock`; elapsed times are measured from one
+    reading before the call."""
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
     T, M = gs.shape
     N = ptr.shape[0] - 1
@@ -245,14 +244,12 @@ def compiled_stage(
                                    cfg.max_iters, STOP_WINDOW, LINE_SEARCH_CAP,
                                    gap_check_every, STEP_GROW_AFTER)
     out = native.StageResult()
-    clock = clock or lib.apg_clock
-    clock_fn = lib.stage_clock if clock is lib.apg_clock else native.CLOCK_FN(clock)
-    start = clock()
+    start = lib.apg_clock()
     code = lib.apg_stage(
         kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
         model.rho_bar, sigma, t, stage_cfg, x.ctypes.data, work.ctypes.data,
         *(a.ctypes.data for a in traces[:4]), bt_y.ctypes.data, bt_mu.ctypes.data,
-        traces[4].ctypes.data, clock_fn, out,
+        traces[4].ctypes.data, out,
     )
     reason = native.STOP_REASONS[code]
     if reason == "line_search":
@@ -366,9 +363,10 @@ def apg_solve(
     ln(T)/sigma, at the price of a stiffer gradient).
 
     Starts from the (feasible, strictly positive) equal power allocation
-    unless mu0 is given. The stage is one compiled_stage call; without a
-    `clock` it reads the library's own C clock (`apg_clock`), which it calls
-    without the interpreter lock."""
+    unless mu0 is given. The stage is one compiled_stage call, which stamps
+    its iterations on the library's C clock. Without a `clock` the wall time
+    is read on that clock too; an injected clock is read just before and
+    after the stage, and the stamps are scaled linearly onto that span."""
     cfg = cfg or ApgConfig()
     if not sigma > 0:
         raise ValueError("sigma must be positive")
@@ -382,11 +380,14 @@ def apg_solve(
             raise ValueError("mu0 must be feasible")
 
     lib = native.load_library()  # before the clock starts: the first call may build
-    if clock is None:
-        clock = lib.apg_clock
-    start = clock()
-    res = compiled_stage(lib, native.RATE, model, mat0, cfg, sigma, clock=clock)
-    wall = clock() - start
+    read = clock or lib.apg_clock
+    start = read()
+    res = compiled_stage(lib, native.RATE, model, mat0, cfg, sigma)
+    wall = read() - start
+    elapsed = res.trace_elapsed
+    if clock is not None:
+        span = elapsed[-1]
+        elapsed = elapsed / span * wall if span > 0 else np.zeros_like(elapsed)
     return SolveReport(
         power=PowerControl.from_matrix(res.x),
         f_sigma=res.f,
@@ -401,7 +402,7 @@ def apg_solve(
         trace_alpha_mu=np.asarray(res.trace_alpha_mu, dtype=float),
         trace_bt_y=np.asarray(res.trace_bt_y, dtype=int),
         trace_bt_mu=np.asarray(res.trace_bt_mu, dtype=int),
-        trace_elapsed_s=np.asarray(res.trace_elapsed, dtype=float),
+        trace_elapsed_s=elapsed,
         extrapolation_rejections=res.extrapolation_rejections,
         plain_skips=res.plain_skips,
         evaluations=res.evaluations,

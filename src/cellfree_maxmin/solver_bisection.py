@@ -59,8 +59,10 @@ class BisectionConfig:
     oracle_iter_cap: int = 4000  # total budget across smoothing stages
 
     def __post_init__(self):
-        if self.tol_t <= 0:
-            raise ValueError("tol_t must be positive")
+        if not 0 < self.tol_t < math.inf:
+            raise ValueError("tol_t must be positive and finite")
+        if not self.oracle_iter_cap >= 1:
+            raise ValueError("oracle_iter_cap must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from cellfree_maxmin import (
-    ApgConfig, build_rate_model, epa_rates, generate_instance, harness, pool,
+    ApgConfig, PhysicalConfig, build_rate_model, epa_rates, generate_instance, harness, pool,
 )
 from cellfree_maxmin.cli import main as cli_main
 from cellfree_maxmin.harness import (
@@ -89,31 +91,57 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config("cdf", tmp_path, trials=0)
 
-    @pytest.mark.parametrize("field,bad", [("mc_draws", 0), ("scaling_fixed_iters", 0)])
+    @pytest.mark.parametrize("field,bad", [("mc_draws", 0), ("scaling_fixed_iters", 0),
+                                           ("trials", math.nan), ("mc_draws", math.nan),
+                                           ("scaling_fixed_iters", math.nan)])
     def test_rejects_nonpositive_counts(self, tmp_path, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
             tiny_config("verify-rate", tmp_path, **{field: bad})
 
-    @pytest.mark.parametrize("schedule", [(), (100.0, 0.0), (-1.0,)])
+    @pytest.mark.parametrize("schedule", [(), (100.0, 0.0), (-1.0,), (100.0, math.nan),
+                                          (math.inf,)])
     def test_rejects_bad_sigma_schedule(self, tmp_path, schedule):
         # rejected when built, before any run writes its resolved config
         with pytest.raises(ValueError, match="^sigma_schedule"):
             tiny_config("cdf", tmp_path / "run", sigma_schedule=schedule)
         assert not (tmp_path / "run").exists()
 
-    # the last five were fields of configs saved before the step policy, the
+    # the last six were fields of configs saved before the step policy, the
     # oracle's residual tolerance and the cdf thread cap became fixed and the
-    # pre-log option went
+    # pre-log option and the coherence length went
     @pytest.mark.parametrize("key,section", [("alpha0", "apg"), ("t_upper", "bisection"),
                                              ("shadow_db", "physical"), ("sigmas", None),
                                              ("delta", "apg"), ("stop_window", "apg"),
                                              ("eps_soc", "bisection"), ("workers", None),
-                                             ("apply_prelog", None)])
+                                             ("apply_prelog", None),
+                                             ("coherence_len_symbols", "physical")])
     def test_unknown_json_key_names_its_path(self, tmp_path, key, section):
         doc = tiny_config("cdf", tmp_path).to_json_dict()
         (doc[section] if section else doc)[key] = 1.0
         dotted = f"{section}.{key}" if section else key
         with pytest.raises(ValueError, match=f"^unknown config key {dotted}$"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("section,key,bad", [
+        *(("physical", f.name, math.nan) for f in dataclasses.fields(PhysicalConfig)),
+        ("physical", "bandwidth_hz", math.inf),
+        ("apg", "max_iters", math.nan),
+        ("apg", "stop_tol", math.nan),
+        ("apg", "stop_tol", math.inf),
+        ("apg", "stop_tol", -1e-9),
+        ("bisection", "tol_t", math.nan),
+        ("bisection", "tol_t", math.inf),
+        ("bisection", "oracle_iter_cap", 0),
+        ("bisection", "oracle_iter_cap", math.nan),
+    ])
+    def test_saved_config_rejects_a_bad_value_by_name(self, tmp_path, section, key, bad):
+        """A value no run can use fails when the config is built, naming its
+        field; NaN and infinity arrive through the JSON text as json writes
+        and reads them."""
+        doc = tiny_config("cdf", tmp_path).to_json_dict()
+        doc[section][key] = bad
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{key} "):
             ExperimentConfig.from_json_dict(doc)
 
     def test_trial_seed_stability(self):

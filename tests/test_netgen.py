@@ -39,7 +39,7 @@ def test_physical_config_validation():
     with pytest.raises(ValueError):
         PhysicalConfig(bandwidth_hz=0.0)
     with pytest.raises(ValueError):
-        PhysicalConfig(pilot_len_symbols=300, coherence_len_symbols=200)
+        PhysicalConfig(pathloss_d0_m=50.0)
 
 
 class TestNoisePower:

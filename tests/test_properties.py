@@ -1,0 +1,179 @@
+"""Soundness properties over random shapes and instances: the projection onto
+S (KKT conditions, idempotence, nonexpansiveness), the gradients of both
+objectives on the numpy kernels and the compiled evaluation (central finite
+differences), and the bisection steps certified infeasible (never at or
+below a level the APG solve reaches)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cellfree_maxmin import (
+    Dimensions,
+    PhysicalConfig,
+    apg_solve_continuation,
+    bisection_solve,
+    build_rate_model,
+    build_soc_system,
+    generate_instance,
+    kernels,
+    native,
+    rate_upper_bound,
+)
+from cellfree_maxmin.solver_bisection import INFEASIBLE
+from conftest import random_feasible_matrix
+from test_native import compiled_objective
+
+# entries up to 1e150 keep every column's squared norm (N <= 6) finite
+LARGE = 1e150
+
+
+@st.composite
+def projection_pairs(draw):
+    """Two (N, M) points, N 1-6 and M 1-40, with negative entries, zeros of
+    both signs and large values; the second is independent of the first or
+    a perturbation of it from 1e-12 to 1 in size."""
+    num_groups, num_aps = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    size = num_groups * num_aps
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0),
+                        st.floats(-LARGE, LARGE))
+    points = [np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+              .reshape(num_groups, num_aps) for _ in range(2)]
+    x, y = points
+    if draw(st.booleans()):
+        y = x + y / max(np.abs(y).max(), 1.0) * 10.0 ** draw(st.integers(-12, 0))
+    return x, y
+
+
+def kkt_violation(x, p):
+    """Largest violation of the optimality conditions of p = argmin ||p - x||
+    over {p >= 0, ||p_m||^2 <= 1} per AP column m, each taken relative to
+    max(1, max |x_m|): x - p = lam p - nu with nu >= 0, nu p = 0, lam >= 0
+    and lam > 0 only on the sphere. lam is read off p's largest entry. The
+    ball may hold ||p_m||^2 up to 1 + BALL_SLACK, where p = x is not
+    scaled."""
+    worst = 0.0
+    for m in range(x.shape[1]):
+        xm, pm = x[:, m], p[:, m]
+        scale = max(1.0, float(np.abs(xm).max()))
+        nsq = float(pm @ pm)
+        if (pm < 0).any() or nsq > 1.0 + kernels.BALL_SLACK + 1e-15:
+            return math.inf
+        pos = pm > 0
+        j = int(np.argmax(pm))
+        lam = max(0.0, (xm[j] - pm[j]) / pm[j]) if pos.any() else 0.0
+        nu = (1.0 + lam) * pm - xm
+        worst = max(worst,
+                    float(np.abs(nu[pos]).max(initial=0.0)) / scale,  # nu p = 0
+                    float((-nu[~pos]).max(initial=0.0)) / scale)      # nu >= 0
+        if lam > 1e-12 * scale:
+            worst = max(worst, 1.0 - nsq)                            # on the sphere
+    return worst
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=projection_pairs())
+def test_projection_kkt_idempotent_nonexpansive(pair):
+    """kernels.IMPL.project_ball_orthant is the Euclidean projection onto S
+    to rounding: KKT residual <= 1e-12 of the column's scale, a projected
+    point projects to itself bit for bit, and ||P(x) - P(y)|| <= ||x - y||
+    up to the relative rounding of the distance and the 1e-12 of BALL_SLACK."""
+    project = kernels.IMPL.project_ball_orthant
+    x, y = pair
+    px, py = project(np.ascontiguousarray(x)), project(np.ascontiguousarray(y))
+    assert kkt_violation(x, px) <= 1e-12
+    assert kkt_violation(y, py) <= 1e-12
+    assert project(px).tobytes() == px.tobytes()
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1.0 + 1e-14) + 1e-12
+
+
+@st.composite
+def gradient_cases(draw):
+    """(rate model, point of S, sigma, level): M 1-12, 1-4 groups of 1-6
+    users, sigma log-uniform on [10, 3000], level t uniform on
+    [0, 1.2 x the zero-interference bound]."""
+    num_aps = draw(st.integers(1, 12))
+    group_sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dims = Dimensions(num_aps, len(group_sizes), group_sizes)
+    model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed))
+    mat = random_feasible_matrix(model, np.random.default_rng(seed))
+    sigma = 10.0 ** draw(st.floats(1.0, math.log10(3000.0)))
+    t = draw(st.floats(0.0, 1.2)) * rate_upper_bound(model)
+    return model, mat, sigma, t
+
+
+FD_STEP = 1e-6
+# relative error of one objective evaluation, in units of the double epsilon
+EVAL_ULPS = 8
+
+
+def central_differences(value, mat):
+    """(central differences at FD_STEP, their rounding error bound): each
+    evaluation is exact to EVAL_ULPS * eps * |f|, so a difference quotient
+    is exact to EVAL_ULPS * eps * max |f| / FD_STEP. That bound matters
+    where the soft minimum's offset ln(T)/sigma dwarfs the gradient."""
+    fd = np.empty_like(mat)
+    largest = 0.0
+    for i in np.ndindex(mat.shape):
+        up, dn = mat.copy(), mat.copy()
+        up[i] += FD_STEP
+        dn[i] -= FD_STEP
+        f_up, f_dn = value(up), value(dn)
+        fd[i] = (f_up - f_dn) / (2 * FD_STEP)
+        largest = max(largest, abs(f_up), abs(f_dn))
+    return fd, EVAL_ULPS * np.finfo(float).eps * largest / FD_STEP
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=gradient_cases())
+def test_gradients_match_finite_differences(case):
+    """Criterion 6's check (central differences, step 1e-6, error below 1e-5
+    of max |fd|) at random sigma, level and group layout, for the rate soft
+    minimum and the cone-margin soft minimum, on the numpy kernels and on
+    the compiled evaluation (value path differenced, value+gradient path
+    checked). The differences' own rounding bound is allowed on top: with
+    tiny gains, a rate soft minimum near ln(T)/sigma = 0.04 has gradients
+    near 1e-6, where rounding alone moves a difference quotient by 5e-6 of
+    it (one such case, checked at 50 digits, has an analytic gradient
+    exact to 1e-14)."""
+    model, mat, sigma, t = case
+    lib = native.load_library()
+    impl = kernels.IMPL
+    args = (model.gamma_sqrt, model.a_sq, model.group_ptr)
+    rho = model.rho_bar
+    objectives = {
+        "rate numpy": (lambda m: impl.soft_min_value(*args, m, rho, sigma)[0],
+                       impl.soft_min_value_grad(*args, mat, rho, sigma)[2]),
+        "margin numpy": (lambda m: impl.margin_value(*args, m, rho, t, sigma)[0],
+                         impl.margin_value_grad(*args, mat, rho, t, sigma)[2]),
+    }
+    for kind, name, level in ((native.RATE, "rate compiled", 0.0),
+                              (native.MARGIN, "margin compiled", t)):
+        objectives[name] = (
+            lambda m, kind=kind, level=level:
+                compiled_objective(lib, kind, model, m, sigma, level, grad=False)[0],
+            compiled_objective(lib, kind, model, mat, sigma, level)[2])
+    for name, (value, grad) in objectives.items():
+        fd, rounding = central_differences(value, mat)
+        err = np.abs(fd - grad).max()
+        assert err < 1e-5 * np.abs(fd).max() + rounding, (name, err, rounding)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("shape", [(100, 4, 10), (150, 2, 15), (200, 2, 15)],
+                         ids=lambda s: f"M{s[0]}-{s[1]}x{s[2]}")
+def test_certified_infeasible_steps_lie_above_the_apg_min_rate(shape, seed):
+    """Every bisection step whose oracle certified "infeasible" tests a level
+    above the min-rate that the APG continuation's power reaches: a witnessed
+    level is never refuted. (Undecided steps are not certificates.)"""
+    model = build_rate_model(generate_instance(Dimensions.uniform(*shape), PhysicalConfig(),
+                                               seed))
+    apg = apg_solve_continuation(model, (100.0, 1000.0))[-1].min_rate
+    report = bisection_solve(build_soc_system(model))
+    refuted = [0.5 * (s.t_lo + s.t_hi) for s in report.steps if s.oracle_status == INFEASIBLE]
+    assert refuted
+    assert min(refuted) > apg

@@ -13,7 +13,6 @@ from .netgen import (
     instance_to_json,
     large_scale_fading,
     noise_power,
-    sample_small_scale,
 )
 from .rates import (
     MonteCarloRateReport,
@@ -40,7 +39,6 @@ from .solver_apg import (
 from .solver_bisection import (
     BisectionConfig,
     BisectionReport,
-    SocSystem,
     bisection_solve,
     build_soc_system,
     feasibility_oracle,
@@ -62,7 +60,6 @@ __all__ = [
     "PowerControl",
     "RateModel",
     "RateVector",
-    "SocSystem",
     "SolveReport",
     "apg_solve",
     "apg_solve_continuation",
@@ -82,7 +79,6 @@ __all__ = [
     "rate_oracle_monte_carlo",
     "rate_upper_bound",
     "rates_vector",
-    "sample_small_scale",
     "smooth_gradient",
     "smooth_objective",
     "soc_residual",

@@ -139,6 +139,24 @@ double apg_clock(void)
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
+/* The squared norm of column out[0], out[M], ... overflowed: divide the
+ * column by its largest entry and return its new squared norm, or, when that
+ * entry is +inf, leave the column as it is and return inf. */
+static double rescale_column(double *out, int64_t N, int64_t M)
+{
+    double top = 0.0;
+    for (int64_t n = 0; n < N; n++)
+        top = out[n * M] > top ? out[n * M] : top;
+    if (isinf(top))
+        return top;
+    double nsq = 0.0;
+    for (int64_t n = 0; n < N; n++) {
+        out[n * M] /= top;
+        nsq += out[n * M] * out[n * M];
+    }
+    return nsq;
+}
+
 static void project(const double *x, double *out, double *nsq, int64_t N, int64_t M)
 {
     for (int64_t m = 0; m < M; m++)
@@ -153,6 +171,8 @@ static void project(const double *x, double *out, double *nsq, int64_t N, int64_
     }
     for (int64_t m = 0; m < M; m++) {
         if (nsq[m] > 1.0 + BALL_SLACK) {
+            if (isinf(nsq[m]))
+                nsq[m] = rescale_column(out + m, N, M);
             double s = sqrt(nsq[m]);
             for (int64_t n = 0; n < N; n++)
                 out[n * M + m] /= s;

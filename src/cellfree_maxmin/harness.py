@@ -52,7 +52,7 @@ from .rates import (
     user_columns,
 )
 from .solver_apg import ApgConfig, SolveReport, apg_solve, apg_solve_continuation, project_feasible
-from .solver_bisection import BisectionConfig, bisection_solve, build_soc_system
+from .solver_bisection import BisectionConfig, bisection_solve
 from .tables import write_csv
 
 LN2 = math.log(2.0)
@@ -212,7 +212,7 @@ def _apg_part(model, cfg: ExperimentConfig, out: str, clock) -> tuple:
 def _bisection_part(model, cfg: ExperimentConfig, out: str, clock) -> tuple:
     """The bisection solve and its trace_bisection.csv: (summary entries,
     power)."""
-    bis = bisection_solve(build_soc_system(model), cfg.bisection, clock=clock)
+    bis = bisection_solve(model, cfg.bisection, clock=clock)
     bis.write_steps_csv(os.path.join(out, "trace_bisection.csv"))
     return dict(
         bisection_t_star_nats=bis.t_star,
@@ -342,7 +342,7 @@ def _warm_kernels(cfg: ExperimentConfig):
     dims = Dimensions(4, len(cfg.group_sizes), cfg.group_sizes)
     model = build_rate_model(generate_instance(dims, cfg.physical, 0))
     apg_solve(model, fixed_iteration_config(cfg.apg, 5), sigma=cfg.sigma_schedule[0])
-    bisection_solve(build_soc_system(model), BisectionConfig(tol_t=0.5, oracle_iter_cap=10))
+    bisection_solve(model, BisectionConfig(tol_t=0.5, oracle_iter_cap=10))
 
 
 def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
@@ -367,7 +367,7 @@ def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict
         for _ in range(SCALING_REPEATS):
             reports = _solve_apg(model, cfg, clock=clock)
             apg_walls.append(sum(r.wall_time_s for r in reports))
-            bis = bisection_solve(build_soc_system(model), cfg.bisection, clock=clock)
+            bis = bisection_solve(model, cfg.bisection, clock=clock)
             bis_walls.append(bis.wall_time_s)
         apg_wall = statistics.median(apg_walls)
         bis_wall = statistics.median(bis_walls)

@@ -153,7 +153,16 @@ def _project_ball_orthant(x):
     u = np.maximum(x, 0.0)
     nsq = _seq_sum(u * u, axis=0)
     scale = np.where(nsq > 1.0 + BALL_SLACK, np.sqrt(nsq), 1.0)
-    return u / scale
+    out = u / scale
+    over = np.isinf(nsq)
+    if over.any():
+        # the squares overflow: scale such a column by its largest entry
+        # first, unless that is +inf, which keeps inf / inf
+        top = u.max(axis=0)
+        over &= np.isfinite(top)
+        v = u[:, over] / top[over]
+        out[:, over] = v / np.sqrt(_seq_sum(v * v, axis=0))
+    return out
 
 
 def _soc_residuals(gs, asq, gptr, mu, rho, t):

@@ -295,59 +295,26 @@ def block_sizes(count: int) -> List[int]:
     return [min(SMALLSCALE_BLOCK, count - lo) for lo in range(0, count, SMALLSCALE_BLOCK)]
 
 
-def block_normals(model: PilotModel, seed: int, block_idx: int,
-                  count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The unit normals of block `block_idx` of `seed`, the run's draws from
-    block_idx * SMALLSCALE_BLOCK on (see mc_block.c): g's (2, count, M, T)
-    and the pilot noise's (2, count, M, N), Re then Im."""
-    m, t = model.pilot.shape
-    n_groups = model.z_scale.shape[1]
-    out = np.empty((2, count, m * (t + n_groups)))
-    native.load_library().mc_normals(smallscale_key(seed), block_idx * SMALLSCALE_BLOCK, count,
-                                     out.shape[2], out.ctypes.data)
-    return (out[:, :, :m * t].reshape(2, count, m, t),
-            out[:, :, m * t:].reshape(2, count, m, n_groups))
-
-
-def smallscale_block(model: PilotModel, seed: int, block_idx: int, count: int) -> SmallScaleBlock:
-    """Block `block_idx` of joint draws: the normals of block_normals, with
+def iter_smallscale_blocks(instance: NetworkInstance, count: int,
+                           seed: int) -> Iterator[SmallScaleBlock]:
+    """Yield blocks of at most SMALLSCALE_BLOCK joint draws in fresh arrays:
     g = sqrt(1/2) * (unit complex normal) and z built from the actual pilot
-    observation so that E{h * conj(z)} = sqrt(gamma); see PilotModel. One
-    mc_pilot call, into fresh arrays."""
+    observation so that E{h * conj(z)} = sqrt(gamma) (see PilotModel), one
+    mc_pilot call per block. Every normal is a pure function of (seed, draw,
+    entry), so the joint draw sequence is a pure function of (instance,
+    count, seed), whatever the block size, and a shorter run's draws are a
+    prefix of a longer one's."""
+    model = pilot_model(instance)
     m, t = model.pilot.shape
     n_groups = model.z_scale.shape[1]
     lib = native.load_library()
-    g, z = np.empty((2, count, m, t)), np.empty((2, count, m, n_groups))
     scratch = np.empty(lib.mc_scratch_len(m, t, n_groups))
-    lib.mc_pilot(*model.c_args(), smallscale_key(seed), block_idx * SMALLSCALE_BLOCK, count,
-                 g.ctypes.data, z.ctypes.data, scratch.ctypes.data)
-    return SmallScaleBlock(g[0], g[1], z[0], z[1])
-
-
-def iter_smallscale_blocks(instance: NetworkInstance, count: int,
-                           seed: int) -> Iterator[SmallScaleBlock]:
-    """Yield blocks of at most SMALLSCALE_BLOCK draws in fresh arrays. Every
-    normal is a pure function of (seed, draw, entry), so the joint draw
-    sequence is a pure function of (instance, count, seed), whatever the
-    block size, and a shorter run's draws are a prefix of a longer one's."""
-    model = pilot_model(instance)
+    key = smallscale_key(seed)
     for block_idx, n in enumerate(block_sizes(count)):
-        yield smallscale_block(model, seed, block_idx, n)
-
-
-def sample_small_scale(instance: NetworkInstance, count: int, seed: int):
-    """Materialize `count` joint draws as complex (g (count, M, T),
-    z (count, M, N)); see iter_smallscale_blocks."""
-    m, t = instance.zeta.shape
-    g = np.empty((count, m, t), dtype=complex)
-    z = np.empty((count, m, instance.dims.num_groups), dtype=complex)
-    done = 0
-    for blk in iter_smallscale_blocks(instance, count, seed):
-        end = done + blk.g_re.shape[0]
-        g.real[done:end], g.imag[done:end] = blk.g_re, blk.g_im
-        z.real[done:end], z.imag[done:end] = blk.z_re, blk.z_im
-        done = end
-    return g, z
+        g, z = np.empty((2, n, m, t)), np.empty((2, n, m, n_groups))
+        lib.mc_pilot(*model.c_args(), key, block_idx * SMALLSCALE_BLOCK, n,
+                     g.ctypes.data, z.ctypes.data, scratch.ctypes.data)
+        yield SmallScaleBlock(g[0], g[1], z[0], z[1])
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,6 @@ class RateModel:
     def num_groups(self) -> int:
         return self.group_ptr.shape[0] - 1
 
-    @property
-    def interference_diag(self) -> np.ndarray:
-        """Per-user diagonal entries sqrt(N*zeta - (pi/4)*gamma), shape (T, M)."""
-        return np.sqrt(self.a_sq)
-
     def user_index(self, n: int, k: int) -> int:
         if not (0 <= n < self.num_groups and 0 <= k < self.group_ptr[n + 1] - self.group_ptr[n]):
             raise IndexError("user (n, k) out of range")

@@ -35,7 +35,6 @@ the reference the compiled stage is tested against; no solver runs it.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -114,7 +113,6 @@ def monotone_apg(
     x0: np.ndarray,
     cfg: ApgConfig,
     monitor: Optional[Callable] = None,
-    clock: Optional[Callable[[], float]] = None,
 ) -> DriverResult:
     """Maximize a smooth objective over a projectable set, one
     kernels.apg_step per iteration (read as kernels.IMPL.rate_apg_step when
@@ -124,10 +122,9 @@ def monotone_apg(
     into the trace untouched (the callers store the true min-rate or the max
     cone residual there). `monitor(x, f, aux, it)` may return a termination
     reason to stop early. The result's `evaluations` counts the calls of
-    value and value_grad made here, not those of the monitor.
+    value and value_grad made here, not those of the monitor. The reference
+    keeps no clock: its trace_elapsed stays empty.
     """
-    clock = clock or time.perf_counter
-    start = clock()
     calls = [0]
 
     def counted(fn):
@@ -154,7 +151,6 @@ def monotone_apg(
     res.trace_alpha_mu.append(alpha_mu)
     res.trace_bt_y.append(0)
     res.trace_bt_mu.append(0)
-    res.trace_elapsed.append(clock() - start)
 
     step_fn = kernels.IMPL.rate_apg_step
     for it in range(1, cfg.max_iters + 1):
@@ -182,7 +178,6 @@ def monotone_apg(
         res.trace_alpha_mu.append(alpha_mu)
         res.trace_bt_y.append(step.bt_y)
         res.trace_bt_mu.append(step.bt_mu)
-        res.trace_elapsed.append(clock() - start)
         res.iterations = it
 
         if monitor is not None:
@@ -302,25 +297,6 @@ def smooth_gradient(model: RateModel, mu, sigma: float) -> np.ndarray:
     return grad.ravel()
 
 
-def objective_closures(model: RateModel, sigma: float):
-    """(value_grad, value, project) bound to a model and sigma, in
-    monotone_apg's argument order; value functions return (f_sigma,
-    true_min_rate[, grad])."""
-    impl = kernels.IMPL
-    gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
-
-    def value(mat):
-        return impl.soft_min_value(gs, asq, ptr, mat, rho, sigma)
-
-    def value_grad(mat):
-        return impl.soft_min_value_grad(gs, asq, ptr, mat, rho, sigma)
-
-    def project(mat):
-        return impl.project_ball_orthant(mat)
-
-    return value_grad, value, project
-
-
 @dataclass
 class SolveReport:
     """Solution, objectives, and the per-iteration trace of one APG run."""
@@ -396,12 +372,12 @@ def apg_solve(
         iterations=res.iterations,
         termination=res.termination,
         wall_time_s=wall,
-        trace_f_sigma=np.asarray(res.trace_f, dtype=float),
-        trace_f_true=np.asarray(res.trace_aux, dtype=float),
-        trace_alpha_y=np.asarray(res.trace_alpha_y, dtype=float),
-        trace_alpha_mu=np.asarray(res.trace_alpha_mu, dtype=float),
-        trace_bt_y=np.asarray(res.trace_bt_y, dtype=int),
-        trace_bt_mu=np.asarray(res.trace_bt_mu, dtype=int),
+        trace_f_sigma=res.trace_f,
+        trace_f_true=res.trace_aux,
+        trace_alpha_y=res.trace_alpha_y,
+        trace_alpha_mu=res.trace_alpha_mu,
+        trace_bt_y=res.trace_bt_y,
+        trace_bt_mu=res.trace_bt_mu,
         trace_elapsed_s=elapsed,
         extrapolation_rejections=res.extrapolation_rejections,
         plain_skips=res.plain_skips,

@@ -25,7 +25,6 @@ oracle_iter_cap. The bracket always starts at
 """
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -65,20 +64,15 @@ class BisectionConfig:
             raise ValueError("oracle_iter_cap must be >= 1")
 
 
-@dataclass(frozen=True)
-class SocSystem:
-    """Per-user cone data bound to a rate model (normalized noise term 1)."""
-
-    model: RateModel
-
-
-def build_soc_system(model: RateModel) -> SocSystem:
-    return SocSystem(model=model)
+def build_soc_system(model: RateModel) -> RateModel:
+    """`model` itself: the solvers here take the rate model. Kept only
+    because perfbench/test_perfbench.py imports it; it goes with ROADMAP
+    item 2."""
+    return model
 
 
-def soc_residual(system: SocSystem, mu, t: float) -> np.ndarray:
+def soc_residual(model: RateModel, mu, t: float) -> np.ndarray:
     """Per-user residual RHS - LHS; the constraint holds iff residual <= 0."""
-    model = system.model
     mat = as_mu_matrix(mu, model)
     return kernels.IMPL.soc_residuals(
         model.gamma_sqrt, model.a_sq, model.group_ptr, mat, model.rho_bar, t
@@ -112,7 +106,7 @@ def _support_gap(grad: np.ndarray, x: np.ndarray) -> float:
 
 
 def feasibility_oracle(
-    system: SocSystem,
+    model: RateModel,
     t: float,
     warm: Sequence = (),
     cfg: Optional[BisectionConfig] = None,
@@ -129,7 +123,6 @@ def feasibility_oracle(
     apg_solve.
     """
     cfg = cfg or BisectionConfig()
-    model = system.model
     impl = kernels.IMPL
     lib = native.load_library()
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
@@ -232,15 +225,17 @@ class BisectionReport:
 
 
 def bisection_solve(
-    system: SocSystem,
+    model: RateModel,
     cfg: Optional[BisectionConfig] = None,
     clock: Optional[Callable[[], float]] = None,
 ) -> BisectionReport:
-    """Bisection over t; the lower end of the bracket is always witnessed."""
+    """Bisection over t; the lower end of the bracket is always witnessed.
+    The wall time is read on `clock` or, without one, on the library's C
+    clock, the clock of apg_solve."""
     cfg = cfg or BisectionConfig()
-    clock = clock or time.perf_counter
-    start = clock()
-    model = system.model
+    lib = native.load_library()  # before the clock starts: the first call may build
+    read = clock or lib.apg_clock
+    start = read()
 
     upper = rate_upper_bound(model)
     lo = 0.0  # always feasible
@@ -255,7 +250,7 @@ def bisection_solve(
     while hi - lo > cfg.tol_t:
         mid = 0.5 * (lo + hi)
         warm = [witness] if extra_warm is None else [witness, extra_warm]
-        res = feasibility_oracle(system, mid, warm=warm, cfg=cfg)
+        res = feasibility_oracle(model, mid, warm=warm, cfg=cfg)
         total_iters += res.iterations
         steps.append(BisectionStep(step_idx, lo, hi, res.iterations, res.status))
         step_idx += 1
@@ -277,6 +272,6 @@ def bisection_solve(
         undecided_count=len(undecided_ts),
         approximate=any(t >= lo for t in undecided_ts),
         initial_upper_bound=upper,
-        wall_time_s=clock() - start,
+        wall_time_s=read() - start,
         oracle_iters_total=total_iters,
     )

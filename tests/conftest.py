@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cellfree_maxmin import Dimensions, PhysicalConfig, build_rate_model, generate_instance
+from cellfree_maxmin.netgen import iter_smallscale_blocks
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,11 @@ def random_feasible_matrix(model, rng, scale=1.0):
     nsq = (raw ** 2).sum(axis=0)
     over = np.sqrt(np.maximum(nsq, 1.0))
     return np.ascontiguousarray(raw / over)
+
+
+def sampled_draws(instance, count, seed):
+    """The `count` joint draws of iter_smallscale_blocks as complex arrays,
+    g (count, M, T) and z (count, M, N): the blocks concatenated."""
+    g_re, g_im, z_re, z_im = map(np.concatenate,
+                                 zip(*iter_smallscale_blocks(instance, count, seed)))
+    return g_re + 1j * g_im, z_re + 1j * z_im

@@ -1,8 +1,8 @@
 """numpy reference of the compiled Monte-Carlo normal generator (mc_block.c):
 Philox4x32-10 in uint64 arithmetic, the 128-layer ziggurat with its tables
 from the same libm calls (Python's math module), the run-wide draw counters
-and the block layout of netgen.block_normals. Every step repeats the C code
-operation for operation, so the normals agree bit for bit."""
+and the entry layout of the compiled small-scale draws. Every step repeats
+the C code operation for operation, so the normals agree bit for bit."""
 
 import collections
 import math
@@ -162,8 +162,8 @@ def normals(key, first, count, entries):
 
 
 def block_normals(seed, block, count, num_aps, t_users, n_groups):
-    """netgen.block_normals: g's normals (2, count, M, T) and the pilot
-    noise's (2, count, M, N)."""
+    """The unit normals of block `block` of `seed`, as mc_pilot draws them:
+    g's (2, count, M, T) and the pilot noise's (2, count, M, N)."""
     out = normals(smallscale_key(seed), block * SMALLSCALE_BLOCK, count,
                   num_aps * (t_users + n_groups))
     split = num_aps * t_users

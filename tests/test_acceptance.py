@@ -33,7 +33,6 @@ from cellfree_maxmin import (
     apg_solve_continuation,
     bisection_solve,
     build_rate_model,
-    build_soc_system,
     epa_rates,
     generate_instance,
     min_rate,
@@ -73,7 +72,7 @@ def agreement_runs():
         dims = Dimensions.uniform(m, n, k)
         model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed=seed))
         reports = apg_solve_continuation(model, SIGMA_SCHEDULE)
-        bis = bisection_solve(build_soc_system(model))
+        bis = bisection_solve(model)
         runs.append({
             "label": f"M={m} N={n} K={k} seed={seed}",
             "model": model,

@@ -1,5 +1,5 @@
 """The Monte-Carlo rate oracle's block pool: bit-identical reports for every
-thread count, the draws of sample_small_scale reduced, errors raised inside a
+thread count, the draws of iter_smallscale_blocks reduced, errors raised inside a
 worker, and bounded memory."""
 
 import dataclasses
@@ -16,8 +16,8 @@ from cellfree_maxmin.harness import random_feasible_eta
 from cellfree_maxmin.netgen import (
     SMALLSCALE_BLOCK,
     block_sizes,
+    iter_smallscale_blocks,
     pilot_model,
-    sample_small_scale,
     smallscale_key,
 )
 
@@ -101,25 +101,31 @@ def test_worker_error_reaches_caller(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_oracle_reduces_sampled_draws(monkeypatch, workers):
-    """The oracle's moment sums are a numpy reduction of sample_small_scale's
-    (g, z): the oracle draws the same normals and forms the same pilot
-    observation, whatever the thread count."""
+    """The oracle's moment sums are a numpy reduction, block by block, of
+    the (g, z) of iter_smallscale_blocks: the oracle draws the same normals
+    and forms the same pilot observation, whatever the thread count."""
     instance, eta = mc_case(10, (2, 5, 1), seed=4)
     draws = 2 * SMALLSCALE_BLOCK + 9
     monkeypatch.setattr(pool, "cpu_count", lambda: workers)
-    s1, s2 = rates._moment_sums(instance, rates._weights(instance, eta), draws, seed=9)
-    g, z = sample_small_scale(instance, draws, seed=9)
+    weights = rates._weights(instance, eta)
+    s1, s2 = rates._moment_sums(instance, weights, draws, seed=9)
     ptr, n_groups = instance.group_ptr, instance.dims.num_groups
-    # a[b, u, j] = sum_m sqrt(zeta eta)_mu g_bmu conj(z_bmj / |z_bmj|)
-    a = np.einsum("mu,bmu,bmj->buj", rates._weights(instance, eta), g, np.conj(z / np.abs(z)))
-    x = np.empty((draws, instance.dims.num_users, n_groups + 2))
-    for n in range(n_groups):
-        own = a[:, ptr[n]:ptr[n + 1], n]
-        x[:, ptr[n]:ptr[n + 1], :3] = np.stack([own.real, own.imag, np.abs(own) ** 2], axis=2)
-        others = [j for j in range(n_groups) if j != n]
-        x[:, ptr[n]:ptr[n + 1], 3:] = np.abs(a[:, ptr[n]:ptr[n + 1], others]) ** 2
-    np.testing.assert_allclose(s1, x.sum(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(s2, np.einsum("bup,buq->upq", x, x), rtol=1e-12)
+    ref1, ref2 = 0.0, 0.0
+    for block in iter_smallscale_blocks(instance, draws, seed=9):
+        g, z = block.g_re + 1j * block.g_im, block.z_re + 1j * block.z_im
+        # a[b, u, j] = sum_m sqrt(zeta eta)_mu g_bmu conj(z_bmj / |z_bmj|)
+        a = np.einsum("mu,bmu,bmj->buj", weights, g, np.conj(z / np.abs(z)))
+        x = np.empty((g.shape[0], instance.dims.num_users, n_groups + 2))
+        for n in range(n_groups):
+            own = a[:, ptr[n]:ptr[n + 1], n]
+            x[:, ptr[n]:ptr[n + 1], :3] = np.stack([own.real, own.imag, np.abs(own) ** 2],
+                                                    axis=2)
+            others = [j for j in range(n_groups) if j != n]
+            x[:, ptr[n]:ptr[n + 1], 3:] = np.abs(a[:, ptr[n]:ptr[n + 1], others]) ** 2
+        ref1 = ref1 + x.sum(axis=0)
+        ref2 = ref2 + np.einsum("bup,buq->upq", x, x)
+    np.testing.assert_allclose(s1, ref1, rtol=1e-12)
+    np.testing.assert_allclose(s2, ref2, rtol=1e-12)
 
 
 def traced_peak(instance, eta, draws):

@@ -32,7 +32,6 @@ from cellfree_maxmin import (
     apg_solve_continuation,
     bisection_solve,
     build_rate_model,
-    build_soc_system,
     feasibility_oracle,
     generate_instance,
     kernels,
@@ -40,7 +39,7 @@ from cellfree_maxmin import (
     rate_upper_bound,
 )
 from cellfree_maxmin import solver_apg, solver_bisection
-from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg, objective_closures
+from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
 from cellfree_maxmin.solver_bisection import FEASIBLE, INFEASIBLE, _support_gap
 from conftest import make_model, random_feasible_matrix
 
@@ -79,6 +78,22 @@ def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True):
                           None if g is None else g.ctypes.data, scratch.ctypes.data, aux)
     assert (scratch[n:] == -7.0).all()
     return f, aux.value, g
+
+
+def objective_closures(model, sigma):
+    """(value_grad, value, project) of the rate objective at `sigma` on the
+    numpy kernels (read from kernels.IMPL here), in monotone_apg's argument
+    order; the value functions return (f_sigma, true min-rate[, grad])."""
+    impl = kernels.IMPL
+    gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
+
+    def value(mat):
+        return impl.soft_min_value(gs, asq, ptr, mat, rho, sigma)
+
+    def value_grad(mat):
+        return impl.soft_min_value_grad(gs, asq, ptr, mat, rho, sigma)
+
+    return value_grad, value, impl.project_ball_orthant
 
 
 def margin_closures(model, t, sigma_f, eps_soc=1e-6, gap_check_every=25):
@@ -369,7 +384,7 @@ class TestNanData:
 
     def test_oracle_names_nan_compiled(self, lib):
         with pytest.raises(ValueError, match="non-finite oracle data \\(gamma_sqrt\\)"):
-            feasibility_oracle(build_soc_system(nan_model()), 0.3)
+            feasibility_oracle(nan_model(), 0.3)
 
     def test_margin_stage_both_engines(self, lib):
         model = nan_model()
@@ -403,7 +418,7 @@ class TestStalledStage:
         monkeypatch.setattr(solver_bisection, "compiled_stage", recording_stage)
         model = shaped_model(num_aps, (15, 15), seed=1)
         cfg = BisectionConfig()
-        report = bisection_solve(build_soc_system(model), cfg)
+        report = bisection_solve(model, cfg)
         apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
         assert "stalled" in terminations
         assert abs(report.t_star - apg.min_rate) <= cfg.tol_t
@@ -456,6 +471,65 @@ def test_sources_build_without_warnings(tmp_path):
                           stdin=subprocess.DEVNULL, capture_output=True, text=True,
                           timeout=native.BUILD_TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
+
+
+# a RATE stage and MARGIN stages at two levels (above the equal power
+# allocation's min-rate, and above the zero-interference bound) on one group
+# of one user at one AP and on groups (7, 9, 2) at 17 APs, and the three
+# Monte-Carlo entries on 1003 draws, no multiple of any lane width
+UNDEFINED_BEHAVIOUR_RUN = """
+import ctypes, sys
+import numpy as np
+from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, PowerControl, build_rate_model,
+                             epa_rates, generate_instance, native, rate_oracle_monte_carlo,
+                             rate_upper_bound)
+from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.netgen import iter_smallscale_blocks, smallscale_key
+from cellfree_maxmin.solver_apg import compiled_stage
+
+lib = native._declare(ctypes.CDLL(sys.argv[1]))
+native.load_library = lambda: lib
+cfg = ApgConfig(max_iters=200, stop_tol=1e-9)
+for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
+    dims = Dimensions(num_aps, len(group_sizes), group_sizes)
+    instance = generate_instance(dims, PhysicalConfig(), seed=1)
+    model = build_rate_model(instance)
+    x0 = PowerControl.epa(num_aps, len(group_sizes)).by_group
+    compiled_stage(lib, native.RATE, model, x0, cfg, 100.0)
+    for t in (2.0 * epa_rates(model).min_rate, rate_upper_bound(model) + 0.1):
+        compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
+                       gap_check_every=25)
+    rate_oracle_monte_carlo(instance, random_feasible_eta(dims, seed=2), 1003, seed=3)
+    list(iter_smallscale_blocks(instance, 1003, seed=3))
+    out = np.empty((2, 1003, 7))
+    lib.mc_normals(smallscale_key(3), 5, 1003, 7, out.ctypes.data)
+"""
+
+
+def test_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    """The sources built with the build's flags plus -fsanitize=undefined
+    (aborting on the first report) run stages of both kinds and every
+    Monte-Carlo entry in a child process with no report."""
+    compiler = next(filter(None, map(native.shutil.which, native.COMPILERS)))
+    flags = ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(int x) { return x + 1; }\n")
+    if subprocess.run([compiler, *native.CFLAGS, *flags, "-o", str(tmp_path / "probe.so"),
+                       str(probe)], stdin=subprocess.DEVNULL, capture_output=True,
+                      timeout=native.BUILD_TIMEOUT_S).returncode != 0:
+        pytest.skip(f"{compiler} rejects -fsanitize=undefined")
+    library = tmp_path / "ubsan.so"
+    proc = subprocess.run([compiler, *native.CFLAGS, *flags, "-o", str(library),
+                           *native.SOURCES, "-lm"], stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(native.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", UNDEFINED_BEHAVIOUR_RUN, str(library)],
+                         stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env,
+                         timeout=300)
+    assert run.returncode == 0 and "runtime error" not in run.stderr, run.stderr
 
 
 def test_failed_build_prints_nothing(lib, tmp_path, monkeypatch, capfd):
@@ -636,8 +710,9 @@ def ulps_from(x, k):
 @st.composite
 def projection_inputs(draw):
     """(N, M) points with negative entries, zeros of both signs, and columns
-    of squared norm far above 1 or within a few ulps of 1 + BALL_SLACK (one
-    positive entry, the rest clipped to zero)."""
+    of squared norm far above 1 (up to overflow, with entries up to 2e300)
+    or within a few ulps of 1 + BALL_SLACK (one positive entry, the rest
+    clipped to zero)."""
     num_groups, num_aps = draw(st.integers(1, 4)), draw(st.integers(1, 40))
     entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
     x = np.array(draw(st.lists(entries, min_size=num_groups * num_aps,
@@ -645,7 +720,7 @@ def projection_inputs(draw):
     for m in range(num_aps):
         kind = draw(st.sampled_from(["as drawn", "far", "edge"]))
         if kind == "far":
-            x[:, m] *= 10.0 ** draw(st.integers(1, 100))
+            x[:, m] *= 10.0 ** draw(st.integers(1, 300))
         elif kind == "edge":
             x[:, m] = np.minimum(x[:, m], 0.0)
             row = draw(st.integers(0, num_groups - 1))
@@ -663,5 +738,21 @@ def test_compiled_projection_matches_numpy_bit_for_bit(lib, x):
                       a_sq=np.ones((num_groups, num_aps)),
                       group_ptr=np.arange(num_groups + 1), rho_bar=1.0)
     got = compiled_stage(lib, native.RATE, model, x, ApgConfig(max_iters=0), 100.0)
-    expected = kernels.IMPL.project_ball_orthant(np.ascontiguousarray(x))
+    with np.errstate(over="ignore"):  # squared norms may overflow
+        expected = kernels.IMPL.project_ball_orthant(np.ascontiguousarray(x))
+    assert got.x.tobytes() == expected.tobytes()
+
+
+def test_projection_of_a_column_whose_squared_norm_overflows(lib):
+    """Both projections divide such a column by its largest entry before
+    taking its norm; a column holding +inf or NaN keeps inf / inf and NaN."""
+    x = np.array([[1e160, math.inf, math.nan], [3e160, 1.0, 1.0]])
+    model = RateModel(gamma_sqrt=np.ones((2, 3)), a_sq=np.ones((2, 3)),
+                      group_ptr=np.arange(3), rho_bar=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = kernels.IMPL.project_ball_orthant(x)
+        got = compiled_stage(lib, native.RATE, model, x, ApgConfig(max_iters=0), 100.0)
+    np.testing.assert_allclose(expected[:, 0], [0.1 ** 0.5, 0.9 ** 0.5], rtol=1e-15)
+    assert np.isnan(expected[0, 1]) and expected[1, 1] == 0.0
+    assert np.isnan(expected[0, 2]) and expected[1, 2] == 1.0
     assert got.x.tobytes() == expected.tobytes()

@@ -13,7 +13,6 @@ from cellfree_maxmin import (
     instance_to_json,
     large_scale_fading,
     noise_power,
-    sample_small_scale,
 )
 from cellfree_maxmin.netgen import (
     BOLTZMANN_J_PER_K,
@@ -22,6 +21,7 @@ from cellfree_maxmin.netgen import (
     path_loss_db,
     stream_rng,
 )
+from conftest import sampled_draws
 
 
 def test_dimensions_validation():
@@ -256,11 +256,11 @@ class TestSmallScale:
         assert abs(complex(*mean)) < 3.0 / math.sqrt(2 * n) * 2
 
     def test_block_determinism(self, small_instance):
-        g1, z1 = sample_small_scale(small_instance, 10_000, seed=5)
-        g2, z2 = sample_small_scale(small_instance, 10_000, seed=5)
+        g1, z1 = sampled_draws(small_instance, 10_000, seed=5)
+        g2, z2 = sampled_draws(small_instance, 10_000, seed=5)
         assert np.array_equal(g1, g2) and np.array_equal(z1, z2)
         # a shorter run is a prefix of a longer one (per-block substreams)
-        g3, _ = sample_small_scale(small_instance, 4_096, seed=5)
+        g3, _ = sampled_draws(small_instance, 4_096, seed=5)
         assert np.array_equal(g1[:4096], g3)
 
 

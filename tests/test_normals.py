@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from cellfree_maxmin import Dimensions, PhysicalConfig, generate_instance, native, netgen
-from cellfree_maxmin.netgen import block_normals, pilot_model, sample_small_scale, smallscale_key
+from cellfree_maxmin.netgen import smallscale_key
+from conftest import sampled_draws
 
 import normals_reference as ref
 
@@ -55,16 +56,6 @@ def test_compiled_normals_equal_port():
     assert min(ref.SLOW_OUTCOMES[k] for k in ref.OUTCOMES) > 10, ref.SLOW_OUTCOMES
 
 
-def test_block_normals_layout():
-    """netgen.block_normals splits each draw's entries into g's (m, k), then
-    the pilot noise's (m, n)."""
-    dims = Dimensions(3, 2, (1, 3))
-    model = pilot_model(generate_instance(dims, PhysicalConfig(), seed=0))
-    got = block_normals(model, 5, 1, 21)
-    expected = ref.block_normals(5, 1, 21, 3, 4, 2)
-    assert all(same_bits(a, b) for a, b in zip(got, expected))
-
-
 def test_distribution():
     """First two moments and a Kolmogorov-Smirnov test at level 1e-3 over
     2^20 normals of one block, and the share beyond the ziggurat's tail
@@ -89,8 +80,8 @@ def test_shorter_run_is_a_prefix():
     assert same_bits(compiled_normals(key, 1, 1003, 5),
                      compiled_normals(key, 1, 1003, 9)[:, :, :5])
     instance = generate_instance(Dimensions(6, 2, (2, 3)), PhysicalConfig(), seed=1)
-    g1, z1 = sample_small_scale(instance, 5_000, seed=2)
-    g2, z2 = sample_small_scale(instance, 9_000, seed=2)
+    g1, z1 = sampled_draws(instance, 5_000, seed=2)
+    g2, z2 = sampled_draws(instance, 9_000, seed=2)
     assert np.array_equal(g1, g2[:5_000]) and np.array_equal(z1, z2[:5_000])
 
 
@@ -104,13 +95,13 @@ def test_blocks_and_seeds_draw_apart():
 def test_draws_do_not_depend_on_block_size(monkeypatch):
     """A draw's normals depend on its index in the run, not on the block
     holding it: a call from draw 4096 repeats a longer call's tail, and
-    sample_small_scale is unchanged with 1000-draw blocks."""
+    the sampled draws are unchanged with 1000-draw blocks."""
     key = smallscale_key(5)
     assert same_bits(compiled_normals(key, 4096, 1003, 9),
                      compiled_normals(key, 0, 5099, 9)[:, 4096:])
     instance = generate_instance(Dimensions(6, 2, (2, 3)), PhysicalConfig(), seed=1)
-    g1, z1 = sample_small_scale(instance, 4_500, seed=2)
+    g1, z1 = sampled_draws(instance, 4_500, seed=2)
     monkeypatch.setattr(netgen, "SMALLSCALE_BLOCK", 1000)
     assert len(netgen.block_sizes(4_500)) == 5
-    g2, z2 = sample_small_scale(instance, 4_500, seed=2)
+    g2, z2 = sampled_draws(instance, 4_500, seed=2)
     assert np.array_equal(g1, g2) and np.array_equal(z1, z2)

@@ -81,7 +81,7 @@ class TestRateModel:
                                config=PhysicalConfig(pilot_len_symbols=1))
         model = build_rate_model(inst)
         assert np.allclose(
-            model.interference_diag[0],
+            np.sqrt(model.a_sq[0]),
             np.sqrt(zeta[:, 0] * (1.0 - PI / 8.0)),
             rtol=1e-15,
         )
@@ -106,7 +106,7 @@ class TestRateModel:
                 expected = math.sqrt(
                     n_groups * inst.zeta[m, u] - 0.25 * PI * inst.gamma[m, u]
                 )
-                assert model.interference_diag[u, m] == pytest.approx(expected, rel=1e-14)
+                assert np.sqrt(model.a_sq[u, m]) == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_corrupted_instance(self):
         # gamma < zeta makes the diagonal positive for every valid instance,

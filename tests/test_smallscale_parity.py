@@ -18,7 +18,8 @@ from cellfree_maxmin import (
     rate_oracle_monte_carlo,
 )
 from cellfree_maxmin.harness import random_feasible_eta
-from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, iter_smallscale_blocks, sample_small_scale
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, iter_smallscale_blocks
+from conftest import sampled_draws
 from normals_reference import OUTCOMES, SLOW_OUTCOMES, block_normals
 
 # (num_aps, group_sizes): equal, single-user, unequal, many-group and
@@ -124,8 +125,10 @@ def instance(request):
 
 
 def test_draws_match_reference(instance):
-    """Through mc_pilot, with normals that leave the slow path each way."""
-    g, z = sample_small_scale(instance, DRAWS, seed=5)
+    """Through mc_pilot, with normals that leave the slow path each way; the
+    reference lays out each draw's entries as g's (m, k), then the pilot
+    noise's (m, n)."""
+    g, z = sampled_draws(instance, DRAWS, seed=5)
     SLOW_OUTCOMES.clear()
     g_ref, z_ref = map(np.concatenate, zip(*reference_blocks(instance, DRAWS, 5)))
     assert min(SLOW_OUTCOMES[k] for k in OUTCOMES) > 10, SLOW_OUTCOMES
@@ -137,11 +140,16 @@ def test_draws_match_reference(instance):
 
 
 def test_blocks_are_real_parts(instance):
+    """The run cut at SMALLSCALE_BLOCK draws, each block in its own real
+    arrays: Re g, Im g (n, M, T), then Re z, Im z (n, M, N)."""
     blocks = list(iter_smallscale_blocks(instance, DRAWS, seed=5))
     assert [b.g_re.shape[0] for b in blocks] == [SMALLSCALE_BLOCK, SMALLSCALE_BLOCK, 1234]
-    g, z = sample_small_scale(instance, DRAWS, seed=5)
-    assert np.array_equal(g[-1234:].imag, blocks[-1].g_im)
-    assert np.array_equal(z[:SMALLSCALE_BLOCK].real, blocks[0].z_re)
+    m, t = instance.zeta.shape
+    n_groups = instance.dims.num_groups
+    for b in blocks:
+        assert [a.shape[1:] for a in b] == [(m, t), (m, t), (m, n_groups), (m, n_groups)]
+        assert all(a.dtype == np.float64 for a in b)
+    assert not np.shares_memory(blocks[0].g_re, blocks[1].g_re)
 
 
 def log_terms(ref, instance):

@@ -354,7 +354,7 @@ class TestDriver:
         assert list(res.trace_f) == [f_mu]
 
     def test_driver_matches_fused_solver(self, small_model):
-        from cellfree_maxmin.solver_apg import objective_closures
+        from test_native import objective_closures
 
         mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
         cfg = ApgConfig(max_iters=200, stop_tol=0.0)

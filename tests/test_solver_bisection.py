@@ -29,31 +29,34 @@ from conftest import make_model, random_feasible_matrix
 
 
 @pytest.fixture(scope="module")
-def system():
-    return build_soc_system(make_model(10, 2, 2, seed=5))
+def model():
+    return make_model(10, 2, 2, seed=5)
+
+
+def test_build_soc_system_is_the_model(model):
+    assert build_soc_system(model) is model
 
 
 class TestSocResidual:
-    def test_level_zero_always_feasible(self, system):
+    def test_level_zero_always_feasible(self, model):
         rng = np.random.default_rng(0)
-        mat = random_feasible_matrix(system.model, rng)
-        res = soc_residual(system, mat, 0.0)
+        mat = random_feasible_matrix(model, rng)
+        res = soc_residual(model, mat, 0.0)
         assert (res <= 0).all()
 
-    def test_zero_power_infeasible(self, system):
-        mat = np.zeros((2, system.model.num_aps))
-        res = soc_residual(system, mat, 0.5)
+    def test_zero_power_infeasible(self, model):
+        mat = np.zeros((2, model.num_aps))
+        res = soc_residual(model, mat, 0.5)
         assert np.allclose(res, math.sqrt(math.expm1(0.5)), rtol=1e-12)
 
-    def test_equivalent_to_rate_threshold(self, system):
+    def test_equivalent_to_rate_threshold(self, model):
         # residual <= 0 exactly when the user rate clears the level
         rng = np.random.default_rng(1)
-        model = system.model
         ptr = model.group_ptr
         for _ in range(40):
             mat = random_feasible_matrix(model, rng)
             t = float(rng.uniform(0.01, 1.5))
-            res = soc_residual(system, mat, t)
+            res = soc_residual(model, mat, t)
             rates = rates_vector(model, mat).rates
             for u in range(model.num_users):
                 if abs(rates[u] - t) > 1e-10:
@@ -61,28 +64,28 @@ class TestSocResidual:
 
 
 class TestUpperBound:
-    def test_bounds_every_rate(self, system):
+    def test_bounds_every_rate(self, model):
         rng = np.random.default_rng(2)
-        ub = rate_upper_bound(system.model)
+        ub = rate_upper_bound(model)
         for _ in range(50):
-            mat = random_feasible_matrix(system.model, rng)
-            assert rates_vector(system.model, mat).rates.max() <= ub + 1e-12
+            mat = random_feasible_matrix(model, rng)
+            assert rates_vector(model, mat).rates.max() <= ub + 1e-12
 
 
 class TestFeasibilityOracle:
-    def test_level_zero(self, system):
-        res = feasibility_oracle(system, 0.0)
+    def test_level_zero(self, model):
+        res = feasibility_oracle(model, 0.0)
         assert res.status == "feasible"
         assert res.max_residual <= 1e-6
 
-    def test_epa_level_is_witnessed(self, system):
-        t = epa_rates(system.model).min_rate
-        res = feasibility_oracle(system, t)
+    def test_epa_level_is_witnessed(self, model):
+        t = epa_rates(model).min_rate
+        res = feasibility_oracle(model, t)
         assert res.status == "feasible"
-        assert min_rate(system.model, PowerControl.from_matrix(res.mu)) >= t - 1e-5
+        assert min_rate(model, PowerControl.from_matrix(res.mu)) >= t - 1e-5
 
-    def test_above_upper_bound_certified_infeasible(self, system):
-        res = feasibility_oracle(system, rate_upper_bound(system.model) + 0.1)
+    def test_above_upper_bound_certified_infeasible(self, model):
+        res = feasibility_oracle(model, rate_upper_bound(model) + 0.1)
         assert res.status == "infeasible"
         assert res.certified_lower_bound is not None
         assert res.certified_lower_bound > -1e-6
@@ -90,21 +93,21 @@ class TestFeasibilityOracle:
     def test_uses_cfg_eps_soc(self, monkeypatch):
         # the EPA point misses level EPA + 1e-4 by a residual of 4.6e-4, which
         # the loose tolerance accepts before any stage runs
-        system = build_soc_system(make_model(6, 2, 2, seed=3))
-        t = epa_rates(system.model).min_rate + 1e-4
-        assert feasibility_oracle(system, t).iterations > 0
+        model = make_model(6, 2, 2, seed=3)
+        t = epa_rates(model).min_rate + 1e-4
+        assert feasibility_oracle(model, t).iterations > 0
         monkeypatch.setattr(solver_bisection, "EPS_SOC", 1e-2)
-        res = feasibility_oracle(system, t)
+        res = feasibility_oracle(model, t)
         assert res.status == "feasible"
         assert res.iterations == 0
         assert 0.0 < res.max_residual <= 1e-2
 
-    def test_monotone_feasibility(self, system):
+    def test_monotone_feasibility(self, model):
         rng = np.random.default_rng(3)
-        t_feas = epa_rates(system.model).min_rate
+        t_feas = epa_rates(model).min_rate
         for _ in range(5):
             t_lower = float(rng.uniform(0.0, t_feas))
-            res = feasibility_oracle(system, t_lower)
+            res = feasibility_oracle(model, t_lower)
             assert res.status == "feasible"
 
 
@@ -118,11 +121,10 @@ def test_oracle_never_refutes_a_witnessed_level(num_aps, group_sizes, seed):
     Given the APG point as its start, the oracle takes it without a stage."""
     dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
     model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed))
-    system = build_soc_system(model)
     apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
     for t in (epa_rates(model).min_rate, 0.999 * apg.min_rate):
-        assert feasibility_oracle(system, t).status != "infeasible", t
-    warm = feasibility_oracle(system, 0.999 * apg.min_rate, warm=(apg.power,))
+        assert feasibility_oracle(model, t).status != "infeasible", t
+    warm = feasibility_oracle(model, 0.999 * apg.min_rate, warm=(apg.power,))
     assert warm.status == "feasible" and warm.iterations == 0
 
 
@@ -139,37 +141,36 @@ def test_feasible_verdict_has_a_witness_in_s(num_aps, group_sizes, seed, fractio
     allocation's min-rate, where the oracle's stages find the witnesses."""
     dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
     model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed))
-    system = build_soc_system(model)
     upper, epa = rate_upper_bound(model), epa_rates(model).min_rate
     for t in (fraction * upper, epa * (upper / epa) ** fraction):
-        res = feasibility_oracle(system, t)
+        res = feasibility_oracle(model, t)
         if res.status != "feasible":
             continue
         assert PowerControl.from_matrix(res.mu).is_feasible(FEASIBILITY_SLACK), t
-        residual = soc_residual(system, res.mu, t).max()
+        residual = soc_residual(model, res.mu, t).max()
         assert residual <= solver_bisection.EPS_SOC, (t, residual)
 
 
 class TestBisectionSolve:
     def test_scalar_problem(self):
         model = make_model(1, 1, 1, seed=6)
-        report = bisection_solve(build_soc_system(model))
+        report = bisection_solve(model)
         grid = np.linspace(0.0, 1.0, 20001)
         best = max(user_rate(model, np.array([g]), 0, 0) for g in grid)
         assert report.t_star == pytest.approx(best, abs=2e-4)
 
-    def test_epa_lower_bound(self, system):
-        report = bisection_solve(system)
-        assert report.t_star >= epa_rates(system.model).min_rate - 1e-6
+    def test_epa_lower_bound(self, model):
+        report = bisection_solve(model)
+        assert report.t_star >= epa_rates(model).min_rate - 1e-6
 
-    def test_witness_consistency(self, system):
-        report = bisection_solve(system)
+    def test_witness_consistency(self, model):
+        report = bisection_solve(model)
         assert report.power.is_feasible()
         assert report.min_rate >= report.t_star - 10 * solver_bisection.EPS_SOC
 
-    def test_bracket_evolution(self, system):
+    def test_bracket_evolution(self, model):
         cfg = BisectionConfig()
-        report = bisection_solve(system, cfg)
+        report = bisection_solve(model, cfg)
         upper0 = report.initial_upper_bound + max(cfg.tol_t, 1e-6)
         assert len(report.steps) <= math.ceil(math.log2(upper0 / cfg.tol_t)) + 1
         lo_prev, hi_prev = -math.inf, math.inf
@@ -181,21 +182,21 @@ class TestBisectionSolve:
 
     def test_agreement_with_apg(self):
         model = make_model(10, 2, 2, seed=7)
-        report = bisection_solve(build_soc_system(model))
+        report = bisection_solve(model)
         apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
         assert abs(apg.min_rate - report.t_star) <= 1e-3
 
-    def test_steps_csv(self, system, tmp_path):
-        report = bisection_solve(system)
+    def test_steps_csv(self, model, tmp_path):
+        report = bisection_solve(model)
         path = tmp_path / "steps.csv"
         report.write_steps_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,t_lo,t_hi,oracle_iters,oracle_status"
         assert len(lines) == 1 + len(report.steps)
 
-    def test_deterministic(self, system):
-        a = bisection_solve(system, clock=lambda: 0.0)
-        b = bisection_solve(system, clock=lambda: 0.0)
+    def test_deterministic(self, model):
+        a = bisection_solve(model, clock=lambda: 0.0)
+        b = bisection_solve(model, clock=lambda: 0.0)
         assert a.t_star == b.t_star
         assert np.array_equal(a.power.mu, b.power.mu)
         assert [s.oracle_status for s in a.steps] == [s.oracle_status for s in b.steps]

@@ -25,8 +25,10 @@ from cellfree_maxmin import (
     rate_oracle_monte_carlo,
 )
 from cellfree_maxmin.harness import random_feasible_eta
-from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, block_normals, pilot_model, sample_small_scale
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, smallscale_key
 from cellfree_maxmin.solver_apg import compiled_stage
+from conftest import sampled_draws
+from test_normals import compiled_normals
 
 SPECIALS = np.array([0.0, -0.0, -math.inf, math.inf, math.nan, 5e-324, -5e-324, -708.0,
                      -708.5, -745.0, -745.2, -746.0, -1e300, 709.7, 709.8, 710.0, 1e300])
@@ -176,8 +178,9 @@ def test_monte_carlo_does_not_depend_on_lane_width(lane_libs, monkeypatch, case)
         monkeypatch.setattr(native, "load_library", lambda lib=lib: lib)
         runs.append([rate_oracle_monte_carlo(instance, eta, draws, seed=4)
                      for draws in MC_LANE_DRAWS]
-                    + [sample_small_scale(instance, MC_LANE_DRAWS[-1], seed=4),
-                       block_normals(pilot_model(instance), 4, 1, MC_LANE_DRAWS[-2])])
+                    + [sampled_draws(instance, MC_LANE_DRAWS[-1], seed=4),
+                       (compiled_normals(smallscale_key(4), SMALLSCALE_BLOCK, MC_LANE_DRAWS[-2],
+                                         num_aps * (dims.num_users + dims.num_groups)),)])
     for got in runs[1:]:
         for a, b in zip(got[:-2], runs[0][:-2]):
             for field in dataclasses.fields(MonteCarloRateReport):

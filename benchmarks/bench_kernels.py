@@ -32,7 +32,7 @@ import numpy as np
 
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
                              generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
-from cellfree_maxmin.harness import fixed_iteration_config, random_feasible_eta
+from cellfree_maxmin.harness import random_feasible_eta
 from cellfree_maxmin.solver_apg import compiled_stage
 from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY
 
@@ -70,7 +70,7 @@ def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
     mu = np.ascontiguousarray(rng.uniform(0.05, 0.6, size=(n_groups, m_aps)))
     mu = kernels.IMPL.project_ball_orthant(mu)
     level = epa_rates(model).min_rate
-    cfg = fixed_iteration_config(ApgConfig(), STAGE_ITERS)
+    cfg = ApgConfig(max_iters=STAGE_ITERS, stop_tol=0.0)  # a plateau tolerance of 0 never stops
 
     rows = []
     for kind, name, sigma, t in ((native.RATE, "rate", RATE_SIGMA, 0.0),

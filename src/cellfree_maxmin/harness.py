@@ -7,11 +7,11 @@ counts), verify-rate (Monte-Carlo check of the closed-form rate), and
 single-solve (the convergence run, plus the instance and its solution's
 per-user rates).
 
-ExperimentConfig carries the solver configurations as the solvers take
-them: `apg` is a solver_apg.ApgConfig, run once per sigma of
-`sigma_schedule`, and `bisection` a solver_bisection.BisectionConfig. Its
-JSON form (from_json_dict, the CLI's --config) rejects a key that names no
-field, giving its dotted path.
+Every experiment runs the solvers at their defaults: the APG continuation
+over solver_apg.SIGMA_SCHEDULE and bisection_solve(model). ExperimentConfig
+holds the scenario (sizes, physical parameters, seed, counts) and the output
+directory; its JSON form (from_json_dict, the CLI's --config) rejects a key
+that names no field, giving its dotted path.
 
 Every run writes resolved_config.json plus experiment CSVs into the output
 directory. All numerical content is a pure function of (config, master
@@ -28,7 +28,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -51,7 +51,9 @@ from .rates import (
     rates_vector,
     user_columns,
 )
-from .solver_apg import ApgConfig, SolveReport, apg_solve, apg_solve_continuation, project_feasible
+from .solver_apg import (
+    SIGMA_SCHEDULE, ApgConfig, SolveReport, apg_solve, apg_solve_continuation, project_feasible,
+)
 from .solver_bisection import BisectionConfig, bisection_solve
 from .tables import write_csv
 
@@ -60,6 +62,8 @@ LN2 = math.log(2.0)
 EXPERIMENT_KINDS = ("convergence", "cdf", "scaling", "single-solve", "verify-rate")
 # timed solves per solver and AP count in the scaling experiment
 SCALING_REPEATS = 3
+# APG iterations of the scaling experiment's fixed-iteration timing
+SCALING_FIXED_ITERS = 150
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -78,33 +82,19 @@ class ExperimentConfig:
     trials: int = 200
     master_seed: int = 1
     out_dir: str = "out"
-    apg: ApgConfig = field(default_factory=ApgConfig)
-    # one warm-started APG solve per sigma; a single entry is the plain
-    # fixed-sigma solver
-    sigma_schedule: Tuple[float, ...] = (100.0, 1000.0)
-    bisection: BisectionConfig = field(default_factory=BisectionConfig)
     scaling_m_grid: Tuple[int, ...] = (100, 150, 200)
-    scaling_fixed_iters: int = 150
     mc_draws: int = 200_000
-    eta_scheme: str = "random"      # random | epa (verify-rate)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.solver not in ("apg", "bisection", "both"):
             raise ValueError(f"unknown solver selection {self.solver!r}")
-        for name in ("trials", "mc_draws", "scaling_fixed_iters"):
+        for name in ("trials", "mc_draws"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.eta_scheme not in ("random", "epa"):
-            raise ValueError(f"unknown eta scheme {self.eta_scheme!r}")
         object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
         object.__setattr__(self, "scaling_m_grid", tuple(int(m) for m in self.scaling_m_grid))
-        object.__setattr__(self, "sigma_schedule", tuple(float(s) for s in self.sigma_schedule))
-        if not self.sigma_schedule:
-            raise ValueError("sigma_schedule must be non-empty")
-        if not all(0 < s < math.inf for s in self.sigma_schedule):
-            raise ValueError("sigma_schedule entries must be positive and finite")
 
     @property
     def dims(self) -> Dimensions:
@@ -116,12 +106,11 @@ class ExperimentConfig:
     @staticmethod
     def from_json_dict(doc: dict) -> "ExperimentConfig":
         """Inverse of to_json_dict; a key that names no field raises a
-        ValueError naming its dotted path (e.g. apg.alpha0)."""
+        ValueError naming its dotted path (e.g. physical.shadow_db)."""
         doc = _known_fields(ExperimentConfig, doc, "")
-        for name, cls in (("physical", PhysicalConfig), ("apg", ApgConfig),
-                          ("bisection", BisectionConfig)):
-            if isinstance(doc.get(name), dict):
-                doc[name] = cls(**_known_fields(cls, doc[name], name + "."))
+        if isinstance(doc.get("physical"), dict):
+            doc["physical"] = PhysicalConfig(**_known_fields(PhysicalConfig, doc["physical"],
+                                                             "physical."))
         return ExperimentConfig(**doc)
 
 
@@ -184,19 +173,15 @@ def write_resolved_config(cfg: ExperimentConfig) -> str:
     return path
 
 
-def _solve_apg(model, cfg: ExperimentConfig, clock=None) -> List[SolveReport]:
-    return apg_solve_continuation(model, cfg.sigma_schedule, cfg=cfg.apg, clock=clock)
-
-
 def _write_stage_traces(reports: List[SolveReport], out: str):
     reports[0].write_trace_csv(os.path.join(out, "trace_apg.csv"))
     for idx, rep in enumerate(reports[1:], start=2):
         rep.write_trace_csv(os.path.join(out, f"trace_apg_stage{idx}.csv"))
 
 
-def _apg_part(model, cfg: ExperimentConfig, out: str, clock) -> tuple:
+def _apg_part(model, out: str, clock) -> tuple:
     """The APG continuation and its trace_apg*.csv: (summary entries, power)."""
-    reports = _solve_apg(model, cfg, clock=clock)
+    reports = apg_solve_continuation(model, SIGMA_SCHEDULE, clock=clock)
     _write_stage_traces(reports, out)
     final = reports[-1]
     return dict(
@@ -209,10 +194,10 @@ def _apg_part(model, cfg: ExperimentConfig, out: str, clock) -> tuple:
     ), final.power
 
 
-def _bisection_part(model, cfg: ExperimentConfig, out: str, clock) -> tuple:
+def _bisection_part(model, out: str, clock) -> tuple:
     """The bisection solve and its trace_bisection.csv: (summary entries,
     power)."""
-    bis = bisection_solve(model, cfg.bisection, clock=clock)
+    bis = bisection_solve(model, clock=clock)
     bis.write_steps_csv(os.path.join(out, "trace_bisection.csv"))
     return dict(
         bisection_t_star_nats=bis.t_star,
@@ -244,7 +229,7 @@ def _convergence(cfg: ExperimentConfig, clock: Optional[Callable]) -> tuple:
              if cfg.solver in (name, "both")]
     native.load_library()  # a first build happens here, not in both threads
     workers = min(pool.cpu_count(), len(parts))
-    results = list(pool.ordered_map(lambda i: parts[i](model, cfg, out, clock),
+    results = list(pool.ordered_map(lambda i: parts[i](model, out, clock),
                                     len(parts), workers))
     summary = {key: value for entries, _ in results for key, value in entries.items()}
     if cfg.solver == "both":
@@ -271,7 +256,7 @@ def _cdf_trial(cfg: ExperimentConfig, trial: int) -> tuple:
     """Per-user rates (APG, EPA) of one cdf trial on its own fresh instance."""
     instance = generate_instance(cfg.dims, cfg.physical, trial_seed(cfg.master_seed, trial))
     model = build_rate_model(instance)
-    reports = _solve_apg(model, cfg)
+    reports = apg_solve_continuation(model, SIGMA_SCHEDULE)
     return rates_vector(model, reports[-1].power).rates, epa_rates(model).rates
 
 
@@ -320,18 +305,12 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     }
 
 
-def fixed_iteration_config(apg: ApgConfig, iters: int) -> ApgConfig:
-    """`apg` for exactly `iters` iterations: a plateau tolerance of 0 never
-    stops a stage."""
-    return replace(apg, max_iters=iters, stop_tol=0.0)
-
-
-def apg_fixed_iteration_time(model, apg: ApgConfig, sigma: float, iters: int,
+def apg_fixed_iteration_time(model, sigma: float, iters: int,
                              clock: Optional[Callable] = None) -> float:
-    """Wall time of exactly `iters` APG iterations at `sigma` (stopping rule
-    disabled), on `clock` or, without one, on the stage's C clock; used for
-    complexity-scaling checks."""
-    return apg_solve(model, fixed_iteration_config(apg, iters), sigma=sigma,
+    """Wall time of exactly `iters` APG iterations at `sigma` (a plateau
+    tolerance of 0 never stops the stage), on `clock` or, without one, on the
+    stage's C clock; used for complexity-scaling checks."""
+    return apg_solve(model, ApgConfig(max_iters=iters, stop_tol=0.0), sigma=sigma,
                      clock=clock).wall_time_s
 
 
@@ -341,7 +320,7 @@ def _warm_kernels(cfg: ExperimentConfig):
     build or load."""
     dims = Dimensions(4, len(cfg.group_sizes), cfg.group_sizes)
     model = build_rate_model(generate_instance(dims, cfg.physical, 0))
-    apg_solve(model, fixed_iteration_config(cfg.apg, 5), sigma=cfg.sigma_schedule[0])
+    apg_fixed_iteration_time(model, SIGMA_SCHEDULE[0], 5)
     bisection_solve(model, BisectionConfig(tol_t=0.5, oracle_iter_cap=10))
 
 
@@ -365,15 +344,15 @@ def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict
         # they are deterministic, so the last ones give the other columns
         apg_walls, bis_walls = [], []
         for _ in range(SCALING_REPEATS):
-            reports = _solve_apg(model, cfg, clock=clock)
+            reports = apg_solve_continuation(model, SIGMA_SCHEDULE, clock=clock)
             apg_walls.append(sum(r.wall_time_s for r in reports))
-            bis = bisection_solve(model, cfg.bisection, clock=clock)
+            bis = bisection_solve(model, clock=clock)
             bis_walls.append(bis.wall_time_s)
         apg_wall = statistics.median(apg_walls)
         bis_wall = statistics.median(bis_walls)
         apg_iters = sum(r.iterations for r in reports)
-        fixed_wall = apg_fixed_iteration_time(model, cfg.apg, cfg.sigma_schedule[0],
-                                              cfg.scaling_fixed_iters, clock=clock)
+        fixed_wall = apg_fixed_iteration_time(model, SIGMA_SCHEDULE[0], SCALING_FIXED_ITERS,
+                                              clock=clock)
         rows.append(
             (m, apg_wall, apg_iters, reports[-1].min_rate, fixed_wall,
              bis_wall, bis.oracle_iters_total, bis.t_star, bool(apg_wall < bis_wall))
@@ -402,7 +381,8 @@ def random_feasible_eta(dims: Dimensions, seed: int) -> np.ndarray:
 
 
 def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
-    """Monte-Carlo verification of the closed-form rate on seeded instances."""
+    """Monte-Carlo verification of the closed-form rate on seeded instances,
+    each at random feasible power coefficients (random_feasible_eta)."""
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
     dims = cfg.dims
@@ -411,12 +391,8 @@ def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
         seed = trial_seed(cfg.master_seed, trial)
         instance = generate_instance(dims, cfg.physical, seed)
         model = build_rate_model(instance)
-        if cfg.eta_scheme == "epa":
-            eta = np.full((dims.num_aps, dims.num_groups), 1.0 / dims.num_groups)
-            mu = PowerControl.epa(dims.num_aps, dims.num_groups)
-        else:
-            eta = random_feasible_eta(dims, seed)
-            mu = PowerControl.from_matrix(np.sqrt(eta.T))
+        eta = random_feasible_eta(dims, seed)
+        mu = PowerControl.from_matrix(np.sqrt(eta.T))
         closed = rates_vector(model, mu).rates
         mc = rate_oracle_monte_carlo(instance, eta, cfg.mc_draws, seed)
         low_conf = mc.std_error > 0.05 * np.maximum(np.abs(mc.rate_nats), 1e-12)

@@ -44,19 +44,24 @@ PI = math.pi
 BALL_SLACK = 1e-12
 
 
-def _rate_terms(gs, asq, gptr, mu, rho):
-    """(rates, p, c) of every user, p = gs_u . mu_n, c = rho * asq_u . mu_n^2
-    + 1, with numpy's dot products and log1p: these rates are the
-    closed-form rates every experiment writes, so their rounding stays."""
-    rates = np.empty(gs.shape[0])
+def _user_pc(gs, asq, gptr, mu, rho):
+    """p_u = gs_u . mu_n and c_u = rho * asq_u . mu_n^2 + 1 of every user,
+    with numpy's dot products."""
     p = np.empty(gs.shape[0])
     c = np.empty(gs.shape[0])
     for n in range(gptr.shape[0] - 1):
         lo, hi = gptr[n], gptr[n + 1]
         p[lo:hi] = gs[lo:hi] @ mu[n]
         c[lo:hi] = rho * (asq[lo:hi] @ (mu[n] * mu[n])) + 1.0
-        rates[lo:hi] = np.log1p(0.25 * PI * rho * p[lo:hi] * p[lo:hi] / c[lo:hi])
-    return rates, p, c
+    return p, c
+
+
+def _rate_terms(gs, asq, gptr, mu, rho):
+    """(rates, p, c) of every user (p and c of _user_pc), with numpy's dot
+    products and log1p: these rates are the closed-form rates every
+    experiment writes, so their rounding stays."""
+    p, c = _user_pc(gs, asq, gptr, mu, rho)
+    return np.log1p(0.25 * PI * rho * p * p / c), p, c
 
 
 def _user_rates(gs, asq, gptr, mu, rho):
@@ -166,15 +171,8 @@ def _project_ball_orthant(x):
 
 
 def _soc_residuals(gs, asq, gptr, mu, rho, t):
-    et1 = math.expm1(t)
-    lin = math.sqrt(0.25 * PI * rho)
-    res = np.empty(gs.shape[0])
-    for n in range(gptr.shape[0] - 1):
-        lo, hi = gptr[n], gptr[n + 1]
-        p = gs[lo:hi] @ mu[n]
-        q = asq[lo:hi] @ (mu[n] * mu[n])
-        res[lo:hi] = np.sqrt(et1 * (rho * q + 1.0)) - lin * p
-    return res
+    p, c = _user_pc(gs, asq, gptr, mu, rho)
+    return np.sqrt(math.expm1(t) * c) - math.sqrt(0.25 * PI * rho) * p
 
 
 def _margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):

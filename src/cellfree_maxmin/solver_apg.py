@@ -54,6 +54,8 @@ STOP_WINDOW = 20      # iterations the plateau test looks back
 # a row accepted their first trial; growing on every iteration cost a failed
 # trial and a backtrack in almost every search.
 STEP_GROW_AFTER = 10
+# the experiments' sigma continuation: one warm-started stage per entry
+SIGMA_SCHEDULE = (100.0, 1000.0)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ Oracle outcomes: "feasible" (witness with max residual <= EPS_SOC),
 can only shrink the reported optimum. BisectionConfig has two knobs: the
 bracket tolerance tol_t and the oracle's total iteration budget
 oracle_iter_cap. The bracket always starts at
-[0, zero-interference bound + pad].
+[0, zero-interference bound + pad]; a result below the equal power
+allocation's min-rate, which the EPA point witnesses, is raised to it.
 """
 
 import math
@@ -149,11 +150,7 @@ def feasibility_oracle(
     # residual-to-t sensitivity at the warm point:
     # d(residual)/dt = exp(t)/(2*sqrt(e^t-1)) * sqrt(rho*||A mu||^2 + 1)
     et1 = math.expm1(t)
-    dvals = np.empty(model.num_users)
-    for n in range(model.num_groups):
-        lo, hi = ptr[n], ptr[n + 1]
-        q = asq[lo:hi] @ (best[n] * best[n])
-        dvals[lo:hi] = np.sqrt(rho * q + 1.0)
+    dvals = np.sqrt(kernels._user_pc(gs, asq, ptr, best, rho)[1])
     sens = math.exp(t) / (2.0 * math.sqrt(et1)) * float(np.median(dvals))
     log_t = math.log(max(model.num_users, 2))
 
@@ -230,8 +227,10 @@ def bisection_solve(
     clock: Optional[Callable[[], float]] = None,
 ) -> BisectionReport:
     """Bisection over t; the lower end of the bracket is always witnessed.
-    The wall time is read on `clock` or, without one, on the library's C
-    clock, the clock of apg_solve."""
+    When the bracket closes below the equal power allocation's min-rate (an
+    optimum under tol_t), t_star is that min-rate and the power EPA; the
+    optimum still lies within tol_t of it. The wall time is read on `clock`
+    or, without one, on the library's C clock, the clock of apg_solve."""
     cfg = cfg or BisectionConfig()
     lib = native.load_library()  # before the clock starts: the first call may build
     read = clock or lib.apg_clock
@@ -240,38 +239,37 @@ def bisection_solve(
     upper = rate_upper_bound(model)
     lo = 0.0  # always feasible
     hi = upper + max(cfg.tol_t, 1e-6)
-    witness = PowerControl.epa(model.num_aps, model.num_groups).by_group.copy()
+    epa = PowerControl.epa(model.num_aps, model.num_groups)
+    witness = epa.by_group
 
     steps: List[BisectionStep] = []
-    undecided_ts: List[float] = []
-    total_iters = 0
-    step_idx = 0
     extra_warm = None
     while hi - lo > cfg.tol_t:
         mid = 0.5 * (lo + hi)
         warm = [witness] if extra_warm is None else [witness, extra_warm]
         res = feasibility_oracle(model, mid, warm=warm, cfg=cfg)
-        total_iters += res.iterations
-        steps.append(BisectionStep(step_idx, lo, hi, res.iterations, res.status))
-        step_idx += 1
+        steps.append(BisectionStep(len(steps), lo, hi, res.iterations, res.status))
         extra_warm = res.last_iterate
         if res.status == FEASIBLE:
             lo = mid
             witness = res.mu
         else:
             hi = mid
-            if res.status == UNDECIDED:
-                undecided_ts.append(mid)
 
+    epa_level = min_rate(model, epa)
+    if epa_level > lo:
+        lo, witness = epa_level, epa.by_group
     power = PowerControl.from_matrix(witness)
+    # an undecided step's level is its midpoint, bit for bit
+    undecided = [0.5 * (s.t_lo + s.t_hi) for s in steps if s.oracle_status == UNDECIDED]
     return BisectionReport(
         t_star=lo,
         power=power,
         min_rate=min_rate(model, power),
         steps=steps,
-        undecided_count=len(undecided_ts),
-        approximate=any(t >= lo for t in undecided_ts),
+        undecided_count=len(undecided),
+        approximate=any(t >= lo for t in undecided),
         initial_upper_bound=upper,
         wall_time_s=read() - start,
-        oracle_iters_total=total_iters,
+        oracle_iters_total=sum(s.oracle_iters for s in steps),
     )

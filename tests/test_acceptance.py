@@ -46,14 +46,12 @@ from cellfree_maxmin.harness import (
     ExperimentConfig,
     apg_fixed_iteration_time,
     default_config,
-    fixed_iteration_config,
     random_feasible_eta,
     run_cdf,
     run_experiment,
     run_scaling,
 )
-
-SIGMA_SCHEDULE = (100.0, 1000.0)
+from cellfree_maxmin.solver_apg import SIGMA_SCHEDULE
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -139,7 +137,6 @@ def cdf_200(tmp_path_factory):
     cfg = ExperimentConfig(
         kind="cdf", num_aps=50, group_sizes=(10, 10), trials=200,
         master_seed=1, out_dir=str(tmp_path_factory.mktemp("cdf")),
-        sigma_schedule=SIGMA_SCHEDULE,
     )
     return run_cdf(cfg)
 
@@ -275,15 +272,15 @@ def test_criterion_09_scaling(tmp_path):
         dims = Dimensions.uniform(m, 2, 15)
         models[m] = build_rate_model(generate_instance(dims, cfg.physical, seed=cfg.master_seed))
     # warm-up; also builds or loads the compiled APG stage
-    sigma = cfg.sigma_schedule[0]
-    apg_fixed_iteration_time(models[100], cfg.apg, sigma, 30)
+    sigma = SIGMA_SCHEDULE[0]
+    apg_fixed_iteration_time(models[100], sigma, 30)
     # the evaluations of the timed stages, which are deterministic
-    evals = {m: apg_solve(model, fixed_iteration_config(cfg.apg, 300), sigma=sigma).evaluations
-             for m, model in models.items()}
+    fixed = ApgConfig(max_iters=300, stop_tol=0.0)
+    evals = {m: apg_solve(model, fixed, sigma=sigma).evaluations for m, model in models.items()}
     ratios = []
     for _ in range(11):
-        t100 = apg_fixed_iteration_time(models[100], cfg.apg, sigma, 300)
-        t200 = apg_fixed_iteration_time(models[200], cfg.apg, sigma, 300)
+        t100 = apg_fixed_iteration_time(models[100], sigma, 300)
+        t200 = apg_fixed_iteration_time(models[200], sigma, 300)
         ratios.append((t200 / evals[200]) / (t100 / evals[100]))
     ratio = statistics.median(ratios)
 
@@ -306,8 +303,7 @@ def test_criterion_10_determinism(tmp_path):
     configs = {
         "convergence": dict(num_aps=8, group_sizes=(2, 2)),
         "cdf": dict(num_aps=6, group_sizes=(2, 2), trials=2),
-        "scaling": dict(num_aps=6, group_sizes=(2, 2), scaling_m_grid=(4, 6),
-                        scaling_fixed_iters=20),
+        "scaling": dict(num_aps=6, group_sizes=(2, 2), scaling_m_grid=(4, 6)),
         "verify-rate": dict(num_aps=4, group_sizes=(2, 2), trials=2, mc_draws=20_000),
         "single-solve": dict(num_aps=8, group_sizes=(2, 2)),
     }
@@ -317,8 +313,7 @@ def test_criterion_10_determinism(tmp_path):
         outputs = {}
         for tag in ("r1", "r2"):
             out_dir = tmp_path / kind / tag
-            cfg = ExperimentConfig(kind=kind, master_seed=5, out_dir=str(out_dir),
-                                   apg=ApgConfig(max_iters=300), **kw)
+            cfg = ExperimentConfig(kind=kind, master_seed=5, out_dir=str(out_dir), **kw)
             run_experiment(cfg, clock=fake_clock)
             outputs[tag] = out_dir
         for name in sorted(os.listdir(outputs["r1"])):

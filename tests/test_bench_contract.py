@@ -20,7 +20,7 @@ sys.path.insert(0, BENCH_DIR)
 import layers  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from cellfree_maxmin import ApgConfig, pool  # noqa: E402
+from cellfree_maxmin import pool  # noqa: E402
 from cellfree_maxmin.harness import ExperimentConfig, run_experiment  # noqa: E402
 
 # metrics the benchmark's run.py adds to layer_metrics in a traced run
@@ -29,8 +29,7 @@ RUN_METRICS = ("harness.bytes_written", "trace_overhead_frac")
 
 def test_traced_metrics_match_benchmark(tmp_path, monkeypatch):
     monkeypatch.setattr(pool, "cpu_count", lambda: 2)
-    base = dict(num_aps=6, group_sizes=(2, 2), master_seed=3,
-                apg=ApgConfig(max_iters=300))
+    base = dict(num_aps=6, group_sizes=(2, 2), master_seed=3)
     configs = [
         ExperimentConfig(kind="convergence", out_dir=str(tmp_path / "convergence"), **base),
         ExperimentConfig(kind="cdf", trials=4, out_dir=str(tmp_path / "cdf"), **base),

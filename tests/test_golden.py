@@ -1,8 +1,8 @@
 """Seeded outputs of the five experiments against committed goldens.
 
 The configs are those of criterion 10 (test_acceptance.py,
-test_criterion_10_determinism): master seed 5, a clock that always reads 0
-and ApgConfig(max_iters=300). Every file they write is compared byte for
+test_criterion_10_determinism): master seed 5 and a clock that always reads
+0. Every file they write is compared byte for
 byte with tests/golden/<experiment>/<file>, except resolved_config.json,
 which records the output directory and the config's own layout. On a
 mismatch the failure names each file and gives, per numeric column, the
@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from cellfree_maxmin.harness import ExperimentConfig, run_experiment
-from cellfree_maxmin.solver_apg import ApgConfig
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
 VERSIONS = "versions.json"
@@ -36,8 +35,7 @@ NOT_COMPARED = {"resolved_config.json", VERSIONS}
 CONFIGS = {
     "convergence": dict(num_aps=8, group_sizes=(2, 2)),
     "cdf": dict(num_aps=6, group_sizes=(2, 2), trials=2),
-    "scaling": dict(num_aps=6, group_sizes=(2, 2), scaling_m_grid=(4, 6),
-                    scaling_fixed_iters=20),
+    "scaling": dict(num_aps=6, group_sizes=(2, 2), scaling_m_grid=(4, 6)),
     "verify-rate": dict(num_aps=4, group_sizes=(2, 2), trials=2, mc_draws=20_000),
     "single-solve": dict(num_aps=8, group_sizes=(2, 2)),
 }
@@ -45,8 +43,7 @@ CONFIGS = {
 
 def run_all(root: Path) -> None:
     for kind, kw in CONFIGS.items():
-        cfg = ExperimentConfig(kind=kind, master_seed=5, out_dir=str(root / kind),
-                               apg=ApgConfig(max_iters=300), **kw)
+        cfg = ExperimentConfig(kind=kind, master_seed=5, out_dir=str(root / kind), **kw)
         run_experiment(cfg, clock=lambda: 0.0)
 
 

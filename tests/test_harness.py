@@ -10,9 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from cellfree_maxmin import (
-    ApgConfig, PhysicalConfig, build_rate_model, epa_rates, generate_instance, harness, pool,
-)
+from cellfree_maxmin import PhysicalConfig, harness, pool
 from cellfree_maxmin.cli import main as cli_main
 from cellfree_maxmin.harness import (
     CdfSummary,
@@ -25,6 +23,7 @@ from cellfree_maxmin.harness import (
     run_verify_rate,
     trial_seed,
 )
+from cellfree_maxmin.solver_apg import SIGMA_SCHEDULE
 
 FAKE_CLOCK = lambda: 0.0  # noqa: E731 - deterministic time source for byte-identity runs
 
@@ -37,7 +36,6 @@ def tiny_config(kind, out_dir, **kw):
         trials=2,
         master_seed=3,
         out_dir=str(out_dir),
-        apg=ApgConfig(max_iters=400),
         mc_draws=3000,
     )
     base.update(kw)
@@ -91,48 +89,55 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config("cdf", tmp_path, trials=0)
 
-    @pytest.mark.parametrize("field,bad", [("mc_draws", 0), ("scaling_fixed_iters", 0),
-                                           ("trials", math.nan), ("mc_draws", math.nan),
-                                           ("scaling_fixed_iters", math.nan)])
+    @pytest.mark.parametrize("field,bad", [("mc_draws", 0), ("trials", math.nan),
+                                           ("mc_draws", math.nan)])
     def test_rejects_nonpositive_counts(self, tmp_path, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
             tiny_config("verify-rate", tmp_path, **{field: bad})
 
-    @pytest.mark.parametrize("schedule", [(), (100.0, 0.0), (-1.0,), (100.0, math.nan),
-                                          (math.inf,)])
-    def test_rejects_bad_sigma_schedule(self, tmp_path, schedule):
-        # rejected when built, before any run writes its resolved config
-        with pytest.raises(ValueError, match="^sigma_schedule"):
-            tiny_config("cdf", tmp_path / "run", sigma_schedule=schedule)
-        assert not (tmp_path / "run").exists()
+    def test_settable_values(self):
+        """The 22 dotted names a saved config sets: the scenario, the seed,
+        the counts and the output directory. The solvers run at their
+        defaults, so no solver setting is among them."""
+        doc = default_config("cdf").to_json_dict()
+        names = [f"physical.{key}" for key in doc.pop("physical")] + list(doc)
+        assert sorted(names) == sorted([
+            "kind", "num_aps", "group_sizes", "solver", "trials", "master_seed", "out_dir",
+            "scaling_m_grid", "mc_draws",
+            *(f"physical.{key}" for key in (
+                "bandwidth_hz", "carrier_freq_hz", "noise_figure_db", "temperature_k",
+                "pilot_power_w", "data_power_w", "pilot_len_symbols", "shadow_std_db",
+                "area_side_m", "pathloss_d0_m", "pathloss_d1_m", "ap_height_m",
+                "user_height_m")),
+        ])
 
-    # the last six were fields of configs saved before the step policy, the
-    # oracle's residual tolerance and the cdf thread cap became fixed and the
-    # pre-log option and the coherence length went
+    # fields of configs saved before the step policy, the oracle's residual
+    # tolerance and the cdf thread cap became fixed, the pre-log option and
+    # the coherence length went, and the experiments ran the solvers at their
+    # defaults: the sections apg and bisection are themselves unknown now
     @pytest.mark.parametrize("key,section", [("alpha0", "apg"), ("t_upper", "bisection"),
                                              ("shadow_db", "physical"), ("sigmas", None),
                                              ("delta", "apg"), ("stop_window", "apg"),
                                              ("eps_soc", "bisection"), ("workers", None),
                                              ("apply_prelog", None),
-                                             ("coherence_len_symbols", "physical")])
+                                             ("coherence_len_symbols", "physical"),
+                                             ("sigma_schedule", None),
+                                             ("scaling_fixed_iters", None),
+                                             ("eta_scheme", None)])
     def test_unknown_json_key_names_its_path(self, tmp_path, key, section):
         doc = tiny_config("cdf", tmp_path).to_json_dict()
-        (doc[section] if section else doc)[key] = 1.0
-        dotted = f"{section}.{key}" if section else key
+        if section in ("apg", "bisection"):
+            doc[section] = {key: 1.0}
+            dotted = section
+        else:
+            (doc[section] if section else doc)[key] = 1.0
+            dotted = f"{section}.{key}" if section else key
         with pytest.raises(ValueError, match=f"^unknown config key {dotted}$"):
             ExperimentConfig.from_json_dict(doc)
 
     @pytest.mark.parametrize("section,key,bad", [
         *(("physical", f.name, math.nan) for f in dataclasses.fields(PhysicalConfig)),
         ("physical", "bandwidth_hz", math.inf),
-        ("apg", "max_iters", math.nan),
-        ("apg", "stop_tol", math.nan),
-        ("apg", "stop_tol", math.inf),
-        ("apg", "stop_tol", -1e-9),
-        ("bisection", "tol_t", math.nan),
-        ("bisection", "tol_t", math.inf),
-        ("bisection", "oracle_iter_cap", 0),
-        ("bisection", "oracle_iter_cap", math.nan),
     ])
     def test_saved_config_rejects_a_bad_value_by_name(self, tmp_path, section, key, bad):
         """A value no run can use fails when the config is built, naming its
@@ -184,7 +189,7 @@ class TestRunners:
         with open(tmp_path / "summary.csv") as fh:
             rows = dict(csv.reader(fh))
         assert int(rows["apg_evaluations"]) == summary["apg_evaluations"]
-        stages = len(cfg.sigma_schedule)
+        stages = len(SIGMA_SCHEDULE)
         assert summary["apg_evaluations"] >= stages + 2 * summary["apg_iterations"]
 
     def test_convergence_scalar_optimum(self, tmp_path):
@@ -339,7 +344,7 @@ class TestRunners:
         assert not os.path.exists(tmp_path / "summary.csv")
 
     def test_scaling_outputs_and_validation(self, tmp_path):
-        cfg = tiny_config("scaling", tmp_path, scaling_m_grid=(4, 6), scaling_fixed_iters=20)
+        cfg = tiny_config("scaling", tmp_path, scaling_m_grid=(4, 6))
         out = run_scaling(cfg)
         rows = read_csv(tmp_path / "scaling.csv")
         assert rows[0][0] == "m_aps"
@@ -365,23 +370,6 @@ class TestRunners:
         low_conf_col = rows[0].index("low_confidence")
         assert any(r[low_conf_col] == "true" for r in rows[1:])
         assert out["low_confidence"]
-
-    def test_verify_rate_epa_scheme(self, tmp_path):
-        """Under eta_scheme="epa" every trial's closed-form rates are those
-        of equal power on that trial's instance; the random scheme's are
-        not."""
-        for scheme in ("epa", "random"):
-            cfg = tiny_config("verify-rate", tmp_path / scheme, trials=2, mc_draws=2000,
-                              num_aps=4, group_sizes=(2, 2), eta_scheme=scheme)
-            run_verify_rate(cfg)
-            header, *rows = read_csv(tmp_path / scheme / "verify_rate.csv")
-            seed_col = header.index("instance_seed")
-            closed_col = header.index("closed_form_nats")
-            for seed in sorted({int(r[seed_col]) for r in rows}):
-                closed = [float(r[closed_col]) for r in rows if int(r[seed_col]) == seed]
-                instance = generate_instance(cfg.dims, cfg.physical, seed)
-                epa = epa_rates(build_rate_model(instance)).rates.tolist()
-                assert (closed == epa) == (scheme == "epa")
 
     def test_single_solve_outputs(self, tmp_path):
         """The convergence run's summary and traces, plus instance.json and
@@ -461,7 +449,7 @@ class TestCli:
         is no failure: exit code 0 and nothing on stderr."""
         cfg_path = tmp_path / "cfg.json"
         # longer than a pipe buffer: the write still runs when the reader closes
-        cfg_path.write_text(json.dumps({"sigma_schedule": [100.0] * 20000}))
+        cfg_path.write_text(json.dumps({"scaling_m_grid": [100] * 20000}))
         proc = subprocess.Popen(
             [sys.executable, "-m", "cellfree_maxmin.cli", "cdf", "--config", str(cfg_path),
              "--emit-config"],
@@ -502,7 +490,7 @@ class TestCli:
 
     def test_unknown_config_key_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"apg": {"alpha0": 0.5}}))
+        cfg_path.write_text(json.dumps({"physical": {"shadow_db": 0.5}}))
         out = subprocess.run(
             [sys.executable, "-m", "cellfree_maxmin.cli", "cdf", "--config", str(cfg_path),
              "--out", str(tmp_path / "run")],
@@ -513,7 +501,7 @@ class TestCli:
         assert len(lines) == 1
         doc = json.loads(lines[0])
         assert doc["type"] == "ValueError"
-        assert "apg.alpha0" in doc["error"]
+        assert "physical.shadow_db" in doc["error"]
         assert not (tmp_path / "run").exists()
 
     def test_no_compiler_error(self, tmp_path):

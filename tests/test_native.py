@@ -592,8 +592,7 @@ def test_concurrent_first_build(lib, tmp_path):
     run prints nothing."""
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
     cdf_cfg = tmp_path / "cdf.json"
-    cdf_cfg.write_text(json.dumps({"num_aps": 6, "group_sizes": [2, 2], "trials": 4,
-                                   "apg": {"max_iters": 300}}))
+    cdf_cfg.write_text(json.dumps({"num_aps": 6, "group_sizes": [2, 2], "trials": 4}))
     commands = [["single-solve", "--seed", "2"], ["single-solve", "--seed", "2"],
                 ["cdf", "--config", str(cdf_cfg)]]
     procs = [

@@ -215,12 +215,6 @@ EDGE_SCENARIOS = {
 }
 EDGE_CASES = [(name, seed) for name in EDGE_SCENARIOS for seed in (1, 2, 3)]
 
-# the bracket starts at 0, not at the equal power allocation's witnessed
-# level, so an optimum below tol_t = 1e-4 ends with t* = 0
-BRACKET_FROM_ZERO = pytest.mark.xfail(strict=True, reason="t* = 0 under the EPA min-rate")
-BISECTION_BELOW_EPA = {("single-AP", 1), ("single-AP", 3), ("area-20km", 1), ("area-20km", 2),
-                       ("area-20km", 3)}
-
 
 @pytest.mark.parametrize("name, seed", EDGE_CASES, ids=[f"{n}-{s}" for n, s in EDGE_CASES])
 def test_edge_scenario_apg_point_is_sound(name, seed):
@@ -236,9 +230,7 @@ def test_edge_scenario_apg_point_is_sound(name, seed):
     assert np.isfinite(report.rate_nats).all() and np.isfinite(report.std_error).all()
 
 
-@pytest.mark.parametrize("name, seed", [
-    pytest.param(n, s, id=f"{n}-{s}", marks=[BRACKET_FROM_ZERO] if (n, s) in BISECTION_BELOW_EPA
-                 else []) for n, s in EDGE_CASES])
+@pytest.mark.parametrize("name, seed", EDGE_CASES, ids=[f"{n}-{s}" for n, s in EDGE_CASES])
 def test_edge_scenario_bisection_reaches_epa(name, seed):
     """Bisection's t* is at least the equal power allocation's min-rate less
     1e-6, the rule the acceptance checks apply."""

@@ -153,10 +153,13 @@ class TestSmoothObjective:
         with pytest.raises(ValueError):
             apg_solve(small_model, sigma=0.0)
 
-    def test_apg_config_validation(self):
-        # a stage keeps max_iters + 1 trace entries
-        with pytest.raises(ValueError, match="^max_iters must be"):
-            ApgConfig(max_iters=-1)
+    # a stage keeps max_iters + 1 trace entries
+    @pytest.mark.parametrize("key,bad", [("max_iters", -1), ("max_iters", math.nan),
+                                         ("stop_tol", math.nan), ("stop_tol", math.inf),
+                                         ("stop_tol", -1e-9)])
+    def test_apg_config_validation(self, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            ApgConfig(**{key: bad})
 
     @pytest.mark.parametrize("bad", [{"stop_window": 0}, {"stop_window": -50, "max_iters": 200},
                                      {"max_iters": -1}])

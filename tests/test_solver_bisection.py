@@ -201,6 +201,9 @@ class TestBisectionSolve:
         assert np.array_equal(a.power.mu, b.power.mu)
         assert [s.oracle_status for s in a.steps] == [s.oracle_status for s in b.steps]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BisectionConfig(tol_t=0.0)
+    @pytest.mark.parametrize("key,bad", [("tol_t", 0.0), ("tol_t", math.nan),
+                                         ("tol_t", math.inf), ("oracle_iter_cap", 0),
+                                         ("oracle_iter_cap", math.nan)])
+    def test_config_validation(self, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            BisectionConfig(**{key: bad})

@@ -16,11 +16,12 @@ from .netgen import (
 )
 from .rates import (
     MonteCarloRateReport,
-    PowerControl,
     RateModel,
     RateVector,
     build_rate_model,
+    epa_power,
     epa_rates,
+    is_feasible,
     min_rate,
     rate_oracle_monte_carlo,
     rates_vector,
@@ -57,7 +58,6 @@ __all__ = [
     "MonteCarloRateReport",
     "NetworkInstance",
     "PhysicalConfig",
-    "PowerControl",
     "RateModel",
     "RateVector",
     "SolveReport",
@@ -66,12 +66,14 @@ __all__ = [
     "bisection_solve",
     "build_rate_model",
     "build_soc_system",
+    "epa_power",
     "epa_rates",
     "feasibility_oracle",
     "generate_geometry",
     "generate_instance",
     "instance_from_json",
     "instance_to_json",
+    "is_feasible",
     "large_scale_fading",
     "min_rate",
     "noise_power",

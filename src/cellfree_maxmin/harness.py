@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from . import native, pool
+from . import pool
 from .netgen import (
     Dimensions,
     PhysicalConfig,
@@ -44,7 +44,6 @@ from .netgen import (
     stream_rng,
 )
 from .rates import (
-    PowerControl,
     build_rate_model,
     epa_rates,
     rate_oracle_monte_carlo,
@@ -136,29 +135,6 @@ def default_config(kind: str) -> ExperimentConfig:
     raise ValueError(f"unknown experiment kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CdfSummary:
-    """Pooled per-user rates with their empirical CDF grid (both derived
-    from the input sample in the constructor)."""
-
-    rates_nats: np.ndarray   # sorted ascending
-    cdf: np.ndarray = None   # nondecreasing, ends at 1
-
-    def __post_init__(self):
-        r = np.sort(np.asarray(self.rates_nats, dtype=float))
-        c = np.arange(1, r.shape[0] + 1) / r.shape[0]
-        object.__setattr__(self, "rates_nats", r)
-        object.__setattr__(self, "cdf", c)
-
-    @property
-    def min(self) -> float:
-        return float(self.rates_nats[0])
-
-    def write_csv(self, path):
-        write_csv(path, ["rate_nats", "rate_bits", "cdf"],
-                  [self.rates_nats, self.rates_nats / LN2, self.cdf])
-
-
 def _ensure_outdir(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg.out_dir
@@ -214,11 +190,10 @@ def _convergence(cfg: ExperimentConfig, clock: Optional[Callable]) -> tuple:
     summary.csv. Returns (instance, rate model, summary, solution power),
     the power being APG's, or bisection's when only bisection runs.
 
-    The selected solvers run on min(CPUs, solvers) threads, the rule of the
-    cdf trials (inline when that is 1), each writing its own traces;
-    summary.csv is written once both have returned. When both run at once,
-    apg_wall_s, bisection_wall_s and the APG traces' elapsed_s column are
-    wall times under contention for the CPUs. The run-time comparison is the
+    The selected solvers run through pool.ordered_map, each writing its own
+    traces; summary.csv is written once both have returned. When both run
+    at once, apg_wall_s, bisection_wall_s and the APG traces' elapsed_s
+    column are wall times under contention for the CPUs. The run-time comparison is the
     scaling experiment's, which runs the solvers one after the other."""
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
@@ -227,10 +202,7 @@ def _convergence(cfg: ExperimentConfig, clock: Optional[Callable]) -> tuple:
 
     parts = [part for name, part in (("apg", _apg_part), ("bisection", _bisection_part))
              if cfg.solver in (name, "both")]
-    native.load_library()  # a first build happens here, not in both threads
-    workers = min(pool.cpu_count(), len(parts))
-    results = list(pool.ordered_map(lambda i: parts[i](model, out, clock),
-                                    len(parts), workers))
+    results = list(pool.ordered_map(lambda i: parts[i](model, out, clock), len(parts)))
     summary = {key: value for entries, _ in results for key, value in entries.items()}
     if cfg.solver == "both":
         gap = abs(summary["apg_min_rate_nats"] - summary["bisection_t_star_nats"])
@@ -262,18 +234,16 @@ def _cdf_trial(cfg: ExperimentConfig, trial: int) -> tuple:
 
 def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     """Per-trial: fresh instance, APG solve; pooled per-user rates for the
-    optimized and equal power allocations.
+    optimized and equal power allocations, returned sorted under "apg" and
+    "epa" and written with their empirical CDF to cdf_{apg,epa}.csv.
 
-    Trials run on min(CPUs, trials) threads (inline when that is 1), the
-    rule of the Monte-Carlo oracle's blocks, and come back in trial order,
-    so every output is bit-identical for any thread count. The APG stages
-    read their own clock; cdf outputs carry no timing."""
+    Trials run through pool.ordered_map and come back in trial order, so
+    every output is bit-identical for any thread count. The APG stages read
+    their own clock; cdf outputs carry no timing."""
     out = _ensure_outdir(cfg)
     write_resolved_config(cfg)
 
-    native.load_library()  # a first build happens here, not in every thread
-    workers = min(pool.cpu_count(), cfg.trials)
-    results = list(pool.ordered_map(lambda trial: _cdf_trial(cfg, trial), cfg.trials, workers))
+    results = list(pool.ordered_map(lambda trial: _cdf_trial(cfg, trial), cfg.trials))
 
     # (trials, users) rates of each allocation
     apg = np.array([r[0] for r in results])
@@ -281,11 +251,12 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     trial = np.arange(cfg.trials)
     user_cols = [np.repeat(trial, apg.shape[1]), *user_columns(cfg.group_sizes, cfg.trials)]
     header = ["trial", "group", "user", "rate_nats", "rate_bits"]
-    summaries = {}
+    pooled = {}
     for name, rates in (("apg", apg), ("epa", epa)):
         nats = rates.ravel()
-        summaries[name] = CdfSummary(nats)
-        summaries[name].write_csv(os.path.join(out, f"cdf_{name}.csv"))
+        ranked = pooled[name] = np.sort(nats)
+        write_csv(os.path.join(out, f"cdf_{name}.csv"), ["rate_nats", "rate_bits", "cdf"],
+                  [ranked, ranked / LN2, np.arange(1, ranked.size + 1) / ranked.size])
         write_csv(os.path.join(out, f"users_{name}.csv"), header, [*user_cols, nats, nats / LN2])
     apg_min, epa_min = apg.min(axis=1), epa.min(axis=1)
     trial_cols = [trial, apg_min, epa_min, apg_min >= epa_min - 1e-6,
@@ -297,7 +268,7 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
         trial_cols,
     )
     return {
-        **summaries,
+        **pooled,
         "dominance_fraction": float(np.mean(trial_cols[3])),
         "mean_min_apg": float(np.mean(apg_min)),
         "mean_min_epa": float(np.mean(epa_min)),
@@ -372,12 +343,11 @@ def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict
 
 
 def random_feasible_eta(dims: Dimensions, seed: int) -> np.ndarray:
-    """Random feasible power coefficients: a random positive point projected
-    onto S, squared."""
+    """Random feasible power coefficients eta (M, N): a random positive
+    point projected onto S, squared and transposed."""
     rng = stream_rng(seed, STREAM_SOLVER_INIT)
     raw = rng.uniform(0.1, 1.0, size=(dims.num_groups, dims.num_aps))
-    mu = project_feasible(raw)
-    return mu.to_eta()
+    return (project_feasible(raw) ** 2).T.copy()
 
 
 def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
@@ -392,8 +362,7 @@ def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> 
         instance = generate_instance(dims, cfg.physical, seed)
         model = build_rate_model(instance)
         eta = random_feasible_eta(dims, seed)
-        mu = PowerControl.from_matrix(np.sqrt(eta.T))
-        closed = rates_vector(model, mu).rates
+        closed = rates_vector(model, np.sqrt(eta.T)).rates
         mc = rate_oracle_monte_carlo(instance, eta, cfg.mc_draws, seed)
         low_conf = mc.std_error > 0.05 * np.maximum(np.abs(mc.rate_nats), 1e-12)
         per_trial.append((seed, closed, mc.rate_nats, mc.std_error, mc.n_std_errs(closed),

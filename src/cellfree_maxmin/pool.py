@@ -21,16 +21,17 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def ordered_map(fn: Callable, count: int, workers: int) -> Iterator:
-    """fn(0), ..., fn(count - 1) in order, on `workers` threads: the calling
-    thread and a pool of workers - 1 that is shut down before this returns or
-    raises; inline when `workers` is 1.
+def ordered_map(fn: Callable, count: int) -> Iterator:
+    """fn(0), ..., fn(count - 1) in order, on min(cpu_count(), count)
+    threads: the calling thread and a pool of the others that is shut down
+    before this returns or raises; inline on one thread.
 
     The pool takes items from the front. While the next result is not done,
     the caller runs the last item the pool has not started, so it does not
     idle while work is left, and the map holds one thread, with its malloc
-    arena, fewer than a pool of `workers` would."""
-    if workers == 1:
+    arena, fewer than a pool of that many would."""
+    workers = min(cpu_count(), count)
+    if workers <= 1:
         yield from map(fn, range(count))
         return
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:

@@ -24,47 +24,18 @@ LN2 = math.log(2.0)
 FEASIBILITY_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class PowerControl:
-    """Power control vector mu (mu_mn = sqrt(eta_mn)), stored flat with N
-    group-major blocks of length M: mu = [mu_1; mu_2; ...; mu_N]."""
+def epa_power(num_aps: int, num_groups: int) -> np.ndarray:
+    """Equal power allocation mu_mn = 1/sqrt(N), as an (N, M) array."""
+    return np.full((num_groups, num_aps), 1.0 / math.sqrt(num_groups))
 
-    mu: np.ndarray
-    num_aps: int
-    num_groups: int
 
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.mu, dtype=float)).ravel()
-        if arr.shape[0] != self.num_aps * self.num_groups:
-            raise ValueError("mu length must be num_aps * num_groups")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mu", arr)
-
-    @property
-    def by_group(self) -> np.ndarray:
-        """(N, M) view; row n is group n's per-AP block."""
-        return self.mu.reshape(self.num_groups, self.num_aps)
-
-    def to_eta(self) -> np.ndarray:
-        """Power coefficients eta_mn = mu_mn^2 as an (M, N) array."""
-        return (self.by_group ** 2).T.copy()
-
-    def is_feasible(self, slack: float = FEASIBILITY_SLACK) -> bool:
-        if (self.mu < 0).any():
-            return False
-        nsq = np.einsum("nm,nm->m", self.by_group, self.by_group)
-        return bool((nsq <= 1.0 + slack).all())
-
-    @staticmethod
-    def from_matrix(mat: np.ndarray) -> "PowerControl":
-        mat = np.asarray(mat, dtype=float)
-        return PowerControl(mat.ravel(), num_aps=mat.shape[1], num_groups=mat.shape[0])
-
-    @staticmethod
-    def epa(num_aps: int, num_groups: int) -> "PowerControl":
-        """Equal power allocation: mu_mn = 1/sqrt(N) for all m, n."""
-        mat = np.full((num_groups, num_aps), 1.0 / math.sqrt(num_groups))
-        return PowerControl.from_matrix(mat)
+def is_feasible(mu, slack: float = FEASIBILITY_SLACK) -> bool:
+    """Whether the (N, M) power control mu lies in S: no negative entry and
+    every AP's column in the unit ball, to `slack`."""
+    mu = np.asarray(mu, dtype=float)
+    if (mu < 0).any():
+        return False
+    return bool((np.einsum("nm,nm->m", mu, mu) <= 1.0 + slack).all())
 
 
 @dataclass(frozen=True)
@@ -120,17 +91,12 @@ def build_rate_model(instance: NetworkInstance) -> RateModel:
 
 
 def as_mu_matrix(mu, model: RateModel) -> np.ndarray:
-    """Coerce a PowerControl / flat (MN,) / (N, M) array into a contiguous
-    (N, M) float64 matrix for the kernels."""
-    if isinstance(mu, PowerControl):
-        mat = mu.by_group
-    else:
-        mat = np.asarray(mu, dtype=float)
-        if mat.ndim == 1:
-            mat = mat.reshape(model.num_groups, model.num_aps)
+    """mu as a contiguous (N, M) float64 matrix for the kernels; any other
+    shape is rejected."""
+    mat = np.asarray(mu, dtype=float)
     if mat.shape != (model.num_groups, model.num_aps):
-        raise ValueError("mu has the wrong shape for this model")
-    return np.ascontiguousarray(mat, dtype=float)
+        raise ValueError("mu must be an (N, M) array for this model")
+    return np.ascontiguousarray(mat)
 
 
 @dataclass(frozen=True)
@@ -180,7 +146,7 @@ def min_rate(model: RateModel, mu) -> float:
 def epa_rates(model: RateModel) -> RateVector:
     """Rates under equal power allocation (eta = 1/N), evaluated through the
     same path as user_rate so the two agree exactly."""
-    return rates_vector(model, PowerControl.epa(model.num_aps, model.num_groups))
+    return rates_vector(model, epa_power(model.num_aps, model.num_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +200,20 @@ def _moment_sums(instance: NetworkInstance, weight: np.ndarray, draws: int, seed
     """Sums over all draws of the moment vectors x (T, d) and of their outer
     products x x^T (T, d, d).
 
-    Blocks are drawn and reduced on min(CPUs, blocks) threads (inline when
-    that is 1), each block call in its own scratch; block sums are added in
-    block order, so the sums are bit-identical for every thread count."""
+    Blocks are drawn and reduced through pool.ordered_map, each block call
+    in its own scratch; block sums are added in block order, so the sums are
+    bit-identical for every thread count."""
     t_users = weight.shape[1]
     d = instance.dims.num_groups + 2
     pilot, key = pilot_model(instance), smallscale_key(seed)
     sizes = block_sizes(draws)
-    workers = min(pool.cpu_count(), len(sizes))
 
     def reduce_block(b):
         return _block_moments(pilot, weight, key, b, sizes[b])
 
     s1 = np.zeros((t_users, d))
     s2 = np.zeros((t_users, d, d))
-    for block_s1, block_s2 in pool.ordered_map(reduce_block, len(sizes), workers):
+    for block_s1, block_s2 in pool.ordered_map(reduce_block, len(sizes)):
         s1 += block_s1
         s2 += block_s2
     return s1, s2

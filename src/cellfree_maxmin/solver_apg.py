@@ -41,7 +41,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import kernels, native
-from .rates import PowerControl, RateModel, as_mu_matrix
+from .rates import RateModel, as_mu_matrix, epa_power, is_feasible
 from .tables import write_csv
 
 DELTA = 1e-5          # sufficient-increase constant
@@ -269,17 +269,16 @@ def compiled_stage(
 # public operations on the rate model
 # ---------------------------------------------------------------------------
 
-def project_feasible(x, num_aps: Optional[int] = None) -> PowerControl:
+def project_feasible(x, num_aps: Optional[int] = None) -> np.ndarray:
     """Exact Euclidean projection onto S: per AP, clip negatives then scale
     into the unit ball if needed. Accepts an (N, M) matrix or a flat
-    group-major vector plus num_aps."""
+    group-major vector plus num_aps; returns the (N, M) matrix."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
         if num_aps is None:
             raise ValueError("flat input requires num_aps")
         arr = arr.reshape(-1, num_aps)
-    mat = kernels.IMPL.project_ball_orthant(np.ascontiguousarray(arr))
-    return PowerControl.from_matrix(mat)
+    return kernels.IMPL.project_ball_orthant(np.ascontiguousarray(arr))
 
 
 def smooth_objective(model: RateModel, mu, sigma: float) -> float:
@@ -291,19 +290,19 @@ def smooth_objective(model: RateModel, mu, sigma: float) -> float:
 
 
 def smooth_gradient(model: RateModel, mu, sigma: float) -> np.ndarray:
-    """Gradient of the soft minimum, returned flat (group-major, length MN)."""
+    """Gradient of the soft minimum, an (N, M) array like mu."""
     mat = as_mu_matrix(mu, model)
     _, _, grad = kernels.IMPL.soft_min_value_grad(
         model.gamma_sqrt, model.a_sq, model.group_ptr, mat, model.rho_bar, sigma
     )
-    return grad.ravel()
+    return grad
 
 
 @dataclass
 class SolveReport:
     """Solution, objectives, and the per-iteration trace of one APG run."""
 
-    power: PowerControl
+    power: np.ndarray  # (N, M) mu
     f_sigma: float
     min_rate: float
     sigma: float
@@ -349,12 +348,12 @@ def apg_solve(
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if mu0 is None:
-        mat0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
+        mat0 = epa_power(model.num_aps, model.num_groups)
     else:
         mat0 = as_mu_matrix(mu0, model)
         if (mat0 <= 0).any():
             raise ValueError("mu0 must be strictly positive")
-        if not PowerControl.from_matrix(mat0).is_feasible():
+        if not is_feasible(mat0):
             raise ValueError("mu0 must be feasible")
 
     lib = native.load_library()  # before the clock starts: the first call may build
@@ -367,7 +366,7 @@ def apg_solve(
         span = elapsed[-1]
         elapsed = elapsed / span * wall if span > 0 else np.zeros_like(elapsed)
     return SolveReport(
-        power=PowerControl.from_matrix(res.x),
+        power=res.x,
         f_sigma=res.f,
         min_rate=res.aux,
         sigma=sigma,
@@ -407,6 +406,6 @@ def apg_solve_continuation(
         reports.append(report)
         # converged iterates may have exactly-zero entries; nudge them so the
         # next stage's strictly-positive start requirement holds
-        start_mat = np.maximum(report.power.by_group, 1e-12)
+        start_mat = np.maximum(report.power, 1e-12)
         start_point = kernels.IMPL.project_ball_orthant(np.ascontiguousarray(start_mat))
     return reports

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import kernels, native
-from .rates import PowerControl, RateModel, as_mu_matrix, min_rate
+from .rates import RateModel, as_mu_matrix, epa_power, min_rate
 from .solver_apg import ApgConfig, compiled_stage
 from .tables import write_csv
 
@@ -94,7 +94,6 @@ class OracleResult:
     iterations: int
     max_residual: float
     certified_lower_bound: Optional[float] = None
-    sigma_f: float = 0.0
     last_iterate: Optional[np.ndarray] = None  # useful warm start either way
 
 
@@ -114,9 +113,8 @@ def feasibility_oracle(
 ) -> OracleResult:
     """Find mu in S with all residuals <= EPS_SOC, or certify none is close.
 
-    `warm` is a sequence of candidate start points (PowerControl, flat
-    group-major vector or (N, M) matrix). The equal power allocation point
-    always follows them as a fallback, and the candidate of least max
+    `warm` is a sequence of candidate (N, M) start points. The equal power
+    allocation point always follows them as a fallback, and the candidate of least max
     residual starts the search. The smoothed min-margin maximization runs an
     inner sharpness continuation (coarse to fine sigma_f, warm-started),
     checking the true residuals every iterate and the infeasibility
@@ -129,7 +127,7 @@ def feasibility_oracle(
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
 
     candidates = [as_mu_matrix(w, model) for w in warm]
-    candidates.append(PowerControl.epa(model.num_aps, model.num_groups).by_group.copy())
+    candidates.append(epa_power(model.num_aps, model.num_groups))
 
     best = None
     best_res = math.inf
@@ -145,7 +143,7 @@ def feasibility_oracle(
         bad = [name for name, val in inputs.items() if not np.isfinite(val).all()]
         raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) at level t={t}")
     if best_res <= EPS_SOC:
-        return OracleResult(FEASIBLE, best, 0, best_res, sigma_f=0.0, last_iterate=best)
+        return OracleResult(FEASIBLE, best, 0, best_res, last_iterate=best)
 
     # residual-to-t sensitivity at the warm point:
     # d(residual)/dt = exp(t)/(2*sqrt(e^t-1)) * sqrt(rho*||A mu||^2 + 1)
@@ -179,12 +177,10 @@ def feasibility_oracle(
         x = result.x
         max_res = result.aux
         if result.termination == FEASIBLE:
-            return OracleResult(FEASIBLE, x, iters_used, max_res, sigma_f=sigma_f,
-                                last_iterate=x)
+            return OracleResult(FEASIBLE, x, iters_used, max_res, last_iterate=x)
         if result.termination == INFEASIBLE:
             return OracleResult(INFEASIBLE, None, iters_used, max_res,
-                                certified_lower_bound=result.certified_bound, sigma_f=sigma_f,
-                                last_iterate=x)
+                                certified_lower_bound=result.certified_bound, last_iterate=x)
 
     # budget exhausted or plateaued everywhere: one last certificate attempt
     fs, _, grad = impl.margin_value_grad(gs, asq, ptr, x, rho, t, sigma_f)
@@ -192,7 +188,7 @@ def feasibility_oracle(
     lower = -(fs + gap)
     status = INFEASIBLE if lower > -EPS_SOC else UNDECIDED
     return OracleResult(status, None, iters_used, max_res,
-                        certified_lower_bound=lower, sigma_f=sigma_f, last_iterate=x)
+                        certified_lower_bound=lower, last_iterate=x)
 
 
 @dataclass
@@ -207,7 +203,7 @@ class BisectionStep:
 @dataclass
 class BisectionReport:
     t_star: float
-    power: PowerControl
+    power: np.ndarray  # (N, M) mu
     min_rate: float
     steps: List[BisectionStep]
     undecided_count: int
@@ -239,8 +235,7 @@ def bisection_solve(
     upper = rate_upper_bound(model)
     lo = 0.0  # always feasible
     hi = upper + max(cfg.tol_t, 1e-6)
-    epa = PowerControl.epa(model.num_aps, model.num_groups)
-    witness = epa.by_group
+    witness = epa = epa_power(model.num_aps, model.num_groups)
 
     steps: List[BisectionStep] = []
     extra_warm = None
@@ -258,14 +253,13 @@ def bisection_solve(
 
     epa_level = min_rate(model, epa)
     if epa_level > lo:
-        lo, witness = epa_level, epa.by_group
-    power = PowerControl.from_matrix(witness)
+        lo, witness = epa_level, epa
     # an undecided step's level is its midpoint, bit for bit
     undecided = [0.5 * (s.t_lo + s.t_hi) for s in steps if s.oracle_status == UNDECIDED]
     return BisectionReport(
         t_star=lo,
-        power=power,
-        min_rate=min_rate(model, power),
+        power=witness,
+        min_rate=min_rate(model, witness),
         steps=steps,
         undecided_count=len(undecided),
         approximate=any(t >= lo for t in undecided),

@@ -13,7 +13,6 @@ import pytest
 from cellfree_maxmin import PhysicalConfig, harness, pool
 from cellfree_maxmin.cli import main as cli_main
 from cellfree_maxmin.harness import (
-    CdfSummary,
     ExperimentConfig,
     default_config,
     run_cdf,
@@ -157,17 +156,22 @@ class TestConfig:
 
 
 class TestCdfSummary:
-    def test_monotone_normalized(self):
-        s = CdfSummary(np.array([0.3, 0.1, 0.7, 0.2]))
-        assert np.all(np.diff(s.rates_nats) >= 0)
-        assert np.all(np.diff(s.cdf) > 0)
-        assert s.cdf[-1] == 1.0
-        assert s.min == pytest.approx(0.1)
+    """cdf_{apg,epa}.csv: the pooled rates sorted, with their empirical CDF."""
+
+    def test_monotone_normalized(self, tmp_path):
+        out = run_cdf(tiny_config("cdf", tmp_path, trials=2))
+        rows = read_csv(tmp_path / "cdf_apg.csv")[1:]
+        rates = np.array([float(r[0]) for r in rows])
+        cdf = np.array([float(r[2]) for r in rows])
+        assert np.all(np.diff(rates) >= 0)
+        assert np.all(np.diff(cdf) > 0)
+        assert cdf[-1] == 1.0
+        assert rates[0] == out["apg"][0] == out["apg"].min()
 
     def test_single_trial_step_count(self, tmp_path):
         cfg = tiny_config("cdf", tmp_path, trials=1)
         out = run_cdf(cfg)
-        assert out["apg"].rates_nats.shape[0] == cfg.dims.num_users
+        assert out["apg"].shape[0] == cfg.dims.num_users
 
 
 class TestRunners:
@@ -205,7 +209,7 @@ class TestRunners:
             generate_instance(Dimensions(1, 1, (1,)), PhysicalConfig(), cfg.master_seed)
         )
         grid = np.linspace(0.0, 1.0, 20001)
-        best = max(user_rate(model, np.array([g]), 0, 0) for g in grid)
+        best = max(user_rate(model, np.array([[g]]), 0, 0) for g in grid)
         assert summary["apg_min_rate_nats"] == pytest.approx(best, abs=1e-6)
         assert summary["bisection_t_star_nats"] == pytest.approx(best, abs=2e-4)
 
@@ -233,7 +237,7 @@ class TestRunners:
         serial = run_cdf(tiny_config("cdf", tmp_path / "a", trials=3))
         monkeypatch.setattr(pool, "cpu_count", lambda: 2)
         parallel = run_cdf(tiny_config("cdf", tmp_path / "b", trials=3))
-        np.testing.assert_array_equal(serial["apg"].rates_nats, parallel["apg"].rates_nats)
+        np.testing.assert_array_equal(serial["apg"], parallel["apg"])
         a = (tmp_path / "a" / "users_apg.csv").read_text()
         b = (tmp_path / "b" / "users_apg.csv").read_text()
         assert a == b

@@ -26,12 +26,12 @@ from cellfree_maxmin import (
     Dimensions,
     LineSearchError,
     PhysicalConfig,
-    PowerControl,
     RateModel,
     apg_solve,
     apg_solve_continuation,
     bisection_solve,
     build_rate_model,
+    epa_power,
     feasibility_oracle,
     generate_instance,
     kernels,
@@ -224,7 +224,7 @@ def test_rate_stage_trace_and_clock(lib, small_model, monkeypatch, overrides):
     for name, value in overrides.items():
         monkeypatch.setattr(solver_apg, name, value)
     cfg = ApgConfig(max_iters=50, stop_tol=0.0)
-    mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
+    mat0 = epa_power(small_model.num_aps, small_model.num_groups)
     ref = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
     got = compiled_stage(lib, native.RATE, small_model, mat0, cfg, 100.0)
     np.testing.assert_allclose(got.trace_f, ref.trace_f, rtol=1e-12)
@@ -266,7 +266,7 @@ def _record_runs(case):
     lib = native.load_library()
     if case[0] == "rate":
         model = shaped_model(12, (3, 3), 42)
-        x0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
+        x0 = epa_power(model.num_aps, model.num_groups)
         cfg = ApgConfig(max_iters=50, stop_tol=0.0)
         got = compiled_stage(lib, native.RATE, model, x0, cfg, 100.0)
 
@@ -388,7 +388,7 @@ class TestNanData:
 
     def test_margin_stage_both_engines(self, lib):
         model = nan_model()
-        x0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
+        x0 = epa_power(model.num_aps, model.num_groups)
         cfg = ApgConfig(max_iters=5)
         value, value_grad, monitor = margin_closures(model, 0.3, 100.0)
         with pytest.raises(LineSearchError):
@@ -480,7 +480,7 @@ def test_sources_build_without_warnings(tmp_path):
 UNDEFINED_BEHAVIOUR_RUN = """
 import ctypes, sys
 import numpy as np
-from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, PowerControl, build_rate_model,
+from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_power,
                              epa_rates, generate_instance, native, rate_oracle_monte_carlo,
                              rate_upper_bound)
 from cellfree_maxmin.harness import random_feasible_eta
@@ -494,7 +494,7 @@ for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
     dims = Dimensions(num_aps, len(group_sizes), group_sizes)
     instance = generate_instance(dims, PhysicalConfig(), seed=1)
     model = build_rate_model(instance)
-    x0 = PowerControl.epa(num_aps, len(group_sizes)).by_group
+    x0 = epa_power(num_aps, len(group_sizes))
     compiled_stage(lib, native.RATE, model, x0, cfg, 100.0)
     for t in (2.0 * epa_rates(model).min_rate, rate_upper_bound(model) + 0.1):
         compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
@@ -668,7 +668,7 @@ def test_stage_clock(lib):
         assert elapsed[0] >= 0.0 and (np.diff(elapsed) >= 0.0).all()
         if span == 0.0:
             assert not elapsed.any()
-        assert np.array_equal(own.power.mu, got.power.mu)
+        assert np.array_equal(own.power, got.power)
         assert np.array_equal(own.trace_f_sigma, got.trace_f_sigma)
 
 
@@ -687,7 +687,7 @@ def test_stage_without_clock_reads_the_c_clock(lib):
     """A stage given no clock, as the oracle's are, stamps its iterations
     with lib.apg_clock, measured from its own start."""
     model = make_model(num_aps=10, users_per_group=3, seed=2)
-    x0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
+    x0 = epa_power(model.num_aps, model.num_groups)
     before = lib.apg_clock()
     got = compiled_stage(lib, native.RATE, model, x0, ApgConfig(max_iters=50, stop_tol=0.0),
                          100.0)

@@ -2,8 +2,8 @@
 S (KKT conditions, idempotence, nonexpansiveness), the gradients of both
 objectives on the numpy kernels and the compiled evaluation (central finite
 differences), the bisection steps certified infeasible (never at or below a
-level the APG solve reaches), and both solvers and the Monte-Carlo oracle on
-edge scenarios."""
+level the APG solve reaches), both solvers and the Monte-Carlo oracle on
+edge scenarios, and both solvers against SciPy's SLSQP on small instances."""
 
 import math
 
@@ -11,22 +11,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from cellfree_maxmin import (
+    BisectionConfig,
     Dimensions,
     NetworkInstance,
     PhysicalConfig,
     apg_solve_continuation,
     bisection_solve,
     build_rate_model,
+    epa_power,
     epa_rates,
     feasibility_oracle,
     generate_geometry,
     generate_instance,
+    is_feasible,
     kernels,
     large_scale_fading,
+    min_rate,
     native,
     noise_power,
+    project_feasible,
     rate_oracle_monte_carlo,
     rate_upper_bound,
 )
@@ -224,9 +230,9 @@ def test_edge_scenario_apg_point_is_sound(name, seed):
     instance = EDGE_SCENARIOS[name](seed)
     model = build_rate_model(instance)
     apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
-    assert apg.power.is_feasible()
+    assert is_feasible(apg.power)
     assert feasibility_oracle(model, apg.min_rate).status != INFEASIBLE
-    report = rate_oracle_monte_carlo(instance, apg.power.to_eta(), 2000, seed=seed)
+    report = rate_oracle_monte_carlo(instance, (apg.power ** 2).T, 2000, seed=seed)
     assert np.isfinite(report.rate_nats).all() and np.isfinite(report.std_error).all()
 
 
@@ -236,3 +242,107 @@ def test_edge_scenario_bisection_reaches_epa(name, seed):
     1e-6, the rule the acceptance checks apply."""
     model = build_rate_model(EDGE_SCENARIOS[name](seed))
     assert bisection_solve(model).t_star >= epa_rates(model).min_rate - 1e-6
+
+
+def shape_instance(num_aps, group_sizes):
+    return lambda seed: generate_instance(Dimensions(num_aps, len(group_sizes), group_sizes),
+                                          PhysicalConfig(), seed)
+
+
+# the edge scenarios plus the two low-rate instances of the CHANGES.md FOUND
+# line on apg_solve_continuation
+APG_EPA_SCENARIOS = {**EDGE_SCENARIOS, "M3-3x1x2": shape_instance(3, (3, 1, 2)),
+                     "M1-1x1": shape_instance(1, (1, 1))}
+APG_BELOW_EPA = pytest.mark.xfail(
+    strict=True, reason="the APG continuation stops below the EPA min-rate on low-rate "
+    "instances (CHANGES.md FOUND line on apg_solve_continuation; ROADMAP item 6)")
+APG_EPA_CASES = [
+    pytest.param(name, seed, id=f"{name}-{seed}",
+                 marks=[APG_BELOW_EPA] if (name, seed) in {("single-AP", 1), ("single-AP", 3),
+                                                           ("M3-3x1x2", 1841261663)} else [])
+    for name, seed in EDGE_CASES + [("M3-3x1x2", 1841261663), ("M1-1x1", 1033071480)]
+]
+
+
+@pytest.mark.parametrize("name, seed", APG_EPA_CASES)
+def test_edge_scenario_apg_reaches_epa(name, seed):
+    """The APG continuation's min-rate is at least the equal power
+    allocation's less 1e-6, the rule the acceptance checks apply. Three
+    cases end below that (strict xfails): single-AP-1 (APG 4.76e-6 against
+    EPA 8.07e-6), single-AP-3 (1.69e-7 against 2.36e-6) and M3-3x1x2
+    (1.019e-4 against 1.044e-4). Three more pass only through the 1e-6
+    slack, with APG below EPA: single-AP-2, area-20km-3 and M1-1x1, where
+    APG gives one group no power and a min-rate of 0."""
+    model = build_rate_model(APG_EPA_SCENARIOS[name](seed))
+    apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
+    assert apg.min_rate >= epa_rates(model).min_rate - 1e-6
+
+
+def slsqp_min_rate(model):
+    """Max-min rate by SciPy's SLSQP on the epigraph form: maximize t over
+    (mu, t) subject to rate_u(mu) >= t for every user, each AP's column of
+    mu in the unit ball and 0 <= mu <= 1, from the equal power allocation
+    with t at its min-rate. Rates and Jacobians are written out here from
+    the closed form. SLSQP often ends on status 8 (a line search in a
+    direction it cannot improve), so its objective is never read: the
+    result is projected onto S and its min-rate evaluated there."""
+    num_groups, num_aps = model.num_groups, model.num_aps
+    gs, asq, rho = model.gamma_sqrt, model.a_sq, model.rho_bar
+    group = np.repeat(np.arange(num_groups), np.diff(model.group_ptr))
+    users = np.arange(group.size)
+    c = 0.25 * math.pi * rho
+
+    def split(x):
+        mu = x[:-1].reshape(num_groups, num_aps)
+        own = mu[group]  # (T, M): each user's group block
+        return mu, own, (gs * own).sum(axis=1), rho * (asq * own * own).sum(axis=1) + 1.0
+
+    def rate_margin(x):
+        _, _, p, d = split(x)
+        return np.log1p(c * p * p / d) - x[-1]
+
+    def rate_margin_jac(x):
+        # rate = ln(d + c p^2) - ln(d)
+        _, own, p, d = split(x)
+        dd, ds = 2.0 * rho * asq * own, 2.0 * c * p[:, None] * gs
+        jac = np.zeros((users.size, num_groups, num_aps))
+        jac[users, group] = (dd + ds) / (d + c * p * p)[:, None] - dd / d[:, None]
+        return np.column_stack([jac.reshape(users.size, -1), -np.ones(users.size)])
+
+    def ball(x):
+        return 1.0 - (split(x)[0] ** 2).sum(axis=0)
+
+    def ball_jac(x):
+        aps = np.arange(num_aps)
+        jac = np.zeros((num_aps, num_groups, num_aps))
+        jac[aps, :, aps] = -2.0 * split(x)[0].T
+        return np.column_stack([jac.reshape(num_aps, -1), np.zeros(num_aps)])
+
+    objective_jac = np.zeros(num_groups * num_aps + 1)
+    objective_jac[-1] = -1.0
+    start = np.append(epa_power(num_aps, num_groups).ravel(), epa_rates(model).min_rate)
+    res = minimize(lambda x: -x[-1], start, jac=lambda x: objective_jac, method="SLSQP",
+                   bounds=[(0.0, 1.0)] * (num_groups * num_aps) + [(None, None)],
+                   constraints=[{"type": "ineq", "fun": rate_margin, "jac": rate_margin_jac},
+                                {"type": "ineq", "fun": ball, "jac": ball_jac}],
+                   options={"maxiter": 1000, "ftol": 1e-12})
+    return min_rate(model, project_feasible(res.x[:-1].reshape(num_groups, num_aps)))
+
+
+SLSQP_CASES = [(num_aps, groups, seed) for num_aps in (2, 6, 10)
+               for groups in ((2, 2), (1, 3), (2, 1, 2)) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("num_aps, group_sizes, seed", SLSQP_CASES,
+                         ids=[f"M{m}-{'x'.join(map(str, g))}-{s}" for m, g, s in SLSQP_CASES])
+def test_slsqp_agrees_with_bisection_and_apg(num_aps, group_sizes, seed):
+    """An independent solver: SLSQP's min-rate lies within tol_t of
+    bisection's t* and within criterion 2's 1e-3 of APG's. Over M 2-10 with
+    these layouts and seeds 1-3, |SLSQP - t*| reached 9.15e-5 (M=10, 1x3,
+    seed 3) and SLSQP - APG ranged from about 0 to 5.0e-4 (M=10, 2x1x2,
+    seed 1)."""
+    model = build_rate_model(shape_instance(num_aps, group_sizes)(seed))
+    slsqp = slsqp_min_rate(model)
+    assert abs(slsqp - bisection_solve(model).t_star) <= BisectionConfig().tol_t
+    apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
+    assert abs(slsqp - apg.min_rate) <= 1e-3

@@ -7,10 +7,11 @@ from cellfree_maxmin import (
     Dimensions,
     NetworkInstance,
     PhysicalConfig,
-    PowerControl,
     build_rate_model,
+    epa_power,
     epa_rates,
     generate_instance,
+    is_feasible,
     min_rate,
     rate_oracle_monte_carlo,
     rates_vector,
@@ -51,25 +52,24 @@ def epa_direct_form(instance, u):
 
 
 class TestPowerControl:
-    def test_layout_and_slices(self):
-        mat = np.arange(6.0).reshape(2, 3)  # N=2 groups, M=3 APs
-        pc = PowerControl.from_matrix(mat)
-        assert np.array_equal(pc.mu, [0, 1, 2, 3, 4, 5])  # group-major stacking
-        assert np.array_equal(pc.by_group[1], [3, 4, 5])
+    """Power control is the (N, M) array mu; row n is group n's per-AP block."""
 
     def test_feasibility_predicate(self):
-        ok = PowerControl.from_matrix(np.array([[0.6], [0.8]]))
-        assert ok.is_feasible()
-        over = PowerControl.from_matrix(np.array([[0.8], [0.8]]))
-        assert not over.is_feasible()
-        neg = PowerControl.from_matrix(np.array([[-0.1], [0.5]]))
-        assert not neg.is_feasible()
+        assert is_feasible(np.array([[0.6], [0.8]]))
+        assert not is_feasible(np.array([[0.8], [0.8]]))
+        assert not is_feasible(np.array([[-0.1], [0.5]]))
 
     def test_epa_point(self):
-        pc = PowerControl.epa(num_aps=4, num_groups=4)
-        assert np.allclose(pc.mu, 0.5)
-        assert pc.is_feasible()
-        assert np.allclose(pc.to_eta(), 0.25)
+        mu = epa_power(num_aps=4, num_groups=4)
+        assert mu.shape == (4, 4)
+        assert np.allclose(mu, 0.5)
+        assert is_feasible(mu)
+
+    def test_only_the_matrix_form_is_accepted(self, small_model):
+        mat = epa_power(small_model.num_aps, small_model.num_groups)
+        for wrong in (mat.ravel(), mat.T, mat[:, :-1]):
+            with pytest.raises(ValueError, match="N, M"):
+                rates_vector(small_model, wrong)
 
 
 class TestRateModel:
@@ -125,7 +125,7 @@ class TestRateModel:
 
 class TestUserRate:
     def test_zero_power(self, small_model):
-        mu = PowerControl.from_matrix(np.zeros((2, small_model.num_aps)))
+        mu = np.zeros((2, small_model.num_aps))
         assert user_rate(small_model, mu, 0, 0) == 0.0
         assert min_rate(small_model, mu) == 0.0
 
@@ -138,7 +138,7 @@ class TestUserRate:
         expected = math.log1p(
             0.25 * PI * rho * g / (rho * (z - 0.25 * PI * g) + 1.0)
         )
-        assert user_rate(model, np.ones(1), 0, 0) == pytest.approx(expected, rel=1e-12)
+        assert user_rate(model, np.ones((1, 1)), 0, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_eta_form_equivalence(self, small_instance, small_model):
         rng = np.random.default_rng(3)
@@ -174,7 +174,7 @@ class TestUserRate:
 class TestEpaRates:
     def test_matches_user_rate_exactly(self, small_model):
         epa = epa_rates(small_model)
-        mu = PowerControl.epa(small_model.num_aps, small_model.num_groups)
+        mu = epa_power(small_model.num_aps, small_model.num_groups)
         direct = rates_vector(small_model, mu)
         assert np.array_equal(epa.rates, direct.rates)
 
@@ -232,7 +232,7 @@ class TestMonteCarloOracle:
         inst = generate_instance(dims, PhysicalConfig(), seed=8)
         model = build_rate_model(inst)
         eta = np.full((4, 1), 0.7)
-        mu = PowerControl.from_matrix(np.sqrt(eta.T))
+        mu = np.sqrt(eta.T)
         rep = rate_oracle_monte_carlo(inst, eta, draws=200_000, seed=8)
         closed = rates_vector(model, mu).rates
         assert rep.n_std_errs(closed).max() < 3.0

@@ -9,10 +9,11 @@ from cellfree_maxmin import (
     LineSearchError,
     NetworkInstance,
     PhysicalConfig,
-    PowerControl,
     apg_solve,
     apg_solve_continuation,
     build_rate_model,
+    epa_power,
+    is_feasible,
     min_rate,
     project_feasible,
     rates_vector,
@@ -72,16 +73,16 @@ class TestProjection:
     def test_interior_unchanged(self):
         x = np.array([[0.3], [0.4]])
         out = project_feasible(x)
-        assert np.array_equal(out.by_group, x)
+        assert np.array_equal(out, x)
 
     def test_clip_then_scale(self):
         out = project_feasible(np.array([[-1.0], [2.0]]))
-        assert np.array_equal(out.by_group, np.array([[0.0], [1.0]]))
+        assert np.array_equal(out, np.array([[0.0], [1.0]]))
 
     def test_flat_vector_api(self):
         out = project_feasible(np.array([-1.0, 0.5, 2.0, 0.5]), num_aps=2)
-        assert out.num_aps == 2 and out.num_groups == 2
-        assert out.is_feasible()
+        assert out.shape == (2, 2)
+        assert is_feasible(out)
 
     def test_flat_requires_num_aps(self):
         with pytest.raises(ValueError):
@@ -91,8 +92,8 @@ class TestProjection:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.normal(scale=2.0, size=(3, 5))
-            once = project_feasible(x).by_group
-            twice = project_feasible(once).by_group
+            once = project_feasible(x)
+            twice = project_feasible(once)
             assert np.array_equal(once, twice)
 
     def test_nonexpansive(self):
@@ -100,22 +101,22 @@ class TestProjection:
         for _ in range(200):
             x = rng.normal(scale=2.0, size=(4, 3))
             y = rng.normal(scale=2.0, size=(4, 3))
-            px = project_feasible(x).by_group
-            py = project_feasible(y).by_group
+            px = project_feasible(x)
+            py = project_feasible(y)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
     def test_kkt_conditions(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
             x = rng.normal(scale=1.5, size=(3, 4))
-            u = project_feasible(x).by_group
+            u = project_feasible(x)
             assert projection_kkt_residual(x, u) <= 1e-8
 
     def test_against_dykstra(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.normal(scale=1.5, size=(10, 2))  # 10-dim per-AP blocks
-            u = project_feasible(x).by_group
+            u = project_feasible(x)
             ref = dykstra_projection(x)
             assert np.allclose(u, ref, atol=1e-8)
 
@@ -128,7 +129,7 @@ class TestSmoothObjective:
         inst = NetworkInstance(dims, zeta, 0.3 * zeta, 1.0, 0.2, 0.2,
                                config=PhysicalConfig(pilot_len_symbols=2))
         model = build_rate_model(inst)
-        mu = PowerControl.epa(3, 2)
+        mu = epa_power(3, 2)
         rates = rates_vector(model, mu).rates
         assert np.all(rates == rates[0])
         assert smooth_objective(model, mu, 123.0) == rates[0]
@@ -206,14 +207,14 @@ class TestSmoothGradient:
             for _ in range(10):
                 mat = random_feasible_matrix(model, rng, scale=0.5)
                 grad = smooth_gradient(model, mat, 100.0)
+                assert grad.shape == mat.shape
                 fd = np.empty_like(grad)
-                flat = mat.ravel().copy()
-                for i in range(flat.size):
-                    up = flat.copy(); up[i] += step
-                    dn = flat.copy(); dn[i] -= step
+                for i in np.ndindex(mat.shape):
+                    up = mat.copy(); up[i] += step
+                    dn = mat.copy(); dn[i] -= step
                     fd[i] = (
-                        smooth_objective(model, up.reshape(mat.shape), 100.0)
-                        - smooth_objective(model, dn.reshape(mat.shape), 100.0)
+                        smooth_objective(model, up, 100.0)
+                        - smooth_objective(model, dn, 100.0)
                     ) / (2 * step)
                 err = np.abs(fd - grad).max() / max(np.abs(fd).max(), 1e-12)
                 assert err < 1e-5
@@ -231,7 +232,7 @@ class TestSmoothGradient:
         model = make_model(4, 2, 1, seed=2)
         mat = np.zeros((2, 4))
         mat[0] = 0.5
-        grad = smooth_gradient(model, mat, 100.0).reshape(2, 4)
+        grad = smooth_gradient(model, mat, 100.0)
         assert np.all(grad[1] == 0.0)
 
     def test_block_sparsity_of_rate_gradient(self):
@@ -249,10 +250,10 @@ class TestApgSolve:
     def test_scalar_problem_full_power(self):
         model = make_model(1, 1, 1, seed=4)
         report = apg_solve(model)
-        assert report.power.mu[0] == pytest.approx(1.0, abs=1e-6)
+        assert report.power[0, 0] == pytest.approx(1.0, abs=1e-6)
         # grid-search oracle over the 1-D feasible interval
         grid = np.linspace(0.0, 1.0, 20001)
-        best = max(user_rate(model, np.array([g]), 0, 0) for g in grid)
+        best = max(user_rate(model, np.array([[g]]), 0, 0) for g in grid)
         assert report.min_rate == pytest.approx(best, abs=1e-8)
 
     def test_monotone_trace(self, small_model):
@@ -261,7 +262,7 @@ class TestApgSolve:
 
     def test_final_feasible_and_sandwich(self, small_model):
         report = apg_solve(small_model)
-        assert report.power.is_feasible()
+        assert is_feasible(report.power)
         bound = math.log(small_model.num_users) / report.sigma
         assert np.all(report.trace_f_true <= report.trace_f_sigma + 1e-12)
         assert np.all(report.trace_f_sigma <= report.trace_f_true + bound + 1e-12)
@@ -290,13 +291,13 @@ class TestApgSolve:
 
     def test_never_below_epa_smoothed(self, small_model):
         report = apg_solve(small_model)
-        mu0 = PowerControl.epa(small_model.num_aps, small_model.num_groups)
+        mu0 = epa_power(small_model.num_aps, small_model.num_groups)
         assert report.f_sigma >= smooth_objective(small_model, mu0, report.sigma) - 1e-12
 
     def test_deterministic(self, small_model):
         a = apg_solve(small_model, clock=lambda: 0.0)
         b = apg_solve(small_model, clock=lambda: 0.0)
-        assert np.array_equal(a.power.mu, b.power.mu)
+        assert np.array_equal(a.power, b.power)
         assert np.array_equal(a.trace_f_sigma, b.trace_f_sigma)
 
     def test_mu0_validation(self, small_model):
@@ -359,9 +360,9 @@ class TestDriver:
     def test_driver_matches_fused_solver(self, small_model):
         from test_native import objective_closures
 
-        mat0 = PowerControl.epa(small_model.num_aps, small_model.num_groups).by_group
+        mat0 = epa_power(small_model.num_aps, small_model.num_groups)
         cfg = ApgConfig(max_iters=200, stop_tol=0.0)
         res = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
         rep = apg_solve(small_model, cfg=cfg)
         assert res.f == pytest.approx(rep.f_sigma, rel=1e-12)
-        np.testing.assert_allclose(res.x, rep.power.by_group, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(res.x, rep.power, rtol=1e-10, atol=1e-14)

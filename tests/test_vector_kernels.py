@@ -16,9 +16,9 @@ from cellfree_maxmin import (
     MonteCarloRateReport,
     Dimensions,
     PhysicalConfig,
-    PowerControl,
     apg_solve_continuation,
     build_rate_model,
+    epa_power,
     generate_instance,
     kernels,
     native,
@@ -138,7 +138,7 @@ def test_stage_results_do_not_depend_on_lane_width(lane_libs, case):
     dims = Dimensions(num_aps, len(group_sizes), group_sizes)
     model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed=1))
     assert lane_libs[-1].apg_lanes() == 2
-    x0 = PowerControl.epa(model.num_aps, model.num_groups).by_group
+    x0 = epa_power(model.num_aps, model.num_groups)
     optimum = apg_solve_continuation(model, (100.0, 1000.0))[-1].min_rate
     cfg = ApgConfig(max_iters=300)
     # margin levels that run long (up to the iteration cap) or end infeasible

@@ -32,7 +32,7 @@ import numpy as np
 
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
                              generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
-from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.solver_apg import compiled_stage
 from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY
 
@@ -100,10 +100,10 @@ def bench_monte_carlo(repeats):
     run patches the CPU count the oracle reads."""
     dims = Dimensions.uniform(*MC_SIZE)
     instance = generate_instance(dims, PhysicalConfig(), seed=0)
-    eta = random_feasible_eta(dims, 0)
+    mu = random_feasible_power(dims, 0)
 
     def run():
-        rate_oracle_monte_carlo(instance, eta, MC_DRAWS, seed=0)
+        rate_oracle_monte_carlo(instance, mu, MC_DRAWS, seed=0)
 
     rows = []
     for threads in sorted({1, pool.cpu_count()}):

@@ -1,7 +1,7 @@
 """Command line entry point.
 
     cellfree-maxmin <experiment> [--config cfg.json] [--seed N] [--out DIR]
-                    [--solver apg|bisection|both] [--trials N] [--emit-config]
+                    [--trials N] [--emit-config]
 
 The experiment is one of: convergence, cdf, scaling, single-solve,
 verify-rate. Values resolve as defaults < config file < CLI flags; the fully
@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out", help="output directory override")
-    parser.add_argument("--solver", choices=("apg", "bisection", "both"))
     parser.add_argument("--trials", type=int, help="trial count override")
     parser.add_argument("--emit-config", action="store_true",
                         help="print the fully resolved config and exit")
@@ -56,8 +55,6 @@ def resolve_config(args) -> ExperimentConfig:
         overrides["master_seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.solver is not None:
-        overrides["solver"] = args.solver
     if args.trials is not None:
         overrides["trials"] = args.trials
     if overrides:

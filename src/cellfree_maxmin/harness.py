@@ -39,6 +39,7 @@ from .netgen import (
     PhysicalConfig,
     STREAM_SOLVER_INIT,
     STREAM_TRIALS,
+    check_pilot_length,
     generate_instance,
     instance_to_json,
     stream_rng,
@@ -77,7 +78,6 @@ class ExperimentConfig:
     num_aps: int
     group_sizes: Tuple[int, ...]
     physical: PhysicalConfig = field(default_factory=PhysicalConfig)
-    solver: str = "both"            # apg | bisection | both
     trials: int = 200
     master_seed: int = 1
     out_dir: str = "out"
@@ -85,19 +85,32 @@ class ExperimentConfig:
     mc_draws: int = 200_000
 
     def __post_init__(self):
+        """Fails before a run writes anything, naming the field."""
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.solver not in ("apg", "bisection", "both"):
-            raise ValueError(f"unknown solver selection {self.solver!r}")
         for name in ("trials", "mc_draws"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not self.master_seed >= 0:
+            raise ValueError("master_seed must be >= 0")
         object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
         object.__setattr__(self, "scaling_m_grid", tuple(int(m) for m in self.scaling_m_grid))
+        check_pilot_length(self.dims, self.physical)  # self.dims runs Dimensions' checks
+        if not self.scaling_m_grid:
+            raise ValueError("scaling_m_grid must be non-empty")
+        for m in self.scaling_m_grid:
+            try:
+                self.dims_at(m)
+            except ValueError as exc:
+                raise ValueError(f"scaling_m_grid entry {m}: {exc}") from None
+
+    def dims_at(self, num_aps: int) -> Dimensions:
+        """The config's groups with `num_aps` APs."""
+        return Dimensions(num_aps, len(self.group_sizes), self.group_sizes)
 
     @property
     def dims(self) -> Dimensions:
-        return Dimensions(self.num_aps, len(self.group_sizes), self.group_sizes)
+        return self.dims_at(self.num_aps)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -135,18 +148,14 @@ def default_config(kind: str) -> ExperimentConfig:
     raise ValueError(f"unknown experiment kind {kind!r}")
 
 
-def _ensure_outdir(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
-
-
 def write_resolved_config(cfg: ExperimentConfig) -> str:
-    out = _ensure_outdir(cfg)
-    path = os.path.join(out, "resolved_config.json")
-    with open(path, "w") as fh:
+    """Creates the run directory and writes resolved_config.json into it;
+    returns the directory."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "resolved_config.json"), "w") as fh:
         json.dump(cfg.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return cfg.out_dir
 
 
 def _write_stage_traces(reports: List[SolveReport], out: str):
@@ -186,36 +195,32 @@ def _bisection_part(model, out: str, clock) -> tuple:
 
 
 def _convergence(cfg: ExperimentConfig, clock: Optional[Callable]) -> tuple:
-    """One seeded instance, the selected solvers, their traces and
-    summary.csv. Returns (instance, rate model, summary, solution power),
-    the power being APG's, or bisection's when only bisection runs.
+    """One seeded instance, both solvers, their traces and summary.csv.
+    Returns (instance, rate model, summary, APG's solution power).
 
-    The selected solvers run through pool.ordered_map, each writing its own
-    traces; summary.csv is written once both have returned. When both run
+    The two solvers run through pool.ordered_map, each writing its own
+    traces; summary.csv is written once both have returned. When they run
     at once, apg_wall_s, bisection_wall_s and the APG traces' elapsed_s
     column are wall times under contention for the CPUs. The run-time comparison is the
     scaling experiment's, which runs the solvers one after the other."""
-    out = _ensure_outdir(cfg)
-    write_resolved_config(cfg)
+    out = write_resolved_config(cfg)
     instance = generate_instance(cfg.dims, cfg.physical, cfg.master_seed)
     model = build_rate_model(instance)
 
-    parts = [part for name, part in (("apg", _apg_part), ("bisection", _bisection_part))
-             if cfg.solver in (name, "both")]
+    parts = (_apg_part, _bisection_part)
     results = list(pool.ordered_map(lambda i: parts[i](model, out, clock), len(parts)))
     summary = {key: value for entries, _ in results for key, value in entries.items()}
-    if cfg.solver == "both":
-        gap = abs(summary["apg_min_rate_nats"] - summary["bisection_t_star_nats"])
-        summary["abs_gap_nats"] = gap
-        summary["agree_1e3"] = bool(gap <= 1e-3)
+    gap = abs(summary["apg_min_rate_nats"] - summary["bisection_t_star_nats"])
+    summary["abs_gap_nats"] = gap
+    summary["agree_1e3"] = bool(gap <= 1e-3)
 
     _write_summary(out, summary)
     return instance, model, summary, results[0][1]
 
 
 def run_convergence(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
-    """One seeded instance, the selected solvers, their traces and a summary
-    with the solvers' agreement when both run."""
+    """One seeded instance, both solvers, their traces and a summary with
+    the solvers' agreement."""
     return _convergence(cfg, clock)[2]
 
 
@@ -240,8 +245,7 @@ def run_cdf(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     Trials run through pool.ordered_map and come back in trial order, so
     every output is bit-identical for any thread count. The APG stages read
     their own clock; cdf outputs carry no timing."""
-    out = _ensure_outdir(cfg)
-    write_resolved_config(cfg)
+    out = write_resolved_config(cfg)
 
     results = list(pool.ordered_map(lambda trial: _cdf_trial(cfg, trial), cfg.trials))
 
@@ -289,27 +293,22 @@ def _warm_kernels(cfg: ExperimentConfig):
     """Build or load the compiled APG stage library and run both solvers once
     on a tiny instance, so timed runs measure the solvers and not that first
     build or load."""
-    dims = Dimensions(4, len(cfg.group_sizes), cfg.group_sizes)
-    model = build_rate_model(generate_instance(dims, cfg.physical, 0))
+    model = build_rate_model(generate_instance(cfg.dims_at(4), cfg.physical, 0))
     apg_fixed_iteration_time(model, SIGMA_SCHEDULE[0], 5)
     bisection_solve(model, BisectionConfig(tol_t=0.5, oracle_iter_cap=10))
 
 
 def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
-    """Wall-time table over the AP grid; needs both solvers enabled. Each
-    solver's wall time is the median of SCALING_REPEATS solves."""
-    if cfg.solver != "both":
-        raise ValueError("scaling requires both solvers enabled")
-    out = _ensure_outdir(cfg)
-    write_resolved_config(cfg)
+    """Wall-time table over the AP grid. Each solver's wall time is the
+    median of SCALING_REPEATS solves."""
+    out = write_resolved_config(cfg)
     _warm_kernels(cfg)
 
     rows = []
     result = {"m_grid": list(cfg.scaling_m_grid), "apg_wall_s": [], "bisection_wall_s": [],
               "apg_fixed_iter_wall_s": [], "apg_faster": []}
     for m in cfg.scaling_m_grid:
-        dims = Dimensions(m, len(cfg.group_sizes), cfg.group_sizes)
-        instance = generate_instance(dims, cfg.physical, cfg.master_seed)
+        instance = generate_instance(cfg.dims_at(m), cfg.physical, cfg.master_seed)
         model = build_rate_model(instance)
         # solves alternate so that a burst of host load hits both solvers;
         # they are deterministic, so the last ones give the other columns
@@ -342,28 +341,27 @@ def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict
     return result
 
 
-def random_feasible_eta(dims: Dimensions, seed: int) -> np.ndarray:
-    """Random feasible power coefficients eta (M, N): a random positive
-    point projected onto S, squared and transposed."""
+def random_feasible_power(dims: Dimensions, seed: int) -> np.ndarray:
+    """Random feasible power control mu (N, M): a random positive point
+    projected onto S."""
     rng = stream_rng(seed, STREAM_SOLVER_INIT)
     raw = rng.uniform(0.1, 1.0, size=(dims.num_groups, dims.num_aps))
-    return (project_feasible(raw) ** 2).T.copy()
+    return project_feasible(raw)
 
 
 def run_verify_rate(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     """Monte-Carlo verification of the closed-form rate on seeded instances,
-    each at random feasible power coefficients (random_feasible_eta)."""
-    out = _ensure_outdir(cfg)
-    write_resolved_config(cfg)
+    each at a random feasible power control (random_feasible_power)."""
+    out = write_resolved_config(cfg)
     dims = cfg.dims
     per_trial = []  # (seed, closed, mc rate, std error, n std err, low conf)
     for trial in range(cfg.trials):
         seed = trial_seed(cfg.master_seed, trial)
         instance = generate_instance(dims, cfg.physical, seed)
         model = build_rate_model(instance)
-        eta = random_feasible_eta(dims, seed)
-        closed = rates_vector(model, np.sqrt(eta.T)).rates
-        mc = rate_oracle_monte_carlo(instance, eta, cfg.mc_draws, seed)
+        mu = random_feasible_power(dims, seed)
+        closed = rates_vector(model, mu).rates
+        mc = rate_oracle_monte_carlo(instance, mu, cfg.mc_draws, seed)
         low_conf = mc.std_error > 0.05 * np.maximum(np.abs(mc.rate_nats), 1e-12)
         per_trial.append((seed, closed, mc.rate_nats, mc.std_error, mc.n_std_errs(closed),
                           low_conf))

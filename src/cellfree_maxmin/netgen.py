@@ -49,12 +49,12 @@ class Dimensions:
         object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
         if self.num_aps < 1:
             raise ValueError("num_aps must be >= 1")
-        if self.num_groups < 1:
-            raise ValueError("num_groups must be >= 1")
         if len(self.group_sizes) != self.num_groups:
             raise ValueError("group_sizes length must equal num_groups")
+        if self.num_groups < 1:
+            raise ValueError("group_sizes must be non-empty")
         if any(k < 1 for k in self.group_sizes):
-            raise ValueError("every group size must be >= 1")
+            raise ValueError("group_sizes entries must be >= 1")
 
     @property
     def num_users(self) -> int:
@@ -162,6 +162,19 @@ def group_pointer(dims: Dimensions) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(dims.group_sizes))).astype(np.int64)
 
 
+def check_pilot_length(dims: Dimensions, cfg: PhysicalConfig):
+    if cfg.pilot_len_symbols < dims.num_groups:
+        raise ValueError("pilot_len_symbols must be >= the number of groups (orthonormal pilots)")
+
+
+def pilot_variance(zeta: np.ndarray, group_ptr: np.ndarray, rt: float,
+                   noise_variance_w: float) -> np.ndarray:
+    """Variance of the pilot observation of group n at AP m, (M, N):
+    rho_p*tau_p*sum_{k in group n} zeta_mk + sigma_n^2, with rt = rho_p*tau_p."""
+    sums = [zeta[:, lo:hi].sum(axis=1) for lo, hi in zip(group_ptr[:-1], group_ptr[1:])]
+    return rt * np.stack(sums, axis=1) + noise_variance_w
+
+
 def gamma_coefficients(zeta: np.ndarray, dims: Dimensions, pilot_power_w: float,
                        pilot_len_symbols: float, noise_variance_w: float) -> np.ndarray:
     """Estimation-quality coefficients (M, T):
@@ -172,13 +185,9 @@ def gamma_coefficients(zeta: np.ndarray, dims: Dimensions, pilot_power_w: float,
     Always 0 < gamma < zeta.
     """
     rt = pilot_power_w * pilot_len_symbols
-    ptr = group_pointer(dims)
-    gamma = np.empty_like(zeta)
-    for n in range(dims.num_groups):
-        lo, hi = ptr[n], ptr[n + 1]
-        denom = noise_variance_w + rt * zeta[:, lo:hi].sum(axis=1, keepdims=True)
-        gamma[:, lo:hi] = rt * zeta[:, lo:hi] ** 2 / denom
-    return gamma
+    var = pilot_variance(zeta, group_pointer(dims), rt, noise_variance_w)
+    group = np.repeat(np.arange(dims.num_groups), dims.group_sizes)
+    return rt * zeta ** 2 / var[:, group]
 
 
 @dataclass(frozen=True)
@@ -218,8 +227,7 @@ class NetworkInstance:
 
 def generate_instance(dims: Dimensions, cfg: PhysicalConfig, seed: int) -> NetworkInstance:
     """Full instance: geometry -> zeta -> gamma, all streams keyed off `seed`."""
-    if cfg.pilot_len_symbols < dims.num_groups:
-        raise ValueError("pilot length must be >= number of groups (orthonormal pilots)")
+    check_pilot_length(dims, cfg)
     ap_xy, user_xy = generate_geometry(dims, cfg.area_side_m, seed)
     zeta = large_scale_fading(ap_xy, user_xy, cfg, seed)
     sigma2 = noise_power(cfg)
@@ -270,16 +278,11 @@ class PilotModel(NamedTuple):
 
 
 def pilot_model(instance: NetworkInstance) -> PilotModel:
-    m = instance.dims.num_aps
-    n_groups = instance.dims.num_groups
     rt = instance.rho_p_w * instance.config.pilot_len_symbols
     sigma2 = instance.noise_variance_w
     ptr = instance.group_ptr
-    denom = np.empty((m, n_groups))
-    for n in range(n_groups):
-        denom[:, n] = rt * instance.zeta[:, ptr[n]:ptr[n + 1]].sum(axis=1) + sigma2
     return PilotModel(np.sqrt(instance.zeta) * np.sqrt(rt), ptr, np.sqrt(sigma2 / 2.0),
-                      np.sqrt(denom))
+                      np.sqrt(pilot_variance(instance.zeta, ptr, rt, sigma2)))
 
 
 def smallscale_key(seed: int) -> int:

@@ -173,10 +173,10 @@ class MonteCarloRateReport:
         return np.abs(self.rate_nats - np.asarray(reference, dtype=float)) / se
 
 
-def _weights(instance: NetworkInstance, eta: np.ndarray) -> np.ndarray:
-    """Per-user weights sqrt(zeta_mu * eta_mn), n the user's group, (M, T)."""
+def _weights(instance: NetworkInstance, mu: np.ndarray) -> np.ndarray:
+    """Per-user weights sqrt(zeta_mu * mu_nm^2), n the user's group, (M, T)."""
     group = np.repeat(np.arange(instance.dims.num_groups), instance.dims.group_sizes)
-    return np.sqrt(instance.zeta * eta[:, group])
+    return np.sqrt(instance.zeta * (mu * mu)[group].T)
 
 
 def _block_moments(pilot: PilotModel, weight: np.ndarray, key: int, block_idx: int,
@@ -260,7 +260,7 @@ def _moment_report(instance: NetworkInstance, s1: np.ndarray, s2: np.ndarray,
     )
 
 
-def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: int,
+def rate_oracle_monte_carlo(instance: NetworkInstance, mu: np.ndarray, draws: int,
                             seed: int) -> MonteCarloRateReport:
     """Estimate the hardening rate bound by sampling small-scale fading.
 
@@ -277,19 +277,19 @@ def rate_oracle_monte_carlo(instance: NetworkInstance, eta: np.ndarray, draws: i
     Every normal is a pure function of (seed, draw, entry) (see
     mc_block.c), and the draw blocks are reduced in parallel but added in
     block order (_moment_sums), so the result is a pure function of
-    (instance, eta, draws, seed), bit for bit, whatever the number of CPUs.
+    (instance, mu, draws, seed), bit for bit, whatever the number of CPUs.
     Standard errors come from the delta method on the joint moment
-    covariance.
+    covariance. mu is the (N, M) power control, eta_mn = mu_nm^2.
     """
-    eta = np.asarray(eta, dtype=float)
+    mu = np.asarray(mu, dtype=float)
     dims = instance.dims
-    if eta.shape != (dims.num_aps, dims.num_groups):
-        raise ValueError("eta must have shape (num_aps, num_groups)")
-    if not np.isfinite(eta).all():
-        raise ValueError("eta must be finite")
-    if (eta < 0).any():
-        raise ValueError("eta must be nonnegative")
+    if mu.shape != (dims.num_groups, dims.num_aps):
+        raise ValueError("mu must have shape (num_groups, num_aps), i.e. (N, M)")
+    if not np.isfinite(mu).all():
+        raise ValueError("mu must be finite")
+    if (mu < 0).any():
+        raise ValueError("mu must be nonnegative")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    s1, s2 = _moment_sums(instance, _weights(instance, eta), draws, seed)
+    s1, s2 = _moment_sums(instance, _weights(instance, mu), draws, seed)
     return _moment_report(instance, s1, s2, draws)

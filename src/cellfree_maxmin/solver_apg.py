@@ -270,14 +270,14 @@ def compiled_stage(
 # ---------------------------------------------------------------------------
 
 def project_feasible(x, num_aps: Optional[int] = None) -> np.ndarray:
-    """Exact Euclidean projection onto S: per AP, clip negatives then scale
-    into the unit ball if needed. Accepts an (N, M) matrix or a flat
-    group-major vector plus num_aps; returns the (N, M) matrix."""
+    """Exact Euclidean projection of the (N, M) matrix x onto S: per AP,
+    clip negatives then scale into the unit ball if needed. Any other shape,
+    or M != num_aps when num_aps is given, is rejected."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if num_aps is None:
-            raise ValueError("flat input requires num_aps")
-        arr = arr.reshape(-1, num_aps)
+    if arr.ndim != 2:
+        raise ValueError("x must be an (N, M) array")
+    if num_aps is not None and arr.shape[1] != num_aps:
+        raise ValueError(f"x has {arr.shape[1]} AP columns, expected num_aps={num_aps}")
     return kernels.IMPL.project_ball_orthant(np.ascontiguousarray(arr))
 
 

@@ -45,7 +45,7 @@ from cellfree_maxmin.harness import (
     ExperimentConfig,
     apg_fixed_iteration_time,
     default_config,
-    random_feasible_eta,
+    random_feasible_power,
     run_cdf,
     run_experiment,
     run_scaling,
@@ -87,9 +87,8 @@ def test_criterion_01_monte_carlo_rate_verification():
         dims = Dimensions.uniform(8, 2, 3)
         instance = generate_instance(dims, PhysicalConfig(), seed=seed)
         model = build_rate_model(instance)
-        eta = random_feasible_eta(dims, seed)
-        mu = np.sqrt(eta.T)
-        mc = rate_oracle_monte_carlo(instance, eta, draws=200_000, seed=seed)
+        mu = random_feasible_power(dims, seed)
+        mc = rate_oracle_monte_carlo(instance, mu, draws=200_000, seed=seed)
         closed = rates_vector(model, mu).rates
         worst = max(worst, float(mc.n_std_errs(closed).max()))
     ok = worst < 3.0
@@ -104,9 +103,8 @@ def test_monte_carlo_rate_verification_at_paper_size():
     standard errors."""
     dims = Dimensions.uniform(100, 4, 10)
     instance = generate_instance(dims, PhysicalConfig(), seed=1)
-    eta = random_feasible_eta(dims, 1)
-    mu = np.sqrt(eta.T)
-    mc = rate_oracle_monte_carlo(instance, eta, draws=32_768, seed=1)
+    mu = random_feasible_power(dims, 1)
+    mc = rate_oracle_monte_carlo(instance, mu, draws=32_768, seed=1)
     worst = float(mc.n_std_errs(rates_vector(build_rate_model(instance), mu).rates).max())
     assert report(1, "monte-carlo rate verification at M=100, 4x10", worst < 3.0,
                   f"max |closed-form - MC| = {worst:.2f} standard errors over 40 users "

@@ -84,8 +84,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config("nope", tmp_path)
         with pytest.raises(ValueError):
-            tiny_config("cdf", tmp_path, solver="annealing")
-        with pytest.raises(ValueError):
             tiny_config("cdf", tmp_path, trials=0)
 
     @pytest.mark.parametrize("field,bad", [("mc_draws", 0), ("trials", math.nan),
@@ -95,13 +93,13 @@ class TestConfig:
             tiny_config("verify-rate", tmp_path, **{field: bad})
 
     def test_settable_values(self):
-        """The 22 dotted names a saved config sets: the scenario, the seed,
-        the counts and the output directory. The solvers run at their
-        defaults, so no solver setting is among them."""
+        """The 21 dotted names a saved config sets: the scenario, the seed,
+        the counts and the output directory. Every experiment runs both
+        solvers at their defaults, so no solver setting is among them."""
         doc = default_config("cdf").to_json_dict()
         names = [f"physical.{key}" for key in doc.pop("physical")] + list(doc)
         assert sorted(names) == sorted([
-            "kind", "num_aps", "group_sizes", "solver", "trials", "master_seed", "out_dir",
+            "kind", "num_aps", "group_sizes", "trials", "master_seed", "out_dir",
             "scaling_m_grid", "mc_draws",
             *(f"physical.{key}" for key in (
                 "bandwidth_hz", "carrier_freq_hz", "noise_figure_db", "temperature_k",
@@ -112,8 +110,9 @@ class TestConfig:
 
     # fields of configs saved before the step policy, the oracle's residual
     # tolerance and the cdf thread cap became fixed, the pre-log option and
-    # the coherence length went, and the experiments ran the solvers at their
-    # defaults: the sections apg and bisection are themselves unknown now
+    # the coherence length went, the experiments ran the solvers at their
+    # defaults, and both solvers always ran: the sections apg and bisection
+    # are themselves unknown now
     @pytest.mark.parametrize("key,section", [("alpha0", "apg"), ("t_upper", "bisection"),
                                              ("shadow_db", "physical"), ("sigmas", None),
                                              ("delta", "apg"), ("stop_window", "apg"),
@@ -122,7 +121,8 @@ class TestConfig:
                                              ("coherence_len_symbols", "physical"),
                                              ("sigma_schedule", None),
                                              ("scaling_fixed_iters", None),
-                                             ("eta_scheme", None)])
+                                             ("eta_scheme", None),
+                                             ("solver", None)])
     def test_unknown_json_key_names_its_path(self, tmp_path, key, section):
         doc = tiny_config("cdf", tmp_path).to_json_dict()
         if section in ("apg", "bisection"):
@@ -147,6 +147,31 @@ class TestConfig:
         doc = json.loads(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{key} "):
             ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("kind,doc,field", [
+        ("cdf", {"num_aps": 0}, "num_aps"),
+        ("cdf", {"group_sizes": []}, "group_sizes"),
+        ("cdf", {"group_sizes": [0, 2]}, "group_sizes"),
+        ("cdf", {"master_seed": -1}, "master_seed"),
+        ("cdf", {"physical": {"pilot_len_symbols": 1}}, "pilot_len_symbols"),
+        ("scaling", {"scaling_m_grid": [0]}, "scaling_m_grid"),
+        ("scaling", {"scaling_m_grid": []}, "scaling_m_grid"),
+    ], ids=["num_aps-0", "no-groups", "empty-group", "negative-seed", "pilot-below-groups",
+            "grid-0", "empty-grid"])
+    def test_bad_config_fails_before_the_run_directory(self, tmp_path, capsys, kind, doc,
+                                                       field):
+        """A value no run can use fails when the config is built, naming its
+        field, so the CLI reports it before writing anything."""
+        base = default_config(kind).to_json_dict()
+        base.update(doc)
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json_dict(base)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and field in err["error"]
+        assert not (tmp_path / "run").exists()
 
     def test_trial_seed_stability(self):
         a = trial_seed(7, 0)
@@ -188,7 +213,7 @@ class TestRunners:
         """summary.csv reports the APG stages' objective evaluations: one at
         each stage's start, then at least two per iteration (value_grad at y
         and one trial)."""
-        cfg = tiny_config("convergence", tmp_path, solver="apg")
+        cfg = tiny_config("convergence", tmp_path)
         summary = run_convergence(cfg)
         with open(tmp_path / "summary.csv") as fh:
             rows = dict(csv.reader(fh))
@@ -212,12 +237,6 @@ class TestRunners:
         best = max(user_rate(model, np.array([[g]]), 0, 0) for g in grid)
         assert summary["apg_min_rate_nats"] == pytest.approx(best, abs=1e-6)
         assert summary["bisection_t_star_nats"] == pytest.approx(best, abs=2e-4)
-
-    def test_convergence_single_solver(self, tmp_path):
-        cfg = tiny_config("convergence", tmp_path, solver="apg")
-        summary = run_convergence(cfg)
-        assert "bisection_t_star_nats" not in summary
-        assert not os.path.exists(tmp_path / "trace_bisection.csv")
 
     def test_cdf_outputs(self, tmp_path):
         cfg = tiny_config("cdf", tmp_path, trials=3)
@@ -354,8 +373,8 @@ class TestRunners:
         assert rows[0][0] == "m_aps"
         assert len(rows) == 3
         assert len(out["apg_wall_s"]) == 2
-        with pytest.raises(ValueError):
-            run_scaling(tiny_config("scaling", tmp_path, solver="apg"))
+        with pytest.raises(ValueError, match="scaling_m_grid"):
+            tiny_config("scaling", tmp_path, scaling_m_grid=())
 
     def test_verify_rate_outputs(self, tmp_path):
         cfg = tiny_config("verify-rate", tmp_path, trials=2, mc_draws=40_000,
@@ -377,21 +396,19 @@ class TestRunners:
 
     def test_single_solve_outputs(self, tmp_path):
         """The convergence run's summary and traces, plus instance.json and
-        the rates at APG's power (bisection's when only bisection runs)."""
-        for solver in ("both", "bisection"):
-            runs = {}
-            for kind in ("convergence", "single-solve"):
-                cfg = tiny_config(kind, tmp_path / solver / kind, solver=solver)
-                runs[kind] = harness.RUNNERS[kind](cfg, clock=FAKE_CLOCK)
-            assert runs["single-solve"] == runs["convergence"]
-            conv, single = tmp_path / solver / "convergence", tmp_path / solver / "single-solve"
-            extra = {"instance.json", "solution_rates.csv"}
-            assert set(os.listdir(single)) == set(os.listdir(conv)) | extra
-            for name in set(os.listdir(conv)) - {"resolved_config.json"}:
-                assert (single / name).read_bytes() == (conv / name).read_bytes(), name
-            rates = [float(r[2]) for r in read_csv(single / "solution_rates.csv")[1:]]
-            key = "apg_min_rate_nats" if solver == "both" else "bisection_min_rate_nats"
-            assert min(rates) == pytest.approx(runs["convergence"][key], rel=1e-12)
+        the rates at APG's power."""
+        runs = {}
+        for kind in ("convergence", "single-solve"):
+            runs[kind] = harness.RUNNERS[kind](tiny_config(kind, tmp_path / kind),
+                                               clock=FAKE_CLOCK)
+        assert runs["single-solve"] == runs["convergence"]
+        conv, single = tmp_path / "convergence", tmp_path / "single-solve"
+        extra = {"instance.json", "solution_rates.csv"}
+        assert set(os.listdir(single)) == set(os.listdir(conv)) | extra
+        for name in set(os.listdir(conv)) - {"resolved_config.json"}:
+            assert (single / name).read_bytes() == (conv / name).read_bytes(), name
+        rates = [float(r[2]) for r in read_csv(single / "solution_rates.csv")[1:]]
+        assert min(rates) == pytest.approx(runs["convergence"]["apg_min_rate_nats"], rel=1e-12)
 
 
 class TestDeterminism:
@@ -485,7 +502,7 @@ class TestCli:
 
     def test_machine_readable_error(self):
         out = subprocess.run(
-            [sys.executable, "-m", "cellfree_maxmin.cli", "scaling", "--solver", "apg"],
+            [sys.executable, "-m", "cellfree_maxmin.cli", "cdf", "--trials", "0"],
             capture_output=True, text=True,
         )
         assert out.returncode == 1

@@ -12,7 +12,7 @@ import pytest
 
 from cellfree_maxmin import Dimensions, PhysicalConfig, generate_instance, rate_oracle_monte_carlo
 from cellfree_maxmin import pool, rates
-from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import (
     SMALLSCALE_BLOCK,
     block_sizes,
@@ -34,13 +34,13 @@ FREE_LIST_SLACK_BYTES = 64 * 1024
 
 def mc_case(num_aps=8, group_sizes=(3, 3), seed=1):
     dims = Dimensions(num_aps, len(group_sizes), group_sizes)
-    return generate_instance(dims, PhysicalConfig(), seed), random_feasible_eta(dims, seed)
+    return generate_instance(dims, PhysicalConfig(), seed), random_feasible_power(dims, seed)
 
 
-def serial_report(instance, eta, draws, seed):
+def serial_report(instance, mu, draws, seed):
     """The reduction without the pool: one block call per block, added in
     order."""
-    pilot, weight = pilot_model(instance), rates._weights(instance, eta)
+    pilot, weight = pilot_model(instance), rates._weights(instance, mu)
     d = instance.dims.num_groups + 2
     s1 = np.zeros((instance.dims.num_users, d))
     s2 = np.zeros((instance.dims.num_users, d, d))
@@ -54,11 +54,11 @@ def serial_report(instance, eta, draws, seed):
 @pytest.mark.parametrize("draws", DRAW_COUNTS)
 @pytest.mark.parametrize("shape", [(8, (3, 3)), (10, (2, 5, 1))], ids=["M8-3x3", "M10-2x5x1"])
 def test_reports_bit_identical_for_any_thread_count(monkeypatch, shape, draws):
-    instance, eta = mc_case(*shape, seed=4)
-    reference = serial_report(instance, eta, draws, seed=9)
+    instance, mu = mc_case(*shape, seed=4)
+    reference = serial_report(instance, mu, draws, seed=9)
     for workers in (1, 2, 3, 6):
         monkeypatch.setattr(pool, "cpu_count", lambda: workers)
-        got = rate_oracle_monte_carlo(instance, eta, draws, seed=9)
+        got = rate_oracle_monte_carlo(instance, mu, draws, seed=9)
         for field in dataclasses.fields(got):
             assert np.array_equal(getattr(got, field.name), getattr(reference, field.name)), \
                 (workers, field.name)
@@ -68,14 +68,14 @@ def test_stress_more_threads_than_cores(monkeypatch):
     """Six threads, whatever the host's CPU count, switching as often as the
     interpreter allows: a scratch shared by two threads at once would
     corrupt a block and change the sums."""
-    instance, eta = mc_case(4, (1, 2), seed=2)
+    instance, mu = mc_case(4, (1, 2), seed=2)
     draws = 12 * SMALLSCALE_BLOCK + 3
-    reference = serial_report(instance, eta, draws, seed=3)
+    reference = serial_report(instance, mu, draws, seed=3)
     monkeypatch.setattr(pool, "cpu_count", lambda: 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = rate_oracle_monte_carlo(instance, eta, draws, seed=3)
+        got = rate_oracle_monte_carlo(instance, mu, draws, seed=3)
     finally:
         sys.setswitchinterval(interval)
     for field in dataclasses.fields(got):
@@ -83,7 +83,7 @@ def test_stress_more_threads_than_cores(monkeypatch):
 
 
 def test_worker_error_reaches_caller(monkeypatch):
-    instance, eta = mc_case()
+    instance, mu = mc_case()
     real_block = rates._block_moments
 
     def failing_block(pilot, weight, key, block_idx, count):
@@ -95,7 +95,7 @@ def test_worker_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(rates, "_block_moments", failing_block)
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="block 2"):
-        rate_oracle_monte_carlo(instance, eta, 6 * SMALLSCALE_BLOCK, seed=1)
+        rate_oracle_monte_carlo(instance, mu, 6 * SMALLSCALE_BLOCK, seed=1)
     assert threading.active_count() == threads_before
 
 
@@ -104,16 +104,16 @@ def test_oracle_reduces_sampled_draws(monkeypatch, workers):
     """The oracle's moment sums are a numpy reduction, block by block, of
     the (g, z) of iter_smallscale_blocks: the oracle draws the same normals
     and forms the same pilot observation, whatever the thread count."""
-    instance, eta = mc_case(10, (2, 5, 1), seed=4)
+    instance, mu = mc_case(10, (2, 5, 1), seed=4)
     draws = 2 * SMALLSCALE_BLOCK + 9
     monkeypatch.setattr(pool, "cpu_count", lambda: workers)
-    weights = rates._weights(instance, eta)
+    weights = rates._weights(instance, mu)
     s1, s2 = rates._moment_sums(instance, weights, draws, seed=9)
     ptr, n_groups = instance.group_ptr, instance.dims.num_groups
     ref1, ref2 = 0.0, 0.0
     for block in iter_smallscale_blocks(instance, draws, seed=9):
         g, z = block.g_re + 1j * block.g_im, block.z_re + 1j * block.z_im
-        # a[b, u, j] = sum_m sqrt(zeta eta)_mu g_bmu conj(z_bmj / |z_bmj|)
+        # a[b, u, j] = sum_m sqrt(zeta mu^2)_mu g_bmu conj(z_bmj / |z_bmj|)
         a = np.einsum("mu,bmu,bmj->buj", weights, g, np.conj(z / np.abs(z)))
         x = np.empty((g.shape[0], instance.dims.num_users, n_groups + 2))
         for n in range(n_groups):
@@ -128,23 +128,23 @@ def test_oracle_reduces_sampled_draws(monkeypatch, workers):
     np.testing.assert_allclose(s2, ref2, rtol=1e-12)
 
 
-def traced_peak(instance, eta, draws):
+def traced_peak(instance, mu, draws):
     tracemalloc.start()
     try:
-        rate_oracle_monte_carlo(instance, eta, draws, seed=1)
+        rate_oracle_monte_carlo(instance, mu, draws, seed=1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_peak_memory(monkeypatch):
-    instance, eta = mc_case()
-    rate_oracle_monte_carlo(instance, eta, 2 * SMALLSCALE_BLOCK, seed=1)  # warm caches
+    instance, mu = mc_case()
+    rate_oracle_monte_carlo(instance, mu, 2 * SMALLSCALE_BLOCK, seed=1)  # warm caches
     monkeypatch.setattr(pool, "cpu_count", lambda: 2)
-    peak = traced_peak(instance, eta, 200_000)
+    peak = traced_peak(instance, mu, 200_000)
     assert peak <= SERIAL_PEAK_BYTES, peak
     # draws do not accumulate; timing between two threads moves their peak,
     # so growth is checked inline, where it is deterministic
     monkeypatch.setattr(pool, "cpu_count", lambda: 1)
-    small, large = traced_peak(instance, eta, 50_000), traced_peak(instance, eta, 200_000)
+    small, large = traced_peak(instance, mu, 50_000), traced_peak(instance, mu, 200_000)
     assert large <= small + FREE_LIST_SLACK_BYTES, (small, large)

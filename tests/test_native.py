@@ -10,6 +10,7 @@ import inspect
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -455,7 +456,7 @@ def test_library_path_keys_on_header(tmp_path, monkeypatch):
     instead of a stale library."""
     original = native._library_path(sys.executable)  # any existing file as compiler
     header = tmp_path / "simd.h"
-    header.write_bytes(open(native.HEADERS[0], "rb").read())
+    header.write_bytes(pathlib.Path(native.HEADERS[0]).read_bytes())
     monkeypatch.setattr(native, "HEADERS", (str(header),))
     assert native._library_path(sys.executable) == original
     header.write_text(header.read_text().replace("#define LANES 2", "#define LANES 1"))
@@ -483,7 +484,7 @@ import numpy as np
 from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_power,
                              epa_rates, generate_instance, native, rate_oracle_monte_carlo,
                              rate_upper_bound)
-from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import iter_smallscale_blocks, smallscale_key
 from cellfree_maxmin.solver_apg import compiled_stage
 
@@ -499,7 +500,7 @@ for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
     for t in (2.0 * epa_rates(model).min_rate, rate_upper_bound(model) + 0.1):
         compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
                        gap_check_every=25)
-    rate_oracle_monte_carlo(instance, random_feasible_eta(dims, seed=2), 1003, seed=3)
+    rate_oracle_monte_carlo(instance, random_feasible_power(dims, seed=2), 1003, seed=3)
     list(iter_smallscale_blocks(instance, 1003, seed=3))
     out = np.empty((2, 1003, 7))
     lib.mc_normals(smallscale_key(3), 5, 1003, 7, out.ctypes.data)

@@ -221,8 +221,8 @@ class TestRateVectorExport:
 
 class TestMonteCarloOracle:
     def test_zero_eta(self, small_instance):
-        eta = np.zeros((small_instance.dims.num_aps, small_instance.dims.num_groups))
-        rep = rate_oracle_monte_carlo(small_instance, eta, draws=2000, seed=0)
+        mu = np.zeros((small_instance.dims.num_groups, small_instance.dims.num_aps))
+        rep = rate_oracle_monte_carlo(small_instance, mu, draws=2000, seed=0)
         assert np.all(rep.rate_nats == 0.0)
         assert np.all(rep.std_error == 0.0)
         assert np.all(rep.mean_gain == 0.0)
@@ -231,9 +231,8 @@ class TestMonteCarloOracle:
         dims = Dimensions.uniform(4, 1, 1)
         inst = generate_instance(dims, PhysicalConfig(), seed=8)
         model = build_rate_model(inst)
-        eta = np.full((4, 1), 0.7)
-        mu = np.sqrt(eta.T)
-        rep = rate_oracle_monte_carlo(inst, eta, draws=200_000, seed=8)
+        mu = np.full((1, 4), math.sqrt(0.7))
+        rep = rate_oracle_monte_carlo(inst, mu, draws=200_000, seed=8)
         closed = rates_vector(model, mu).rates
         assert rep.n_std_errs(closed).max() < 3.0
 
@@ -241,7 +240,7 @@ class TestMonteCarloOracle:
         inst = small_instance
         rng = np.random.default_rng(9)
         eta = rng.uniform(0.05, 0.45, size=(inst.dims.num_aps, inst.dims.num_groups))
-        rep = rate_oracle_monte_carlo(inst, eta, draws=150_000, seed=9)
+        rep = rate_oracle_monte_carlo(inst, np.sqrt(eta.T), draws=150_000, seed=9)
         ptr = inst.group_ptr
         for n in range(inst.dims.num_groups):
             for u in range(ptr[n], ptr[n + 1]):
@@ -254,31 +253,33 @@ class TestMonteCarloOracle:
     def test_two_group_random_eta(self, small_instance, small_model):
         rng = np.random.default_rng(10)
         mat = random_feasible_matrix(small_model, rng)
-        eta = (mat ** 2).T.copy()
-        rep = rate_oracle_monte_carlo(small_instance, eta, draws=200_000, seed=10)
+        rep = rate_oracle_monte_carlo(small_instance, mat, draws=200_000, seed=10)
         closed = rates_vector(small_model, mat).rates
         assert rep.n_std_errs(closed).max() < 3.0
 
     def test_deterministic(self, small_instance):
-        eta = np.full((small_instance.dims.num_aps, small_instance.dims.num_groups), 0.3)
-        a = rate_oracle_monte_carlo(small_instance, eta, draws=9000, seed=11)
-        b = rate_oracle_monte_carlo(small_instance, eta, draws=9000, seed=11)
+        mu = np.full((small_instance.dims.num_groups, small_instance.dims.num_aps),
+                     math.sqrt(0.3))
+        a = rate_oracle_monte_carlo(small_instance, mu, draws=9000, seed=11)
+        b = rate_oracle_monte_carlo(small_instance, mu, draws=9000, seed=11)
         assert np.array_equal(a.rate_nats, b.rate_nats)
         assert np.array_equal(a.std_error, b.std_error)
 
     def test_rejects_bad_eta(self, small_instance):
-        with pytest.raises(ValueError):
-            rate_oracle_monte_carlo(small_instance, np.zeros((3, 3)), 10, 0)
-        eta = np.full((small_instance.dims.num_aps, small_instance.dims.num_groups), -0.1)
-        with pytest.raises(ValueError):
-            rate_oracle_monte_carlo(small_instance, eta, 10, 0)
+        shape = (small_instance.dims.num_groups, small_instance.dims.num_aps)
+        # the transposed (M, N) layout, M != N, and a flat vector
+        for wrong in (np.zeros(shape[::-1]), np.zeros(shape).ravel(), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="N, M"):
+                rate_oracle_monte_carlo(small_instance, wrong, 10, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rate_oracle_monte_carlo(small_instance, np.full(shape, -0.1), 10, 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_eta(self, small_instance, bad):
-        shape = (small_instance.dims.num_aps, small_instance.dims.num_groups)
+        shape = (small_instance.dims.num_groups, small_instance.dims.num_aps)
         with pytest.raises(ValueError, match="finite"):
             rate_oracle_monte_carlo(small_instance, np.full(shape, bad), 10, 0)
-        eta = np.full(shape, 0.2)
-        eta[1, 0] = bad
+        mu = np.full(shape, 0.2)
+        mu[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            rate_oracle_monte_carlo(small_instance, eta, 10, 0)
+            rate_oracle_monte_carlo(small_instance, mu, 10, 0)

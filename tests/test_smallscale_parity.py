@@ -17,7 +17,7 @@ from cellfree_maxmin import (
     generate_instance,
     rate_oracle_monte_carlo,
 )
-from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, iter_smallscale_blocks
 from conftest import sampled_draws
 from normals_reference import OUTCOMES, SLOW_OUTCOMES, block_normals
@@ -60,7 +60,7 @@ def reference_blocks(instance, count, seed):
         block_idx += 1
 
 
-def reference_oracle(instance, eta, draws, seed):
+def reference_oracle(instance, mu, draws, seed):
     """The per-group einsum oracle, moments and delta-method tail."""
     dims = instance.dims
     ptr = instance.group_ptr
@@ -75,7 +75,7 @@ def reference_oracle(instance, eta, draws, seed):
         phase = z / np.abs(z)
         for n in range(n_groups):
             lo, hi = int(ptr[n]), int(ptr[n + 1])
-            hw = h[:, :, lo:hi] * np.sqrt(eta[:, n])[None, :, None]
+            hw = h[:, :, lo:hi] * mu[n][None, :, None]
             a = np.einsum("bmk,bm->bk", hw, np.conj(phase[:, :, n]))
             x = np.empty((a.shape[0], hi - lo, d))
             x[:, :, 0] = a.real
@@ -176,9 +176,9 @@ def assert_report_matches(got, ref, instance, rate_atol=0.0):
 
 
 def test_report_matches_reference(instance):
-    eta = random_feasible_eta(instance.dims, seed=4)
-    got = rate_oracle_monte_carlo(instance, eta, DRAWS, seed=6)
-    ref = reference_oracle(instance, eta, DRAWS, seed=6)
+    mu = random_feasible_power(instance.dims, seed=4)
+    got = rate_oracle_monte_carlo(instance, mu, DRAWS, seed=6)
+    ref = reference_oracle(instance, mu, DRAWS, seed=6)
     assert_report_matches(got, ref, instance)
 
 
@@ -193,7 +193,7 @@ def test_report_matches_reference_on_small_shapes(num_aps, group_sizes, draws, s
     was before both sides took log1p."""
     dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
     instance = generate_instance(dims, PhysicalConfig(), seed=seed)
-    eta = random_feasible_eta(dims, seed=seed + 1)
-    got = rate_oracle_monte_carlo(instance, eta, draws, seed=seed + 2)
-    ref = reference_oracle(instance, eta, draws, seed=seed + 2)
+    mu = random_feasible_power(dims, seed=seed + 1)
+    got = rate_oracle_monte_carlo(instance, mu, draws, seed=seed + 2)
+    ref = reference_oracle(instance, mu, draws, seed=seed + 2)
     assert_report_matches(got, ref, instance, rate_atol=1e-12 * log_terms(ref, instance))

@@ -80,13 +80,19 @@ class TestProjection:
         assert np.array_equal(out, np.array([[0.0], [1.0]]))
 
     def test_flat_vector_api(self):
-        out = project_feasible(np.array([-1.0, 0.5, 2.0, 0.5]), num_aps=2)
+        out = project_feasible(np.array([[-1.0, 0.5], [2.0, 0.5]]), num_aps=2)
         assert out.shape == (2, 2)
         assert is_feasible(out)
+        with pytest.raises(ValueError, match="N, M"):
+            project_feasible(np.array([-1.0, 0.5, 2.0, 0.5]), num_aps=2)
+        with pytest.raises(ValueError, match="N, M"):
+            project_feasible(np.ones((1, 2, 2)))
 
     def test_flat_requires_num_aps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N, M"):
             project_feasible(np.ones(4))
+        with pytest.raises(ValueError, match="num_aps=3"):
+            project_feasible(np.ones((2, 2)), num_aps=3)
 
     def test_idempotent_exact(self):
         rng = np.random.default_rng(0)

@@ -24,7 +24,7 @@ from cellfree_maxmin import (
     native,
     rate_oracle_monte_carlo,
 )
-from cellfree_maxmin.harness import random_feasible_eta
+from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, smallscale_key
 from cellfree_maxmin.solver_apg import compiled_stage
 from conftest import sampled_draws
@@ -172,11 +172,11 @@ def test_monte_carlo_does_not_depend_on_lane_width(lane_libs, monkeypatch, case)
     num_aps, group_sizes = case
     dims = Dimensions(num_aps, len(group_sizes), group_sizes)
     instance = generate_instance(dims, PhysicalConfig(), seed=2)
-    eta = random_feasible_eta(dims, seed=3)
+    mu = random_feasible_power(dims, seed=3)
     runs = []
     for lib in lane_libs:
         monkeypatch.setattr(native, "load_library", lambda lib=lib: lib)
-        runs.append([rate_oracle_monte_carlo(instance, eta, draws, seed=4)
+        runs.append([rate_oracle_monte_carlo(instance, mu, draws, seed=4)
                      for draws in MC_LANE_DRAWS]
                     + [sampled_draws(instance, MC_LANE_DRAWS[-1], seed=4),
                        (compiled_normals(smallscale_key(4), SMALLSCALE_BLOCK, MC_LANE_DRAWS[-2],

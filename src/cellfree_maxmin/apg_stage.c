@@ -5,8 +5,8 @@
  *
  *   APG_RATE    soft minimum of the user rates (apg_solve);
  *   APG_MARGIN  soft minimum of the cone margins at level t, with the exits
- *               of the bisection feasibility oracle: "feasible" once the max
- *               cone residual is <= eps, "infeasible" once the Frank-Wolfe
+ *               of the bisection feasibility oracle: "feasible" once the min
+ *               cone margin is >= -eps, "infeasible" once the Frank-Wolfe
  *               bound certifies the min-max residual above -eps (checked
  *               every gap_every iterations).
  *
@@ -355,8 +355,8 @@ static double soft_weights(const Objective *o, double *wsum)
     return lo;
 }
 
-/* objective value from the p and q of user_pq; *aux is the true min-rate or
- * the max cone residual */
+/* objective value from the p and q of user_pq; *aux is the true objective,
+ * the min-rate or the min cone margin */
 static double value(const Objective *o, const double *pq, double *aux)
 {
     const int64_t T = o->T;
@@ -372,7 +372,7 @@ static double value(const Objective *o, const double *pq, double *aux)
             o->v[u] = -(sqrt(o->et1 * (rho * q[u] + 1.0)) - o->lin * p[u]);
     }
     double s, lo = soft_weights(o, &s);
-    *aux = o->kind == APG_RATE ? lo : -lo;
+    *aux = lo;
     return lo - log(s / T) / o->sigma;
 }
 
@@ -408,7 +408,7 @@ static double value_grad(const Objective *o, const double *mu, const double *pq,
     }
     double wsum, lo = soft_weights(o, &wsum);  /* v now holds the weights */
     double f = lo - log(wsum / T) / sigma;
-    *aux = o->kind == APG_RATE ? lo : -lo;
+    *aux = lo;
 
     for (int64_t n = 0; n < o->N; n++) {
         double *g = grad + n * M;
@@ -681,7 +681,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         out->iterations = it;
 
         if (kind == APG_MARGIN) {
-            if (aux_cur <= cfg->eps) {
+            if (aux_cur >= -cfg->eps) {
                 code = STOP_FEASIBLE;
                 break;
             }

@@ -41,6 +41,7 @@ from .netgen import (
     STREAM_TRIALS,
     check_pilot_length,
     generate_instance,
+    integer,
     instance_to_json,
     stream_rng,
 )
@@ -54,7 +55,7 @@ from .rates import (
 from .solver_apg import (
     SIGMA_SCHEDULE, ApgConfig, SolveReport, apg_solve, apg_solve_continuation, project_feasible,
 )
-from .solver_bisection import BisectionConfig, bisection_solve
+from .solver_bisection import bisection_solve
 from .tables import write_csv
 
 LN2 = math.log(2.0)
@@ -93,8 +94,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not self.master_seed >= 0:
             raise ValueError("master_seed must be >= 0")
-        object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
-        object.__setattr__(self, "scaling_m_grid", tuple(int(m) for m in self.scaling_m_grid))
+        for name in ("num_aps", "trials", "master_seed", "mc_draws"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        for name in ("group_sizes", "scaling_m_grid"):
+            object.__setattr__(self, name, tuple(integer(f"{name} entry", k)
+                                                 for k in getattr(self, name)))
         check_pilot_length(self.dims, self.physical)  # self.dims runs Dimensions' checks
         if not self.scaling_m_grid:
             raise ValueError("scaling_m_grid must be non-empty")
@@ -170,7 +174,7 @@ def _apg_part(model, out: str, clock) -> tuple:
     _write_stage_traces(reports, out)
     final = reports[-1]
     return dict(
-        apg_min_rate_nats=final.min_rate,
+        apg_min_rate_nats=final.f_true,
         apg_f_sigma_nats=final.f_sigma,
         apg_iterations=sum(r.iterations for r in reports),
         apg_evaluations=sum(r.evaluations for r in reports),
@@ -289,20 +293,10 @@ def apg_fixed_iteration_time(model, sigma: float, iters: int,
                      clock=clock).wall_time_s
 
 
-def _warm_kernels(cfg: ExperimentConfig):
-    """Build or load the compiled APG stage library and run both solvers once
-    on a tiny instance, so timed runs measure the solvers and not that first
-    build or load."""
-    model = build_rate_model(generate_instance(cfg.dims_at(4), cfg.physical, 0))
-    apg_fixed_iteration_time(model, SIGMA_SCHEDULE[0], 5)
-    bisection_solve(model, BisectionConfig(tol_t=0.5, oracle_iter_cap=10))
-
-
 def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict:
     """Wall-time table over the AP grid. Each solver's wall time is the
     median of SCALING_REPEATS solves."""
     out = write_resolved_config(cfg)
-    _warm_kernels(cfg)
 
     rows = []
     result = {"m_grid": list(cfg.scaling_m_grid), "apg_wall_s": [], "bisection_wall_s": [],
@@ -324,7 +318,7 @@ def run_scaling(cfg: ExperimentConfig, clock: Optional[Callable] = None) -> dict
         fixed_wall = apg_fixed_iteration_time(model, SIGMA_SCHEDULE[0], SCALING_FIXED_ITERS,
                                               clock=clock)
         rows.append(
-            (m, apg_wall, apg_iters, reports[-1].min_rate, fixed_wall,
+            (m, apg_wall, apg_iters, reports[-1].f_true, fixed_wall,
              bis_wall, bis.oracle_iters_total, bis.t_star, bool(apg_wall < bis_wall))
         )
         result["apg_wall_s"].append(apg_wall)

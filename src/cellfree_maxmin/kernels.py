@@ -184,7 +184,7 @@ def _margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):
     fmin, w, wsum, f_sigma = _soft_min(lin * p - set1 * d, sigma_f)
     w = w / wsum
     g, acc = _group_sums(gs, asq, gptr, w, w * (1.0 / d), mu.shape)
-    return f_sigma, -fmin, lin * g - (set1 * rho * acc) * mu
+    return f_sigma, fmin, lin * g - (set1 * rho * acc) * mu
 
 
 def _margin_value(gs, asq, gptr, mu, rho, t, sigma_f):
@@ -193,7 +193,7 @@ def _margin_value(gs, asq, gptr, mu, rho, t, sigma_f):
     lin = math.sqrt(0.25 * PI * rho)
     p, q = _user_pq(gs, asq, gptr, mu)
     fmin, _, _, f_sigma = _soft_min(-(np.sqrt(et1 * (rho * q + 1.0)) - lin * p), sigma_f)
-    return f_sigma, -fmin
+    return f_sigma, fmin
 
 
 def _sq_dist(a, b):

@@ -10,6 +10,7 @@ initialization independent of each other.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, asdict
 from typing import Iterator, List, NamedTuple, Tuple
 
@@ -39,6 +40,14 @@ def stream_rng(seed: int, stream_id: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence([int(seed), int(stream_id), *map(int, key)]))
 
 
+def integer(name: str, value) -> int:
+    """`value` as an int when it is an integer (numpy integers included, bool
+    not); otherwise a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Dimensions:
     num_aps: int
@@ -46,7 +55,10 @@ class Dimensions:
     group_sizes: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
+        object.__setattr__(self, "num_aps", integer("num_aps", self.num_aps))
+        object.__setattr__(self, "num_groups", integer("num_groups", self.num_groups))
+        object.__setattr__(self, "group_sizes",
+                           tuple(integer("group_sizes entry", k) for k in self.group_sizes))
         if self.num_aps < 1:
             raise ValueError("num_aps must be >= 1")
         if len(self.group_sizes) != self.num_groups:
@@ -86,6 +98,8 @@ class PhysicalConfig:
     user_height_m: float = 1.65
 
     def __post_init__(self):
+        object.__setattr__(self, "pilot_len_symbols",
+                           integer("pilot_len_symbols", self.pilot_len_symbols))
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")

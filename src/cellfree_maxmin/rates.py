@@ -29,13 +29,13 @@ def epa_power(num_aps: int, num_groups: int) -> np.ndarray:
     return np.full((num_groups, num_aps), 1.0 / math.sqrt(num_groups))
 
 
-def is_feasible(mu, slack: float = FEASIBILITY_SLACK) -> bool:
+def is_feasible(mu) -> bool:
     """Whether the (N, M) power control mu lies in S: no negative entry and
-    every AP's column in the unit ball, to `slack`."""
+    every AP's column in the unit ball, to FEASIBILITY_SLACK."""
     mu = np.asarray(mu, dtype=float)
     if (mu < 0).any():
         return False
-    return bool((np.einsum("nm,nm->m", mu, mu) <= 1.0 + slack).all())
+    return bool((np.einsum("nm,nm->m", mu, mu) <= 1.0 + FEASIBILITY_SLACK).all())
 
 
 @dataclass(frozen=True)

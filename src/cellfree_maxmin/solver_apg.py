@@ -88,24 +88,38 @@ class LineSearchError(RuntimeError):
 
 
 @dataclass
-class DriverResult:
-    x: np.ndarray
-    f: float
-    aux: float
+class SolveReport:
+    """Last iterate, objectives, counters and per-iteration trace of one
+    monotone-APG stage, for either objective. f_sigma is the smoothed
+    objective; f_true the true one: the min-rate of a rate stage, the min
+    cone margin (minus the max cone residual) of a margin stage."""
+
+    power: np.ndarray  # (N, M) mu, the last iterate
+    f_sigma: float
+    f_true: float
     iterations: int
     termination: str
+    sigma: Optional[float] = None        # set by compiled_stage
+    wall_time_s: Optional[float] = None  # set by apg_solve
     # lists from monotone_apg, arrays from compiled_stage
-    trace_f: Sequence[float] = field(default_factory=list)
-    trace_aux: Sequence[float] = field(default_factory=list)
+    trace_f_sigma: Sequence[float] = field(default_factory=list)
+    trace_f_true: Sequence[float] = field(default_factory=list)
     trace_alpha_y: Sequence[float] = field(default_factory=list)
     trace_alpha_mu: Sequence[float] = field(default_factory=list)
     trace_bt_y: Sequence[int] = field(default_factory=list)
     trace_bt_mu: Sequence[int] = field(default_factory=list)
-    trace_elapsed: Sequence[float] = field(default_factory=list)
+    trace_elapsed_s: Sequence[float] = field(default_factory=list)
     extrapolation_rejections: int = 0
     plain_skips: int = 0       # iterations that took the extrapolated trial alone
     evaluations: int = 0       # value + value_grad calls (compiled: gap checks too)
     certified_bound: Optional[float] = None  # margin stage: last Frank-Wolfe bound
+
+    def write_trace_csv(self, path):
+        write_csv(path, ["iter", "f_sigma_nats", "f_true_nats", "alpha_y", "alpha_mu",
+                         "backtracks_y", "backtracks_mu", "elapsed_s"],
+                  [np.arange(len(self.trace_f_sigma)), self.trace_f_sigma,
+                   self.trace_f_true, self.trace_alpha_y, self.trace_alpha_mu,
+                   self.trace_bt_y, self.trace_bt_mu, self.trace_elapsed_s])
 
 
 def monotone_apg(
@@ -115,17 +129,18 @@ def monotone_apg(
     x0: np.ndarray,
     cfg: ApgConfig,
     monitor: Optional[Callable] = None,
-) -> DriverResult:
+) -> SolveReport:
     """Maximize a smooth objective over a projectable set, one
     kernels.apg_step per iteration (read as kernels.IMPL.rate_apg_step when
     the call starts), with the plateau stop.
 
-    value(x) -> (f, aux); value_grad(x) -> (f, aux, grad). `aux` is carried
-    into the trace untouched (the callers store the true min-rate or the max
-    cone residual there). `monitor(x, f, aux, it)` may return a termination
-    reason to stop early. The result's `evaluations` counts the calls of
-    value and value_grad made here, not those of the monitor. The reference
-    keeps no clock: its trace_elapsed stays empty.
+    value(x) -> (f, aux); value_grad(x) -> (f, aux, grad). `aux` is the
+    true objective (the min-rate or the min cone margin), carried into
+    f_true and its trace untouched. `monitor(x, f, aux, it)` may return a
+    termination reason to stop early. The result's `evaluations` counts the
+    calls of value and value_grad made here, not those of the monitor. The
+    reference keeps no clock: its trace_elapsed_s stays empty and its sigma
+    None.
     """
     calls = [0]
 
@@ -146,9 +161,10 @@ def monotone_apg(
     run_y = run_mu = STEP_GROW_AFTER  # full: each branch's first search grows
 
     f_cur, aux_cur = value(mu)
-    res = DriverResult(x=mu, f=f_cur, aux=aux_cur, iterations=0, termination="max_iters")
-    res.trace_f.append(f_cur)
-    res.trace_aux.append(aux_cur)
+    res = SolveReport(power=mu, f_sigma=f_cur, f_true=aux_cur, iterations=0,
+                      termination="max_iters")
+    res.trace_f_sigma.append(f_cur)
+    res.trace_f_true.append(aux_cur)
     res.trace_alpha_y.append(alpha_y)
     res.trace_alpha_mu.append(alpha_mu)
     res.trace_bt_y.append(0)
@@ -174,8 +190,8 @@ def monotone_apg(
         t_prev, t_cur = t_cur, 0.5 + math.sqrt(t_cur * t_cur + 0.25)
         f_cur, aux_cur = step.f, step.aux
 
-        res.trace_f.append(f_cur)
-        res.trace_aux.append(aux_cur)
+        res.trace_f_sigma.append(f_cur)
+        res.trace_f_true.append(aux_cur)
         res.trace_alpha_y.append(alpha_y)
         res.trace_alpha_mu.append(alpha_mu)
         res.trace_bt_y.append(step.bt_y)
@@ -189,13 +205,13 @@ def monotone_apg(
                 break
 
         if it >= STOP_WINDOW:
-            if abs(res.trace_f[-1] - res.trace_f[-1 - STOP_WINDOW]) < cfg.stop_tol:
+            if abs(res.trace_f_sigma[-1] - res.trace_f_sigma[-1 - STOP_WINDOW]) < cfg.stop_tol:
                 res.termination = "objective_plateau"
                 break
 
-    res.x = mu
-    res.f = f_cur
-    res.aux = aux_cur
+    res.power = mu
+    res.f_sigma = f_cur
+    res.f_true = aux_cur
     res.evaluations = calls[0]
     return res
 
@@ -210,14 +226,14 @@ def compiled_stage(
     t: float = 0.0,
     eps_soc: float = 0.0,
     gap_check_every: int = 1,
-) -> DriverResult:
+) -> SolveReport:
     """monotone_apg as one call of the compiled engine `lib` (see native.py).
 
     kind native.RATE maximizes the soft minimum of the user rates at `sigma`
-    (aux: the true min-rate). kind native.MARGIN maximizes the soft minimum
-    of the cone margins at level `t` with sharpness `sigma` (aux: the max
-    cone residual), with the exits of the bisection oracle's monitor: it
-    stops "feasible" once aux <= eps_soc, and every gap_check_every
+    (f_true: the min-rate). kind native.MARGIN maximizes the soft minimum
+    of the cone margins at level `t` with sharpness `sigma` (f_true: the min
+    cone margin), with the exits of the bisection oracle's monitor: it
+    stops "feasible" once f_true >= -eps_soc, and every gap_check_every
     iterations it records the Frank-Wolfe bound and stops "infeasible" once
     that exceeds -eps_soc. The stage stamps every iteration with the
     library's C clock `lib.apg_clock`; elapsed times are measured from one
@@ -234,7 +250,7 @@ def compiled_stage(
 
     n = cfg.max_iters + 1
     # one block per dtype: fewer mid-sized allocations fragment the heap less
-    traces = np.empty((5, n))  # f, aux, alpha_y, alpha_mu, clock
+    traces = np.empty((5, n))  # f_sigma, f_true, alpha_y, alpha_mu, clock
     bt_y, bt_mu = np.empty((2, n), dtype=np.int64)
     work = np.empty(lib.apg_work_len(T, N, M))
     stage_cfg = native.StageConfig(DELTA, KAPPA, ALPHA_Y0, ALPHA_MU0, cfg.stop_tol, eps_soc,
@@ -252,12 +268,14 @@ def compiled_stage(
     if reason == "line_search":
         raise LineSearchError(out.iterations, out.alpha_mu, out.f_mu, out.f_best)
     k = out.iterations + 1
-    f, aux, alpha_y, alpha_mu, stamps = (a[:k] for a in traces)
-    return DriverResult(
-        x=x, f=out.f, aux=out.aux, iterations=out.iterations, termination=reason,
-        trace_f=f, trace_aux=aux, trace_alpha_y=alpha_y, trace_alpha_mu=alpha_mu,
+    f_sigma, f_true, alpha_y, alpha_mu, stamps = (a[:k] for a in traces)
+    return SolveReport(
+        power=x, f_sigma=out.f, f_true=out.aux, iterations=out.iterations,
+        termination=reason, sigma=sigma,
+        trace_f_sigma=f_sigma, trace_f_true=f_true,
+        trace_alpha_y=alpha_y, trace_alpha_mu=alpha_mu,
         trace_bt_y=bt_y[:k], trace_bt_mu=bt_mu[:k],
-        trace_elapsed=stamps - start,
+        trace_elapsed_s=stamps - start,
         extrapolation_rejections=out.rejections,
         plain_skips=out.plain_skips,
         evaluations=out.evaluations,
@@ -298,36 +316,6 @@ def smooth_gradient(model: RateModel, mu, sigma: float) -> np.ndarray:
     return grad
 
 
-@dataclass
-class SolveReport:
-    """Solution, objectives, and the per-iteration trace of one APG run."""
-
-    power: np.ndarray  # (N, M) mu
-    f_sigma: float
-    min_rate: float
-    sigma: float
-    iterations: int
-    termination: str
-    wall_time_s: float
-    trace_f_sigma: np.ndarray
-    trace_f_true: np.ndarray
-    trace_alpha_y: np.ndarray
-    trace_alpha_mu: np.ndarray
-    trace_bt_y: np.ndarray
-    trace_bt_mu: np.ndarray
-    trace_elapsed_s: np.ndarray
-    extrapolation_rejections: int = 0
-    plain_skips: int = 0
-    evaluations: int = 0
-
-    def write_trace_csv(self, path):
-        write_csv(path, ["iter", "f_sigma_nats", "f_true_nats", "alpha_y", "alpha_mu",
-                         "backtracks_y", "backtracks_mu", "elapsed_s"],
-                  [np.arange(self.trace_f_sigma.shape[0]), self.trace_f_sigma,
-                   self.trace_f_true, self.trace_alpha_y, self.trace_alpha_mu,
-                   self.trace_bt_y, self.trace_bt_mu, self.trace_elapsed_s])
-
-
 def apg_solve(
     model: RateModel,
     cfg: Optional[ApgConfig] = None,
@@ -360,49 +348,31 @@ def apg_solve(
     read = clock or lib.apg_clock
     start = read()
     res = compiled_stage(lib, native.RATE, model, mat0, cfg, sigma)
-    wall = read() - start
-    elapsed = res.trace_elapsed
+    res.wall_time_s = read() - start
     if clock is not None:
+        elapsed = res.trace_elapsed_s
         span = elapsed[-1]
-        elapsed = elapsed / span * wall if span > 0 else np.zeros_like(elapsed)
-    return SolveReport(
-        power=res.x,
-        f_sigma=res.f,
-        min_rate=res.aux,
-        sigma=sigma,
-        iterations=res.iterations,
-        termination=res.termination,
-        wall_time_s=wall,
-        trace_f_sigma=res.trace_f,
-        trace_f_true=res.trace_aux,
-        trace_alpha_y=res.trace_alpha_y,
-        trace_alpha_mu=res.trace_alpha_mu,
-        trace_bt_y=res.trace_bt_y,
-        trace_bt_mu=res.trace_bt_mu,
-        trace_elapsed_s=elapsed,
-        extrapolation_rejections=res.extrapolation_rejections,
-        plain_skips=res.plain_skips,
-        evaluations=res.evaluations,
-    )
+        res.trace_elapsed_s = (elapsed / span * res.wall_time_s if span > 0
+                               else np.zeros_like(elapsed))
+    return res
 
 
 def apg_solve_continuation(
     model: RateModel,
     sigmas: Sequence[float],
-    cfg: Optional[ApgConfig] = None,
-    mu0=None,
     clock: Optional[Callable[[], float]] = None,
 ) -> List[SolveReport]:
     """Chain APG solves over an increasing sigma schedule, warm-starting each
-    stage at the previous solution. A single-entry schedule is the plain
-    fixed-sigma solver; extra stages squeeze the smoothing bias at little
-    cost because the warm starts are already near-optimal."""
+    stage at the previous solution; the first starts from the equal power
+    allocation. A single-entry schedule is the plain fixed-sigma solver;
+    extra stages squeeze the smoothing bias at little cost because the warm
+    starts are already near-optimal."""
     if not sigmas:
         raise ValueError("sigma schedule must be non-empty")
     reports = []
-    start_point = mu0
+    start_point = None
     for sigma in sigmas:
-        report = apg_solve(model, cfg=cfg, sigma=sigma, mu0=start_point, clock=clock)
+        report = apg_solve(model, sigma=sigma, mu0=start_point, clock=clock)
         reports.append(report)
         # converged iterates may have exactly-zero entries; nudge them so the
         # next stage's strictly-positive start requirement holds

@@ -90,11 +90,10 @@ def rate_upper_bound(model: RateModel) -> float:
 @dataclass
 class OracleResult:
     status: str
-    mu: Optional[np.ndarray]       # witness matrix (N, M) when feasible
+    power: np.ndarray  # (N, M) last iterate; the witness when feasible
     iterations: int
     max_residual: float
     certified_lower_bound: Optional[float] = None
-    last_iterate: Optional[np.ndarray] = None  # useful warm start either way
 
 
 def _support_gap(grad: np.ndarray, x: np.ndarray) -> float:
@@ -143,7 +142,7 @@ def feasibility_oracle(
         bad = [name for name, val in inputs.items() if not np.isfinite(val).all()]
         raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) at level t={t}")
     if best_res <= EPS_SOC:
-        return OracleResult(FEASIBLE, best, 0, best_res, last_iterate=best)
+        return OracleResult(FEASIBLE, best, 0, best_res)
 
     # residual-to-t sensitivity at the warm point:
     # d(residual)/dt = exp(t)/(2*sqrt(e^t-1)) * sqrt(rho*||A mu||^2 + 1)
@@ -174,21 +173,20 @@ def feasibility_oracle(
         result = compiled_stage(lib, native.MARGIN, model, x, apg_cfg, sigma_f, t=t,
                                 eps_soc=EPS_SOC, gap_check_every=GAP_CHECK_EVERY)
         iters_used += result.iterations
-        x = result.x
-        max_res = result.aux
+        x = result.power
+        max_res = -result.f_true
         if result.termination == FEASIBLE:
-            return OracleResult(FEASIBLE, x, iters_used, max_res, last_iterate=x)
+            return OracleResult(FEASIBLE, x, iters_used, max_res)
         if result.termination == INFEASIBLE:
-            return OracleResult(INFEASIBLE, None, iters_used, max_res,
-                                certified_lower_bound=result.certified_bound, last_iterate=x)
+            return OracleResult(INFEASIBLE, x, iters_used, max_res,
+                                certified_lower_bound=result.certified_bound)
 
     # budget exhausted or plateaued everywhere: one last certificate attempt
     fs, _, grad = impl.margin_value_grad(gs, asq, ptr, x, rho, t, sigma_f)
     gap = _support_gap(grad, x)
     lower = -(fs + gap)
     status = INFEASIBLE if lower > -EPS_SOC else UNDECIDED
-    return OracleResult(status, None, iters_used, max_res,
-                        certified_lower_bound=lower, last_iterate=x)
+    return OracleResult(status, x, iters_used, max_res, certified_lower_bound=lower)
 
 
 @dataclass
@@ -244,10 +242,10 @@ def bisection_solve(
         warm = [witness] if extra_warm is None else [witness, extra_warm]
         res = feasibility_oracle(model, mid, warm=warm, cfg=cfg)
         steps.append(BisectionStep(len(steps), lo, hi, res.iterations, res.status))
-        extra_warm = res.last_iterate
+        extra_warm = res.power
         if res.status == FEASIBLE:
             lo = mid
-            witness = res.mu
+            witness = res.power
         else:
             hi = mid
 

@@ -74,7 +74,7 @@ def agreement_runs():
             "label": f"M={m} N={n} K={k} seed={seed}",
             "model": model,
             "apg_reports": reports,
-            "apg_min_rate": reports[-1].min_rate,
+            "apg_min_rate": reports[-1].f_true,
             "bisection": bis,
             "epa_min": epa_rates(model).min_rate,
         })

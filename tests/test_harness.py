@@ -156,8 +156,17 @@ class TestConfig:
         ("cdf", {"physical": {"pilot_len_symbols": 1}}, "pilot_len_symbols"),
         ("scaling", {"scaling_m_grid": [0]}, "scaling_m_grid"),
         ("scaling", {"scaling_m_grid": []}, "scaling_m_grid"),
+        ("cdf", {"num_aps": 2.5}, "num_aps"),
+        ("cdf", {"trials": 2.5}, "trials"),
+        ("verify-rate", {"mc_draws": 1000.5}, "mc_draws"),
+        ("cdf", {"master_seed": 1.5}, "master_seed"),
+        ("cdf", {"group_sizes": [2.5, 2]}, "group_sizes"),
+        ("scaling", {"scaling_m_grid": [4.5]}, "scaling_m_grid"),
+        ("cdf", {"physical": {"pilot_len_symbols": 20.5}}, "pilot_len_symbols"),
+        ("cdf", {"trials": True}, "trials"),
     ], ids=["num_aps-0", "no-groups", "empty-group", "negative-seed", "pilot-below-groups",
-            "grid-0", "empty-grid"])
+            "grid-0", "empty-grid", "num_aps-float", "trials-float", "mc_draws-float",
+            "seed-float", "group-float", "grid-float", "pilot-float", "trials-bool"])
     def test_bad_config_fails_before_the_run_directory(self, tmp_path, capsys, kind, doc,
                                                        field):
         """A value no run can use fails when the config is built, naming its
@@ -172,6 +181,15 @@ class TestConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["type"] == "ValueError" and field in err["error"]
         assert not (tmp_path / "run").exists()
+
+    def test_numpy_integers_are_integers(self, tmp_path):
+        """Counts and sizes given as numpy integers are kept as ints, so the
+        config's JSON form still dumps and reads back equal."""
+        cfg = tiny_config("scaling", tmp_path, num_aps=np.int64(6), trials=np.int32(2),
+                          group_sizes=(np.int64(2), 2), scaling_m_grid=(np.int64(4),),
+                          physical=PhysicalConfig(pilot_len_symbols=np.int64(20)))
+        doc = json.loads(json.dumps(cfg.to_json_dict()))
+        assert ExperimentConfig.from_json_dict(doc) == cfg
 
     def test_trial_seed_stability(self):
         a = trial_seed(7, 0)

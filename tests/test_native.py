@@ -41,7 +41,8 @@ from cellfree_maxmin import (
 )
 from cellfree_maxmin import solver_apg, solver_bisection
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
-from cellfree_maxmin.solver_bisection import FEASIBLE, INFEASIBLE, _support_gap
+from cellfree_maxmin.solver_bisection import (EPS_SOC, FEASIBLE, INFEASIBLE, _support_gap,
+                                              soc_residual)
 from conftest import make_model, random_feasible_matrix
 
 # group sizes that are no multiple of any lane width (2, 4 or 8 users per
@@ -109,7 +110,7 @@ def margin_closures(model, t, sigma_f, eps_soc=1e-6, gap_check_every=25):
         return impl.margin_value_grad(gs, asq, ptr, mat, rho, t, sigma_f)
 
     def monitor(x, f, aux, it):
-        if aux <= eps_soc:
+        if aux >= -eps_soc:
             return FEASIBLE
         if it % gap_check_every == 0:
             fs, _, grad = value_grad(x)
@@ -167,7 +168,7 @@ LEVELS = ["below_optimum", "above_optimum", "above_bound"]
 def margin_level(model, level):
     """Oracle level t just below the APG optimum, above it, or above the
     zero-interference bound."""
-    optimum = apg_solve_continuation(model, (100.0, 1000.0))[-1].min_rate
+    optimum = apg_solve_continuation(model, (100.0, 1000.0))[-1].f_true
     return {"below_optimum": optimum - min(0.003, optimum / 10),  # t >= 0 on tiny optima
             "above_optimum": optimum + 0.02,
             "above_bound": rate_upper_bound(model) + 0.1}[level]
@@ -195,8 +196,13 @@ def test_margin_stage_matches_monotone_apg(lib, case, level):
     assert got.termination == ref.termination
     assert got.termination == (FEASIBLE if level == "below_optimum" else INFEASIBLE)
     assert got.iterations == ref.iterations
-    np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-10)
-    assert got.aux == pytest.approx(ref.aux, rel=1e-10, abs=1e-12)
+    np.testing.assert_allclose(got.power, ref.power, rtol=0, atol=1e-10)
+    assert got.f_true == pytest.approx(ref.f_true, rel=1e-10, abs=1e-12)
+    # f_true is the min cone margin: minus the max residual at the last iterate
+    assert got.f_true == pytest.approx(-soc_residual(model, got.power, t).max(),
+                                       rel=1e-12, abs=1e-15)
+    if got.termination == FEASIBLE:
+        assert got.f_true >= -EPS_SOC
     if got.termination == INFEASIBLE:
         assert got.certified_bound > -1e-6
 
@@ -228,7 +234,7 @@ def test_rate_stage_trace_and_clock(lib, small_model, monkeypatch, overrides):
     mat0 = epa_power(small_model.num_aps, small_model.num_groups)
     ref = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
     got = compiled_stage(lib, native.RATE, small_model, mat0, cfg, 100.0)
-    np.testing.assert_allclose(got.trace_f, ref.trace_f, rtol=1e-12)
+    np.testing.assert_allclose(got.trace_f_sigma, ref.trace_f_sigma, rtol=1e-12)
     np.testing.assert_allclose(got.trace_alpha_y, ref.trace_alpha_y, rtol=1e-12)
     np.testing.assert_allclose(got.trace_alpha_mu, ref.trace_alpha_mu, rtol=1e-12)
     np.testing.assert_array_equal(got.trace_bt_y, ref.trace_bt_y)
@@ -236,7 +242,7 @@ def test_rate_stage_trace_and_clock(lib, small_model, monkeypatch, overrides):
     assert got.extrapolation_rejections == ref.extrapolation_rejections
     assert (got.extrapolation_rejections == 50) == bool(overrides)
     # one C-clock stamp per trace entry, measured from before the stage
-    elapsed = got.trace_elapsed
+    elapsed = got.trace_elapsed_s
     assert elapsed.shape == (51,) and elapsed[0] >= 0.0 and (np.diff(elapsed) >= 0.0).all()
 
 
@@ -422,7 +428,7 @@ class TestStalledStage:
         report = bisection_solve(model, cfg)
         apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
         assert "stalled" in terminations
-        assert abs(report.t_star - apg.min_rate) <= cfg.tol_t
+        assert abs(report.t_star - apg.f_true) <= cfg.tol_t
 
 
 def test_package_data_ships_every_build_file():
@@ -693,7 +699,7 @@ def test_stage_without_clock_reads_the_c_clock(lib):
     got = compiled_stage(lib, native.RATE, model, x0, ApgConfig(max_iters=50, stop_tol=0.0),
                          100.0)
     after = lib.apg_clock()
-    elapsed = got.trace_elapsed
+    elapsed = got.trace_elapsed_s
     assert elapsed.shape == (51,) and elapsed[0] >= 0.0 and (np.diff(elapsed) >= 0.0).all()
     assert 0.0 < elapsed[-1] <= after - before
 
@@ -740,7 +746,7 @@ def test_compiled_projection_matches_numpy_bit_for_bit(lib, x):
     got = compiled_stage(lib, native.RATE, model, x, ApgConfig(max_iters=0), 100.0)
     with np.errstate(over="ignore"):  # squared norms may overflow
         expected = kernels.IMPL.project_ball_orthant(np.ascontiguousarray(x))
-    assert got.x.tobytes() == expected.tobytes()
+    assert got.power.tobytes() == expected.tobytes()
 
 
 def test_projection_of_a_column_whose_squared_norm_overflows(lib):
@@ -755,4 +761,4 @@ def test_projection_of_a_column_whose_squared_norm_overflows(lib):
     np.testing.assert_allclose(expected[:, 0], [0.1 ** 0.5, 0.9 ** 0.5], rtol=1e-15)
     assert np.isnan(expected[0, 1]) and expected[1, 1] == 0.0
     assert np.isnan(expected[0, 2]) and expected[1, 2] == 1.0
-    assert got.x.tobytes() == expected.tobytes()
+    assert got.power.tobytes() == expected.tobytes()

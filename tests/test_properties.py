@@ -188,7 +188,7 @@ def test_certified_infeasible_steps_lie_above_the_apg_min_rate(shape, seed):
     level is never refuted. (Undecided steps are not certificates.)"""
     model = build_rate_model(generate_instance(Dimensions.uniform(*shape), PhysicalConfig(),
                                                seed))
-    apg = apg_solve_continuation(model, (100.0, 1000.0))[-1].min_rate
+    apg = apg_solve_continuation(model, (100.0, 1000.0))[-1].f_true
     report = bisection_solve(model)
     refuted = [0.5 * (s.t_lo + s.t_hi) for s in report.steps if s.oracle_status == INFEASIBLE]
     assert refuted
@@ -231,7 +231,7 @@ def test_edge_scenario_apg_point_is_sound(name, seed):
     model = build_rate_model(instance)
     apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
     assert is_feasible(apg.power)
-    assert feasibility_oracle(model, apg.min_rate).status != INFEASIBLE
+    assert feasibility_oracle(model, apg.f_true).status != INFEASIBLE
     report = rate_oracle_monte_carlo(instance, apg.power, 2000, seed=seed)
     assert np.isfinite(report.rate_nats).all() and np.isfinite(report.std_error).all()
 
@@ -275,7 +275,7 @@ def test_edge_scenario_apg_reaches_epa(name, seed):
     APG gives one group no power and a min-rate of 0."""
     model = build_rate_model(APG_EPA_SCENARIOS[name](seed))
     apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
-    assert apg.min_rate >= epa_rates(model).min_rate - 1e-6
+    assert apg.f_true >= epa_rates(model).min_rate - 1e-6
 
 
 def slsqp_min_rate(model):
@@ -345,4 +345,4 @@ def test_slsqp_agrees_with_bisection_and_apg(num_aps, group_sizes, seed):
     slsqp = slsqp_min_rate(model)
     assert abs(slsqp - bisection_solve(model).t_star) <= BisectionConfig().tol_t
     apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
-    assert abs(slsqp - apg.min_rate) <= 1e-3
+    assert abs(slsqp - apg.f_true) <= 1e-3

@@ -260,7 +260,7 @@ class TestApgSolve:
         # grid-search oracle over the 1-D feasible interval
         grid = np.linspace(0.0, 1.0, 20001)
         best = max(user_rate(model, np.array([[g]]), 0, 0) for g in grid)
-        assert report.min_rate == pytest.approx(best, abs=1e-8)
+        assert report.f_true == pytest.approx(best, abs=1e-8)
 
     def test_monotone_trace(self, small_model):
         report = apg_solve(small_model)
@@ -318,7 +318,7 @@ class TestApgSolve:
         assert len(reports) == 2
         assert reports[1].sigma == 1000.0
         # refining the smoothing cannot lose true min-rate beyond tolerance
-        assert reports[1].min_rate >= reports[0].min_rate - 1e-6
+        assert reports[1].f_true >= reports[0].f_true - 1e-6
         with pytest.raises(ValueError):
             apg_solve_continuation(small_model, ())
 
@@ -360,8 +360,8 @@ class TestDriver:
         x0 = np.full((1, 2), 0.5)
         res = monotone_apg(value_grad, value, lambda x: x, x0, ApgConfig(max_iters=3))
         assert (res.termination, res.iterations) == ("stalled", 0)
-        np.testing.assert_array_equal(res.x, x0)
-        assert list(res.trace_f) == [f_mu]
+        np.testing.assert_array_equal(res.power, x0)
+        assert list(res.trace_f_sigma) == [f_mu]
 
     def test_driver_matches_fused_solver(self, small_model):
         from test_native import objective_closures
@@ -370,5 +370,5 @@ class TestDriver:
         cfg = ApgConfig(max_iters=200, stop_tol=0.0)
         res = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
         rep = apg_solve(small_model, cfg=cfg)
-        assert res.f == pytest.approx(rep.f_sigma, rel=1e-12)
-        np.testing.assert_allclose(res.x, rep.power, rtol=1e-10, atol=1e-14)
+        assert res.f_sigma == pytest.approx(rep.f_sigma, rel=1e-12)
+        np.testing.assert_allclose(res.power, rep.power, rtol=1e-10, atol=1e-14)

@@ -24,7 +24,6 @@ from cellfree_maxmin import (
     solver_bisection,
     user_rate,
 )
-from cellfree_maxmin.rates import FEASIBILITY_SLACK
 from conftest import make_model, random_feasible_matrix
 
 
@@ -82,11 +81,14 @@ class TestFeasibilityOracle:
         t = epa_rates(model).min_rate
         res = feasibility_oracle(model, t)
         assert res.status == "feasible"
-        assert min_rate(model, res.mu) >= t - 1e-5
+        assert min_rate(model, res.power) >= t - 1e-5
 
     def test_above_upper_bound_certified_infeasible(self, model):
         res = feasibility_oracle(model, rate_upper_bound(model) + 0.1)
         assert res.status == "infeasible"
+        # the last iterate comes back on every status, as a warm start
+        assert res.power.shape == (model.num_groups, model.num_aps)
+        assert is_feasible(res.power)
         assert res.certified_lower_bound is not None
         assert res.certified_lower_bound > -1e-6
 
@@ -122,9 +124,9 @@ def test_oracle_never_refutes_a_witnessed_level(num_aps, group_sizes, seed):
     dims = Dimensions(num_aps, len(group_sizes), tuple(group_sizes))
     model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed))
     apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
-    for t in (epa_rates(model).min_rate, 0.999 * apg.min_rate):
+    for t in (epa_rates(model).min_rate, 0.999 * apg.f_true):
         assert feasibility_oracle(model, t).status != "infeasible", t
-    warm = feasibility_oracle(model, 0.999 * apg.min_rate, warm=(apg.power,))
+    warm = feasibility_oracle(model, 0.999 * apg.f_true, warm=(apg.power,))
     assert warm.status == "feasible" and warm.iterations == 0
 
 
@@ -146,8 +148,8 @@ def test_feasible_verdict_has_a_witness_in_s(num_aps, group_sizes, seed, fractio
         res = feasibility_oracle(model, t)
         if res.status != "feasible":
             continue
-        assert is_feasible(res.mu, FEASIBILITY_SLACK), t
-        residual = soc_residual(model, res.mu, t).max()
+        assert is_feasible(res.power), t
+        residual = soc_residual(model, res.power, t).max()
         assert residual <= solver_bisection.EPS_SOC, (t, residual)
 
 
@@ -184,7 +186,7 @@ class TestBisectionSolve:
         model = make_model(10, 2, 2, seed=7)
         report = bisection_solve(model)
         apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
-        assert abs(apg.min_rate - report.t_star) <= 1e-3
+        assert abs(apg.f_true - report.t_star) <= 1e-3
 
     def test_steps_csv(self, model, tmp_path):
         report = bisection_solve(model)

@@ -20,15 +20,18 @@
  * ~key on the counter (c0, c1, c2, half + 2*i), i = 0, 1, ..., half 0 for Re
  * and 1 for Im, two words per counter.
  *
- * The slow normals wait in a queue until the pass has drawn one AP's
- * entries (mc_normals: up to 64 entries), or 64 are waiting. Then
- * finish_slow takes them 8 at a time: one vector Philox call gives each
- * its first two further words, and its first round runs lane-wide (the wedge
- * test on the first word, with one libm exp per lane, then the fast test on
- * the second). That round ends about 97% of them. The tail (layer 0), and the
- * normals whose second word misses the fast path too, go on in the scalar
- * zig_slow with their streams where it would have them, so every word, libm
- * call and accept decision is the one zig_slow alone would make.
+ * The slow normals wait in a queue until the pass has drawn a chunk of at
+ * least CHUNK = 64 entries (whole APs in mc_block and mc_pilot), or 64 are
+ * waiting. A chunk's 1024 normals hold about 29 slow ones, so when
+ * finish_slow takes them 8 at a time, its groups run at or near 8 lanes:
+ * one vector Philox call gives each its first two further words, and its
+ * first round runs lane-wide (the wedge test on the first word, with one
+ * libm exp per lane, then the fast test on the second). That round ends
+ * about 97% of them. The tail (layer 0), and the normals whose second word
+ * misses the fast path too, go on in the scalar zig_slow with their streams
+ * where it would have them, so every word, libm call and accept decision is
+ * the one zig_slow alone would make. Each normal depends on its counter
+ * alone, so neither the chunk nor the queue changes a bit of it.
  *
  * Pass. Per draw b and AP m:
  *
@@ -54,9 +57,11 @@
  * draw b always lands in slot b mod SLOTS, whatever the lane width: one
  * vector Philox call draws two entries for all the slots, their rounds
  * interleaved (an odd last entry is drawn alone), and the pass's arithmetic
- * holds LANES of the slots per vector, SLOTS / LANES vectors. The slots whose
- * words miss the ziggurat's fast path come out of one vector compare as a
- * bit mask, and only those are queued, in slot order. Every slot keeps its
+ * holds LANES of the slots per vector, SLOTS / LANES vectors. The ziggurat
+ * tables are read by one load per slot: on an AVX-512 host that measured
+ * faster than the gather instructions. The slots whose words miss the
+ * fast path come out of one vector compare as a bit mask, and only those
+ * are queued, in slot order. Every slot keeps its
  * own moment sums, in draw order; at the end of the block the slots are added
  * in slot order. Lanes never share a sum, the generator is integer
  * arithmetic and one exact product per fast-path normal, and every operation
@@ -64,11 +69,15 @@
  * 8-, 4- and 2-lane builds. Build without -ffast-math and without FP
  * contraction (see apg_stage.c).
  *
- * The pass works AP by AP: it draws AP m's entries into slot-minor tiles
- * (T, SLOTS) and (N, SLOTS), forms z and the phases there and adds the
- * gains. The slots past the end of the last pass hold g = 0 and w = 1: their
- * phases are finite and their gains zero, so they add zeros to the sums and
- * are never written out.
+ * The pass works chunk by chunk: it draws the entries of the chunk's APs
+ * (chunk_aps of them, the fewest that hold CHUNK entries, at most M) into
+ * slot-minor tiles (APs, T, SLOTS) and (APs, N, SLOTS), finishes their slow
+ * normals, and then, AP by AP in ascending m, forms z and the phases and
+ * adds the gains. The slots past the end of the last pass hold g = 0 and
+ * w = 1, written after the finish, which would overwrite them with the slow
+ * normals of their draws: their phases are finite and their gains zero, so
+ * they add zeros to the sums and are never written out. The tiles hold
+ * fewer than CHUNK + T + N entries whatever M is.
  *
  * The caller allocates the scratch (mc_scratch_len doubles); apart from the
  * ziggurat tables, written once at load, the code keeps no static state, so
@@ -227,29 +236,22 @@ __attribute__((constructor)) static void zig_init(void)
     }
 }
 
-/* table[idx], one layer per slot */
+/* table[idx], one layer per slot, by one load per slot: on AVX-512 hosts
+ * measured faster than the gather instructions */
 INLINE slots gather(const double *table, words idx)
 {
-#if defined(__AVX512F__)
-    return (slots)_mm512_i64gather_pd((__m512i)idx, table, 8);
-#else
     slots v;
     for (int j = 0; j < SLOTS; j++)
         v[j] = table[idx[j]];
     return v;
-#endif
 }
 
 INLINE swords gather_k(words idx)
 {
-#if defined(__AVX512F__)
-    return (swords)_mm512_i64gather_epi64((__m512i)idx, zig.k, 8);
-#else
     swords k;
     for (int j = 0; j < SLOTS; j++)
         k[j] = zig.k[idx[j]];
     return k;
-#endif
 }
 
 /* the normals of words r, one per slot: the magnitude r >> 12 (below 2^52,
@@ -321,6 +323,10 @@ static double zig_slow(uint64_t r, Stream *s)
             return zig_x(r);
     }
 }
+
+/* entries drawn, at least, per finish_slow outside an overflow: 1024
+ * normals, about 29 of them slow, so its groups run at or near SLOTS lanes */
+#define CHUNK 64
 
 /* the normals whose fast-path words were rejected, finished together by
  * finish_slow once their fast neighbours are written: per normal its word
@@ -455,10 +461,11 @@ typedef struct {
     double noise_scale;
 } Pilot;
 
-/* scratch, each array with the slot as its minor index */
+/* scratch, each array with the slot as its minor index; a chunk is up to
+ * chunk_aps consecutive APs, drawn together */
 typedef struct {
-    double *gre, *gim;  /* (T, SLOTS) gs at one AP */
-    double *zre, *zim;  /* (N, SLOTS) w, then z, at one AP */
+    double *gre, *gim;  /* (chunk, T, SLOTS) gs of one chunk */
+    double *zre, *zim;  /* (chunk, N, SLOTS) w, then z, of one chunk */
     double *pre, *pim;  /* (N, SLOTS) phases at one AP */
     double *are, *aim;  /* (T, N, SLOTS) gains */
     double *x;          /* (d, SLOTS) one user's moment vector */
@@ -470,21 +477,29 @@ static int64_t tri(int64_t d)
     return d * (d + 1) / 2;
 }
 
+/* APs per chunk: the fewest that hold CHUNK entries, so that the slow
+ * normals of one finish_slow fill its groups, but no more than M */
+static int64_t chunk_aps(int64_t M, int64_t T, int64_t N)
+{
+    const int64_t n = (CHUNK + T + N - 1) / (T + N);
+    return n < M ? n : M;
+}
+
 int64_t mc_scratch_len(int64_t M, int64_t T, int64_t N)
 {
-    (void)M;
     const int64_t d = N + 2;
-    return SLOTS * (2 * (T + N) + 2 * N + 2 * T * N + d + T * d + T * tri(d));
+    return SLOTS * (2 * chunk_aps(M, T, N) * (T + N) + 2 * N + 2 * T * N + d + T * d
+                    + T * tri(d));
 }
 
 static Scratch carve(double *w, const Pilot *P)
 {
-    const int64_t T = P->T, N = P->N, d = P->d;
+    const int64_t T = P->T, N = P->N, d = P->d, chunk = chunk_aps(P->M, T, N);
     Scratch s;
-    s.gre = w, w += SLOTS * T;
-    s.gim = w, w += SLOTS * T;
-    s.zre = w, w += SLOTS * N;
-    s.zim = w, w += SLOTS * N;
+    s.gre = w, w += SLOTS * chunk * T;
+    s.gim = w, w += SLOTS * chunk * T;
+    s.zre = w, w += SLOTS * chunk * N;
+    s.zim = w, w += SLOTS * chunk * N;
     s.pre = w, w += SLOTS * N;
     s.pim = w, w += SLOTS * N;
     s.are = w, w += SLOTS * T * N;
@@ -515,12 +530,12 @@ static void scatter(double *restrict dst, const double *restrict tile, int64_t s
  * of the run: out is (2, count, entries), Re then Im */
 void mc_normals(uint64_t key, int64_t first, int64_t count, int64_t entries, double *out)
 {
-    double re[PENDING * SLOTS], im[PENDING * SLOTS];
+    double re[CHUNK * SLOTS], im[CHUNK * SLOTS];
     Slow q = {.key = key};
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
         const int64_t k = count - b0 < SLOTS ? count - b0 : SLOTS;
-        for (int64_t e0 = 0; e0 < entries; e0 += PENDING) {
-            const int64_t n = entries - e0 < PENDING ? entries - e0 : PENDING;
+        for (int64_t e0 = 0; e0 < entries; e0 += CHUNK) {
+            const int64_t n = entries - e0 < CHUNK ? entries - e0 : CHUNK;
             draw_entries(first + b0, e0, n, 1.0, re, im, &q);
             finish_slow(&q);
             scatter(out + b0 * entries + e0, re, entries, n, k);
@@ -529,38 +544,43 @@ void mc_normals(uint64_t key, int64_t first, int64_t count, int64_t entries, dou
     }
 }
 
-/* AP m's draws b0 .. b0+k-1 (k <= SLOTS) of the run into the tiles: gs, and
- * the noise normals w (g = 0, w = 1 in the absent slots) */
-static void draw_ap(const Pilot *P, Slow *q, int64_t m, int64_t b0, int64_t k, const Scratch *s)
+/* the chunk of APs m0 .. m0+n-1, draws b0 .. b0+k-1 (k <= SLOTS) of the
+ * run, into the tiles: gs, and the noise normals w. The absent slots get
+ * g = 0 and w = 1 only after finish_slow, which writes the slow normals of
+ * their draws. */
+static void draw_chunk(const Pilot *P, Slow *q, int64_t m0, int64_t n, int64_t b0, int64_t k,
+                       const Scratch *s)
 {
     const int64_t T = P->T, N = P->N;
-    draw_entries(b0, m * T, T, SQRT_HALF, s->gre, s->gim, q);
-    draw_entries(b0, P->M * T + m * N, N, 1.0, s->zre, s->zim, q);
+    draw_entries(b0, m0 * T, n * T, SQRT_HALF, s->gre, s->gim, q);
+    draw_entries(b0, P->M * T + m0 * N, n * N, 1.0, s->zre, s->zim, q);
     finish_slow(q);
     for (int64_t j = k; j < SLOTS; j++) {
-        for (int64_t u = 0; u < T; u++)
+        for (int64_t u = 0; u < n * T; u++)
             s->gre[u * SLOTS + j] = s->gim[u * SLOTS + j] = 0.0;
-        for (int64_t n = 0; n < N; n++)
-            s->zre[n * SLOTS + j] = 1.0, s->zim[n * SLOTS + j] = 0.0;
+        for (int64_t i = 0; i < n * N; i++)
+            s->zre[i * SLOTS + j] = 1.0, s->zim[i * SLOTS + j] = 0.0;
     }
 }
 
-/* z of AP m, in the tiles in place of w, and its phases into pre/pim */
-static void pilot_ap(const Pilot *P, int64_t m, const Scratch *s)
+/* z of AP m, the chunk's AP i, in its tiles in place of w, and its phases
+ * into pre/pim */
+static void pilot_ap(const Pilot *P, int64_t m, int64_t i, const Scratch *s)
 {
     const int64_t N = P->N;
     const double *c = P->pilot + m * P->T;
+    const double *gre = s->gre + i * P->T * SLOTS, *gim = s->gim + i * P->T * SLOTS;
     for (int64_t n = 0; n < N; n++) {
         const int64_t lo = P->gptr[n], hi = P->gptr[n + 1];
         const double zs = P->z_scale[m * N + n];
-        double *zre = s->zre + n * SLOTS, *zim = s->zim + n * SLOTS;
+        double *zre = s->zre + (i * N + n) * SLOTS, *zim = s->zim + (i * N + n) * SLOTS;
         for (int v = 0; v < VECS; v++) {
             const int64_t o = v * LANES;
-            vec yr = splat(c[lo]) * load(s->gre + lo * SLOTS + o);
-            vec yi = splat(c[lo]) * load(s->gim + lo * SLOTS + o);
+            vec yr = splat(c[lo]) * load(gre + lo * SLOTS + o);
+            vec yi = splat(c[lo]) * load(gim + lo * SLOTS + o);
             for (int64_t u = lo + 1; u < hi; u++) {
-                yr += splat(c[u]) * load(s->gre + u * SLOTS + o);
-                yi += splat(c[u]) * load(s->gim + u * SLOTS + o);
+                yr += splat(c[u]) * load(gre + u * SLOTS + o);
+                yi += splat(c[u]) * load(gim + u * SLOTS + o);
             }
             yr += P->noise_scale * load(zre + o);
             yi += P->noise_scale * load(zim + o);
@@ -583,31 +603,35 @@ void mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
     Slow q = {.key = key};
     const Scratch s = carve(scratch, &P);
-    const int64_t MT = M * T, MN = M * N;
+    const int64_t MT = M * T, MN = M * N, chunk = chunk_aps(M, T, N);
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
         const int64_t k = count - b0 < SLOTS ? count - b0 : SLOTS;
-        for (int64_t m = 0; m < M; m++) {
-            draw_ap(&P, &q, m, first + b0, k, &s);
-            pilot_ap(&P, m, &s);
-            scatter(g + b0 * MT + m * T, s.gre, MT, T, k);
-            scatter(g + (count + b0) * MT + m * T, s.gim, MT, T, k);
-            scatter(z + b0 * MN + m * N, s.zre, MN, N, k);
-            scatter(z + (count + b0) * MN + m * N, s.zim, MN, N, k);
+        for (int64_t m0 = 0; m0 < M; m0 += chunk) {
+            const int64_t n = M - m0 < chunk ? M - m0 : chunk;
+            draw_chunk(&P, &q, m0, n, first + b0, k, &s);
+            for (int64_t i = 0; i < n; i++)
+                pilot_ap(&P, m0 + i, i, &s);
+            scatter(g + b0 * MT + m0 * T, s.gre, MT, n * T, k);
+            scatter(g + (count + b0) * MT + m0 * T, s.gim, MT, n * T, k);
+            scatter(z + b0 * MN + m0 * N, s.zre, MN, n * N, k);
+            scatter(z + (count + b0) * MN + m0 * N, s.zim, MN, n * N, k);
         }
     }
 }
 
 /* a_uj += weight[m, u] gs_mu conj(p_mj) for every user and group, over the
- * slots of one pass at AP m */
-static void add_gains(const Pilot *P, const double *weight, int64_t m, const Scratch *s)
+ * slots of one pass at AP m, the chunk's AP i */
+static void add_gains(const Pilot *P, const double *weight, int64_t m, int64_t i,
+                      const Scratch *s)
 {
     const int64_t T = P->T, N = P->N;
+    const double *gre = s->gre + i * T * SLOTS, *gim = s->gim + i * T * SLOTS;
     for (int64_t u = 0; u < T; u++) {
         const vec w = splat(weight[m * T + u]);
         for (int v = 0; v < VECS; v++) {
             const int64_t o = v * LANES;
-            const vec hr = load(s->gre + u * SLOTS + o) * w;
-            const vec hi = load(s->gim + u * SLOTS + o) * w;
+            const vec hr = load(gre + u * SLOTS + o) * w;
+            const vec hi = load(gim + u * SLOTS + o) * w;
             for (int64_t j = 0; j < N; j++) {
                 double *ar = s->are + (u * N + j) * SLOTS + o;
                 double *ai = s->aim + (u * N + j) * SLOTS + o;
@@ -677,17 +701,20 @@ void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
     Slow q = {.key = key};
     const Scratch s = carve(scratch, &P);
-    const int64_t d = P.d, t2 = tri(d);
+    const int64_t d = P.d, t2 = tri(d), chunk = chunk_aps(M, T, N);
     memset(s.s1, 0, SLOTS * T * d * sizeof(double));
     memset(s.s2, 0, SLOTS * T * t2 * sizeof(double));
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
         const int64_t k = count - b0 < SLOTS ? count - b0 : SLOTS;
         memset(s.are, 0, SLOTS * T * N * sizeof(double));
         memset(s.aim, 0, SLOTS * T * N * sizeof(double));
-        for (int64_t m = 0; m < M; m++) {
-            draw_ap(&P, &q, m, first + b0, k, &s);
-            pilot_ap(&P, m, &s);
-            add_gains(&P, weight, m, &s);
+        for (int64_t m0 = 0; m0 < M; m0 += chunk) {
+            const int64_t n = M - m0 < chunk ? M - m0 : chunk;
+            draw_chunk(&P, &q, m0, n, first + b0, k, &s);
+            for (int64_t i = 0; i < n; i++) {
+                pilot_ap(&P, m0 + i, i, &s);
+                add_gains(&P, weight, m0 + i, i, &s);
+            }
         }
         add_moments(&P, &s);
     }

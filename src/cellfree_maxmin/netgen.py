@@ -37,7 +37,7 @@ def stream_rng(seed: int, stream_id: int, *key: int) -> np.random.Generator:
     index, trial index, ...); (seed, stream_id, *key) reproduces identical
     draws bit-for-bit on one platform."""
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed), int(stream_id), *map(int, key)]))
+        np.random.SeedSequence([_checked_seed(seed), int(stream_id), *map(int, key)]))
 
 
 def integer(name: str, value) -> int:
@@ -46,6 +46,15 @@ def integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _checked_seed(seed) -> int:
+    """`seed` as an int when it is an integer >= 0; otherwise a ValueError
+    naming it (1.5 or True would otherwise pass as another seed)."""
+    seed = integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -303,7 +312,8 @@ def smallscale_key(seed: int) -> int:
     """The 64-bit key k0 + 2^32 k1 of the compiled normal generator for the
     small-scale draws of `seed`: the two 32-bit words of
     SeedSequence([seed, STREAM_SMALLSCALE])."""
-    k0, k1 = np.random.SeedSequence([int(seed), STREAM_SMALLSCALE]).generate_state(2, np.uint32)
+    seq = np.random.SeedSequence([_checked_seed(seed), STREAM_SMALLSCALE])
+    k0, k1 = seq.generate_state(2, np.uint32)
     return int(k0) | int(k1) << 32
 
 

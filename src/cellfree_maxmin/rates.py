@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, native, pool
-from .netgen import (SMALLSCALE_BLOCK, NetworkInstance, PilotModel, block_sizes, pilot_model,
-                     smallscale_key)
+from .netgen import (SMALLSCALE_BLOCK, NetworkInstance, PilotModel, block_sizes, integer,
+                     pilot_model, smallscale_key)
 from .tables import write_csv
 
 LN2 = math.log(2.0)
@@ -289,6 +289,7 @@ def rate_oracle_monte_carlo(instance: NetworkInstance, mu: np.ndarray, draws: in
         raise ValueError("mu must be finite")
     if (mu < 0).any():
         raise ValueError("mu must be nonnegative")
+    draws = integer("draws", draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")
     s1, s2 = _moment_sums(instance, _weights(instance, mu), draws, seed)

@@ -19,6 +19,7 @@ from cellfree_maxmin.netgen import (
     gamma_coefficients,
     iter_smallscale_blocks,
     path_loss_db,
+    smallscale_key,
     stream_rng,
 )
 from conftest import sampled_draws
@@ -78,6 +79,19 @@ class TestRngStreams:
         assert np.array_equal(keyed, same)
         assert not np.array_equal(keyed, stream_rng(7, 2).standard_normal(8))
         assert not np.array_equal(keyed, stream_rng(7, 2, 6).standard_normal(8))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.float64(2.0), "1", -1])
+    def test_seed_must_be_a_nonnegative_integer(self, bad):
+        # int() would take 1.5, 1.0 and True as seed 1
+        for draw in (lambda: stream_rng(bad, 0), lambda: smallscale_key(bad),
+                     lambda: generate_instance(Dimensions(2, 1, (1,)), PhysicalConfig(), bad)):
+            with pytest.raises(ValueError, match="seed must be"):
+                draw()
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        assert smallscale_key(np.int64(3)) == smallscale_key(3)
+        assert np.array_equal(stream_rng(np.uint32(3), 1).standard_normal(4),
+                              stream_rng(3, 1).standard_normal(4))
 
 
 class TestGeometry:

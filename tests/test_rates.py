@@ -274,6 +274,19 @@ class TestMonteCarloOracle:
         with pytest.raises(ValueError, match="nonnegative"):
             rate_oracle_monte_carlo(small_instance, np.full(shape, -0.1), 10, 0)
 
+    @pytest.mark.parametrize("bad", [True, 1000.0, 0, -5])
+    def test_rejects_draws_that_are_not_a_positive_integer(self, small_instance, bad):
+        # True would run one draw and report draws=True
+        mu = epa_power(small_instance.dims.num_aps, small_instance.dims.num_groups)
+        with pytest.raises(ValueError, match="draws must be"):
+            rate_oracle_monte_carlo(small_instance, mu, bad, 0)
+
+    @pytest.mark.parametrize("bad", [1.5, True, -1])
+    def test_rejects_seeds_that_are_not_a_nonnegative_integer(self, small_instance, bad):
+        mu = epa_power(small_instance.dims.num_aps, small_instance.dims.num_groups)
+        with pytest.raises(ValueError, match="seed must be"):
+            rate_oracle_monte_carlo(small_instance, mu, 10, bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_eta(self, small_instance, bad):
         shape = (small_instance.dims.num_groups, small_instance.dims.num_aps)

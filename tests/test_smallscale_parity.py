@@ -23,9 +23,14 @@ from conftest import sampled_draws
 from normals_reference import OUTCOMES, SLOW_OUTCOMES, block_normals
 
 # (num_aps, group_sizes): equal, single-user, unequal, many-group and
-# single-AP shapes
-SHAPES = [(8, (3, 3)), (4, (1,)), (10, (2, 5, 1)), (20, (4, 4, 4, 4)), (1, (1, 1))]
-DRAWS = 2 * SMALLSCALE_BLOCK + 1234   # not a multiple of the block size
+# single-AP shapes. The compiled pass draws its APs in chunks of at least 64
+# entries (T + N per AP): one chunk of all 8 APs at (8, 2x3), 6 + 4 APs at
+# (10, 2x5x1), 8 + 5 at (13, 2x3), and 32 + 4 at (36, 1), the shape with one
+# user and one group per AP.
+SHAPES = [(8, (3, 3)), (4, (1,)), (10, (2, 5, 1)), (20, (4, 4, 4, 4)), (1, (1, 1)),
+          (13, (3, 3)), (36, (1,))]
+# a multiple of neither the block size nor the pass's 8 draw slots
+DRAWS = 2 * SMALLSCALE_BLOCK + 1234
 
 
 def reference_complex_normal(normals, variance=1.0):
@@ -176,9 +181,12 @@ def assert_report_matches(got, ref, instance, rate_atol=0.0):
 
 
 def test_report_matches_reference(instance):
+    """Through mc_block, with normals that leave the slow path each way."""
     mu = random_feasible_power(instance.dims, seed=4)
     got = rate_oracle_monte_carlo(instance, mu, DRAWS, seed=6)
+    SLOW_OUTCOMES.clear()
     ref = reference_oracle(instance, mu, DRAWS, seed=6)
+    assert min(SLOW_OUTCOMES[k] for k in OUTCOMES) > 10, SLOW_OUTCOMES
     assert_report_matches(got, ref, instance)
 
 

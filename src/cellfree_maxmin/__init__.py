@@ -25,7 +25,6 @@ from .rates import (
     min_rate,
     rate_oracle_monte_carlo,
     rates_vector,
-    user_rate,
 )
 from .solver_apg import (
     ApgConfig,
@@ -34,8 +33,6 @@ from .solver_apg import (
     apg_solve,
     apg_solve_continuation,
     project_feasible,
-    smooth_gradient,
-    smooth_objective,
 )
 from .solver_bisection import (
     BisectionConfig,
@@ -44,7 +41,6 @@ from .solver_bisection import (
     build_soc_system,
     feasibility_oracle,
     rate_upper_bound,
-    soc_residual,
 )
 
 __version__ = "0.1.0"
@@ -81,8 +77,4 @@ __all__ = [
     "rate_oracle_monte_carlo",
     "rate_upper_bound",
     "rates_vector",
-    "smooth_gradient",
-    "smooth_objective",
-    "soc_residual",
-    "user_rate",
 ]

@@ -25,9 +25,10 @@ runs its solves one after the other, because it compares their run times.
 """
 
 import json
-import math
+import numbers
 import os
 import statistics
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, List, Optional, Tuple
 
@@ -46,6 +47,7 @@ from .netgen import (
     stream_rng,
 )
 from .rates import (
+    LN2,
     build_rate_model,
     epa_rates,
     rate_oracle_monte_carlo,
@@ -57,8 +59,6 @@ from .solver_apg import (
 )
 from .solver_bisection import bisection_solve
 from .tables import write_csv
-
-LN2 = math.log(2.0)
 
 EXPERIMENT_KINDS = ("convergence", "cdf", "scaling", "single-solve", "verify-rate")
 # timed solves per solver and AP count in the scaling experiment
@@ -89,16 +89,29 @@ class ExperimentConfig:
         """Fails before a run writes anything, naming the field."""
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        counts = ("num_aps", "trials", "master_seed", "mc_draws")
+        for name in counts:
+            # a string would reach the comparisons below as an unnamed TypeError
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("trials", "mc_draws"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
         if not self.master_seed >= 0:
             raise ValueError("master_seed must be >= 0")
-        for name in ("num_aps", "trials", "master_seed", "mc_draws"):
+        for name in counts:
             object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("group_sizes", "scaling_m_grid"):
-            object.__setattr__(self, name, tuple(integer(f"{name} entry", k)
-                                                 for k in getattr(self, name)))
+            value = getattr(self, name)
+            # a string would be read one character per entry
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}")
+            object.__setattr__(self, name, tuple(integer(f"{name} entry", k) for k in value))
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.physical, PhysicalConfig):
+            raise ValueError(f"physical must be an object of physical parameters, "
+                             f"got {self.physical!r}")
         check_pilot_length(self.dims, self.physical)  # self.dims runs Dimensions' checks
         if not self.scaling_m_grid:
             raise ValueError("scaling_m_grid must be non-empty")

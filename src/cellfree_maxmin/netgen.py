@@ -110,8 +110,10 @@ class PhysicalConfig:
         object.__setattr__(self, "pilot_len_symbols",
                            integer("pilot_len_symbols", self.pilot_len_symbols))
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         positive = (
             "bandwidth_hz carrier_freq_hz temperature_k pilot_power_w data_power_w "
             "pilot_len_symbols shadow_std_db area_side_m "
@@ -185,6 +187,11 @@ def group_pointer(dims: Dimensions) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(dims.group_sizes))).astype(np.int64)
 
 
+def user_groups(group_sizes) -> np.ndarray:
+    """The group index of each user, users group-major: (T,)."""
+    return np.repeat(np.arange(len(group_sizes)), group_sizes)
+
+
 def check_pilot_length(dims: Dimensions, cfg: PhysicalConfig):
     if cfg.pilot_len_symbols < dims.num_groups:
         raise ValueError("pilot_len_symbols must be >= the number of groups (orthonormal pilots)")
@@ -209,8 +216,7 @@ def gamma_coefficients(zeta: np.ndarray, dims: Dimensions, pilot_power_w: float,
     """
     rt = pilot_power_w * pilot_len_symbols
     var = pilot_variance(zeta, group_pointer(dims), rt, noise_variance_w)
-    group = np.repeat(np.arange(dims.num_groups), dims.group_sizes)
-    return rt * zeta ** 2 / var[:, group]
+    return rt * zeta ** 2 / var[:, user_groups(dims.group_sizes)]
 
 
 @dataclass(frozen=True)

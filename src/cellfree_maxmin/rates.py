@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels, native, pool
 from .netgen import (SMALLSCALE_BLOCK, NetworkInstance, PilotModel, block_sizes, integer,
-                     pilot_model, smallscale_key)
+                     pilot_model, smallscale_key, user_groups)
 from .tables import write_csv
 
 LN2 = math.log(2.0)
@@ -67,11 +67,6 @@ class RateModel:
     @property
     def num_groups(self) -> int:
         return self.group_ptr.shape[0] - 1
-
-    def user_index(self, n: int, k: int) -> int:
-        if not (0 <= n < self.num_groups and 0 <= k < self.group_ptr[n + 1] - self.group_ptr[n]):
-            raise IndexError("user (n, k) out of range")
-        return int(self.group_ptr[n] + k)
 
 
 def build_rate_model(instance: NetworkInstance) -> RateModel:
@@ -123,7 +118,7 @@ class RateVector:
 def user_columns(group_sizes, repeats: int = 1):
     """(group, user-in-group) index columns of `repeats` copies of the users,
     group-major."""
-    group = np.repeat(np.arange(len(group_sizes)), group_sizes)
+    group = user_groups(group_sizes)
     user = np.concatenate([np.arange(k) for k in group_sizes])
     return np.tile(group, repeats), np.tile(user, repeats)
 
@@ -134,18 +129,13 @@ def rates_vector(model: RateModel, mu) -> RateVector:
     return RateVector(rates=rates, group_ptr=model.group_ptr)
 
 
-def user_rate(model: RateModel, mu, n: int, k: int) -> float:
-    """Closed-form rate of user k in group n at power control mu."""
-    return float(rates_vector(model, mu).rates[model.user_index(n, k)])
-
-
 def min_rate(model: RateModel, mu) -> float:
     return rates_vector(model, mu).min_rate
 
 
 def epa_rates(model: RateModel) -> RateVector:
-    """Rates under equal power allocation (eta = 1/N), evaluated through the
-    same path as user_rate so the two agree exactly."""
+    """Rates under equal power allocation (eta = 1/N): rates_vector at
+    epa_power."""
     return rates_vector(model, epa_power(model.num_aps, model.num_groups))
 
 
@@ -175,8 +165,7 @@ class MonteCarloRateReport:
 
 def _weights(instance: NetworkInstance, mu: np.ndarray) -> np.ndarray:
     """Per-user weights sqrt(zeta_mu * mu_nm^2), n the user's group, (M, T)."""
-    group = np.repeat(np.arange(instance.dims.num_groups), instance.dims.group_sizes)
-    return np.sqrt(instance.zeta * (mu * mu)[group].T)
+    return np.sqrt(instance.zeta * (mu * mu)[user_groups(instance.dims.group_sizes)].T)
 
 
 def _block_moments(pilot: PilotModel, weight: np.ndarray, key: int, block_idx: int,

@@ -299,23 +299,6 @@ def project_feasible(x, num_aps: Optional[int] = None) -> np.ndarray:
     return kernels.IMPL.project_ball_orthant(np.ascontiguousarray(arr))
 
 
-def smooth_objective(model: RateModel, mu, sigma: float) -> float:
-    mat = as_mu_matrix(mu, model)
-    f, _ = kernels.IMPL.soft_min_value(
-        model.gamma_sqrt, model.a_sq, model.group_ptr, mat, model.rho_bar, sigma
-    )
-    return float(f)
-
-
-def smooth_gradient(model: RateModel, mu, sigma: float) -> np.ndarray:
-    """Gradient of the soft minimum, an (N, M) array like mu."""
-    mat = as_mu_matrix(mu, model)
-    _, _, grad = kernels.IMPL.soft_min_value_grad(
-        model.gamma_sqrt, model.a_sq, model.group_ptr, mat, model.rho_bar, sigma
-    )
-    return grad
-
-
 def apg_solve(
     model: RateModel,
     cfg: Optional[ApgConfig] = None,
@@ -333,8 +316,8 @@ def apg_solve(
     is read on that clock too; an injected clock is read just before and
     after the stage, and the stamps are scaled linearly onto that span."""
     cfg = cfg or ApgConfig()
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     if mu0 is None:
         mat0 = epa_power(model.num_aps, model.num_groups)
     else:
@@ -375,7 +358,7 @@ def apg_solve_continuation(
         report = apg_solve(model, sigma=sigma, mu0=start_point, clock=clock)
         reports.append(report)
         # converged iterates may have exactly-zero entries; nudge them so the
-        # next stage's strictly-positive start requirement holds
-        start_mat = np.maximum(report.power, 1e-12)
-        start_point = kernels.IMPL.project_ball_orthant(np.ascontiguousarray(start_mat))
+        # next stage's strictly-positive start requirement holds; the nudged
+        # point passes is_feasible, and the stage projects its start itself
+        start_point = np.maximum(report.power, 1e-12)
     return reports

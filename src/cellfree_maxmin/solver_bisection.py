@@ -72,14 +72,6 @@ def build_soc_system(model: RateModel) -> RateModel:
     return model
 
 
-def soc_residual(model: RateModel, mu, t: float) -> np.ndarray:
-    """Per-user residual RHS - LHS; the constraint holds iff residual <= 0."""
-    mat = as_mu_matrix(mu, model)
-    return kernels.IMPL.soc_residuals(
-        model.gamma_sqrt, model.a_sq, model.group_ptr, mat, model.rho_bar, t
-    )
-
-
 def rate_upper_bound(model: RateModel) -> float:
     """Zero-interference full-power bound: every user rate is at most
     ln(1 + (pi*rho/4) * (sum_m sqrt(gamma))^2)."""
@@ -120,6 +112,8 @@ def feasibility_oracle(
     certificate periodically. Each stage is one compiled_stage call, as in
     apg_solve.
     """
+    if not 0 <= t < math.inf:
+        raise ValueError(f"level t must be finite and >= 0, got {t!r}")
     cfg = cfg or BisectionConfig()
     impl = kernels.IMPL
     lib = native.load_library()
@@ -137,8 +131,7 @@ def feasibility_oracle(
             best, best_res = cand, r
     if best is None:
         # no candidate has a residual below inf (NaN or inf data): name the inputs
-        inputs = {"gamma_sqrt": gs, "a_sq": asq, "rho_bar": rho, "t": t,
-                  "warm start": candidates}
+        inputs = {"gamma_sqrt": gs, "a_sq": asq, "rho_bar": rho, "warm start": candidates}
         bad = [name for name, val in inputs.items() if not np.isfinite(val).all()]
         raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) at level t={t}")
     if best_res <= EPS_SOC:

@@ -21,6 +21,13 @@ def make_model(num_aps=8, num_groups=2, users_per_group=2, seed=0):
     return build_rate_model(generate_instance(dims, PhysicalConfig(), seed=seed))
 
 
+def kernel_args(model, mu):
+    """The leading arguments (gs, asq, ptr, mu, rho) of a kernels.IMPL
+    evaluation of `model` at the (N, M) power control mu."""
+    return (model.gamma_sqrt, model.a_sq, model.group_ptr,
+            np.ascontiguousarray(mu, dtype=float), model.rho_bar)
+
+
 def random_feasible_matrix(model, rng, scale=1.0):
     """Random strictly positive point inside S, as an (N, M) matrix."""
     raw = rng.uniform(0.05, scale, size=(model.num_groups, model.num_aps))

@@ -34,12 +34,11 @@ from cellfree_maxmin import (
     build_rate_model,
     epa_rates,
     generate_instance,
+    kernels,
     min_rate,
     project_feasible,
     rate_oracle_monte_carlo,
     rates_vector,
-    smooth_gradient,
-    smooth_objective,
 )
 from cellfree_maxmin.harness import (
     ExperimentConfig,
@@ -51,6 +50,7 @@ from cellfree_maxmin.harness import (
     run_scaling,
 )
 from cellfree_maxmin.solver_apg import SIGMA_SCHEDULE
+from conftest import kernel_args
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -192,14 +192,14 @@ def test_criterion_06_gradient_matches_finite_differences():
         for _ in range(20):
             raw = rng.uniform(0.05, 1.0, size=(model.num_groups, model.num_aps))
             mat = project_feasible(raw) * 0.95 + 0.01
-            grad = smooth_gradient(model, mat, 100.0)
+            grad = kernels.IMPL.soft_min_value_grad(*kernel_args(model, mat), 100.0)[2]
             fd = np.empty_like(grad)
             for i in np.ndindex(mat.shape):
                 up = mat.copy(); up[i] += step
                 dn = mat.copy(); dn[i] -= step
                 fd[i] = (
-                    smooth_objective(model, up, 100.0)
-                    - smooth_objective(model, dn, 100.0)
+                    kernels.IMPL.soft_min_value(*kernel_args(model, up), 100.0)[0]
+                    - kernels.IMPL.soft_min_value(*kernel_args(model, dn), 100.0)[0]
                 ) / (2 * step)
             worst = max(worst, float(np.abs(fd - grad).max() / np.abs(fd).max()))
     ok = worst < 1e-5
@@ -246,7 +246,7 @@ def test_criterion_08_smoothing_sandwich():
         raw = rng.uniform(0.0, 1.2, size=(model.num_groups, model.num_aps))
         mat = project_feasible(raw)
         f = min_rate(model, mat)
-        fs = smooth_objective(model, mat, sigma)
+        fs = kernels.IMPL.soft_min_value(*kernel_args(model, mat), sigma)[0]
         worst_low = min(worst_low, fs - f)
         worst_high = max(worst_high, fs - f)
     ok = worst_low >= -1e-12 and worst_high <= bound + 1e-12

@@ -164,9 +164,21 @@ class TestConfig:
         ("scaling", {"scaling_m_grid": [4.5]}, "scaling_m_grid"),
         ("cdf", {"physical": {"pilot_len_symbols": 20.5}}, "pilot_len_symbols"),
         ("cdf", {"trials": True}, "trials"),
+        ("cdf", {"trials": "5"}, "trials"),
+        ("verify-rate", {"mc_draws": "5"}, "mc_draws"),
+        ("cdf", {"master_seed": "1"}, "master_seed"),
+        ("scaling", {"scaling_m_grid": 5}, "scaling_m_grid"),
+        ("cdf", {"group_sizes": None}, "group_sizes"),
+        ("cdf", {"group_sizes": "22"}, "group_sizes"),
+        ("cdf", {"physical": {"bandwidth_hz": "1"}}, "bandwidth_hz"),
+        ("cdf", {"physical": {"bandwidth_hz": True}}, "bandwidth_hz"),
+        ("cdf", {"physical": None}, "physical"),
+        ("cdf", {"out_dir": 5}, "out_dir"),
     ], ids=["num_aps-0", "no-groups", "empty-group", "negative-seed", "pilot-below-groups",
             "grid-0", "empty-grid", "num_aps-float", "trials-float", "mc_draws-float",
-            "seed-float", "group-float", "grid-float", "pilot-float", "trials-bool"])
+            "seed-float", "group-float", "grid-float", "pilot-float", "trials-bool",
+            "trials-str", "mc_draws-str", "seed-str", "grid-int", "group-null", "group-str",
+            "bandwidth-str", "bandwidth-bool", "physical-null", "out_dir-int"])
     def test_bad_config_fails_before_the_run_directory(self, tmp_path, capsys, kind, doc,
                                                        field):
         """A value no run can use fails when the config is built, naming its
@@ -243,7 +255,7 @@ class TestRunners:
         # single AP / group / user: both solvers must hit the 1-D optimum
         import numpy as np
         from cellfree_maxmin import (
-            Dimensions, PhysicalConfig, build_rate_model, generate_instance, user_rate,
+            Dimensions, PhysicalConfig, build_rate_model, generate_instance, min_rate,
         )
 
         cfg = tiny_config("convergence", tmp_path, num_aps=1, group_sizes=(1,))
@@ -252,7 +264,7 @@ class TestRunners:
             generate_instance(Dimensions(1, 1, (1,)), PhysicalConfig(), cfg.master_seed)
         )
         grid = np.linspace(0.0, 1.0, 20001)
-        best = max(user_rate(model, np.array([[g]]), 0, 0) for g in grid)
+        best = max(min_rate(model, np.array([[g]])) for g in grid)
         assert summary["apg_min_rate_nats"] == pytest.approx(best, abs=1e-6)
         assert summary["bisection_t_star_nats"] == pytest.approx(best, abs=2e-4)
 

@@ -41,9 +41,8 @@ from cellfree_maxmin import (
 )
 from cellfree_maxmin import solver_apg, solver_bisection
 from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
-from cellfree_maxmin.solver_bisection import (EPS_SOC, FEASIBLE, INFEASIBLE, _support_gap,
-                                              soc_residual)
-from conftest import make_model, random_feasible_matrix
+from cellfree_maxmin.solver_bisection import EPS_SOC, FEASIBLE, INFEASIBLE, _support_gap
+from conftest import kernel_args, make_model, random_feasible_matrix
 
 # group sizes that are no multiple of any lane width (2, 4 or 8 users per
 # vector), on 1, 3 and 17 APs: partial vectors, single-user groups, one AP
@@ -199,8 +198,8 @@ def test_margin_stage_matches_monotone_apg(lib, case, level):
     np.testing.assert_allclose(got.power, ref.power, rtol=0, atol=1e-10)
     assert got.f_true == pytest.approx(ref.f_true, rel=1e-10, abs=1e-12)
     # f_true is the min cone margin: minus the max residual at the last iterate
-    assert got.f_true == pytest.approx(-soc_residual(model, got.power, t).max(),
-                                       rel=1e-12, abs=1e-15)
+    residuals = kernels.IMPL.soc_residuals(*kernel_args(model, got.power), t)
+    assert got.f_true == pytest.approx(-residuals.max(), rel=1e-12, abs=1e-15)
     if got.termination == FEASIBLE:
         assert got.f_true >= -EPS_SOC
     if got.termination == INFEASIBLE:

@@ -15,7 +15,6 @@ from cellfree_maxmin import (
     min_rate,
     rate_oracle_monte_carlo,
     rates_vector,
-    user_rate,
 )
 from conftest import random_feasible_matrix
 
@@ -126,7 +125,7 @@ class TestRateModel:
 class TestUserRate:
     def test_zero_power(self, small_model):
         mu = np.zeros((2, small_model.num_aps))
-        assert user_rate(small_model, mu, 0, 0) == 0.0
+        assert rates_vector(small_model, mu).rates[0] == 0.0
         assert min_rate(small_model, mu) == 0.0
 
     def test_scalar_closed_form(self):
@@ -138,7 +137,7 @@ class TestUserRate:
         expected = math.log1p(
             0.25 * PI * rho * g / (rho * (z - 0.25 * PI * g) + 1.0)
         )
-        assert user_rate(model, np.ones((1, 1)), 0, 0) == pytest.approx(expected, rel=1e-12)
+        assert min_rate(model, np.ones((1, 1))) == pytest.approx(expected, rel=1e-12)
 
     def test_eta_form_equivalence(self, small_instance, small_model):
         rng = np.random.default_rng(3)
@@ -156,10 +155,10 @@ class TestUserRate:
     def test_invariant_to_other_groups(self, small_model):
         rng = np.random.default_rng(4)
         mat = random_feasible_matrix(small_model, rng)
-        r0 = user_rate(small_model, mat, 0, 1)
+        r0 = rates_vector(small_model, mat).rates[1]  # group 0, user 1
         perturbed = mat.copy()
         perturbed[1] *= 0.3  # other group's block
-        assert user_rate(small_model, perturbed, 0, 1) == r0
+        assert rates_vector(small_model, perturbed).rates[1] == r0
 
     def test_numerator_monotone(self, small_model):
         rng = np.random.default_rng(5)
@@ -172,12 +171,6 @@ class TestUserRate:
 
 
 class TestEpaRates:
-    def test_matches_user_rate_exactly(self, small_model):
-        epa = epa_rates(small_model)
-        mu = epa_power(small_model.num_aps, small_model.num_groups)
-        direct = rates_vector(small_model, mu)
-        assert np.array_equal(epa.rates, direct.rates)
-
     def test_single_group_is_full_power(self):
         dims = Dimensions.uniform(4, 1, 2)
         model = build_rate_model(generate_instance(dims, PhysicalConfig(), seed=6))

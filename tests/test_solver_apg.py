@@ -14,16 +14,14 @@ from cellfree_maxmin import (
     build_rate_model,
     epa_power,
     is_feasible,
+    kernels,
     min_rate,
     project_feasible,
     rates_vector,
-    smooth_gradient,
-    smooth_objective,
-    user_rate,
 )
 from cellfree_maxmin.kernels import _soft_min
 from cellfree_maxmin.solver_apg import monotone_apg
-from conftest import make_model, random_feasible_matrix
+from conftest import kernel_args, make_model, random_feasible_matrix
 
 
 def dykstra_projection(x, iters=600):
@@ -138,10 +136,10 @@ class TestSmoothObjective:
         mu = epa_power(3, 2)
         rates = rates_vector(model, mu).rates
         assert np.all(rates == rates[0])
-        assert smooth_objective(model, mu, 123.0) == rates[0]
+        assert kernels.IMPL.soft_min_value(*kernel_args(model, mu), 123.0)[0] == rates[0]
 
     def test_sandwich_bound(self, small_model):
-        # min_rate <= smooth_objective <= min_rate + ln(T)/sigma at random
+        # min_rate <= soft minimum <= min_rate + ln(T)/sigma at random
         # feasible points of small_model and of five random group layouts
         rng = np.random.default_rng(4)
         models = [small_model] + [make_model(int(rng.integers(2, 12)), int(rng.integers(1, 4)),
@@ -153,12 +151,19 @@ class TestSmoothObjective:
                 for _ in range(50):
                     mat = random_feasible_matrix(model, rng)
                     f = min_rate(model, mat)
-                    fs = smooth_objective(model, mat, sigma)
+                    fs = kernels.IMPL.soft_min_value(*kernel_args(model, mat), sigma)[0]
                     assert f <= fs <= f + bound + 1e-12
 
     def test_sigma_must_be_positive(self, small_model):
         with pytest.raises(ValueError):
             apg_solve(small_model, sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_sigma_must_be_finite(self, small_model, sigma):
+        # an infinite sigma used to pass the check and fail the first line
+        # search on f = nan
+        with pytest.raises(ValueError, match="^sigma must be positive and finite"):
+            apg_solve(small_model, sigma=sigma)
 
     # a stage keeps max_iters + 1 trace entries
     @pytest.mark.parametrize("key,bad", [("max_iters", -1), ("max_iters", math.nan),
@@ -212,15 +217,15 @@ class TestSmoothGradient:
             model = make_model(6, 2, 2, seed=seed)
             for _ in range(10):
                 mat = random_feasible_matrix(model, rng, scale=0.5)
-                grad = smooth_gradient(model, mat, 100.0)
+                grad = kernels.IMPL.soft_min_value_grad(*kernel_args(model, mat), 100.0)[2]
                 assert grad.shape == mat.shape
                 fd = np.empty_like(grad)
                 for i in np.ndindex(mat.shape):
                     up = mat.copy(); up[i] += step
                     dn = mat.copy(); dn[i] -= step
                     fd[i] = (
-                        smooth_objective(model, up, 100.0)
-                        - smooth_objective(model, dn, 100.0)
+                        kernels.IMPL.soft_min_value(*kernel_args(model, up), 100.0)[0]
+                        - kernels.IMPL.soft_min_value(*kernel_args(model, dn), 100.0)[0]
                     ) / (2 * step)
                 err = np.abs(fd - grad).max() / max(np.abs(fd).max(), 1e-12)
                 assert err < 1e-5
@@ -230,15 +235,15 @@ class TestSmoothGradient:
         rng = np.random.default_rng(6)
         mat = random_feasible_matrix(model, rng)
         # with one user the softmax weight degenerates to 1 for any sigma
-        g1 = smooth_gradient(model, mat, 7.0)
-        g2 = smooth_gradient(model, mat, 9000.0)
+        g1 = kernels.IMPL.soft_min_value_grad(*kernel_args(model, mat), 7.0)[2]
+        g2 = kernels.IMPL.soft_min_value_grad(*kernel_args(model, mat), 9000.0)[2]
         np.testing.assert_allclose(g1, g2, rtol=1e-12)
 
     def test_zero_block_gradient(self):
         model = make_model(4, 2, 1, seed=2)
         mat = np.zeros((2, 4))
         mat[0] = 0.5
-        grad = smooth_gradient(model, mat, 100.0)
+        grad = kernels.IMPL.soft_min_value_grad(*kernel_args(model, mat), 100.0)[2]
         assert np.all(grad[1] == 0.0)
 
     def test_block_sparsity_of_rate_gradient(self):
@@ -246,10 +251,10 @@ class TestSmoothGradient:
         model = make_model(4, 2, 1, seed=3)
         rng = np.random.default_rng(7)
         mat = random_feasible_matrix(model, rng)
-        base = user_rate(model, mat, 0, 0)
+        base = rates_vector(model, mat).rates[0]
         bumped = mat.copy()
         bumped[1, 2] += 1e-3
-        assert user_rate(model, bumped, 0, 0) == base
+        assert rates_vector(model, bumped).rates[0] == base
 
 
 class TestApgSolve:
@@ -259,7 +264,7 @@ class TestApgSolve:
         assert report.power[0, 0] == pytest.approx(1.0, abs=1e-6)
         # grid-search oracle over the 1-D feasible interval
         grid = np.linspace(0.0, 1.0, 20001)
-        best = max(user_rate(model, np.array([[g]]), 0, 0) for g in grid)
+        best = max(min_rate(model, np.array([[g]])) for g in grid)
         assert report.f_true == pytest.approx(best, abs=1e-8)
 
     def test_monotone_trace(self, small_model):
@@ -298,7 +303,8 @@ class TestApgSolve:
     def test_never_below_epa_smoothed(self, small_model):
         report = apg_solve(small_model)
         mu0 = epa_power(small_model.num_aps, small_model.num_groups)
-        assert report.f_sigma >= smooth_objective(small_model, mu0, report.sigma) - 1e-12
+        f0 = kernels.IMPL.soft_min_value(*kernel_args(small_model, mu0), report.sigma)[0]
+        assert report.f_sigma >= f0 - 1e-12
 
     def test_deterministic(self, small_model):
         a = apg_solve(small_model, clock=lambda: 0.0)

@@ -17,14 +17,13 @@ from cellfree_maxmin import (
     feasibility_oracle,
     generate_instance,
     is_feasible,
+    kernels,
     min_rate,
     rate_upper_bound,
     rates_vector,
-    soc_residual,
     solver_bisection,
-    user_rate,
 )
-from conftest import make_model, random_feasible_matrix
+from conftest import kernel_args, make_model, random_feasible_matrix
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +39,12 @@ class TestSocResidual:
     def test_level_zero_always_feasible(self, model):
         rng = np.random.default_rng(0)
         mat = random_feasible_matrix(model, rng)
-        res = soc_residual(model, mat, 0.0)
+        res = kernels.IMPL.soc_residuals(*kernel_args(model, mat), 0.0)
         assert (res <= 0).all()
 
     def test_zero_power_infeasible(self, model):
         mat = np.zeros((2, model.num_aps))
-        res = soc_residual(model, mat, 0.5)
+        res = kernels.IMPL.soc_residuals(*kernel_args(model, mat), 0.5)
         assert np.allclose(res, math.sqrt(math.expm1(0.5)), rtol=1e-12)
 
     def test_equivalent_to_rate_threshold(self, model):
@@ -55,7 +54,7 @@ class TestSocResidual:
         for _ in range(40):
             mat = random_feasible_matrix(model, rng)
             t = float(rng.uniform(0.01, 1.5))
-            res = soc_residual(model, mat, t)
+            res = kernels.IMPL.soc_residuals(*kernel_args(model, mat), t)
             rates = rates_vector(model, mat).rates
             for u in range(model.num_users):
                 if abs(rates[u] - t) > 1e-10:
@@ -91,6 +90,13 @@ class TestFeasibilityOracle:
         assert is_feasible(res.power)
         assert res.certified_lower_bound is not None
         assert res.certified_lower_bound > -1e-6
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    def test_level_must_be_finite_and_nonnegative(self, model, t):
+        # a negative level used to reach the residuals as sqrt(e^t - 1) of
+        # a negative number, and the error then blamed the residuals
+        with pytest.raises(ValueError, match="^level t must be finite and >= 0"):
+            feasibility_oracle(model, t)
 
     def test_uses_cfg_eps_soc(self, monkeypatch):
         # the EPA point misses level EPA + 1e-4 by a residual of 4.6e-4, which
@@ -149,7 +155,7 @@ def test_feasible_verdict_has_a_witness_in_s(num_aps, group_sizes, seed, fractio
         if res.status != "feasible":
             continue
         assert is_feasible(res.power), t
-        residual = soc_residual(model, res.power, t).max()
+        residual = kernels.IMPL.soc_residuals(*kernel_args(model, res.power), t).max()
         assert residual <= solver_bisection.EPS_SOC, (t, residual)
 
 
@@ -158,7 +164,7 @@ class TestBisectionSolve:
         model = make_model(1, 1, 1, seed=6)
         report = bisection_solve(model)
         grid = np.linspace(0.0, 1.0, 20001)
-        best = max(user_rate(model, np.array([[g]]), 0, 0) for g in grid)
+        best = max(min_rate(model, np.array([[g]])) for g in grid)
         assert report.t_star == pytest.approx(best, abs=2e-4)
 
     def test_epa_lower_bound(self, model):

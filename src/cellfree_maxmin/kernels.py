@@ -3,9 +3,11 @@ per-AP feasible-set projection, cone-constraint residuals/margins, and one
 monotone-APG iteration.
 
 Each kernel has one numpy implementation. Code outside the APG stages
-(rates, projections, the oracle's residuals and its last certificate) reads
-them through :data:`IMPL` at call time, so a caller can swap a field of it (a
-profiler wrapping a kernel, say) without touching that code. The solvers'
+(rates, projections and the oracle's last certificate) reads them through
+:data:`IMPL` at call time, so a caller can swap a field of it (a profiler
+wrapping a kernel, say) without touching that code. The oracle's candidate
+pick forms the residuals of _soc_residuals itself, from one _user_pc call
+per candidate whose c it reuses. The solvers'
 APG stages run in the compiled engine (native.py, apg_stage.c); these
 kernels, with apg_step as the loop body of solver_apg.monotone_apg, are the
 reference that engine is tested against.
@@ -18,8 +20,8 @@ also form p and q that way, so a margin stage of the engine equals
 monotone_apg bit for bit; a step policy that chains many extrapolated steps
 amplifies any last-bit difference. The rate kernels keep numpy's dot
 products and log1p (the engine has its own vector log1p), because their
-rates are the closed-form rates every experiment writes, and soc_residuals
-keeps numpy's dot products for speed in the bisection oracle; a rate stage
+rates are the closed-form rates every experiment writes, and the residuals
+keep numpy's dot products for speed in the bisection oracle; a rate stage
 agrees with the reference up to that rounding.
 
 Array conventions shared by every kernel:

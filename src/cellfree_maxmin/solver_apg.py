@@ -26,21 +26,24 @@ ALPHA_MU0, LINE_SEARCH_CAP and STEP_GROW_AFTER, read when a stage starts. A
 stage stops on the plateau test |f_n - f_{n-STOP_WINDOW}| < stop_tol, so
 stop_tol = 0 runs exactly max_iters iterations. ApgConfig holds the two
 values callers set, max_iters and stop_tol; it is the one APG configuration
-of the package. The bisection feasibility oracle reuses the same driver and
+of the package. The bisection feasibility oracle reuses the same stage and
 step policy with a different (concave) objective, a per-stage iteration
 budget and stop_tol. Each fixed-sigma stage runs as one call into the
-compiled engine (native.py, apg_stage.c), which needs a C compiler.
+compiled engine (native.py, apg_stage.c), which needs a C compiler; the
+oracle's whole continuation of stages is one call too.
 monotone_apg, one kernels.apg_step per iteration over the numpy kernels, is
 the reference the compiled stage is tested against; no solver runs it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from . import kernels, native
+from .netgen import integer
 from .rates import RateModel, as_mu_matrix, epa_power, is_feasible
 from .tables import write_csv
 
@@ -58,14 +61,25 @@ STEP_GROW_AFTER = 10
 SIGMA_SCHEDULE = (100.0, 1000.0)
 
 
+def real(name: str, value) -> float:
+    """`value` as a float when it is a real number (numpy reals included,
+    bool not); otherwise a ValueError naming `name`, as netgen.integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ApgConfig:
     max_iters: int = 5000
     stop_tol: float = 1e-6       # objective change over STOP_WINDOW iterations
 
     def __post_init__(self):
+        # the budget crosses into the compiled stage as an int64
+        object.__setattr__(self, "max_iters", integer("max_iters", self.max_iters))
         if not self.max_iters >= 0:
             raise ValueError("max_iters must be >= 0")
+        object.__setattr__(self, "stop_tol", real("stop_tol", self.stop_tol))
         if not 0 <= self.stop_tol < math.inf:
             raise ValueError("stop_tol must be finite and >= 0")
 
@@ -216,6 +230,26 @@ def monotone_apg(
     return res
 
 
+def stage_start(model: RateModel, x0) -> np.ndarray:
+    """A C-ordered float copy of the start point x0, which the compiled
+    engine overwrites with the last iterate; ValueError when it and the rate
+    model's arrays do not fit together."""
+    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
+    x = np.array(x0, dtype=float, order="C")
+    if (x.shape != (ptr.shape[0] - 1, gs.shape[1]) or asq.shape != gs.shape or ptr[0] != 0
+            or ptr[-1] != gs.shape[0] or (np.diff(ptr) < 0).any()):
+        raise ValueError("start point and rate model shapes disagree")
+    return x
+
+
+def stage_config(max_iters: int, stop_tol: float, eps_soc: float,
+                 gap_check_every: int) -> native.StageConfig:
+    """The compiled engine's stage settings: this module's step policy with
+    the given budget, plateau tolerance and margin-stage exits."""
+    return native.StageConfig(DELTA, KAPPA, ALPHA_Y0, ALPHA_MU0, stop_tol, eps_soc, max_iters,
+                              STOP_WINDOW, LINE_SEARCH_CAP, gap_check_every, STEP_GROW_AFTER)
+
+
 def compiled_stage(
     lib,
     kind: int,
@@ -238,29 +272,23 @@ def compiled_stage(
     that exceeds -eps_soc. The stage stamps every iteration with the
     library's C clock `lib.apg_clock`; elapsed times are measured from one
     reading before the call."""
-    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
-    T, M = gs.shape
-    N = ptr.shape[0] - 1
-    x = np.array(x0, dtype=float, order="C")  # a copy: receives the last iterate
-    if (x.shape != (N, M) or asq.shape != gs.shape or ptr[0] != 0 or ptr[-1] != T
-            or (np.diff(ptr) < 0).any()):
-        raise ValueError("start point and rate model shapes disagree")
+    x = stage_start(model, x0)
     if kind == native.MARGIN and gap_check_every < 1:
         raise ValueError("gap_check_every must be >= 1")
+    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
+    (N, M), T = x.shape, gs.shape[0]
 
     n = cfg.max_iters + 1
     # one block per dtype: fewer mid-sized allocations fragment the heap less
     traces = np.empty((5, n))  # f_sigma, f_true, alpha_y, alpha_mu, clock
     bt_y, bt_mu = np.empty((2, n), dtype=np.int64)
     work = np.empty(lib.apg_work_len(T, N, M))
-    stage_cfg = native.StageConfig(DELTA, KAPPA, ALPHA_Y0, ALPHA_MU0, cfg.stop_tol, eps_soc,
-                                   cfg.max_iters, STOP_WINDOW, LINE_SEARCH_CAP,
-                                   gap_check_every, STEP_GROW_AFTER)
     out = native.StageResult()
     start = lib.apg_clock()
     code = lib.apg_stage(
-        kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
-        model.rho_bar, sigma, t, stage_cfg, x.ctypes.data, work.ctypes.data,
+        kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M, model.rho_bar,
+        sigma, t, stage_config(cfg.max_iters, cfg.stop_tol, eps_soc, gap_check_every),
+        x.ctypes.data, work.ctypes.data,
         *(a.ctypes.data for a in traces[:4]), bt_y.ctypes.data, bt_mu.ctypes.data,
         traces[4].ctypes.data, out,
     )

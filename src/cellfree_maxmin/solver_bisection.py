@@ -7,13 +7,15 @@ Level-t feasibility of a user is the cone inequality
 
 whose residual (RHS - LHS) is convex in mu. The oracle minimizes the largest
 residual over the feasible set S by maximizing the concave smoothed minimum
-margin with the same compiled monotone-APG stage as the main solver
-(solver_apg.compiled_stage, kind native.MARGIN), and certifies infeasibility
-through a Frank-Wolfe gap bound (the support function of S has the closed
-form sum_m ||[d_m]_+||): inside the stage every GAP_CHECK_EVERY iterations,
-and once more here when the stages end undecided. The stages run the APG
-step policy of solver_apg; only their iteration budget and plateau tolerance
-are set here.
+margin with the monotone-APG stage of the main solver (kind native.MARGIN),
+and certifies infeasibility through a Frank-Wolfe gap bound (the support
+function of S has the closed form sum_m ||[d_m]_+||): inside the stages
+every GAP_CHECK_EVERY iterations, and once more here when they end
+undecided. The whole sharpness continuation of stages is one call into the
+compiled library (apg_oracle in apg_stage.c); the candidate pick before it
+and the last certificate after it stay here. The stages run the APG step
+policy of solver_apg; only their iteration budget, sharpness schedule and
+plateau tolerance are set here.
 
 Oracle outcomes: "feasible" (witness with max residual <= EPS_SOC),
 "infeasible" (certified min of the max residual exceeds -EPS_SOC), or
@@ -27,13 +29,14 @@ allocation's min-rate, which the EPA point witnesses, is raised to it.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels, native
-from .rates import RateModel, as_mu_matrix, epa_power, min_rate
-from .solver_apg import ApgConfig, compiled_stage
+from .netgen import integer
+from .rates import RateModel, as_mu_matrix, epa_power, is_feasible, min_rate
+from .solver_apg import LineSearchError, real, stage_config, stage_start
 from .tables import write_csv
 
 FEASIBLE = "feasible"
@@ -59,8 +62,12 @@ class BisectionConfig:
     oracle_iter_cap: int = 4000  # total budget across smoothing stages
 
     def __post_init__(self):
+        object.__setattr__(self, "tol_t", real("tol_t", self.tol_t))
         if not 0 < self.tol_t < math.inf:
             raise ValueError("tol_t must be positive and finite")
+        # the budget crosses into the compiled oracle as an int64
+        object.__setattr__(self, "oracle_iter_cap",
+                           integer("oracle_iter_cap", self.oracle_iter_cap))
         if not self.oracle_iter_cap >= 1:
             raise ValueError("oracle_iter_cap must be >= 1")
 
@@ -86,6 +93,7 @@ class OracleResult:
     iterations: int
     max_residual: float
     certified_lower_bound: Optional[float] = None
+    stages: Tuple[str, ...] = ()  # each margin stage's stop reason, in order
 
 
 def _support_gap(grad: np.ndarray, x: np.ndarray) -> float:
@@ -105,81 +113,99 @@ def feasibility_oracle(
     """Find mu in S with all residuals <= EPS_SOC, or certify none is close.
 
     `warm` is a sequence of candidate (N, M) start points. The equal power
-    allocation point always follows them as a fallback, and the candidate of least max
-    residual starts the search. The smoothed min-margin maximization runs an
-    inner sharpness continuation (coarse to fine sigma_f, warm-started),
-    checking the true residuals every iterate and the infeasibility
-    certificate periodically. Each stage is one compiled_stage call, as in
-    apg_solve.
+    allocation point always follows them as a fallback, and the candidate of
+    least max residual starts the search; it is the witness itself when it
+    lies in S with no residual above EPS_SOC. Otherwise the smoothed
+    min-margin maximization runs an inner sharpness continuation (coarse to
+    fine sigma_f, warm-started), checking the true residuals every iterate
+    and the infeasibility certificate periodically: the whole continuation
+    is one call into the compiled library (apg_oracle in apg_stage.c).
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"level t must be finite and >= 0, got {t!r}")
     cfg = cfg or BisectionConfig()
-    impl = kernels.IMPL
-    lib = native.load_library()
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
+    et1 = math.expm1(t)
+    lin = math.sqrt(0.25 * math.pi * rho)
 
     candidates = [as_mu_matrix(w, model) for w in warm]
     candidates.append(epa_power(model.num_aps, model.num_groups))
 
-    best = None
+    best = best_c = None
     best_res = math.inf
     for cand in candidates:
         cand = np.ascontiguousarray(cand)
-        r = float(impl.soc_residuals(gs, asq, ptr, cand, rho, t).max())
+        p, c = kernels._user_pc(gs, asq, ptr, cand, rho)
+        # kernels._soc_residuals, bit for bit
+        r = float((np.sqrt(et1 * c) - lin * p).max())
         if r < best_res:
-            best, best_res = cand, r
+            best, best_c, best_res = cand, c, r
     if best is None:
         # no candidate has a residual below inf (NaN or inf data): name the inputs
         inputs = {"gamma_sqrt": gs, "a_sq": asq, "rho_bar": rho, "warm start": candidates}
         bad = [name for name, val in inputs.items() if not np.isfinite(val).all()]
         raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) at level t={t}")
     if best_res <= EPS_SOC:
-        return OracleResult(FEASIBLE, best, 0, best_res)
+        # a candidate outside S is no witness: the first stage projects it
+        if is_feasible(best):
+            return OracleResult(FEASIBLE, best, 0, best_res)
+        if t == 0.0:
+            # no residual of a point of S is positive at level 0, where the
+            # sensitivity below is infinite: the EPA point, the last
+            # candidate, witnesses it
+            return OracleResult(FEASIBLE, candidates[-1], 0, r)
 
     # residual-to-t sensitivity at the warm point:
-    # d(residual)/dt = exp(t)/(2*sqrt(e^t-1)) * sqrt(rho*||A mu||^2 + 1)
-    et1 = math.expm1(t)
-    dvals = np.sqrt(kernels._user_pc(gs, asq, ptr, best, rho)[1])
-    sens = math.exp(t) / (2.0 * math.sqrt(et1)) * float(np.median(dvals))
-    log_t = math.log(max(model.num_users, 2))
+    # d(residual)/dt = exp(t)/(2*sqrt(e^t-1)) * sqrt(rho*||A mu||^2 + 1),
+    # with the median over users taken as np.median does
+    dvals = np.sort(np.sqrt(best_c))
+    half = dvals.shape[0] // 2
+    median = dvals[half] if dvals.shape[0] % 2 else (dvals[half - 1] + dvals[half]) / 2.0
+    sens = math.exp(t) / (2.0 * math.sqrt(et1)) * float(median)
+    return _continuation(native.load_library(), model, t, best, sens, cfg)
 
-    # sharpness schedule: resolve margins from a coarse t-resolution down to
-    # a fraction of the bisection tolerance
+
+def _continuation(lib, model: RateModel, t: float, x0, sens: float,
+                  cfg: BisectionConfig) -> OracleResult:
+    """The oracle's sharpness continuation at level t from x0, as one
+    apg_oracle call of the compiled library `lib`: margin stages from a
+    coarse t-resolution down to a fraction of the bisection tolerance, each
+    at sharpness ln(T)/(resolution * sens) and plateau tolerance
+    0.02 * resolution * sens (sens: the residuals' sensitivity to t), on
+    the iteration budget left. When they end undecided, one last
+    certificate attempt at the last sharpness follows."""
+    x = stage_start(model, x0)
+    gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
+    (N, M), T = x.shape, gs.shape[0]
+    cap = cfg.oracle_iter_cap
     res_fine = max(SMOOTHING_QUALITY * cfg.tol_t, 1e-12)
     res_coarse = max(SMOOTHING_COARSE_T, res_fine)
-    resolutions = [res_coarse]
-    while resolutions[-1] > res_fine * (1.0 + 1e-9):
-        resolutions.append(max(resolutions[-1] / SMOOTHING_STEP, res_fine))
-
-    x = best
-    iters_used = 0
-    sigma_f = 0.0
-    max_res = best_res
-    for res_t in resolutions:
-        sigma_f = float(np.clip(log_t / max(res_t * sens, 1e-300), 1e-3, 1e12))
-        budget = cfg.oracle_iter_cap - iters_used
-        if budget <= 0:
-            break
-        # plateau at this stage's resolution
-        apg_cfg = ApgConfig(max_iters=budget, stop_tol=0.02 * res_t * sens)
-        result = compiled_stage(lib, native.MARGIN, model, x, apg_cfg, sigma_f, t=t,
-                                eps_soc=EPS_SOC, gap_check_every=GAP_CHECK_EVERY)
-        iters_used += result.iterations
-        x = result.power
-        max_res = -result.f_true
-        if result.termination == FEASIBLE:
-            return OracleResult(FEASIBLE, x, iters_used, max_res)
-        if result.termination == INFEASIBLE:
-            return OracleResult(INFEASIBLE, x, iters_used, max_res,
-                                certified_lower_bound=result.certified_bound)
+    work = np.empty(lib.apg_oracle_work_len(T, N, M, cap))
+    out = native.ContinuationResult()
+    code = lib.apg_oracle(
+        gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M, rho, t, sens,
+        math.log(max(model.num_users, 2)), res_coarse, res_fine, SMOOTHING_STEP,
+        stage_config(cap, 0.0, EPS_SOC, GAP_CHECK_EVERY), x.ctypes.data, work.ctypes.data, out)
+    if code < 0:
+        raise ValueError(native.ORACLE_ERRORS[code])
+    last = out.stage
+    reason = native.STOP_REASONS[code]
+    if reason == "line_search":
+        raise LineSearchError(last.iterations, last.alpha_mu, last.f_mu, last.f_best)
+    stages = tuple(native.STOP_REASONS[c] for c in out.codes[:out.stages])
+    if reason == FEASIBLE:
+        return OracleResult(FEASIBLE, x, out.iterations, -last.aux, stages=stages)
+    if reason == INFEASIBLE:
+        return OracleResult(INFEASIBLE, x, out.iterations, -last.aux,
+                            certified_lower_bound=last.bound, stages=stages)
 
     # budget exhausted or plateaued everywhere: one last certificate attempt
-    fs, _, grad = impl.margin_value_grad(gs, asq, ptr, x, rho, t, sigma_f)
+    fs, _, grad = kernels.IMPL.margin_value_grad(gs, asq, ptr, x, rho, t, out.sigma)
     gap = _support_gap(grad, x)
     lower = -(fs + gap)
     status = INFEASIBLE if lower > -EPS_SOC else UNDECIDED
-    return OracleResult(status, x, iters_used, max_res, certified_lower_bound=lower)
+    return OracleResult(status, x, out.iterations, -last.aux, certified_lower_bound=lower,
+                        stages=stages)
 
 
 @dataclass

@@ -413,15 +413,15 @@ class TestStalledStage:
 
     @pytest.mark.parametrize("num_aps", [4, 5])
     def test_compiled(self, lib, monkeypatch, num_aps):
-        stage = solver_bisection.compiled_stage
+        oracle = solver_bisection.feasibility_oracle
         terminations = []
 
-        def recording_stage(*args, **kwargs):
-            result = stage(*args, **kwargs)
-            terminations.append(result.termination)
+        def recording_oracle(*args, **kwargs):
+            result = oracle(*args, **kwargs)
+            terminations.extend(result.stages)
             return result
 
-        monkeypatch.setattr(solver_bisection, "compiled_stage", recording_stage)
+        monkeypatch.setattr(solver_bisection, "feasibility_oracle", recording_oracle)
         model = shaped_model(num_aps, (15, 15), seed=1)
         cfg = BisectionConfig()
         report = bisection_solve(model, cfg)
@@ -481,14 +481,15 @@ def test_sources_build_without_warnings(tmp_path):
 
 # a RATE stage and MARGIN stages at two levels (above the equal power
 # allocation's min-rate, and above the zero-interference bound) on one group
-# of one user at one AP and on groups (7, 9, 2) at 17 APs, and the three
-# Monte-Carlo entries on 1003 draws, no multiple of any lane width
-UNDEFINED_BEHAVIOUR_RUN = """
+# of one user at one AP and on groups (7, 9, 2) at 17 APs; the compiled oracle
+# on both, ending feasible, infeasible and out of budget on the second; and
+# the three Monte-Carlo entries on 1003 draws, no multiple of any lane width
+SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
-from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_power,
-                             epa_rates, generate_instance, native, rate_oracle_monte_carlo,
-                             rate_upper_bound)
+from cellfree_maxmin import (ApgConfig, BisectionConfig, Dimensions, PhysicalConfig,
+                             build_rate_model, epa_power, epa_rates, feasibility_oracle,
+                             generate_instance, native, rate_oracle_monte_carlo, rate_upper_bound)
 from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import iter_smallscale_blocks, smallscale_key
 from cellfree_maxmin.solver_apg import compiled_stage
@@ -505,6 +506,11 @@ for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
     for t in (2.0 * epa_rates(model).min_rate, rate_upper_bound(model) + 0.1):
         compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
                        gap_check_every=25)
+    epa = epa_rates(model).min_rate
+    statuses = [feasibility_oracle(model, t, cfg=BisectionConfig(oracle_iter_cap=cap)).status
+                for t, cap in ((1.2 * epa, 4000), (rate_upper_bound(model) + 0.1, 4000),
+                               (1.5 * epa, 5))]
+    assert num_aps == 1 or statuses == ["feasible", "infeasible", "undecided"], statuses
     rate_oracle_monte_carlo(instance, random_feasible_power(dims, seed=2), 1003, seed=3)
     list(iter_smallscale_blocks(instance, 1003, seed=3))
     out = np.empty((2, 1003, 7))
@@ -512,30 +518,50 @@ for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
 """
 
 
-def test_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
-    """The sources built with the build's flags plus -fsanitize=undefined
-    (aborting on the first report) run stages of both kinds and every
-    Monte-Carlo entry in a child process with no report."""
+def sanitized_run(tmp_path, flags, env=None):
+    """SANITIZED_RUN in a child process, over the sources built with the
+    build's flags plus `flags`; skips when the compiler rejects the flags."""
     compiler = next(filter(None, map(native.shutil.which, native.COMPILERS)))
-    flags = ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
     probe = tmp_path / "probe.c"
     probe.write_text("int probe(int x) { return x + 1; }\n")
     if subprocess.run([compiler, *native.CFLAGS, *flags, "-o", str(tmp_path / "probe.so"),
                        str(probe)], stdin=subprocess.DEVNULL, capture_output=True,
                       timeout=native.BUILD_TIMEOUT_S).returncode != 0:
-        pytest.skip(f"{compiler} rejects -fsanitize=undefined")
-    library = tmp_path / "ubsan.so"
+        pytest.skip(f"{compiler} rejects {' '.join(flags)}")
+    library = tmp_path / "sanitized.so"
     proc = subprocess.run([compiler, *native.CFLAGS, *flags, "-o", str(library),
                            *native.SOURCES, "-lm"], stdin=subprocess.DEVNULL,
                           capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
     src = os.path.dirname(os.path.dirname(os.path.abspath(native.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", UNDEFINED_BEHAVIOUR_RUN, str(library)],
-                         stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env,
-                         timeout=300)
+    return subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(library)],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    """The sources built with -fsanitize=undefined (aborting on the first
+    report) run stages of both kinds, the compiled oracle and every
+    Monte-Carlo entry with no report."""
+    run = sanitized_run(tmp_path, ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"])
     assert run.returncode == 0 and "runtime error" not in run.stderr, run.stderr
+
+
+def test_library_runs_clean_under_the_address_sanitizer(tmp_path):
+    """The same run with the sources built with -fsanitize=address: no read
+    or write outside a buffer. The interpreter is not built with the
+    sanitizer, so its runtime is preloaded, and leak checking, which would
+    report the interpreter's own allocations, is off."""
+    compiler = next(filter(None, map(native.shutil.which, native.COMPILERS)))
+    runtime = subprocess.run([compiler, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, timeout=60).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip(f"{compiler} names no AddressSanitizer runtime")
+    run = sanitized_run(tmp_path, ["-O1", "-fsanitize=address", "-fno-omit-frame-pointer"],
+                        env={"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"})
+    assert run.returncode == 0 and "AddressSanitizer" not in run.stderr, run.stderr
 
 
 def test_failed_build_prints_nothing(lib, tmp_path, monkeypatch, capfd):

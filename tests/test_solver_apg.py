@@ -173,6 +173,20 @@ class TestSmoothObjective:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ApgConfig(**{key: bad})
 
+    # a non-integer count used to fail deep in numpy with an unnamed
+    # TypeError, and True ran as one iteration
+    @pytest.mark.parametrize("key,bad", [("max_iters", 2.5), ("max_iters", True),
+                                         ("max_iters", "10"), ("stop_tol", "1e-6"),
+                                         ("stop_tol", True)])
+    def test_apg_config_names_a_value_of_the_wrong_type(self, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be a"):
+            ApgConfig(**{key: bad})
+
+    def test_apg_config_takes_numpy_numbers(self):
+        cfg = ApgConfig(max_iters=np.int64(7), stop_tol=np.float64(1e-3))
+        assert (cfg.max_iters, cfg.stop_tol) == (7, 1e-3)
+        assert type(cfg.max_iters) is int and type(cfg.stop_tol) is float
+
     @pytest.mark.parametrize("bad", [{"stop_window": 0}, {"stop_window": -50, "max_iters": 200},
                                      {"max_iters": -1}])
     def test_apg_config_rejects_bad_stop_window_and_max_iters(self, bad):

@@ -215,3 +215,11 @@ class TestBisectionSolve:
     def test_config_validation(self, key, bad):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             BisectionConfig(**{key: bad})
+
+    # the cap crosses into the compiled oracle as an int64: 10.5 used to fail
+    # deep in numpy, and a string tol_t in a comparison, with unnamed errors
+    @pytest.mark.parametrize("key,bad", [("oracle_iter_cap", 10.5), ("oracle_iter_cap", True),
+                                         ("tol_t", "1e-4"), ("tol_t", True)])
+    def test_config_names_a_value_of_the_wrong_type(self, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be a"):
+            BisectionConfig(**{key: bad})

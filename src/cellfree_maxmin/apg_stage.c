@@ -1,6 +1,5 @@
-/* One fixed-sigma monotone-APG stage in a single call (apg_stage), and the
- * bisection oracle's whole sharpness continuation of margin stages in a
- * single call (apg_oracle).
+/* One fixed-sigma monotone-APG stage in a single call (apg_stage), and a
+ * chain of margin stages in a single call (apg_chain).
  *
  * A stage is the loop of solver_apg.monotone_apg, run over one of two smooth
  * objectives on the per-AP orthant-ball set S:
@@ -12,11 +11,12 @@
  *               bound certifies the min-max residual above -eps (checked
  *               every gap_every iterations).
  *
- * apg_oracle chains margin stages from coarse to fine resolution, each
- * warm-started at the last iterate of the one before. It computes each
- * stage's settings in Python's operation order, so it equals a Python loop
- * of one apg_stage call per stage bit for bit; that loop is the reference
- * in tests/test_oracle_continuation.py.
+ * apg_chain runs the margin stages it is given, each at its own sharpness and
+ * plateau tolerance, in order and warm-started at the last iterate of the one
+ * before. It sets no stage's settings (solver_bisection computes the oracle's
+ * smoothing schedule), so it equals a Python loop of one apg_stage call per
+ * stage bit for bit; that loop is the reference in
+ * tests/test_oracle_continuation.py.
  *
  * Step policy of each iteration, in this order:
  *
@@ -100,18 +100,8 @@ typedef struct {
     double f, aux;
     double alpha_mu, f_mu, f_best;  /* line-search failure */
     double bound;                   /* certified bound at the last gap check */
+    int64_t stages, total_iterations;  /* apg_chain: stages run, their summed iterations */
 } StageResult;
-
-/* outputs of apg_oracle: the last stage's, and those of the continuation */
-#define ORACLE_MAX_STAGES 32
-enum { ORACLE_BAD_STOP_TOL = -1, ORACLE_LONG_SCHEDULE = -2 };
-typedef struct {
-    StageResult stage;  /* the last stage run */
-    int64_t iterations; /* summed over the stages run */
-    int64_t stages;     /* stages run */
-    double sigma;       /* the sharpness computed last */
-    int64_t codes[ORACLE_MAX_STAGES]; /* each stage's STOP_* code */
-} ContinuationResult;
 
 typedef struct {
     int kind;
@@ -143,13 +133,6 @@ int64_t apg_scratch_len(int64_t T, int64_t N, int64_t M)
 int64_t apg_work_len(int64_t T, int64_t N, int64_t M)
 {
     return 9 * N * M + 6 * padded(T) + apg_scratch_len(T, N, M);
-}
-
-/* Doubles of work for apg_oracle with a budget of cap iterations: a stage's
- * work and its seven traces of cap + 1 entries. */
-int64_t apg_oracle_work_len(int64_t T, int64_t N, int64_t M, int64_t cap)
-{
-    return apg_work_len(T, N, M) + 7 * (cap + 1);
 }
 
 int64_t apg_lanes(void)
@@ -735,62 +718,44 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     return code;
 }
 
-/* The bisection oracle's sharpness continuation at level t from x; x
- * receives the last iterate.
+/* Run the margin stages i = 0, 1, ..., S - 1 (S >= 1) at level t from x, in
+ * order, each from the last iterate of the one before; x receives the last
+ * iterate. Stage i runs at sharpness sigmas[i] with plateau tolerance tols[i]
+ * on the budget cfg->max_iters less the iterations of the stages before it;
+ * a stage after the first runs only while that is positive. The chain ends
+ * at the first stage that ends feasible, infeasible or in a failed line
+ * search. codes[i] receives stage i's STOP_* code, and out the last stage's
+ * result, the stages run and their summed iterations (a failed stage's not
+ * counted). Returns the last stage's code.
  *
- * Margin stages run at the resolutions res_coarse, then each previous one
- * divided by res_step and floored at res_fine, until one at most
- * res_fine * (1 + 1e-9) has run. The stage at resolution res runs with
- * sharpness sigma = min(max(log_t / max(res * sens, 1e-300), 1e-3), 1e12),
- * plateau tolerance (0.02 * res) * sens and the budget left of
- * cfg->max_iters, which bounds the iterations of all stages together;
- * cfg->stop_tol is not read. The continuation ends at the first stage that
- * ends feasible, infeasible or in a failed line search (its code is
- * returned), or, undecided, when the schedule or the budget runs out
- * (STOP_MAX_ITERS). out->sigma is the sharpness computed last, also when the
- * budget ran out before its stage. A plateau tolerance that is not finite
- * and >= 0 returns ORACLE_BAD_STOP_TOL before its stage runs; a schedule of
- * more than ORACLE_MAX_STAGES stages returns ORACLE_LONG_SCHEDULE.
- *
- * work holds apg_oracle_work_len(T, N, M, cfg->max_iters) doubles. */
-int apg_oracle(const double *gs, const double *asq, const int64_t *gptr,
-               int64_t T, int64_t N, int64_t M, double rho, double t, double sens,
-               double log_t, double res_coarse, double res_fine, double res_step,
-               const StageConfig *cfg, double *x, double *work, ContinuationResult *out)
+ * work holds apg_work_len(T, N, M) doubles, then a stage's seven traces of
+ * cfg->max_iters + 1 entries each. */
+int apg_chain(const double *gs, const double *asq, const int64_t *gptr,
+              int64_t T, int64_t N, int64_t M, double rho, double t,
+              int64_t S, const double *sigmas, const double *tols,
+              const StageConfig *cfg, double *x, double *work, int64_t *codes,
+              StageResult *out)
 {
     const int64_t n = cfg->max_iters + 1;
     double *traces = work + apg_work_len(T, N, M);
     int64_t *bt = (int64_t *)(traces + 5 * n);
     StageConfig stage = *cfg;
-    out->iterations = 0;
-    out->stages = 0;
-    for (double res = res_coarse;;) {
-        double d = res * sens, sigma = log_t / (d < 1e-300 ? 1e-300 : d);
-        sigma = sigma < 1e-3 ? 1e-3 : sigma;  /* keeps NaN: as np.clip */
-        sigma = sigma > 1e12 ? 1e12 : sigma;
-        out->sigma = sigma;
-        const int64_t budget = cfg->max_iters - out->iterations;
-        if (budget <= 0)
-            break;
-        stage.stop_tol = 0.02 * res * sens;
-        if (!(stage.stop_tol >= 0.0 && stage.stop_tol < INFINITY))
-            return ORACLE_BAD_STOP_TOL;
-        if (out->stages == ORACLE_MAX_STAGES)
-            return ORACLE_LONG_SCHEDULE;
-        stage.max_iters = budget;
-        int code = apg_stage(APG_MARGIN, gs, asq, gptr, T, N, M, rho, sigma, t, &stage, x, work,
-                             traces, traces + n, traces + 2 * n, traces + 3 * n, bt, bt + n,
-                             traces + 4 * n, &out->stage);
-        out->codes[out->stages++] = code;
+    int64_t i = 0, iterations = 0;
+    int code = STOP_MAX_ITERS;
+    while (i < S && (i == 0 || iterations < cfg->max_iters)) {
+        stage.stop_tol = tols[i];
+        stage.max_iters = cfg->max_iters - iterations;
+        code = apg_stage(APG_MARGIN, gs, asq, gptr, T, N, M, rho, sigmas[i], t, &stage, x,
+                         work, traces, traces + n, traces + 2 * n, traces + 3 * n, bt, bt + n,
+                         traces + 4 * n, out);
+        codes[i++] = code;
         if (code == STOP_LINE_SEARCH)
-            return code;
-        out->iterations += out->stage.iterations;
-        if (code == STOP_FEASIBLE || code == STOP_INFEASIBLE)
-            return code;
-        if (!(res > res_fine * (1.0 + 1e-9)))
             break;
-        res = res / res_step;
-        res = res_fine > res ? res_fine : res;
+        iterations += out->iterations;
+        if (code == STOP_FEASIBLE || code == STOP_INFEASIBLE)
+            break;
     }
-    return STOP_MAX_ITERS;
+    out->stages = i;
+    out->total_iterations = iterations;
+    return code;
 }

@@ -158,7 +158,8 @@ def _soft_min_value_grad(gs, asq, gptr, mu, rho, sigma):
 
 def _project_ball_orthant(x):
     u = np.maximum(x, 0.0)
-    nsq = _seq_sum(u * u, axis=0)
+    with np.errstate(over="ignore"):  # an overflowed column is handled below
+        nsq = _seq_sum(u * u, axis=0)
     scale = np.where(nsq > 1.0 + BALL_SLACK, np.sqrt(nsq), 1.0)
     out = u / scale
     over = np.isinf(nsq)

@@ -1,6 +1,6 @@
-"""Build and load the compiled library: the monotone-APG stage and the
-bisection oracle's continuation of stages (apg_stage.c), and the Monte-Carlo
-oracle's block pass (mc_block.c).
+"""Build and load the compiled library: the monotone-APG stage and its chain
+of margin stages (apg_stage.c), and the Monte-Carlo oracle's block pass
+(mc_block.c).
 
 Both sources are built into one shared library with the system C compiler
 on first use, never at import, into
@@ -53,11 +53,6 @@ RATE, MARGIN = 0, 1
 STOP_REASONS = {0: "max_iters", 1: "objective_plateau", 2: "line_search",
                 3: "feasible", 4: "infeasible", 5: "stalled"}
 
-# apg_oracle: room for the stop codes of this many stages, and its error codes
-ORACLE_MAX_STAGES = 32
-ORACLE_ERRORS = {-1: "stop_tol must be finite and >= 0",
-                 -2: f"the smoothing schedule must have at most {ORACLE_MAX_STAGES} stages"}
-
 _LOAD_LOCK = threading.Lock()
 
 
@@ -89,16 +84,9 @@ class StageResult(ctypes.Structure):
         ("f_mu", ctypes.c_double),
         ("f_best", ctypes.c_double),
         ("bound", ctypes.c_double),
-    ]
-
-
-class ContinuationResult(ctypes.Structure):
-    _fields_ = [
-        ("stage", StageResult),  # the last stage run
-        ("iterations", ctypes.c_int64),
+        # set by apg_chain: the stages run and their summed iterations
         ("stages", ctypes.c_int64),
-        ("sigma", ctypes.c_double),
-        ("codes", ctypes.c_int64 * ORACLE_MAX_STAGES),
+        ("total_iterations", ctypes.c_int64),
     ]
 
 
@@ -190,23 +178,20 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.POINTER(StageResult),
     ]
     lib.apg_stage.restype = ctypes.c_int
-    lib.apg_oracle.argtypes = [
-        ptr, ptr, ptr, i64, i64, i64, dbl, dbl, dbl, dbl, dbl, dbl, dbl,
-        ctypes.POINTER(StageConfig), ptr, ptr, ctypes.POINTER(ContinuationResult),
+    lib.apg_chain.argtypes = [
+        ptr, ptr, ptr, i64, i64, i64, dbl, dbl, i64, ptr, ptr,
+        ctypes.POINTER(StageConfig), ptr, ptr, ptr, ctypes.POINTER(StageResult),
     ]
-    lib.apg_oracle.restype = ctypes.c_int
+    lib.apg_chain.restype = ctypes.c_int
     lib.apg_objective.argtypes = [
         ctypes.c_int, ptr, ptr, ptr, i64, i64, i64, dbl, dbl, dbl, ptr, ptr, ptr,
         ctypes.POINTER(ctypes.c_double),
     ]
     lib.apg_objective.restype = dbl
-    # buffer lengths in doubles: work of apg_stage, scratch of apg_objective,
-    # work of apg_oracle (with its iteration budget)
+    # buffer lengths in doubles: work of apg_stage, scratch of apg_objective
     for name in ("apg_work_len", "apg_scratch_len"):
         getattr(lib, name).argtypes = [i64, i64, i64]
         getattr(lib, name).restype = i64
-    lib.apg_oracle_work_len.argtypes = [i64, i64, i64, i64]
-    lib.apg_oracle_work_len.restype = i64
     # the vector exp and log1p of the stage over arrays: (x, out, n)
     for name in ("apg_vexp", "apg_vlog1p"):
         getattr(lib, name).argtypes = [ptr, ptr, i64]

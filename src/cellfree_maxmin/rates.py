@@ -55,6 +55,13 @@ class RateModel:
         ptr = np.ascontiguousarray(np.asarray(self.group_ptr, dtype=np.int64))
         ptr.setflags(write=False)
         object.__setattr__(self, "group_ptr", ptr)
+        # the compiled library sizes its buffers from these shapes
+        if self.gamma_sqrt.ndim != 2 or self.a_sq.shape != self.gamma_sqrt.shape:
+            raise ValueError("gamma_sqrt must be a (T, M) array and a_sq of its shape")
+        if (ptr.ndim != 1 or ptr.shape[0] == 0 or ptr[0] != 0 or ptr[-1] != self.num_users
+                or (np.diff(ptr) < 0).any()):
+            raise ValueError("group_ptr must run from 0 to T, the number of users, "
+                             "never decreasing")
 
     @property
     def num_users(self) -> int:

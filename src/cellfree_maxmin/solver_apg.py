@@ -232,12 +232,10 @@ def monotone_apg(
 
 def stage_start(model: RateModel, x0) -> np.ndarray:
     """A C-ordered float copy of the start point x0, which the compiled
-    engine overwrites with the last iterate; ValueError when it and the rate
-    model's arrays do not fit together."""
-    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
+    engine overwrites with the last iterate; ValueError when it is no
+    (N, M) array for the rate model."""
     x = np.array(x0, dtype=float, order="C")
-    if (x.shape != (ptr.shape[0] - 1, gs.shape[1]) or asq.shape != gs.shape or ptr[0] != 0
-            or ptr[-1] != gs.shape[0] or (np.diff(ptr) < 0).any()):
+    if x.shape != (model.num_groups, model.num_aps):
         raise ValueError("start point and rate model shapes disagree")
     return x
 
@@ -318,12 +316,15 @@ def compiled_stage(
 def project_feasible(x, num_aps: Optional[int] = None) -> np.ndarray:
     """Exact Euclidean projection of the (N, M) matrix x onto S: per AP,
     clip negatives then scale into the unit ball if needed. Any other shape,
-    or M != num_aps when num_aps is given, is rejected."""
+    M != num_aps when num_aps is given, or a NaN or infinite entry is
+    rejected."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise ValueError("x must be an (N, M) array")
     if num_aps is not None and arr.shape[1] != num_aps:
         raise ValueError(f"x has {arr.shape[1]} AP columns, expected num_aps={num_aps}")
+    if not np.isfinite(arr).all():
+        raise ValueError("x must be finite")
     return kernels.IMPL.project_ball_orthant(np.ascontiguousarray(arr))
 
 

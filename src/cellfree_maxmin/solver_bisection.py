@@ -11,11 +11,11 @@ margin with the monotone-APG stage of the main solver (kind native.MARGIN),
 and certifies infeasibility through a Frank-Wolfe gap bound (the support
 function of S has the closed form sum_m ||[d_m]_+||): inside the stages
 every GAP_CHECK_EVERY iterations, and once more here when they end
-undecided. The whole sharpness continuation of stages is one call into the
-compiled library (apg_oracle in apg_stage.c); the candidate pick before it
-and the last certificate after it stay here. The stages run the APG step
-policy of solver_apg; only their iteration budget, sharpness schedule and
-plateau tolerance are set here.
+undecided. The sharpness continuation of stages is one call into the
+compiled library (apg_chain in apg_stage.c), which runs the schedule that
+_smoothing_schedule sets here: each stage's sharpness and plateau
+tolerance. The candidate pick before it and the last certificate after it
+stay here too. The stages run the APG step policy of solver_apg.
 
 Oracle outcomes: "feasible" (witness with max residual <= EPS_SOC),
 "infeasible" (certified min of the max residual exceeds -EPS_SOC), or
@@ -27,6 +27,7 @@ oracle_iter_cap. The bracket always starts at
 allocation's min-rate, which the EPA point witnesses, is raised to it.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -119,7 +120,7 @@ def feasibility_oracle(
     min-margin maximization runs an inner sharpness continuation (coarse to
     fine sigma_f, warm-started), checking the true residuals every iterate
     and the infeasibility certificate periodically: the whole continuation
-    is one call into the compiled library (apg_oracle in apg_stage.c).
+    is one call into the compiled library (apg_chain in apg_stage.c).
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"level t must be finite and >= 0, got {t!r}")
@@ -165,47 +166,66 @@ def feasibility_oracle(
     return _continuation(native.load_library(), model, t, best, sens, cfg)
 
 
+def _smoothing_schedule(tol_t: float, sens: float,
+                        num_users: int) -> Tuple[List[float], List[float]]:
+    """The sharpness and plateau tolerance of each margin stage of the
+    oracle's continuation, from the t-resolution SMOOTHING_COARSE_T down to
+    SMOOTHING_QUALITY * tol_t, SMOOTHING_STEP times finer per stage: the stage
+    at resolution res has sharpness ln(T)/(res * sens), clipped to
+    [1e-3, 1e12], and plateau tolerance 0.02 * res * sens (sens: the
+    residuals' sensitivity to t). The constants are read at call time."""
+    log_t = math.log(max(num_users, 2))
+    res_fine = max(SMOOTHING_QUALITY * tol_t, 1e-12)
+    res = max(SMOOTHING_COARSE_T, res_fine)
+    sigmas, tols = [], []
+    while True:
+        sigmas.append(min(max(log_t / max(res * sens, 1e-300), 1e-3), 1e12))
+        tols.append(0.02 * res * sens)
+        if not res > res_fine * (1 + 1e-9):
+            return sigmas, tols
+        res = max(res / SMOOTHING_STEP, res_fine)
+
+
 def _continuation(lib, model: RateModel, t: float, x0, sens: float,
                   cfg: BisectionConfig) -> OracleResult:
-    """The oracle's sharpness continuation at level t from x0, as one
-    apg_oracle call of the compiled library `lib`: margin stages from a
-    coarse t-resolution down to a fraction of the bisection tolerance, each
-    at sharpness ln(T)/(resolution * sens) and plateau tolerance
-    0.02 * resolution * sens (sens: the residuals' sensitivity to t), on
-    the iteration budget left. When they end undecided, one last
-    certificate attempt at the last sharpness follows."""
+    """The oracle's sharpness continuation at level t from x0: the stages of
+    _smoothing_schedule as one apg_chain call of the compiled library `lib`,
+    on the iteration budget cfg.oracle_iter_cap. When they end undecided,
+    one last certificate attempt follows, at the sharpness of the first
+    stage not run, or of the last one when all ran."""
     x = stage_start(model, x0)
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
     (N, M), T = x.shape, gs.shape[0]
-    cap = cfg.oracle_iter_cap
-    res_fine = max(SMOOTHING_QUALITY * cfg.tol_t, 1e-12)
-    res_coarse = max(SMOOTHING_COARSE_T, res_fine)
-    work = np.empty(lib.apg_oracle_work_len(T, N, M, cap))
-    out = native.ContinuationResult()
-    code = lib.apg_oracle(
-        gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M, rho, t, sens,
-        math.log(max(model.num_users, 2)), res_coarse, res_fine, SMOOTHING_STEP,
-        stage_config(cap, 0.0, EPS_SOC, GAP_CHECK_EVERY), x.ctypes.data, work.ctypes.data, out)
-    if code < 0:
-        raise ValueError(native.ORACLE_ERRORS[code])
-    last = out.stage
+    sigmas, tols = _smoothing_schedule(cfg.tol_t, sens, T)
+    if not all(0.0 <= tol < math.inf for tol in tols):
+        raise ValueError("stop_tol must be finite and >= 0")
+    cap, count = cfg.oracle_iter_cap, len(sigmas)
+    work = np.empty(lib.apg_work_len(T, N, M) + 7 * (cap + 1))  # the work, then the traces
+    codes = (ctypes.c_int64 * count)()
+    out = native.StageResult()
+    code = lib.apg_chain(
+        gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M, rho, t, count,
+        (ctypes.c_double * count)(*sigmas), (ctypes.c_double * count)(*tols),
+        stage_config(cap, 0.0, EPS_SOC, GAP_CHECK_EVERY), x.ctypes.data, work.ctypes.data,
+        codes, out)
     reason = native.STOP_REASONS[code]
     if reason == "line_search":
-        raise LineSearchError(last.iterations, last.alpha_mu, last.f_mu, last.f_best)
-    stages = tuple(native.STOP_REASONS[c] for c in out.codes[:out.stages])
+        raise LineSearchError(out.iterations, out.alpha_mu, out.f_mu, out.f_best)
+    stages = tuple(native.STOP_REASONS[c] for c in codes[:out.stages])
     if reason == FEASIBLE:
-        return OracleResult(FEASIBLE, x, out.iterations, -last.aux, stages=stages)
+        return OracleResult(FEASIBLE, x, out.total_iterations, -out.aux, stages=stages)
     if reason == INFEASIBLE:
-        return OracleResult(INFEASIBLE, x, out.iterations, -last.aux,
-                            certified_lower_bound=last.bound, stages=stages)
+        return OracleResult(INFEASIBLE, x, out.total_iterations, -out.aux,
+                            certified_lower_bound=out.bound, stages=stages)
 
     # budget exhausted or plateaued everywhere: one last certificate attempt
-    fs, _, grad = kernels.IMPL.margin_value_grad(gs, asq, ptr, x, rho, t, out.sigma)
+    sigma = sigmas[min(out.stages, count - 1)]
+    fs, _, grad = kernels.IMPL.margin_value_grad(gs, asq, ptr, x, rho, t, sigma)
     gap = _support_gap(grad, x)
     lower = -(fs + gap)
     status = INFEASIBLE if lower > -EPS_SOC else UNDECIDED
-    return OracleResult(status, x, out.iterations, -last.aux, certified_lower_bound=lower,
-                        stages=stages)
+    return OracleResult(status, x, out.total_iterations, -out.aux,
+                        certified_lower_bound=lower, stages=stages)
 
 
 @dataclass

@@ -482,14 +482,17 @@ def test_sources_build_without_warnings(tmp_path):
 # a RATE stage and MARGIN stages at two levels (above the equal power
 # allocation's min-rate, and above the zero-interference bound) on one group
 # of one user at one AP and on groups (7, 9, 2) at 17 APs; the compiled oracle
-# on both, ending feasible, infeasible and out of budget on the second; and
-# the three Monte-Carlo entries on 1003 draws, no multiple of any lane width
+# on both, ending feasible, infeasible and out of budget on the second, and
+# just above the optimum, with a budget that ends mid-schedule and with a
+# finer step that makes a chain of 40 stages; and the three Monte-Carlo
+# entries on 1003 draws, no multiple of any lane width
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
 from cellfree_maxmin import (ApgConfig, BisectionConfig, Dimensions, PhysicalConfig,
-                             build_rate_model, epa_power, epa_rates, feasibility_oracle,
-                             generate_instance, native, rate_oracle_monte_carlo, rate_upper_bound)
+                             bisection_solve, build_rate_model, epa_power, epa_rates,
+                             feasibility_oracle, generate_instance, native,
+                             rate_oracle_monte_carlo, rate_upper_bound, solver_bisection)
 from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import iter_smallscale_blocks, smallscale_key
 from cellfree_maxmin.solver_apg import compiled_stage
@@ -511,6 +514,12 @@ for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
                 for t, cap in ((1.2 * epa, 4000), (rate_upper_bound(model) + 0.1, 4000),
                                (1.5 * epa, 5))]
     assert num_aps == 1 or statuses == ["feasible", "infeasible", "undecided"], statuses
+    t = 1.01 * bisection_solve(model).t_star
+    capped = feasibility_oracle(model, t, cfg=BisectionConfig(oracle_iter_cap=100))
+    step, solver_bisection.SMOOTHING_STEP = solver_bisection.SMOOTHING_STEP, 1.19
+    chained = feasibility_oracle(model, t)
+    solver_bisection.SMOOTHING_STEP = step
+    assert 1 < len(capped.stages) < 6 and len(chained.stages) == 40, (capped, chained)
     rate_oracle_monte_carlo(instance, random_feasible_power(dims, seed=2), 1003, seed=3)
     list(iter_smallscale_blocks(instance, 1003, seed=3))
     out = np.empty((2, 1003, 7))
@@ -543,7 +552,7 @@ def sanitized_run(tmp_path, flags, env=None):
 
 def test_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
     """The sources built with -fsanitize=undefined (aborting on the first
-    report) run stages of both kinds, the compiled oracle and every
+    report) run stages of both kinds, the compiled oracle's chains and every
     Monte-Carlo entry with no report."""
     run = sanitized_run(tmp_path, ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"])
     assert run.returncode == 0 and "runtime error" not in run.stderr, run.stderr
@@ -553,14 +562,18 @@ def test_library_runs_clean_under_the_address_sanitizer(tmp_path):
     """The same run with the sources built with -fsanitize=address: no read
     or write outside a buffer. The interpreter is not built with the
     sanitizer, so its runtime is preloaded, and leak checking, which would
-    report the interpreter's own allocations, is off."""
+    report the interpreter's own allocations, is off. The interpreter
+    allocates with malloc, so the small ctypes buffers the library writes
+    (the chain's stop codes, its results) are checked too, not carved out
+    of Python's own pools."""
     compiler = next(filter(None, map(native.shutil.which, native.COMPILERS)))
     runtime = subprocess.run([compiler, "-print-file-name=libasan.so"], capture_output=True,
                              text=True, timeout=60).stdout.strip()
     if not os.path.isabs(runtime):
         pytest.skip(f"{compiler} names no AddressSanitizer runtime")
     run = sanitized_run(tmp_path, ["-O1", "-fsanitize=address", "-fno-omit-frame-pointer"],
-                        env={"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"})
+                        env={"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0",
+                             "PYTHONMALLOC": "malloc"})
     assert run.returncode == 0 and "AddressSanitizer" not in run.stderr, run.stderr
 
 
@@ -702,6 +715,23 @@ def test_stage_clock(lib):
             assert not elapsed.any()
         assert np.array_equal(own.power, got.power)
         assert np.array_equal(own.trace_f_sigma, got.trace_f_sigma)
+
+
+def test_library_exports_exactly_the_declared_entries(lib):
+    """The library's exported functions are the ones _declare types: a
+    leftover entry, or one called without its argument types, fails."""
+    nm = native.shutil.which("nm")
+    if nm is None:
+        pytest.skip("no nm on PATH")
+    proc = subprocess.run([nm, "-D", "--defined-only", lib._name], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    exported = {fields[2] for fields in map(str.split, proc.stdout.splitlines())
+                if len(fields) == 3 and fields[1] == "T"}
+    fresh = native._declare(ctypes.CDLL(lib._name))
+    declared = {name for name, fn in vars(fresh).items()
+                if isinstance(fn, ctypes._CFuncPtr) and fn.argtypes is not None}
+    assert exported == declared
 
 
 def test_library_takes_no_python_callback(lib):

@@ -1,9 +1,10 @@
-"""The bisection oracle's compiled continuation (apg_oracle in apg_stage.c)
+"""The bisection oracle's compiled continuation (apg_chain in apg_stage.c)
 against the loop it replaced: one solver_apg.compiled_stage call per stage of
 the sharpness schedule, with the candidate pick over kernels.IMPL.soc_residuals
 and np.median. Both must return the same bits."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from cellfree_maxmin.solver_bisection import (
     INFEASIBLE,
     SMOOTHING_COARSE_T,
     SMOOTHING_QUALITY,
-    SMOOTHING_STEP,
     UNDECIDED,
     OracleResult,
     _support_gap,
@@ -56,7 +56,7 @@ def reference_stages(lib, model, t, x, sens, cfg, max_res):
     res_coarse = max(SMOOTHING_COARSE_T, res_fine)
     resolutions = [res_coarse]
     while resolutions[-1] > res_fine * (1.0 + 1e-9):
-        resolutions.append(max(resolutions[-1] / SMOOTHING_STEP, res_fine))
+        resolutions.append(max(resolutions[-1] / solver_bisection.SMOOTHING_STEP, res_fine))
 
     iters_used = 0
     sigma_f = 0.0
@@ -190,15 +190,40 @@ def test_infinite_plateau_tolerance_is_refused(lib):
         solver_bisection._continuation(lib, model, 0.3, x0, math.inf, BisectionConfig())
 
 
-def test_schedule_longer_than_the_stop_code_record_is_refused(lib, monkeypatch):
-    """The library records the stop codes of native.ORACLE_MAX_STAGES
-    stages; a finer step would need more (here, stages that plateau just
-    above the optimum)."""
+def test_schedule_longer_than_32_stages_runs(lib, monkeypatch):
+    """A finer step makes a longer schedule, here of 72 stages that each
+    plateau just above the optimum; the chain runs them all."""
     model = make_model(6, 2, 2, seed=3)
     t = 1.01 * bisection_solve(model).t_star
     monkeypatch.setattr(solver_bisection, "SMOOTHING_STEP", 1.1)
-    with pytest.raises(ValueError, match="^the smoothing schedule must have at most"):
-        feasibility_oracle(model, t)
+    ref = reference_oracle(lib, model, t)
+    assert len(ref.stages) == 72
+    assert_same(feasibility_oracle(model, t), ref)
+
+
+@pytest.mark.parametrize("tol_t", [1e-12, 1e-4, 0.5])
+@pytest.mark.parametrize("groups", [(1,), (10,) * 4], ids=["T1", "T40"])
+def test_schedule_is_the_reference_loops(monkeypatch, tol_t, groups):
+    """_smoothing_schedule returns the sharpness and plateau tolerance of
+    every stage that reference_stages runs, to the bit: its stages, stubbed
+    to plateau after one iteration, record what they are given."""
+    model = shaped_model(3, groups, seed=1)
+    x0 = epa_power(model.num_aps, model.num_groups)
+    cfg = BisectionConfig(tol_t=tol_t)
+    given = []
+
+    def stage(lib, kind, model, x, apg_cfg, sigma_f, **kwargs):
+        given.append((sigma_f, apg_cfg.stop_tol))
+        return types.SimpleNamespace(termination="objective_plateau", iterations=1, power=x,
+                                     f_true=0.0, certified_bound=None)
+
+    monkeypatch.setitem(globals(), "compiled_stage", stage)
+    for sens in (0.3, 1.0, 1.7, 3.3, 12.5, 1e-6, 4e5):
+        given.clear()
+        reference_stages(None, model, 0.5, x0, sens, cfg, 0.0)
+        sigmas, tols = solver_bisection._smoothing_schedule(tol_t, sens, model.num_users)
+        assert np.array(given).T.tobytes() == np.array([sigmas, tols]).tobytes()
+    assert len(sigmas) == {1e-12: 16, 1e-4: 6, 0.5: 1}[tol_t]
 
 
 def test_witness_outside_s_is_projected_first(lib):

@@ -7,6 +7,7 @@ from cellfree_maxmin import (
     Dimensions,
     NetworkInstance,
     PhysicalConfig,
+    RateModel,
     build_rate_model,
     epa_power,
     epa_rates,
@@ -120,6 +121,23 @@ class TestRateModel:
         object.__setattr__(corrupted, "gamma", np.array([[5.0]]))
         with pytest.raises(ValueError, match="corrupted"):
             build_rate_model(corrupted)
+
+    @pytest.mark.parametrize("gs, asq, ptr, match", [
+        # group_ptr covers two of three users: rates_vector read a third
+        # rate from memory nothing wrote
+        (np.ones((3, 4)), np.ones((3, 4)), [0, 2], "group_ptr"),
+        (np.ones((3, 4)), np.ones((3, 4)), [0, 2, 4], "group_ptr"),
+        (np.ones((3, 4)), np.ones((3, 4)), [1, 3], "group_ptr"),
+        (np.ones((3, 4)), np.ones((3, 4)), [0, 2, 1, 3], "group_ptr"),
+        (np.ones((3, 4)), np.ones((3, 4)), [[0, 3]], "group_ptr"),
+        (np.ones((3, 4)), np.ones((3, 4)), [], "group_ptr"),
+        (np.ones(4), np.ones(4), [0, 1], "gamma_sqrt"),
+        (np.ones((3, 4)), np.ones((4, 3)), [0, 3], "a_sq"),
+    ], ids=["short-ptr", "long-ptr", "ptr-from-1", "falling-ptr", "2d-ptr", "empty-ptr",
+            "1d-gamma", "a_sq-shape"])
+    def test_inconsistent_shapes_fail_at_construction(self, gs, asq, ptr, match):
+        with pytest.raises(ValueError, match=match):
+            RateModel(gamma_sqrt=gs, a_sq=asq, group_ptr=ptr, rho_bar=1.0)
 
 
 class TestUserRate:

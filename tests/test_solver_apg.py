@@ -92,6 +92,16 @@ class TestProjection:
         with pytest.raises(ValueError, match="num_aps=3"):
             project_feasible(np.ones((2, 2)), num_aps=3)
 
+    def test_overflowing_column_is_projected_without_a_warning(self):
+        # the squared norm overflows; the suite turns the warning into an error
+        out = project_feasible(np.array([[1e200], [1e200]]))
+        np.testing.assert_allclose(out, [[0.5 ** 0.5], [0.5 ** 0.5]], rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="^x must be finite"):
+            project_feasible(np.array([[0.5, 1.0], [bad, 0.2]]))
+
     def test_idempotent_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

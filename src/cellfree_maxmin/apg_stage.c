@@ -33,9 +33,10 @@
  * resets its count, and a skipped plain branch leaves it as it was. A
  * rejected extrapolation restores the step it started from.
  *
- * A failed plain-branch search ends the stage "stalled" when its last trial
- * is mu itself and both objective values are finite (the step underflowed;
- * value and value_grad round f(mu) differently), and "line_search" otherwise.
+ * value is the first half of value_grad, and a margin is always the product
+ * form lin*p_u - sqrt(e^t - 1)*sqrt(rho*q_u + 1), so a trial equal to the
+ * iterate (an underflowed step) passes its test, and a failed plain-branch
+ * search ("line_search") means a NaN objective or a wrong gradient.
  *
  * Every formula mirrors the numpy reference in kernels.py term by term. The
  * per-user exp and log1p are the vector kernels vexp and vlog1p below, built
@@ -84,8 +85,7 @@ enum {
     STOP_PLATEAU = 1,
     STOP_LINE_SEARCH = 2,
     STOP_FEASIBLE = 3,
-    STOP_INFEASIBLE = 4,
-    STOP_STALLED = 5
+    STOP_INFEASIBLE = 4
 };
 
 typedef struct {
@@ -109,7 +109,7 @@ typedef struct {
     const int64_t *gptr;
     int64_t T, N, M, Tp, Tv;
     double rho, sigma;
-    double et1, set1, lin;  /* margin constants at level t */
+    double set1, lin;  /* margin constants at level t: sqrt(e^t - 1), sqrt(pi*rho/4) */
     const double *gt, *at;  /* (M, Tp) user-minor copies of gs, asq */
     double *v, *c, *acc, *pq;  /* scratch: Tv, Tv, M, 2Tv */
 } Objective;
@@ -365,24 +365,38 @@ static double soft_weights(const Objective *o, double *wsum)
 }
 
 /* objective value from the p and q of user_pq; *aux is the true objective,
- * the min-rate or the min cone margin */
-static double value(const Objective *o, const double *pq, double *aux)
+ * the min-rate or the min cone margin. v receives the soft minimum's weights
+ * and *wsum their sum; with_c also fills c, for the gradient. */
+static inline __attribute__((always_inline)) double
+soft_value(const Objective *o, const double *pq, int with_c, double *wsum, double *aux)
 {
     const int64_t T = o->T;
     const double rho = o->rho, *p = pq, *q = pq + o->Tv;
     if (o->kind == APG_RATE) {
         const double b = 0.25 * PI * rho;
         for (int64_t u = 0; u < o->Tv; u += LANES) {
-            vec pu = load(p + u);
-            store(o->v + u, vlog1p(b * pu * pu / (rho * load(q + u) + 1.0)));
+            vec pu = load(p + u), c = rho * load(q + u) + 1.0;
+            store(o->v + u, vlog1p(b * pu * pu / c));
+            if (with_c)
+                store(o->c + u, c);
         }
     } else {
-        for (int64_t u = 0; u < T; u++)  /* -(soc residual) */
-            o->v[u] = -(sqrt(o->et1 * (rho * q[u] + 1.0)) - o->lin * p[u]);
+        for (int64_t u = 0; u < T; u++) {
+            double d = sqrt(rho * q[u] + 1.0);
+            o->v[u] = o->lin * p[u] - o->set1 * d;
+            if (with_c)
+                o->c[u] = 1.0 / d;
+        }
     }
-    double s, lo = soft_weights(o, &s);
+    double lo = soft_weights(o, wsum);
     *aux = lo;
-    return lo - log(s / T) / o->sigma;
+    return lo - log(*wsum / T) / o->sigma;
+}
+
+static double value(const Objective *o, const double *pq, double *aux)
+{
+    double wsum;
+    return soft_value(o, pq, 0, &wsum, aux);
 }
 
 /* g += wg * gu and acc += wa * au over the M entries */
@@ -399,25 +413,9 @@ static void accumulate(double *restrict g, double *restrict acc, const double *r
 static double value_grad(const Objective *o, const double *mu, const double *pq, double *grad,
                          double *aux)
 {
-    const int64_t T = o->T, M = o->M;
-    const double rho = o->rho, sigma = o->sigma, *p = pq, *q = pq + o->Tv;
-    if (o->kind == APG_RATE) {
-        const double b = 0.25 * PI * rho;
-        for (int64_t u = 0; u < o->Tv; u += LANES) {
-            vec pu = load(p + u), c = rho * load(q + u) + 1.0;
-            store(o->v + u, vlog1p(b * pu * pu / c));
-            store(o->c + u, c);
-        }
-    } else {
-        for (int64_t u = 0; u < T; u++) {
-            double d = sqrt(rho * q[u] + 1.0);
-            o->v[u] = o->lin * p[u] - o->set1 * d;
-            o->c[u] = 1.0 / d;
-        }
-    }
-    double wsum, lo = soft_weights(o, &wsum);  /* v now holds the weights */
-    double f = lo - log(wsum / T) / sigma;
-    *aux = lo;
+    const int64_t M = o->M;
+    const double rho = o->rho, *p = pq;
+    double wsum, f = soft_value(o, pq, 1, &wsum, aux);  /* v now holds the weights */
 
     for (int64_t n = 0; n < o->N; n++) {
         double *g = grad + n * M;
@@ -481,13 +479,12 @@ static Objective objective(int kind, const double *gs, const double *asq, const 
     const uintptr_t align = LANES * sizeof(double);
     double *gt = (double *)(((uintptr_t)(scratch + 4 * Tv + M) + align - 1) / align * align);
     double *at = gt + M * Tp;
-    Objective o = {kind, gs, asq, gptr, T, N, M, Tp, Tv, rho, sigma, 0.0, 0.0, 0.0, gt, at,
+    Objective o = {kind, gs, asq, gptr, T, N, M, Tp, Tv, rho, sigma, 0.0, 0.0, gt, at,
                    scratch, scratch + Tv, scratch + 2 * Tv, scratch + 2 * Tv + M};
     /* the padding lanes of v, c and p/q enter the kernels: keep them finite */
     memset(scratch, 0, (4 * Tv + M) * sizeof(double));
     if (kind == APG_MARGIN) {
-        o.et1 = expm1(t);
-        o.set1 = sqrt(o.et1);
+        o.set1 = sqrt(expm1(t));
         o.lin = sqrt(0.25 * PI * rho);
     }
     for (int64_t n = 0, col = 0; n < N; n++) {
@@ -640,16 +637,6 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
                 bt_mu++;
             }
             if (!v_ok) {
-                /* the step underflowed: the last trial is mu itself, and value
-                 * and value_grad may round f(mu) differently, so no test can
-                 * pass */
-                int same = isfinite(fv) && isfinite(fmu);
-                for (int64_t i = 0; i < L && same; i++)
-                    same = vn[i] == mu[i];
-                if (same) {
-                    code = STOP_STALLED;
-                    break;
-                }
                 out->iterations = it;
                 out->alpha_mu = am;
                 out->f_mu = fmu;

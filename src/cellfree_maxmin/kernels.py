@@ -7,10 +7,15 @@ Each kernel has one numpy implementation. Code outside the APG stages
 :data:`IMPL` at call time, so a caller can swap a field of it (a profiler
 wrapping a kernel, say) without touching that code. The oracle's candidate
 pick forms the residuals of _soc_residuals itself, from one _user_pc call
-per candidate whose c it reuses. The solvers'
+per candidate whose sqrt(c) it reuses for its sensitivity. The solvers'
 APG stages run in the compiled engine (native.py, apg_stage.c); these
 kernels, with apg_step as the loop body of solver_apg.monotone_apg, are the
 reference that engine is tested against.
+
+Every cone margin is the product form lin*p_u - sqrt(e^t - 1)*sqrt(rho*q_u + 1)
+(lin = sqrt(pi*rho/4)), and a residual is its negation. Each objective's
+value and value+gradient share their per-user work (_rate_terms, _margins),
+so both return the same f and aux bit for bit, as in the engine.
 
 The projection and both objectives' soft minimum and gradient sums repeat
 the engine's arithmetic operation for operation: every sum runs in ascending
@@ -174,28 +179,32 @@ def _project_ball_orthant(x):
 
 
 def _soc_residuals(gs, asq, gptr, mu, rho, t):
+    # minus the margins of _margins, from the p and c of _user_pc
     p, c = _user_pc(gs, asq, gptr, mu, rho)
-    return np.sqrt(math.expm1(t) * c) - math.sqrt(0.25 * PI * rho) * p
+    return math.sqrt(math.expm1(t)) * np.sqrt(c) - math.sqrt(0.25 * PI * rho) * p
 
 
-def _margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):
-    et1 = math.expm1(t)
-    set1 = math.sqrt(et1)
+def _margins(gs, asq, gptr, mu, rho, t):
+    """(m, d, lin, set1): the cone margins m_u = lin*p_u - set1*d_u at level t
+    with the p and q of _user_pq, d_u = sqrt(rho*q_u + 1),
+    lin = sqrt(pi*rho/4) and set1 = sqrt(e^t - 1)."""
+    set1 = math.sqrt(math.expm1(t))
     lin = math.sqrt(0.25 * PI * rho)
     p, q = _user_pq(gs, asq, gptr, mu)
     d = np.sqrt(rho * q + 1.0)
-    fmin, w, wsum, f_sigma = _soft_min(lin * p - set1 * d, sigma_f)
+    return lin * p - set1 * d, d, lin, set1
+
+
+def _margin_value_grad(gs, asq, gptr, mu, rho, t, sigma_f):
+    margins, d, lin, set1 = _margins(gs, asq, gptr, mu, rho, t)
+    fmin, w, wsum, f_sigma = _soft_min(margins, sigma_f)
     w = w / wsum
     g, acc = _group_sums(gs, asq, gptr, w, w * (1.0 / d), mu.shape)
     return f_sigma, fmin, lin * g - (set1 * rho * acc) * mu
 
 
 def _margin_value(gs, asq, gptr, mu, rho, t, sigma_f):
-    # soc_residuals with the summation order of _user_pq
-    et1 = math.expm1(t)
-    lin = math.sqrt(0.25 * PI * rho)
-    p, q = _user_pq(gs, asq, gptr, mu)
-    fmin, _, _, f_sigma = _soft_min(-(np.sqrt(et1 * (rho * q + 1.0)) - lin * p), sigma_f)
+    fmin, _, _, f_sigma = _soft_min(_margins(gs, asq, gptr, mu, rho, t)[0], sigma_f)
     return f_sigma, fmin
 
 
@@ -209,10 +218,10 @@ class ApgStep(NamedTuple):
     """Outcome of one apg_step. status is "accepted", "skipped" (the
     extrapolated trial was taken without running the plain branch),
     "rejected" (the extrapolated branch failed its search and the plain step
-    was taken), "stalled" or "failed"; on the last two x, z, f and aux are
-    the current iterate's, and f_best is the best plain-branch trial value.
-    run_y and run_mu are the branches' first-try counts to pass to the next
-    step."""
+    was taken) or "failed" (the plain branch failed its search); on
+    "failed" x, z, f and aux are the current iterate's, and f_best is the
+    best plain-branch trial value. run_y and run_mu are the branches'
+    first-try counts to pass to the next step."""
 
     x: np.ndarray
     z: np.ndarray
@@ -245,9 +254,10 @@ def apg_step(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur, f_cur,
     its count. When the accepted extrapolated trial z+ also has
     f(z+) >= f_cur + delta*||z+ - y||^2, it is the next iterate and the
     plain branch is skipped: no value_grad(mu), alpha_mu and run_mu
-    unchanged, bt_mu 0. "stalled" means the plain search ended on mu itself
-    with both values finite: the step underflowed, and value and value_grad
-    may round f(mu) differently, so no test can pass."""
+    unchanged, bt_mu 0. value and value_grad must round f alike: then a
+    trial that equals its start point (a step that underflowed) passes its
+    test, and "failed" means a NaN objective or one that disagrees with its
+    gradient."""
     # the raw extrapolation can leave the set when iterates ride the ball
     # boundary, making the sufficient-increase test unsatisfiable; the
     # projected extrapolation keeps the test and the momentum intact
@@ -290,9 +300,8 @@ def apg_step(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur, f_cur,
         alpha_mu *= kappa
         bt_mu += 1
     else:
-        stalled = np.array_equal(v_new, mu) and math.isfinite(fv) and math.isfinite(fmu)
         return ApgStep(mu, z, fmu, aux_mu, alpha_y, alpha_mu, bt_y, bt_mu, run_y, run_mu,
-                       "stalled" if stalled else "failed", fv_best)
+                       "failed", fv_best)
     run_mu = run_mu + 1 if bt_mu == 0 else 0
 
     if z_ok and fz > fv:

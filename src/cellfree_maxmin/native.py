@@ -51,7 +51,7 @@ _LIBRARY_NAME = re.compile(r"apg_stage-[0-9a-f]{16}\.so")
 # objectives and stop codes of apg_stage
 RATE, MARGIN = 0, 1
 STOP_REASONS = {0: "max_iters", 1: "objective_plateau", 2: "line_search",
-                3: "feasible", 4: "infeasible", 5: "stalled"}
+                3: "feasible", 4: "infeasible"}
 
 _LOAD_LOCK = threading.Lock()
 

@@ -86,9 +86,7 @@ class ApgConfig:
 
 class LineSearchError(RuntimeError):
     """Backtracking exceeded its cap on the non-extrapolated branch, which a
-    correct gradient/objective pair cannot do. (When the last trial is the
-    iterate itself and both objective values are finite, the step has
-    underflowed and the stage ends "stalled" instead.)"""
+    correct gradient/objective pair cannot do."""
 
     def __init__(self, iteration: int, alpha: float, f_current: float, f_best: float):
         self.iteration = iteration
@@ -189,9 +187,6 @@ def monotone_apg(
         step = step_fn(value_grad, value, project, mu, mu_prev, z, t_prev, t_cur, f_cur,
                        alpha_y, alpha_mu, run_y, run_mu, DELTA, KAPPA,
                        LINE_SEARCH_CAP, STEP_GROW_AFTER)
-        if step.status == "stalled":
-            res.termination = "stalled"
-            break
         if step.status == "failed":
             raise LineSearchError(it, step.alpha_mu, step.f, step.f_best)
         if step.status == "rejected":

@@ -126,21 +126,22 @@ def feasibility_oracle(
         raise ValueError(f"level t must be finite and >= 0, got {t!r}")
     cfg = cfg or BisectionConfig()
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
-    et1 = math.expm1(t)
+    set1 = math.sqrt(math.expm1(t))
     lin = math.sqrt(0.25 * math.pi * rho)
 
     candidates = [as_mu_matrix(w, model) for w in warm]
     candidates.append(epa_power(model.num_aps, model.num_groups))
 
-    best = best_c = None
+    best = best_d = None
     best_res = math.inf
     for cand in candidates:
         cand = np.ascontiguousarray(cand)
         p, c = kernels._user_pc(gs, asq, ptr, cand, rho)
+        d = np.sqrt(c)
         # kernels._soc_residuals, bit for bit
-        r = float((np.sqrt(et1 * c) - lin * p).max())
+        r = float((set1 * d - lin * p).max())
         if r < best_res:
-            best, best_c, best_res = cand, c, r
+            best, best_d, best_res = cand, d, r
     if best is None:
         # no candidate has a residual below inf (NaN or inf data): name the inputs
         inputs = {"gamma_sqrt": gs, "a_sq": asq, "rho_bar": rho, "warm start": candidates}
@@ -159,10 +160,10 @@ def feasibility_oracle(
     # residual-to-t sensitivity at the warm point:
     # d(residual)/dt = exp(t)/(2*sqrt(e^t-1)) * sqrt(rho*||A mu||^2 + 1),
     # with the median over users taken as np.median does
-    dvals = np.sort(np.sqrt(best_c))
+    dvals = np.sort(best_d)
     half = dvals.shape[0] // 2
     median = dvals[half] if dvals.shape[0] % 2 else (dvals[half - 1] + dvals[half]) / 2.0
-    sens = math.exp(t) / (2.0 * math.sqrt(et1)) * float(median)
+    sens = math.exp(t) / (2.0 * set1) * float(median)
     return _continuation(native.load_library(), model, t, best, sens, cfg)
 
 
@@ -278,6 +279,8 @@ def bisection_solve(
     extra_warm = None
     while hi - lo > cfg.tol_t:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # tol_t is below the spacing of doubles near t: the bracket is closed
         warm = [witness] if extra_warm is None else [witness, extra_warm]
         res = feasibility_oracle(model, mid, warm=warm, cfg=cfg)
         steps.append(BisectionStep(len(steps), lo, hi, res.iterations, res.status))

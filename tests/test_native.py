@@ -11,6 +11,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -405,11 +406,11 @@ class TestNanData:
                            gap_check_every=25)
 
 
-class TestStalledStage:
-    """At M=4 and M=5, 2x15, seed 1, a margin stage's plain-branch step
-    underflows until its trial is the iterate itself, which value and
-    value_grad round 1 ulp apart: the stage ends "stalled" instead of raising
-    LineSearchError, and bisection goes on."""
+class TestUnderflowedStep:
+    """At M=4 and M=5, 2x15, seed 1, margin stages' plain-branch steps
+    underflow until the trial is the iterate itself. value and value_grad
+    round alike, so that trial passes its test: bisection ends, every stage
+    with a reason of STOP_REASONS, at APG's optimum."""
 
     @pytest.mark.parametrize("num_aps", [4, 5])
     def test_compiled(self, lib, monkeypatch, num_aps):
@@ -426,8 +427,35 @@ class TestStalledStage:
         cfg = BisectionConfig()
         report = bisection_solve(model, cfg)
         apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
-        assert "stalled" in terminations
+        assert terminations and set(terminations) <= set(native.STOP_REASONS.values())
         assert abs(report.t_star - apg.f_true) <= cfg.tol_t
+
+
+# random feasible points on shapes with partial vectors, among them the two
+# where margin steps underflow (4, 2x15) and the tiny optima of (1, 7x9x2)
+INVARIANT_SHAPES = [(9, (2, 2, 2)), (4, (15, 15)), (1, (7, 9, 2)), (17, (3, 5))]
+
+
+@pytest.mark.parametrize("shape", INVARIANT_SHAPES, ids=lambda s: shape_id(*s))
+def test_value_path_equals_value_grad_path(lib, shape):
+    """Each objective's value path returns the (f, aux) of its value+gradient
+    path bit for bit, in both engines: a search compares a trial's value
+    with value_grad's f at its start, so a zero step must tie."""
+    model = shaped_model(*shape, seed=1)
+    rng = np.random.default_rng(11)
+    impl = kernels.IMPL
+    for _ in range(10):
+        mat = random_feasible_matrix(model, rng)
+        args = kernel_args(model, mat)
+        sigma = float(rng.uniform(10.0, 2000.0))
+        t = float(rng.uniform(0.05, 1.5))
+        pairs = [(impl.soft_min_value(*args, sigma), impl.soft_min_value_grad(*args, sigma)),
+                 (impl.margin_value(*args, t, sigma), impl.margin_value_grad(*args, t, sigma))]
+        pairs += [(compiled_objective(lib, kind, model, mat, sigma, level, grad=False),
+                   compiled_objective(lib, kind, model, mat, sigma, level))
+                  for kind, level in ((native.RATE, 0.0), (native.MARGIN, t))]
+        for value, value_grad in pairs:
+            assert np.array(value[:2]).tobytes() == np.array(value_grad[:2]).tobytes()
 
 
 def test_package_data_ships_every_build_file():
@@ -484,8 +512,9 @@ def test_sources_build_without_warnings(tmp_path):
 # of one user at one AP and on groups (7, 9, 2) at 17 APs; the compiled oracle
 # on both, ending feasible, infeasible and out of budget on the second, and
 # just above the optimum, with a budget that ends mid-schedule and with a
-# finer step that makes a chain of 40 stages; and the three Monte-Carlo
-# entries on 1003 draws, no multiple of any lane width
+# finer step that makes a chain of 40 stages; the three Monte-Carlo entries
+# on 1003 draws, no multiple of any lane width; and bisection on 2 groups of
+# 15 users at 4 APs, whose margin stages take zero steps
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
@@ -524,6 +553,9 @@ for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
     list(iter_smallscale_blocks(instance, 1003, seed=3))
     out = np.empty((2, 1003, 7))
     lib.mc_normals(smallscale_key(3), 5, 1003, 7, out.ctypes.data)
+# margin stages whose plain-branch steps underflow to a zero step
+bisection_solve(build_rate_model(generate_instance(Dimensions(4, 2, (15, 15)),
+                                                   PhysicalConfig(), seed=1)))
 """
 
 
@@ -715,6 +747,17 @@ def test_stage_clock(lib):
             assert not elapsed.any()
         assert np.array_equal(own.power, got.power)
         assert np.array_equal(own.trace_f_sigma, got.trace_f_sigma)
+
+
+def test_stop_codes_match_the_engine():
+    """native.STOP_REASONS names exactly the codes of apg_stage.c's STOP_*
+    enum, so no code the engine returns goes unnamed."""
+    assert native.SOURCES[0].endswith("apg_stage.c")
+    source = pathlib.Path(native.SOURCES[0]).read_text()
+    enum = re.search(r"enum \{([^}]*\bSTOP_[^}]*)\}", source).group(1)
+    codes = [int(code) for code in re.findall(r"\bSTOP_\w+ = (\d+)", enum)]
+    assert len(codes) == len(re.findall(r"\bSTOP_\w+", enum))
+    assert sorted(codes) == sorted(native.STOP_REASONS)
 
 
 def test_library_exports_exactly_the_declared_entries(lib):

@@ -25,10 +25,11 @@ from normals_reference import OUTCOMES, SLOW_OUTCOMES, block_normals
 # (num_aps, group_sizes): equal, single-user, unequal, many-group and
 # single-AP shapes. The compiled pass draws its APs in chunks of at least 64
 # entries (T + N per AP): one chunk of all 8 APs at (8, 2x3), 6 + 4 APs at
-# (10, 2x5x1), 8 + 5 at (13, 2x3), and 32 + 4 at (36, 1), the shape with one
-# user and one group per AP.
+# (10, 2x5x1), 8 + 5 at (13, 2x3), 32 + 4 at (36, 1) and 32 + 8 at (40, 1),
+# the shapes with one user and one group per AP. At (40, 1) the standard
+# error needs the slack for the cancellation in cov_mean (reference_oracle).
 SHAPES = [(8, (3, 3)), (4, (1,)), (10, (2, 5, 1)), (20, (4, 4, 4, 4)), (1, (1, 1)),
-          (13, (3, 3)), (36, (1,))]
+          (13, (3, 3)), (36, (1,)), (40, (1,))]
 # a multiple of neither the block size nor the pass's 8 draw slots
 DRAWS = 2 * SMALLSCALE_BLOCK + 1234
 
@@ -66,7 +67,11 @@ def reference_blocks(instance, count, seed):
 
 
 def reference_oracle(instance, mu, draws, seed):
-    """The per-group einsum oracle, moments and delta-method tail."""
+    """The per-group einsum oracle, moments and delta-method tail: (report,
+    se_scale). se_scale is the standard error formed from the uncancelled
+    term s2/draws of cov_mean alone, over absolute values: the scale of the
+    rounding that the cancellation s2/draws - theta theta^T leaves in the
+    standard error, in either summation order."""
     dims = instance.dims
     ptr = instance.group_ptr
     n_groups = dims.num_groups
@@ -112,7 +117,9 @@ def reference_oracle(instance, mu, draws, seed):
     grad[:, 1] = 2.0 * rho * y0 / den
     grad[:, 2:] = (rho / total - rho / den)[:, None]
     var_rate = np.einsum("kp,kpq,kq->k", grad, cov_mean, grad)
-    return MonteCarloRateReport(
+    var_scale = np.einsum("kp,kpq,kq->k", np.abs(grad), np.abs(s2) / draws,
+                          np.abs(grad)) / max(draws - 1, 1)
+    report = MonteCarloRateReport(
         mean_gain=x0 + 1j * y0,
         gain_variance=np.maximum(m2 - e2, 0.0),
         cross_power=csum,
@@ -121,6 +128,7 @@ def reference_oracle(instance, mu, draws, seed):
         mean_gain_se=np.sqrt(np.maximum(cov_mean[:, 0, 0] + cov_mean[:, 1, 1], 0.0)),
         draws=draws,
     )
+    return report, np.sqrt(var_scale)
 
 
 @pytest.fixture(scope="module", params=SHAPES, ids=lambda s: f"M{s[0]}-{'x'.join(map(str, s[1]))}")
@@ -167,11 +175,15 @@ def log_terms(ref, instance):
     return np.abs(np.log(total)) + np.abs(np.log(total - rho * e2))
 
 
-def assert_report_matches(got, ref, instance, rate_atol=0.0):
+def assert_report_matches(got, ref, se_scale, instance, rate_atol=0.0):
+    """Every field to rtol 1e-12; the standard error also to 1e-12 of
+    se_scale (reference_oracle), the rate also to rate_atol."""
     for field in dataclasses.fields(MonteCarloRateReport):
         a, b = getattr(got, field.name), getattr(ref, field.name)
         if field.name == "rate_nats":
             assert (np.abs(a - b) <= 1e-12 * np.abs(b) + rate_atol).all(), (a, b)
+        elif field.name == "std_error":
+            assert (np.abs(a - b) <= 1e-12 * (np.abs(b) + se_scale)).all(), (a, b)
         elif field.name == "draws":
             assert a == b
         elif field.name == "cross_power" and instance.dims.num_groups == 1:
@@ -185,9 +197,9 @@ def test_report_matches_reference(instance):
     mu = random_feasible_power(instance.dims, seed=4)
     got = rate_oracle_monte_carlo(instance, mu, DRAWS, seed=6)
     SLOW_OUTCOMES.clear()
-    ref = reference_oracle(instance, mu, DRAWS, seed=6)
+    ref, se_scale = reference_oracle(instance, mu, DRAWS, seed=6)
     assert min(SLOW_OUTCOMES[k] for k in OUTCOMES) > 10, SLOW_OUTCOMES
-    assert_report_matches(got, ref, instance)
+    assert_report_matches(got, ref, se_scale, instance)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -203,5 +215,6 @@ def test_report_matches_reference_on_small_shapes(num_aps, group_sizes, draws, s
     instance = generate_instance(dims, PhysicalConfig(), seed=seed)
     mu = random_feasible_power(dims, seed=seed + 1)
     got = rate_oracle_monte_carlo(instance, mu, draws, seed=seed + 2)
-    ref = reference_oracle(instance, mu, draws, seed=seed + 2)
-    assert_report_matches(got, ref, instance, rate_atol=1e-12 * log_terms(ref, instance))
+    ref, se_scale = reference_oracle(instance, mu, draws, seed=seed + 2)
+    assert_report_matches(got, ref, se_scale, instance,
+                          rate_atol=1e-12 * log_terms(ref, instance))

@@ -375,10 +375,10 @@ class TestDriver:
             monotone_apg(bad_value_grad, bad_value, lambda x: x,
                          np.full((1, 2), 0.5), ApgConfig(max_iters=3))
 
-    def test_stalled_when_value_and_value_grad_round_apart(self):
+    def test_line_search_error_when_value_and_value_grad_round_apart(self):
         """With a zero gradient every trial is the iterate itself, and a
         value_grad one ulp above value fails every sufficient-increase test:
-        the step has underflowed, so the run ends "stalled", not raising."""
+        the pair is inconsistent, so the run raises."""
         f_mu = 0.25
 
         def value(x):
@@ -387,11 +387,25 @@ class TestDriver:
         def value_grad(x):
             return math.nextafter(f_mu, math.inf), 0.0, np.zeros_like(x)
 
+        with pytest.raises(LineSearchError):
+            monotone_apg(value_grad, value, lambda x: x, np.full((1, 2), 0.5),
+                         ApgConfig(max_iters=3))
+
+    def test_zero_step_of_a_consistent_objective_is_accepted(self):
+        """With a zero gradient every trial is the iterate itself; when value
+        and value_grad agree it passes its test, so the run goes on to
+        max_iters."""
+        def value(x):
+            return 0.25, 0.0
+
+        def value_grad(x):
+            return 0.25, 0.0, np.zeros_like(x)
+
         x0 = np.full((1, 2), 0.5)
         res = monotone_apg(value_grad, value, lambda x: x, x0, ApgConfig(max_iters=3))
-        assert (res.termination, res.iterations) == ("stalled", 0)
+        assert (res.termination, res.iterations) == ("max_iters", 3)
         np.testing.assert_array_equal(res.power, x0)
-        assert list(res.trace_f_sigma) == [f_mu]
+        assert list(res.trace_f_sigma) == [0.25] * 4
 
     def test_driver_matches_fused_solver(self, small_model):
         from test_native import objective_closures

@@ -194,6 +194,30 @@ class TestBisectionSolve:
         apg = apg_solve_continuation(model, (100.0, 1000.0))[-1]
         assert abs(apg.f_true - report.t_star) <= 1e-3
 
+    def test_tol_below_the_spacing_of_doubles_ends(self, monkeypatch):
+        """Near t* ~ 0.036 doubles are about 7e-18 apart, so at tol_t 1e-20
+        the bracket closes before hi - lo reaches tol_t: the midpoint rounds
+        to an end. Bisection stops there instead of calling the oracle
+        forever; the wrapped oracle raises after 2000 calls, so such a loop
+        fails instead of hanging."""
+        oracle = solver_bisection.feasibility_oracle
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) > 2000:
+                raise RuntimeError(f"bisection still bisects at t={args[1]!r}")
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(solver_bisection, "feasibility_oracle", counted)
+        report = bisection_solve(make_model(4, 2, 2, seed=3),
+                                 BisectionConfig(tol_t=1e-20, oracle_iter_cap=50))
+        last = report.steps[-1]
+        mid = 0.5 * (last.t_lo + last.t_hi)
+        lo, hi = (mid, last.t_hi) if last.oracle_status == "feasible" else (last.t_lo, mid)
+        assert len(report.steps) == len(calls) < 100
+        assert math.nextafter(lo, math.inf) == hi
+
     def test_steps_csv(self, model, tmp_path):
         report = bisection_solve(model)
         path = tmp_path / "steps.csv"

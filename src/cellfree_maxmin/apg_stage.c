@@ -53,17 +53,29 @@
  * p_u = gs_u . mu_n, q_u = asq_u . mu_n^2 runs over m in ascending order,
  * one multiply then one add per term, with no FMA and no reassociation; each
  * gradient entry and the soft minimum's weight sum add their users in
- * ascending order. SIMD lanes hold different users (or different m in the
- * gradient), never parts of one sum, and vexp and vlog1p work lane by lane,
- * so results are bit-identical for every lane width.
+ * ascending order, from +0.0. SIMD lanes hold different users (or different
+ * m in the gradient), never parts of one sum, and vexp and vlog1p work lane
+ * by lane, so results are bit-identical for every lane width. The gradient
+ * takes each group's entries in blocks of 4 vectors of m, held in registers
+ * while the group's users are added in ascending order and stored once per
+ * block; the last M mod 4*LANES entries go through accumulate. So every
+ * entry's sum, and with it every bit, is the one of a loop over users.
  *
  * Array conventions follow kernels.py: gs, asq are (T, M) row-major, gptr is
  * the (N+1,) group pointer, iterates are (N, M) row-major. For the dot
  * products each objective copies gs and asq into an (M, Tp) user-minor
  * layout in which every group is padded with zero columns to whole vectors
- * of LANES users. Per-user arrays (p, q, the rates or margins and their
- * weights) hold Tv = T rounded up to whole vectors; the padding entries are
- * computed and never read.
+ * of LANES users; apg_chain makes these copies once for all its stages.
+ * Per-user arrays (p, q, the rates or margins and their weights) hold
+ * Tv = T rounded up to whole vectors; the padding entries are computed and
+ * never read.
+ *
+ * Callers pass work and scratch buffers of exactly apg_work_len and
+ * apg_scratch_len doubles at any 8-byte alignment. Each entry rounds its
+ * buffer's start up to 64 bytes before carving it, using 7 spare doubles
+ * that both lengths hold, so a stage's speed does not follow where the
+ * allocator put the buffer, and a buffer one double short still overruns
+ * where a sanitizer sees it.
  */
 
 #include <math.h>
@@ -111,8 +123,11 @@ typedef struct {
     double rho, sigma;
     double set1, lin;  /* margin constants at level t: sqrt(e^t - 1), sqrt(pi*rho/4) */
     const double *gt, *at;  /* (M, Tp) user-minor copies of gs, asq */
-    double *v, *c, *acc, *pq;  /* scratch: Tv, Tv, M, 2Tv */
+    double *v, *c, *acc, *pq;  /* scratch, in this order: Tv, Tv, M, 2Tv */
 } Objective;
+
+/* doubles a buffer may need to skip to reach a 64-byte boundary */
+#define ALIGN_SLACK 7
 
 /* k rounded up to whole vectors: the columns of a group of k users in the
  * user-minor copies, and (k = T) the length of every per-user array */
@@ -122,17 +137,27 @@ static int64_t padded(int64_t k)
 }
 
 /* Doubles of scratch for one objective: v, c, acc, one p/q pair, and the two
- * (M, Tp) copies (Tp <= T + N*(LANES-1)) with room to align them. */
+ * (M, Tp) copies (Tp <= T + N*(LANES-1)) with room to align them, plus
+ * ALIGN_SLACK to align the buffer's start. */
 int64_t apg_scratch_len(int64_t T, int64_t N, int64_t M)
 {
-    return 4 * padded(T) + M + 2 * M * (T + N * (LANES - 1)) + LANES - 1;
+    return 4 * padded(T) + M + 2 * M * (T + N * (LANES - 1)) + LANES - 1 + ALIGN_SLACK;
 }
 
 /* Doubles of work for apg_stage: nine (N, M) iterates and gradients, three
- * more p/q pairs, and the objective scratch. */
+ * more p/q pairs, and the objective scratch. apg_scratch_len's ALIGN_SLACK
+ * aligns the work's start instead, and the objective scratch carved from it
+ * then needs no slack of its own. */
 int64_t apg_work_len(int64_t T, int64_t N, int64_t M)
 {
     return 9 * N * M + 6 * padded(T) + apg_scratch_len(T, N, M);
+}
+
+/* buf rounded up to the next 64-byte boundary, at most ALIGN_SLACK doubles
+ * on for a buffer of doubles */
+static double *align64(double *buf)
+{
+    return (double *)(((uintptr_t)buf + 63) & ~(uintptr_t)63);
 }
 
 int64_t apg_lanes(void)
@@ -409,34 +434,65 @@ static void accumulate(double *restrict g, double *restrict acc, const double *r
     }
 }
 
+/* entries per register block of the gradient */
+#define BLOCK (4 * LANES)
+
 /* value and gradient at mu, from the p and q of user_pq at mu */
 static double value_grad(const Objective *o, const double *mu, const double *pq, double *grad,
                          double *aux)
 {
-    const int64_t M = o->M;
+    const int64_t M = o->M, Mb = M - M % BLOCK;
     const double rho = o->rho, *p = pq;
     double wsum, f = soft_value(o, pq, 1, &wsum, aux);  /* v now holds the weights */
 
+    /* each user's gradient weights, in place: v[u] becomes wg, c[u] wa */
+    for (int64_t u = 0; u < o->T; u++) {
+        double w = o->v[u] / wsum;
+        if (o->kind == APG_RATE) {
+            double c = o->c[u];
+            double bc = 0.25 * PI * rho * p[u] * p[u] + c;
+            o->v[u] = w * (0.5 * PI * rho) * p[u] / bc;
+            o->c[u] = w * 2.0 * rho * (1.0 / bc - 1.0 / c);
+        } else {
+            o->v[u] = w;
+            o->c[u] = w * o->c[u];
+        }
+    }
     for (int64_t n = 0; n < o->N; n++) {
+        const int64_t lo = o->gptr[n], hi = o->gptr[n + 1];
         double *g = grad + n * M;
         const double *row = mu + n * M;
-        for (int64_t m = 0; m < M; m++) {
+        /* g = sum_u wg_u gs_u and acc = sum_u wa_u asq_u, a block at a time */
+        for (int64_t m = 0; m < Mb; m += BLOCK) {
+            vec g0 = {0}, g1 = {0}, g2 = {0}, g3 = {0}, a0 = {0}, a1 = {0}, a2 = {0}, a3 = {0};
+            for (int64_t u = lo; u < hi; u++) {
+                const double *gu = o->gs + u * M + m, *au = o->asq + u * M + m;
+                const double wg = o->v[u], wa = o->c[u];
+                g0 += wg * load(gu);
+                g1 += wg * load(gu + LANES);
+                g2 += wg * load(gu + 2 * LANES);
+                g3 += wg * load(gu + 3 * LANES);
+                a0 += wa * load(au);
+                a1 += wa * load(au + LANES);
+                a2 += wa * load(au + 2 * LANES);
+                a3 += wa * load(au + 3 * LANES);
+            }
+            store(g + m, g0);
+            store(g + m + LANES, g1);
+            store(g + m + 2 * LANES, g2);
+            store(g + m + 3 * LANES, g3);
+            store(o->acc + m, a0);
+            store(o->acc + m + LANES, a1);
+            store(o->acc + m + 2 * LANES, a2);
+            store(o->acc + m + 3 * LANES, a3);
+        }
+        for (int64_t m = Mb; m < M; m++) {
             g[m] = 0.0;
             o->acc[m] = 0.0;
         }
-        for (int64_t u = o->gptr[n]; u < o->gptr[n + 1]; u++) {
-            double w = o->v[u] / wsum, wg, wa;
-            if (o->kind == APG_RATE) {
-                double c = o->c[u];
-                double bc = 0.25 * PI * rho * p[u] * p[u] + c;
-                wg = w * (0.5 * PI * rho) * p[u] / bc;
-                wa = w * 2.0 * rho * (1.0 / bc - 1.0 / c);
-            } else {
-                wg = w;
-                wa = w * o->c[u];
-            }
-            accumulate(g, o->acc, o->gs + u * M, o->asq + u * M, wg, wa, M);
-        }
+        for (int64_t u = lo; u < hi; u++)
+            accumulate(g + Mb, o->acc + Mb, o->gs + u * M + Mb, o->asq + u * M + Mb, o->v[u],
+                       o->c[u], M - Mb);
         if (o->kind == APG_RATE) {
             for (int64_t m = 0; m < M; m++)
                 g[m] = g[m] + o->acc[m] * row[m];
@@ -466,7 +522,9 @@ static double support_gap(const double *grad, const double *x, double *nsq, int6
     return support - inner;
 }
 
-/* scratch: apg_scratch_len(T, N, M) doubles */
+/* The objective on scratch, which holds apg_scratch_len(T, N, M) less
+ * ALIGN_SLACK doubles: makes the user-minor copies of gs and asq. The caller
+ * clears the per-user scratch. */
 static Objective objective(int kind, const double *gs, const double *asq, const int64_t *gptr,
                            int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
                            double *scratch)
@@ -481,8 +539,6 @@ static Objective objective(int kind, const double *gs, const double *asq, const 
     double *at = gt + M * Tp;
     Objective o = {kind, gs, asq, gptr, T, N, M, Tp, Tv, rho, sigma, 0.0, 0.0, gt, at,
                    scratch, scratch + Tv, scratch + 2 * Tv, scratch + 2 * Tv + M};
-    /* the padding lanes of v, c and p/q enter the kernels: keep them finite */
-    memset(scratch, 0, (4 * Tv + M) * sizeof(double));
     if (kind == APG_MARGIN) {
         o.set1 = sqrt(expm1(t));
         o.lin = sqrt(0.25 * PI * rho);
@@ -504,6 +560,13 @@ static Objective objective(int kind, const double *gs, const double *asq, const 
     return o;
 }
 
+/* Zero the per-user scratch v, c, acc and p/q: their padding lanes enter the
+ * kernels, so they must start finite. */
+static void clear(const Objective *o)
+{
+    memset(o->v, 0, (4 * o->Tv + o->M) * sizeof(double));
+}
+
 /* One evaluation at mu, for checking single evaluations against numpy: the
  * value path when grad is NULL, else the value+gradient path. Writes aux;
  * returns the objective. scratch holds apg_scratch_len(T, N, M) doubles. */
@@ -511,7 +574,8 @@ double apg_objective(int kind, const double *gs, const double *asq, const int64_
                      int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
                      const double *mu, double *grad, double *scratch, double *aux)
 {
-    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, scratch);
+    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, align64(scratch));
+    clear(&o);
     user_pq(&o, mu, o.pq);
     return grad ? value_grad(&o, mu, o.pq, grad, aux) : value(&o, o.pq, aux);
 }
@@ -526,27 +590,28 @@ static double sq_dist(const double *a, const double *b, int64_t len)
     return s;
 }
 
-/* Run one stage from x (projected first); x receives the last iterate.
- *
- * work holds apg_work_len(T, N, M) doubles. The traces hold max_iters + 1
- * entries; trace_clock receives raw apg_clock() readings.
- * Returns a STOP_* code. */
-int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr,
-              int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
-              const StageConfig *cfg, double *x, double *work,
-              double *trace_f, double *trace_aux, double *trace_ay, double *trace_am,
-              int64_t *trace_bty, int64_t *trace_btm, double *trace_clock,
-              StageResult *out)
+/* The objective scratch in a 64-byte-aligned work buffer: after the nine
+ * (N, M) arrays and the three p/q pairs of run_stage. */
+static double *objective_scratch(double *work, int64_t T, int64_t N, int64_t M)
 {
-    const int64_t L = N * M;
+    return work + 9 * N * M + 6 * padded(T);
+}
+
+/* One stage on objective o, whose copies sit in objective_scratch(work);
+ * see apg_stage. work is 64-byte aligned. */
+static int run_stage(Objective o, const StageConfig *cfg, double *x, double *work,
+                     double *trace_f, double *trace_aux, double *trace_ay, double *trace_am,
+                     int64_t *trace_bty, int64_t *trace_btm, double *trace_clock,
+                     StageResult *out)
+{
+    const int64_t N = o.N, M = o.M, L = N * M, Tv = o.Tv;
     double *mu = work, *mu_prev = mu + L, *z = mu_prev + L, *y = z + L, *zn = y + L;
     double *vn = zn + L, *tmp = vn + L, *gy = tmp + L, *gmu = gy + L;
     /* p and q of the trial points y, zn, vn; those of mu are kept from the
      * trial that was accepted as mu */
-    const int64_t Tv = padded(T);
     double *pq_y = gmu + L, *pq_z = pq_y + 2 * Tv, *pq_v = pq_z + 2 * Tv;
     memset(pq_y, 0, 6 * Tv * sizeof(double));
-    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, pq_v + 2 * Tv);
+    clear(&o);
     double *pq_mu = o.pq;
     const double kappa = cfg->kappa, delta = cfg->delta;
     const int64_t grow_after = cfg->step_grow_after;
@@ -676,7 +741,7 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
         trace_clock[it] = apg_clock();
         out->iterations = it;
 
-        if (kind == APG_MARGIN) {
+        if (o.kind == APG_MARGIN) {
             if (aux_cur >= -cfg->eps) {
                 code = STOP_FEASIBLE;
                 break;
@@ -705,6 +770,25 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
     return code;
 }
 
+/* Run one stage from x (projected first); x receives the last iterate.
+ *
+ * work holds apg_work_len(T, N, M) doubles. The traces hold max_iters + 1
+ * entries; trace_clock receives raw apg_clock() readings.
+ * Returns a STOP_* code. */
+int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr,
+              int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
+              const StageConfig *cfg, double *x, double *work,
+              double *trace_f, double *trace_aux, double *trace_ay, double *trace_am,
+              int64_t *trace_bty, int64_t *trace_btm, double *trace_clock,
+              StageResult *out)
+{
+    double *base = align64(work);
+    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t,
+                            objective_scratch(base, T, N, M));
+    return run_stage(o, cfg, x, base, trace_f, trace_aux, trace_ay, trace_am, trace_bty,
+                     trace_btm, trace_clock, out);
+}
+
 /* Run the margin stages i = 0, 1, ..., S - 1 (S >= 1) at level t from x, in
  * order, each from the last iterate of the one before; x receives the last
  * iterate. Stage i runs at sharpness sigmas[i] with plateau tolerance tols[i]
@@ -713,7 +797,8 @@ int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr
  * at the first stage that ends feasible, infeasible or in a failed line
  * search. codes[i] receives stage i's STOP_* code, and out the last stage's
  * result, the stages run and their summed iterations (a failed stage's not
- * counted). Returns the last stage's code.
+ * counted). Returns the last stage's code. The stages share one set of
+ * user-minor copies, so the chain equals one apg_stage call per stage.
  *
  * work holds apg_work_len(T, N, M) doubles, then a stage's seven traces of
  * cfg->max_iters + 1 entries each. */
@@ -726,15 +811,18 @@ int apg_chain(const double *gs, const double *asq, const int64_t *gptr,
     const int64_t n = cfg->max_iters + 1;
     double *traces = work + apg_work_len(T, N, M);
     int64_t *bt = (int64_t *)(traces + 5 * n);
+    double *base = align64(work);
+    Objective o = objective(APG_MARGIN, gs, asq, gptr, T, N, M, rho, sigmas[0], t,
+                            objective_scratch(base, T, N, M));
     StageConfig stage = *cfg;
     int64_t i = 0, iterations = 0;
     int code = STOP_MAX_ITERS;
     while (i < S && (i == 0 || iterations < cfg->max_iters)) {
         stage.stop_tol = tols[i];
         stage.max_iters = cfg->max_iters - iterations;
-        code = apg_stage(APG_MARGIN, gs, asq, gptr, T, N, M, rho, sigmas[i], t, &stage, x,
-                         work, traces, traces + n, traces + 2 * n, traces + 3 * n, bt, bt + n,
-                         traces + 4 * n, out);
+        o.sigma = sigmas[i];
+        code = run_stage(o, &stage, x, base, traces, traces + n, traces + 2 * n,
+                         traces + 3 * n, bt, bt + n, traces + 4 * n, out);
         codes[i++] = code;
         if (code == STOP_LINE_SEARCH)
             break;

@@ -188,7 +188,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_double),
     ]
     lib.apg_objective.restype = dbl
-    # buffer lengths in doubles: work of apg_stage, scratch of apg_objective
+    # buffer lengths in doubles: work of apg_stage, scratch of apg_objective; the
+    # engine aligns a buffer of exactly this length itself, so callers pass np.empty
     for name in ("apg_work_len", "apg_scratch_len"):
         getattr(lib, name).argtypes = [i64, i64, i64]
         getattr(lib, name).restype = i64

@@ -275,7 +275,7 @@ def compiled_stage(
     # one block per dtype: fewer mid-sized allocations fragment the heap less
     traces = np.empty((5, n))  # f_sigma, f_true, alpha_y, alpha_mu, clock
     bt_y, bt_mu = np.empty((2, n), dtype=np.int64)
-    work = np.empty(lib.apg_work_len(T, N, M))
+    work = np.empty(lib.apg_work_len(T, N, M))  # exact size: the engine aligns it
     out = native.StageResult()
     start = lib.apg_clock()
     code = lib.apg_stage(

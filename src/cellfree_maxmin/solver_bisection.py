@@ -15,7 +15,9 @@ undecided. The sharpness continuation of stages is one call into the
 compiled library (apg_chain in apg_stage.c), which runs the schedule that
 _smoothing_schedule sets here: each stage's sharpness and plateau
 tolerance. The candidate pick before it and the last certificate after it
-stay here too. The stages run the APG step policy of solver_apg.
+stay here too. The stages run the APG step policy of solver_apg. A
+candidate's per-user terms do not depend on t, so bisection_solve scores
+each start point it passes the oracle once per solve.
 
 Oracle outcomes: "feasible" (witness with max residual <= EPS_SOC),
 "infeasible" (certified min of the max residual exceeds -EPS_SOC), or
@@ -30,7 +32,7 @@ allocation's min-rate, which the EPA point witnesses, is raised to it.
 import ctypes
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,6 +107,27 @@ def _support_gap(grad: np.ndarray, x: np.ndarray) -> float:
     return float(support - np.einsum("nm,nm->", grad, x))
 
 
+class _Point(NamedTuple):
+    """A candidate start point mu with the per-user terms of its cone
+    residuals at every level: p_u = gs_u . mu_n and
+    d_u = sqrt(rho*||A_u mu_n||^2 + 1)."""
+    mu: np.ndarray
+    p: np.ndarray
+    d: np.ndarray
+
+
+def _point(model: RateModel, mu) -> _Point:
+    mu = np.ascontiguousarray(mu)
+    p, c = kernels._user_pc(model.gamma_sqrt, model.a_sq, model.group_ptr, mu, model.rho_bar)
+    return _Point(mu, p, np.sqrt(c))
+
+
+class _Candidates(tuple):
+    """The oracle's whole candidate list as _Points, the equal power
+    allocation's last. Passed as `warm`, it is taken as it is: that is how
+    bisection_solve scores each point once per solve."""
+
+
 def feasibility_oracle(
     model: RateModel,
     t: float,
@@ -121,50 +144,51 @@ def feasibility_oracle(
     fine sigma_f, warm-started), checking the true residuals every iterate
     and the infeasibility certificate periodically: the whole continuation
     is one call into the compiled library (apg_chain in apg_stage.c).
+    bisection_solve passes its starts already scored, as a _Candidates that
+    ends with the EPA point.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"level t must be finite and >= 0, got {t!r}")
     cfg = cfg or BisectionConfig()
-    gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
     set1 = math.sqrt(math.expm1(t))
-    lin = math.sqrt(0.25 * math.pi * rho)
+    lin = math.sqrt(0.25 * math.pi * model.rho_bar)
 
-    candidates = [as_mu_matrix(w, model) for w in warm]
-    candidates.append(epa_power(model.num_aps, model.num_groups))
+    candidates = warm
+    if not isinstance(warm, _Candidates):
+        candidates = [_point(model, as_mu_matrix(w, model)) for w in warm]
+        candidates.append(_point(model, epa_power(model.num_aps, model.num_groups)))
 
-    best = best_d = None
+    best = None
     best_res = math.inf
     for cand in candidates:
-        cand = np.ascontiguousarray(cand)
-        p, c = kernels._user_pc(gs, asq, ptr, cand, rho)
-        d = np.sqrt(c)
         # kernels._soc_residuals, bit for bit
-        r = float((set1 * d - lin * p).max())
+        r = float((set1 * cand.d - lin * cand.p).max())
         if r < best_res:
-            best, best_d, best_res = cand, d, r
+            best, best_res = cand, r
     if best is None:
         # no candidate has a residual below inf (NaN or inf data): name the inputs
-        inputs = {"gamma_sqrt": gs, "a_sq": asq, "rho_bar": rho, "warm start": candidates}
+        inputs = {"gamma_sqrt": model.gamma_sqrt, "a_sq": model.a_sq, "rho_bar": model.rho_bar,
+                  "warm start": [cand.mu for cand in candidates]}
         bad = [name for name, val in inputs.items() if not np.isfinite(val).all()]
         raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) at level t={t}")
     if best_res <= EPS_SOC:
         # a candidate outside S is no witness: the first stage projects it
-        if is_feasible(best):
-            return OracleResult(FEASIBLE, best, 0, best_res)
+        if is_feasible(best.mu):
+            return OracleResult(FEASIBLE, best.mu, 0, best_res)
         if t == 0.0:
             # no residual of a point of S is positive at level 0, where the
             # sensitivity below is infinite: the EPA point, the last
             # candidate, witnesses it
-            return OracleResult(FEASIBLE, candidates[-1], 0, r)
+            return OracleResult(FEASIBLE, candidates[-1].mu, 0, r)
 
     # residual-to-t sensitivity at the warm point:
     # d(residual)/dt = exp(t)/(2*sqrt(e^t-1)) * sqrt(rho*||A mu||^2 + 1),
     # with the median over users taken as np.median does
-    dvals = np.sort(best_d)
+    dvals = np.sort(best.d)
     half = dvals.shape[0] // 2
     median = dvals[half] if dvals.shape[0] % 2 else (dvals[half - 1] + dvals[half]) / 2.0
     sens = math.exp(t) / (2.0 * set1) * float(median)
-    return _continuation(native.load_library(), model, t, best, sens, cfg)
+    return _continuation(native.load_library(), model, t, best.mu, sens, cfg)
 
 
 def _smoothing_schedule(tol_t: float, sens: float,
@@ -201,7 +225,8 @@ def _continuation(lib, model: RateModel, t: float, x0, sens: float,
     if not all(0.0 <= tol < math.inf for tol in tols):
         raise ValueError("stop_tol must be finite and >= 0")
     cap, count = cfg.oracle_iter_cap, len(sigmas)
-    work = np.empty(lib.apg_work_len(T, N, M) + 7 * (cap + 1))  # the work, then the traces
+    # the work, then the traces, at exact size: the engine aligns the work
+    work = np.empty(lib.apg_work_len(T, N, M) + 7 * (cap + 1))
     codes = (ctypes.c_int64 * count)()
     out = native.StageResult()
     code = lib.apg_chain(
@@ -273,7 +298,7 @@ def bisection_solve(
     upper = rate_upper_bound(model)
     lo = 0.0  # always feasible
     hi = upper + max(cfg.tol_t, 1e-6)
-    witness = epa = epa_power(model.num_aps, model.num_groups)
+    witness = epa = _point(model, epa_power(model.num_aps, model.num_groups))
 
     steps: List[BisectionStep] = []
     extra_warm = None
@@ -282,24 +307,28 @@ def bisection_solve(
         if not lo < mid < hi:
             break  # tol_t is below the spacing of doubles near t: the bracket is closed
         warm = [witness] if extra_warm is None else [witness, extra_warm]
-        res = feasibility_oracle(model, mid, warm=warm, cfg=cfg)
+        candidates = _Candidates([*warm, epa])
+        res = feasibility_oracle(model, mid, warm=candidates, cfg=cfg)
         steps.append(BisectionStep(len(steps), lo, hi, res.iterations, res.status))
-        extra_warm = res.power
+        # the oracle returns one of its candidates or a new point; only a new one is scored
+        extra_warm = next((c for c in candidates if c.mu is res.power), None)
+        if extra_warm is None:
+            extra_warm = _point(model, res.power)
         if res.status == FEASIBLE:
             lo = mid
-            witness = res.power
+            witness = extra_warm
         else:
             hi = mid
 
-    epa_level = min_rate(model, epa)
+    epa_level = min_rate(model, epa.mu)
     if epa_level > lo:
         lo, witness = epa_level, epa
     # an undecided step's level is its midpoint, bit for bit
     undecided = [0.5 * (s.t_lo + s.t_hi) for s in steps if s.oracle_status == UNDECIDED]
     return BisectionReport(
         t_star=lo,
-        power=witness,
-        min_rate=min_rate(model, witness),
+        power=witness.mu,
+        min_rate=min_rate(model, witness.mu),
         steps=steps,
         undecided_count=len(undecided),
         approximate=any(t >= lo for t in undecided),

@@ -34,6 +34,7 @@ from cellfree_maxmin import (
     bisection_solve,
     build_rate_model,
     epa_power,
+    epa_rates,
     feasibility_oracle,
     generate_instance,
     kernels,
@@ -64,21 +65,25 @@ def lib():
     return native.load_library()
 
 
-def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True):
+def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True, scratch=None):
     """(f, aux, grad or None) of one compiled evaluation; grad=False takes the
-    value-only path. Checks that the evaluation stays inside the scratch
-    length the library reports."""
+    value-only path. Without a `scratch` buffer of apg_scratch_len doubles,
+    checks that the evaluation stays inside that length."""
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
     T, M = gs.shape
     mu = np.ascontiguousarray(mu, dtype=float)
     g = np.empty_like(mu) if grad else None
     n = lib.apg_scratch_len(T, mu.shape[0], M)
-    scratch = np.full(n + 64, -7.0)  # the tail past n must stay untouched
+    whole = None
+    if scratch is None:
+        whole = np.full(n + 64, -7.0)  # the tail past n must stay untouched
+        scratch = whole[:n]
     aux = ctypes.c_double()
     f = lib.apg_objective(kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T,
                           mu.shape[0], M, model.rho_bar, sigma, t, mu.ctypes.data,
                           None if g is None else g.ctypes.data, scratch.ctypes.data, aux)
-    assert (scratch[n:] == -7.0).all()
+    if whole is not None:
+        assert (whole[n:] == -7.0).all()
     return f, aux.value, g
 
 
@@ -125,10 +130,18 @@ def test_lane_width(lib):
     assert lib.apg_lanes() in (2, 4, 8)
 
 
+# APs on both sides of the gradient's register blocks of 4 vectors (16 or 32
+# entries, or 8 on a 2-lane build), with a single-user group
+BLOCK_EDGE_SHAPES = [(m, (1, 6, 3)) for m in (1, 7, 31, 32, 33, 63, 100)]
+
+
 @pytest.mark.parametrize("case", [pytest.param((9, (2, 2, 2), seed), id=str(seed))
                                   for seed in range(3)]
-                         + [pytest.param((m, g, 3), id=shape_id(m, g)) for m, g in ODD_SHAPES])
+                         + [pytest.param((m, g, 3), id=shape_id(m, g))
+                            for m, g in ODD_SHAPES + BLOCK_EDGE_SHAPES])
 def test_per_evaluation_parity(lib, case):
+    """Both objectives' value and value+gradient paths against the numpy
+    reference: the margin bit for bit, the rate within 1e-12 relative."""
     num_aps, group_sizes, seed = case
     rng = np.random.default_rng(seed)
     model = shaped_model(num_aps, group_sizes, seed)
@@ -147,6 +160,13 @@ def test_per_evaluation_parity(lib, case):
              impl.margin_value_grad(*args, mat, model.rho_bar, t, sigma)),
         ]
         for kind, sg, level, ref_v, ref_vg in cases:
+            if kind == native.MARGIN:
+                got = compiled_objective(lib, kind, model, mat, sg, level, grad=False)
+                assert np.array(got[:2]).tobytes() == np.array(ref_v).tobytes()
+                got = compiled_objective(lib, kind, model, mat, sg, level)
+                assert np.array(got[:2]).tobytes() == np.array(ref_vg[:2]).tobytes()
+                assert got[2].tobytes() == ref_vg[2].tobytes()
+                continue
             f, aux, _ = compiled_objective(lib, kind, model, mat, sg, level, grad=False)
             assert f == pytest.approx(ref_v[0], rel=1e-12, abs=1e-15)
             assert aux == pytest.approx(ref_v[1], rel=1e-12, abs=1e-15)
@@ -458,6 +478,99 @@ def test_value_path_equals_value_grad_path(lib, shape):
             assert np.array(value[:2]).tobytes() == np.array(value_grad[:2]).tobytes()
 
 
+CANARY = -7.25
+
+
+def buffer_at(n, offset):
+    """(whole, view): n doubles starting `offset` doubles past a 64-byte
+    boundary, inside a larger buffer whose every entry holds CANARY."""
+    whole = np.full(n + 16, CANARY)
+    start = (-whole.ctypes.data % 64) // 8 + offset
+    return whole, whole[start:start + n]
+
+
+def assert_only_view_written(whole, view):
+    start = (view.ctypes.data - whole.ctypes.data) // 8
+    assert (whole[:start] == CANARY).all() and (whole[start + view.shape[0]:] == CANARY).all()
+
+
+def objective_in(lib, kind, model, mu, t, scratch, grad):
+    """Bytes of what apg_objective returns at sharpness 500 from the
+    scratch buffer `scratch`."""
+    f, aux, g = compiled_objective(lib, kind, model, mu, 500.0, t, grad, scratch)
+    return np.array([f, aux]).tobytes() + (b"" if g is None else g.tobytes())
+
+
+def stage_in(lib, kind, model, x0, sigma, t, work):
+    """Bytes of everything apg_stage returns but the clock trace, from the
+    work buffer `work`: a 60-iteration stage checking the certificate
+    every 10."""
+    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
+    (N, M), T = x0.shape, gs.shape[0]
+    x = np.array(x0)
+    traces = np.zeros((5, 61))  # a stage that stops early leaves the rest as it was
+    bts = np.zeros((2, 61), dtype=np.int64)
+    out = native.StageResult()
+    code = lib.apg_stage(kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
+                         model.rho_bar, sigma, t, solver_apg.stage_config(60, 0.0, 1e-6, 10),
+                         x.ctypes.data, work.ctypes.data,
+                         *(a.ctypes.data for a in traces[:4]), *(b.ctypes.data for b in bts),
+                         traces[4].ctypes.data, out)
+    return bytes([code]) + x.tobytes() + traces[:4].tobytes() + bts.tobytes() + bytes(out)
+
+
+def chain_in(lib, model, x0, t, work, cap):
+    """Bytes of what apg_chain returns: three stages on the budget `cap`."""
+    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
+    (N, M), T = x0.shape, gs.shape[0]
+    x = np.array(x0)
+    codes = (ctypes.c_int64 * 3)()
+    out = native.StageResult()
+    code = lib.apg_chain(gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
+                         model.rho_bar, t, 3, (ctypes.c_double * 3)(30.0, 300.0, 3000.0),
+                         (ctypes.c_double * 3)(1e-4, 1e-6, 1e-8),
+                         solver_apg.stage_config(cap, 0.0, 1e-6, 10), x.ctypes.data,
+                         work.ctypes.data, codes, out)
+    return bytes([code]) + x.tobytes() + bytes(codes) + bytes(out)
+
+
+# one user at one AP fills the user-minor copies' room to the last double
+@pytest.mark.parametrize("shape", [(1, (1,)), (17, (7, 9, 2)), (40, (1, 6))],
+                         ids=lambda s: shape_id(*s))
+def test_buffers_at_every_offset_give_the_same_bits(lib, shape):
+    """apg_objective (both paths), apg_stage (both kinds) and apg_chain align
+    their buffers themselves: from buffers at each of the 8 double offsets
+    mod 64 they return the same bits, and they write nothing outside the
+    apg_scratch_len or apg_work_len doubles (plus the chain's traces) they
+    are given."""
+    model = shaped_model(*shape, seed=1)
+    (T, M), N = model.gamma_sqrt.shape, model.num_groups
+    mat = random_feasible_matrix(model, np.random.default_rng(5))
+    t = 1.5 * epa_rates(model).min_rate
+    cap = 150
+    calls = [
+        (lib.apg_scratch_len(T, N, M),
+         lambda buf: objective_in(lib, native.MARGIN, model, mat, t, buf, grad=True)),
+        (lib.apg_scratch_len(T, N, M),
+         lambda buf: objective_in(lib, native.MARGIN, model, mat, t, buf, grad=False)),
+        (lib.apg_scratch_len(T, N, M),
+         lambda buf: objective_in(lib, native.RATE, model, mat, 0.0, buf, grad=True)),
+        (lib.apg_work_len(T, N, M),
+         lambda buf: stage_in(lib, native.RATE, model, mat, 100.0, 0.0, buf)),
+        (lib.apg_work_len(T, N, M),
+         lambda buf: stage_in(lib, native.MARGIN, model, mat, 3000.0, t, buf)),
+        (lib.apg_work_len(T, N, M) + 7 * (cap + 1),
+         lambda buf: chain_in(lib, model, mat, t, buf, cap)),
+    ]
+    for n, call in calls:
+        results = set()
+        for offset in range(8):
+            whole, view = buffer_at(n, offset)
+            results.add(call(view))
+            assert_only_view_written(whole, view)
+        assert len(results) == 1
+
+
 def test_package_data_ships_every_build_file():
     """An installed package builds its library from native.SOURCES and
     native.HEADERS on first use, so pyproject.toml's package data names
@@ -514,7 +627,11 @@ def test_sources_build_without_warnings(tmp_path):
 # just above the optimum, with a budget that ends mid-schedule and with a
 # finer step that makes a chain of 40 stages; the three Monte-Carlo entries
 # on 1003 draws, no multiple of any lane width; and bisection on 2 groups of
-# 15 users at 4 APs, whose margin stages take zero steps
+# 15 users at 4 APs, whose margin stages take zero steps. apg_objective,
+# apg_stage and apg_chain also run once each on buffers of exactly the
+# length the library asks for, which start off a 64-byte boundary and end
+# where their allocation ends, so the engine's own alignment cannot hide an
+# overrun.
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
@@ -524,7 +641,13 @@ from cellfree_maxmin import (ApgConfig, BisectionConfig, Dimensions, PhysicalCon
                              rate_oracle_monte_carlo, rate_upper_bound, solver_bisection)
 from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import iter_smallscale_blocks, smallscale_key
-from cellfree_maxmin.solver_apg import compiled_stage
+from cellfree_maxmin.solver_apg import compiled_stage, stage_config
+
+def off_boundary(n):
+    for k in range(1, 9):
+        view = np.empty(n + k)[k:]
+        if view.ctypes.data % 64:
+            return view
 
 lib = native._declare(ctypes.CDLL(sys.argv[1]))
 native.load_library = lambda: lib
@@ -539,6 +662,23 @@ for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
         compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
                        gap_check_every=25)
     epa = epa_rates(model).min_rate
+    T, N, M = model.num_users, len(group_sizes), num_aps
+    data = (model.gamma_sqrt.ctypes.data, model.a_sq.ctypes.data, model.group_ptr.ctypes.data,
+            T, N, M, model.rho_bar)
+    x, grad, out = np.array(x0), np.empty_like(x0), native.StageResult()
+    codes = (ctypes.c_int64 * 2)()
+    traces, bts = np.empty((5, 201)), np.empty((2, 201), dtype=np.int64)
+    scratch = off_boundary(lib.apg_scratch_len(T, N, M))
+    work = off_boundary(lib.apg_work_len(T, N, M))
+    chain_work = off_boundary(lib.apg_work_len(T, N, M) + 7 * 201)
+    lib.apg_objective(native.MARGIN, *data, 3000.0, 1.2 * epa, x.ctypes.data, grad.ctypes.data,
+                      scratch.ctypes.data, ctypes.c_double())
+    lib.apg_stage(native.RATE, *data, 100.0, 0.0, stage_config(200, 1e-9, 0.0, 1), x.ctypes.data,
+                  work.ctypes.data, *(a.ctypes.data for a in traces[:4]),
+                  *(b.ctypes.data for b in bts), traces[4].ctypes.data, out)
+    lib.apg_chain(*data, 1.2 * epa, 2, (ctypes.c_double * 2)(300.0, 3000.0),
+                  (ctypes.c_double * 2)(1e-6, 1e-9), stage_config(200, 0.0, 1e-6, 25),
+                  x.ctypes.data, chain_work.ctypes.data, codes, out)
     statuses = [feasibility_oracle(model, t, cfg=BisectionConfig(oracle_iter_cap=cap)).status
                 for t, cap in ((1.2 * epa, 4000), (rate_upper_bound(model) + 0.1, 4000),
                                (1.5 * epa, 5))]

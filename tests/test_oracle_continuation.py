@@ -152,13 +152,20 @@ def test_budget_runs_out_partway_through_the_schedule(lib):
     (shaped_model(1, (7, 9, 2), seed=1), BisectionConfig()),
 ], ids=["tiny-pinned", "M1-7x9x2"])
 def test_every_oracle_call_of_a_bisection(lib, monkeypatch, model, cfg):
-    """Each call of a whole bisection, with its warm starts, matches."""
+    """Each call of a whole bisection, with its warm starts, matches; so does
+    the oracle given those starts as plain arrays. bisection_solve passes
+    them scored, with the EPA point last."""
     oracle = solver_bisection.feasibility_oracle
+    epa = epa_power(model.num_aps, model.num_groups)
     calls = []
 
     def compared(model, t, warm=(), cfg=None):
         got = oracle(model, t, warm=warm, cfg=cfg)
-        assert_same(got, reference_oracle(lib, model, t, warm=warm, cfg=cfg))
+        assert isinstance(warm, solver_bisection._Candidates)
+        assert warm[-1].mu.tobytes() == epa.tobytes()
+        arrays = [point.mu for point in warm[:-1]]
+        assert_same(got, oracle(model, t, warm=arrays, cfg=cfg))
+        assert_same(got, reference_oracle(lib, model, t, warm=arrays, cfg=cfg))
         calls.append(got.iterations)
         return got
 

@@ -1,4 +1,6 @@
 import math
+import types
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from cellfree_maxmin import (
     bisection_solve,
     build_rate_model,
     build_soc_system,
+    epa_power,
     epa_rates,
     feasibility_oracle,
     generate_instance,
@@ -217,6 +220,49 @@ class TestBisectionSolve:
         lo, hi = (mid, last.t_hi) if last.oracle_status == "feasible" else (last.t_lo, mid)
         assert len(report.steps) == len(calls) < 100
         assert math.nextafter(lo, math.inf) == hi
+
+    @pytest.mark.parametrize("num_aps, users_per_group", [(6, 2), (8, 3)])
+    def test_candidates_are_scored_once_per_solve(self, monkeypatch, num_aps, users_per_group):
+        """bisection_solve scores each distinct start point once (the EPA
+        point, then at most one new point per oracle call), and its report
+        is, field for field, the one of the same loop over plain-array warm
+        starts, whose every oracle call scores all its candidates afresh."""
+        model = make_model(num_aps, 2, users_per_group, seed=3)
+        cfg = BisectionConfig()
+        epa = epa_power(model.num_aps, model.num_groups)
+        upper = rate_upper_bound(model)
+        lo, hi, witness, extra, steps = 0.0, upper + max(cfg.tol_t, 1e-6), epa, None, []
+        while hi - lo > cfg.tol_t and lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            warm = [witness] if extra is None else [witness, extra]
+            res = feasibility_oracle(model, mid, warm, cfg)
+            steps.append((len(steps), lo, hi, res.iterations, res.status))
+            extra = res.power
+            if res.status == "feasible":
+                lo, witness = mid, res.power
+            else:
+                hi = mid
+        if min_rate(model, epa) > lo:
+            lo, witness = min_rate(model, epa), epa
+
+        scored = []
+
+        def user_pc(*args):
+            scored.append(args[3])
+            return kernels._user_pc(*args)
+
+        monkeypatch.setattr(solver_bisection, "kernels",
+                            types.SimpleNamespace(_user_pc=user_pc, IMPL=kernels.IMPL))
+        report = bisection_solve(model, cfg)
+        assert 0 < len(scored) <= len(report.steps) + 1
+        assert [astuple(s) for s in report.steps] == steps
+        undecided = [0.5 * (s[1] + s[2]) for s in steps if s[4] == "undecided"]
+        assert (report.t_star, report.undecided_count, report.approximate) == (
+            lo, len(undecided), any(t >= lo for t in undecided))
+        assert report.power.tobytes() == witness.tobytes()
+        assert report.min_rate == min_rate(model, witness)
+        assert report.initial_upper_bound == upper
+        assert report.oracle_iters_total == sum(s[3] for s in steps)
 
     def test_steps_csv(self, model, tmp_path):
         report = bisection_solve(model)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the compiled APG stage (apg_stage.c) and the Monte-Carlo oracle.
+"""Time the compiled APG stage (apg_chain in apg_stage.c) and the Monte-Carlo
+oracle.
 
 For each size (M APs, N groups, K users per group) and both objectives, the
 rate soft minimum of apg_solve and the cone margin of the bisection oracle,
@@ -9,7 +10,7 @@ prints for the compiled stage:
     apg_objective (one ctypes call, which also copies gs and asq into the
     user-minor layout, as each stage does once);
   * milliseconds per fixed stage of 300 iterations (stopping rules off)
-    through solver_apg.compiled_stage.
+    through solver_apg.compiled_chain, as a chain of one stage.
 
 It then prints seconds per 1e5 draws of the Monte-Carlo rate oracle
 (rates.rate_oracle_monte_carlo) at M=8, 2x3, on one thread and on every CPU
@@ -30,10 +31,10 @@ from unittest import mock
 
 import numpy as np
 
-from cellfree_maxmin import (ApgConfig, Dimensions, PhysicalConfig, build_rate_model, epa_rates,
+from cellfree_maxmin import (Dimensions, PhysicalConfig, build_rate_model, epa_rates,
                              generate_instance, kernels, native, pool, rate_oracle_monte_carlo)
 from cellfree_maxmin.harness import random_feasible_power
-from cellfree_maxmin.solver_apg import compiled_stage
+from cellfree_maxmin.solver_apg import compiled_chain
 from cellfree_maxmin.solver_bisection import GAP_CHECK_EVERY
 
 SIZES = [(100, 4, 10), (150, 2, 15), (200, 2, 15), (50, 2, 10)]
@@ -70,7 +71,6 @@ def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
     mu = np.ascontiguousarray(rng.uniform(0.05, 0.6, size=(n_groups, m_aps)))
     mu = kernels.IMPL.project_ball_orthant(mu)
     level = epa_rates(model).min_rate
-    cfg = ApgConfig(max_iters=STAGE_ITERS, stop_tol=0.0)  # a plateau tolerance of 0 never stops
 
     rows = []
     for kind, name, sigma, t in ((native.RATE, "rate", RATE_SIGMA, 0.0),
@@ -86,9 +86,10 @@ def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
                      median_time(lambda: lib.apg_objective(*args, grad.ctypes.data,
                                                            scratch.ctypes.data, aux),
                                  repeats) * 1e6,
-                     # eps_soc = -inf: the feasible and infeasible exits never fire
-                     median_time(lambda: compiled_stage(lib, kind, model, mu, cfg, sigma, t=t,
-                                                        eps_soc=-math.inf,
+                     # a plateau tolerance of 0 never stops; eps_soc = -inf: the
+                     # feasible and infeasible exits never fire
+                     median_time(lambda: compiled_chain(lib, kind, model, mu, (sigma,), (0.0,),
+                                                        STAGE_ITERS, t=t, eps_soc=-math.inf,
                                                         gap_check_every=GAP_CHECK_EVERY),
                                  repeats, min_block_s=0.0) * 1e3))
     return rows

@@ -1,5 +1,4 @@
-/* One fixed-sigma monotone-APG stage in a single call (apg_stage), and a
- * chain of margin stages in a single call (apg_chain).
+/* A chain of fixed-sigma monotone-APG stages in a single call (apg_chain).
  *
  * A stage is the loop of solver_apg.monotone_apg, run over one of two smooth
  * objectives on the per-AP orthant-ball set S:
@@ -11,12 +10,13 @@
  *               bound certifies the min-max residual above -eps (checked
  *               every gap_every iterations).
  *
- * apg_chain runs the margin stages it is given, each at its own sharpness and
+ * apg_chain runs the stages it is given, each at its own sharpness and
  * plateau tolerance, in order and warm-started at the last iterate of the one
- * before. It sets no stage's settings (solver_bisection computes the oracle's
- * smoothing schedule), so it equals a Python loop of one apg_stage call per
- * stage bit for bit; that loop is the reference in
- * tests/test_oracle_continuation.py.
+ * before: apg_solve's rate stage is a chain of one, the bisection oracle's
+ * sharpness continuation a chain of margin stages. It sets no stage's
+ * settings (solver_bisection computes the oracle's smoothing schedule), so a
+ * chain equals a Python loop of one single-stage chain per stage bit for
+ * bit; that loop is the reference in tests/test_oracle_continuation.py.
  *
  * Step policy of each iteration, in this order:
  *
@@ -70,12 +70,12 @@
  * Tv = T rounded up to whole vectors; the padding entries are computed and
  * never read.
  *
- * Callers pass work and scratch buffers of exactly apg_work_len and
- * apg_scratch_len doubles at any 8-byte alignment. Each entry rounds its
- * buffer's start up to 64 bytes before carving it, using 7 spare doubles
- * that both lengths hold, so a stage's speed does not follow where the
- * allocator put the buffer, and a buffer one double short still overruns
- * where a sanitizer sees it.
+ * Callers pass apg_chain's work (apg_work_len doubles, then its traces) and
+ * apg_objective's scratch (apg_scratch_len doubles) at exactly that length
+ * and at any 8-byte alignment. Each entry rounds its buffer's start up to
+ * 64 bytes before carving it, using 7 spare doubles that both lengths hold,
+ * so a stage's speed does not follow where the allocator put the buffer,
+ * and a buffer one double short still overruns where a sanitizer sees it.
  */
 
 #include <math.h>
@@ -144,7 +144,7 @@ int64_t apg_scratch_len(int64_t T, int64_t N, int64_t M)
     return 4 * padded(T) + M + 2 * M * (T + N * (LANES - 1)) + LANES - 1 + ALIGN_SLACK;
 }
 
-/* Doubles of work for apg_stage: nine (N, M) iterates and gradients, three
+/* Doubles of work for one stage: nine (N, M) iterates and gradients, three
  * more p/q pairs, and the objective scratch. apg_scratch_len's ALIGN_SLACK
  * aligns the work's start instead, and the objective scratch carved from it
  * then needs no slack of its own. */
@@ -165,7 +165,7 @@ int64_t apg_lanes(void)
     return LANES;
 }
 
-/* Seconds on the monotonic clock: apg_stage stamps each iteration with it. */
+/* Seconds on the monotonic clock: a stage stamps each iteration with it. */
 double apg_clock(void)
 {
     struct timespec ts;
@@ -598,11 +598,13 @@ static double *objective_scratch(double *work, int64_t T, int64_t N, int64_t M)
 }
 
 /* One stage on objective o, whose copies sit in objective_scratch(work);
- * see apg_stage. work is 64-byte aligned. */
-static int run_stage(Objective o, const StageConfig *cfg, double *x, double *work,
-                     double *trace_f, double *trace_aux, double *trace_ay, double *trace_am,
-                     int64_t *trace_bty, int64_t *trace_btm, double *trace_clock,
-                     StageResult *out)
+ * see apg_chain. work is 64-byte aligned. Kept out of line: the stage's
+ * speed follows its code's placement, and inlined into apg_chain the
+ * bisection oracle ran a few percent slower. */
+static __attribute__((noinline)) int
+run_stage(Objective o, const StageConfig *cfg, double *x, double *work,
+          double *trace_f, double *trace_aux, double *trace_ay, double *trace_am,
+          int64_t *trace_bty, int64_t *trace_btm, double *trace_clock, StageResult *out)
 {
     const int64_t N = o.N, M = o.M, L = N * M, Tv = o.Tv;
     double *mu = work, *mu_prev = mu + L, *z = mu_prev + L, *y = z + L, *zn = y + L;
@@ -770,39 +772,22 @@ static int run_stage(Objective o, const StageConfig *cfg, double *x, double *wor
     return code;
 }
 
-/* Run one stage from x (projected first); x receives the last iterate.
+/* Run the stages i = 0, 1, ..., S - 1 (S >= 1) of objective `kind` (at level
+ * t for APG_MARGIN) from x, projected first, in order, each from the last
+ * iterate of the one before; x receives the last iterate. Stage i runs at
+ * sharpness sigmas[i] with plateau tolerance tols[i] on the budget
+ * cfg->max_iters less the iterations of the stages before it; a stage after
+ * the first runs only while that is positive. The chain ends at the first
+ * stage that ends feasible, infeasible or in a failed line search. codes[i]
+ * receives stage i's STOP_* code, and out the last stage's result, the
+ * stages run and their summed iterations (a failed stage's not counted).
+ * Returns the last stage's code. The stages share one set of user-minor
+ * copies, so the chain equals one single-stage chain per stage.
  *
- * work holds apg_work_len(T, N, M) doubles. The traces hold max_iters + 1
- * entries; trace_clock receives raw apg_clock() readings.
- * Returns a STOP_* code. */
-int apg_stage(int kind, const double *gs, const double *asq, const int64_t *gptr,
-              int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
-              const StageConfig *cfg, double *x, double *work,
-              double *trace_f, double *trace_aux, double *trace_ay, double *trace_am,
-              int64_t *trace_bty, int64_t *trace_btm, double *trace_clock,
-              StageResult *out)
-{
-    double *base = align64(work);
-    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t,
-                            objective_scratch(base, T, N, M));
-    return run_stage(o, cfg, x, base, trace_f, trace_aux, trace_ay, trace_am, trace_bty,
-                     trace_btm, trace_clock, out);
-}
-
-/* Run the margin stages i = 0, 1, ..., S - 1 (S >= 1) at level t from x, in
- * order, each from the last iterate of the one before; x receives the last
- * iterate. Stage i runs at sharpness sigmas[i] with plateau tolerance tols[i]
- * on the budget cfg->max_iters less the iterations of the stages before it;
- * a stage after the first runs only while that is positive. The chain ends
- * at the first stage that ends feasible, infeasible or in a failed line
- * search. codes[i] receives stage i's STOP_* code, and out the last stage's
- * result, the stages run and their summed iterations (a failed stage's not
- * counted). Returns the last stage's code. The stages share one set of
- * user-minor copies, so the chain equals one apg_stage call per stage.
- *
- * work holds apg_work_len(T, N, M) doubles, then a stage's seven traces of
- * cfg->max_iters + 1 entries each. */
-int apg_chain(const double *gs, const double *asq, const int64_t *gptr,
+ * work holds apg_work_len(T, N, M) doubles, then the traces of the last
+ * stage run, cfg->max_iters + 1 entries each: f, aux, alpha_y, alpha_mu,
+ * raw apg_clock() readings, then the backtracks of each branch as int64. */
+int apg_chain(int kind, const double *gs, const double *asq, const int64_t *gptr,
               int64_t T, int64_t N, int64_t M, double rho, double t,
               int64_t S, const double *sigmas, const double *tols,
               const StageConfig *cfg, double *x, double *work, int64_t *codes,
@@ -812,7 +797,7 @@ int apg_chain(const double *gs, const double *asq, const int64_t *gptr,
     double *traces = work + apg_work_len(T, N, M);
     int64_t *bt = (int64_t *)(traces + 5 * n);
     double *base = align64(work);
-    Objective o = objective(APG_MARGIN, gs, asq, gptr, T, N, M, rho, sigmas[0], t,
+    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigmas[0], t,
                             objective_scratch(base, T, N, M));
     StageConfig stage = *cfg;
     int64_t i = 0, iterations = 0;

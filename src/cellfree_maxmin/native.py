@@ -1,6 +1,6 @@
-"""Build and load the compiled library: the monotone-APG stage and its chain
-of margin stages (apg_stage.c), and the Monte-Carlo oracle's block pass
-(mc_block.c).
+"""Build and load the compiled library: the chain of monotone-APG stages
+that both solvers run (apg_chain in apg_stage.c), and the Monte-Carlo
+oracle's block pass (mc_block.c).
 
 Both sources are built into one shared library with the system C compiler
 on first use, never at import, into
@@ -19,8 +19,9 @@ may have just built one and not yet loaded it.
 
 This library is the only engine the solvers and the Monte-Carlo oracle run,
 so a C compiler is required: when none is found, or the build fails,
-:func:`load_library` raises RuntimeError. solver_apg.monotone_apg, the same
-loop over the numpy kernels, is the reference the stage is tested against.
+:func:`load_library` raises RuntimeError. solver_apg.compiled_chain makes
+the one call of apg_chain; solver_apg.monotone_apg, the same loop over the
+numpy kernels, is the reference the stages are tested against.
 """
 
 import ctypes
@@ -48,7 +49,7 @@ BUILD_TIMEOUT_S = 120
 STALE_LIBRARY_AGE_S = 24 * 3600.0
 _LIBRARY_NAME = re.compile(r"apg_stage-[0-9a-f]{16}\.so")
 
-# objectives and stop codes of apg_stage
+# objectives and stop codes of apg_chain
 RATE, MARGIN = 0, 1
 STOP_REASONS = {0: "max_iters", 1: "objective_plateau", 2: "line_search",
                 3: "feasible", 4: "infeasible"}
@@ -172,14 +173,8 @@ def _build(compiler: str, target: str) -> None:
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ptr, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.apg_stage.argtypes = [
-        ctypes.c_int, ptr, ptr, ptr, i64, i64, i64, dbl, dbl, dbl,
-        ctypes.POINTER(StageConfig), ptr, ptr,
-        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.POINTER(StageResult),
-    ]
-    lib.apg_stage.restype = ctypes.c_int
     lib.apg_chain.argtypes = [
-        ptr, ptr, ptr, i64, i64, i64, dbl, dbl, i64, ptr, ptr,
+        ctypes.c_int, ptr, ptr, ptr, i64, i64, i64, dbl, dbl, i64, ptr, ptr,
         ctypes.POINTER(StageConfig), ptr, ptr, ptr, ctypes.POINTER(StageResult),
     ]
     lib.apg_chain.restype = ctypes.c_int
@@ -188,8 +183,9 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_double),
     ]
     lib.apg_objective.restype = dbl
-    # buffer lengths in doubles: work of apg_stage, scratch of apg_objective; the
-    # engine aligns a buffer of exactly this length itself, so callers pass np.empty
+    # buffer lengths in doubles: work of apg_chain (before its traces), scratch of
+    # apg_objective; the engine aligns a buffer of exactly this length itself,
+    # so callers pass np.empty
     for name in ("apg_work_len", "apg_scratch_len"):
         getattr(lib, name).argtypes = [i64, i64, i64]
         getattr(lib, name).restype = i64

@@ -242,12 +242,18 @@ class NetworkInstance:
         m, t = self.zeta.shape
         if (m, t) != (self.dims.num_aps, self.dims.num_users) or self.gamma.shape != (m, t):
             raise ValueError("zeta/gamma shapes do not match dimensions")
-        if not (self.zeta > 0).all():
-            raise ValueError("zeta must be strictly positive")
+        # NaN fails every comparison, so these also refuse NaN; finite zeta
+        # bounds gamma
+        if not ((self.zeta > 0) & (self.zeta < math.inf)).all():
+            raise ValueError("zeta must be finite and strictly positive")
         if not ((self.gamma > 0) & (self.gamma < self.zeta)).all():
             raise ValueError("gamma must satisfy 0 < gamma < zeta elementwise")
-        if self.noise_variance_w <= 0:
-            raise ValueError("noise variance must be positive")
+        for name in ("noise_variance_w", "rho_d_w", "rho_p_w"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
 
     @property
     def group_ptr(self) -> np.ndarray:

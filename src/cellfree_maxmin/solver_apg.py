@@ -27,18 +27,20 @@ stage stops on the plateau test |f_n - f_{n-STOP_WINDOW}| < stop_tol, so
 stop_tol = 0 runs exactly max_iters iterations. ApgConfig holds the two
 values callers set, max_iters and stop_tol; it is the one APG configuration
 of the package. The bisection feasibility oracle reuses the same stage and
-step policy with a different (concave) objective, a per-stage iteration
-budget and stop_tol. Each fixed-sigma stage runs as one call into the
-compiled engine (native.py, apg_stage.c), which needs a C compiler; the
-oracle's whole continuation of stages is one call too.
-monotone_apg, one kernels.apg_step per iteration over the numpy kernels, is
-the reference the compiled stage is tested against; no solver runs it.
+step policy with a different (concave) objective, a shared iteration
+budget and a stop_tol per stage. compiled_chain is the one way into the
+compiled engine (native.py, apg_chain in apg_stage.c), which needs a C
+compiler: apg_solve's fixed-sigma stage is a chain of one, the oracle's
+whole continuation of stages one chain. monotone_apg, one kernels.apg_step
+per iteration over the numpy kernels, is the reference the compiled stages
+are tested against; no solver runs it.
 """
 
+import ctypes
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,9 +113,9 @@ class SolveReport:
     f_true: float
     iterations: int
     termination: str
-    sigma: Optional[float] = None        # set by compiled_stage
+    sigma: Optional[float] = None        # set by compiled_chain
     wall_time_s: Optional[float] = None  # set by apg_solve
-    # lists from monotone_apg, arrays from compiled_stage
+    # lists from monotone_apg, arrays from compiled_chain
     trace_f_sigma: Sequence[float] = field(default_factory=list)
     trace_f_true: Sequence[float] = field(default_factory=list)
     trace_alpha_y: Sequence[float] = field(default_factory=list)
@@ -225,83 +227,86 @@ def monotone_apg(
     return res
 
 
-def stage_start(model: RateModel, x0) -> np.ndarray:
-    """A C-ordered float copy of the start point x0, which the compiled
-    engine overwrites with the last iterate; ValueError when it is no
-    (N, M) array for the rate model."""
-    x = np.array(x0, dtype=float, order="C")
-    if x.shape != (model.num_groups, model.num_aps):
-        raise ValueError("start point and rate model shapes disagree")
-    return x
-
-
-def stage_config(max_iters: int, stop_tol: float, eps_soc: float,
-                 gap_check_every: int) -> native.StageConfig:
-    """The compiled engine's stage settings: this module's step policy with
-    the given budget, plateau tolerance and margin-stage exits."""
-    return native.StageConfig(DELTA, KAPPA, ALPHA_Y0, ALPHA_MU0, stop_tol, eps_soc, max_iters,
+def stage_config(max_iters: int, eps_soc: float, gap_check_every: int) -> native.StageConfig:
+    """apg_chain's settings: this module's step policy with the given budget
+    and margin-stage exits (the chain sets each stage's plateau tolerance)."""
+    return native.StageConfig(DELTA, KAPPA, ALPHA_Y0, ALPHA_MU0, 0.0, eps_soc, max_iters,
                               STOP_WINDOW, LINE_SEARCH_CAP, gap_check_every, STEP_GROW_AFTER)
 
 
-def compiled_stage(
+def compiled_chain(
     lib,
     kind: int,
     model: RateModel,
     x0,
-    cfg: ApgConfig,
-    sigma: float,
+    sigmas: Sequence[float],
+    tols: Sequence[float],
+    max_iters: int,
     t: float = 0.0,
     eps_soc: float = 0.0,
     gap_check_every: int = 1,
-) -> SolveReport:
-    """monotone_apg as one call of the compiled engine `lib` (see native.py).
+) -> Tuple[SolveReport, Tuple[str, ...], int]:
+    """Stages of monotone_apg as one apg_chain call of the compiled engine
+    `lib` (see native.py): stage i runs at sharpness sigmas[i] with plateau
+    tolerance tols[i], from the last iterate of the stage before (the first
+    from x0), until the stages' summed iterations reach max_iters.
 
-    kind native.RATE maximizes the soft minimum of the user rates at `sigma`
-    (f_true: the min-rate). kind native.MARGIN maximizes the soft minimum
-    of the cone margins at level `t` with sharpness `sigma` (f_true: the min
-    cone margin), with the exits of the bisection oracle's monitor: it
-    stops "feasible" once f_true >= -eps_soc, and every gap_check_every
-    iterations it records the Frank-Wolfe bound and stops "infeasible" once
-    that exceeds -eps_soc. The stage stamps every iteration with the
+    kind native.RATE maximizes the soft minimum of the user rates (f_true:
+    the min-rate). kind native.MARGIN maximizes the soft minimum of the cone
+    margins at level `t` (f_true: the min cone margin), with the exits of
+    the bisection oracle's monitor: a stage stops "feasible" once f_true >=
+    -eps_soc, and every gap_check_every iterations it records the
+    Frank-Wolfe bound and stops "infeasible" once that exceeds -eps_soc;
+    either exit ends the chain. The stages stamp every iteration with the
     library's C clock `lib.apg_clock`; elapsed times are measured from one
-    reading before the call."""
-    x = stage_start(model, x0)
+    reading before the call.
+
+    Returns the last stage's SolveReport, each stage's stop reason and the
+    stages' summed iterations."""
+    x = np.array(x0, dtype=float, order="C")  # the engine overwrites it with the last iterate
+    if x.shape != (model.num_groups, model.num_aps):
+        raise ValueError("start point and rate model shapes disagree")
+    if not 1 <= len(sigmas) == len(tols):
+        raise ValueError("sigmas and tols must be equally long and non-empty")
+    if not all(0.0 <= tol < math.inf for tol in tols):
+        raise ValueError("stop_tol must be finite and >= 0")
+    if not max_iters >= 0:
+        raise ValueError("max_iters must be >= 0")
     if kind == native.MARGIN and gap_check_every < 1:
         raise ValueError("gap_check_every must be >= 1")
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
-    (N, M), T = x.shape, gs.shape[0]
+    (N, M), T, S, n = x.shape, gs.shape[0], len(sigmas), max_iters + 1
 
-    n = cfg.max_iters + 1
-    # one block per dtype: fewer mid-sized allocations fragment the heap less
-    traces = np.empty((5, n))  # f_sigma, f_true, alpha_y, alpha_mu, clock
-    bt_y, bt_mu = np.empty((2, n), dtype=np.int64)
-    work = np.empty(lib.apg_work_len(T, N, M))  # exact size: the engine aligns it
+    length = lib.apg_work_len(T, N, M)
+    # the work at exact size (the engine aligns it), then the last stage's traces
+    work = np.empty(length + 7 * n)
+    codes = (ctypes.c_int64 * S)()
     out = native.StageResult()
     start = lib.apg_clock()
-    code = lib.apg_stage(
-        kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M, model.rho_bar,
-        sigma, t, stage_config(cfg.max_iters, cfg.stop_tol, eps_soc, gap_check_every),
-        x.ctypes.data, work.ctypes.data,
-        *(a.ctypes.data for a in traces[:4]), bt_y.ctypes.data, bt_mu.ctypes.data,
-        traces[4].ctypes.data, out,
-    )
+    code = lib.apg_chain(
+        kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M, model.rho_bar, t, S,
+        (ctypes.c_double * S)(*sigmas), (ctypes.c_double * S)(*tols),
+        stage_config(max_iters, eps_soc, gap_check_every), x.ctypes.data,
+        work.ctypes.data, codes, out)
     reason = native.STOP_REASONS[code]
     if reason == "line_search":
         raise LineSearchError(out.iterations, out.alpha_mu, out.f_mu, out.f_best)
+    # the last stage's k entries, copied so that a report does not keep the
+    # whole work block alive
     k = out.iterations + 1
-    f_sigma, f_true, alpha_y, alpha_mu, stamps = (a[:k] for a in traces)
-    return SolveReport(
+    traces = work[length:].reshape(7, n)[:, :k].copy()
+    f_sigma, f_true, alpha_y, alpha_mu, stamps = traces[:5]
+    bt_y, bt_mu = traces[5:].view(np.int64)
+    report = SolveReport(
         power=x, f_sigma=out.f, f_true=out.aux, iterations=out.iterations,
-        termination=reason, sigma=sigma,
-        trace_f_sigma=f_sigma, trace_f_true=f_true,
-        trace_alpha_y=alpha_y, trace_alpha_mu=alpha_mu,
-        trace_bt_y=bt_y[:k], trace_bt_mu=bt_mu[:k],
-        trace_elapsed_s=stamps - start,
-        extrapolation_rejections=out.rejections,
-        plain_skips=out.plain_skips,
+        termination=reason, sigma=sigmas[out.stages - 1], trace_f_sigma=f_sigma,
+        trace_f_true=f_true, trace_alpha_y=alpha_y, trace_alpha_mu=alpha_mu,
+        trace_bt_y=bt_y, trace_bt_mu=bt_mu, trace_elapsed_s=stamps - start,
+        extrapolation_rejections=out.rejections, plain_skips=out.plain_skips,
         evaluations=out.evaluations,
-        certified_bound=None if math.isnan(out.bound) else out.bound,
-    )
+        certified_bound=None if math.isnan(out.bound) else out.bound)
+    return (report, tuple(native.STOP_REASONS[c] for c in codes[:out.stages]),
+            out.total_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +340,7 @@ def apg_solve(
     ln(T)/sigma, at the price of a stiffer gradient).
 
     Starts from the (feasible, strictly positive) equal power allocation
-    unless mu0 is given. The stage is one compiled_stage call, which stamps
+    unless mu0 is given. The stage is a compiled_chain of one, which stamps
     its iterations on the library's C clock. Without a `clock` the wall time
     is read on that clock too; an injected clock is read just before and
     after the stage, and the stamps are scaled linearly onto that span."""
@@ -354,7 +359,8 @@ def apg_solve(
     lib = native.load_library()  # before the clock starts: the first call may build
     read = clock or lib.apg_clock
     start = read()
-    res = compiled_stage(lib, native.RATE, model, mat0, cfg, sigma)
+    res, _, _ = compiled_chain(lib, native.RATE, model, mat0, (sigma,), (cfg.stop_tol,),
+                               cfg.max_iters)
     res.wall_time_s = read() - start
     if clock is not None:
         elapsed = res.trace_elapsed_s

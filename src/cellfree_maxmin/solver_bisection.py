@@ -11,11 +11,11 @@ margin with the monotone-APG stage of the main solver (kind native.MARGIN),
 and certifies infeasibility through a Frank-Wolfe gap bound (the support
 function of S has the closed form sum_m ||[d_m]_+||): inside the stages
 every GAP_CHECK_EVERY iterations, and once more here when they end
-undecided. The sharpness continuation of stages is one call into the
-compiled library (apg_chain in apg_stage.c), which runs the schedule that
-_smoothing_schedule sets here: each stage's sharpness and plateau
-tolerance. The candidate pick before it and the last certificate after it
-stay here too. The stages run the APG step policy of solver_apg. A
+undecided. The sharpness continuation of stages is one
+solver_apg.compiled_chain call, the one way into the compiled library that
+apg_solve takes too; it runs the schedule that _smoothing_schedule sets
+here: each stage's sharpness and plateau tolerance. The candidate pick
+before it and the last certificate after it stay here too. The stages run the APG step policy of solver_apg. A
 candidate's per-user terms do not depend on t, so bisection_solve scores
 each start point it passes the oracle once per solve.
 
@@ -29,7 +29,6 @@ oracle_iter_cap. The bracket always starts at
 allocation's min-rate, which the EPA point witnesses, is raised to it.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -39,7 +38,7 @@ import numpy as np
 from . import kernels, native
 from .netgen import integer
 from .rates import RateModel, as_mu_matrix, epa_power, is_feasible, min_rate
-from .solver_apg import LineSearchError, real, stage_config, stage_start
+from .solver_apg import compiled_chain, real
 from .tables import write_csv
 
 FEASIBLE = "feasible"
@@ -143,7 +142,7 @@ def feasibility_oracle(
     min-margin maximization runs an inner sharpness continuation (coarse to
     fine sigma_f, warm-started), checking the true residuals every iterate
     and the infeasibility certificate periodically: the whole continuation
-    is one call into the compiled library (apg_chain in apg_stage.c).
+    is one call into the compiled library (solver_apg.compiled_chain).
     bisection_solve passes its starts already scored, as a _Candidates that
     ends with the EPA point.
     """
@@ -214,44 +213,29 @@ def _smoothing_schedule(tol_t: float, sens: float,
 def _continuation(lib, model: RateModel, t: float, x0, sens: float,
                   cfg: BisectionConfig) -> OracleResult:
     """The oracle's sharpness continuation at level t from x0: the stages of
-    _smoothing_schedule as one apg_chain call of the compiled library `lib`,
-    on the iteration budget cfg.oracle_iter_cap. When they end undecided,
-    one last certificate attempt follows, at the sharpness of the first
-    stage not run, or of the last one when all ran."""
-    x = stage_start(model, x0)
-    gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
-    (N, M), T = x.shape, gs.shape[0]
-    sigmas, tols = _smoothing_schedule(cfg.tol_t, sens, T)
-    if not all(0.0 <= tol < math.inf for tol in tols):
-        raise ValueError("stop_tol must be finite and >= 0")
-    cap, count = cfg.oracle_iter_cap, len(sigmas)
-    # the work, then the traces, at exact size: the engine aligns the work
-    work = np.empty(lib.apg_work_len(T, N, M) + 7 * (cap + 1))
-    codes = (ctypes.c_int64 * count)()
-    out = native.StageResult()
-    code = lib.apg_chain(
-        gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M, rho, t, count,
-        (ctypes.c_double * count)(*sigmas), (ctypes.c_double * count)(*tols),
-        stage_config(cap, 0.0, EPS_SOC, GAP_CHECK_EVERY), x.ctypes.data, work.ctypes.data,
-        codes, out)
-    reason = native.STOP_REASONS[code]
-    if reason == "line_search":
-        raise LineSearchError(out.iterations, out.alpha_mu, out.f_mu, out.f_best)
-    stages = tuple(native.STOP_REASONS[c] for c in codes[:out.stages])
-    if reason == FEASIBLE:
-        return OracleResult(FEASIBLE, x, out.total_iterations, -out.aux, stages=stages)
-    if reason == INFEASIBLE:
-        return OracleResult(INFEASIBLE, x, out.total_iterations, -out.aux,
-                            certified_lower_bound=out.bound, stages=stages)
+    _smoothing_schedule as one compiled_chain call of the compiled library
+    `lib`, on the iteration budget cfg.oracle_iter_cap. When they end
+    undecided, one last certificate attempt follows, at the sharpness of the
+    first stage not run, or of the last one when all ran."""
+    sigmas, tols = _smoothing_schedule(cfg.tol_t, sens, model.num_users)
+    last, stages, iterations = compiled_chain(
+        lib, native.MARGIN, model, x0, sigmas, tols, cfg.oracle_iter_cap, t=t,
+        eps_soc=EPS_SOC, gap_check_every=GAP_CHECK_EVERY)
+    x, max_residual = last.power, -last.f_true
+    if last.termination == FEASIBLE:
+        return OracleResult(FEASIBLE, x, iterations, max_residual, stages=stages)
+    if last.termination == INFEASIBLE:
+        return OracleResult(INFEASIBLE, x, iterations, max_residual,
+                            certified_lower_bound=last.certified_bound, stages=stages)
 
     # budget exhausted or plateaued everywhere: one last certificate attempt
-    sigma = sigmas[min(out.stages, count - 1)]
-    fs, _, grad = kernels.IMPL.margin_value_grad(gs, asq, ptr, x, rho, t, sigma)
-    gap = _support_gap(grad, x)
-    lower = -(fs + gap)
+    sigma = sigmas[min(len(stages), len(sigmas) - 1)]
+    fs, _, grad = kernels.IMPL.margin_value_grad(model.gamma_sqrt, model.a_sq, model.group_ptr,
+                                                 x, model.rho_bar, t, sigma)
+    lower = -(fs + _support_gap(grad, x))
     status = INFEASIBLE if lower > -EPS_SOC else UNDECIDED
-    return OracleResult(status, x, out.total_iterations, -out.aux,
-                        certified_lower_bound=lower, stages=stages)
+    return OracleResult(status, x, iterations, max_residual, certified_lower_bound=lower,
+                        stages=stages)
 
 
 @dataclass

@@ -10,7 +10,10 @@ largest absolute and relative change, so a last-digit drift reads
 differently from a real change. It also names the numpy and Python versions
 that wrote the goldens (tests/golden/versions.json) next to those running:
 the written rates go through numpy's log1p, so another numpy or libm can
-move last digits.
+move last digits. So can another BLAS core: the dot products of the
+numpy kernels (kernels._user_pc's gs @ mu, say) run in the BLAS that numpy
+picks for the host CPU, and OPENBLAS_CORETYPE=Prescott moves one of the
+cdf experiment's EPA rates by 3.3e-16 relative.
 
 A change that moves outputs by design re-blesses the goldens with
 

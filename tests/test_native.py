@@ -1,7 +1,7 @@
-"""The compiled monotone-APG stage (apg_stage.c) against the numpy reference:
-per-evaluation parity, oracle stages, NaN data, the stage's own clock, the
-loader's errors, and a first build shared by concurrent processes or
-threads."""
+"""The compiled monotone-APG stages (apg_chain in apg_stage.c) against the
+numpy reference: per-evaluation parity, oracle stages, NaN data, the
+stage's own clock, the guards of compiled_chain, the loader's errors, and a
+first build shared by concurrent processes or threads."""
 
 import ctypes
 import dataclasses
@@ -42,7 +42,7 @@ from cellfree_maxmin import (
     rate_upper_bound,
 )
 from cellfree_maxmin import solver_apg, solver_bisection
-from cellfree_maxmin.solver_apg import compiled_stage, monotone_apg
+from cellfree_maxmin.solver_apg import compiled_chain, monotone_apg
 from cellfree_maxmin.solver_bisection import EPS_SOC, FEASIBLE, INFEASIBLE, _support_gap
 from conftest import kernel_args, make_model, random_feasible_matrix
 
@@ -63,6 +63,13 @@ def shaped_model(num_aps, group_sizes, seed):
 @pytest.fixture(scope="module")
 def lib():
     return native.load_library()
+
+
+def one_stage(lib, kind, model, x0, cfg, sigma, **kwargs):
+    """The SolveReport of a compiled_chain of one stage at sharpness `sigma`
+    with cfg's budget and plateau tolerance."""
+    return compiled_chain(lib, kind, model, x0, (sigma,), (cfg.stop_tol,), cfg.max_iters,
+                          **kwargs)[0]
 
 
 def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True, scratch=None):
@@ -211,8 +218,8 @@ def test_margin_stage_matches_monotone_apg(lib, case, level):
                                                  gap_check_every=gap_check_every)
     ref = monotone_apg(value_grad, value, kernels.IMPL.project_ball_orthant, x0, cfg,
                        monitor=monitor)
-    got = compiled_stage(lib, native.MARGIN, model, x0, cfg, sigma_f, t=t,
-                         eps_soc=1e-6, gap_check_every=gap_check_every)
+    got = one_stage(lib, native.MARGIN, model, x0, cfg, sigma_f, t=t,
+                    eps_soc=1e-6, gap_check_every=gap_check_every)
     assert got.termination == ref.termination
     assert got.termination == (FEASIBLE if level == "below_optimum" else INFEASIBLE)
     assert got.iterations == ref.iterations
@@ -237,8 +244,8 @@ def test_margin_stage_certifies_a_level_below_a_tiny_optimum(lib):
     model = shaped_model(1, (7, 9, 2), 0)
     x0 = random_feasible_matrix(model, np.random.default_rng(0))
     cfg = ApgConfig(max_iters=300, stop_tol=1e-9)
-    got = compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=1.205e-9,
-                         eps_soc=1e-6, gap_check_every=10)
+    got = one_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=1.205e-9,
+                    eps_soc=1e-6, gap_check_every=10)
     assert got.termination == FEASIBLE
 
 
@@ -253,7 +260,7 @@ def test_rate_stage_trace_and_clock(lib, small_model, monkeypatch, overrides):
     cfg = ApgConfig(max_iters=50, stop_tol=0.0)
     mat0 = epa_power(small_model.num_aps, small_model.num_groups)
     ref = monotone_apg(*objective_closures(small_model, 100.0), mat0, cfg)
-    got = compiled_stage(lib, native.RATE, small_model, mat0, cfg, 100.0)
+    got = one_stage(lib, native.RATE, small_model, mat0, cfg, 100.0)
     np.testing.assert_allclose(got.trace_f_sigma, ref.trace_f_sigma, rtol=1e-12)
     np.testing.assert_allclose(got.trace_alpha_y, ref.trace_alpha_y, rtol=1e-12)
     np.testing.assert_allclose(got.trace_alpha_mu, ref.trace_alpha_mu, rtol=1e-12)
@@ -295,7 +302,7 @@ def _record_runs(case):
         model = shaped_model(12, (3, 3), 42)
         x0 = epa_power(model.num_aps, model.num_groups)
         cfg = ApgConfig(max_iters=50, stop_tol=0.0)
-        got = compiled_stage(lib, native.RATE, model, x0, cfg, 100.0)
+        got = one_stage(lib, native.RATE, model, x0, cfg, 100.0)
 
         def closures():
             value_grad, value, _ = objective_closures(model, 100.0)
@@ -306,8 +313,8 @@ def _record_runs(case):
         t = margin_level(model, level)
         x0 = random_feasible_matrix(model, np.random.default_rng(seed))
         cfg = ApgConfig(max_iters=300, stop_tol=1e-9)
-        got = compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
-                             gap_check_every=gap_check_every)
+        got = one_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
+                        gap_check_every=gap_check_every)
 
         def closures():
             return margin_closures(model, t, 3000.0, gap_check_every=gap_check_every)
@@ -422,8 +429,8 @@ class TestNanData:
             monotone_apg(value_grad, value, kernels.IMPL.project_ball_orthant, x0, cfg,
                          monitor=monitor)
         with pytest.raises(LineSearchError):
-            compiled_stage(lib, native.MARGIN, model, x0, cfg, 100.0, t=0.3, eps_soc=1e-6,
-                           gap_check_every=25)
+            one_stage(lib, native.MARGIN, model, x0, cfg, 100.0, t=0.3, eps_soc=1e-6,
+                      gap_check_every=25)
 
 
 class TestUnderflowedStep:
@@ -501,48 +508,35 @@ def objective_in(lib, kind, model, mu, t, scratch, grad):
     return np.array([f, aux]).tobytes() + (b"" if g is None else g.tobytes())
 
 
-def stage_in(lib, kind, model, x0, sigma, t, work):
-    """Bytes of everything apg_stage returns but the clock trace, from the
-    work buffer `work`: a 60-iteration stage checking the certificate
-    every 10."""
+def chain_in(lib, kind, model, x0, t, work, sigmas, tols, cap):
+    """Bytes of everything apg_chain returns but the clock trace, from the
+    work buffer `work`: the stages (sigmas, tols) on the budget `cap`,
+    checking the certificate every 10 iterations."""
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
-    (N, M), T = x0.shape, gs.shape[0]
+    (N, M), T, S = x0.shape, gs.shape[0], len(sigmas)
     x = np.array(x0)
-    traces = np.zeros((5, 61))  # a stage that stops early leaves the rest as it was
-    bts = np.zeros((2, 61), dtype=np.int64)
+    codes = (ctypes.c_int64 * S)()
     out = native.StageResult()
-    code = lib.apg_stage(kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
-                         model.rho_bar, sigma, t, solver_apg.stage_config(60, 0.0, 1e-6, 10),
-                         x.ctypes.data, work.ctypes.data,
-                         *(a.ctypes.data for a in traces[:4]), *(b.ctypes.data for b in bts),
-                         traces[4].ctypes.data, out)
-    return bytes([code]) + x.tobytes() + traces[:4].tobytes() + bts.tobytes() + bytes(out)
-
-
-def chain_in(lib, model, x0, t, work, cap):
-    """Bytes of what apg_chain returns: three stages on the budget `cap`."""
-    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
-    (N, M), T = x0.shape, gs.shape[0]
-    x = np.array(x0)
-    codes = (ctypes.c_int64 * 3)()
-    out = native.StageResult()
-    code = lib.apg_chain(gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
-                         model.rho_bar, t, 3, (ctypes.c_double * 3)(30.0, 300.0, 3000.0),
-                         (ctypes.c_double * 3)(1e-4, 1e-6, 1e-8),
-                         solver_apg.stage_config(cap, 0.0, 1e-6, 10), x.ctypes.data,
+    code = lib.apg_chain(kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
+                         model.rho_bar, t, S, (ctypes.c_double * S)(*sigmas),
+                         (ctypes.c_double * S)(*tols),
+                         solver_apg.stage_config(cap, 1e-6, 10), x.ctypes.data,
                          work.ctypes.data, codes, out)
-    return bytes([code]) + x.tobytes() + bytes(codes) + bytes(out)
+    # the last stage's traces; past its last iteration they keep the canary
+    traces = work[lib.apg_work_len(T, N, M):].reshape(7, cap + 1)
+    return (bytes([code]) + x.tobytes() + bytes(codes) + bytes(out)
+            + traces[:4].tobytes() + traces[5:].tobytes())
 
 
 # one user at one AP fills the user-minor copies' room to the last double
 @pytest.mark.parametrize("shape", [(1, (1,)), (17, (7, 9, 2)), (40, (1, 6))],
                          ids=lambda s: shape_id(*s))
 def test_buffers_at_every_offset_give_the_same_bits(lib, shape):
-    """apg_objective (both paths), apg_stage (both kinds) and apg_chain align
-    their buffers themselves: from buffers at each of the 8 double offsets
-    mod 64 they return the same bits, and they write nothing outside the
-    apg_scratch_len or apg_work_len doubles (plus the chain's traces) they
-    are given."""
+    """apg_objective (both paths) and apg_chain (a one-stage rate chain and
+    a three-stage margin chain) align their buffers themselves: from buffers
+    at each of the 8 double offsets mod 64 they return the same bits, and
+    they write nothing outside the apg_scratch_len doubles, or the
+    apg_work_len doubles and the chain's traces, they are given."""
     model = shaped_model(*shape, seed=1)
     (T, M), N = model.gamma_sqrt.shape, model.num_groups
     mat = random_feasible_matrix(model, np.random.default_rng(5))
@@ -555,12 +549,11 @@ def test_buffers_at_every_offset_give_the_same_bits(lib, shape):
          lambda buf: objective_in(lib, native.MARGIN, model, mat, t, buf, grad=False)),
         (lib.apg_scratch_len(T, N, M),
          lambda buf: objective_in(lib, native.RATE, model, mat, 0.0, buf, grad=True)),
-        (lib.apg_work_len(T, N, M),
-         lambda buf: stage_in(lib, native.RATE, model, mat, 100.0, 0.0, buf)),
-        (lib.apg_work_len(T, N, M),
-         lambda buf: stage_in(lib, native.MARGIN, model, mat, 3000.0, t, buf)),
+        (lib.apg_work_len(T, N, M) + 7 * 61,
+         lambda buf: chain_in(lib, native.RATE, model, mat, 0.0, buf, (100.0,), (0.0,), 60)),
         (lib.apg_work_len(T, N, M) + 7 * (cap + 1),
-         lambda buf: chain_in(lib, model, mat, t, buf, cap)),
+         lambda buf: chain_in(lib, native.MARGIN, model, mat, t, buf, (30.0, 300.0, 3000.0),
+                              (1e-4, 1e-6, 1e-8), cap)),
     ]
     for n, call in calls:
         results = set()
@@ -627,21 +620,21 @@ def test_sources_build_without_warnings(tmp_path):
 # just above the optimum, with a budget that ends mid-schedule and with a
 # finer step that makes a chain of 40 stages; the three Monte-Carlo entries
 # on 1003 draws, no multiple of any lane width; and bisection on 2 groups of
-# 15 users at 4 APs, whose margin stages take zero steps. apg_objective,
-# apg_stage and apg_chain also run once each on buffers of exactly the
-# length the library asks for, which start off a 64-byte boundary and end
-# where their allocation ends, so the engine's own alignment cannot hide an
-# overrun.
+# 15 users at 4 APs, whose margin stages take zero steps. apg_objective and
+# apg_chain (one rate stage, two margin stages) also run on buffers of
+# exactly the length the library asks for, which start off a 64-byte
+# boundary and end where their allocation ends, so the engine's own
+# alignment cannot hide an overrun.
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
-from cellfree_maxmin import (ApgConfig, BisectionConfig, Dimensions, PhysicalConfig,
+from cellfree_maxmin import (BisectionConfig, Dimensions, PhysicalConfig,
                              bisection_solve, build_rate_model, epa_power, epa_rates,
                              feasibility_oracle, generate_instance, native,
                              rate_oracle_monte_carlo, rate_upper_bound, solver_bisection)
 from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import iter_smallscale_blocks, smallscale_key
-from cellfree_maxmin.solver_apg import compiled_stage, stage_config
+from cellfree_maxmin.solver_apg import compiled_chain, stage_config
 
 def off_boundary(n):
     for k in range(1, 9):
@@ -651,34 +644,31 @@ def off_boundary(n):
 
 lib = native._declare(ctypes.CDLL(sys.argv[1]))
 native.load_library = lambda: lib
-cfg = ApgConfig(max_iters=200, stop_tol=1e-9)
 for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
     dims = Dimensions(num_aps, len(group_sizes), group_sizes)
     instance = generate_instance(dims, PhysicalConfig(), seed=1)
     model = build_rate_model(instance)
     x0 = epa_power(num_aps, len(group_sizes))
-    compiled_stage(lib, native.RATE, model, x0, cfg, 100.0)
+    compiled_chain(lib, native.RATE, model, x0, (100.0,), (1e-9,), 200)
     for t in (2.0 * epa_rates(model).min_rate, rate_upper_bound(model) + 0.1):
-        compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
-                       gap_check_every=25)
+        compiled_chain(lib, native.MARGIN, model, x0, (3000.0,), (1e-9,), 200, t=t,
+                       eps_soc=1e-6, gap_check_every=25)
     epa = epa_rates(model).min_rate
     T, N, M = model.num_users, len(group_sizes), num_aps
     data = (model.gamma_sqrt.ctypes.data, model.a_sq.ctypes.data, model.group_ptr.ctypes.data,
             T, N, M, model.rho_bar)
     x, grad, out = np.array(x0), np.empty_like(x0), native.StageResult()
     codes = (ctypes.c_int64 * 2)()
-    traces, bts = np.empty((5, 201)), np.empty((2, 201), dtype=np.int64)
     scratch = off_boundary(lib.apg_scratch_len(T, N, M))
-    work = off_boundary(lib.apg_work_len(T, N, M))
-    chain_work = off_boundary(lib.apg_work_len(T, N, M) + 7 * 201)
+    work = off_boundary(lib.apg_work_len(T, N, M) + 7 * 201)
     lib.apg_objective(native.MARGIN, *data, 3000.0, 1.2 * epa, x.ctypes.data, grad.ctypes.data,
                       scratch.ctypes.data, ctypes.c_double())
-    lib.apg_stage(native.RATE, *data, 100.0, 0.0, stage_config(200, 1e-9, 0.0, 1), x.ctypes.data,
-                  work.ctypes.data, *(a.ctypes.data for a in traces[:4]),
-                  *(b.ctypes.data for b in bts), traces[4].ctypes.data, out)
-    lib.apg_chain(*data, 1.2 * epa, 2, (ctypes.c_double * 2)(300.0, 3000.0),
-                  (ctypes.c_double * 2)(1e-6, 1e-9), stage_config(200, 0.0, 1e-6, 25),
-                  x.ctypes.data, chain_work.ctypes.data, codes, out)
+    lib.apg_chain(native.RATE, *data, 0.0, 1, (ctypes.c_double * 1)(100.0),
+                  (ctypes.c_double * 1)(1e-9), stage_config(200, 0.0, 1), x.ctypes.data,
+                  work.ctypes.data, codes, out)
+    lib.apg_chain(native.MARGIN, *data, 1.2 * epa, 2, (ctypes.c_double * 2)(300.0, 3000.0),
+                  (ctypes.c_double * 2)(1e-6, 1e-9), stage_config(200, 1e-6, 25),
+                  x.ctypes.data, work.ctypes.data, codes, out)
     statuses = [feasibility_oracle(model, t, cfg=BisectionConfig(oracle_iter_cap=cap)).status
                 for t, cap in ((1.2 * epa, 4000), (rate_upper_bound(model) + 0.1, 4000),
                                (1.5 * epa, 5))]
@@ -867,7 +857,7 @@ def test_stage_clock(lib):
     scales the stage's stamps onto that span; without one, the stamps and
     the wall time are both on the C clock."""
     assert abs(lib.apg_clock() - time.monotonic()) < 0.05
-    assert "clock" not in inspect.signature(compiled_stage).parameters
+    assert "clock" not in inspect.signature(compiled_chain).parameters
     model = make_model(num_aps=10, users_per_group=3, seed=2)
     cfg = ApgConfig(max_iters=200)
     own = apg_solve(model, cfg=cfg)
@@ -921,7 +911,7 @@ def test_library_takes_no_python_callback(lib):
     """No entry that _declare types takes or returns a C function pointer, so
     the compiled code never calls back into the interpreter."""
     entries = {name: fn for name, fn in vars(lib).items() if isinstance(fn, ctypes._CFuncPtr)}
-    assert {"apg_stage", "apg_objective", "mc_block"} <= set(entries)
+    assert {"apg_chain", "apg_objective", "mc_block"} <= set(entries)
     for name, fn in entries.items():
         types = list(fn.argtypes or ()) + [fn.restype]
         assert not any(isinstance(t, type) and issubclass(t, ctypes._CFuncPtr)
@@ -934,12 +924,40 @@ def test_stage_without_clock_reads_the_c_clock(lib):
     model = make_model(num_aps=10, users_per_group=3, seed=2)
     x0 = epa_power(model.num_aps, model.num_groups)
     before = lib.apg_clock()
-    got = compiled_stage(lib, native.RATE, model, x0, ApgConfig(max_iters=50, stop_tol=0.0),
-                         100.0)
+    got = one_stage(lib, native.RATE, model, x0, ApgConfig(max_iters=50, stop_tol=0.0),
+                    100.0)
     after = lib.apg_clock()
     elapsed = got.trace_elapsed_s
     assert elapsed.shape == (51,) and elapsed[0] >= 0.0 and (np.diff(elapsed) >= 0.0).all()
     assert 0.0 < elapsed[-1] <= after - before
+
+
+class NoLibrary:
+    """A library stand-in that fails on first use: a guard must raise before
+    any call into the engine."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the engine was called ({name})")
+
+
+@pytest.mark.parametrize("kind, sigmas, tols, kwargs, match", [
+    (native.RATE, (), (), {}, "equally long and non-empty"),
+    (native.RATE, (100.0, 1000.0), (1e-6,), {}, "equally long and non-empty"),
+    (native.RATE, (100.0,), (1e-6, 1e-6), {}, "equally long and non-empty"),
+    (native.RATE, (100.0,), (-1e-6,), {}, "stop_tol must be finite and >= 0"),
+    (native.MARGIN, (100.0, 1000.0), (1e-6, math.nan), {}, "stop_tol must be finite"),
+    (native.RATE, (100.0,), (math.inf,), {}, "stop_tol must be finite and >= 0"),
+    (native.RATE, (100.0,), (1e-6,), {"max_iters": -1}, "max_iters must be >= 0"),
+    (native.MARGIN, (100.0,), (1e-6,), {"t": 0.3, "gap_check_every": 0},
+     "gap_check_every must be >= 1"),
+], ids=["empty", "more-sigmas", "more-tols", "negative-tol", "nan-tol", "inf-tol",
+        "negative-budget", "no-gap-check"])
+def test_compiled_chain_refuses_bad_schedules(kind, sigmas, tols, kwargs, match):
+    model = make_model(num_aps=6, users_per_group=2, seed=3)
+    x0 = epa_power(model.num_aps, model.num_groups)
+    kwargs = {"max_iters": 50, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        compiled_chain(NoLibrary(), kind, model, x0, sigmas, tols, **kwargs)
 
 
 BALL_EDGE = math.sqrt(1.0 + kernels.BALL_SLACK)
@@ -981,7 +999,7 @@ def test_compiled_projection_matches_numpy_bit_for_bit(lib, x):
     model = RateModel(gamma_sqrt=np.ones((num_groups, num_aps)),
                       a_sq=np.ones((num_groups, num_aps)),
                       group_ptr=np.arange(num_groups + 1), rho_bar=1.0)
-    got = compiled_stage(lib, native.RATE, model, x, ApgConfig(max_iters=0), 100.0)
+    got = one_stage(lib, native.RATE, model, x, ApgConfig(max_iters=0), 100.0)
     with np.errstate(over="ignore"):  # squared norms may overflow
         expected = kernels.IMPL.project_ball_orthant(np.ascontiguousarray(x))
     assert got.power.tobytes() == expected.tobytes()
@@ -995,7 +1013,7 @@ def test_projection_of_a_column_whose_squared_norm_overflows(lib):
                       group_ptr=np.arange(3), rho_bar=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = kernels.IMPL.project_ball_orthant(x)
-        got = compiled_stage(lib, native.RATE, model, x, ApgConfig(max_iters=0), 100.0)
+        got = one_stage(lib, native.RATE, model, x, ApgConfig(max_iters=0), 100.0)
     np.testing.assert_allclose(expected[:, 0], [0.1 ** 0.5, 0.9 ** 0.5], rtol=1e-15)
     assert np.isnan(expected[0, 1]) and expected[1, 1] == 0.0
     assert np.isnan(expected[0, 2]) and expected[1, 2] == 1.0

@@ -288,6 +288,26 @@ class TestJsonRoundTrip:
         assert back.dims == small_instance.dims
         assert back.config == small_instance.config
 
+    @pytest.mark.parametrize("field, value", [
+        ("rho_d_w", -0.2), ("rho_d_w", 0.0), ("rho_d_w", math.inf),
+        ("rho_p_w", -1.0), ("rho_p_w", math.nan),
+        ("noise_variance_w", math.nan), ("noise_variance_w", 0.0), ("noise_variance_w", "1e-13"),
+        ("zeta", math.inf), ("zeta", math.nan), ("gamma", math.nan), ("gamma", math.inf),
+        ("seed", 1.5), ("seed", -1), ("seed", True),
+    ])
+    def test_non_physical_document_is_refused(self, small_instance, field, value):
+        """Every number read from the document is checked: a ValueError names
+        the field instead of a negative rate or a failed line search later.
+        zeta and gamma are mutated in their first entry."""
+        doc = json.loads(instance_to_json(small_instance))
+        if field in ("zeta", "gamma"):
+            doc[f"{field}_row_major"][0] = value
+        else:
+            doc[field] = value
+        # json writes NaN and Infinity, which its reader takes back
+        with pytest.raises(ValueError, match=f"^{field}"):
+            instance_from_json(json.dumps(doc))
+
     def test_json_is_plain_document(self, small_instance):
         doc = json.loads(instance_to_json(small_instance))
         assert doc["dims"]["num_aps"] == small_instance.dims.num_aps

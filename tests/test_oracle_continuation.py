@@ -1,7 +1,8 @@
-"""The bisection oracle's compiled continuation (apg_chain in apg_stage.c)
-against the loop it replaced: one solver_apg.compiled_stage call per stage of
-the sharpness schedule, with the candidate pick over kernels.IMPL.soc_residuals
-and np.median. Both must return the same bits."""
+"""The bisection oracle's compiled continuation, one multi-stage
+solver_apg.compiled_chain call, against the loop it replaced: one
+single-stage compiled_chain call per stage of the sharpness schedule, with
+the candidate pick over kernels.IMPL.soc_residuals and np.median. Both must
+return the same bits."""
 
 import math
 import types
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from cellfree_maxmin import (
-    ApgConfig,
     BisectionConfig,
     LineSearchError,
+    apg_solve_continuation,
     bisection_solve,
     epa_power,
     epa_rates,
@@ -24,7 +25,7 @@ from cellfree_maxmin import (
     solver_bisection,
 )
 from cellfree_maxmin.rates import as_mu_matrix
-from cellfree_maxmin.solver_apg import compiled_stage
+from cellfree_maxmin.solver_apg import compiled_chain
 from cellfree_maxmin.solver_bisection import (
     EPS_SOC,
     FEASIBLE,
@@ -48,8 +49,8 @@ def lib():
 
 
 def reference_stages(lib, model, t, x, sens, cfg, max_res):
-    """The sharpness continuation from x as one compiled_stage call per
-    stage, then the last certificate when it ends undecided."""
+    """The sharpness continuation from x as one single-stage compiled_chain
+    call per stage, then the last certificate when it ends undecided."""
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
     log_t = math.log(max(model.num_users, 2))
     res_fine = max(SMOOTHING_QUALITY * cfg.tol_t, 1e-12)
@@ -66,11 +67,11 @@ def reference_stages(lib, model, t, x, sens, cfg, max_res):
         budget = cfg.oracle_iter_cap - iters_used
         if budget <= 0:
             break
-        apg_cfg = ApgConfig(max_iters=budget, stop_tol=0.02 * res_t * sens)
-        result = compiled_stage(lib, native.MARGIN, model, x, apg_cfg, sigma_f, t=t,
-                                eps_soc=EPS_SOC, gap_check_every=GAP_CHECK_EVERY)
-        stages.append(result.termination)
-        iters_used += result.iterations
+        result, reasons, iterations = compiled_chain(
+            lib, native.MARGIN, model, x, (sigma_f,), (0.02 * res_t * sens,), budget, t=t,
+            eps_soc=EPS_SOC, gap_check_every=GAP_CHECK_EVERY)
+        stages += reasons
+        iters_used += iterations
         x = result.power
         max_res = -result.f_true
         if result.termination == FEASIBLE:
@@ -88,7 +89,7 @@ def reference_stages(lib, model, t, x, sens, cfg, max_res):
 
 
 def reference_oracle(lib, model, t, warm=(), cfg=None):
-    """feasibility_oracle as one compiled_stage call per stage."""
+    """feasibility_oracle as one single-stage compiled_chain call per stage."""
     cfg = cfg or BisectionConfig()
     gs, asq, ptr, rho = model.gamma_sqrt, model.a_sq, model.group_ptr, model.rho_bar
     candidates = [as_mu_matrix(w, model) for w in warm]
@@ -219,12 +220,13 @@ def test_schedule_is_the_reference_loops(monkeypatch, tol_t, groups):
     cfg = BisectionConfig(tol_t=tol_t)
     given = []
 
-    def stage(lib, kind, model, x, apg_cfg, sigma_f, **kwargs):
-        given.append((sigma_f, apg_cfg.stop_tol))
-        return types.SimpleNamespace(termination="objective_plateau", iterations=1, power=x,
-                                     f_true=0.0, certified_bound=None)
+    def chain(lib, kind, model, x, sigmas, tols, max_iters, **kwargs):
+        given.extend(zip(sigmas, tols))
+        report = types.SimpleNamespace(termination="objective_plateau", power=x, f_true=0.0,
+                                       certified_bound=None)
+        return report, ("objective_plateau",), 1
 
-    monkeypatch.setitem(globals(), "compiled_stage", stage)
+    monkeypatch.setitem(globals(), "compiled_chain", chain)
     for sens in (0.3, 1.0, 1.7, 3.3, 12.5, 1e-6, 4e5):
         given.clear()
         reference_stages(None, model, 0.5, x0, sens, cfg, 0.0)
@@ -255,3 +257,33 @@ def test_level_zero_is_witnessed_in_s(lib):
     assert res.status == FEASIBLE and res.iterations == 0
     assert np.array_equal(res.power, epa_power(model.num_aps, model.num_groups))
     assert res.max_residual <= 0.0
+
+
+@pytest.mark.parametrize("kind", [native.RATE, native.MARGIN], ids=["rate", "margin"])
+def test_chain_is_a_loop_of_single_stage_chains(lib, kind):
+    """A chain of three stages returns the last report of three single-stage
+    chains, each from the iterate of the one before on the budget left, to
+    the bit but for the clock trace, with their stop reasons and summed
+    iterations. The margin stages run just above the optimum, where they
+    plateau twice and then use up the budget."""
+    model = shaped_model(17, (7, 9, 2), seed=1)
+    x = epa_power(model.num_aps, model.num_groups)
+    t = 0.0
+    if kind == native.MARGIN:
+        t = 1.001 * apg_solve_continuation(model, (100.0, 1000.0))[-1].f_true
+    sigmas, tols, cap = (30.0, 300.0, 3000.0), (1e-4, 1e-6, 1e-8), 400
+    options = {"t": t, "eps_soc": EPS_SOC, "gap_check_every": GAP_CHECK_EVERY}
+    got = compiled_chain(lib, kind, model, x, sigmas, tols, cap, **options)
+    reasons, used = (), 0
+    for sigma, tol in zip(sigmas, tols):
+        last, stage, iterations = compiled_chain(lib, kind, model, x, (sigma,), (tol,),
+                                                 cap - used, **options)
+        x, reasons, used = last.power, reasons + stage, used + iterations
+    assert got[1:] == (reasons, used) and len(reasons) == 3
+    fields = ("power", "f_sigma", "f_true", "iterations", "termination", "sigma",
+              "trace_f_sigma", "trace_f_true", "trace_alpha_y", "trace_alpha_mu",
+              "trace_bt_y", "trace_bt_mu", "extrapolation_rejections", "plain_skips",
+              "evaluations", "certified_bound")
+    for name in fields:
+        assert np.asarray(getattr(got[0], name)).tobytes() == \
+            np.asarray(getattr(last, name)).tobytes(), name

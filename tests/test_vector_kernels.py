@@ -26,7 +26,7 @@ from cellfree_maxmin import (
 )
 from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, smallscale_key
-from cellfree_maxmin.solver_apg import compiled_stage
+from cellfree_maxmin.solver_apg import compiled_chain
 from conftest import sampled_draws
 from test_normals import compiled_normals
 
@@ -140,11 +140,12 @@ def test_stage_results_do_not_depend_on_lane_width(lane_libs, case):
     assert lane_libs[-1].apg_lanes() == 2
     x0 = epa_power(model.num_aps, model.num_groups)
     optimum = apg_solve_continuation(model, (100.0, 1000.0))[-1].f_true
-    cfg = ApgConfig(max_iters=300)
+    tol = ApgConfig().stop_tol
     # margin levels that run long (up to the iteration cap) or end infeasible
-    runs = [[compiled_stage(lib, native.RATE, model, x0, cfg, 100.0)]
-            + [compiled_stage(lib, native.MARGIN, model, x0, cfg, 3000.0, t=t, eps_soc=1e-6,
-                              gap_check_every=25) for t in (0.999 * optimum, optimum + 0.02)]
+    runs = [[compiled_chain(lib, native.RATE, model, x0, (100.0,), (tol,), 300)[0]]
+            + [compiled_chain(lib, native.MARGIN, model, x0, (3000.0,), (tol,), 300, t=t,
+                              eps_soc=1e-6, gap_check_every=25)[0]
+               for t in (0.999 * optimum, optimum + 0.02)]
             for lib in lane_libs]
     for stages in runs[1:]:
         for got, ref in zip(stages, runs[0]):

@@ -7,8 +7,8 @@ rate soft minimum of apg_solve and the cone margin of the bisection oracle,
 prints for the compiled stage:
 
   * microseconds per value and per value+gradient evaluation through
-    apg_objective (one ctypes call, which also copies gs and asq into the
-    user-minor layout, as each stage does once);
+    apg_objective (one ctypes call, which also allocates its scratch and
+    copies gs and asq into the user-minor layout, as each stage does once);
   * milliseconds per fixed stage of 300 iterations (stopping rules off)
     through solver_apg.compiled_chain, as a chain of one stage.
 
@@ -75,16 +75,13 @@ def bench_size(lib, m_aps, n_groups, users_per_group, repeats):
     rows = []
     for kind, name, sigma, t in ((native.RATE, "rate", RATE_SIGMA, 0.0),
                                  (native.MARGIN, "margin", MARGIN_SIGMA, level)):
-        scratch = np.empty(lib.apg_scratch_len(T, n_groups, M))
         grad = np.empty_like(mu)
         aux = ctypes.c_double()
         args = (kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, n_groups, M,
                 model.rho_bar, sigma, t, mu.ctypes.data)
         rows.append((name,
-                     median_time(lambda: lib.apg_objective(*args, None, scratch.ctypes.data,
-                                                           aux), repeats) * 1e6,
-                     median_time(lambda: lib.apg_objective(*args, grad.ctypes.data,
-                                                           scratch.ctypes.data, aux),
+                     median_time(lambda: lib.apg_objective(*args, None, aux), repeats) * 1e6,
+                     median_time(lambda: lib.apg_objective(*args, grad.ctypes.data, aux),
                                  repeats) * 1e6,
                      # a plateau tolerance of 0 never stops; eps_soc = -inf: the
                      # feasible and infeasible exits never fire

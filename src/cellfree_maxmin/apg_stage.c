@@ -70,16 +70,18 @@
  * Tv = T rounded up to whole vectors; the padding entries are computed and
  * never read.
  *
- * Callers pass apg_chain's work (apg_work_len doubles, then its traces) and
- * apg_objective's scratch (apg_scratch_len doubles) at exactly that length
- * and at any 8-byte alignment. Each entry rounds its buffer's start up to
- * 64 bytes before carving it, using 7 spare doubles that both lengths hold,
- * so a stage's speed does not follow where the allocator put the buffer,
- * and a buffer one double short still overruns where a sanitizer sees it.
+ * Callers pass only inputs and outputs. apg_chain and apg_objective
+ * allocate their work with posix_memalign at a 64-byte boundary and at
+ * exactly the length they use, the user-minor copies first, and free it
+ * before they return. So a stage's speed does not follow where the allocator
+ * put a buffer, and a one-double overrun lands where a sanitizer sees it.
+ * When the allocation fails, apg_chain returns NO_MEMORY and apg_objective
+ * NaN.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
@@ -99,9 +101,10 @@ enum {
     STOP_FEASIBLE = 3,
     STOP_INFEASIBLE = 4
 };
+#define NO_MEMORY (-1)
 
 typedef struct {
-    double delta, kappa, alpha_y0, alpha_mu0, stop_tol, eps;
+    double delta, kappa, alpha_y0, alpha_mu0, eps;
     int64_t max_iters, stop_window, line_search_cap, gap_every, step_grow_after;
 } StageConfig;
 
@@ -122,12 +125,9 @@ typedef struct {
     int64_t T, N, M, Tp, Tv;
     double rho, sigma;
     double set1, lin;  /* margin constants at level t: sqrt(e^t - 1), sqrt(pi*rho/4) */
-    const double *gt, *at;  /* (M, Tp) user-minor copies of gs, asq */
-    double *v, *c, *acc, *pq;  /* scratch, in this order: Tv, Tv, M, 2Tv */
+    double *gt, *at;  /* (M, Tp) user-minor copies of gs, asq */
+    double *v, *c, *pq, *acc;  /* scratch after them, in this order: Tv, Tv, 2Tv, M */
 } Objective;
-
-/* doubles a buffer may need to skip to reach a 64-byte boundary */
-#define ALIGN_SLACK 7
 
 /* k rounded up to whole vectors: the columns of a group of k users in the
  * user-minor copies, and (k = T) the length of every per-user array */
@@ -136,28 +136,11 @@ static int64_t padded(int64_t k)
     return (k + LANES - 1) / LANES * LANES;
 }
 
-/* Doubles of scratch for one objective: v, c, acc, one p/q pair, and the two
- * (M, Tp) copies (Tp <= T + N*(LANES-1)) with room to align them, plus
- * ALIGN_SLACK to align the buffer's start. */
-int64_t apg_scratch_len(int64_t T, int64_t N, int64_t M)
+/* n doubles at a 64-byte boundary, or NULL */
+static double *alloc64(int64_t n)
 {
-    return 4 * padded(T) + M + 2 * M * (T + N * (LANES - 1)) + LANES - 1 + ALIGN_SLACK;
-}
-
-/* Doubles of work for one stage: nine (N, M) iterates and gradients, three
- * more p/q pairs, and the objective scratch. apg_scratch_len's ALIGN_SLACK
- * aligns the work's start instead, and the objective scratch carved from it
- * then needs no slack of its own. */
-int64_t apg_work_len(int64_t T, int64_t N, int64_t M)
-{
-    return 9 * N * M + 6 * padded(T) + apg_scratch_len(T, N, M);
-}
-
-/* buf rounded up to the next 64-byte boundary, at most ALIGN_SLACK doubles
- * on for a buffer of doubles */
-static double *align64(double *buf)
-{
-    return (double *)(((uintptr_t)buf + 63) & ~(uintptr_t)63);
+    void *p;
+    return posix_memalign(&p, 64, n * sizeof(double)) ? NULL : p;
 }
 
 int64_t apg_lanes(void)
@@ -215,7 +198,7 @@ static void project(const double *x, double *out, double *nsq, int64_t N, int64_
 }
 
 /* lane by lane m ? a : b, for masks of all ones or all zeros */
-static vec select(ivec m, vec a, vec b)
+static vec blend(ivec m, vec a, vec b)
 {
     return (vec)((m & (ivec)a) | (~m & (ivec)b));
 }
@@ -238,8 +221,8 @@ static vec to_double(ivec k)
  * NaN. kernels._exp repeats it operation for operation. */
 static vec vexp(vec x)
 {
-    x = select(x < -750.0, splat(-750.0), x);
-    x = select(x > 710.0, splat(710.0), x);
+    x = blend(x < -750.0, splat(-750.0), x);
+    x = blend(x > 710.0, splat(710.0), x);
     vec t = x * INV_LN2 + ROUND_MAGIC;
     vec q = t - ROUND_MAGIC;
     ivec k = (ivec)t - (ivec)splat(ROUND_MAGIC);
@@ -270,7 +253,7 @@ static vec vlog1p(vec x)
     vec u = x + 1.0;
     uvec hu = (uvec)u >> 32;
     ivec k = (ivec)(hu >> 20) - 1023;
-    vec c = select(k > 0, 1.0 - (u - x), x - (u - 1.0)) / u;
+    vec c = blend(k > 0, 1.0 - (u - x), x - (u - 1.0)) / u;
     uvec m = hu & 0xfffff;
     ivec big = (ivec)(m >= 0x6a09e); /* 1 + f would pass sqrt(2): halve it */
     k -= big;
@@ -288,7 +271,7 @@ static vec vlog1p(vec x)
             z * 1.479819860511658591e-01))))));
     vec dk = to_double(k);
     vec y = dk * LN2_HI - ((hfsq - (s * (hfsq + r) + (dk * LN2_LO + c))) - f);
-    return select(x == INFINITY, x, y);
+    return blend(x == INFINITY, x, y);
 }
 
 /* out = kernel(x) over n entries, for checking the kernels against the C
@@ -522,23 +505,23 @@ static double support_gap(const double *grad, const double *x, double *nsq, int6
     return support - inner;
 }
 
-/* The objective on scratch, which holds apg_scratch_len(T, N, M) less
- * ALIGN_SLACK doubles: makes the user-minor copies of gs and asq. The caller
- * clears the per-user scratch. */
+/* The objective, with its user-minor copies and then its scratch in one
+ * block from alloc64 at o.gt (NULL if that fails) that the caller frees.
+ * The caller clears the per-user scratch. */
 static Objective objective(int kind, const double *gs, const double *asq, const int64_t *gptr,
-                           int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
-                           double *scratch)
+                           int64_t T, int64_t N, int64_t M, double rho, double sigma, double t)
 {
     int64_t Tp = 0;
     for (int64_t n = 0; n < N; n++)
         Tp += padded(gptr[n + 1] - gptr[n]);
     const int64_t Tv = padded(T);
-    /* whole vectors from here on: every row of Tp columns keeps the alignment */
-    const uintptr_t align = LANES * sizeof(double);
-    double *gt = (double *)(((uintptr_t)(scratch + 4 * Tv + M) + align - 1) / align * align);
-    double *at = gt + M * Tp;
+    /* the copies first: every row of Tp columns starts at whole vectors */
+    double *gt = alloc64(2 * M * Tp + 4 * Tv + M);
+    if (!gt)
+        return (Objective){.gt = NULL};
+    double *at = gt + M * Tp, *v = at + M * Tp;
     Objective o = {kind, gs, asq, gptr, T, N, M, Tp, Tv, rho, sigma, 0.0, 0.0, gt, at,
-                   scratch, scratch + Tv, scratch + 2 * Tv, scratch + 2 * Tv + M};
+                   v, v + Tv, v + 2 * Tv, v + 4 * Tv};
     if (kind == APG_MARGIN) {
         o.set1 = sqrt(expm1(t));
         o.lin = sqrt(0.25 * PI * rho);
@@ -560,7 +543,7 @@ static Objective objective(int kind, const double *gs, const double *asq, const 
     return o;
 }
 
-/* Zero the per-user scratch v, c, acc and p/q: their padding lanes enter the
+/* Zero the per-user scratch v, c, p/q and acc: their padding lanes enter the
  * kernels, so they must start finite. */
 static void clear(const Objective *o)
 {
@@ -569,15 +552,20 @@ static void clear(const Objective *o)
 
 /* One evaluation at mu, for checking single evaluations against numpy: the
  * value path when grad is NULL, else the value+gradient path. Writes aux;
- * returns the objective. scratch holds apg_scratch_len(T, N, M) doubles. */
+ * returns the objective, or NaN (aux NaN) when its scratch cannot be
+ * allocated. */
 double apg_objective(int kind, const double *gs, const double *asq, const int64_t *gptr,
                      int64_t T, int64_t N, int64_t M, double rho, double sigma, double t,
-                     const double *mu, double *grad, double *scratch, double *aux)
+                     const double *mu, double *grad, double *aux)
 {
-    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t, align64(scratch));
+    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigma, t);
+    if (!o.gt)
+        return *aux = NAN;
     clear(&o);
     user_pq(&o, mu, o.pq);
-    return grad ? value_grad(&o, mu, o.pq, grad, aux) : value(&o, o.pq, aux);
+    double f = grad ? value_grad(&o, mu, o.pq, grad, aux) : value(&o, o.pq, aux);
+    free(o.gt);
+    return f;
 }
 
 static double sq_dist(const double *a, const double *b, int64_t len)
@@ -590,19 +578,12 @@ static double sq_dist(const double *a, const double *b, int64_t len)
     return s;
 }
 
-/* The objective scratch in a 64-byte-aligned work buffer: after the nine
- * (N, M) arrays and the three p/q pairs of run_stage. */
-static double *objective_scratch(double *work, int64_t T, int64_t N, int64_t M)
-{
-    return work + 9 * N * M + 6 * padded(T);
-}
-
-/* One stage on objective o, whose copies sit in objective_scratch(work);
- * see apg_chain. work is 64-byte aligned. Kept out of line: the stage's
- * speed follows its code's placement, and inlined into apg_chain the
- * bisection oracle ran a few percent slower. */
+/* One stage on objective o at plateau tolerance stop_tol, in apg_chain's
+ * work (9 N M + 6 Tv doubles at 64 bytes); see apg_chain. Kept out of line:
+ * the stage's speed follows its code's placement, and inlined into apg_chain
+ * the bisection oracle ran a few percent slower. */
 static __attribute__((noinline)) int
-run_stage(Objective o, const StageConfig *cfg, double *x, double *work,
+run_stage(Objective o, const StageConfig *cfg, double stop_tol, double *x, double *work,
           double *trace_f, double *trace_aux, double *trace_ay, double *trace_am,
           int64_t *trace_bty, int64_t *trace_btm, double *trace_clock, StageResult *out)
 {
@@ -760,7 +741,7 @@ run_stage(Objective o, const StageConfig *cfg, double *x, double *work,
             }
         }
         if (it >= cfg->stop_window &&
-            fabs(trace_f[it] - trace_f[it - cfg->stop_window]) < cfg->stop_tol) {
+            fabs(trace_f[it] - trace_f[it - cfg->stop_window]) < stop_tol) {
             code = STOP_PLATEAU;
             break;
         }
@@ -781,32 +762,35 @@ run_stage(Objective o, const StageConfig *cfg, double *x, double *work,
  * stage that ends feasible, infeasible or in a failed line search. codes[i]
  * receives stage i's STOP_* code, and out the last stage's result, the
  * stages run and their summed iterations (a failed stage's not counted).
- * Returns the last stage's code. The stages share one set of user-minor
- * copies, so the chain equals one single-stage chain per stage.
+ * Returns the last stage's code, or NO_MEMORY when the work cannot be
+ * allocated. The stages share one set of user-minor copies, so the chain
+ * equals one single-stage chain per stage.
  *
- * work holds apg_work_len(T, N, M) doubles, then the traces of the last
- * stage run, cfg->max_iters + 1 entries each: f, aux, alpha_y, alpha_mu,
- * raw apg_clock() readings, then the backtracks of each branch as int64. */
+ * traces receives the traces of the last stage run, cfg->max_iters + 1
+ * entries each: f, aux, alpha_y, alpha_mu, raw apg_clock() readings, then the
+ * backtracks of each branch as int64. */
 int apg_chain(int kind, const double *gs, const double *asq, const int64_t *gptr,
               int64_t T, int64_t N, int64_t M, double rho, double t,
               int64_t S, const double *sigmas, const double *tols,
-              const StageConfig *cfg, double *x, double *work, int64_t *codes,
+              const StageConfig *cfg, double *x, double *traces, int64_t *codes,
               StageResult *out)
 {
     const int64_t n = cfg->max_iters + 1;
-    double *traces = work + apg_work_len(T, N, M);
     int64_t *bt = (int64_t *)(traces + 5 * n);
-    double *base = align64(work);
-    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigmas[0], t,
-                            objective_scratch(base, T, N, M));
+    double *work = alloc64(9 * N * M + 6 * padded(T));
+    Objective o = objective(kind, gs, asq, gptr, T, N, M, rho, sigmas[0], t);
+    if (!work || !o.gt) {
+        free(work);
+        free(o.gt);
+        return NO_MEMORY;
+    }
     StageConfig stage = *cfg;
     int64_t i = 0, iterations = 0;
     int code = STOP_MAX_ITERS;
     while (i < S && (i == 0 || iterations < cfg->max_iters)) {
-        stage.stop_tol = tols[i];
         stage.max_iters = cfg->max_iters - iterations;
         o.sigma = sigmas[i];
-        code = run_stage(o, &stage, x, base, traces, traces + n, traces + 2 * n,
+        code = run_stage(o, &stage, tols[i], x, work, traces, traces + n, traces + 2 * n,
                          traces + 3 * n, bt, bt + n, traces + 4 * n, out);
         codes[i++] = code;
         if (code == STOP_LINE_SEARCH)
@@ -815,6 +799,8 @@ int apg_chain(int kind, const double *gs, const double *asq, const int64_t *gptr
         if (code == STOP_FEASIBLE || code == STOP_INFEASIBLE)
             break;
     }
+    free(work);
+    free(o.gt);
     out->stages = i;
     out->total_iterations = iterations;
     return code;

@@ -79,13 +79,14 @@
  * they add zeros to the sums and are never written out. The tiles hold
  * fewer than CHUNK + T + N entries whatever M is.
  *
- * The caller allocates the scratch (mc_scratch_len doubles); apart from the
- * ziggurat tables, written once at load, the code keeps no static state, so
- * threads may run blocks at once in their own scratch.
+ * mc_block and mc_pilot malloc their scratch (or return NO_MEMORY, else 0);
+ * apart from the ziggurat tables, written once at load, the code keeps no
+ * static state, so threads may run blocks at once.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #if defined(__SSE2__)
 #include <immintrin.h>
@@ -96,6 +97,7 @@
 #define SLOTS 8
 #define SQRT_HALF 0.70710678118654752440
 #define VECS (SLOTS / LANES)
+#define NO_MEMORY (-1)
 
 /* one 32-bit Philox word (or a 64-bit ziggurat word) per slot */
 typedef uint64_t words __attribute__((vector_size(SLOTS * sizeof(uint64_t))));
@@ -485,7 +487,7 @@ static int64_t chunk_aps(int64_t M, int64_t T, int64_t N)
     return n < M ? n : M;
 }
 
-int64_t mc_scratch_len(int64_t M, int64_t T, int64_t N)
+static int64_t scratch_len(int64_t M, int64_t T, int64_t N)
 {
     const int64_t d = N + 2;
     return SLOTS * (2 * chunk_aps(M, T, N) * (T + N) + 2 * N + 2 * T * N + d + T * d
@@ -596,12 +598,15 @@ static void pilot_ap(const Pilot *P, int64_t m, int64_t i, const Scratch *s)
 
 /* gs (2, count, M, T) and z (2, count, M, N) of draws first .. first+count-1
  * of the run */
-void mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
-              double noise_scale, const double *z_scale, uint64_t key, int64_t first,
-              int64_t count, double *g, double *z, double *scratch)
+int mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
+             double noise_scale, const double *z_scale, uint64_t key, int64_t first,
+             int64_t count, double *g, double *z)
 {
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
     Slow q = {.key = key};
+    double *scratch = malloc(scratch_len(M, T, N) * sizeof(double));
+    if (!scratch)
+        return NO_MEMORY;
     const Scratch s = carve(scratch, &P);
     const int64_t MT = M * T, MN = M * N, chunk = chunk_aps(M, T, N);
     for (int64_t b0 = 0; b0 < count; b0 += SLOTS) {
@@ -617,6 +622,8 @@ void mc_pilot(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
             scatter(z + (count + b0) * MN + m0 * N, s.zim, MN, n * N, k);
         }
     }
+    free(scratch);
+    return 0;
 }
 
 /* a_uj += weight[m, u] gs_mu conj(p_mj) for every user and group, over the
@@ -694,12 +701,15 @@ static double slot_sum(const double *a)
 /* Moment sums s1 (T, d) and s2 (T, d, d) of draws first .. first+count-1 of
  * the run, with the per-user weights weight (M, T) = sqrt(zeta_mu eta_mn), n
  * the user's group. */
-void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
-              double noise_scale, const double *z_scale, uint64_t key, int64_t first,
-              int64_t count, const double *weight, double *scratch, double *s1, double *s2)
+int mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double *c,
+             double noise_scale, const double *z_scale, uint64_t key, int64_t first,
+             int64_t count, const double *weight, double *s1, double *s2)
 {
     const Pilot P = {M, T, N, N + 2, gptr, c, z_scale, noise_scale};
     Slow q = {.key = key};
+    double *scratch = malloc(scratch_len(M, T, N) * sizeof(double));
+    if (!scratch)
+        return NO_MEMORY;
     const Scratch s = carve(scratch, &P);
     const int64_t d = P.d, t2 = tri(d), chunk = chunk_aps(M, T, N);
     memset(s.s1, 0, SLOTS * T * d * sizeof(double));
@@ -726,4 +736,6 @@ void mc_block(int64_t M, int64_t T, int64_t N, const int64_t *gptr, const double
                     slot_sum(s.s2 + (u * t2 + e) * SLOTS);
         }
     }
+    free(scratch);
+    return 0;
 }

@@ -12,7 +12,8 @@ shared home directory never loads a library built for another CPU), and
 every later process only loads the file. Each build writes a private
 temporary file and renames it into place, so processes that build at the
 same time cannot see a partial library, and threads of one process that
-load it for the first time together take turns, so only the first builds. Compiler output is captured and never printed.
+load it for the first time together take turns, so only the first builds.
+Compiler output is captured and never printed.
 After a build, the cache's other libraries that are older than
 STALE_LIBRARY_AGE_S are removed; younger ones stay, because another process
 may have just built one and not yet loaded it.
@@ -21,7 +22,8 @@ This library is the only engine the solvers and the Monte-Carlo oracle run,
 so a C compiler is required: when none is found, or the build fails,
 :func:`load_library` raises RuntimeError. solver_apg.compiled_chain makes
 the one call of apg_chain; solver_apg.monotone_apg, the same loop over the
-numpy kernels, is the reference the stages are tested against.
+numpy kernels, is the reference the stages are tested against. Callers
+pass only inputs and outputs: every entry allocates its own work.
 """
 
 import ctypes
@@ -53,6 +55,8 @@ _LIBRARY_NAME = re.compile(r"apg_stage-[0-9a-f]{16}\.so")
 RATE, MARGIN = 0, 1
 STOP_REASONS = {0: "max_iters", 1: "objective_plateau", 2: "line_search",
                 3: "feasible", 4: "infeasible"}
+# what apg_chain, mc_block and mc_pilot return when their work cannot be allocated
+NO_MEMORY = -1
 
 _LOAD_LOCK = threading.Lock()
 
@@ -63,7 +67,6 @@ class StageConfig(ctypes.Structure):
         ("kappa", ctypes.c_double),
         ("alpha_y0", ctypes.c_double),
         ("alpha_mu0", ctypes.c_double),
-        ("stop_tol", ctypes.c_double),
         ("eps", ctypes.c_double),
         ("max_iters", ctypes.c_int64),
         ("stop_window", ctypes.c_int64),
@@ -179,22 +182,14 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.apg_chain.restype = ctypes.c_int
     lib.apg_objective.argtypes = [
-        ctypes.c_int, ptr, ptr, ptr, i64, i64, i64, dbl, dbl, dbl, ptr, ptr, ptr,
+        ctypes.c_int, ptr, ptr, ptr, i64, i64, i64, dbl, dbl, dbl, ptr, ptr,
         ctypes.POINTER(ctypes.c_double),
     ]
     lib.apg_objective.restype = dbl
-    # buffer lengths in doubles: work of apg_chain (before its traces), scratch of
-    # apg_objective; the engine aligns a buffer of exactly this length itself,
-    # so callers pass np.empty
-    for name in ("apg_work_len", "apg_scratch_len"):
-        getattr(lib, name).argtypes = [i64, i64, i64]
-        getattr(lib, name).restype = i64
     # the vector exp and log1p of the stage over arrays: (x, out, n)
     for name in ("apg_vexp", "apg_vlog1p"):
         getattr(lib, name).argtypes = [ptr, ptr, i64]
         getattr(lib, name).restype = None
-    lib.mc_scratch_len.argtypes = [i64, i64, i64]
-    lib.mc_scratch_len.restype = i64
     # the generator key, the run-wide index of the first draw and the draw count
     draws = [ctypes.c_uint64, i64, i64]
     lib.mc_normals.argtypes = draws + [i64, ptr]
@@ -202,10 +197,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     # the pilot model (M, T, N, group pointer, pilot, noise scale, z scale),
     # then the draws, ...
     pilot = [i64, i64, i64, ptr, ptr, dbl, ptr] + draws
-    lib.mc_pilot.argtypes = pilot + [ptr, ptr, ptr]
-    lib.mc_pilot.restype = None
-    lib.mc_block.argtypes = pilot + [ptr, ptr, ptr, ptr]
-    lib.mc_block.restype = None
+    lib.mc_pilot.argtypes = pilot + [ptr, ptr]
+    lib.mc_pilot.restype = ctypes.c_int
+    lib.mc_block.argtypes = pilot + [ptr, ptr, ptr]
+    lib.mc_block.restype = ctypes.c_int
     lib.apg_lanes.argtypes = []
     lib.apg_lanes.restype = i64
     lib.apg_clock.argtypes = []

@@ -170,7 +170,8 @@ def path_loss_db(dist_m: np.ndarray, cfg: PhysicalConfig) -> np.ndarray:
     return np.where(d_km > d1_km, far, near)
 
 
-def large_scale_fading(ap_xy: np.ndarray, user_xy: np.ndarray, cfg: PhysicalConfig, seed: int) -> np.ndarray:
+def large_scale_fading(ap_xy: np.ndarray, user_xy: np.ndarray, cfg: PhysicalConfig,
+                       seed: int) -> np.ndarray:
     """Large-scale coefficients zeta (M, T): path loss times log-normal
     shadowing. Shadowing (std shadow_std_db, i.i.d. per AP-user pair) is
     applied only beyond the d1 breakpoint."""
@@ -342,17 +343,19 @@ def iter_smallscale_blocks(instance: NetworkInstance, count: int,
     mc_pilot call per block. Every normal is a pure function of (seed, draw,
     entry), so the joint draw sequence is a pure function of (instance,
     count, seed), whatever the block size, and a shorter run's draws are a
-    prefix of a longer one's."""
+    prefix of a longer one's. Raises MemoryError when mc_pilot cannot
+    allocate its scratch."""
     model = pilot_model(instance)
     m, t = model.pilot.shape
     n_groups = model.z_scale.shape[1]
     lib = native.load_library()
-    scratch = np.empty(lib.mc_scratch_len(m, t, n_groups))
     key = smallscale_key(seed)
     for block_idx, n in enumerate(block_sizes(count)):
         g, z = np.empty((2, n, m, t)), np.empty((2, n, m, n_groups))
-        lib.mc_pilot(*model.c_args(), key, block_idx * SMALLSCALE_BLOCK, n,
-                     g.ctypes.data, z.ctypes.data, scratch.ctypes.data)
+        code = lib.mc_pilot(*model.c_args(), key, block_idx * SMALLSCALE_BLOCK, n,
+                            g.ctypes.data, z.ctypes.data)
+        if code == native.NO_MEMORY:
+            raise MemoryError("mc_pilot could not allocate its scratch")
         yield SmallScaleBlock(g[0], g[1], z[0], z[1])
 
 

@@ -132,7 +132,8 @@ def user_columns(group_sizes, repeats: int = 1):
 
 def rates_vector(model: RateModel, mu) -> RateVector:
     mat = as_mu_matrix(mu, model)
-    rates = kernels.IMPL.user_rates(model.gamma_sqrt, model.a_sq, model.group_ptr, mat, model.rho_bar)
+    rates = kernels.IMPL.user_rates(model.gamma_sqrt, model.a_sq, model.group_ptr, mat,
+                                    model.rho_bar)
     return RateVector(rates=rates, group_ptr=model.group_ptr)
 
 
@@ -180,15 +181,16 @@ def _block_moments(pilot: PilotModel, weight: np.ndarray, key: int, block_idx: i
     """Sums over the `count` draws of block `block_idx` (the run's draws from
     block_idx * SMALLSCALE_BLOCK on) of the moment vectors x (T, d) and of
     their outer products x x^T (T, d, d): one mc_block call, which draws the
-    block's normals under generator key `key`."""
+    block's normals under generator key `key`. Raises MemoryError when
+    mc_block cannot allocate its scratch."""
     lib = native.load_library()
-    num_aps, t_users = weight.shape
-    n_groups = pilot.z_scale.shape[1]
-    d = n_groups + 2  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
+    t_users = weight.shape[1]
+    d = pilot.z_scale.shape[1] + 2  # Re a, Im a, |a|^2, |a'_j|^2 for each other group
     s1, s2 = np.empty((t_users, d)), np.empty((t_users, d, d))
-    scratch = np.empty(lib.mc_scratch_len(num_aps, t_users, n_groups))
-    lib.mc_block(*pilot.c_args(), key, block_idx * SMALLSCALE_BLOCK, count, weight.ctypes.data,
-                 scratch.ctypes.data, s1.ctypes.data, s2.ctypes.data)
+    code = lib.mc_block(*pilot.c_args(), key, block_idx * SMALLSCALE_BLOCK, count,
+                        weight.ctypes.data, s1.ctypes.data, s2.ctypes.data)
+    if code == native.NO_MEMORY:
+        raise MemoryError("mc_block could not allocate its scratch")
     return s1, s2
 
 
@@ -196,9 +198,9 @@ def _moment_sums(instance: NetworkInstance, weight: np.ndarray, draws: int, seed
     """Sums over all draws of the moment vectors x (T, d) and of their outer
     products x x^T (T, d, d).
 
-    Blocks are drawn and reduced through pool.ordered_map, each block call
-    in its own scratch; block sums are added in block order, so the sums are
-    bit-identical for every thread count."""
+    Blocks are drawn and reduced through pool.ordered_map, and the block
+    sums are added in block order, so the sums are bit-identical for every
+    thread count."""
     t_users = weight.shape[1]
     d = instance.dims.num_groups + 2
     pilot, key = pilot_model(instance), smallscale_key(seed)

@@ -229,8 +229,8 @@ def monotone_apg(
 
 def stage_config(max_iters: int, eps_soc: float, gap_check_every: int) -> native.StageConfig:
     """apg_chain's settings: this module's step policy with the given budget
-    and margin-stage exits (the chain sets each stage's plateau tolerance)."""
-    return native.StageConfig(DELTA, KAPPA, ALPHA_Y0, ALPHA_MU0, 0.0, eps_soc, max_iters,
+    and margin-stage exits (each stage's plateau tolerance is passed apart)."""
+    return native.StageConfig(DELTA, KAPPA, ALPHA_Y0, ALPHA_MU0, eps_soc, max_iters,
                               STOP_WINDOW, LINE_SEARCH_CAP, gap_check_every, STEP_GROW_AFTER)
 
 
@@ -262,7 +262,8 @@ def compiled_chain(
     reading before the call.
 
     Returns the last stage's SolveReport, each stage's stop reason and the
-    stages' summed iterations."""
+    stages' summed iterations. Raises MemoryError when the engine cannot
+    allocate its work."""
     x = np.array(x0, dtype=float, order="C")  # the engine overwrites it with the last iterate
     if x.shape != (model.num_groups, model.num_aps):
         raise ValueError("start point and rate model shapes disagree")
@@ -277,9 +278,7 @@ def compiled_chain(
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
     (N, M), T, S, n = x.shape, gs.shape[0], len(sigmas), max_iters + 1
 
-    length = lib.apg_work_len(T, N, M)
-    # the work at exact size (the engine aligns it), then the last stage's traces
-    work = np.empty(length + 7 * n)
+    traces = np.empty((7, n))  # the last stage's, written by the engine
     codes = (ctypes.c_int64 * S)()
     out = native.StageResult()
     start = lib.apg_clock()
@@ -287,14 +286,14 @@ def compiled_chain(
         kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M, model.rho_bar, t, S,
         (ctypes.c_double * S)(*sigmas), (ctypes.c_double * S)(*tols),
         stage_config(max_iters, eps_soc, gap_check_every), x.ctypes.data,
-        work.ctypes.data, codes, out)
+        traces.ctypes.data, codes, out)
+    if code == native.NO_MEMORY:
+        raise MemoryError("apg_chain could not allocate its work")
     reason = native.STOP_REASONS[code]
     if reason == "line_search":
         raise LineSearchError(out.iterations, out.alpha_mu, out.f_mu, out.f_best)
-    # the last stage's k entries, copied so that a report does not keep the
-    # whole work block alive
-    k = out.iterations + 1
-    traces = work[length:].reshape(7, n)[:, :k].copy()
+    # copied, so that a report does not keep all n entries alive
+    traces = traces[:, :out.iterations + 1].copy()
     f_sigma, f_true, alpha_y, alpha_mu, stamps = traces[:5]
     bt_y, bt_mu = traces[5:].view(np.int64)
     report = SolveReport(

@@ -15,9 +15,10 @@ undecided. The sharpness continuation of stages is one
 solver_apg.compiled_chain call, the one way into the compiled library that
 apg_solve takes too; it runs the schedule that _smoothing_schedule sets
 here: each stage's sharpness and plateau tolerance. The candidate pick
-before it and the last certificate after it stay here too. The stages run the APG step policy of solver_apg. A
-candidate's per-user terms do not depend on t, so bisection_solve scores
-each start point it passes the oracle once per solve.
+before it and the last certificate after it stay here too. The stages run
+the APG step policy of solver_apg. A candidate's per-user terms do not
+depend on t, so bisection_solve scores each start point it passes the
+oracle once per solve.
 
 Oracle outcomes: "feasible" (witness with max residual <= EPS_SOC),
 "infeasible" (certified min of the max residual exceeds -EPS_SOC), or
@@ -169,7 +170,8 @@ def feasibility_oracle(
         inputs = {"gamma_sqrt": model.gamma_sqrt, "a_sq": model.a_sq, "rho_bar": model.rho_bar,
                   "warm start": [cand.mu for cand in candidates]}
         bad = [name for name, val in inputs.items() if not np.isfinite(val).all()]
-        raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) at level t={t}")
+        raise ValueError(f"non-finite oracle data ({', '.join(bad) or 'residuals'}) "
+                         f"at level t={t}")
     if best_res <= EPS_SOC:
         # a candidate outside S is no witness: the first stage projects it
         if is_feasible(best.mu):

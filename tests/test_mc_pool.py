@@ -66,7 +66,7 @@ def test_reports_bit_identical_for_any_thread_count(monkeypatch, shape, draws):
 
 def test_stress_more_threads_than_cores(monkeypatch):
     """Six threads, whatever the host's CPU count, switching as often as the
-    interpreter allows: a scratch shared by two threads at once would
+    interpreter allows: any scratch shared by two threads at once would
     corrupt a block and change the sums."""
     instance, mu = mc_case(4, (1, 2), seed=2)
     draws = 12 * SMALLSCALE_BLOCK + 3

@@ -39,9 +39,11 @@ from cellfree_maxmin import (
     generate_instance,
     kernels,
     native,
+    rate_oracle_monte_carlo,
     rate_upper_bound,
 )
 from cellfree_maxmin import solver_apg, solver_bisection
+from cellfree_maxmin.netgen import SMALLSCALE_BLOCK, iter_smallscale_blocks
 from cellfree_maxmin.solver_apg import compiled_chain, monotone_apg
 from cellfree_maxmin.solver_bisection import EPS_SOC, FEASIBLE, INFEASIBLE, _support_gap
 from conftest import kernel_args, make_model, random_feasible_matrix
@@ -72,25 +74,17 @@ def one_stage(lib, kind, model, x0, cfg, sigma, **kwargs):
                           **kwargs)[0]
 
 
-def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True, scratch=None):
+def compiled_objective(lib, kind, model, mu, sigma, t=0.0, grad=True):
     """(f, aux, grad or None) of one compiled evaluation; grad=False takes the
-    value-only path. Without a `scratch` buffer of apg_scratch_len doubles,
-    checks that the evaluation stays inside that length."""
+    value-only path."""
     gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
     T, M = gs.shape
     mu = np.ascontiguousarray(mu, dtype=float)
     g = np.empty_like(mu) if grad else None
-    n = lib.apg_scratch_len(T, mu.shape[0], M)
-    whole = None
-    if scratch is None:
-        whole = np.full(n + 64, -7.0)  # the tail past n must stay untouched
-        scratch = whole[:n]
     aux = ctypes.c_double()
     f = lib.apg_objective(kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T,
                           mu.shape[0], M, model.rho_bar, sigma, t, mu.ctypes.data,
-                          None if g is None else g.ctypes.data, scratch.ctypes.data, aux)
-    if whole is not None:
-        assert (whole[n:] == -7.0).all()
+                          None if g is None else g.ctypes.data, aux)
     return f, aux.value, g
 
 
@@ -204,10 +198,9 @@ def margin_level(model, level):
 @pytest.mark.parametrize("case", MARGIN_CASES)
 @pytest.mark.parametrize("level", LEVELS)
 def test_margin_stage_matches_monotone_apg(lib, case, level):
-    """Same status, iteration count and iterate as the numpy stage. Runs that
-    hover at the feasibility boundary for hundreds of iterations amplify the
-    last-bit differences of the dot products until the trajectories part; the
-    levels here end by a status well before that."""
+    """Same status, iteration count, iterate, min cone margin and f_sigma
+    trace as the numpy stage, bit for bit: both evaluate every margin by the
+    same formula, summed in the same order."""
     num_aps, group_sizes, seed, gap_check_every = case
     model = shaped_model(num_aps, group_sizes, seed)
     t = margin_level(model, level)
@@ -223,9 +216,11 @@ def test_margin_stage_matches_monotone_apg(lib, case, level):
     assert got.termination == ref.termination
     assert got.termination == (FEASIBLE if level == "below_optimum" else INFEASIBLE)
     assert got.iterations == ref.iterations
-    np.testing.assert_allclose(got.power, ref.power, rtol=0, atol=1e-10)
-    assert got.f_true == pytest.approx(ref.f_true, rel=1e-10, abs=1e-12)
-    # f_true is the min cone margin: minus the max residual at the last iterate
+    assert got.power.tobytes() == ref.power.tobytes()
+    assert np.float64(got.f_true).tobytes() == np.float64(ref.f_true).tobytes()
+    assert got.trace_f_sigma.tobytes() == np.array(ref.trace_f_sigma).tobytes()
+    # f_true is the min cone margin: minus the max residual at the last iterate,
+    # whose soc_residuals take BLAS dot products
     residuals = kernels.IMPL.soc_residuals(*kernel_args(model, got.power), t)
     assert got.f_true == pytest.approx(-residuals.max(), rel=1e-12, abs=1e-15)
     if got.termination == FEASIBLE:
@@ -488,80 +483,31 @@ def test_value_path_equals_value_grad_path(lib, shape):
 CANARY = -7.25
 
 
-def buffer_at(n, offset):
-    """(whole, view): n doubles starting `offset` doubles past a 64-byte
-    boundary, inside a larger buffer whose every entry holds CANARY."""
-    whole = np.full(n + 16, CANARY)
-    start = (-whole.ctypes.data % 64) // 8 + offset
-    return whole, whole[start:start + n]
-
-
-def assert_only_view_written(whole, view):
-    start = (view.ctypes.data - whole.ctypes.data) // 8
-    assert (whole[:start] == CANARY).all() and (whole[start + view.shape[0]:] == CANARY).all()
-
-
-def objective_in(lib, kind, model, mu, t, scratch, grad):
-    """Bytes of what apg_objective returns at sharpness 500 from the
-    scratch buffer `scratch`."""
-    f, aux, g = compiled_objective(lib, kind, model, mu, 500.0, t, grad, scratch)
-    return np.array([f, aux]).tobytes() + (b"" if g is None else g.tobytes())
-
-
-def chain_in(lib, kind, model, x0, t, work, sigmas, tols, cap):
-    """Bytes of everything apg_chain returns but the clock trace, from the
-    work buffer `work`: the stages (sigmas, tols) on the budget `cap`,
-    checking the certificate every 10 iterations."""
-    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
-    (N, M), T, S = x0.shape, gs.shape[0], len(sigmas)
-    x = np.array(x0)
-    codes = (ctypes.c_int64 * S)()
-    out = native.StageResult()
-    code = lib.apg_chain(kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
-                         model.rho_bar, t, S, (ctypes.c_double * S)(*sigmas),
-                         (ctypes.c_double * S)(*tols),
-                         solver_apg.stage_config(cap, 1e-6, 10), x.ctypes.data,
-                         work.ctypes.data, codes, out)
-    # the last stage's traces; past its last iteration they keep the canary
-    traces = work[lib.apg_work_len(T, N, M):].reshape(7, cap + 1)
-    return (bytes([code]) + x.tobytes() + bytes(codes) + bytes(out)
-            + traces[:4].tobytes() + traces[5:].tobytes())
-
-
-# one user at one AP fills the user-minor copies' room to the last double
 @pytest.mark.parametrize("shape", [(1, (1,)), (17, (7, 9, 2)), (40, (1, 6))],
                          ids=lambda s: shape_id(*s))
-def test_buffers_at_every_offset_give_the_same_bits(lib, shape):
-    """apg_objective (both paths) and apg_chain (a one-stage rate chain and
-    a three-stage margin chain) align their buffers themselves: from buffers
-    at each of the 8 double offsets mod 64 they return the same bits, and
-    they write nothing outside the apg_scratch_len doubles, or the
-    apg_work_len doubles and the chain's traces, they are given."""
+def test_chain_writes_only_its_traces(lib, shape):
+    """apg_chain (a one-stage rate chain and a three-stage margin chain)
+    writes the first iterations + 1 entries of each trace row of its last
+    stage and nothing else of the buffer around them: the rest of every row,
+    and 8 doubles on each side of the traces, keep their canary."""
     model = shaped_model(*shape, seed=1)
-    (T, M), N = model.gamma_sqrt.shape, model.num_groups
+    gs, asq, ptr = model.gamma_sqrt, model.a_sq, model.group_ptr
+    (T, M), N = gs.shape, model.num_groups
     mat = random_feasible_matrix(model, np.random.default_rng(5))
     t = 1.5 * epa_rates(model).min_rate
-    cap = 150
-    calls = [
-        (lib.apg_scratch_len(T, N, M),
-         lambda buf: objective_in(lib, native.MARGIN, model, mat, t, buf, grad=True)),
-        (lib.apg_scratch_len(T, N, M),
-         lambda buf: objective_in(lib, native.MARGIN, model, mat, t, buf, grad=False)),
-        (lib.apg_scratch_len(T, N, M),
-         lambda buf: objective_in(lib, native.RATE, model, mat, 0.0, buf, grad=True)),
-        (lib.apg_work_len(T, N, M) + 7 * 61,
-         lambda buf: chain_in(lib, native.RATE, model, mat, 0.0, buf, (100.0,), (0.0,), 60)),
-        (lib.apg_work_len(T, N, M) + 7 * (cap + 1),
-         lambda buf: chain_in(lib, native.MARGIN, model, mat, t, buf, (30.0, 300.0, 3000.0),
-                              (1e-4, 1e-6, 1e-8), cap)),
-    ]
-    for n, call in calls:
-        results = set()
-        for offset in range(8):
-            whole, view = buffer_at(n, offset)
-            results.add(call(view))
-            assert_only_view_written(whole, view)
-        assert len(results) == 1
+    for kind, level, sigmas, tols, cap in ((native.RATE, 0.0, (100.0,), (0.0,), 60),
+                                           (native.MARGIN, t, (30.0, 300.0, 3000.0),
+                                            (1e-4, 1e-6, 1e-8), 150)):
+        S, x = len(sigmas), np.array(mat)
+        whole = np.full(7 * (cap + 1) + 16, CANARY)
+        traces, out = whole[8:-8].reshape(7, cap + 1), native.StageResult()
+        lib.apg_chain(kind, gs.ctypes.data, asq.ctypes.data, ptr.ctypes.data, T, N, M,
+                      model.rho_bar, level, S, (ctypes.c_double * S)(*sigmas),
+                      (ctypes.c_double * S)(*tols), solver_apg.stage_config(cap, 1e-6, 10),
+                      x.ctypes.data, traces.ctypes.data, (ctypes.c_int64 * S)(), out)
+        k = out.iterations + 1
+        assert (whole[:8] == CANARY).all() and (whole[-8:] == CANARY).all()
+        assert (traces[:, k:] == CANARY).all() and not (traces[:, :k] == CANARY).any()
 
 
 def test_package_data_ships_every_build_file():
@@ -621,10 +567,8 @@ def test_sources_build_without_warnings(tmp_path):
 # finer step that makes a chain of 40 stages; the three Monte-Carlo entries
 # on 1003 draws, no multiple of any lane width; and bisection on 2 groups of
 # 15 users at 4 APs, whose margin stages take zero steps. apg_objective and
-# apg_chain (one rate stage, two margin stages) also run on buffers of
-# exactly the length the library asks for, which start off a 64-byte
-# boundary and end where their allocation ends, so the engine's own
-# alignment cannot hide an overrun.
+# apg_chain (one rate stage, two margin stages) are also called directly, so
+# the engine's own exact-size allocations of both are checked.
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
@@ -635,12 +579,6 @@ from cellfree_maxmin import (BisectionConfig, Dimensions, PhysicalConfig,
 from cellfree_maxmin.harness import random_feasible_power
 from cellfree_maxmin.netgen import iter_smallscale_blocks, smallscale_key
 from cellfree_maxmin.solver_apg import compiled_chain, stage_config
-
-def off_boundary(n):
-    for k in range(1, 9):
-        view = np.empty(n + k)[k:]
-        if view.ctypes.data % 64:
-            return view
 
 lib = native._declare(ctypes.CDLL(sys.argv[1]))
 native.load_library = lambda: lib
@@ -658,17 +596,15 @@ for num_aps, group_sizes in ((1, (1,)), (17, (7, 9, 2))):
     data = (model.gamma_sqrt.ctypes.data, model.a_sq.ctypes.data, model.group_ptr.ctypes.data,
             T, N, M, model.rho_bar)
     x, grad, out = np.array(x0), np.empty_like(x0), native.StageResult()
-    codes = (ctypes.c_int64 * 2)()
-    scratch = off_boundary(lib.apg_scratch_len(T, N, M))
-    work = off_boundary(lib.apg_work_len(T, N, M) + 7 * 201)
+    codes, traces = (ctypes.c_int64 * 2)(), np.empty((7, 201))
     lib.apg_objective(native.MARGIN, *data, 3000.0, 1.2 * epa, x.ctypes.data, grad.ctypes.data,
-                      scratch.ctypes.data, ctypes.c_double())
+                      ctypes.c_double())
     lib.apg_chain(native.RATE, *data, 0.0, 1, (ctypes.c_double * 1)(100.0),
                   (ctypes.c_double * 1)(1e-9), stage_config(200, 0.0, 1), x.ctypes.data,
-                  work.ctypes.data, codes, out)
+                  traces.ctypes.data, codes, out)
     lib.apg_chain(native.MARGIN, *data, 1.2 * epa, 2, (ctypes.c_double * 2)(300.0, 3000.0),
                   (ctypes.c_double * 2)(1e-6, 1e-9), stage_config(200, 1e-6, 25),
-                  x.ctypes.data, work.ctypes.data, codes, out)
+                  x.ctypes.data, traces.ctypes.data, codes, out)
     statuses = [feasibility_oracle(model, t, cfg=BisectionConfig(oracle_iter_cap=cap)).status
                 for t, cap in ((1.2 * epa, 4000), (rate_upper_bound(model) + 0.1, 4000),
                                (1.5 * epa, 5))]
@@ -881,13 +817,16 @@ def test_stage_clock(lib):
 
 def test_stop_codes_match_the_engine():
     """native.STOP_REASONS names exactly the codes of apg_stage.c's STOP_*
-    enum, so no code the engine returns goes unnamed."""
+    enum, so no code the engine returns goes unnamed, and both sources
+    return native.NO_MEMORY when an allocation fails."""
     assert native.SOURCES[0].endswith("apg_stage.c")
     source = pathlib.Path(native.SOURCES[0]).read_text()
     enum = re.search(r"enum \{([^}]*\bSTOP_[^}]*)\}", source).group(1)
     codes = [int(code) for code in re.findall(r"\bSTOP_\w+ = (\d+)", enum)]
     assert len(codes) == len(re.findall(r"\bSTOP_\w+", enum))
     assert sorted(codes) == sorted(native.STOP_REASONS)
+    for path in native.SOURCES:
+        assert f"#define NO_MEMORY ({native.NO_MEMORY})" in pathlib.Path(path).read_text()
 
 
 def test_library_exports_exactly_the_declared_entries(lib):
@@ -959,6 +898,36 @@ def test_compiled_chain_refuses_bad_schedules(kind, sigmas, tols, kwargs, match)
     with pytest.raises(ValueError, match=match):
         compiled_chain(NoLibrary(), kind, model, x0, sigmas, tols, **kwargs)
 
+
+
+class NoMemory:
+    """A library stand-in whose entries all fail to allocate their work."""
+
+    def apg_clock(self):
+        return 0.0
+
+    def apg_chain(self, *args):
+        return native.NO_MEMORY
+
+    mc_block = mc_pilot = apg_chain
+
+
+def test_allocation_failure_raises_memory_error(monkeypatch):
+    """An entry that returns NO_MEMORY makes its caller raise MemoryError
+    naming it: compiled_chain, the Monte-Carlo oracle (two blocks, so the
+    pool's threads run one) and the small-scale draws."""
+    stub = NoMemory()
+    monkeypatch.setattr(native, "load_library", lambda: stub)
+    model = make_model(num_aps=6, users_per_group=2, seed=3)
+    with pytest.raises(MemoryError, match="apg_chain"):
+        compiled_chain(stub, native.RATE, model, epa_power(model.num_aps, model.num_groups),
+                       (100.0,), (1e-6,), 50)
+    dims = Dimensions(4, 2, (2, 2))
+    instance = generate_instance(dims, PhysicalConfig(), seed=1)
+    with pytest.raises(MemoryError, match="mc_block"):
+        rate_oracle_monte_carlo(instance, epa_power(4, 2), SMALLSCALE_BLOCK + 1, seed=1)
+    with pytest.raises(MemoryError, match="mc_pilot"):
+        next(iter_smallscale_blocks(instance, 10, seed=1))
 
 BALL_EDGE = math.sqrt(1.0 + kernels.BALL_SLACK)
 
